@@ -237,7 +237,7 @@ func run(addr string, external []cluster.Backend, backends, vnodes int, loadFact
 		ReadmitBackoff:    health.backoff,
 		ReadmitMaxBackoff: health.maxBackoff,
 		TolerateDown:      health.tolerateDown,
-		Logf:              log.Printf,
+		Logger:            obs.NewLogger(256, func(e obs.Event) { log.Printf("%s", e) }),
 	})
 	if err != nil {
 		return err

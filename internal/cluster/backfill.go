@@ -88,7 +88,12 @@ func (gw *Gateway) backfill(spec BackfillSpec) (*BackfillResult, error) {
 	if len(streams) == 0 {
 		return nil, fmt.Errorf("cluster: backfill needs at least one stream")
 	}
-	live := gw.liveIDs()
+	var live []member
+	for _, m := range gw.fleet.snapshot() {
+		if m.state == StateLive && m.be != nil {
+			live = append(live, m)
+		}
+	}
 	if len(live) == 0 {
 		return nil, fmt.Errorf("cluster: backfill: no live backends")
 	}
@@ -103,7 +108,7 @@ func (gw *Gateway) backfill(spec BackfillSpec) (*BackfillResult, error) {
 	// backend may hold any recording (see the retry pass).
 	partition := make(map[string][]int, len(live))
 	for i, name := range streams {
-		id, ok := gw.ring.Lookup(name)
+		id, ok := gw.fleet.ring.Lookup(name)
 		if !ok {
 			return nil, fmt.Errorf("cluster: backfill: ring is empty")
 		}
@@ -120,7 +125,7 @@ func (gw *Gateway) backfill(spec BackfillSpec) (*BackfillResult, error) {
 	}
 
 	type call struct {
-		id   string
+		member
 		idxs []int
 	}
 	runWave := func(calls []call) {
@@ -129,21 +134,21 @@ func (gw *Gateway) backfill(spec BackfillSpec) (*BackfillResult, error) {
 			wg.Add(1)
 			go func(c call) {
 				defer wg.Done()
-				gw.backfillOn(spec, c.id, c.idxs, streams, res, located, tried)
+				gw.backfillOn(spec, c.member, c.idxs, streams, res, located, tried)
 			}(c)
 		}
 		wg.Wait()
 	}
 
 	var wave []call
-	for _, id := range live {
-		if idxs := partition[id]; len(idxs) > 0 {
-			wave = append(wave, call{id, idxs})
+	for _, m := range live {
+		if idxs := partition[m.id]; len(idxs) > 0 {
+			wave = append(wave, call{m, idxs})
 			names := make([]string, len(idxs))
 			for j, i := range idxs {
 				names[j] = streams[i]
 			}
-			res.Partitions[id] = names
+			res.Partitions[m.id] = names
 		}
 	}
 	runWave(wave)
@@ -152,10 +157,10 @@ func (gw *Gateway) backfill(spec BackfillSpec) (*BackfillResult, error) {
 	// backend, one backend per wave, until everything is found or the fleet
 	// is exhausted. Waves stay parallel-free here (one backend at a time)
 	// because each wave's remainder depends on the last.
-	for _, id := range live {
+	for _, m := range live {
 		var idxs []int
 		for i := range streams {
-			if !located[i] && !tried[i][id] {
+			if !located[i] && !tried[i][m.id] {
 				idxs = append(idxs, i)
 			}
 		}
@@ -163,7 +168,7 @@ func (gw *Gateway) backfill(spec BackfillSpec) (*BackfillResult, error) {
 			continue
 		}
 		res.Retried += len(idxs)
-		runWave([]call{{id, idxs}})
+		runWave([]call{{m, idxs}})
 	}
 
 	for i, name := range streams {
@@ -180,20 +185,17 @@ func (gw *Gateway) backfill(spec BackfillSpec) (*BackfillResult, error) {
 	return res, nil
 }
 
-// backfillOn runs one backfill call against backend id for the given stream
+// backfillOn runs one backfill call against backend m for the given stream
 // indices, merging what it finds. Results land at disjoint global indices
 // (idxs never overlaps across concurrent calls of one wave), so only the
 // shared counters need res's lock, held via gw.backfillMu. On any call-level
 // error the backend is marked tried for every offered stream and nothing is
 // merged — the whole sublist stays eligible for retry elsewhere.
-func (gw *Gateway) backfillOn(spec BackfillSpec, id string, idxs []int, streams []string,
+func (gw *Gateway) backfillOn(spec BackfillSpec, m member, idxs []int, streams []string,
 	res *BackfillResult, located []bool, tried []map[string]bool) {
+	id := m.id
 	for _, i := range idxs {
 		tried[i][id] = true
-	}
-	addr, ok := gw.addrOf(id)
-	if !ok {
-		return
 	}
 	names := make([]string, len(idxs))
 	for j, i := range idxs {
@@ -202,7 +204,7 @@ func (gw *Gateway) backfillOn(spec BackfillSpec, id string, idxs []int, streams 
 	// A dedicated connection per call: the backfill request occupies the
 	// server connection's reader goroutine until done, which must never
 	// stall the proxied live sessions sharing the pooled data connection.
-	cl, err := wire.DialTimeout(addr, gw.cfg.ProbeTimeout)
+	cl, err := wire.DialTimeout(m.addr, gw.cfg.ProbeTimeout)
 	if err != nil {
 		gw.log.Warn("backfill dial failed",
 			obs.F("backend", id), obs.F("streams", len(names)), obs.F("err", err.Error()))
@@ -244,27 +246,6 @@ func (gw *Gateway) backfillOn(spec BackfillSpec, id string, idxs []int, streams 
 	res.Records += reply.Records
 	res.Tuples += reply.Tuples
 	gw.backfillMu.Unlock()
-}
-
-// liveIDs snapshots the live member IDs in admission order.
-func (gw *Gateway) liveIDs() []string {
-	gw.mu.Lock()
-	defer gw.mu.Unlock()
-	var live []string
-	for _, id := range gw.order {
-		if gw.states[id] == StateLive && gw.backends[id] != nil {
-			live = append(live, id)
-		}
-	}
-	return live
-}
-
-// addrOf resolves a member's wire address; ok is false once it is removed.
-func (gw *Gateway) addrOf(id string) (string, bool) {
-	gw.mu.Lock()
-	defer gw.mu.Unlock()
-	addr, ok := gw.addrs[id]
-	return addr, ok
 }
 
 // BackfillStats is the backfill plane's counter snapshot.

@@ -17,14 +17,19 @@
 //     tuple; control frames (attach/flush/detach) round-trip to the owning
 //     backend so the flush-ack contract ("every detection for tuples fed
 //     before the ack") holds end to end;
+//   - fleet — membership, lifecycle state, the current incarnation of
+//     each backend and the ring over the live ones; one verified install
+//     path serves startup, AddBackend and re-admission (fleet.go);
 //   - health checking — each backend gets a dedicated probe connection
 //     pinged on an interval; a probe failure, timeout, or data-path write
 //     error ejects the backend from the ring;
-//   - re-home — sessions of an ejected backend re-attach on a healthy
-//     node. Serving state (NFA progress) cannot be migrated, so every
-//     tuple forwarded to the dead incarnation is charged to the session's
-//     Lost/Dropped accounting and surfaced through the existing flush-ack
-//     and detection-push drop counters — loss is explicit, never silent;
+//   - session ownership — one record per session, moved only by place,
+//     bind and ensureOwnerLocked (owner.go). A drain migrates a session
+//     with its state; when the owner died instead, its NFA progress died
+//     with it, so every tuple forwarded to the dead incarnation is
+//     charged to the session's Lost/Dropped accounting and surfaced
+//     through the existing flush-ack and detection-push drop counters —
+//     loss is explicit, never silent;
 //   - Spawner — an in-process backend fleet (manager + wire server per
 //     backend) for cmd/gesturegateway's all-in-one mode and the e2e test
 //     harness.
@@ -81,14 +86,10 @@ type Config struct {
 	TolerateDown bool
 	// Logger, when non-nil, receives structured backend lifecycle events
 	// (ejection, recovery, re-admission) with backend ID, incarnation and
-	// state fields, and backs the admin plane's /events endpoint. When nil,
-	// the gateway builds its own ring-buffered logger internally — and if
-	// Logf is set, mirrors each event to it as a formatted line.
+	// state fields, and backs the admin plane's /events endpoint; give it a
+	// sink to mirror each event elsewhere. When nil, the gateway builds its
+	// own ring-buffered logger with no sink.
 	Logger *obs.Logger
-	// Logf, when non-nil, receives one line per backend lifecycle event
-	// (ejection, recovery attempt exhaustion, re-admission). Kept as the
-	// printf-compatibility shim over Logger; prefer Logger for new code.
-	Logf func(format string, args ...any)
 }
 
 func (c Config) withDefaults() Config {

@@ -125,7 +125,8 @@ func TestEjectConcurrentIdempotent(t *testing.T) {
 	defer gw.Close()
 
 	victim := sp.ID(0)
-	be := gw.backend(victim)
+	m, _ := gw.fleet.lookup(victim)
+	be := m.be
 	if be == nil {
 		t.Fatalf("backend %s not admitted", victim)
 	}
@@ -139,18 +140,18 @@ func TestEjectConcurrentIdempotent(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got := gw.stats[victim].ejections.Load(); got != 1 {
+	if got := m.stats.ejections.Load(); got != 1 {
 		t.Errorf("16 concurrent ejects of one incarnation counted %d ejections, want 1", got)
 	}
 	if gw.State(victim) != StateEjected {
 		t.Errorf("victim state = %q, want %q (Readmit off)", gw.State(victim), StateEjected)
 	}
-	if ids := gw.ring.Backends(); len(ids) != 1 || ids[0] != sp.ID(1) {
+	if ids := gw.Ring().Backends(); len(ids) != 1 || ids[0] != sp.ID(1) {
 		t.Errorf("ring holds %v after ejection, want only %s", ids, sp.ID(1))
 	}
 	// A second eject of the same (now long-dead) incarnation stays a no-op.
 	gw.eject(be, nil)
-	if got := gw.stats[victim].ejections.Load(); got != 1 {
+	if got := m.stats.ejections.Load(); got != 1 {
 		t.Errorf("late re-eject bumped ejections to %d", got)
 	}
 }

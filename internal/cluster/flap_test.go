@@ -10,6 +10,7 @@ import (
 	"gesturecep/internal/cluster"
 	"gesturecep/internal/e2e"
 	"gesturecep/internal/kinect"
+	"gesturecep/internal/obs"
 	"gesturecep/internal/stream"
 	"gesturecep/internal/wire"
 )
@@ -126,7 +127,7 @@ func testFlappingBackend(t *testing.T, killOnAttach bool) {
 		Readmit:           true,
 		ReadmitBackoff:    time.Millisecond,
 		ReadmitMaxBackoff: 5 * time.Millisecond,
-		Logf:              t.Logf,
+		Logger:            obs.NewLogger(256, func(e obs.Event) { t.Logf("%s", e) }),
 	})
 	if err != nil {
 		t.Fatal(err)

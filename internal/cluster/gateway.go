@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -20,101 +19,26 @@ import (
 // pending detection is evicted and counted.
 const maxPendingDetections = 65536
 
-// backendStats is the per-backend-ID counter block Metrics reports. It is
-// shared by every incarnation of one backend (the gateway allocates it once
-// per configured ID), so counters stay monotonic across eject/re-admit
-// cycles and a session straggling on a dead incarnation still charges its
-// losses to the right row.
-type backendStats struct {
-	batches      atomic.Uint64
-	tuples       atomic.Uint64
-	detections   atomic.Uint64
-	lost         atomic.Uint64
-	rehomed      atomic.Uint64
-	probeSeq     atomic.Uint64
-	probes       atomic.Uint64 // completed successful health probes
-	ejections    atomic.Uint64
-	readmissions atomic.Uint64 // admissions via the recovery loop
-	incarnations atomic.Uint64 // incarnations built for this ID (dial or re-admit)
-
-	// forward records ProxyBatch write latency of trace-sampled batches;
-	// probeRTT records every successful health-probe round trip. Both span
-	// incarnations, like the counters above.
-	forward  *obs.Histogram
-	probeRTT *obs.Histogram
-}
-
-func newBackendStats() *backendStats {
-	return &backendStats{forward: obs.NewHistogram(), probeRTT: obs.NewHistogram()}
-}
-
-// backend is one incarnation of a fleet member: a shared data connection
-// carrying every proxied session homed there, a dedicated probe connection
-// (so a health check never queues behind a long flush), and a reference to
-// the backend ID's cross-incarnation counters. An ejected incarnation is
-// never resurrected — re-admission builds a fresh one with fresh
-// connections, which is what keeps stale sessions from ever writing to a
-// recovered backend's new sockets.
-type backend struct {
-	id    string
-	addr  string
-	inc   uint64 // incarnation ordinal (1-based), for lifecycle log fields
-	stats *backendStats
-	cl    *wire.Client // data + control for proxied sessions
-	pr    *wire.Client // health probes only
-
-	mu       sync.Mutex
-	sessions map[*proxySession]struct{}
-	ejected  bool
-
-	probing atomic.Bool // a health probe is in flight for this incarnation
-}
-
-func (be *backend) isEjected() bool {
-	be.mu.Lock()
-	defer be.mu.Unlock()
-	return be.ejected
-}
-
-func (be *backend) addSession(ps *proxySession) {
-	be.mu.Lock()
-	be.sessions[ps] = struct{}{}
-	be.mu.Unlock()
-}
-
-func (be *backend) dropSession(ps *proxySession) {
-	be.mu.Lock()
-	delete(be.sessions, ps)
-	be.mu.Unlock()
-}
-
 // Gateway terminates the wire protocol in front of a backend fleet. Remote
 // clients speak to it exactly as they would to a single gestured process —
 // attach, batch, flush, detach, metrics, ping — while each session's frames
 // are proxied to the backend the ring assigns it.
 type Gateway struct {
-	cfg  Config
-	ring *Ring
-	log  *obs.Logger // never nil; see NewGateway
+	cfg   Config
+	fleet *fleet      // membership, incarnations and the placement ring
+	log   *obs.Logger // never nil; see NewGateway
 
 	// memberMu serializes membership operations — AddBackend, Drain,
-	// RemoveBackend — against each other; gw.mu stays the fine-grained
-	// lock for each individual state step inside them. Lock ordering:
-	// memberMu before mu, never the reverse.
+	// RemoveBackend — against each other, and Close waits on it for the one
+	// in flight; the fleet's own lock stays the fine-grained one for each
+	// state step inside them. Lock ordering: memberMu before fleet.mu, never
+	// the reverse.
 	memberMu sync.Mutex
 
-	mu       sync.Mutex
-	stats    map[string]*backendStats // per-ID counters, across incarnations
-	addrs    map[string]string
-	order    []string                // member IDs in admission order, for metrics
-	backends map[string]*backend     // current incarnation; nil while down
-	states   map[string]BackendState // lifecycle state per backend ID
-	// recoverCancel holds one cancel channel per running recovery loop;
-	// RemoveBackend closes it so a decommissioned ID stops being re-dialed.
-	recoverCancel map[string]chan struct{}
-	conns         map[*frontConn]struct{}
-	ln            net.Listener
-	closed        bool
+	mu     sync.Mutex
+	conns  map[*frontConn]struct{}
+	ln     net.Listener
+	closed bool
 
 	// Migration counters (see MigrationStats): completed and failed session
 	// moves, tuples replayed into targets, and per-migration duration.
@@ -135,17 +59,15 @@ type Gateway struct {
 	quit      chan struct{}
 	probeDone chan struct{}
 	probeWG   sync.WaitGroup // in-flight probes and their ping goroutines
-	recoverWG sync.WaitGroup // per-backend recovery loops
-	drainWG   sync.WaitGroup // in-flight Drain calls; Close waits them out
 }
 
-// NewGateway dials every configured backend (data + probe connections) and
-// builds the ring. By default it fails fast if any backend is unreachable:
-// a fleet that starts degraded is a configuration error, whereas a backend
-// lost later is a runtime event the gateway survives by ejection. With
-// Config.TolerateDown, an unreachable backend is instead admitted through
-// the recovery machinery — the gateway starts on the reachable subset and
-// the rest join the ring when they answer pings.
+// NewGateway installs every configured backend (verified data + probe
+// connections) and builds the ring. By default it fails fast if any backend
+// is unreachable: a fleet that starts degraded is a configuration error,
+// whereas a backend lost later is a runtime event the gateway survives by
+// ejection. With Config.TolerateDown, an unreachable backend is instead
+// admitted through the recovery machinery — the gateway starts on the
+// reachable subset and the rest join the ring when they answer pings.
 func NewGateway(cfg Config) (*Gateway, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -153,106 +75,34 @@ func NewGateway(cfg Config) (*Gateway, error) {
 	cfg = cfg.withDefaults()
 	log := cfg.Logger
 	if log == nil {
-		// Build the event ring ourselves; a configured Logf becomes the
-		// sink, so printf-style consumers keep getting their lines while
-		// the admin plane serves the structured ring.
-		var sink func(obs.Event)
-		if lf := cfg.Logf; lf != nil {
-			sink = func(e obs.Event) { lf("%s", e.String()) }
-		}
-		log = obs.NewLogger(256, sink)
+		log = obs.NewLogger(256, nil)
 	}
+	quit := make(chan struct{})
 	gw := &Gateway{
-		cfg:           cfg,
-		ring:          NewRing(cfg.VNodes, cfg.LoadFactor),
-		log:           log,
-		stats:         make(map[string]*backendStats),
-		addrs:         make(map[string]string),
-		backends:      make(map[string]*backend),
-		states:        make(map[string]BackendState),
-		recoverCancel: make(map[string]chan struct{}),
-		conns:         make(map[*frontConn]struct{}),
-		quit:          make(chan struct{}),
-		probeDone:     make(chan struct{}),
-		migrateDur:    obs.NewHistogram(),
-		backfillDur:   obs.NewHistogram(),
+		cfg:         cfg,
+		fleet:       newFleet(cfg, log, quit),
+		log:         log,
+		conns:       make(map[*frontConn]struct{}),
+		quit:        quit,
+		probeDone:   make(chan struct{}),
+		migrateDur:  obs.NewHistogram(),
+		backfillDur: obs.NewHistogram(),
 	}
 	for _, b := range cfg.Backends {
-		gw.stats[b.ID] = newBackendStats()
-		gw.addrs[b.ID] = b.Addr
-		gw.order = append(gw.order, b.ID)
-		be, err := gw.dialBackend(b.ID, b.Addr)
-		if err != nil {
-			if cfg.TolerateDown {
-				gw.backends[b.ID] = nil
-				gw.states[b.ID] = StateRecovering
-				continue
-			}
-			gw.closeBackends()
+		_, err := gw.fleet.install(b.ID, b.Addr, false)
+		if err == nil {
+			continue
+		}
+		if !cfg.TolerateDown {
+			gw.fleet.closeAll()
 			return nil, err
 		}
-		gw.backends[b.ID] = be
-		gw.states[b.ID] = StateLive
-		if err := gw.ring.Add(b.ID); err != nil {
-			gw.closeBackends()
-			return nil, err
-		}
-	}
-	for id, st := range gw.states {
-		if st == StateRecovering {
-			gw.log.Warn("backend down at startup; admitting through recovery",
-				obs.F("backend", id), obs.F("addr", gw.addrs[id]), obs.F("state", string(StateRecovering)))
-			gw.startRecoveryLocked(id, gw.addrs[id])
-		}
+		gw.log.Warn("backend down at startup; admitting through recovery",
+			obs.F("backend", b.ID), obs.F("addr", b.Addr), obs.F("state", string(StateRecovering)))
+		gw.fleet.recoverLater(b.ID, b.Addr)
 	}
 	go gw.probeLoop()
 	return gw, nil
-}
-
-// startRecoveryLocked launches the recovery loop for one backend ID and
-// registers its cancel channel (so RemoveBackend can stop the re-dialing).
-// Callers hold gw.mu, or own the gateway exclusively (NewGateway).
-func (gw *Gateway) startRecoveryLocked(id, addr string) {
-	cancel := make(chan struct{})
-	gw.recoverCancel[id] = cancel
-	gw.recoverWG.Add(1)
-	go gw.recoverLoop(id, addr, cancel)
-}
-
-// statsFor returns the cross-incarnation counter block of one backend ID,
-// creating it on first sight — membership is mutable at runtime, so the
-// block can no longer be assumed pre-built by NewGateway.
-func (gw *Gateway) statsFor(id string) *backendStats {
-	gw.mu.Lock()
-	defer gw.mu.Unlock()
-	st := gw.stats[id]
-	if st == nil {
-		st = newBackendStats()
-		gw.stats[id] = st
-	}
-	return st
-}
-
-// dialBackend opens one incarnation's data and probe connections.
-func (gw *Gateway) dialBackend(id, addr string) (*backend, error) {
-	cl, err := wire.Dial(addr)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: backend %s (%s): %w", id, addr, err)
-	}
-	pr, err := wire.Dial(addr)
-	if err != nil {
-		cl.Close()
-		return nil, fmt.Errorf("cluster: backend %s (%s): probe: %w", id, addr, err)
-	}
-	// The data connection coalesces: all front sessions homed on this
-	// backend funnel their frames through one flusher goroutine and one
-	// vectored write per flush cycle. The probe connection stays plain — it
-	// carries one ping at a time.
-	cl.EnableCoalescing()
-	stats := gw.statsFor(id)
-	return &backend{id: id, addr: addr, inc: stats.incarnations.Add(1),
-		stats: stats, cl: cl, pr: pr,
-		sessions: make(map[*proxySession]struct{})}, nil
 }
 
 // Log returns the gateway's structured lifecycle event log (never nil); the
@@ -261,20 +111,12 @@ func (gw *Gateway) Log() *obs.Logger { return gw.log }
 
 // State reports a backend's lifecycle state ("" for an unknown ID).
 func (gw *Gateway) State(id string) BackendState {
-	gw.mu.Lock()
-	defer gw.mu.Unlock()
-	return gw.states[id]
+	m, _ := gw.fleet.lookup(id)
+	return m.state
 }
 
 // Ring exposes the placement ring (read-mostly: lookups and load).
-func (gw *Gateway) Ring() *Ring { return gw.ring }
-
-// backend returns a live gateway backend by ID (nil if unknown).
-func (gw *Gateway) backend(id string) *backend {
-	gw.mu.Lock()
-	defer gw.mu.Unlock()
-	return gw.backends[id]
-}
+func (gw *Gateway) Ring() *Ring { return gw.fleet.ring }
 
 // Serve accepts front connections on ln until Close. It always returns a
 // non-nil error; after Close the error is net.ErrClosed.
@@ -350,11 +192,14 @@ func (gw *Gateway) Close() error {
 	close(gw.quit)
 	<-gw.probeDone
 	gw.probeWG.Wait()
-	gw.recoverWG.Wait()
-	// Drains poll gw.quit between sessions and between replay chunks, so an
-	// in-flight migration aborts (unsealing its source) and Drain returns
-	// before the backend connections it is speaking over are torn down.
-	gw.drainWG.Wait()
+	gw.fleet.shutdown()
+	// Close is the last membership verb. A drain polls gw.quit between
+	// sessions and between replay chunks, so an in-flight migration aborts
+	// (unsealing its source) and Drain returns, releasing memberMu, before
+	// the backend connections it is speaking over are torn down; verbs
+	// arriving later find the fleet shut.
+	gw.memberMu.Lock()
+	defer gw.memberMu.Unlock()
 	var err error
 	if ln != nil {
 		err = ln.Close()
@@ -363,23 +208,8 @@ func (gw *Gateway) Close() error {
 		fc.c.Close()
 	}
 	gw.wg.Wait()
-	gw.closeBackends()
+	gw.fleet.closeAll()
 	return err
-}
-
-func (gw *Gateway) closeBackends() {
-	gw.mu.Lock()
-	backends := make([]*backend, 0, len(gw.backends))
-	for _, be := range gw.backends {
-		if be != nil {
-			backends = append(backends, be)
-		}
-	}
-	gw.mu.Unlock()
-	for _, be := range backends {
-		be.cl.Close()
-		be.pr.Close()
-	}
 }
 
 // probeLoop health-checks the live fleet on the configured interval, each
@@ -389,7 +219,7 @@ func (gw *Gateway) closeBackends() {
 // replaces stalled the whole fleet for up to ProbeTimeout per sick
 // backend). A backend whose previous probe is still in flight is skipped —
 // at most one outstanding probe per incarnation. A failed or timed-out
-// probe ejects the backend and re-homes its sessions.
+// probe ejects the backend, which re-homes its sessions.
 func (gw *Gateway) probeLoop() {
 	defer close(gw.probeDone)
 	if gw.cfg.ProbeInterval < 0 {
@@ -404,16 +234,9 @@ func (gw *Gateway) probeLoop() {
 			return
 		case <-ticker.C:
 		}
-		gw.mu.Lock()
-		backends := make([]*backend, 0, len(gw.backends))
-		for _, be := range gw.backends {
-			if be != nil {
-				backends = append(backends, be)
-			}
-		}
-		gw.mu.Unlock()
-		for _, be := range backends {
-			if be.isEjected() || !be.probing.CompareAndSwap(false, true) {
+		for _, m := range gw.fleet.snapshot() {
+			be := m.be
+			if be == nil || be.isEjected() || !be.probing.CompareAndSwap(false, true) {
 				continue
 			}
 			gw.probeWG.Add(1)
@@ -473,309 +296,68 @@ func (gw *Gateway) probe(be *backend) error {
 	}
 }
 
-// eject removes a failed backend incarnation from the ring, closes its
-// connections and re-homes every session it carried. Idempotent: the
-// ejected flag admits exactly one caller per incarnation; every later call
-// returns immediately. The except parameter, when non-nil, names a session
-// the caller re-homes itself, because the caller already holds that
-// session's lock and re-homing it here would deadlock.
+// eject retires a failed backend incarnation (fleet.retire: off the ring,
+// connections closed, member moved to recovering or ejected) and gives every
+// session it carried a new owner. Idempotent: retire admits exactly one
+// caller per incarnation; every later call returns immediately. The except
+// parameter, when non-nil, names a session the caller moves itself, because
+// the caller already holds that session's lock and locking it here would
+// deadlock.
 //
-// Lock ordering: ps.mu is always acquired before be.mu (the re-home and
-// detach paths hold a session's lock while registering it on a backend),
-// so a goroutine holding be.mu must never block on ps.mu. eject complies
-// by snapshotting the session set under be.mu, releasing it, and only then
-// locking the sessions one at a time — which is also why the except
-// session, whose ps.mu the caller holds across this whole call, is safe to
-// skip rather than a deadlock.
+// Lock ordering: ps.mu is always acquired before be.mu (bind holds a
+// session's lock while registering it on a backend), so a goroutine holding
+// be.mu must never block on ps.mu. retire complies by snapshotting the
+// session set under be.mu and releasing it; only then are the sessions
+// locked here, one at a time.
 func (gw *Gateway) eject(be *backend, except *proxySession) {
-	be.mu.Lock()
-	if be.ejected {
-		be.mu.Unlock()
+	sessions, state, ok := gw.fleet.retire(be, false)
+	if !ok {
 		return
 	}
-	be.ejected = true
-	be.mu.Unlock()
 	be.stats.ejections.Add(1)
-	gw.ring.Remove(be.id)
-	// Retire the incarnation and, when recovery is on, hand its ID to a
-	// recovery loop that will admit a fresh incarnation once the backend
-	// answers pings again.
-	gw.mu.Lock()
-	if gw.backends[be.id] == be {
-		gw.backends[be.id] = nil
-		if gw.cfg.Readmit && !gw.closed {
-			gw.states[be.id] = StateRecovering
-			gw.startRecoveryLocked(be.id, be.addr)
-		} else {
-			gw.states[be.id] = StateEjected
-		}
-	}
-	gw.mu.Unlock()
-	// Closing the clients first makes every round trip still blocked on
-	// this backend fail fast, so session locks free up for the re-home
-	// sweep below.
-	be.cl.Close()
-	be.pr.Close()
-	be.mu.Lock()
-	sessions := make([]*proxySession, 0, len(be.sessions))
-	for ps := range be.sessions {
-		if ps != except {
-			sessions = append(sessions, ps)
-		}
-	}
-	be.sessions = make(map[*proxySession]struct{})
-	be.mu.Unlock()
-	gw.mu.Lock()
-	state := gw.states[be.id]
-	gw.mu.Unlock()
 	gw.log.Warn("backend ejected; re-homing its sessions",
 		obs.F("backend", be.id), obs.F("addr", be.addr), obs.F("incarnation", be.inc),
 		obs.F("state", string(state)), obs.F("sessions", len(sessions)))
 	for _, ps := range sessions {
-		ps.mu.Lock()
-		if ps.be == be && !ps.detached && ps.rehomeErr == nil {
-			ps.rehomeErr = gw.rehomeLocked(ps)
+		if ps == except {
+			continue
 		}
+		ps.mu.Lock()
+		gw.ensureOwnerLocked(ps)
 		ps.mu.Unlock()
 	}
-}
-
-// rehomeLocked re-attaches a session whose backend died onto a healthy
-// one. The caller holds ps.mu, and ps.be is the dead backend. Every tuple
-// forwarded to the dead incarnation is charged to the session's lost
-// counter — its NFA state died with the backend, so those tuples can never
-// contribute to a detection again; the flush-ack path surfaces them as
-// drops.
-func (gw *Gateway) rehomeLocked(ps *proxySession) error {
-	old := ps.be
-	old.stats.rehomed.Add(1)
-	old.stats.lost.Add(ps.forwarded)
-	ps.lost.Add(ps.forwarded)
-	ps.forwarded = 0
-	gen := ps.gen.Add(1) // stale pushes from the dead incarnation are ignored
-	ps.backendDropped.Store(0)
-	for {
-		id, ok := gw.ring.Acquire(ps.id)
-		if !ok {
-			return fmt.Errorf("cluster: session %q: no live backend to re-home onto", ps.id)
-		}
-		be := gw.backend(id)
-		if be == nil || be.isEjected() {
-			gw.ring.Release(id)
-			continue
-		}
-		rs, err := be.cl.Attach(ps.id, wire.AttachOptions{
-			Gestures:     ps.gestures,
-			Discard:      true,
-			OnDetections: ps.pushHook(gen),
-		})
-		if err == nil {
-			ps.be, ps.rs = be, rs
-			ps.beStats.Store(be.stats)
-			be.addSession(ps)
-			if !be.isEjected() {
-				return nil
-			}
-			// The backend died between Attach and addSession, and the
-			// eject sweep may have snapshotted its sessions before we
-			// registered (it cannot reach us anyway — we hold ps.mu).
-			// Nothing was forwarded yet, so just move on to the next
-			// backend.
-			be.dropSession(ps)
-			gen = ps.gen.Add(1)
-			continue
-		}
-		gw.ring.Release(id)
-		var er *wire.ErrorReply
-		if errors.As(err, &er) {
-			// The backend is healthy but refused the session (e.g. a
-			// duplicate ID from a split client) — unplaceable, not a fleet
-			// problem.
-			return fmt.Errorf("cluster: session %q: re-home refused: %w", ps.id, err)
-		}
-		gw.eject(be, ps)
-	}
-}
-
-// recoverLoop re-dials one ejected (or initially-down) backend with capped
-// exponential backoff until it is re-admitted, decommissioned
-// (RemoveBackend closes cancel) or the gateway closes. One loop runs per
-// backend in StateRecovering; eject starts it, and it ends by installing a
-// fresh incarnation.
-func (gw *Gateway) recoverLoop(id, addr string, cancel chan struct{}) {
-	defer gw.recoverWG.Done()
-	backoff := gw.cfg.ReadmitBackoff
-	timer := time.NewTimer(backoff)
-	defer timer.Stop()
-	for {
-		select {
-		case <-gw.quit:
-			return
-		case <-cancel:
-			return
-		case <-timer.C:
-		}
-		if gw.tryReadmit(id, addr) {
-			return
-		}
-		backoff *= 2
-		if backoff > gw.cfg.ReadmitMaxBackoff {
-			backoff = gw.cfg.ReadmitMaxBackoff
-		}
-		timer.Reset(backoff)
-	}
-}
-
-// errClosing aborts a recovery attempt because the gateway is shutting
-// down.
-var errClosing = errors.New("cluster: gateway closing")
-
-// redial verifies one connection to a recovering backend (wire.Redial:
-// dial + ping within ProbeTimeout), abandoning the attempt the moment the
-// gateway starts closing so Close never waits out a black-holed address.
-// An abandoned attempt's connection is reaped by a short-lived goroutine
-// bounded by the Redial timeout itself.
-func (gw *Gateway) redial(addr string) (*wire.Client, error) {
-	type result struct {
-		cl  *wire.Client
-		err error
-	}
-	done := make(chan result, 1)
-	go func() {
-		cl, err := wire.Redial(addr, gw.cfg.ProbeTimeout)
-		done <- result{cl, err}
-	}()
-	select {
-	case r := <-done:
-		return r.cl, r.err
-	case <-gw.quit:
-		go func() {
-			if r := <-done; r.cl != nil {
-				r.cl.Close()
-			}
-		}()
-		return nil, errClosing
-	}
-}
-
-// tryReadmit attempts one recovery round trip: re-dial the data and probe
-// connections (each verified live by a ping within ProbeTimeout — a bare
-// TCP accept is not liveness), then install the fresh incarnation and
-// return the backend to the ring. Existing sessions are untouched — no
-// forced migration; the bounded-load ring's ceil(c·avg) cap steers new
-// sessions toward the recovered, empty backend, a gradual re-balance. It
-// returns true when the recovery loop should stop (re-admitted, or the
-// gateway is closing).
-func (gw *Gateway) tryReadmit(id, addr string) bool {
-	cl, err := gw.redial(addr)
-	if err != nil {
-		return err == errClosing
-	}
-	pr, err := gw.redial(addr)
-	if err != nil {
-		cl.Close()
-		return err == errClosing
-	}
-	cl.EnableCoalescing()
-	stats := gw.statsFor(id)
-	be := &backend{id: id, addr: addr, inc: stats.incarnations.Add(1),
-		stats: stats, cl: cl, pr: pr,
-		sessions: make(map[*proxySession]struct{})}
-	// Ring entry and incarnation install must be one atomic step under
-	// gw.mu: nothing can eject the new incarnation before it is published
-	// (probes and sessions only discover it through gw.backends), so an
-	// eject can never interleave between the two and leave the ID on the
-	// ring with a nil incarnation behind it.
-	gw.mu.Lock()
-	if gw.closed {
-		gw.mu.Unlock()
-		cl.Close()
-		pr.Close()
-		return true
-	}
-	if st := gw.states[id]; st != StateRecovering {
-		// RemoveBackend decommissioned the ID (or membership changed under
-		// us) while the re-dial was in flight; drop the fresh connections
-		// and end the loop.
-		gw.mu.Unlock()
-		cl.Close()
-		pr.Close()
-		return true
-	}
-	delete(gw.recoverCancel, id)
-	if err := gw.ring.Add(id); err != nil {
-		// Unreachable: the ID left the ring when its last incarnation was
-		// ejected, and only one recovery loop per ID runs. Fail safe by
-		// staying in recovery rather than serving with a corrupt ring.
-		gw.mu.Unlock()
-		cl.Close()
-		pr.Close()
-		gw.log.Error("backend re-admission ring entry failed; staying in recovery",
-			obs.F("backend", id), obs.F("addr", addr), obs.F("incarnation", be.inc),
-			obs.F("state", string(StateRecovering)), obs.F("err", err.Error()))
-		return false
-	}
-	gw.backends[id] = be
-	gw.states[id] = StateLive
-	gw.mu.Unlock()
-	be.stats.readmissions.Add(1)
-	gw.log.Info("backend re-admitted",
-		obs.F("backend", id), obs.F("addr", addr), obs.F("incarnation", be.inc),
-		obs.F("state", string(StateLive)))
-	return true
 }
 
 // Metrics aggregates the fleet: every live backend's serve.Metrics summed,
 // plus the per-backend proxy counters (including ejected backends, marked
 // unhealthy).
 func (gw *Gateway) Metrics() serve.Metrics {
-	gw.mu.Lock()
-	order := append([]string(nil), gw.order...)
-	byID := make(map[string]*backend, len(gw.backends))
-	states := make(map[string]BackendState, len(gw.states))
-	byStats := make(map[string]*backendStats, len(gw.stats))
-	addrs := make(map[string]string, len(gw.addrs))
-	for id, be := range gw.backends {
-		byID[id] = be
-	}
-	for id, st := range gw.states {
-		states[id] = st
-	}
-	for id, st := range gw.stats {
-		byStats[id] = st
-	}
-	for id, a := range gw.addrs {
-		addrs[id] = a
-	}
-	gw.mu.Unlock()
 	var out serve.Metrics
-	for _, id := range order {
-		be, st, stats := byID[id], states[id], byStats[id]
-		healthy := st == StateLive && be != nil && !be.isEjected()
+	for _, m := range gw.fleet.snapshot() {
+		be, stats := m.be, m.stats
+		healthy := m.state == StateLive && be != nil && !be.isEjected()
 		if healthy {
-			if m, err := gw.fetchMetrics(be); err == nil {
-				out.Sessions += m.Sessions
-				out.Enqueued += m.Enqueued
-				out.Processed += m.Processed
-				out.Dropped += m.Dropped
-				out.Detections += m.Detections
-				out.QueueDepth += m.QueueDepth
-				out.Shards = append(out.Shards, m.Shards...)
+			if bm, err := gw.fetchMetrics(be); err == nil {
+				out.Sessions += bm.Sessions
+				out.Enqueued += bm.Enqueued
+				out.Processed += bm.Processed
+				out.Dropped += bm.Dropped
+				out.Detections += bm.Detections
+				out.QueueDepth += bm.QueueDepth
+				out.Shards = append(out.Shards, bm.Shards...)
 			} else {
 				healthy = false
 			}
 		}
 		proxied := 0
 		if be != nil {
-			be.mu.Lock()
-			proxied = len(be.sessions)
-			be.mu.Unlock()
+			proxied = be.sessionCount()
 		}
 		out.Backends = append(out.Backends, serve.BackendMetrics{
-			ID:           id,
-			Addr:         addrs[id],
+			ID:           m.id,
+			Addr:         m.addr,
 			Healthy:      healthy,
-			State:        string(st),
+			State:        string(m.state),
 			Sessions:     proxied,
 			Batches:      stats.batches.Load(),
 			Tuples:       stats.tuples.Load(),
@@ -842,7 +424,8 @@ type frontConn struct {
 	nextHandle uint32
 }
 
-// proxySession is one front session and its current backend binding.
+// proxySession is one front session and its ownership record: which backend
+// incarnation currently holds its serving state.
 type proxySession struct {
 	fc       *frontConn
 	front    uint32
@@ -850,25 +433,27 @@ type proxySession struct {
 	gestures []string
 	fields   int
 
-	// mu serializes the data/control path against re-home: forwards, flush
-	// and detach round trips, and backend re-binding all hold it.
-	mu        sync.Mutex
+	// mu serializes the data/control path against owner changes: forwards,
+	// flush and detach round trips, failover and migration all hold it.
+	mu       sync.Mutex
+	in       uint64 // tuples forwarded, all incarnations
+	detached bool
+
+	// The ownership record. be/rs/cur change only in bind; forwarded is what
+	// would die with be (handleBatch counts it up, chargeLostLocked writes
+	// it off); err is set only by ensureOwnerLocked, when the owner is dead
+	// and no other can be found, and is sticky: every later frame reports it.
 	be        *backend
 	rs        *wire.RemoteSession
-	in        uint64 // tuples forwarded, all incarnations
-	forwarded uint64 // tuples forwarded to the current incarnation
-	detached  bool
-	rehomeErr error // sticky re-home failure, surfaced on the next frame
+	forwarded uint64
+	err       error
+	// cur shadows be for readers that do not hold mu: the relay goroutine
+	// attributing detection counts, and push hooks telling the current
+	// owner's pushes from a previous owner's stragglers.
+	cur atomic.Pointer[backend]
 
 	lost           atomic.Uint64 // tuples charged to dead incarnations
 	backendDropped atomic.Uint64 // current incarnation's reported drops
-	gen            atomic.Uint64 // incarnation generation; bumped on re-home
-
-	// beStats shadows ps.be's per-ID stats block for the relay goroutine,
-	// which attributes detection counts without holding ps.mu (a re-home
-	// or migration may be rebinding ps.be concurrently). Updated at every
-	// owner change, always under ps.mu.
-	beStats atomic.Pointer[backendStats]
 
 	pmu        sync.Mutex
 	pending    []anduin.Detection
@@ -885,21 +470,20 @@ func (ps *proxySession) dropTotal() uint64 {
 	return ps.lost.Load() + ps.backendDropped.Load()
 }
 
-// pushHook builds the OnDetections callback for one backend incarnation,
-// pinning the generation so a stale push cannot corrupt state after a
-// re-home.
-func (ps *proxySession) pushHook(gen uint64) func(uint64, []anduin.Detection) {
-	return func(dropped uint64, dets []anduin.Detection) { ps.relayPush(gen, dropped, dets) }
+// pushHook builds the OnDetections callback for the session's attachment to
+// one backend incarnation.
+func (ps *proxySession) pushHook(from *backend) func(uint64, []anduin.Detection) {
+	return func(dropped uint64, dets []anduin.Detection) { ps.relayPush(from, dropped, dets) }
 }
 
 // relayPush runs on a backend client's read goroutine for every detection
 // push frame of this session; it parks the detections for the relay
 // goroutine, which owns the front socket writes. The detections are always
 // relayed (they happened), but the drop counter is only taken from the
-// live incarnation: a dead backend's read goroutine may still be mid-push
-// during a re-home, and its cumulative count is already folded into lost.
-func (ps *proxySession) relayPush(gen, dropped uint64, dets []anduin.Detection) {
-	if ps.gen.Load() == gen {
+// current owner: a dead backend's read goroutine may still be mid-push after
+// the owner flipped, and its cumulative count is already folded into lost.
+func (ps *proxySession) relayPush(from *backend, dropped uint64, dets []anduin.Detection) {
+	if ps.cur.Load() == from {
 		ps.backendDropped.Store(dropped)
 	}
 	ps.pmu.Lock()
@@ -948,17 +532,8 @@ func (fc *frontConn) teardown() {
 		ps.mu.Lock()
 		if !ps.detached {
 			ps.detached = true
-			if ps.rs != nil {
-				ps.rs.Detach()
-				ps.be.dropSession(ps)
-				// Only a live incarnation holds a ring slot: ejection
-				// removed the backend's loads wholesale, and with
-				// re-admission on, a stale Release here would debit the
-				// fresh incarnation's load for a session it never carried.
-				if !ps.be.isEjected() {
-					fc.gw.ring.Release(ps.be.id)
-				}
-			}
+			ps.rs.Detach()
+			fc.gw.leaveLocked(ps)
 			close(ps.done)
 		}
 		ps.mu.Unlock()
@@ -1012,57 +587,18 @@ func (fc *frontConn) handleAttach(payload []byte) error {
 		notify:   make(chan struct{}, 1),
 		done:     make(chan struct{}),
 	}
-	var reply *wire.AttachReply
-	for {
-		id, ok := fc.gw.ring.Acquire(req.ID)
-		if !ok {
-			return fc.sessionError(0, fmt.Errorf("cluster: no live backends"))
-		}
-		be := fc.gw.backend(id)
-		if be == nil || be.isEjected() {
-			fc.gw.ring.Release(id)
-			continue
-		}
-		rs, err := be.cl.Attach(req.ID, wire.AttachOptions{
-			Gestures:     req.Gestures,
-			Discard:      true,
-			OnDetections: ps.pushHook(ps.gen.Load()),
-		})
-		if err != nil {
-			fc.gw.ring.Release(id)
-			var er *wire.ErrorReply
-			if errors.As(err, &er) {
-				// Backend refused (duplicate ID, unknown plan, …): a
-				// session-scoped error; the connection survives.
-				return fc.sessionError(0, err)
-			}
-			fc.gw.eject(be, nil)
-			continue
-		}
-		ps.mu.Lock()
-		ps.be, ps.rs = be, rs
-		ps.beStats.Store(be.stats)
-		ps.fields = rs.Fields()
-		ps.mu.Unlock()
-		be.addSession(ps)
-		if be.isEjected() {
-			// The backend died between Attach and addSession; the eject
-			// sweep may have snapshotted its sessions before we registered,
-			// so re-home ourselves (the sweep-vs-self race is settled by
-			// ps.mu plus the ps.be check, exactly as in the sweep).
-			ps.mu.Lock()
-			if ps.be == be && ps.rehomeErr == nil {
-				ps.rehomeErr = fc.gw.rehomeLocked(ps)
-			}
-			err := ps.rehomeErr
-			ps.mu.Unlock()
-			if err != nil {
-				return fc.sessionError(0, err)
-			}
-		}
-		reply = &wire.AttachReply{Fields: rs.Fields(), Plans: rs.Plans()}
-		break
+	// A new session is a session with no owner yet: the same transition that
+	// moves one off a dead backend places it.
+	ps.mu.Lock()
+	err := fc.gw.ensureOwnerLocked(ps)
+	ps.mu.Unlock()
+	if err != nil {
+		// No backend, or the backend refused (duplicate ID, unknown plan, …):
+		// a session-scoped error; the connection survives.
+		return fc.sessionError(0, err)
 	}
+	ps.fields = ps.rs.Fields()
+	reply := &wire.AttachReply{Fields: ps.fields, Plans: ps.rs.Plans()}
 	fc.mu.Lock()
 	fc.nextHandle++
 	ps.front = fc.nextHandle
@@ -1136,21 +672,16 @@ func (fc *frontConn) handleBatch(payload []byte) error {
 			ps.be.stats.tuples.Add(uint64(count))
 			return nil
 		}
-		// The backend died under the write: eject it, re-home this session
-		// and retry the batch on the new owner — the tuples of THIS batch
-		// were never admitted anywhere (a failed ProxyBatchOwned leaves
-		// ownership with us), so forwarding them again loses nothing and
-		// drops nothing.
+		// The backend died under the write: eject it, give this session a new
+		// owner and retry the batch there — the tuples of THIS batch were
+		// never admitted anywhere (a failed ProxyBatchOwned leaves ownership
+		// with us), so forwarding them again loses nothing and drops nothing.
 		fc.gw.eject(ps.be, ps)
-		if ps.be.isEjected() && ps.rehomeErr == nil {
-			if attempt >= batchRetryLimit {
-				//lint:ignore hotpathalloc sticky give-up after batchRetryLimit backend deaths; runs at most once per session, never per frame
-				ps.rehomeErr = fmt.Errorf("cluster: session %q: batch failed on %d backend incarnations, giving up", ps.id, attempt)
-			} else {
-				ps.rehomeErr = fc.gw.rehomeLocked(ps)
-			}
+		if attempt >= batchRetryLimit {
+			wire.PutFrameBuf(payload)
+			return fmt.Errorf("session %q: cluster: batch failed on %d backend incarnations, giving up", ps.id, attempt)
 		}
-		if err := ps.failedLocked(); err != nil {
+		if err := fc.gw.ensureOwnerLocked(ps); err != nil {
 			wire.PutFrameBuf(payload)
 			return err
 		}
@@ -1161,11 +692,11 @@ func (fc *frontConn) handleBatch(payload []byte) error {
 	}
 }
 
-// failedLocked reports a sticky session failure (an unplaceable re-home).
-// Callers hold ps.mu.
+// failedLocked reports why the session can take no more frames: the sticky
+// ownership failure, or a completed detach. Callers hold ps.mu.
 func (ps *proxySession) failedLocked() error {
-	if ps.rehomeErr != nil {
-		return fmt.Errorf("session %q: %w", ps.id, ps.rehomeErr)
+	if ps.err != nil {
+		return fmt.Errorf("session %q: %w", ps.id, ps.err)
 	}
 	if ps.detached {
 		return fmt.Errorf("session %q is detached", ps.id)
@@ -1203,28 +734,21 @@ func (fc *frontConn) handleSessionOp(payload []byte, ack wire.FrameType, detach 
 		if err == nil {
 			break
 		}
-		var er *wire.ErrorReply
-		if errors.As(err, &er) {
+		if refused(err) {
 			ps.mu.Unlock()
 			return fc.sessionError(ref.Handle, err)
 		}
-		// Backend died under the round trip. For a flush: eject, re-home
-		// and flush the fresh (empty) session — the lost tuples are now in
-		// the drop accounting. For a detach: the session is going away
-		// anyway; finalize locally instead of re-homing a corpse.
+		// Backend died under the round trip. For a flush: eject, take a new
+		// owner and flush the fresh (empty) session there — the lost tuples
+		// are now in the drop accounting. For a detach: the session is going
+		// away anyway; finalize locally instead of re-homing a corpse.
 		fc.gw.eject(ps.be, ps)
 		if detach {
-			ps.lost.Add(ps.forwarded)
-			ps.be.stats.lost.Add(ps.forwarded)
-			ps.forwarded = 0
-			ps.backendDropped.Store(0)
+			ps.chargeLostLocked()
 			bc = wire.SessionCounters{}
 			break
 		}
-		if ps.be.isEjected() && ps.rehomeErr == nil {
-			ps.rehomeErr = fc.gw.rehomeLocked(ps)
-		}
-		if err := ps.failedLocked(); err != nil {
+		if err := fc.gw.ensureOwnerLocked(ps); err != nil {
 			ps.mu.Unlock()
 			return fc.sessionError(ref.Handle, err)
 		}
@@ -1240,10 +764,7 @@ func (fc *frontConn) handleSessionOp(payload []byte, ack wire.FrameType, detach 
 	}
 	if detach {
 		ps.detached = true
-		if !ps.be.isEjected() {
-			ps.be.dropSession(ps)
-			fc.gw.ring.Release(ps.be.id)
-		}
+		fc.gw.leaveLocked(ps)
 		close(ps.done)
 	}
 	ps.mu.Unlock()
@@ -1321,7 +842,7 @@ func (fc *frontConn) relayDetectionsLocked(ps *proxySession) error {
 				return err
 			}
 			ps.detSent.Add(uint64(n))
-			ps.beStats.Load().detections.Add(uint64(n))
+			ps.cur.Load().stats.detections.Add(uint64(n))
 			pending = pending[n:]
 		}
 	}

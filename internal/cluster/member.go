@@ -6,8 +6,10 @@ import (
 	"gesturecep/internal/obs"
 )
 
-// AddBackend admits a new fleet member at runtime: dial its data and probe
-// connections, install the incarnation and enter it on the ring. The
+// AddBackend admits a new fleet member at runtime: dial and verify its data
+// and probe connections, install the incarnation and enter it on the ring
+// (fleet.install; an address that accepts but never answers a ping is
+// refused within ProbeTimeout and changes nothing). The
 // bounded-load placement then steers new sessions toward the fresh, empty
 // backend (ceil(c × avg) caps everyone else) — a gradual re-balance, no
 // forced movement. Re-using the ID of a drained or terminally-ejected
@@ -19,45 +21,10 @@ func (gw *Gateway) AddBackend(id, addr string) error {
 	}
 	gw.memberMu.Lock()
 	defer gw.memberMu.Unlock()
-	gw.mu.Lock()
-	if gw.closed {
-		gw.mu.Unlock()
-		return fmt.Errorf("cluster: gateway closed")
-	}
-	if st, ok := gw.states[id]; ok {
-		switch st {
-		case StateDrained, StateEjected:
-			// Off the ring with no incarnation: free to re-admit.
-		default:
-			gw.mu.Unlock()
-			return fmt.Errorf("cluster: backend %s is already a member (state %s)", id, st)
-		}
-	}
-	gw.mu.Unlock()
-	be, err := gw.dialBackend(id, addr)
+	be, err := gw.fleet.install(id, addr, false)
 	if err != nil {
 		return err
 	}
-	gw.mu.Lock()
-	if gw.closed {
-		gw.mu.Unlock()
-		be.cl.Close()
-		be.pr.Close()
-		return fmt.Errorf("cluster: gateway closed")
-	}
-	if err := gw.ring.Add(id); err != nil {
-		gw.mu.Unlock()
-		be.cl.Close()
-		be.pr.Close()
-		return err
-	}
-	if _, known := gw.states[id]; !known {
-		gw.order = append(gw.order, id)
-	}
-	gw.addrs[id] = addr
-	gw.backends[id] = be
-	gw.states[id] = StateLive
-	gw.mu.Unlock()
 	gw.log.Info("backend added",
 		obs.F("backend", id), obs.F("addr", addr), obs.F("incarnation", be.inc),
 		obs.F("state", string(StateLive)))
@@ -77,43 +44,27 @@ func (gw *Gateway) AddBackend(id, addr string) error {
 func (gw *Gateway) Drain(id string) (moved int, err error) {
 	gw.memberMu.Lock()
 	defer gw.memberMu.Unlock()
-	gw.mu.Lock()
-	if gw.closed {
-		gw.mu.Unlock()
-		return 0, fmt.Errorf("cluster: gateway closed")
+	m, ok := gw.fleet.lookup(id)
+	if !ok {
+		return 0, fmt.Errorf("cluster: no backend %s", id)
 	}
-	be := gw.backends[id]
-	if be == nil || gw.states[id] != StateLive {
-		st, ok := gw.states[id]
-		gw.mu.Unlock()
-		if !ok {
-			return 0, fmt.Errorf("cluster: no backend %s", id)
-		}
-		return 0, fmt.Errorf("cluster: backend %s is not live (state %s)", id, st)
+	be := m.be
+	if be == nil || m.state != StateLive {
+		return 0, fmt.Errorf("cluster: backend %s is not live (state %s)", id, m.state)
 	}
-	gw.states[id] = StateDraining
-	gw.drainWG.Add(1) // under gw.mu: Close sets closed before waiting, so no Add-after-Wait
-	gw.mu.Unlock()
-	defer gw.drainWG.Done()
-
-	gw.ring.Remove(id) // no new sessions land here while draining
+	if err := gw.fleet.setDraining(be, true); err != nil { // no new sessions land here while draining
+		return 0, err
+	}
 	gw.log.Info("backend draining",
 		obs.F("backend", id), obs.F("addr", be.addr), obs.F("incarnation", be.inc),
 		obs.F("state", string(StateDraining)))
 
-	// revert returns a drain that cannot complete to live service. The ring
-	// re-enters the ID with a reset load (exactly like a re-admission), so
-	// the bounded-load walk steers new placements toward it until the count
-	// catches up; the sessions it still carries never stopped serving — a
-	// failed drain loses nothing.
+	// revert returns a drain that cannot complete to live service; the
+	// sessions the backend still carries never stopped serving — a failed
+	// drain loses nothing. (If an ejection got there first, setDraining
+	// refuses and the ejection's verdict stands.)
 	revert := func(cause error) (int, error) {
-		gw.mu.Lock()
-		if gw.backends[id] == be && gw.states[id] == StateDraining {
-			if rerr := gw.ring.Add(id); rerr == nil {
-				gw.states[id] = StateLive
-			}
-		}
-		gw.mu.Unlock()
+		gw.fleet.setDraining(be, false)
 		gw.log.Warn("backend drain reverted",
 			obs.F("backend", id), obs.F("incarnation", be.inc),
 			obs.F("sessions_moved", moved), obs.F("err", cause.Error()))
@@ -137,7 +88,7 @@ func (gw *Gateway) Drain(id string) (moved int, err error) {
 			break
 		}
 		ps.mu.Lock()
-		if ps.be != be || ps.detached || ps.rehomeErr != nil {
+		if ps.be != be || ps.detached || ps.err != nil {
 			// The session moved or ended between the snapshot and the lock;
 			// make sure it leaves the set so the sweep terminates.
 			ps.mu.Unlock()
@@ -158,26 +109,13 @@ func (gw *Gateway) Drain(id string) (moved int, err error) {
 		moved++
 	}
 
-	// Finalize: retire the drained incarnation. A concurrent ejection (a
-	// probe or data-path failure mid-drain) wins the race — it already
-	// re-homed whatever was left and moved the state machine on.
-	gw.mu.Lock()
-	if gw.backends[id] != be || gw.states[id] != StateDraining {
-		st := gw.states[id]
-		gw.mu.Unlock()
-		return moved, fmt.Errorf("cluster: backend %s was ejected mid-drain (state %s)", id, st)
+	// Finalize: retire the drained incarnation, which now carries no
+	// sessions. A concurrent ejection (a probe or data-path failure
+	// mid-drain) wins the race — it already re-homed whatever was left and
+	// moved the state machine on.
+	if _, _, ok := gw.fleet.retire(be, true); !ok {
+		return moved, fmt.Errorf("cluster: backend %s was ejected mid-drain (state %s)", id, gw.State(id))
 	}
-	gw.backends[id] = nil
-	gw.states[id] = StateDrained
-	gw.mu.Unlock()
-	// Mark the incarnation ejected so any straggling reference (a stale
-	// probe verdict, a late data-path error) finds eject a no-op, then drop
-	// the connections — the backend carries no sessions anymore.
-	be.mu.Lock()
-	be.ejected = true
-	be.mu.Unlock()
-	be.cl.Close()
-	be.pr.Close()
 	gw.log.Info("backend drained",
 		obs.F("backend", id), obs.F("addr", be.addr), obs.F("incarnation", be.inc),
 		obs.F("state", string(StateDrained)), obs.F("sessions", moved))
@@ -191,37 +129,10 @@ func (gw *Gateway) Drain(id string) (moved int, err error) {
 func (gw *Gateway) RemoveBackend(id string) error {
 	gw.memberMu.Lock()
 	defer gw.memberMu.Unlock()
-	gw.mu.Lock()
-	if gw.closed {
-		gw.mu.Unlock()
-		return fmt.Errorf("cluster: gateway closed")
+	st, err := gw.fleet.remove(id)
+	if err != nil {
+		return err
 	}
-	st, ok := gw.states[id]
-	if !ok {
-		gw.mu.Unlock()
-		return fmt.Errorf("cluster: no backend %s", id)
-	}
-	switch st {
-	case StateDrained, StateEjected, StateRecovering:
-	default:
-		gw.mu.Unlock()
-		return fmt.Errorf("cluster: backend %s is %s; drain it before removing", id, st)
-	}
-	if ch, running := gw.recoverCancel[id]; running {
-		close(ch)
-		delete(gw.recoverCancel, id)
-	}
-	delete(gw.states, id)
-	delete(gw.backends, id)
-	delete(gw.addrs, id)
-	delete(gw.stats, id)
-	for i, oid := range gw.order {
-		if oid == id {
-			gw.order = append(gw.order[:i], gw.order[i+1:]...)
-			break
-		}
-	}
-	gw.mu.Unlock()
 	gw.log.Info("backend removed",
 		obs.F("backend", id), obs.F("state", string(st)))
 	return nil
@@ -241,40 +152,18 @@ type BackendInfo struct {
 // member in admission order, with its lifecycle state, current incarnation
 // ordinal, ring load and proxied session count.
 func (gw *Gateway) BackendsInfo() []BackendInfo {
-	gw.mu.Lock()
-	order := append([]string(nil), gw.order...)
-	states := make(map[string]BackendState, len(gw.states))
-	addrs := make(map[string]string, len(gw.addrs))
-	byID := make(map[string]*backend, len(gw.backends))
-	stats := make(map[string]*backendStats, len(gw.stats))
-	for id, st := range gw.states {
-		states[id] = st
-	}
-	for id, a := range gw.addrs {
-		addrs[id] = a
-	}
-	for id, be := range gw.backends {
-		byID[id] = be
-	}
-	for id, st := range gw.stats {
-		stats[id] = st
-	}
-	gw.mu.Unlock()
-	out := make([]BackendInfo, 0, len(order))
-	for _, id := range order {
+	members := gw.fleet.snapshot()
+	out := make([]BackendInfo, 0, len(members))
+	for _, m := range members {
 		info := BackendInfo{
-			ID:       id,
-			Addr:     addrs[id],
-			State:    states[id],
-			RingLoad: gw.ring.Load(id),
+			ID:          m.id,
+			Addr:        m.addr,
+			State:       m.state,
+			Incarnation: m.stats.incarnations.Load(),
+			RingLoad:    gw.fleet.ring.Load(m.id),
 		}
-		if st := stats[id]; st != nil {
-			info.Incarnation = st.incarnations.Load()
-		}
-		if be := byID[id]; be != nil {
-			be.mu.Lock()
-			info.Sessions = len(be.sessions)
-			be.mu.Unlock()
+		if m.be != nil {
+			info.Sessions = m.be.sessionCount()
 		}
 		out = append(out, info)
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"gesturecep/internal/obs"
-	"gesturecep/internal/wire"
 )
 
 // migrateLocked moves one proxied session from its current backend onto a
@@ -23,7 +22,7 @@ import (
 //  1. MigrateBegin on the source seals the session, drains its queue and
 //     verifies the recorded history is complete; the reply carries the cut
 //     ordinal (tuples admitted so far).
-//  2. A target is acquired from the ring and attached with StartAt = cut:
+//  2. place attaches the session on a ring-chosen target with StartAt = cut:
 //     catch-up mode, detections muted server-side so replay cannot re-fire
 //     what the source already delivered.
 //  3. The recorded history [0, cut) streams source → gateway → target in
@@ -32,13 +31,16 @@ import (
 //  4. MigrateCommit on the target flushes, verifies exactly cut tuples
 //     arrived and unmutes — target state now equals source state at the
 //     cut, byte for byte.
-//  5. The source session is detached (relaying its final detections before
-//     the ack, per the wire ordering contract) and the binding flips.
+//  5. The binding flips (bind) and the source session is detached, relaying
+//     its final detections before the ack, per the wire ordering contract.
 //
 // Failure honesty: an abort before the flip unseals the source and the
-// session resumes where it was — zero loss. A source death mid-migration
-// falls back to the lossy re-home path with its explicit Lost accounting,
-// exactly as an eject would.
+// session resumes where it was — zero loss. A target death at any point up
+// to and including the flip costs nothing either: the source stays sealed
+// with its full history, and the replay restarts on another target. Only a
+// source death mid-migration loses state, and then the session fails over
+// through ensureOwnerLocked with the same explicit Lost accounting an eject
+// would have given it.
 func (gw *Gateway) migrateLocked(ps *proxySession) error {
 	start := time.Now()
 	if err := gw.migrateSessionLocked(ps); err != nil {
@@ -50,30 +52,35 @@ func (gw *Gateway) migrateLocked(ps *proxySession) error {
 	return nil
 }
 
+//lint:holds proxySession.mu
 func (gw *Gateway) migrateSessionLocked(ps *proxySession) error {
-	src := ps.be
-	begin, err := ps.rs.MigrateBegin()
+	src, srcRS := ps.be, ps.rs
+	// sourceDied retires the dead source (moving its other sessions) and
+	// fails this one over like them; the migration itself has failed.
+	sourceDied := func(cause error) error {
+		gw.eject(src, ps)
+		if err := gw.ensureOwnerLocked(ps); err != nil {
+			return fmt.Errorf("cluster: source died mid-migration (%v) and re-home failed: %w", cause, err)
+		}
+		return fmt.Errorf("cluster: session %q: source died mid-migration (%v); re-homed with loss", ps.id, cause)
+	}
+	begin, err := srcRS.MigrateBegin()
 	if err != nil {
-		var er *wire.ErrorReply
-		if errors.As(err, &er) {
+		if refused(err) {
 			// The source is healthy but refused (no history source, lossy
 			// recording, migration already running): the session is still
 			// serving, nothing to clean up.
 			return fmt.Errorf("cluster: session %q: migrate-begin refused: %w", ps.id, err)
 		}
-		return gw.sourceDiedLocked(ps, src, err)
+		return sourceDied(err)
 	}
 	cut := begin.Ordinal
-	// The target's push hook is bound to the next generation, which only
-	// becomes current at the flip — so if the migration aborts, the source's
-	// hook (bound to the current generation) is still the live one.
-	gen := ps.gen.Load() + 1
 
 	// abort releases the source's history cursor and unseals it, resuming
 	// live service with zero loss. A failed abort means the source died
 	// under it; the session will take the eject path on its next frame.
 	abort := func(cause error) error {
-		if _, aerr := ps.rs.MigrateAbort(); aerr != nil {
+		if _, aerr := srcRS.MigrateAbort(); aerr != nil {
 			return fmt.Errorf("%w (abort failed: %v)", cause, aerr)
 		}
 		return cause
@@ -86,35 +93,14 @@ Target:
 			return abort(fmt.Errorf("cluster: session %q: migration aborted by shutdown", ps.id))
 		default:
 		}
-		id, ok := gw.ring.Acquire(ps.id)
-		if !ok {
+		// The source left the ring before the drain started, so place can
+		// only offer other backends.
+		tgt, trs, err := gw.place(ps, cut)
+		switch {
+		case errors.Is(err, errNoBackend):
 			return abort(fmt.Errorf("cluster: session %q: no live backend to migrate onto", ps.id))
-		}
-		tgt := gw.backend(id)
-		if tgt == nil || tgt.isEjected() {
-			gw.ring.Release(id)
-			continue
-		}
-		if tgt == src {
-			// Only reachable when the caller left the source on the ring —
-			// a drain removes it first. Fail rather than ping-pong.
-			gw.ring.Release(id)
-			return abort(fmt.Errorf("cluster: session %q: ring still offers the migration source %s", ps.id, id))
-		}
-		trs, err := tgt.cl.Attach(ps.id, wire.AttachOptions{
-			Gestures:     ps.gestures,
-			Discard:      true,
-			StartAt:      cut,
-			OnDetections: ps.pushHook(gen),
-		})
-		if err != nil {
-			gw.ring.Release(id)
-			var er *wire.ErrorReply
-			if errors.As(err, &er) {
-				return abort(fmt.Errorf("cluster: session %q: migration target %s refused attach: %w", ps.id, id, err))
-			}
-			gw.eject(tgt, ps)
-			continue
+		case err != nil:
+			return abort(fmt.Errorf("cluster: session %q: migration target refused attach: %w", ps.id, err))
 		}
 		// dropTarget abandons the half-caught-up target session on a path
 		// where the target itself is healthy (terminal aborts); a dead
@@ -122,7 +108,7 @@ Target:
 		dropTarget := func() {
 			trs.Detach()
 			if !tgt.isEjected() {
-				gw.ring.Release(id)
+				gw.fleet.ring.Release(tgt.id)
 			}
 		}
 
@@ -137,14 +123,13 @@ Target:
 				return abort(fmt.Errorf("cluster: session %q: migration aborted by shutdown", ps.id))
 			default:
 			}
-			payload, err := ps.rs.MigrateFetch(replayed)
+			payload, err := srcRS.MigrateFetch(replayed)
 			if err != nil {
 				dropTarget()
-				var er *wire.ErrorReply
-				if errors.As(err, &er) {
+				if refused(err) {
 					return abort(fmt.Errorf("cluster: session %q: migrate-state refused: %w", ps.id, err))
 				}
-				return gw.sourceDiedLocked(ps, src, err)
+				return sourceDied(err)
 			}
 			if len(payload) == 0 {
 				// MigrateBegin verified recorded == admitted, so running dry
@@ -165,68 +150,30 @@ Target:
 		}
 		if cut > 0 {
 			if _, err := trs.MigrateCommit(cut); err != nil {
-				var er *wire.ErrorReply
-				if errors.As(err, &er) {
+				if refused(err) {
 					dropTarget()
-					return abort(fmt.Errorf("cluster: session %q: migrate-commit refused by target %s: %w", ps.id, id, err))
+					return abort(fmt.Errorf("cluster: session %q: migrate-commit refused by target %s: %w", ps.id, tgt.id, err))
 				}
 				gw.eject(tgt, ps)
 				continue Target
 			}
 		}
-		// The target now holds the session's exact state at the cut. Detach
-		// the source first: the wire ordering contract relays every source
-		// detection to the front before the detach ack, so nothing the
-		// source produced can be lost or reordered behind target pushes. A
-		// detach failure means the source died after the commit — the state
-		// is safely on the target, proceed.
-		srcRS := ps.rs
+		// The target now holds the session's exact state at the cut: flip.
+		// The target was muted until the commit and sees no tuple until
+		// ps.mu is released, so it pushes nothing yet.
+		if !gw.bind(ps, tgt, trs, cut) {
+			continue Target // it died since the commit; same as dying before it
+		}
+		gw.migratedTuples.Add(cut)
+		// Detach the source before the session unpauses: the wire ordering
+		// contract relays every source detection to the front before the
+		// detach ack, so nothing the source produced can be lost or
+		// reordered behind target pushes. A detach failure means the source
+		// died after the commit — the state is safely on the target.
 		if _, err := srcRS.Detach(); err != nil && !src.isEjected() {
 			gw.log.Warn("migration source detach failed; state already committed on target",
 				obs.F("backend", src.id), obs.F("session", ps.id), obs.F("err", err.Error()))
 		}
-		src.dropSession(ps)
-		if !src.isEjected() {
-			// A drain already removed the source from the ring (Release is
-			// then a no-op); a plain rebalance migration releases its slot.
-			gw.ring.Release(src.id)
-		}
-		ps.gen.Add(1) // == gen: the target's push hook becomes current
-		ps.be, ps.rs = tgt, trs
-		ps.beStats.Store(tgt.stats)
-		ps.forwarded = cut
-		ps.backendDropped.Store(0)
-		tgt.addSession(ps)
-		gw.migratedTuples.Add(cut)
-		if tgt.isEjected() {
-			// The target died between commit and registration; the eject
-			// sweep may have snapshotted its sessions before we appeared.
-			// Fall back to the lossy re-home path — the loss is real (the
-			// migrated state just died) and is accounted as such.
-			tgt.dropSession(ps)
-			if ps.rehomeErr == nil {
-				ps.rehomeErr = gw.rehomeLocked(ps)
-			}
-			if ps.rehomeErr != nil {
-				return fmt.Errorf("cluster: session %q: migration target died and re-home failed: %w", ps.id, ps.rehomeErr)
-			}
-			return fmt.Errorf("cluster: session %q: migration target died after commit; re-homed with loss", ps.id)
-		}
 		return nil
 	}
-}
-
-// sourceDiedLocked handles a source backend dying mid-migration: eject it
-// (re-homing its other sessions) and fall back to the lossy re-home path
-// for this one, charging the forwarded tuples to Lost exactly as a plain
-// ejection would. The caller holds ps.mu.
-func (gw *Gateway) sourceDiedLocked(ps *proxySession, src *backend, cause error) error {
-	gw.eject(src, ps)
-	if ps.rehomeErr == nil && !ps.detached {
-		ps.rehomeErr = gw.rehomeLocked(ps)
-	}
-	if ps.rehomeErr != nil {
-		return fmt.Errorf("cluster: session %q: source died mid-migration (%v) and re-home failed: %w", ps.id, cause, ps.rehomeErr)
-	}
-	return fmt.Errorf("cluster: session %q: source died mid-migration (%v); re-homed with loss", ps.id, cause)
 }

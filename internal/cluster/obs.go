@@ -9,14 +9,13 @@ import (
 // LiveBackends reports how many configured backends are currently on the
 // ring, alongside the configured total.
 func (gw *Gateway) LiveBackends() (live, total int) {
-	gw.mu.Lock()
-	defer gw.mu.Unlock()
-	for _, st := range gw.states {
-		if st == StateLive {
+	members := gw.fleet.snapshot()
+	for _, m := range members {
+		if m.state == StateLive {
 			live++
 		}
 	}
-	return live, len(gw.states)
+	return live, len(members)
 }
 
 // Ready implements the admin plane's readiness probe: nil while at least one
@@ -36,30 +35,15 @@ func (gw *Gateway) Ready() error {
 // first — the admin plane's /events source.
 func (gw *Gateway) Events(n int) []obs.Event { return gw.log.Recent(n) }
 
-// members snapshots the member list and per-ID counter blocks under gw.mu —
-// membership is mutable at runtime (AddBackend/RemoveBackend), so readers
-// may no longer walk gw.order lock-free.
-func (gw *Gateway) members() (order []string, stats map[string]*backendStats) {
-	gw.mu.Lock()
-	defer gw.mu.Unlock()
-	order = append([]string(nil), gw.order...)
-	stats = make(map[string]*backendStats, len(gw.stats))
-	for id, st := range gw.stats {
-		stats[id] = st
-	}
-	return order, stats
-}
-
 // WriteProm writes the gateway's full Prometheus exposition: the aggregated
 // fleet metrics (which include the per-backend proxy counters) plus the
 // gateway-only series — per-backend forward-latency and probe-RTT histograms,
 // incarnation counts, ring load, and the migration plane's counters.
 func (gw *Gateway) WriteProm(w *obs.PromWriter) {
 	gw.Metrics().WriteProm(w)
-	order, byID := gw.members()
-	for _, id := range order {
-		stats := byID[id]
-		l := obs.L("backend", id)
+	for _, m := range gw.fleet.snapshot() {
+		stats := m.stats
+		l := obs.L("backend", m.id)
 		w.Histogram("cluster_backend_forward_seconds",
 			"ProxyBatch forward latency of trace-sampled batches.", l, stats.forward.Snapshot())
 		w.Histogram("cluster_backend_probe_seconds",
@@ -68,7 +52,7 @@ func (gw *Gateway) WriteProm(w *obs.PromWriter) {
 		w.Counter("cluster_backend_incarnations_total",
 			"Incarnations built (initial dial plus re-admissions).", l, stats.incarnations.Load())
 		w.Gauge("cluster_backend_ring_load", "Sessions the ring charges to the backend.", l,
-			float64(gw.ring.Load(id)))
+			float64(gw.fleet.ring.Load(m.id)))
 	}
 	live, total := gw.LiveBackends()
 	w.Gauge("cluster_backends_live", "Backends currently on the ring.", nil, float64(live))
@@ -87,10 +71,10 @@ func (gw *Gateway) WriteProm(w *obs.PromWriter) {
 // ForwardStats summarizes the per-backend stage histograms for the JSON
 // metrics plane, keyed by backend ID.
 func (gw *Gateway) ForwardStats() map[string]obs.HistStats {
-	order, byID := gw.members()
-	out := make(map[string]obs.HistStats, len(order))
-	for _, id := range order {
-		out[id] = byID[id].forward.Snapshot().Stats()
+	members := gw.fleet.snapshot()
+	out := make(map[string]obs.HistStats, len(members))
+	for _, m := range members {
+		out[m.id] = m.stats.forward.Snapshot().Stats()
 	}
 	return out
 }

@@ -74,6 +74,12 @@ func (fb *fakeBackend) serveConn(c net.Conn, pings int) {
 
 func (fb *fakeBackend) Addr() string { return fb.ln.Addr().String() }
 
+// statsOf returns one member's cross-incarnation counter block.
+func statsOf(gw *Gateway, id string) *backendStats {
+	m, _ := gw.fleet.lookup(id)
+	return m.stats
+}
+
 func (fb *fakeBackend) Close() {
 	fb.ln.Close()
 	fb.mu.Lock()
@@ -95,7 +101,9 @@ func TestProbeSweepConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sp.Close()
-	hole := startFakeBackend(t, 0)
+	// One pong per connection: enough to pass install's liveness check,
+	// after which every health probe is swallowed.
+	hole := startFakeBackend(t, 1)
 
 	const interval = 25 * time.Millisecond
 	gw, err := NewGateway(Config{
@@ -113,8 +121,8 @@ func TestProbeSweepConcurrent(t *testing.T) {
 	// no sweep ever waited on the stuck one.
 	deadline := time.Now().Add(1500 * time.Millisecond)
 	for {
-		p0 := gw.stats[sp.ID(0)].probes.Load()
-		p1 := gw.stats[sp.ID(1)].probes.Load()
+		p0 := statsOf(gw, sp.ID(0)).probes.Load()
+		p1 := statsOf(gw, sp.ID(1)).probes.Load()
 		if p0 >= 5 && p1 >= 5 {
 			break
 		}
@@ -129,7 +137,7 @@ func TestProbeSweepConcurrent(t *testing.T) {
 	if st := gw.State("blackhole"); st != StateLive {
 		t.Fatalf("black-holed backend already %q before its ProbeTimeout elapsed", st)
 	}
-	if got := gw.stats["blackhole"].probes.Load(); got != 0 {
+	if got := statsOf(gw, "blackhole").probes.Load(); got != 0 {
 		t.Fatalf("black-holed backend completed %d probes, want 0", got)
 	}
 }
@@ -155,7 +163,7 @@ func TestProbeTimeoutNoGoroutineLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stats := gw.stats["flappy"]
+	stats := statsOf(gw, "flappy")
 	deadline := time.Now().Add(10 * time.Second)
 	for stats.readmissions.Load() < 3 {
 		if time.Now().After(deadline) {

@@ -9,6 +9,7 @@ import (
 
 	"gesturecep/internal/cluster"
 	"gesturecep/internal/kinect"
+	"gesturecep/internal/obs"
 	"gesturecep/internal/serve"
 	"gesturecep/internal/store"
 	"gesturecep/internal/stream"
@@ -168,7 +169,7 @@ func Start(t testing.TB, opts Options) *Harness {
 			Readmit:           opts.Readmit,
 			ReadmitBackoff:    opts.ReadmitBackoff,
 			ReadmitMaxBackoff: opts.ReadmitMaxBackoff,
-			Logf:              t.Logf,
+			Logger:            obs.NewLogger(256, func(e obs.Event) { t.Logf("%s", e) }),
 		})
 		if err != nil {
 			sp.Close()

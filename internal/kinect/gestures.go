@@ -180,9 +180,10 @@ func GestureNames() []string {
 }
 
 // DemoGestureNames returns the eight gestures the serving CLIs learn and
-// drive, in their canonical demo order (the order the gestureserve,
-// gestured and gestureload `-gestures N` prefix selects from). One shared
-// list keeps the three binaries serving and driving the same gesture set.
+// drive, in their canonical demo order (the order the `-gestures N` prefix
+// of gestured and gesturegateway selects from, and gestureload performs).
+// One shared list keeps the binaries serving and driving the same gesture
+// set.
 func DemoGestureNames() []string {
 	return []string{
 		GestureSwipeRight, GestureSwipeLeft, GestureSwipeUp,

@@ -10,7 +10,7 @@ import (
 // LockOrder enforces documented mutex acquisition orders. The gateway's
 // contract (internal/cluster/gateway.go) is that proxySession.mu is
 // always acquired before backend.mu, and Gateway.memberMu before
-// Gateway.mu — the reverse nesting is a deadlock that only fires under
+// fleet.mu — the reverse nesting is a deadlock that only fires under
 // the right interleaving, which is exactly what a soak can miss.
 //
 // The analyzer is driven by a registration table of ordered pairs keyed
@@ -24,7 +24,7 @@ import (
 // level down the call graph:
 //
 //	//lint:holds proxySession.mu
-//	func (gw *Gateway) rehomeLocked(ps *proxySession) error { ... }
+//	func (gw *Gateway) ensureOwnerLocked(ps *proxySession) error { ... }
 var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc:  "enforce documented mutex acquisition orders (ps.mu before be.mu)",
@@ -46,12 +46,13 @@ func (k lockKey) String() string { return k.Type + "." + k.Field }
 type lockOrderPair struct{ First, Second lockKey }
 
 var lockOrderTable = []lockOrderPair{
-	// internal/cluster: the re-home and migration paths hold ps.mu and
-	// take be.mu inside it; the reverse nesting deadlocks against them.
+	// internal/cluster: the ownership transition (place/bind/
+	// ensureOwnerLocked) and migration hold ps.mu and take be.mu inside
+	// it; the reverse nesting deadlocks against them.
 	{lockKey{"proxySession", "mu"}, lockKey{"backend", "mu"}},
 	// internal/cluster: membership verbs serialize on memberMu and use
-	// gw.mu for each fine-grained step inside.
-	{lockKey{"Gateway", "memberMu"}, lockKey{"Gateway", "mu"}},
+	// the fleet's mu for each fine-grained step inside.
+	{lockKey{"Gateway", "memberMu"}, lockKey{"fleet", "mu"}},
 }
 
 // RegisterLockOrder adds an ordered pair (firstType.firstField acquired

@@ -13,9 +13,13 @@ type backend struct {
 	mu sync.Mutex
 }
 
+type fleet struct {
+	mu sync.Mutex
+}
+
 type Gateway struct {
 	memberMu sync.Mutex
-	mu       sync.Mutex
+	fleet    *fleet
 }
 
 // The documented order is ps.mu before be.mu; this nests the other way.
@@ -48,10 +52,10 @@ func invertedOnOnePath(ps *proxySession, be *backend, flag bool) {
 	be.mu.Unlock()
 }
 
-// Same contract for the membership pair: memberMu before mu.
+// Same contract for the membership pair: memberMu before the fleet's mu.
 func invertedGateway(gw *Gateway) {
-	gw.mu.Lock()
-	gw.memberMu.Lock() // want `acquiring Gateway\.memberMu while Gateway\.mu is held inverts the documented`
+	gw.fleet.mu.Lock()
+	gw.memberMu.Lock() // want `acquiring Gateway\.memberMu while fleet\.mu is held inverts the documented`
 	gw.memberMu.Unlock()
-	gw.mu.Unlock()
+	gw.fleet.mu.Unlock()
 }

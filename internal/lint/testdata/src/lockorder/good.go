@@ -40,10 +40,10 @@ func okAnnotated(be *backend) {
 	be.mu.Unlock()
 }
 
-// memberMu before mu is the documented membership order.
+// memberMu before the fleet's mu is the documented membership order.
 func okGateway(gw *Gateway) {
 	gw.memberMu.Lock()
-	gw.mu.Lock()
-	gw.mu.Unlock()
+	gw.fleet.mu.Lock()
+	gw.fleet.mu.Unlock()
 	gw.memberMu.Unlock()
 }

@@ -94,7 +94,7 @@ type Logger struct {
 	ring  []Event
 	next  int
 	total uint64
-	sink  func(Event) // optional mirror (terminal, test log, Logf shim)
+	sink  func(Event) // optional mirror (terminal, test log)
 	min   Level
 }
 
@@ -144,12 +144,6 @@ func (l *Logger) Debug(msg string, fields ...Field) { l.Log(LevelDebug, msg, fie
 func (l *Logger) Info(msg string, fields ...Field)  { l.Log(LevelInfo, msg, fields...) }
 func (l *Logger) Warn(msg string, fields ...Field)  { l.Log(LevelWarn, msg, fields...) }
 func (l *Logger) Error(msg string, fields ...Field) { l.Log(LevelError, msg, fields...) }
-
-// Logf is the printf compatibility shim for call sites not yet migrated to
-// fields: the formatted string becomes an Info event with no fields.
-func (l *Logger) Logf(format string, args ...any) {
-	l.Log(LevelInfo, fmt.Sprintf(format, args...))
-}
 
 // Total returns how many events were retained since creation (0 for nil).
 func (l *Logger) Total() uint64 {

@@ -40,9 +40,10 @@ type Client struct {
 	// co, when non-nil, replaces direct Writer access: every frame is
 	// enqueued to the per-connection flusher goroutine, which gathers
 	// concurrent frames into single vectored writes. Enabled by the cluster
-	// gateway on its backend connections (EnableCoalescing); set before any
-	// traffic and never cleared, so data paths read it without locking.
-	co *coalescer
+	// gateway on its backend connections (EnableCoalescing); set once and
+	// never cleared. Atomic because the read loop, started by NewClient
+	// before EnableCoalescing can run, reads it when the connection fails.
+	co atomic.Pointer[coalescer]
 
 	// waiters is the FIFO of in-flight control round trips; the read loop
 	// dispatches each control reply to the head. Appends happen in the same
@@ -146,8 +147,8 @@ func NewClient(c net.Conn) *Client {
 // connection so many front sessions share one syscall per flush cycle.
 // Call it once, before issuing any traffic on the connection.
 func (cl *Client) EnableCoalescing() {
-	if cl.co == nil {
-		cl.co = newCoalescer(cl)
+	if cl.co.Load() == nil {
+		cl.co.Store(newCoalescer(cl))
 	}
 }
 
@@ -157,8 +158,8 @@ func (cl *Client) Close() error {
 		return nil
 	}
 	err := cl.c.Close()
-	if cl.co != nil {
-		cl.co.stop()
+	if co := cl.co.Load(); co != nil {
+		co.stop()
 	}
 	<-cl.done
 	return err
@@ -187,10 +188,10 @@ func (cl *Client) fail(err error) error {
 		cl.err.Store(errBox{err})
 	}
 	cl.c.Close()
-	if cl.co != nil {
+	if co := cl.co.Load(); co != nil {
 		// Wake the flusher and any producers blocked on backpressure; the
 		// flusher releases still-queued pooled buffers and exits.
-		cl.co.poison(err)
+		co.poison(err)
 	}
 	return cl.closedErr()
 }
@@ -279,14 +280,14 @@ func (cl *Client) roundTripWith(req FrameType, v any, wantReply FrameType, out a
 	}
 	ch := make(chan controlResp, 1)
 	pr := pendingReq{ch: ch, onDets: onDets}
-	if cl.co != nil {
+	if co := cl.co.Load(); co != nil {
 		payload, err := json.Marshal(v)
 		if err != nil {
 			return err
 		}
 		// The marshalled payload is freshly allocated, so the coalescer may
 		// reference it until flushed without a copy.
-		if err := cl.co.enqueue(req, payload, false, &pr); err != nil {
+		if err := co.enqueue(req, payload, false, &pr); err != nil {
 			return err
 		}
 	} else {
@@ -332,12 +333,12 @@ func (cl *Client) roundTripRaw(req FrameType, v any, wantReply FrameType) ([]byt
 	}
 	ch := make(chan controlResp, 1)
 	pr := pendingReq{ch: ch}
-	if cl.co != nil {
+	if co := cl.co.Load(); co != nil {
 		payload, err := json.Marshal(v)
 		if err != nil {
 			return nil, err
 		}
-		if err := cl.co.enqueue(req, payload, false, &pr); err != nil {
+		if err := co.enqueue(req, payload, false, &pr); err != nil {
 			return nil, err
 		}
 	} else {
@@ -495,8 +496,8 @@ func (cl *Client) proxyBatch(handle uint32, payload []byte, owned bool) (int, er
 	}
 	binary.BigEndian.PutUint32(payload[:4], handle)
 	count := int(binary.BigEndian.Uint16(payload[4:6]))
-	if cl.co != nil {
-		if err := cl.co.enqueue(FrameBatch, payload, owned, nil); err != nil {
+	if co := cl.co.Load(); co != nil {
+		if err := co.enqueue(FrameBatch, payload, owned, nil); err != nil {
 			return 0, err
 		}
 		return count, nil
@@ -616,7 +617,7 @@ func (rs *RemoteSession) FlushBatch() error {
 	}
 	rs.encBuf = buf[:0]
 	rs.batch = rs.batch[:0]
-	if co := rs.cl.co; co != nil {
+	if co := rs.cl.co.Load(); co != nil {
 		// The encode scratch is reused by the next FlushBatch, so hand the
 		// coalescer its own pooled copy.
 		p := GetFrameBuf(len(buf))

@@ -199,7 +199,7 @@ func TestCoalescerOrderAndDrain(t *testing.T) {
 	for i := 0; i < frames; i++ {
 		p := GetFrameBuf(16)
 		binary.BigEndian.PutUint32(p[4:], uint32(i))
-		if err := cl.co.enqueue(FrameBatch, p, true, nil); err != nil {
+		if err := cl.co.Load().enqueue(FrameBatch, p, true, nil); err != nil {
 			t.Fatalf("enqueue %d: %v", i, err)
 		}
 	}
