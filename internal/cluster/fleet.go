@@ -100,6 +100,8 @@ type member struct {
 	stats *backendStats
 	// cancel is non-nil while a recovery loop re-dials this member;
 	// RemoveBackend closes it so a decommissioned ID stops being re-dialed.
+	// It doubles as that loop's claim on the member: install admits the
+	// loop only while this is still the channel it was started with.
 	cancel chan struct{}
 }
 
@@ -169,38 +171,43 @@ func (fl *fleet) memberLocked(id, addr string) *member {
 	return m
 }
 
-// admissibleLocked reports whether an incarnation of id may be installed
-// now. A recovery loop may only fill a member that is still recovering
-// (RemoveBackend can decommission it while the re-dial is in flight); every
-// other caller may only fill an ID that is unknown, drained or terminally
-// ejected — off the ring with no incarnation.
-func (fl *fleet) admissibleLocked(id string, recovering bool) error {
+// admissibleLocked reports whether the caller may install an incarnation of
+// id now: the member must have none (unknown, drained, ejected or
+// recovering), and the caller's claim must be the one on the slot — the
+// cancel channel of the recovery loop that owns a recovering member, nil
+// otherwise. Matching the channel rather than the state is what refuses a
+// superseded loop: RemoveBackend, AddBackend and a fresh ejection can put
+// the ID back in recovery under a new loop while an old one is mid-dial.
+func (fl *fleet) admissibleLocked(id string, claim chan struct{}) error {
 	if fl.closed {
 		return errClosed
 	}
-	m := fl.members[id]
+	var cur member
+	if m := fl.members[id]; m != nil {
+		cur = *m
+	}
 	switch {
-	case recovering && (m == nil || m.state != StateRecovering):
-		return fmt.Errorf("cluster: backend %s is no longer recovering", id)
-	case !recovering && m != nil && m.state != StateDrained && m.state != StateEjected:
-		return fmt.Errorf("cluster: backend %s is already a member (state %s)", id, m.state)
+	case claim != nil && cur.cancel != claim:
+		return fmt.Errorf("cluster: recovery of backend %s was superseded", id)
+	case cur.cancel != claim || cur.be != nil:
+		return fmt.Errorf("cluster: backend %s is already a member (state %s)", id, cur.state)
 	}
 	return nil
 }
 
 // install is the one way an incarnation enters the fleet — startup,
-// AddBackend and the recovery loop all come through here. It dials the data
-// and probe connections, each verified live by a ping within ProbeTimeout (a
-// bare TCP accept is not liveness), then publishes the incarnation and its
-// ring entry in one step under mu: nothing can eject an incarnation before
-// it is published (probes and sessions only discover it through lookup), so
-// an eject can never interleave and leave the ID on the ring with no
-// incarnation behind it. Existing sessions are untouched; the bounded-load
-// ring's ceil(c·avg) cap steers new sessions toward the fresh, empty
-// backend — a gradual re-balance.
-func (fl *fleet) install(id, addr string, recovering bool) (*backend, error) {
+// AddBackend (claim nil) and the recovery loop (claim: its cancel channel)
+// all come through here. It dials the data and probe connections, each
+// verified live by a ping within ProbeTimeout (a bare TCP accept is not
+// liveness), then publishes the incarnation and its ring entry in one step
+// under mu: nothing can eject an incarnation before it is published (probes
+// and sessions only discover it through lookup), so an eject can never
+// interleave and leave the ID on the ring with no incarnation behind it.
+// Existing sessions are untouched; the bounded-load ring's ceil(c·avg) cap
+// steers new sessions toward the fresh, empty backend — a gradual re-balance.
+func (fl *fleet) install(id, addr string, claim chan struct{}) (*backend, error) {
 	fl.mu.Lock()
-	err := fl.admissibleLocked(id, recovering)
+	err := fl.admissibleLocked(id, claim)
 	fl.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -221,7 +228,7 @@ func (fl *fleet) install(id, addr string, recovering bool) (*backend, error) {
 	cl.EnableCoalescing()
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
-	err = fl.admissibleLocked(id, recovering)
+	err = fl.admissibleLocked(id, claim)
 	if err == nil {
 		err = fl.ring.Add(id)
 	}
@@ -299,10 +306,10 @@ func (fl *fleet) recoverLoop(id, addr string, cancel chan struct{}) {
 			return
 		case <-timer.C:
 		}
-		// A refusal other than a failed dial means the member left recovery
-		// or the gateway closed — both also close cancel or quit, so the
+		// A refusal other than a failed dial means this loop lost its claim
+		// (RemoveBackend closed cancel) or the gateway closed (quit), so the
 		// select above ends the loop on the next pass.
-		if be, err := fl.install(id, addr, true); err == nil {
+		if be, err := fl.install(id, addr, cancel); err == nil {
 			be.stats.readmissions.Add(1)
 			fl.log.Info("backend re-admitted",
 				obs.F("backend", id), obs.F("addr", addr), obs.F("incarnation", be.inc),

@@ -89,7 +89,7 @@ func NewGateway(cfg Config) (*Gateway, error) {
 		backfillDur: obs.NewHistogram(),
 	}
 	for _, b := range cfg.Backends {
-		_, err := gw.fleet.install(b.ID, b.Addr, false)
+		_, err := gw.fleet.install(b.ID, b.Addr, nil)
 		if err == nil {
 			continue
 		}

@@ -347,11 +347,13 @@ func TestGatewayFailover(t *testing.T) {
 		}
 		// No acked detection is lost, and everything after re-home is
 		// byte-identical to a bare replay of what the final home admitted.
-		var acked []byte
+		var want []byte
 		if onVictim[id] {
-			acked = preKill[i]
+			want = mergeDetFrames(t, preKill[i], e2e.BareReplay(t, plan, recorded))
+		} else {
+			want = e2e.EncodeDets(t, e2e.BareReplay(t, plan, recorded))
 		}
-		if !detsReconstruct(t, finalDets[i], acked, e2e.BareReplay(t, plan, recorded)) {
+		if !bytes.Equal(finalDets[i], want) {
 			t.Errorf("session %s detections diverge from the deterministic reconstruction", id)
 		}
 	}
@@ -656,11 +658,13 @@ func TestGatewayRecovery(t *testing.T) {
 			t.Errorf("session %s reports %d drops, recorder tally says %d (fed %d, recorded %d)",
 				id, c.Dropped, got, total, len(recorded))
 		}
-		var acked []byte
+		var wantDets []byte
 		if onVictim[id] {
-			acked = preKill[i]
+			wantDets = mergeDetFrames(t, preKill[i], e2e.BareReplay(t, plan, recorded))
+		} else {
+			wantDets = e2e.EncodeDets(t, e2e.BareReplay(t, plan, recorded))
 		}
-		if !detsReconstruct(t, finalDets[i], acked, e2e.BareReplay(t, plan, recorded)) {
+		if !bytes.Equal(finalDets[i], wantDets) {
 			t.Errorf("session %s detections diverge from the deterministic reconstruction", id)
 		}
 	}
@@ -816,33 +820,15 @@ func TestGatewayTolerateDown(t *testing.T) {
 	}
 }
 
-// detsReconstruct checks a session's final detections against what the
-// archives can reconstruct. A session that never moved (acked nil) must
-// equal the bare replay of its home's recording. A failed-over one must
-// lead with the detections acked before the kill and end with the bare
-// replay of what its final home admitted; between the two it may carry
-// detections the victim fired from second-half tuples it took in before it
-// died — relayed because they happened, but in no surviving archive. How
-// many depends on how far the feeder had run when the kill landed.
-func detsReconstruct(t testing.TB, final, acked []byte, replayed []anduin.Detection) bool {
+// mergeDetFrames appends a detection list to an already-encoded one and
+// re-encodes the concatenation canonically.
+func mergeDetFrames(t testing.TB, encoded []byte, extra []anduin.Detection) []byte {
 	t.Helper()
-	want := e2e.EncodeDets(t, replayed)
-	if acked == nil {
-		return bytes.Equal(final, want)
-	}
-	_, _, got, err := wire.DecodeDetections(final)
+	_, _, dets, err := wire.DecodeDetections(encoded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, pre, err := wire.DecodeDetections(acked)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) < len(pre)+len(replayed) {
-		return false
-	}
-	return bytes.Equal(e2e.EncodeDets(t, got[:len(pre)]), acked) &&
-		bytes.Equal(e2e.EncodeDets(t, got[len(got)-len(replayed):]), want)
+	return e2e.EncodeDets(t, append(dets, extra...))
 }
 
 // TestGatewayControlPlane exercises ping, metrics aggregation and

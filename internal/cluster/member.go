@@ -21,7 +21,7 @@ func (gw *Gateway) AddBackend(id, addr string) error {
 	}
 	gw.memberMu.Lock()
 	defer gw.memberMu.Unlock()
-	be, err := gw.fleet.install(id, addr, false)
+	be, err := gw.fleet.install(id, addr, nil)
 	if err != nil {
 		return err
 	}

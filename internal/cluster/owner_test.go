@@ -337,3 +337,73 @@ func TestAddBackendVerifiesLiveness(t *testing.T) {
 		t.Errorf("RemoveBackend after the refusal = %v, want an unknown-backend error", err)
 	}
 }
+
+// TestInstallRefusesSupersededRecovery pins which recovery loop may fill a
+// recovering member: RemoveBackend → AddBackend → eject puts the ID back in
+// recovery under a new loop, and an older loop that was already dialing
+// when it was cancelled must not install over it (it would clear the new
+// loop's claim without stopping it, and bring back the old address).
+func TestInstallRefusesSupersededRecovery(t *testing.T) {
+	sp, err := Spawn(2, serve.NewRegistry(), SpawnOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	// An hour of backoff parks every recovery loop in its select, so the
+	// test alone decides who calls install and when.
+	gw, err := NewGateway(Config{Backends: sp.Backends(), ProbeInterval: -1,
+		ProbeTimeout: time.Second, Readmit: true, ReadmitBackoff: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	id, addr := sp.ID(0), sp.Backends()[0].Addr
+
+	// ejectCurrent retires id's incarnation and returns the claim of the
+	// recovery loop that took the member over.
+	ejectCurrent := func() chan struct{} {
+		t.Helper()
+		m, _ := gw.fleet.lookup(id)
+		if m.be == nil {
+			t.Fatalf("backend %s has no incarnation to eject (state %s)", id, m.state)
+		}
+		gw.eject(m.be, nil)
+		m, _ = gw.fleet.lookup(id)
+		if m.state != StateRecovering || m.cancel == nil {
+			t.Fatalf("after eject: state %s, claim %v; want recovering with a claim", m.state, m.cancel)
+		}
+		return m.cancel
+	}
+
+	stale := ejectCurrent()
+	if err := gw.RemoveBackend(id); err != nil {
+		t.Fatal(err)
+	}
+	if err := gw.AddBackend(id, addr); err != nil {
+		t.Fatal(err)
+	}
+	current := ejectCurrent()
+
+	if _, err := gw.fleet.install(id, addr, stale); err == nil {
+		t.Fatal("a superseded recovery loop installed an incarnation")
+	}
+	if _, err := gw.fleet.install(id, addr, nil); err == nil {
+		t.Fatal("a claimless install filled a member a recovery loop owns")
+	}
+	m, _ := gw.fleet.lookup(id)
+	if m.state != StateRecovering || m.cancel != current || m.be != nil {
+		t.Fatalf("refused installs changed the member: state %s, be %v, claim kept %v",
+			m.state, m.be, m.cancel == current)
+	}
+	if ids := gw.Ring().Backends(); len(ids) != 1 || ids[0] != sp.ID(1) {
+		t.Errorf("ring holds %v while %s recovers, want only %s", ids, id, sp.ID(1))
+	}
+
+	be, err := gw.fleet.install(id, addr, current)
+	if err != nil {
+		t.Fatalf("the owning recovery loop was refused: %v", err)
+	}
+	if m, _ := gw.fleet.lookup(id); m.state != StateLive || m.be != be || m.cancel != nil {
+		t.Errorf("after the owning install: state %s, claim %v", m.state, m.cancel)
+	}
+}

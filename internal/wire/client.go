@@ -145,10 +145,21 @@ func NewClient(c net.Conn) *Client {
 // flusher goroutine that gathers frames from concurrent producers into
 // single vectored writes — the cluster gateway enables it on each backend
 // connection so many front sessions share one syscall per flush cycle.
-// Call it once, before issuing any traffic on the connection.
+// Call it once, while no other goroutine is using the client: a frame
+// written concurrently with the switch could bypass the flusher and
+// interleave with its vectored write. Round trips that completed earlier
+// (Redial's liveness ping) are fine. A connection that already failed gets
+// a coalescer that is poisoned on the spot, exactly as fail would have.
 func (cl *Client) EnableCoalescing() {
-	if cl.co.Load() == nil {
-		cl.co.Store(newCoalescer(cl))
+	if cl.co.Load() != nil {
+		return
+	}
+	co := newCoalescer(cl)
+	cl.co.Store(co)
+	// fail sets closed and then loads co; this stores co and then loads
+	// closed — so whichever way the two interleave, one of them poisons.
+	if cl.closed.Load() {
+		co.poison(cl.closedErr())
 	}
 }
 

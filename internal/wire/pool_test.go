@@ -214,3 +214,26 @@ func TestCoalescerOrderAndDrain(t *testing.T) {
 	}
 	cl.Close()
 }
+
+// TestCoalescingAfterFailure pins the late-enable case: a connection that
+// died before EnableCoalescing (the gateway enables it after Redial's ping)
+// gets a coalescer whose flusher exits at once instead of outliving a Close
+// that, finding the client already closed, never reaches it.
+func TestCoalescingAfterFailure(t *testing.T) {
+	a, b := net.Pipe()
+	cl := NewClient(a)
+	b.Close()
+	<-cl.done // the read loop saw the close and ran fail
+
+	cl.EnableCoalescing()
+	co := cl.co.Load()
+	select {
+	case <-co.done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("flusher of a coalescer enabled on a dead connection is still running")
+	}
+	if err := co.enqueue(FramePing, nil, false, nil); err == nil {
+		t.Fatal("enqueue on a dead connection succeeded")
+	}
+	cl.Close()
+}
