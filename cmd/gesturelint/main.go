@@ -4,78 +4,25 @@
 // allocation-free hot paths (hotpathalloc), plus the stale-manifest drift
 // check for hotpaths.txt.
 //
-// Standalone (the CI gate):
+// Usage (the CI gate):
 //
 //	go run ./cmd/gesturelint ./...
 //	go run ./cmd/gesturelint -only framepool,lockorder ./internal/...
 //
-// As a go vet tool (the unitchecker protocol — type information comes
-// from the build cache's export data instead of a from-source re-check,
-// so this is the fast path once built):
-//
-//	go build -o bin/gesturelint ./cmd/gesturelint
-//	go vet -vettool=$PWD/bin/gesturelint ./...
-//
-// Exit status: 0 clean, 1 findings or usage error (standalone), 2
-// findings (vet protocol, matching cmd/vet convention).
+// Exit status: 0 clean, 1 findings or usage error.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"gesturecep/internal/lint"
 )
 
 func main() {
-	args := os.Args[1:]
-	// The three spellings cmd/go uses to drive a vet tool.
-	if len(args) == 1 && strings.HasPrefix(args[0], "-V=") {
-		// Identity handshake: cmd/go requires the exact shape
-		// "<base> version devel ... buildID=<id>" and folds the ID into
-		// its cache key, so hashing the binary itself invalidates cached
-		// vet results whenever the analyzers change.
-		fmt.Printf("%s version devel buildID=%s\n", filepath.Base(os.Args[0]), selfID())
-		return
-	}
-	if len(args) == 1 && args[0] == "-flags" {
-		// No analyzer flags are exposed through the vet protocol.
-		fmt.Println("[]")
-		return
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(runUnit(args[0]))
-	}
-	os.Exit(runStandalone(args))
-}
-
-// selfID hashes this executable for the -V=full handshake.
-func selfID() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "unknown"
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return "unknown"
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "unknown"
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)[:16])
+	os.Exit(run(os.Args[1:]))
 }
 
 func selectAnalyzers(only string) ([]*lint.Analyzer, error) {
@@ -98,7 +45,7 @@ func selectAnalyzers(only string) ([]*lint.Analyzer, error) {
 	return picked, nil
 }
 
-func runStandalone(args []string) int {
+func run(args []string) int {
 	fs := flag.NewFlagSet("gesturelint", flag.ExitOnError)
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	only := fs.String("only", "", "comma-separated subset of analyzers to run")
@@ -146,110 +93,6 @@ func runStandalone(args []string) int {
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "gesturelint: %d finding(s)\n", len(diags))
 		return 1
-	}
-	return 0
-}
-
-// vetConfig is the per-package JSON cmd/go hands a vet tool (the subset
-// gesturelint needs; unknown fields are ignored).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// runUnit implements one unit of the go vet protocol: type-check this
-// package against the export data cmd/go already compiled, run the
-// suite, report findings on stderr.
-func runUnit(cfgPath string) int {
-	raw, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gesturelint:", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(raw, &cfg); err != nil {
-		fmt.Fprintln(os.Stderr, "gesturelint: parsing", cfgPath+":", err)
-		return 1
-	}
-	// cmd/go declares the vetx facts file as an output of the vet action;
-	// gesturelint's analyzers need no cross-package facts, so it is empty.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, "gesturelint:", err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, fn := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, fn, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return 0
-			}
-			fmt.Fprintln(os.Stderr, "gesturelint:", err)
-			return 1
-		}
-		files = append(files, f)
-	}
-	lookup := func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
-	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, cfg.Compiler, lookup)}
-	tpkg, err := conf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintln(os.Stderr, "gesturelint:", err)
-		return 1
-	}
-	pkg := &lint.Package{
-		Path:  cfg.ImportPath,
-		Dir:   cfg.Dir,
-		Fset:  fset,
-		Files: files,
-		Types: tpkg,
-		Info:  info,
-	}
-	diags, err := lint.Run([]*lint.Package{pkg}, lint.All())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gesturelint:", err)
-		return 1
-	}
-	diags = append(diags, lint.StaleManifest([]*lint.Package{pkg})...)
-	for _, d := range diags {
-		fmt.Fprintln(os.Stderr, lint.FormatDiagnostic(fset, d))
-	}
-	if len(diags) > 0 {
-		return 2
 	}
 	return 0
 }

@@ -265,12 +265,17 @@ type (
 
 // Backpressure policies for ServeConfig.Policy.
 const (
-	// BlockWhenFull makes Feed wait for a free queue slot (lossless).
+	// BlockWhenFull makes FeedTuple wait for a free queue slot (lossless).
 	BlockWhenFull = serve.Block
 	// DropOldestWhenFull evicts the oldest queued tuple (bounded latency;
 	// drops are counted).
 	DropOldestWhenFull = serve.DropOldest
 )
+
+// FrameTuple converts one camera frame to the raw tuple ServeSession.FeedTuple
+// and WireSession.FeedTuple ingest: the serving stack is schema-generic, so
+// the Kinect layout is applied here, at its edge.
+var FrameTuple = kinect.ToTuple
 
 // NewPlanRegistry creates an empty shared-plan registry compiling against
 // the canonical kinect/kinect_t environment.

@@ -29,7 +29,7 @@ func recordSessions(t testing.TB, h *e2e.Harness, n int) []string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := rs.FeedFrames(e2e.PlaybackFrames(t, int64(7+i))); err != nil {
+		if err := e2e.FeedFrames(rs, e2e.PlaybackFrames(t, int64(7+i))); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := rs.Detach(); err != nil {

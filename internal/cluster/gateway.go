@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
@@ -14,11 +13,6 @@ import (
 	"gesturecep/internal/wire"
 )
 
-// maxPendingDetections bounds a proxied session's detection relay buffer,
-// mirroring the wire server's own push buffer: past the cap the oldest
-// pending detection is evicted and counted.
-const maxPendingDetections = 65536
-
 // Gateway terminates the wire protocol in front of a backend fleet. Remote
 // clients speak to it exactly as they would to a single gestured process —
 // attach, batch, flush, detach, metrics, ping — while each session's frames
@@ -27,6 +21,10 @@ type Gateway struct {
 	cfg   Config
 	fleet *fleet      // membership, incarnations and the placement ring
 	log   *obs.Logger // never nil; see NewGateway
+	// front speaks the wire protocol to clients; the gateway is its host
+	// (proxyHost) and knows nothing of frames, handles or write locks.
+	front    *wire.Server
+	sessions atomic.Int64 // proxied sessions across all front connections
 
 	// memberMu serializes membership operations — AddBackend, Drain,
 	// RemoveBackend — against each other, and Close waits on it for the one
@@ -35,10 +33,8 @@ type Gateway struct {
 	// the reverse.
 	memberMu sync.Mutex
 
-	mu     sync.Mutex
-	conns  map[*frontConn]struct{}
-	ln     net.Listener
-	closed bool
+	closeOnce sync.Once
+	closeErr  error
 
 	// Migration counters (see MigrationStats): completed and failed session
 	// moves, tuples replayed into targets, and per-migration duration.
@@ -55,7 +51,6 @@ type Gateway struct {
 	backfillStreams atomic.Uint64
 	backfillDur     *obs.Histogram
 
-	wg        sync.WaitGroup // front connection handlers
 	quit      chan struct{}
 	probeDone chan struct{}
 	probeWG   sync.WaitGroup // in-flight probes and their ping goroutines
@@ -82,12 +77,13 @@ func NewGateway(cfg Config) (*Gateway, error) {
 		cfg:         cfg,
 		fleet:       newFleet(cfg, log, quit),
 		log:         log,
-		conns:       make(map[*frontConn]struct{}),
 		quit:        quit,
 		probeDone:   make(chan struct{}),
 		migrateDur:  obs.NewHistogram(),
 		backfillDur: obs.NewHistogram(),
 	}
+	gw.front = wire.NewHostServer(proxyHost{gw})
+	gw.front.Name = cfg.Name
 	for _, b := range cfg.Backends {
 		_, err := gw.fleet.install(b.ID, b.Addr, nil)
 		if err == nil {
@@ -120,96 +116,34 @@ func (gw *Gateway) Ring() *Ring { return gw.fleet.ring }
 
 // Serve accepts front connections on ln until Close. It always returns a
 // non-nil error; after Close the error is net.ErrClosed.
-func (gw *Gateway) Serve(ln net.Listener) error {
-	gw.mu.Lock()
-	if gw.closed {
-		gw.mu.Unlock()
-		ln.Close()
-		return net.ErrClosed
-	}
-	gw.ln = ln
-	gw.mu.Unlock()
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		fc := &frontConn{gw: gw, c: c, r: wire.NewReader(c), w: wire.NewWriter(c), sessions: make(map[uint32]*proxySession)}
-		gw.mu.Lock()
-		if gw.closed {
-			gw.mu.Unlock()
-			c.Close()
-			return net.ErrClosed
-		}
-		gw.conns[fc] = struct{}{}
-		gw.wg.Add(1)
-		gw.mu.Unlock()
-		go func() {
-			defer gw.wg.Done()
-			fc.serve()
-			gw.mu.Lock()
-			delete(gw.conns, fc)
-			gw.mu.Unlock()
-		}()
-	}
-}
+func (gw *Gateway) Serve(ln net.Listener) error { return gw.front.Serve(ln) }
 
 // ListenAndServe listens on addr and serves until Close.
-func (gw *Gateway) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return gw.Serve(ln)
-}
+func (gw *Gateway) ListenAndServe(addr string) error { return gw.front.ListenAndServe(addr) }
 
 // Addr returns the front listener address once Serve is running.
-func (gw *Gateway) Addr() net.Addr {
-	gw.mu.Lock()
-	defer gw.mu.Unlock()
-	if gw.ln == nil {
-		return nil
-	}
-	return gw.ln.Addr()
-}
+func (gw *Gateway) Addr() net.Addr { return gw.front.Addr() }
 
 // Close stops the prober (waiting out any in-flight pings), the recovery
 // loops, the listener and every front connection (whose teardown detaches
 // their backend sessions), then drops the backend connections.
 func (gw *Gateway) Close() error {
-	gw.mu.Lock()
-	if gw.closed {
-		gw.mu.Unlock()
-		return nil
-	}
-	gw.closed = true
-	ln := gw.ln
-	conns := make([]*frontConn, 0, len(gw.conns))
-	for fc := range gw.conns {
-		conns = append(conns, fc)
-	}
-	gw.mu.Unlock()
-	close(gw.quit)
-	<-gw.probeDone
-	gw.probeWG.Wait()
-	gw.fleet.shutdown()
-	// Close is the last membership verb. A drain polls gw.quit between
-	// sessions and between replay chunks, so an in-flight migration aborts
-	// (unsealing its source) and Drain returns, releasing memberMu, before
-	// the backend connections it is speaking over are torn down; verbs
-	// arriving later find the fleet shut.
-	gw.memberMu.Lock()
-	defer gw.memberMu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	for _, fc := range conns {
-		fc.c.Close()
-	}
-	gw.wg.Wait()
-	gw.fleet.closeAll()
-	return err
+	gw.closeOnce.Do(func() {
+		close(gw.quit)
+		<-gw.probeDone
+		gw.probeWG.Wait()
+		gw.fleet.shutdown()
+		// Close is the last membership verb. A drain polls gw.quit between
+		// sessions and between replay chunks, so an in-flight migration aborts
+		// (unsealing its source) and Drain returns, releasing memberMu, before
+		// the backend connections it is speaking over are torn down; verbs
+		// arriving later find the fleet shut.
+		gw.memberMu.Lock()
+		defer gw.memberMu.Unlock()
+		gw.closeErr = gw.front.Close()
+		gw.fleet.closeAll()
+	})
+	return gw.closeErr
 }
 
 // probeLoop health-checks the live fleet on the configured interval, each
@@ -394,44 +328,36 @@ func (gw *Gateway) fetchMetrics(be *backend) (serve.Metrics, error) {
 	}
 }
 
-// sessionTotal counts proxied sessions across all front connections.
-func (gw *Gateway) sessionTotal() int {
-	gw.mu.Lock()
-	defer gw.mu.Unlock()
-	n := 0
-	for fc := range gw.conns {
-		fc.mu.Lock()
-		n += len(fc.sessions)
-		fc.mu.Unlock()
+// proxyHost is the gateway as the front server's host: every session it
+// attaches is a proxySession placed on a backend.
+type proxyHost struct{ gw *Gateway }
+
+func (h proxyHost) SessionCount() int      { return int(h.gw.sessions.Load()) }
+func (h proxyHost) Metrics() serve.Metrics { return h.gw.Metrics() }
+
+func (h proxyHost) Attach(req wire.AttachRequest, push *wire.Push) (wire.Session, int, []string, error) {
+	ps := &proxySession{gw: h.gw, id: req.ID, gestures: req.Gestures, push: push}
+	// A new session is a session with no owner yet: the same transition that
+	// moves one off a dead backend places it.
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	if err := h.gw.ensureOwnerLocked(ps); err != nil {
+		// No backend, or the backend refused (duplicate ID, unknown plan, …).
+		return nil, 0, nil, err
 	}
-	return n
-}
-
-// frontConn is one client connection to the gateway: a reader goroutine
-// proxying frames synchronously (so backend-side backpressure propagates to
-// the front socket) plus per-session relay goroutines pushing detections
-// back.
-type frontConn struct {
-	gw *Gateway
-	c  net.Conn
-	r  *wire.Reader
-
-	wmu sync.Mutex
-	w   *wire.Writer
-
-	mu         sync.Mutex
-	sessions   map[uint32]*proxySession
-	nextHandle uint32
+	ps.fields = ps.rs.Fields()
+	h.gw.sessions.Add(1)
+	return ps, ps.fields, ps.rs.Plans(), nil
 }
 
 // proxySession is one front session and its ownership record: which backend
 // incarnation currently holds its serving state.
 type proxySession struct {
-	fc       *frontConn
-	front    uint32
+	gw       *Gateway
 	id       string
 	gestures []string
 	fields   int
+	push     *wire.Push // the front server's detection buffer for this session
 
 	// mu serializes the data/control path against owner changes: forwards,
 	// flush and detach round trips, failover and migration all hold it.
@@ -440,28 +366,19 @@ type proxySession struct {
 	detached bool
 
 	// The ownership record. be/rs/cur change only in bind; forwarded is what
-	// would die with be (handleBatch counts it up, chargeLostLocked writes
-	// it off); err is set only by ensureOwnerLocked, when the owner is dead
-	// and no other can be found, and is sticky: every later frame reports it.
+	// would die with be (Batch counts it up, chargeLostLocked writes it off);
+	// err is set only by ensureOwnerLocked, when the owner is dead and no
+	// other can be found, and is sticky: every later frame reports it.
 	be        *backend
 	rs        *wire.RemoteSession
 	forwarded uint64
 	err       error
-	// cur shadows be for readers that do not hold mu: the relay goroutine
-	// attributing detection counts, and push hooks telling the current
-	// owner's pushes from a previous owner's stragglers.
+	// cur shadows be for push hooks, which do not hold mu: it tells the
+	// current owner's pushes from a previous owner's stragglers.
 	cur atomic.Pointer[backend]
 
 	lost           atomic.Uint64 // tuples charged to dead incarnations
 	backendDropped atomic.Uint64 // current incarnation's reported drops
-
-	pmu        sync.Mutex
-	pending    []anduin.Detection
-	detSent    atomic.Uint64
-	detDropped atomic.Uint64
-	notify     chan struct{}
-	done       chan struct{}
-	encBuf     []byte // detection encode scratch; guarded by fc.wmu
 }
 
 // dropTotal is the cumulative tuple-drop count the front client sees:
@@ -471,168 +388,39 @@ func (ps *proxySession) dropTotal() uint64 {
 }
 
 // pushHook builds the OnDetections callback for the session's attachment to
-// one backend incarnation.
+// one backend incarnation. It runs on that backend client's read goroutine
+// for every detection push frame of this session and hands the detections
+// to the front server. They are always relayed (they happened), but the drop
+// counter is only taken from the current owner: a dead backend's read
+// goroutine may still be mid-push after the owner flipped, and its
+// cumulative count is already folded into lost.
 func (ps *proxySession) pushHook(from *backend) func(uint64, []anduin.Detection) {
-	return func(dropped uint64, dets []anduin.Detection) { ps.relayPush(from, dropped, dets) }
-}
-
-// relayPush runs on a backend client's read goroutine for every detection
-// push frame of this session; it parks the detections for the relay
-// goroutine, which owns the front socket writes. The detections are always
-// relayed (they happened), but the drop counter is only taken from the
-// current owner: a dead backend's read goroutine may still be mid-push after
-// the owner flipped, and its cumulative count is already folded into lost.
-func (ps *proxySession) relayPush(from *backend, dropped uint64, dets []anduin.Detection) {
-	if ps.cur.Load() == from {
-		ps.backendDropped.Store(dropped)
-	}
-	ps.pmu.Lock()
-	for len(ps.pending)+len(dets) > maxPendingDetections && len(ps.pending) > 0 {
-		ps.pending = ps.pending[1:]
-		ps.detDropped.Add(1)
-	}
-	ps.pending = append(ps.pending, dets...)
-	ps.pmu.Unlock()
-	select {
-	case ps.notify <- struct{}{}:
-	default:
-	}
-}
-
-// serve runs the front connection's frame loop until the peer disconnects
-// or a protocol violation occurs, then tears down every proxied session.
-func (fc *frontConn) serve() {
-	defer fc.teardown()
-	for {
-		f, err := fc.r.Next()
-		if err != nil {
-			return
+	return func(dropped uint64, dets []anduin.Detection) {
+		if ps.cur.Load() == from {
+			ps.backendDropped.Store(dropped)
 		}
-		if err := fc.handle(f); err != nil {
-			fc.wmu.Lock()
-			fc.w.WriteJSON(wire.FrameError, &wire.ErrorReply{Msg: err.Error()})
-			fc.wmu.Unlock()
-			return
-		}
+		from.stats.detections.Add(uint64(len(dets)))
+		ps.push.Detections(ps.dropTotal(), dets)
 	}
 }
 
-// teardown detaches every proxied session from its backend (best effort —
-// a dead backend's sessions are simply finalized) and releases ring slots.
-func (fc *frontConn) teardown() {
-	fc.c.Close()
-	fc.mu.Lock()
-	sessions := make([]*proxySession, 0, len(fc.sessions))
-	for h, ps := range fc.sessions {
-		sessions = append(sessions, ps)
-		delete(fc.sessions, h)
-	}
-	fc.mu.Unlock()
-	for _, ps := range sessions {
-		ps.mu.Lock()
-		if !ps.detached {
-			ps.detached = true
-			ps.rs.Detach()
-			fc.gw.leaveLocked(ps)
-			close(ps.done)
-		}
-		ps.mu.Unlock()
-	}
-}
-
-// handle processes one front frame on the reader goroutine. Returning an
-// error closes the connection; session-scoped failures are reported with
-// FrameError instead.
-func (fc *frontConn) handle(f wire.Frame) error {
-	switch f.Type {
-	case wire.FrameAttach:
-		return fc.handleAttach(f.Payload)
-	case wire.FrameBatch:
-		return fc.handleBatch(f.Payload)
-	case wire.FrameFlush:
-		return fc.handleSessionOp(f.Payload, wire.FrameFlushOK, false)
-	case wire.FrameDetach:
-		return fc.handleSessionOp(f.Payload, wire.FrameDetachOK, true)
-	case wire.FrameMetricsReq:
-		m := fc.gw.Metrics()
-		fc.wmu.Lock()
-		defer fc.wmu.Unlock()
-		return fc.w.WriteJSON(wire.FrameMetricsOK, m)
-	case wire.FramePing:
-		var ping wire.Ping
-		if err := unmarshal(f.Payload, &ping); err != nil {
-			return fmt.Errorf("ping: %w", err)
-		}
-		pong := wire.Pong{Seq: ping.Seq, Name: fc.gw.cfg.Name, Sessions: fc.gw.sessionTotal()}
-		fc.wmu.Lock()
-		defer fc.wmu.Unlock()
-		return fc.w.WriteJSON(wire.FramePong, &pong)
-	default:
-		return fmt.Errorf("unexpected %s frame from client", f.Type)
-	}
-}
-
-func (fc *frontConn) handleAttach(payload []byte) error {
-	var req wire.AttachRequest
-	if err := unmarshal(payload, &req); err != nil {
-		return fmt.Errorf("attach: %w", err)
-	}
-	if req.Version != wire.ProtocolVersion {
-		return fmt.Errorf("attach: protocol version %d, gateway speaks %d", req.Version, wire.ProtocolVersion)
-	}
-	ps := &proxySession{
-		fc:       fc,
-		id:       req.ID,
-		gestures: req.Gestures,
-		notify:   make(chan struct{}, 1),
-		done:     make(chan struct{}),
-	}
-	// A new session is a session with no owner yet: the same transition that
-	// moves one off a dead backend places it.
-	ps.mu.Lock()
-	err := fc.gw.ensureOwnerLocked(ps)
-	ps.mu.Unlock()
-	if err != nil {
-		// No backend, or the backend refused (duplicate ID, unknown plan, …):
-		// a session-scoped error; the connection survives.
-		return fc.sessionError(0, err)
-	}
-	ps.fields = ps.rs.Fields()
-	reply := &wire.AttachReply{Fields: ps.fields, Plans: ps.rs.Plans()}
-	fc.mu.Lock()
-	fc.nextHandle++
-	ps.front = fc.nextHandle
-	fc.sessions[ps.front] = ps
-	fc.mu.Unlock()
-	reply.Handle = ps.front
-	go fc.relayLoop(ps)
-	fc.wmu.Lock()
-	defer fc.wmu.Unlock()
-	return fc.w.WriteJSON(wire.FrameAttachOK, reply)
-}
-
-// Bounds on the handleBatch eject-and-retry loop. A flapping backend (dies
-// under the write, is re-admitted as a fresh incarnation, dies again) used
-// to spin this loop hot and without end; now each retry backs off
-// exponentially and the batch fails the session after batchRetryLimit
-// incarnations — a deterministic termination the flapping-backend test pins.
+// Bounds on Batch's eject-and-retry loop. A flapping backend (dies under the
+// write, is re-admitted as a fresh incarnation, dies again) used to spin
+// this loop hot and without end; now each retry backs off exponentially and
+// the batch fails the session after batchRetryLimit incarnations — a
+// deterministic termination the flapping-backend test pins.
 const (
 	batchRetryLimit      = 8
 	batchRetryBackoff    = time.Millisecond
 	batchRetryBackoffMax = 50 * time.Millisecond
 )
 
-func (fc *frontConn) handleBatch(payload []byte) error {
-	handle, count, fields, err := wire.BatchGeometry(payload)
-	if err != nil {
-		return err
-	}
-	ps := fc.session(handle)
-	if ps == nil {
-		return fmt.Errorf("batch for unknown session handle %d", handle)
-	}
-	if fields != ps.fields {
-		return fmt.Errorf("session %q: batch carries %d-field tuples, schema expects %d", ps.id, fields, ps.fields)
+// Batch forwards one batch to the session's owner: the payload the front
+// reader filled is re-addressed in place and handed to the backend
+// connection — never decoded, never copied.
+func (ps *proxySession) Batch(b wire.RawBatch) error {
+	if b.Fields != ps.fields {
+		return fmt.Errorf("session %q: batch carries %d-field tuples, schema expects %d", ps.id, b.Fields, ps.fields)
 	}
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
@@ -640,24 +428,23 @@ func (fc *frontConn) handleBatch(payload []byte) error {
 		return err
 	}
 	// Only trace-sampled batches pay for forward timing; the flag check is
-	// a byte mask on the raw payload, which rides through ProxyBatch
+	// a byte mask on the raw payload, which rides through ProxyBatchOwned
 	// untouched (it only patches the handle bytes).
-	traced := wire.BatchTraced(payload)
-	// Take ownership of the reader's pooled payload buffer: the batch was
-	// read once from the front socket and is handed to the backend
-	// connection in place — no intermediate copy. On success the backend's
-	// coalescing flusher returns the buffer to the frame pool after the
-	// vectored write; until then (and on every error path below) this
-	// function owns it.
-	fc.r.Detach()
+	traced := wire.BatchTraced(b.Payload)
+	// Take the front reader's pooled buffer. On success the backend's
+	// coalescing flusher returns it to the frame pool after the vectored
+	// write; until then (and on every error path below) this function owns
+	// it.
+	payload := b.Own()
+	count := uint64(b.Count)
 	backoff := batchRetryBackoff
 	for attempt := 1; ; attempt++ {
 		// The hand-off blocks when the backend connection's coalescer is
-		// full — that is serve.Block's backpressure, relayed one hop: this
-		// reader goroutine stalls, the front socket fills, TCP paces the
-		// remote producer. For traced batches the forward histogram times
-		// exactly that hand-off (queue admission), the gateway's share of
-		// the pipeline.
+		// full — that is serve.Block's backpressure, relayed one hop: the
+		// front reader goroutine stalls, the front socket fills, TCP paces
+		// the remote producer. For traced batches the forward histogram
+		// times exactly that hand-off (queue admission), the gateway's share
+		// of the pipeline.
 		var start time.Time
 		if traced {
 			start = time.Now()
@@ -666,22 +453,22 @@ func (fc *frontConn) handleBatch(payload []byte) error {
 			if traced {
 				ps.be.stats.forward.ObserveSince(start)
 			}
-			ps.in += uint64(count)
-			ps.forwarded += uint64(count)
+			ps.in += count
+			ps.forwarded += count
 			ps.be.stats.batches.Add(1)
-			ps.be.stats.tuples.Add(uint64(count))
+			ps.be.stats.tuples.Add(count)
 			return nil
 		}
 		// The backend died under the write: eject it, give this session a new
 		// owner and retry the batch there — the tuples of THIS batch were
 		// never admitted anywhere (a failed ProxyBatchOwned leaves ownership
 		// with us), so forwarding them again loses nothing and drops nothing.
-		fc.gw.eject(ps.be, ps)
+		ps.gw.eject(ps.be, ps)
 		if attempt >= batchRetryLimit {
 			wire.PutFrameBuf(payload)
 			return fmt.Errorf("session %q: cluster: batch failed on %d backend incarnations, giving up", ps.id, attempt)
 		}
-		if err := fc.gw.ensureOwnerLocked(ps); err != nil {
+		if err := ps.gw.ensureOwnerLocked(ps); err != nil {
 			wire.PutFrameBuf(payload)
 			return err
 		}
@@ -704,24 +491,15 @@ func (ps *proxySession) failedLocked() error {
 	return nil
 }
 
-// handleSessionOp implements flush and detach: round-trip to the owning
-// backend (which guarantees every prior tuple's detection was pushed to the
-// gateway first), then drain the relay buffer and acknowledge with
-// gateway-adjusted counters — all under the front write lock, so the ack
-// can never overtake a detection.
-func (fc *frontConn) handleSessionOp(payload []byte, ack wire.FrameType, detach bool) error {
-	var ref wire.SessionRef
-	if err := unmarshal(payload, &ref); err != nil {
-		return fmt.Errorf("%s: %w", ack, err)
-	}
-	ps := fc.session(ref.Handle)
-	if ps == nil {
-		return fc.sessionError(ref.Handle, fmt.Errorf("cluster: no session with handle %d", ref.Handle))
-	}
+// Sync implements flush and detach: one round trip to the owning backend,
+// which pushes every prior tuple's detection to the gateway (and so into the
+// front server's buffer) before its ack returns; the counters are the
+// backend's, adjusted for what died with previous owners.
+func (ps *proxySession) Sync(detach bool) (wire.SessionCounters, error) {
 	ps.mu.Lock()
+	defer ps.mu.Unlock()
 	if err := ps.failedLocked(); err != nil {
-		ps.mu.Unlock()
-		return fc.sessionError(ref.Handle, err)
+		return wire.SessionCounters{}, err
 	}
 	var bc wire.SessionCounters
 	var err error
@@ -735,120 +513,49 @@ func (fc *frontConn) handleSessionOp(payload []byte, ack wire.FrameType, detach 
 			break
 		}
 		if refused(err) {
-			ps.mu.Unlock()
-			return fc.sessionError(ref.Handle, err)
+			return bc, err
 		}
 		// Backend died under the round trip. For a flush: eject, take a new
 		// owner and flush the fresh (empty) session there — the lost tuples
 		// are now in the drop accounting. For a detach: the session is going
 		// away anyway; finalize locally instead of re-homing a corpse.
-		fc.gw.eject(ps.be, ps)
+		ps.gw.eject(ps.be, ps)
 		if detach {
 			ps.chargeLostLocked()
 			bc = wire.SessionCounters{}
 			break
 		}
-		if err := fc.gw.ensureOwnerLocked(ps); err != nil {
-			ps.mu.Unlock()
-			return fc.sessionError(ref.Handle, err)
+		if err := ps.gw.ensureOwnerLocked(ps); err != nil {
+			return bc, err
 		}
 	}
 	ps.backendDropped.Store(bc.Dropped)
+	if detach {
+		ps.endLocked()
+	}
 	lost := ps.lost.Load()
-	counters := wire.SessionCounters{
-		Handle:            ps.front,
+	return wire.SessionCounters{
 		In:                ps.in,
 		Out:               lost + bc.Out,
 		Dropped:           lost + bc.Dropped,
-		DetectionsDropped: bc.DetectionsDropped + ps.detDropped.Load(),
-	}
-	if detach {
-		ps.detached = true
-		fc.gw.leaveLocked(ps)
-		close(ps.done)
-	}
-	ps.mu.Unlock()
-	if detach {
-		fc.mu.Lock()
-		delete(fc.sessions, ps.front)
-		fc.mu.Unlock()
-	}
-	fc.wmu.Lock()
-	defer fc.wmu.Unlock()
-	if err := fc.relayDetectionsLocked(ps); err != nil {
-		return err
-	}
-	counters.Detections = ps.detSent.Load()
-	return fc.w.WriteJSON(ack, &counters)
+		DetectionsDropped: bc.DetectionsDropped,
+	}, nil
 }
 
-func (fc *frontConn) session(handle uint32) *proxySession {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	return fc.sessions[handle]
+// Close detaches the session from its backend when its front connection
+// goes away (best effort — a dead backend's session is simply finalized).
+func (ps *proxySession) Close() {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	ps.rs.Detach()
+	ps.endLocked()
 }
 
-// sessionError reports a session-scoped failure without closing the front
-// connection.
-func (fc *frontConn) sessionError(handle uint32, err error) error {
-	fc.wmu.Lock()
-	defer fc.wmu.Unlock()
-	return fc.w.WriteJSON(wire.FrameError, &wire.ErrorReply{Handle: handle, Msg: err.Error()})
-}
-
-// relayLoop streams parked detections to the front client until the
-// session detaches or the connection dies.
-func (fc *frontConn) relayLoop(ps *proxySession) {
-	for {
-		select {
-		case <-ps.notify:
-			fc.wmu.Lock()
-			err := fc.relayDetectionsLocked(ps)
-			fc.wmu.Unlock()
-			if err != nil {
-				fc.c.Close() // wake the reader, which tears down
-				return
-			}
-		case <-ps.done:
-			return
-		}
-	}
-}
-
-// relayDetectionsLocked drains the session's parked detections into
-// FrameDetections frames addressed with the front handle and the
-// gateway-adjusted drop count. Callers hold fc.wmu.
-func (fc *frontConn) relayDetectionsLocked(ps *proxySession) error {
-	for {
-		ps.pmu.Lock()
-		pending := ps.pending
-		ps.pending = nil
-		ps.pmu.Unlock()
-		if len(pending) == 0 {
-			return nil
-		}
-		dropped := ps.dropTotal()
-		for len(pending) > 0 {
-			n := len(pending)
-			if n > wire.MaxDetections {
-				n = wire.MaxDetections
-			}
-			buf, err := wire.AppendDetections(ps.encBuf[:0], ps.front, dropped, pending[:n])
-			if err != nil {
-				return err
-			}
-			ps.encBuf = buf[:0]
-			if err := fc.w.WriteFrame(wire.FrameDetections, buf); err != nil {
-				return err
-			}
-			ps.detSent.Add(uint64(n))
-			ps.cur.Load().stats.detections.Add(uint64(n))
-			pending = pending[n:]
-		}
-	}
-}
-
-// unmarshal decodes a JSON control payload.
-func unmarshal(payload []byte, v any) error {
-	return json.Unmarshal(payload, v)
+// endLocked marks the session detached and takes it off its owner's books.
+//
+//lint:holds proxySession.mu
+func (ps *proxySession) endLocked() {
+	ps.detached = true
+	ps.gw.leaveLocked(ps)
+	ps.gw.sessions.Add(-1)
 }

@@ -783,7 +783,7 @@ func TestGatewayTolerateDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	frames := e2e.PlaybackFrames(t, 3)
-	if err := rs.FeedFrames(frames); err != nil {
+	if err := e2e.FeedFrames(rs, frames); err != nil {
 		t.Fatal(err)
 	}
 	if c, err := rs.Flush(); err != nil || c.In != uint64(len(frames)) || c.Out != c.In || c.Dropped != 0 {
@@ -829,72 +829,6 @@ func mergeDetFrames(t testing.TB, encoded []byte, extra []anduin.Detection) []by
 		t.Fatal(err)
 	}
 	return e2e.EncodeDets(t, append(dets, extra...))
-}
-
-// TestGatewayControlPlane exercises ping, metrics aggregation and
-// session-scoped errors through the gateway.
-func TestGatewayControlPlane(t *testing.T) {
-	h := e2e.Start(t, e2e.Options{Backends: 2, Gateway: true, Serve: serve.Config{Shards: 1}})
-	cl := h.Dial()
-
-	pong, err := cl.Ping(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pong.Seq != 42 || pong.Name != "e2e-gateway" || pong.Sessions != 0 {
-		t.Errorf("pong = %+v, want seq=42 name=e2e-gateway sessions=0", pong)
-	}
-
-	rs, err := cl.Attach("cp-1", wire.AttachOptions{BatchSize: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := rs.Fields(), kinect.Schema().Len(); got != want {
-		t.Errorf("attach reports %d fields, want %d", got, want)
-	}
-	// Duplicate IDs collide on the owning backend and surface as a
-	// session-scoped error; the connection survives.
-	if _, err := cl.Attach("cp-1", wire.AttachOptions{}); err == nil {
-		t.Error("duplicate session id accepted through the gateway")
-	} else if _, ok := err.(*wire.ErrorReply); !ok {
-		t.Errorf("duplicate id error is %T, want *wire.ErrorReply", err)
-	}
-	if _, err := cl.Attach("cp-ghost", wire.AttachOptions{Gestures: []string{"nosuch"}}); err == nil {
-		t.Error("unknown plan accepted through the gateway")
-	}
-
-	frames := e2e.PlaybackFrames(t, 3)
-	if err := rs.FeedFrames(frames); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rs.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	pong, err = cl.Ping(43)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pong.Sessions != 1 {
-		t.Errorf("gateway reports %d proxied sessions, want 1", pong.Sessions)
-	}
-	mm, err := cl.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mm.Backends) != 2 {
-		t.Fatalf("aggregated metrics carry %d backends, want 2", len(mm.Backends))
-	}
-	if mm.Enqueued != uint64(len(frames)) || mm.Sessions != 1 {
-		t.Errorf("aggregated metrics = %+v, want %d enqueued across 1 session", mm, len(frames))
-	}
-	if _, err := rs.Detach(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rs.Detach(); err == nil {
-		t.Error("double detach succeeded through the gateway")
-	} else if _, ok := err.(*wire.ErrorReply); !ok {
-		t.Errorf("double detach error is %T, want *wire.ErrorReply", err)
-	}
 }
 
 // BenchmarkGatewayProxy measures the full proxied path — client codec →

@@ -93,20 +93,22 @@ func (f *ownerFixture) flush(t *testing.T, rs *wire.RemoteSession, in, dropped u
 	}
 }
 
-// session finds a front session's ownership record.
+// session finds a front session's ownership record on the incarnation that
+// carries it.
 func (f *ownerFixture) session(t *testing.T, id string) *proxySession {
 	t.Helper()
-	f.gw.mu.Lock()
-	defer f.gw.mu.Unlock()
-	for fc := range f.gw.conns {
-		fc.mu.Lock()
-		for _, ps := range fc.sessions {
+	for _, m := range f.gw.fleet.snapshot() {
+		if m.be == nil {
+			continue
+		}
+		m.be.mu.Lock()
+		for ps := range m.be.sessions {
 			if ps.id == id {
-				fc.mu.Unlock()
+				m.be.mu.Unlock()
 				return ps
 			}
 		}
-		fc.mu.Unlock()
+		m.be.mu.Unlock()
 	}
 	t.Fatalf("no proxied session %q", id)
 	return nil
@@ -242,7 +244,7 @@ func TestOwnershipTransitions(t *testing.T) {
 			return 1
 		}},
 		{"candidate dies between attach and registration", 2, func(t *testing.T, f *ownerFixture) int {
-			ps := &proxySession{id: "s", notify: make(chan struct{}, 1), done: make(chan struct{})}
+			ps := &proxySession{gw: f.gw, id: "s", push: new(wire.Push)}
 			ps.mu.Lock()
 			defer ps.mu.Unlock()
 			be, rs, err := f.gw.place(ps, 0)

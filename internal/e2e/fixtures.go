@@ -11,6 +11,7 @@
 package e2e
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -83,6 +84,17 @@ func PlaybackFrames(t testing.TB, seed int64) []kinect.Frame {
 		t.Fatal(err)
 	}
 	return sess.Frames
+}
+
+// FeedFrames feeds camera frames, in order, to anything that ingests raw
+// tuples — a wire.RemoteSession or a serve.Session.
+func FeedFrames(s interface{ FeedTuple(stream.Tuple) error }, frames []kinect.Frame) error {
+	for i := range frames {
+		if err := s.FeedTuple(kinect.ToTuple(frames[i])); err != nil {
+			return fmt.Errorf("e2e: frame %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // EncodeDets canonicalizes a detection list to wire bytes so lists from

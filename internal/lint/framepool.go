@@ -7,8 +7,8 @@ import (
 )
 
 // FramePool checks the frame-pool ownership contract from internal/wire:
-// every buffer obtained with GetFrameBuf must, on every control-flow
-// path, be released with PutFrameBuf or leave the function through a
+// every buffer obtained with GetFrameBuf — or taken from a connection's
+// reader with RawBatch.Own — must, on every control-flow path, be released with PutFrameBuf or leave the function through a
 // sanctioned ownership transfer — returning it, storing it into a
 // structure, or handing it to a transfer API. The two transfer APIs with
 // a conditional contract (Client.ProxyBatchOwned and coalescer.enqueue
@@ -26,14 +26,19 @@ import (
 // conservatively marked escaped and never reported.
 var FramePool = &Analyzer{
 	Name: "framepool",
-	Doc:  "every wire.GetFrameBuf must reach PutFrameBuf or an ownership transfer on all paths",
+	Doc:  "every wire.GetFrameBuf or RawBatch.Own must reach PutFrameBuf or an ownership transfer on all paths",
 	Run:  runFramePool,
 }
 
-const (
-	fpGetName = "gesturecep/internal/wire.GetFrameBuf"
-	fpPutName = "gesturecep/internal/wire.PutFrameBuf"
-)
+const fpPutName = "gesturecep/internal/wire.PutFrameBuf"
+
+// fpSources are the calls whose result the caller owns: a fresh buffer
+// from the pool, or the connection reader's buffer a wire.Session took in
+// Batch (the reader forgets it, so nobody else will release it).
+var fpSources = map[string]bool{
+	"gesturecep/internal/wire.GetFrameBuf":    true,
+	"(gesturecep/internal/wire.RawBatch).Own": true,
+}
 
 // fpTransfers maps sanctioned conditional-transfer functions to the
 // index of the buffer argument. On success the callee owns the buffer;
@@ -120,10 +125,10 @@ func (w *fpWalker) execBlock(list []ast.Stmt, env fpEnv, end token.Pos) bool {
 func (w *fpWalker) leakCheck(v *types.Var, env fpEnv, at token.Pos) {
 	switch info := env[v]; info.st {
 	case fpOwned:
-		w.pass.Reportf(at, "pooled frame buffer %s (GetFrameBuf at line %d) is neither released with PutFrameBuf nor ownership-transferred on this path",
+		w.pass.Reportf(at, "pooled frame buffer %s (obtained at line %d) is neither released with PutFrameBuf nor ownership-transferred on this path",
 			v.Name(), w.pass.Fset.Position(info.get).Line)
 	case fpMixed:
-		w.pass.Reportf(at, "pooled frame buffer %s (GetFrameBuf at line %d) is released on some paths but leaks on others",
+		w.pass.Reportf(at, "pooled frame buffer %s (obtained at line %d) is released on some paths but leaks on others",
 			v.Name(), w.pass.Fset.Position(info.get).Line)
 	}
 }
@@ -147,8 +152,8 @@ func (w *fpWalker) execStmt(s ast.Stmt, env fpEnv, declared map[*types.Var]bool)
 	case *ast.EmptyStmt:
 	case *ast.ExprStmt:
 		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
-			if calleeName(w.pass.Info, call) == fpGetName {
-				w.pass.Reportf(call.Pos(), "GetFrameBuf result discarded: the buffer can never be released")
+			if fpSources[calleeName(w.pass.Info, call)] {
+				w.pass.Reportf(call.Pos(), "pooled frame buffer discarded: it can never be released")
 				w.scanArgs(call, env)
 				return false
 			}
@@ -168,7 +173,7 @@ func (w *fpWalker) execStmt(s ast.Stmt, env fpEnv, declared map[*types.Var]bool)
 				}
 				if len(vs.Values) == 1 && len(vs.Names) == 1 {
 					if call, ok := ast.Unparen(vs.Values[0]).(*ast.CallExpr); ok &&
-						calleeName(w.pass.Info, call) == fpGetName {
+						fpSources[calleeName(w.pass.Info, call)] {
 						if v, ok := w.pass.Info.Defs[vs.Names[0]].(*types.Var); ok {
 							env[v] = fpInfo{st: fpOwned, get: call.Pos()}
 							declared[v] = true
@@ -203,6 +208,10 @@ func (w *fpWalker) execStmt(s ast.Stmt, env fpEnv, declared map[*types.Var]bool)
 			w.execStmt(s.Post, body, declared)
 		}
 		joinInto(env, body)
+		// A loop with no condition and no break out of it never falls
+		// through (the gateway's forward-and-retry loop): every exit is a
+		// return, already checked where it stands.
+		return s.Cond == nil && !breaksOut(s.Body)
 	case *ast.RangeStmt:
 		w.scanExpr(s.X, env, false)
 		body := cloneEnv(env)
@@ -379,17 +388,50 @@ func isNilIdent(info *types.Info, e ast.Expr) bool {
 	return isNil
 }
 
+// breaksOut reports whether a loop body can leave its loop through a break:
+// an unlabeled one not captured by a nested loop, switch or select, or —
+// conservatively — any labeled one.
+func breaksOut(body *ast.BlockStmt) bool {
+	var nested []bool // per open node: does it capture unlabeled breaks?
+	depth, found := 0, false
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case nil:
+			if nested[len(nested)-1] {
+				depth--
+			}
+			nested = nested[:len(nested)-1]
+			return true
+		case *ast.FuncLit:
+			return false
+		case *ast.BranchStmt:
+			if n.Tok == token.BREAK && (n.Label != nil || depth == 0) {
+				found = true
+			}
+		}
+		captures := false
+		switch n.(type) {
+		case *ast.ForStmt, *ast.RangeStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
+			captures = true
+			depth++
+		}
+		nested = append(nested, captures)
+		return true
+	})
+	return found
+}
+
 func (w *fpWalker) execAssign(s *ast.AssignStmt, env fpEnv, declared map[*types.Var]bool) {
 	// Sanctioned single-call forms first: v := GetFrameBuf(n) and
 	// res..., err := transfer(..., v, ...).
 	if len(s.Rhs) == 1 {
 		if call, ok := ast.Unparen(s.Rhs[0]).(*ast.CallExpr); ok {
 			name := calleeName(w.pass.Info, call)
-			if name == fpGetName && len(s.Lhs) == 1 {
+			if fpSources[name] && len(s.Lhs) == 1 {
 				w.scanArgs(call, env)
 				if v := identVar(w.pass.Info, s.Lhs[0]); v != nil {
 					if old, ok := env[v]; ok && (old.st == fpOwned || old.st == fpMixed) {
-						w.pass.Reportf(s.Pos(), "pooled frame buffer %s (GetFrameBuf at line %d) overwritten before release",
+						w.pass.Reportf(s.Pos(), "pooled frame buffer %s (obtained at line %d) overwritten before release",
 							v.Name(), w.pass.Fset.Position(old.get).Line)
 					}
 					env[v] = fpInfo{st: fpOwned, get: call.Pos()}
@@ -417,7 +459,7 @@ func (w *fpWalker) execAssign(s *ast.AssignStmt, env fpEnv, declared map[*types.
 			}
 			if old, ok := env[v]; ok {
 				if old.st == fpOwned || old.st == fpMixed {
-					w.pass.Reportf(s.Pos(), "pooled frame buffer %s (GetFrameBuf at line %d) overwritten before release",
+					w.pass.Reportf(s.Pos(), "pooled frame buffer %s (obtained at line %d) overwritten before release",
 						v.Name(), w.pass.Fset.Position(old.get).Line)
 				}
 				delete(env, v)

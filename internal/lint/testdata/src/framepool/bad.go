@@ -6,6 +6,8 @@ import "gesturecep/internal/wire"
 
 var cl *wire.Client
 
+var errGiveUp error
+
 // The buffer never reaches PutFrameBuf or a transfer.
 func leak() {
 	buf := wire.GetFrameBuf(64)
@@ -49,8 +51,26 @@ func transferErrLeak(h uint32) error {
 	return nil
 }
 
+// A session that takes the reader's buffer owns it like a fresh one: the
+// give-up path of a forward loop must release it, and here it does not.
+func ownLeak(b wire.RawBatch, h uint32) error {
+	payload := b.Own()
+	for attempt := 1; ; attempt++ {
+		if _, err := cl.ProxyBatchOwned(h, payload); err == nil {
+			return nil
+		}
+		if attempt >= 3 {
+			return errGiveUp // want `pooled frame buffer payload .* is neither released with PutFrameBuf nor ownership-transferred`
+		}
+	}
+}
+
+func ownDiscard(b wire.RawBatch) {
+	b.Own() // want `pooled frame buffer discarded`
+}
+
 func discard() {
-	wire.GetFrameBuf(16) // want `GetFrameBuf result discarded`
+	wire.GetFrameBuf(16) // want `pooled frame buffer discarded`
 }
 
 func overwrite() {

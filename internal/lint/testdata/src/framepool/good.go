@@ -39,6 +39,26 @@ func okConditionalTransferEq(h uint32) error {
 	return err
 }
 
+// The gateway's Session.Batch shape: take the reader's buffer, retry the
+// conditional transfer on it, release it on every give-up path.
+func okOwnRetry(b wire.RawBatch, h uint32) error {
+	payload := b.Own()
+	for attempt := 1; ; attempt++ {
+		if _, err := cl.ProxyBatchOwned(h, payload); err == nil {
+			return nil
+		}
+		if attempt >= 3 {
+			wire.PutFrameBuf(payload)
+			return errGiveUp
+		}
+	}
+}
+
+// A session that only reads the payload never owns it: nothing to release.
+func okBorrow(b wire.RawBatch) int {
+	return len(b.Payload)
+}
+
 // Returning the buffer transfers ownership to the caller.
 func okReturnTransfer() []byte {
 	buf := wire.GetFrameBuf(8)

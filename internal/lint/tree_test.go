@@ -1,6 +1,8 @@
 package lint
 
 import (
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
@@ -29,6 +31,38 @@ func TestTreeClean(t *testing.T) {
 	diags = append(diags, StaleManifest(pkgs)...)
 	for _, d := range diags {
 		t.Errorf("%s", FormatDiagnostic(pkgs[0].Fset, d))
+	}
+}
+
+// TestServingStackIsSchemaGeneric is the import boundary: the serving stack
+// moves raw tuples of whatever schema a plan registry compiles against, so
+// only code outside it (the facade, commands, tests) may know the Kinect
+// layout. Test files are exempt — they feed simulated Kinect sessions.
+func TestServingStackIsSchemaGeneric(t *testing.T) {
+	root, err := ModuleRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const banned = `"gesturecep/internal/kinect"`
+	for _, pkg := range []string{"serve", "wire", "cluster", "store"} {
+		files, err := filepath.Glob(filepath.Join(root, "internal", pkg, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("internal/%s: %d files, %v", pkg, len(files), err)
+		}
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, imp := range f.Imports {
+				if imp.Path.Value == banned {
+					t.Errorf("%s imports internal/kinect; convert frames to tuples at the caller", file)
+				}
+			}
+		}
 	}
 }
 

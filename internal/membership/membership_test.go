@@ -341,7 +341,7 @@ func TestBackfillEndpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := rs.FeedFrames(e2e.PlaybackFrames(t, int64(11+i))); err != nil {
+		if err := e2e.FeedFrames(rs, e2e.PlaybackFrames(t, int64(11+i))); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := rs.Detach(); err != nil {

@@ -41,7 +41,7 @@ func TestServeAdminPlane(t *testing.T) {
 		t.Fatal(err)
 	}
 	frames := playbackFrames(t, 7)[:10]
-	if err := s.FeedFrames(frames); err != nil {
+	if err := feedFrames(s, frames); err != nil {
 		t.Fatal(err)
 	}
 	s.Flush()

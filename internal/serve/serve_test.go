@@ -76,6 +76,16 @@ func playbackFrames(t *testing.T, seed int64) []kinect.Frame {
 	return sess.Frames
 }
 
+// feedFrames feeds camera frames to a session in order.
+func feedFrames(s *Session, frames []kinect.Frame) error {
+	for _, tp := range kinect.ToTuples(frames) {
+		if err := s.FeedTuple(tp); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func newTestManager(t *testing.T, cfg Config, plans map[string]string) *Manager {
 	t.Helper()
 	reg := NewRegistry()
@@ -105,7 +115,7 @@ func TestDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.FeedFrames(frames); err != nil {
+	if err := feedFrames(sess, frames); err != nil {
 		t.Fatal(err)
 	}
 	sess.Flush()
@@ -158,7 +168,7 @@ func TestConcurrentSessions(t *testing.T) {
 				return
 			}
 			sessions[i] = s
-			if err := s.FeedFrames(frames); err != nil {
+			if err := feedFrames(s, frames); err != nil {
 				errs <- err
 			}
 		}(i)

@@ -7,14 +7,13 @@ import (
 	"time"
 
 	"gesturecep/internal/anduin"
-	"gesturecep/internal/kinect"
 	"gesturecep/internal/stream"
 	"gesturecep/internal/transform"
 )
 
 // Session is one tenant of the runtime: a private engine (raw kinect stream
 // + kinect_t view + per-session NFAs instantiated from shared plans), pinned
-// to one ingestion shard. Feed may be called from any goroutine; the actual
+// to one ingestion shard. FeedTuple may be called from any goroutine; the actual
 // publishing happens on the shard worker, so detection semantics are
 // identical to a single-engine replay of the same tuples.
 type Session struct {
@@ -158,16 +157,11 @@ func (s *Session) ID() string { return s.id }
 func (s *Session) Shard() int { return s.shard.id }
 
 // Engine exposes the session's private engine (for stats and advanced
-// management). Do not publish tuples to it directly — use Feed, which
+// management). Do not publish tuples to it directly — use FeedTuple, which
 // routes through the shard worker.
 func (s *Session) Engine() *anduin.Engine { return s.engine }
 
-// Feed enqueues one camera frame for this session.
-func (s *Session) Feed(f kinect.Frame) error {
-	return s.mgr.enqueue(s, kinect.ToTuple(f))
-}
-
-// FeedTuple enqueues one raw kinect tuple for this session.
+// FeedTuple enqueues one raw tuple for this session.
 func (s *Session) FeedTuple(t stream.Tuple) error {
 	return s.mgr.enqueue(s, t)
 }
@@ -178,16 +172,6 @@ func (s *Session) FeedTuple(t stream.Tuple) error {
 // behaviour is identical to FeedTuple.
 func (s *Session) FeedTupleTraced(t stream.Tuple, sentNs int64) error {
 	return s.mgr.enqueueTraced(s, t, sentNs)
-}
-
-// FeedFrames enqueues a frame sequence in order.
-func (s *Session) FeedFrames(frames []kinect.Frame) error {
-	for i, f := range frames {
-		if err := s.Feed(f); err != nil {
-			return fmt.Errorf("serve: frame %d: %w", i, err)
-		}
-	}
-	return nil
 }
 
 // OnDetection registers a listener for this session's detections; the

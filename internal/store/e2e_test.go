@@ -32,7 +32,7 @@ func TestRecordOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rs.FeedFrames(frames); err != nil {
+	if err := e2e.FeedFrames(rs, frames); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rs.Flush(); err != nil {

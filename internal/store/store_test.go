@@ -475,8 +475,10 @@ func TestDeterminismRecordReplayBackfill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sess1.FeedFrames(frames); err != nil {
-		t.Fatal(err)
+	for _, tp := range kinect.ToTuples(frames) {
+		if err := sess1.FeedTuple(tp); err != nil {
+			t.Fatal(err)
+		}
 	}
 	sess1.Flush()
 	live := sess1.Detections()

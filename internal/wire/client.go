@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"gesturecep/internal/anduin"
-	"gesturecep/internal/kinect"
 	"gesturecep/internal/obs"
 	"gesturecep/internal/serve"
 	"gesturecep/internal/stream"
@@ -527,7 +526,7 @@ func (cl *Client) proxyBatch(handle uint32, payload []byte, owned bool) (int, er
 
 // RemoteSession is the client-side handle of one served session: tuples go
 // out in batches, detections and drop counts come back asynchronously.
-// Feed/FeedTuple/FlushBatch must be called from one goroutine at a time per
+// FeedTuple/FlushBatch must be called from one goroutine at a time per
 // session; distinct sessions of one client may feed concurrently.
 type RemoteSession struct {
 	cl        *Client
@@ -578,21 +577,6 @@ func (rs *RemoteSession) deliver(dropped uint64, dets []anduin.Detection) {
 	if rs.onDets != nil {
 		rs.onDets(dropped, dets)
 	}
-}
-
-// Feed enqueues one camera frame.
-func (rs *RemoteSession) Feed(f kinect.Frame) error {
-	return rs.FeedTuple(kinect.ToTuple(f))
-}
-
-// FeedFrames enqueues a frame sequence in order.
-func (rs *RemoteSession) FeedFrames(frames []kinect.Frame) error {
-	for i := range frames {
-		if err := rs.Feed(frames[i]); err != nil {
-			return fmt.Errorf("wire: frame %d: %w", i, err)
-		}
-	}
-	return nil
 }
 
 // FeedTuple buffers one raw tuple, flushing a full batch to the socket.

@@ -11,7 +11,6 @@ import (
 	"gesturecep/internal/e2e"
 	"gesturecep/internal/kinect"
 	"gesturecep/internal/serve"
-	"gesturecep/internal/stream"
 	"gesturecep/internal/wire"
 )
 
@@ -35,7 +34,7 @@ func TestWireDifferential(t *testing.T) {
 	if got, want := rs.Fields(), kinect.Schema().Len(); got != want {
 		t.Fatalf("attach reports %d fields, want %d", got, want)
 	}
-	if err := rs.FeedFrames(frames); err != nil {
+	if err := e2e.FeedFrames(rs, frames); err != nil {
 		t.Fatal(err)
 	}
 	counters, err := rs.Flush()
@@ -163,7 +162,7 @@ func TestWireDropReporting(t *testing.T) {
 	var counters wire.SessionCounters
 	fed := uint64(0)
 	for round := 0; round < 50 && counters.Dropped == 0; round++ {
-		if err := rs.FeedFrames(frames); err != nil {
+		if err := e2e.FeedFrames(rs, frames); err != nil {
 			t.Fatal(err)
 		}
 		fed += uint64(len(frames))
@@ -197,7 +196,7 @@ func TestWireMetricsAndPing(t *testing.T) {
 		t.Fatal(err)
 	}
 	frames := sim.Idle(e2e.TestTime(), time.Second)
-	if err := rs.FeedFrames(frames); err != nil {
+	if err := e2e.FeedFrames(rs, frames); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rs.Flush(); err != nil {
@@ -280,82 +279,4 @@ func TestWireRedial(t *testing.T) {
 	} else if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("redial took %v to give up on a wedged server", elapsed)
 	}
-}
-
-// TestWireProtocolErrors exercises the failure paths a remote client can
-// trigger: duplicate session IDs, unknown plans, version mismatch, and
-// batches for unknown handles.
-func TestWireProtocolErrors(t *testing.T) {
-	const neverQuery = `SELECT "never" MATCHING kinect_t(rHand_y > 100000);`
-	h := e2e.Start(t, e2e.Options{Serve: serve.Config{Shards: 1}, Plans: map[string]string{"never": neverQuery}})
-	addr := h.Addr()
-
-	cl := h.Dial()
-	if _, err := cl.Attach("dup", wire.AttachOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Attach("dup", wire.AttachOptions{}); err == nil {
-		t.Error("duplicate session id accepted over the wire")
-	} else if _, ok := err.(*wire.ErrorReply); !ok {
-		t.Errorf("duplicate id error is %T, want *wire.ErrorReply", err)
-	}
-	if _, err := cl.Attach("ghost", wire.AttachOptions{Gestures: []string{"nosuch"}}); err == nil {
-		t.Error("unknown plan accepted over the wire")
-	}
-	// Double detach is a session-scoped error, not a connection killer.
-	rs, err := cl.Attach("twice", wire.AttachOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rs.Detach(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rs.Detach(); err == nil {
-		t.Error("double detach succeeded")
-	} else if _, ok := err.(*wire.ErrorReply); !ok {
-		t.Errorf("double detach error is %T, want *wire.ErrorReply", err)
-	}
-
-	// The connection survives session-scoped errors.
-	if _, err := cl.Metrics(); err != nil {
-		t.Errorf("connection dead after session-scoped errors: %v", err)
-	}
-
-	// Version mismatch is connection-fatal.
-	raw, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := wire.NewWriter(raw)
-	if err := w.WriteJSON(wire.FrameAttach, &wire.AttachRequest{Version: 99, ID: "v"}); err != nil {
-		t.Fatal(err)
-	}
-	r := wire.NewReader(raw)
-	f, err := r.Next()
-	if err != nil || f.Type != wire.FrameError {
-		t.Fatalf("version mismatch reply = %v/%v, want error frame", f.Type, err)
-	}
-	if _, err := r.Next(); err == nil {
-		t.Error("connection survived a version mismatch")
-	}
-	raw.Close()
-
-	// A batch for a never-attached handle is connection-fatal too.
-	raw2, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2 := wire.NewWriter(raw2)
-	payload, err := wire.AppendBatch(nil, 42, 3, []stream.Tuple{{Ts: e2e.TestTime(), Fields: []float64{1, 2, 3}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.WriteFrame(wire.FrameBatch, payload); err != nil {
-		t.Fatal(err)
-	}
-	r2 := wire.NewReader(raw2)
-	if f, err := r2.Next(); err != nil || f.Type != wire.FrameError {
-		t.Fatalf("unknown-handle reply = %v/%v, want error frame", f.Type, err)
-	}
-	raw2.Close()
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -19,18 +18,105 @@ import (
 // maxPendingDetections bounds a session's detection push buffer. The buffer
 // absorbs bursts while the client socket is busy; past the cap the oldest
 // pending detection is evicted and counted, mirroring DropOldest semantics
-// (a detection listener runs on the shard worker and must never block on a
-// slow client socket).
+// (a detection source runs on a shard worker or a backend connection's read
+// goroutine and must never block on a slow client socket).
 const maxPendingDetections = 65536
 
+// Host is what a Server serves. The server owns everything that is protocol
+// — connections, the frame loop, session handles, the write lock, the
+// detection push buffer and the framing of every reply — and reaches the
+// thing being served through this interface alone. There are two hosts: a
+// local serve.Manager (NewServer) and the cluster gateway's backend fleet.
+type Host interface {
+	// Attach opens the session req names (the server has already checked the
+	// protocol version). Detections the session fires go into push, from any
+	// goroutine. fields is the raw tuple schema width, plans the deployed
+	// plan names. An error refuses this session only; the connection and its
+	// other sessions survive.
+	Attach(req AttachRequest, push *Push) (sess Session, fields int, plans []string, err error)
+	// SessionCount is the live-session figure a Pong reports.
+	SessionCount() int
+	// Metrics answers a metrics request.
+	Metrics() serve.Metrics
+}
+
+// Session is one attached session as its host sees it. Batch, Sync and Close
+// all run on the connection's reader goroutine, one at a time.
+type Session interface {
+	// Batch ingests one tuple batch. Blocking here is the backpressure path:
+	// the reader goroutine stalls, the kernel socket buffer fills, TCP flow
+	// control paces the remote client. An error closes the connection (the
+	// client has no request in flight to answer).
+	Batch(b RawBatch) error
+	// Sync is the flush barrier: it returns once every tuple batched before
+	// it is fully processed and every detection those tuples fired is in the
+	// session's Push, with the tuple counters as of that moment (the server
+	// fills in the handle and the detection counts). With detach, it also
+	// ends the session. An error is reported to the client as
+	// session-scoped and leaves the session attached.
+	Sync(detach bool) (SessionCounters, error)
+	// Close ends a session whose connection went away without a detach.
+	Close()
+}
+
+// RawBatch is one FrameBatch payload as the connection's reader filled it,
+// its geometry (BatchGeometry) already validated. Payload is the reader's
+// pooled buffer, valid until Batch returns — unless the session takes it
+// with Own.
+type RawBatch struct {
+	Payload       []byte
+	Count, Fields int
+	r             *Reader
+}
+
+// Own transfers the pooled buffer behind Payload from the connection's
+// reader to the caller, who must release it with PutFrameBuf or hand it to
+// an owning write (Client.ProxyBatchOwned) on every path. This is what lets
+// the gateway forward the bytes it read with no copy.
+func (b RawBatch) Own() []byte {
+	b.r.Detach()
+	return b.Payload
+}
+
+// Push is one session's detection push buffer: the host appends (never
+// blocking), the connection's pusher goroutine and its flush/detach acks
+// drain it to the socket.
+type Push struct {
+	mu         sync.Mutex
+	pending    []anduin.Detection
+	tupleDrops uint64 // latest cumulative tuple-drop count the host reported
+
+	sent    atomic.Uint64
+	evicted atomic.Uint64
+	notify  chan struct{}
+}
+
+// Detections parks dets for delivery, along with the session's cumulative
+// tuple-drop count at this moment (it rides to the client on every
+// detection frame).
+func (p *Push) Detections(tupleDrops uint64, dets []anduin.Detection) {
+	p.mu.Lock()
+	p.tupleDrops = tupleDrops
+	for len(p.pending)+len(dets) > maxPendingDetections && len(p.pending) > 0 {
+		p.pending = p.pending[1:]
+		p.evicted.Add(1)
+	}
+	p.pending = append(p.pending, dets...)
+	p.mu.Unlock()
+	select {
+	case p.notify <- struct{}{}:
+	default:
+	}
+}
+
 // Server accepts wire-protocol connections and multiplexes their sessions
-// onto a serve.Manager. The manager's backpressure policy decides the
-// socket behaviour: Block parks the connection's reader goroutine on the
+// onto a Host. The host's backpressure decides the socket behaviour: a
+// serve.Manager under Block parks the connection's reader goroutine on the
 // full shard queue (TCP flow control pushes back to the remote producer),
 // DropOldest keeps the reader draining and surfaces drop counts to the
 // client.
 type Server struct {
-	mgr *serve.Manager
+	host Host
 
 	// Name identifies this server in Pong replies (a cluster gateway shows
 	// it in per-backend metrics). Set it before Serve; empty is fine.
@@ -89,13 +175,19 @@ type Server struct {
 }
 
 // NewServer creates a server over an existing session manager. The caller
-// keeps ownership of the manager and closes it after the server.
+// keeps ownership of the manager and closes it after the server. The
+// TapSessions, MigrateSource and BackfillSource hooks apply to this host
+// only.
 func NewServer(mgr *serve.Manager) *Server {
-	return &Server{mgr: mgr, conns: make(map[*conn]struct{})}
+	s := NewHostServer(nil)
+	s.host = &localHost{srv: s, mgr: mgr}
+	return s
 }
 
-// Manager returns the session manager the server serves.
-func (s *Server) Manager() *serve.Manager { return s.mgr }
+// NewHostServer creates a server over any host.
+func NewHostServer(h Host) *Server {
+	return &Server{host: h, conns: make(map[*conn]struct{})}
+}
 
 // Serve accepts connections on ln until Close. It always returns a non-nil
 // error; after Close the error is net.ErrClosed.
@@ -156,7 +248,8 @@ func (s *Server) Addr() net.Addr {
 }
 
 // Close stops accepting, closes every connection and waits for their
-// handlers to finish. The underlying manager is left running.
+// handlers to finish (each closes the sessions its connection still held).
+// The host is left running.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -197,14 +290,6 @@ type conn struct {
 	nextHandle uint32
 }
 
-// HistoryReader iterates a recorded session's admitted tuples in record
-// batches, ending with io.EOF — the shape of *store.Reader, declared here so
-// the wire layer can stream migration history without importing the store.
-type HistoryReader interface {
-	Next() ([]stream.Tuple, error)
-	Close() error
-}
-
 // BackfillFunc evaluates plans over one recorded stream for a backfill
 // request — the Server.BackfillSource contract, declared here so the wire
 // layer can serve offline evaluation without importing the store. A zero
@@ -212,31 +297,26 @@ type HistoryReader interface {
 type BackfillFunc func(stream string, gestures []string, since, until time.Time,
 	emit func([]anduin.Detection) error) (records, tuples uint64, err error)
 
-// connSession is one attached session with its detection push state.
+// connSession is one attached session: its handle, the host's side of it,
+// and its detection push state.
 type connSession struct {
-	handle  uint32
-	sess    *serve.Session
-	cancel  func()
-	release func(aborted bool) // recording tap release; nil when not recording
+	handle uint32
+	sess   Session
+	push   Push
+	done   chan struct{}
+	encBuf []byte // frame encode scratch; guarded by conn.wmu
+}
 
-	// Migration source state: the open history cursor of a sealed session
-	// and its absolute tuple position. Only the connection's reader
-	// goroutine touches these (every migrate frame, detach and teardown run
-	// there), so they need no lock.
-	migReader HistoryReader
-	migSent   uint64
-
-	pmu        sync.Mutex
-	pending    []anduin.Detection
-	detSent    atomic.Uint64
-	detDropped atomic.Uint64
-	notify     chan struct{}
-	done       chan struct{}
-	encBuf     []byte // detection encode scratch; guarded by conn.wmu
+// stamp completes a host's tuple counters with what only the server knows:
+// the handle and the push buffer's detection counts.
+func (cs *connSession) stamp(c *SessionCounters) {
+	c.Handle = cs.handle
+	c.Detections = cs.push.sent.Load()
+	c.DetectionsDropped += cs.push.evicted.Load()
 }
 
 // serve runs the connection's frame loop until the peer disconnects or a
-// protocol violation occurs, then tears down every attached session.
+// protocol violation occurs, then closes every session still attached.
 func (c *conn) serve() {
 	defer c.teardown()
 	for {
@@ -246,9 +326,7 @@ func (c *conn) serve() {
 		}
 		if err := c.handle(f); err != nil {
 			// Protocol violation: report once and drop the connection.
-			c.wmu.Lock()
-			c.w.WriteJSON(FrameError, &ErrorReply{Msg: err.Error()})
-			c.wmu.Unlock()
+			c.sessionError(0, err)
 			return
 		}
 	}
@@ -264,16 +342,8 @@ func (c *conn) teardown() {
 	}
 	c.mu.Unlock()
 	for _, cs := range sessions {
-		cs.cancel()
 		close(cs.done)
-		if cs.migReader != nil {
-			cs.migReader.Close()
-			cs.migReader = nil
-		}
 		cs.sess.Close()
-		if cs.release != nil {
-			cs.release(false)
-		}
 	}
 }
 
@@ -287,9 +357,9 @@ func (c *conn) handle(f Frame) error {
 	case FrameBatch:
 		return c.handleBatch(f.Payload)
 	case FrameFlush:
-		return c.handleSessionOp(f.Payload, FrameFlushOK, false)
+		return c.handleSync(f.Payload, FrameFlushOK, false)
 	case FrameDetach:
-		return c.handleSessionOp(f.Payload, FrameDetachOK, true)
+		return c.handleSync(f.Payload, FrameDetachOK, true)
 	case FrameMigrateBegin:
 		return c.handleMigrateBegin(f.Payload)
 	case FrameMigrateState:
@@ -299,21 +369,13 @@ func (c *conn) handle(f Frame) error {
 	case FrameBackfill:
 		return c.handleBackfill(f.Payload)
 	case FrameMetricsReq:
-		c.wmu.Lock()
-		defer c.wmu.Unlock()
-		return c.w.WriteJSON(FrameMetricsOK, c.srv.mgr.Metrics())
+		return c.reply(FrameMetricsOK, c.srv.host.Metrics())
 	case FramePing:
 		var ping Ping
 		if err := unmarshalStrict(f.Payload, &ping); err != nil {
 			return fmt.Errorf("ping: %w", err)
 		}
-		c.wmu.Lock()
-		defer c.wmu.Unlock()
-		return c.w.WriteJSON(FramePong, &Pong{
-			Seq:      ping.Seq,
-			Name:     c.srv.Name,
-			Sessions: c.srv.mgr.SessionCount(),
-		})
+		return c.reply(FramePong, &Pong{Seq: ping.Seq, Name: c.srv.Name, Sessions: c.srv.host.SessionCount()})
 	default:
 		return fmt.Errorf("unexpected %s frame from client", f.Type)
 	}
@@ -327,133 +389,42 @@ func (c *conn) handleAttach(payload []byte) error {
 	if req.Version != ProtocolVersion {
 		return fmt.Errorf("attach: protocol version %d, server speaks %d", req.Version, ProtocolVersion)
 	}
-	var tap func(stream.Tuple)
-	var release func(aborted bool)
-	if c.srv.TapSessions != nil {
-		var err error
-		tap, release, err = c.srv.TapSessions(req.ID)
-		if err != nil {
-			return c.sessionError(0, fmt.Errorf("wire: recording %q: %w", req.ID, err))
-		}
-	}
-	sess, err := c.srv.mgr.CreateSessionWith(req.ID, serve.SessionOptions{
-		Gestures:  req.Gestures,
-		Tap:       tap,
-		CatchUpTo: req.StartAt,
-	})
+	cs := &connSession{done: make(chan struct{})}
+	// One slot: a notification that finds the pusher busy is remembered,
+	// and the pusher drains everything pending per wake-up.
+	cs.push.notify = make(chan struct{}, 1)
+	sess, fields, plans, err := c.srv.host.Attach(req, &cs.push)
 	if err != nil {
-		if release != nil {
-			release(true)
-		}
 		return c.sessionError(0, err)
 	}
+	cs.sess = sess
 	c.mu.Lock()
 	c.nextHandle++
-	cs := &connSession{
-		handle:  c.nextHandle,
-		sess:    sess,
-		release: release,
-		notify:  make(chan struct{}, 1),
-		done:    make(chan struct{}),
-	}
+	cs.handle = c.nextHandle
 	c.sessions[cs.handle] = cs
 	c.mu.Unlock()
-
-	// Stream detections out instead of buffering them in the session: the
-	// listener runs on the shard worker, so it only appends to the pending
-	// slice; the pusher goroutine owns the socket writes.
-	cs.cancel = sess.OnDetection(func(d anduin.Detection) {
-		if sess.CatchingUp() {
-			// Catch-up replay re-fires detections the source backend
-			// already delivered to the client; muting them here is the
-			// exactly-once half of the migration contract. MigrateCommit
-			// flushes before unmuting, so no replayed detection can race
-			// past this check.
-			return
-		}
-		cs.pmu.Lock()
-		if len(cs.pending) >= maxPendingDetections {
-			cs.pending = cs.pending[1:]
-			cs.detDropped.Add(1)
-		}
-		cs.pending = append(cs.pending, d)
-		cs.pmu.Unlock()
-		select {
-		case cs.notify <- struct{}{}:
-		default:
-		}
-	})
-	sess.SetCollect(false)
 	go c.pushLoop(cs)
-
-	plans := req.Gestures
-	if len(plans) == 0 {
-		plans = c.srv.mgr.Registry().Names()
-	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return c.w.WriteJSON(FrameAttachOK, &AttachReply{
-		Handle: cs.handle,
-		Fields: rawFields(sess),
-		Plans:  plans,
-	})
-}
-
-// rawFields returns the width of the session's raw ingestion schema.
-func rawFields(sess *serve.Session) int {
-	if raw, ok := sess.Engine().Stream(anduin.RawStreamName); ok {
-		return raw.Schema().Len()
-	}
-	return 0
+	return c.reply(FrameAttachOK, &AttachReply{Handle: cs.handle, Fields: fields, Plans: plans})
 }
 
 func (c *conn) handleBatch(payload []byte) error {
-	// Only trace-sampled batches pay for clock reads; the flag check is a
-	// byte mask on the raw payload.
-	var start time.Time
-	if traced := BatchTraced(payload); traced {
-		start = time.Now()
-	}
-	b, err := DecodeBatch(payload)
+	handle, count, fields, err := BatchGeometry(payload)
 	if err != nil {
 		return err
 	}
-	if b.SentNs != 0 {
-		c.srv.BatchDecode.ObserveSince(start)
-		c.srv.Ingress.Observe(time.Duration(start.UnixNano() - b.SentNs))
-	}
-	cs := c.session(b.Handle)
+	cs := c.session(handle)
 	if cs == nil {
-		return fmt.Errorf("batch for unknown session handle %d", b.Handle)
+		return fmt.Errorf("batch for unknown session handle %d", handle)
 	}
-	for i := range b.Tuples {
-		// FeedTuple blocks on a full shard queue under serve.Block — this
-		// is the backpressure path: the reader goroutine stalls, the kernel
-		// socket buffer fills, TCP flow control paces the remote client.
-		// The first tuple of a traced batch carries the trace through the
-		// shard so the serve-side stage histograms see it.
-		var err error
-		if i == 0 && b.SentNs != 0 {
-			err = cs.sess.FeedTupleTraced(b.Tuples[i], b.SentNs)
-		} else {
-			err = cs.sess.FeedTuple(b.Tuples[i])
-		}
-		if err != nil {
-			// A feed failure means the session or manager closed under the
-			// connection; treat it as fatal so the client never receives an
-			// error frame it has no request in flight for.
-			return fmt.Errorf("session %q: %w", cs.sess.ID(), err)
-		}
-	}
-	return nil
+	return cs.sess.Batch(RawBatch{Payload: payload, Count: count, Fields: fields, r: c.r})
 }
 
-// handleSessionOp implements flush and detach: wait until the session's
-// queue is drained, push any pending detections, then acknowledge with the
-// final counters — all under the write lock, so the client is guaranteed to
+// handleSync implements flush and detach: once the host reports the session
+// drained, push any pending detections and acknowledge with the final
+// counters under one hold of the write lock, so the client is guaranteed to
 // have every detection for tuples fed before the request once the ack
 // arrives.
-func (c *conn) handleSessionOp(payload []byte, ack FrameType, detach bool) error {
+func (c *conn) handleSync(payload []byte, ack FrameType, detach bool) error {
 	var ref SessionRef
 	if err := unmarshalStrict(payload, &ref); err != nil {
 		return fmt.Errorf("%s: %w", ack, err)
@@ -465,179 +436,23 @@ func (c *conn) handleSessionOp(payload []byte, ack FrameType, detach bool) error
 		// its other sessions survive.
 		return c.sessionError(ref.Handle, fmt.Errorf("wire: no session with handle %d", ref.Handle))
 	}
-	cs.sess.Flush()
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if err := c.writeDetectionsLocked(cs); err != nil {
-		return err
-	}
-	in, out, dropped := cs.sess.Counters()
-	counters := SessionCounters{
-		Handle:            cs.handle,
-		In:                in,
-		Out:               out,
-		Dropped:           dropped,
-		Detections:        cs.detSent.Load(),
-		DetectionsDropped: cs.detDropped.Load(),
+	counters, err := cs.sess.Sync(detach)
+	if err != nil {
+		return c.sessionError(ref.Handle, err)
 	}
 	if detach {
 		c.mu.Lock()
 		delete(c.sessions, cs.handle)
 		c.mu.Unlock()
-		cs.cancel()
 		close(cs.done)
-		if cs.migReader != nil {
-			cs.migReader.Close()
-			cs.migReader = nil
-		}
-		cs.sess.Close()
-		if cs.release != nil {
-			cs.release(false)
-		}
-	}
-	return c.w.WriteJSON(ack, &counters)
-}
-
-// handleMigrateBegin seals a session for migration: feeds are refused, the
-// queue is drained, and the recorded history is opened and verified complete
-// against the admitted-tuple count — which becomes the cut ordinal. On any
-// failure the session is unsealed and resumes untouched.
-func (c *conn) handleMigrateBegin(payload []byte) error {
-	var req MigrateBeginRequest
-	if err := unmarshalStrict(payload, &req); err != nil {
-		return fmt.Errorf("migrate-begin: %w", err)
-	}
-	cs := c.session(req.Handle)
-	if cs == nil {
-		return c.sessionError(req.Handle, fmt.Errorf("wire: no session with handle %d", req.Handle))
-	}
-	if c.srv.MigrateSource == nil {
-		return c.sessionError(req.Handle, fmt.Errorf("wire: session %q: server has no migration history source", cs.sess.ID()))
-	}
-	if cs.migReader != nil {
-		return c.sessionError(req.Handle, fmt.Errorf("wire: session %q: migration already in progress", cs.sess.ID()))
-	}
-	// Seal first so the admitted count is a stable cut, then drain the
-	// queue so every admitted tuple has been evaluated and tapped.
-	cs.sess.Seal()
-	cs.sess.Flush()
-	in, _, _ := cs.sess.Counters()
-	hr, recorded, err := c.srv.MigrateSource(cs.sess.ID())
-	if err == nil && recorded != in {
-		hr.Close()
-		err = fmt.Errorf("recording holds %d of %d admitted tuples; a lossy tap cannot rebuild state", recorded, in)
-	}
-	if err != nil {
-		cs.sess.Unseal()
-		return c.sessionError(req.Handle, fmt.Errorf("wire: session %q: %w", cs.sess.ID(), err))
-	}
-	cs.migReader, cs.migSent = hr, 0
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return c.w.WriteJSON(FrameMigrateBeginOK, &MigrateBeginReply{Handle: cs.handle, Ordinal: in})
-}
-
-// handleMigrateState streams the next chunk of a sealed session's recorded
-// history: one record re-encoded as a canonical batch payload (handle 0; the
-// requester patches it before forwarding), empty payload at end of history.
-// A request whose After disagrees with the cursor reopens the history and
-// skips forward — how a retry against a fresh target restarts from zero.
-func (c *conn) handleMigrateState(payload []byte) error {
-	var req MigrateStateRequest
-	if err := unmarshalStrict(payload, &req); err != nil {
-		return fmt.Errorf("migrate-state: %w", err)
-	}
-	cs := c.session(req.Handle)
-	if cs == nil {
-		return c.sessionError(req.Handle, fmt.Errorf("wire: no session with handle %d", req.Handle))
-	}
-	if cs.migReader == nil {
-		return c.sessionError(req.Handle, fmt.Errorf("wire: session %q: no migration in progress", cs.sess.ID()))
-	}
-	if req.After < cs.migSent {
-		cs.migReader.Close()
-		cs.migReader = nil
-		hr, _, err := c.srv.MigrateSource(cs.sess.ID())
-		if err != nil {
-			// The session stays sealed: the requester decides whether to
-			// retry or abort (which unseals).
-			return c.sessionError(req.Handle, fmt.Errorf("wire: session %q: reopen history: %w", cs.sess.ID(), err))
-		}
-		cs.migReader, cs.migSent = hr, 0
-	}
-	var chunk []stream.Tuple
-	for chunk == nil {
-		tuples, err := cs.migReader.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return c.sessionError(req.Handle, fmt.Errorf("wire: session %q: history read: %w", cs.sess.ID(), err))
-		}
-		end := cs.migSent + uint64(len(tuples))
-		if req.After >= end {
-			cs.migSent = end
-			continue
-		}
-		chunk = tuples[req.After-cs.migSent:]
-		cs.migSent = end
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if len(chunk) == 0 {
-		return c.w.WriteFrame(FrameMigrateStateOK, nil)
-	}
-	buf, err := AppendBatch(cs.encBuf[:0], 0, len(chunk[0].Fields), chunk)
-	if err != nil {
+	if err := c.writeDetectionsLocked(cs); err != nil {
 		return err
 	}
-	cs.encBuf = buf[:0]
-	return c.w.WriteFrame(FrameMigrateStateOK, buf)
-}
-
-// handleMigrateCommit finalizes a migration leg. Abort resumes a sealed
-// source in place (the target never materialized — nothing was lost);
-// otherwise the session is a catch-up target whose replay must land exactly
-// on the cut ordinal before detection delivery resumes.
-func (c *conn) handleMigrateCommit(payload []byte) error {
-	var req MigrateCommitRequest
-	if err := unmarshalStrict(payload, &req); err != nil {
-		return fmt.Errorf("migrate-commit: %w", err)
-	}
-	cs := c.session(req.Handle)
-	if cs == nil {
-		return c.sessionError(req.Handle, fmt.Errorf("wire: no session with handle %d", req.Handle))
-	}
-	if req.Abort {
-		if cs.migReader != nil {
-			cs.migReader.Close()
-			cs.migReader = nil
-		}
-		if !cs.sess.Sealed() {
-			return c.sessionError(req.Handle, fmt.Errorf("wire: session %q: no migration to abort", cs.sess.ID()))
-		}
-		cs.sess.Unseal()
-	} else {
-		cs.sess.Flush()
-		if got := cs.sess.CatchUpTarget(); req.Ordinal != got {
-			return c.sessionError(req.Handle, fmt.Errorf("wire: session %q: commit ordinal %d, attached at %d", cs.sess.ID(), req.Ordinal, got))
-		}
-		if err := cs.sess.EndCatchUp(); err != nil {
-			return c.sessionError(req.Handle, err)
-		}
-	}
-	in, out, dropped := cs.sess.Counters()
-	counters := SessionCounters{
-		Handle:            cs.handle,
-		In:                in,
-		Out:               out,
-		Dropped:           dropped,
-		Detections:        cs.detSent.Load(),
-		DetectionsDropped: cs.detDropped.Load(),
-	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return c.w.WriteJSON(FrameMigrateCommitOK, &counters)
+	cs.stamp(&counters)
+	return c.w.WriteJSON(ack, &counters)
 }
 
 // handleBackfill evaluates plans over recorded streams on the connection's
@@ -698,9 +513,7 @@ func (c *conn) handleBackfill(payload []byte) error {
 			return c.sessionError(0, fmt.Errorf("wire: backfill stream %q: %w", name, err))
 		}
 	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return c.w.WriteJSON(FrameBackfillOK, &reply)
+	return c.reply(FrameBackfillOK, &reply)
 }
 
 func (c *conn) session(handle uint32) *connSession {
@@ -709,12 +522,17 @@ func (c *conn) session(handle uint32) *connSession {
 	return c.sessions[handle]
 }
 
+// reply writes one JSON control reply.
+func (c *conn) reply(t FrameType, v any) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	return c.w.WriteJSON(t, v)
+}
+
 // sessionError reports a session-scoped failure without closing the
 // connection.
 func (c *conn) sessionError(handle uint32, err error) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return c.w.WriteJSON(FrameError, &ErrorReply{Handle: handle, Msg: err.Error()})
+	return c.reply(FrameError, &ErrorReply{Handle: handle, Msg: err.Error()})
 }
 
 // pushLoop streams pending detections to the client until the session
@@ -722,7 +540,7 @@ func (c *conn) sessionError(handle uint32, err error) error {
 func (c *conn) pushLoop(cs *connSession) {
 	for {
 		select {
-		case <-cs.notify:
+		case <-cs.push.notify:
 			c.wmu.Lock()
 			err := c.writeDetectionsLocked(cs)
 			c.wmu.Unlock()
@@ -740,15 +558,15 @@ func (c *conn) pushLoop(cs *connSession) {
 // FrameDetections frames. Callers hold c.wmu, which makes take-and-write
 // atomic: no acknowledgement can overtake a detection taken before it.
 func (c *conn) writeDetectionsLocked(cs *connSession) error {
+	p := &cs.push
 	for {
-		cs.pmu.Lock()
-		pending := cs.pending
-		cs.pending = nil
-		cs.pmu.Unlock()
+		p.mu.Lock()
+		pending, dropped := p.pending, p.tupleDrops
+		p.pending = nil
+		p.mu.Unlock()
 		if len(pending) == 0 {
 			return nil
 		}
-		_, _, dropped := cs.sess.Counters()
 		for len(pending) > 0 {
 			n := len(pending)
 			if n > MaxDetections {
@@ -762,7 +580,7 @@ func (c *conn) writeDetectionsLocked(cs *connSession) error {
 			if err := c.w.WriteFrame(FrameDetections, buf); err != nil {
 				return err
 			}
-			cs.detSent.Add(uint64(n))
+			p.sent.Add(uint64(n))
 			pending = pending[n:]
 		}
 	}
