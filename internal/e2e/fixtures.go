@@ -63,6 +63,60 @@ func SwipeQuery(t testing.TB) string {
 	return learnTxt
 }
 
+var (
+	demoOnce sync.Once
+	demoTxts []string
+	demoErr  error
+)
+
+// DemoQueries learns the eight demo gestures exactly as cmd/gestured does at
+// start-up — one trainer (seed 1) walking kinect.DemoGestureNames in order,
+// four samples each with PathJitter 25 — once per test binary, and returns
+// the generated query texts in that order.
+func DemoQueries(t testing.TB) []string {
+	t.Helper()
+	demoOnce.Do(func() {
+		trainer, err := kinect.NewSimulator(kinect.DefaultProfile(), kinect.DefaultNoise(), 1)
+		if err != nil {
+			demoErr = err
+			return
+		}
+		specs := kinect.StandardGestures()
+		for _, name := range kinect.DemoGestureNames() {
+			samples, err := trainer.Samples(specs[name], 4, TestTime(), kinect.PerformOpts{PathJitter: 25})
+			if err != nil {
+				demoErr = err
+				return
+			}
+			res, err := learn.Learn(name, samples, learn.DefaultConfig())
+			if err != nil {
+				demoErr = err
+				return
+			}
+			demoTxts = append(demoTxts, res.QueryText)
+		}
+	})
+	if demoErr != nil {
+		t.Fatal(demoErr)
+	}
+	return demoTxts
+}
+
+// DemoPlans compiles DemoQueries against the canonical plan environment.
+func DemoPlans(t testing.TB) []*anduin.Plan {
+	t.Helper()
+	env := anduin.NewPlanEnv()
+	var plans []*anduin.Plan
+	for _, text := range DemoQueries(t) {
+		plan, err := anduin.CompilePlanText(text, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, plan)
+	}
+	return plans
+}
+
 // PlaybackFrames synthesizes a deterministic session with two swipes and a
 // circle distractor.
 func PlaybackFrames(t testing.TB, seed int64) []kinect.Frame {
