@@ -167,6 +167,59 @@ func BenchmarkNFAProcessTuple(b *testing.B) {
 	}
 }
 
+// BenchmarkNFALearnedQueries measures the engine kernel on what the
+// serving stack actually runs: the eight demo gestures learned as
+// cmd/gestured learns them, one NFA each, stepped over a scripted session
+// (every gesture performed once, idle between) already transformed to
+// kinect_t. BenchmarkNFAProcessTuple above only exercises a hand-written
+// closure that never matches. One op is one tuple through all eight NFAs.
+func BenchmarkNFALearnedQueries(b *testing.B) {
+	var nfas []*cep.NFA
+	script := []kinect.ScriptItem{{Idle: 500 * time.Millisecond}}
+	for _, plan := range e2e.DemoPlans(b) {
+		nfas = append(nfas, plan.Program.Instantiate())
+		script = append(script,
+			kinect.ScriptItem{Gesture: plan.Gesture, Opts: kinect.PerformOpts{PathJitter: 15}},
+			kinect.ScriptItem{Idle: 700 * time.Millisecond})
+	}
+	player, err := kinect.NewSimulator(kinect.ChildProfile(), kinect.DefaultNoise(), 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sess, err := player.RunScript(script, benchTime(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	view, err := transform.FrameSlice(transform.DefaultConfig(), sess.Frames)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tuples := kinect.ToTuples(view)
+	stride := sess.Duration().Truncate(time.Second) + 2*time.Second
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	matches := 0
+	for i := 0; i < b.N; i++ {
+		tup := tuples[i%len(tuples)]
+		tup.Ts = tup.Ts.Add(time.Duration(i/len(tuples)) * stride)
+		for _, nfa := range nfas {
+			matches += len(nfa.Process(tup))
+		}
+	}
+	b.StopTimer()
+	if b.N >= len(tuples) && matches == 0 {
+		b.Fatal("a full session through eight learned queries detected nothing")
+	}
+	var processed, predCalls uint64
+	for _, nfa := range nfas {
+		p, c, _, _ := nfa.Stats()
+		processed, predCalls = processed+p, predCalls+c
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/tuple")
+	b.ReportMetric(float64(predCalls)/float64(processed), "predcalls/tuple")
+}
+
 // BenchmarkTransformFrame measures the §3.2 transformation per skeleton
 // frame.
 func BenchmarkTransformFrame(b *testing.B) {

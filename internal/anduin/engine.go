@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gesturecep/internal/cep"
@@ -61,9 +62,19 @@ type Engine struct {
 	queries   map[int]*deployed
 	nextQuery int
 
-	listenMu  sync.RWMutex
-	listeners map[int]func(Detection)
+	listenMu  sync.Mutex
+	listeners []listener // subscription order
 	nextL     int
+	// handlers is the immutable snapshot of the listener functions that
+	// dispatch loads, rebuilt copy-on-write when the set changes (the scheme
+	// of stream.Stream.handlers), so a detection takes no lock and
+	// allocates nothing on its way out.
+	handlers atomic.Pointer[[]func(Detection)]
+}
+
+type listener struct {
+	id int
+	fn func(Detection)
 }
 
 type deployed struct {
@@ -93,10 +104,9 @@ func newEnv() *query.Env {
 // user-defined operators of §3.2 pre-registered.
 func New() *Engine {
 	return &Engine{
-		streams:   make(map[string]*stream.Stream),
-		env:       newEnv(),
-		queries:   make(map[int]*deployed),
-		listeners: make(map[int]func(Detection)),
+		streams: make(map[string]*stream.Stream),
+		env:     newEnv(),
+		queries: make(map[int]*deployed),
 	}
 }
 
@@ -416,32 +426,45 @@ func (e *Engine) QueryStats(id int) (processed, predCalls, matches, pruned uint6
 }
 
 // Subscribe registers a detection listener; the returned function removes
-// it. Listeners run synchronously on the tuple-publishing goroutine — keep
-// them fast.
+// it. Listeners run synchronously on the tuple-publishing goroutine, in
+// subscription order — keep them fast.
 func (e *Engine) Subscribe(fn func(Detection)) func() {
 	e.listenMu.Lock()
 	id := e.nextL
 	e.nextL++
-	e.listeners[id] = fn
+	e.listeners = append(e.listeners, listener{id: id, fn: fn})
+	e.rebuildHandlersLocked()
 	e.listenMu.Unlock()
 	var once sync.Once
 	return func() {
 		once.Do(func() {
 			e.listenMu.Lock()
-			delete(e.listeners, id)
+			for i, l := range e.listeners {
+				if l.id == id {
+					e.listeners = append(e.listeners[:i], e.listeners[i+1:]...)
+					break
+				}
+			}
+			e.rebuildHandlersLocked()
 			e.listenMu.Unlock()
 		})
 	}
 }
 
-func (e *Engine) dispatch(d Detection) {
-	e.listenMu.RLock()
-	fns := make([]func(Detection), 0, len(e.listeners))
-	for _, fn := range e.listeners {
-		fns = append(fns, fn)
+// rebuildHandlersLocked regenerates the delivery snapshot. Callers must
+// hold e.listenMu.
+func (e *Engine) rebuildHandlersLocked() {
+	hs := make([]func(Detection), len(e.listeners))
+	for i, l := range e.listeners {
+		hs[i] = l.fn
 	}
-	e.listenMu.RUnlock()
-	for _, fn := range fns {
-		fn(d)
+	e.handlers.Store(&hs)
+}
+
+func (e *Engine) dispatch(d Detection) {
+	if hs := e.handlers.Load(); hs != nil {
+		for _, fn := range *hs {
+			fn(d)
+		}
 	}
 }

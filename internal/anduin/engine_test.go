@@ -1,6 +1,7 @@
 package anduin
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -233,6 +234,27 @@ func TestSubscribeCancel(t *testing.T) {
 	_ = s.Publish(stream.Tuple{Ts: t0().Add(time.Second), Fields: []float64{1}})
 	if n != 1 {
 		t.Errorf("listener fired %d times after cancel", n)
+	}
+}
+
+// TestDispatchOrderAndAllocs: listeners are called in subscription order,
+// a cancelled one drops out without disturbing the rest, and handing a
+// detection to them neither locks nor allocates.
+func TestDispatchOrderAndAllocs(t *testing.T) {
+	e := New()
+	var order []int
+	var cancels []func()
+	for i := 0; i < 5; i++ {
+		cancels = append(cancels, e.Subscribe(func(Detection) { order = append(order, i) }))
+	}
+	cancels[2]()
+	e.dispatch(Detection{})
+	if want := []int{0, 1, 3, 4}; !reflect.DeepEqual(order, want) {
+		t.Errorf("delivery order %v, want %v", order, want)
+	}
+	order = make([]int, 0, 1024)
+	if n := testing.AllocsPerRun(100, func() { e.dispatch(Detection{}) }); n != 0 {
+		t.Errorf("dispatch allocates %.1f per detection, want 0", n)
 	}
 }
 

@@ -2,6 +2,7 @@ package cep
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"gesturecep/internal/stream"
@@ -95,6 +96,15 @@ func (prog *Program) Instantiate() *NFA {
 // gesture queries robust against the 30 Hz tuples between poses. Runs are
 // discarded as soon as a window constraint can no longer be met.
 //
+// Event time inside the NFA is the tuple's wall-clock reading as int64
+// nanoseconds since the Unix epoch (Time.UnixNano — the unit the wire and
+// the store carry), so timestamps must lie between the years 1678 and 2262
+// and a monotonic clock reading on Tuple.Ts is ignored. Matches report the
+// matched tuples' own time.Time values.
+//
+// Predicates must be pure functions of the tuple: every run waiting at the
+// same state shares one evaluation per tuple.
+//
 // An NFA is not safe for concurrent use; the engine serializes Process
 // calls per stream. The underlying Program is immutable and may be shared
 // by many NFAs concurrently.
@@ -105,6 +115,10 @@ type NFA struct {
 	// adversarial input; the oldest run is evicted when exceeded.
 	maxRuns int
 
+	// runs holds the partial matches in activation order, oldest first. A
+	// run that started earlier has matched every state no later than a
+	// younger one, so the list is also ordered by next, descending: runs
+	// waiting at the same state are adjacent.
 	runs []*run
 
 	// free recycles run objects (and their ts/tuples backing arrays) so the
@@ -119,13 +133,19 @@ type NFA struct {
 	runsPruned uint64
 }
 
-// run is one partial match: next is the state awaiting a tuple, ts[i] holds
-// the match time for state i < next.
+// run is one partial match: next is the state awaiting a tuple, ts[i] and
+// tuples[i] hold the event time and tuple matched at state i < next.
 type run struct {
-	next   int
-	ts     []time.Time
-	tuples []stream.Tuple
+	next int
+	// deadline is the earliest event time at which one of the windows the
+	// run is inside closes, cached when the run advances: the run dies on
+	// the first tuple later than it. noDeadline when inside no window.
+	deadline int64
+	ts       []int64
+	tuples   []stream.Tuple
 }
+
+const noDeadline int64 = math.MaxInt64
 
 // DefaultMaxRuns bounds simultaneous partial matches per query.
 const DefaultMaxRuns = 1024
@@ -166,17 +186,20 @@ func (n *NFA) Reset() {
 }
 
 // getRun takes a run from the free list (or allocates one) and initialises
-// it as a fresh partial match holding only t.
-func (n *NFA) getRun(t stream.Tuple) *run {
+// it as a fresh partial match holding only t, matched at event time now.
+func (n *NFA) getRun(t stream.Tuple, now int64) *run {
+	var r *run
 	if len(n.free) > 0 {
-		r := n.free[len(n.free)-1]
+		r = n.free[len(n.free)-1]
 		n.free = n.free[:len(n.free)-1]
-		r.next = 1
-		r.ts = append(r.ts[:0], t.Ts)
-		r.tuples = append(r.tuples[:0], t)
-		return r
+	} else {
+		r = &run{}
 	}
-	return &run{next: 1, ts: []time.Time{t.Ts}, tuples: []stream.Tuple{t}}
+	r.next = 1
+	r.ts = append(r.ts[:0], now)
+	r.tuples = append(r.tuples[:0], t)
+	r.deadline = n.prog.deadline(r)
+	return r
 }
 
 // putRun recycles a run that is no longer referenced anywhere. Tuple
@@ -191,7 +214,8 @@ func (n *NFA) putRun(r *run) {
 	n.free = append(n.free, r)
 }
 
-// Stats reports counters accumulated since the last Reset.
+// Stats reports counters accumulated since the last Reset. predCalls counts
+// predicate evaluations, at most one per pattern state per tuple.
 func (n *NFA) Stats() (processed, predCalls, matches, pruned uint64) {
 	return n.processed, n.predCalls, n.matches, n.runsPruned
 }
@@ -200,57 +224,65 @@ func (n *NFA) Stats() (processed, predCalls, matches, pruned uint64) {
 // completes. Tuples must arrive in non-decreasing timestamp order.
 func (n *NFA) Process(t stream.Tuple) []Match {
 	states := n.prog.states
+	now := t.Ts.UnixNano()
 	n.processed++
-	n.expire(t.Ts)
 
 	var completed []*run
 
-	// Advance existing runs. Each run consumes at most one tuple per step.
+	// One pass over the partial matches: drop a run whose earliest window
+	// has closed, advance one whose awaited state accepts t (each consumes at
+	// most one tuple per step), keep the rest waiting. Runs waiting at the
+	// same state are adjacent (see NFA.runs), so re-evaluating only when the
+	// state changes asks each state's predicate once. A run that advances
+	// cannot die of it: its open windows have just been checked at this very
+	// time, and a window entered now closes no earlier than now.
+	kept := n.runs[:0]
+	state, holds := 0, false
 	for _, r := range n.runs {
-		st := states[r.next]
-		n.predCalls++
-		if !st.pred(t) {
-			continue
-		}
-		r.ts = append(r.ts, t.Ts)
-		r.tuples = append(r.tuples, t)
-		r.next++
-		if !n.satisfiable(r, t.Ts) {
-			r.next = -1 // mark dead; swept below
+		if now > r.deadline {
 			n.runsPruned++
+			n.putRun(r)
 			continue
 		}
-		if r.next == len(states) {
-			completed = append(completed, r)
+		if r.next != state {
+			state = r.next
+			holds = states[state].pred(t)
+			n.predCalls++
 		}
+		if holds {
+			r.ts = append(r.ts, now)
+			r.tuples = append(r.tuples, t)
+			r.next++
+			if r.next == len(states) {
+				completed = append(completed, r)
+				continue
+			}
+			r.deadline = n.prog.deadline(r)
+		}
+		kept = append(kept, r)
 	}
+	n.runs = kept
 
 	// Try to start a fresh run with this tuple.
 	n.predCalls++
 	if states[0].pred(t) {
-		r := n.getRun(t)
+		r := n.getRun(t, now)
 		if len(states) == 1 {
 			r.next = len(states)
 			completed = append(completed, r)
-		} else if n.satisfiable(r, t.Ts) {
-			n.runs = append(n.runs, r)
-			if len(n.runs) > n.maxRuns {
-				// Evict the oldest partial run to bound memory. A completed
-				// run is still referenced by the completed slice and is
-				// recycled after the matches are built, not here.
-				if ev := n.runs[0]; ev.next != len(states) {
-					n.putRun(ev)
-				}
-				n.runs = n.runs[1:]
+		} else {
+			if len(n.runs) >= n.maxRuns {
+				// Evict the oldest partial run to bound memory. Completed
+				// runs have already left the set, so only live runs count
+				// against the cap. Shifting down keeps the backing array in
+				// place under sustained eviction.
+				n.putRun(n.runs[0])
+				n.runs = n.runs[:copy(n.runs, n.runs[1:])]
 				n.runsPruned++
 			}
-		} else {
-			n.putRun(r)
+			n.runs = append(n.runs, r)
 		}
 	}
-
-	// Sweep dead and completed runs out of the active set.
-	n.sweep()
 
 	if len(completed) == 0 {
 		return nil
@@ -265,8 +297,8 @@ func (n *NFA) Process(t stream.Tuple) []Match {
 	out := make([]Match, 0, len(selected))
 	for _, r := range selected {
 		out = append(out, Match{
-			Start:  r.ts[0],
-			End:    r.ts[len(r.ts)-1],
+			Start:  r.tuples[0].Ts,
+			End:    r.tuples[len(r.tuples)-1].Ts,
 			Tuples: append([]stream.Tuple(nil), r.tuples...),
 		})
 	}
@@ -288,66 +320,20 @@ func (n *NFA) Process(t stream.Tuple) []Match {
 	return out
 }
 
-// satisfiable checks the window constraints that the run has started but not
-// yet finished, plus those fully matched. A constraint whose `first` state
-// is matched imposes a deadline; if the constraint's `last` state is already
-// matched it must hold now, otherwise it must still be reachable.
-func (n *NFA) satisfiable(r *run, now time.Time) bool {
-	for _, c := range n.prog.constraints {
-		if r.next <= c.first {
-			continue // constraint window not entered yet
-		}
-		deadline := r.ts[c.first].Add(c.within)
-		if r.next > c.last {
-			// Fully matched: verify the recorded times.
-			if r.ts[c.last].After(deadline) {
-				return false
+// deadline returns the earliest closing time among the windows r is inside
+// — entered (first state matched) but not completed (last state pending):
+// the tuple matching a window's last state must arrive no later than within
+// after the one that matched its first. A closing time beyond int64 is no
+// deadline.
+func (prog *Program) deadline(r *run) int64 {
+	d := noDeadline
+	for _, c := range prog.constraints {
+		if c.first < r.next && r.next <= c.last {
+			entered := r.ts[c.first]
+			if end := entered + int64(c.within); end >= entered && end < d {
+				d = end
 			}
-			continue
-		}
-		// Partially inside the window: the last state will be matched at
-		// some time >= now.
-		if now.After(deadline) {
-			return false
 		}
 	}
-	return true
-}
-
-// expire removes runs whose pending window constraints can no longer be met
-// at time now.
-func (n *NFA) expire(now time.Time) {
-	if len(n.runs) == 0 || len(n.prog.constraints) == 0 {
-		return
-	}
-	kept := n.runs[:0]
-	for _, r := range n.runs {
-		if n.satisfiable(r, now) {
-			kept = append(kept, r)
-		} else {
-			n.runsPruned++
-			n.putRun(r)
-		}
-	}
-	n.runs = kept
-}
-
-// sweep removes completed and dead runs from the active set. A dead run
-// (next == -1) is referenced by nothing else and is recycled immediately; a
-// completed run (next == len(states)) is still referenced by Process's
-// completed slice and is recycled there after the matches are copied out.
-func (n *NFA) sweep() {
-	if len(n.runs) == 0 {
-		return
-	}
-	kept := n.runs[:0]
-	for _, r := range n.runs {
-		switch {
-		case r.next >= 0 && r.next < len(n.prog.states):
-			kept = append(kept, r)
-		case r.next < 0:
-			n.putRun(r)
-		}
-	}
-	n.runs = kept
+	return d
 }

@@ -281,6 +281,71 @@ func TestMaxRunsEviction(t *testing.T) {
 	}
 }
 
+// TestMaxRunsCountsLiveRunsOnly fills the cap with runs that all complete on
+// one tuple which also starts a run: the completed runs have left the active
+// set, so nothing is evicted and nothing counted as pruned. Then it
+// overfills the cap with live runs and checks the oldest live one goes.
+func TestMaxRunsCountsLiveRunsOnly(t *testing.T) {
+	in := func(vals ...float64) func(stream.Tuple) bool {
+		return func(t stream.Tuple) bool {
+			for _, v := range vals {
+				if t.Fields[0] == v {
+					return true
+				}
+			}
+			return false
+		}
+	}
+	n, _ := Compile(Seq(NewAtom("a", in(0, 5)), NewAtom("b", in(5))), SelectAll, ConsumeNone)
+	n.SetMaxRuns(3)
+	for i := 0; i < 3; i++ {
+		n.Process(tup(i*10, 0))
+	}
+	if got := n.Process(tup(30, 5)); len(got) != 3 {
+		t.Fatalf("%d matches, want the 3 capped runs to complete", len(got))
+	}
+	if _, _, _, pruned := n.Stats(); pruned != 0 || n.ActiveRuns() != 1 {
+		t.Fatalf("after completing a full cap: pruned %d, active %d; want 0 and the 1 fresh run", pruned, n.ActiveRuns())
+	}
+
+	// The run started at 30 ms is now the oldest; three more push it out.
+	for i := 4; i < 7; i++ {
+		n.Process(tup(i*10, 0))
+	}
+	if _, _, _, pruned := n.Stats(); pruned != 1 || n.ActiveRuns() != 3 {
+		t.Fatalf("after overfilling: pruned %d, active %d; want 1 and 3", pruned, n.ActiveRuns())
+	}
+	got := n.Process(tup(70, 5))
+	if len(got) != 3 {
+		t.Fatalf("%d matches, want 3", len(got))
+	}
+	for i, m := range got {
+		if want := tup((4+i)*10, 0).Ts; !m.Start.Equal(want) {
+			t.Errorf("match %d starts at %v, want %v: the oldest live run was not the one evicted", i, m.Start, want)
+		}
+	}
+}
+
+// TestPredicateOncePerState: runs piled up at one state share a single
+// predicate evaluation per tuple, so calls are bounded by the pattern's
+// length however many runs are active.
+func TestPredicateOncePerState(t *testing.T) {
+	n, _ := Compile(threeStep(time.Hour), SelectFirst, ConsumeNone)
+	for i := 0; i < 50; i++ {
+		n.Process(tup(i*10, 0)) // 50 runs waiting at pose1
+	}
+	n.Process(tup(500, 400)) // all move to pose2
+	_, before, _, _ := n.Stats()
+	n.Process(tup(510, 100))
+	_, after, _, _ := n.Stats()
+	if n.ActiveRuns() != 50 {
+		t.Fatalf("active runs = %d, want 50", n.ActiveRuns())
+	}
+	if calls := after - before; calls != 2 {
+		t.Errorf("%d predicate calls for 50 runs at one state, want 2 (pose2 once, pose0 once)", calls)
+	}
+}
+
 func TestStatsAndReset(t *testing.T) {
 	n, _ := Compile(threeStep(time.Second), SelectFirst, ConsumeAll)
 	for _, in := range []stream.Tuple{tup(0, 0), tup(50, 400), tup(100, 800)} {

@@ -16,6 +16,11 @@ import (
 // predicate call per run per tuple, time.Time arithmetic per run per
 // constraint. The NFA must produce the same matches and counters; only its
 // predCalls may be lower.
+//
+// One deliberate difference from that original, made together with the
+// engine: the sweep runs before the run cap is checked, so runs completed
+// on this tuple no longer count against the cap (they used to get a live
+// oldest run evicted, or be counted as pruned themselves).
 type refNFA struct {
 	prog    *Program
 	maxRuns int
@@ -65,6 +70,9 @@ func (n *refNFA) Process(t stream.Tuple) []Match {
 		}
 	}
 
+	// Sweep dead and completed runs out of the active set.
+	n.sweep()
+
 	// Try to start a fresh run with this tuple.
 	n.predCalls++
 	if states[0].pred(t) {
@@ -82,9 +90,6 @@ func (n *refNFA) Process(t stream.Tuple) []Match {
 			}
 		}
 	}
-
-	// Sweep dead and completed runs out of the active set.
-	n.sweep()
 
 	if len(completed) == 0 {
 		return nil

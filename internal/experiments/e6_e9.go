@@ -169,7 +169,7 @@ func E7Optimization(seed int64) (Table, error) {
 		return t, err
 	}
 	t.Notes = append(t.Notes,
-		"predCalls/tuple is the NFA work per arriving sensor tuple",
+		"predCalls/tuple counts predicate evaluations per arriving sensor tuple: the start pose plus each later pose some partial run is waiting at, asked once however many runs wait there — so it is bounded by the pose count and says how many poses are in play, not how many runs are alive or how wide a predicate is",
 		"eliminating coordinates shrinks each predicate but widens the window, so more partial runs stay alive — the paper's 'decrease detection effort' comes from merging, not elimination")
 	return t, nil
 }

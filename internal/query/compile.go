@@ -21,6 +21,11 @@ type UDF struct {
 	// Fn evaluates the function. The args slice is pooled by the compiler
 	// and reused across calls — implementations must not retain it.
 	Fn func(args []float64) float64
+
+	// mathAbs marks the builtin abs, the only function the range-table
+	// recogniser may replace with math.Abs; a user function that merely
+	// shares the name is left to the closure compiler.
+	mathAbs bool
 }
 
 // BuiltinUDFs returns the default scalar function registry: abs, min, max,
@@ -28,7 +33,7 @@ type UDF struct {
 // forearm scale factor in §3.2).
 func BuiltinUDFs() map[string]UDF {
 	return map[string]UDF{
-		"abs":  {Name: "abs", Arity: 1, Fn: func(a []float64) float64 { return math.Abs(a[0]) }},
+		"abs":  {Name: "abs", Arity: 1, Fn: func(a []float64) float64 { return math.Abs(a[0]) }, mathAbs: true},
 		"sqrt": {Name: "sqrt", Arity: 1, Fn: func(a []float64) float64 { return math.Sqrt(a[0]) }},
 		"min": {Name: "min", Arity: -1, Fn: func(a []float64) float64 {
 			m := a[0]
@@ -173,12 +178,92 @@ func compilePattern(node *PatternNode, gesture string, schema *stream.Schema, en
 // CompilePredicate compiles a boolean expression over the given schema into
 // a tuple predicate. Comparisons and logic evaluate to 1/0; the predicate is
 // true when the result is non-zero.
+//
+// A conjunction of `abs(attr ± literal) < literal` terms — the only
+// predicate shape the learner generates (§3.3.4) — compiles to a rangeTable
+// evaluated in one loop. Every other expression goes through the general
+// closure compiler; both compute the same float expression, so which one a
+// predicate gets is invisible in its results.
 func CompilePredicate(e Expr, schema *stream.Schema, udfs map[string]UDF) (func(stream.Tuple) bool, error) {
+	if tbl, ok := recogniseRanges(e, schema, udfs); ok {
+		return tbl.match, nil
+	}
 	ev, err := compileExpr(e, schema, udfs)
 	if err != nil {
 		return nil, err
 	}
 	return func(t stream.Tuple) bool { return ev(t) != 0 }, nil
+}
+
+// rangeTable is a compiled conjunction of per-attribute range tests: the
+// predicate holds when every row's |field − center| < halfWidth.
+type rangeTable []rangeRow
+
+type rangeRow struct {
+	field             int
+	center, halfWidth float64
+}
+
+// match evaluates the conjunction on one tuple. Each row is the same float
+// expression the closure compiler builds for abs(attr - c) < w, so a NaN
+// field or bound fails the row and ±Inf behaves as IEEE subtraction says.
+func (tbl rangeTable) match(t stream.Tuple) bool {
+	for _, r := range tbl {
+		if !(math.Abs(t.Fields[r.field]-r.center) < r.halfWidth) {
+			return false
+		}
+	}
+	return true
+}
+
+// recogniseRanges reports whether e is a conjunction (any nesting of `and`)
+// of terms abs(attr - c) < w or abs(attr + c) < w over known attributes,
+// with c and w plain literals and abs the builtin, and returns its table in
+// evaluation order. attr + c is stored as center −c: x − (−c) and x + c are
+// the same IEEE operation. Anything else — including an unknown attribute,
+// which the closure compiler turns into the error — is not recognised.
+func recogniseRanges(e Expr, schema *stream.Schema, udfs map[string]UDF) (rangeTable, bool) {
+	cmp, ok := e.(*Binary)
+	if !ok {
+		return nil, false
+	}
+	if cmp.Op == OpAnd {
+		l, lok := recogniseRanges(cmp.L, schema, udfs)
+		r, rok := recogniseRanges(cmp.R, schema, udfs)
+		if !lok || !rok {
+			return nil, false
+		}
+		return append(l, r...), true
+	}
+	width, ok := cmp.R.(*NumberLit)
+	if !ok || cmp.Op != OpLT {
+		return nil, false
+	}
+	call, ok := cmp.L.(*Call)
+	if !ok || len(call.Args) != 1 || !udfs[call.Name].mathAbs {
+		return nil, false
+	}
+	shift, ok := call.Args[0].(*Binary)
+	if !ok || (shift.Op != OpSub && shift.Op != OpAdd) {
+		return nil, false
+	}
+	attr, ok := shift.L.(*Ident)
+	if !ok {
+		return nil, false
+	}
+	center, ok := shift.R.(*NumberLit)
+	if !ok {
+		return nil, false
+	}
+	field, ok := schema.Index(attr.Name)
+	if !ok {
+		return nil, false
+	}
+	row := rangeRow{field: field, center: center.Value, halfWidth: width.Value}
+	if shift.Op == OpAdd {
+		row.center = -center.Value
+	}
+	return rangeTable{row}, true
 }
 
 // CompileScalar compiles an arithmetic expression over the given schema
