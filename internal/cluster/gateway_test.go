@@ -18,6 +18,7 @@ import (
 	"gesturecep/internal/kinect"
 	"gesturecep/internal/obs"
 	"gesturecep/internal/serve"
+	"gesturecep/internal/stream"
 	"gesturecep/internal/wire"
 )
 
@@ -191,10 +192,12 @@ func TestGatewayZeroDivergence(t *testing.T) {
 
 // TestGatewayFailover kills a backend while sessions are mid-stream and
 // checks the re-home contract: every session finishes on a healthy
-// backend, detections acknowledged before the kill survive it, the
-// post-re-home detections are exactly a replay of what the surviving
-// backend admitted, and the reported drop count equals fed-minus-recorded
-// — the recorder's tally. Run under -race in CI, this is the failover soak.
+// backend, detections acknowledged before the kill survive it, anything else
+// the victim relayed before it died is what the tuples lost with it fire (see
+// rehomedDetections), the post-re-home detections are exactly a replay of
+// what the surviving backend admitted, and the reported drop count equals
+// fed-minus-recorded — the recorder's tally. Run under -race in CI, this is
+// the failover soak.
 func TestGatewayFailover(t *testing.T) {
 	frames := e2e.PlaybackFrames(t, 9)
 	tuples := kinect.ToTuples(frames)
@@ -305,11 +308,13 @@ func TestGatewayFailover(t *testing.T) {
 	h.Stop() // flush the surviving archives so recordings are readable
 
 	total := uint64(len(tuples))
+	fedTuples := e2e.WireTuples(t, tuples)
 	rehomed := 0
 	for i, id := range ids {
 		c := finalCounters[i]
-		if c.In != total || c.Out != c.In {
+		if c.In != total || c.Out != c.In || c.Dropped > total {
 			t.Errorf("session %s counters = %+v, want in=out=%d", id, c, total)
+			continue
 		}
 		// Locate the session's final home among the survivors.
 		home := -1
@@ -349,7 +354,7 @@ func TestGatewayFailover(t *testing.T) {
 		// byte-identical to a bare replay of what the final home admitted.
 		var want []byte
 		if onVictim[id] {
-			want = mergeDetFrames(t, preKill[i], e2e.BareReplay(t, plan, recorded))
+			want = rehomedDetections(t, plan, fedTuples[:c.Dropped], preKill[i], finalDets[i], recorded)
 		} else {
 			want = e2e.EncodeDets(t, e2e.BareReplay(t, plan, recorded))
 		}
@@ -628,11 +633,13 @@ func TestGatewayRecovery(t *testing.T) {
 	// detections are exactly the acked prefix plus a bare replay of what
 	// the final home admitted.
 	total := uint64(len(tuples))
+	fedTuples := e2e.WireTuples(t, tuples)
 	rehomed := 0
 	for i, id := range ids {
 		c := finalCounters[i]
-		if c.In != total || c.Out != c.In {
+		if c.In != total || c.Out != c.In || c.Dropped > total {
 			t.Errorf("session %s counters = %+v, want in=out=%d", id, c, total)
+			continue
 		}
 		home := -1
 		for b := 0; b < backends; b++ {
@@ -660,7 +667,7 @@ func TestGatewayRecovery(t *testing.T) {
 		}
 		var wantDets []byte
 		if onVictim[id] {
-			wantDets = mergeDetFrames(t, preKill[i], e2e.BareReplay(t, plan, recorded))
+			wantDets = rehomedDetections(t, plan, fedTuples[:c.Dropped], preKill[i], finalDets[i], recorded)
 		} else {
 			wantDets = e2e.EncodeDets(t, e2e.BareReplay(t, plan, recorded))
 		}
@@ -820,15 +827,33 @@ func TestGatewayTolerateDown(t *testing.T) {
 	}
 }
 
-// mergeDetFrames appends a detection list to an already-encoded one and
-// re-encodes the concatenation canonically.
-func mergeDetFrames(t testing.TB, encoded []byte, extra []anduin.Detection) []byte {
+// rehomedDetections reconstructs, canonically encoded, what a client must
+// hold for a session whose home was killed mid-stream: a prefix of what the
+// dead backend could have fired from the lost tuples (every tuple the final
+// home never saw — forwarded to the victim, or dropped on the way), then
+// exactly a bare replay of what the final home recorded. The kill lands while
+// feeders run, so how much of the victim's output was relayed is the one
+// thing the episode leaves open; the client's own list (final) settles its
+// length, bounded below by what it had acknowledged before the kill and above
+// by everything the lost tuples can fire. Content and order stay exact.
+func rehomedDetections(t testing.TB, plan *anduin.Plan, lost []stream.Tuple, preKill, final []byte, recorded []stream.Tuple) []byte {
 	t.Helper()
-	_, _, dets, err := wire.DecodeDetections(encoded)
-	if err != nil {
-		t.Fatal(err)
+	count := func(encoded []byte) int {
+		_, _, dets, err := wire.DecodeDetections(encoded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(dets)
 	}
-	return e2e.EncodeDets(t, append(dets, extra...))
+	victim := e2e.BareReplay(t, plan, lost)
+	tail := e2e.BareReplay(t, plan, recorded)
+	relayed := max(count(final)-len(tail), count(preKill))
+	if relayed > len(victim) {
+		t.Errorf("client holds %d detections from the dead backend, the %d tuples it was sent fire only %d",
+			relayed, len(lost), len(victim))
+		relayed = len(victim)
+	}
+	return e2e.EncodeDets(t, append(victim[:relayed:relayed], tail...))
 }
 
 // BenchmarkGatewayProxy measures the full proxied path — client codec →
