@@ -238,6 +238,29 @@ func BenchmarkTransformFrame(b *testing.B) {
 	}
 }
 
+// BenchmarkTransformTuple measures the kinect_t view as the serving path runs
+// it: one raw tuple in, one transformed tuple out, whose field array is the
+// only allocation.
+func BenchmarkTransformTuple(b *testing.B) {
+	sim, err := kinect.NewSimulator(kinect.DefaultProfile(), kinect.DefaultNoise(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tuples := kinect.ToTuples(sim.Idle(benchTime(), time.Second))
+	tr, err := transform.New(transform.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := tr.Tuple(tuples[i%len(tuples)]); !ok {
+			b.Fatal("well-formed tuple dropped")
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/tuple")
+}
+
 // BenchmarkLearnPipeline measures the full §3.3 learning pipeline on 4
 // samples of a swipe.
 func BenchmarkLearnPipeline(b *testing.B) {
@@ -353,8 +376,32 @@ func BenchmarkServeSessions(b *testing.B) {
 	// stays non-decreasing across b.N iterations.
 	stride := rec.Duration() + time.Second
 
-	for _, n := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("sessions=%d", n), func(b *testing.B) {
+	// feed hands one replay of the recording to a session: tuple by tuple,
+	// or cut into batches the way a decoded wire batch arrives — a fresh
+	// slice per batch, which the session then owns.
+	feed := func(s *serve.Session, offset time.Duration, batch int) error {
+		if batch == 1 {
+			for _, tp := range tuples {
+				tp.Ts = tp.Ts.Add(offset)
+				if err := s.FeedTuple(tp); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		for off := 0; off < len(tuples); off += batch {
+			chunk := append([]stream.Tuple(nil), tuples[off:min(off+batch, len(tuples))]...)
+			for i := range chunk {
+				chunk[i].Ts = chunk[i].Ts.Add(offset)
+			}
+			if err := s.FeedBatch(chunk, 0); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	run := func(n, batch int) func(b *testing.B) {
+		return func(b *testing.B) {
 			reg := serve.NewRegistry()
 			if _, err := reg.Register("swipe_right", res.QueryText); err != nil {
 				b.Fatal(err)
@@ -372,6 +419,7 @@ func BenchmarkServeSessions(b *testing.B) {
 				}
 				sessions[i] = s
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				offset := time.Duration(i) * stride
@@ -380,12 +428,8 @@ func BenchmarkServeSessions(b *testing.B) {
 					wg.Add(1)
 					go func(s *serve.Session) {
 						defer wg.Done()
-						for _, tp := range tuples {
-							tp.Ts = tp.Ts.Add(offset)
-							if err := s.FeedTuple(tp); err != nil {
-								b.Error(err)
-								return
-							}
+						if err := feed(s, offset, batch); err != nil {
+							b.Error(err)
 						}
 					}(s)
 				}
@@ -398,7 +442,13 @@ func BenchmarkServeSessions(b *testing.B) {
 			b.StopTimer()
 			total := float64(b.N) * float64(n) * float64(len(tuples))
 			b.ReportMetric(total/b.Elapsed().Seconds(), "tuples/s")
-		})
+		}
+	}
+	// The batch=64 variant is the shard hand-off a wire batch pays: one queue
+	// operation per 64 tuples instead of one per tuple.
+	for _, n := range []int{1, 8, 64} {
+		b.Run(fmt.Sprintf("sessions=%d", n), run(n, 1))
+		b.Run(fmt.Sprintf("sessions=%d,batch=64", n), run(n, 64))
 	}
 }
 

@@ -45,7 +45,7 @@ func main() {
 		addr      = flag.String("addr", ":7474", "TCP listen address")
 		name      = flag.String("name", "", "server name reported in ping replies (how a cluster gateway labels this backend)")
 		shards    = flag.Int("shards", 0, "ingestion shards (0 = GOMAXPROCS)")
-		queue     = flag.Int("queue", 256, "per-shard queue depth")
+		queue     = flag.Int("queue", 256, "per-shard queue depth, in tuples")
 		policy    = flag.String("policy", "block", "backpressure policy: block or drop-oldest")
 		gestures  = flag.Int("gestures", 4, "gestures to learn and register (1-8)")
 		seed      = flag.Int64("seed", 1, "trainer random seed")

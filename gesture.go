@@ -265,10 +265,11 @@ type (
 
 // Backpressure policies for ServeConfig.Policy.
 const (
-	// BlockWhenFull makes FeedTuple wait for a free queue slot (lossless).
+	// BlockWhenFull makes a feed wait until its batch fits the queue
+	// (lossless).
 	BlockWhenFull = serve.Block
-	// DropOldestWhenFull evicts the oldest queued tuple (bounded latency;
-	// drops are counted).
+	// DropOldestWhenFull evicts the oldest queued batches, whole (bounded
+	// latency; every evicted tuple is counted dropped).
 	DropOldestWhenFull = serve.DropOldest
 )
 

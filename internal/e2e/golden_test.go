@@ -38,12 +38,51 @@ const (
 // only when a semantic change is intended, and say so in CHANGES.md.
 func TestGoldenDetections(t *testing.T) {
 	plans := DemoPlans(t)
-	rng := rand.New(rand.NewSource(16))
-	profiles := []func() kinect.Profile{kinect.DefaultProfile, kinect.ChildProfile, kinect.TallProfile}
 	names := kinect.DemoGestureNames()
 
 	var got strings.Builder
-	for s := 0; s < goldenSessions; s++ {
+	for s, tuples := range goldenSessionTuples(t) {
+		dets, pruned := goldenReplay(t, plans, tuples)
+		if len(dets) < goldenLoops*len(names)/2 {
+			t.Errorf("session %d: only %d detections in %d loops of %d gestures; the pin covers too little",
+				s, len(dets), goldenLoops, len(names))
+		}
+		if pruned == 0 {
+			t.Errorf("session %d: no run was pruned; window expiry and consume-all are not exercised", s)
+		}
+		fmt.Fprintf(&got, "session %d tuples %d detections %d pruned %d sha256 %x\n",
+			s, len(tuples), len(dets), pruned, sha256.Sum256(EncodeDets(t, dets)))
+	}
+
+	path := filepath.Join("testdata", "golden_detections.txt")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("detections drifted from the committed golden file %s\n got:\n%s\nwant:\n%s", path, got.String(), want)
+	}
+}
+
+// goldenSessionTuples synthesizes the pinned sessions: each performs the
+// eight demo gestures in a seeded random order, looped goldenLoops times, as
+// the served engine sees them after wire transport.
+func goldenSessionTuples(t *testing.T) [][]stream.Tuple {
+	t.Helper()
+	rng := rand.New(rand.NewSource(16))
+	profiles := []func() kinect.Profile{kinect.DefaultProfile, kinect.ChildProfile, kinect.TallProfile}
+	names := kinect.DemoGestureNames()
+	sessions := make([][]stream.Tuple, goldenSessions)
+	for s := range sessions {
 		player, err := kinect.NewSimulator(profiles[s%len(profiles)](), kinect.DefaultNoise(), rng.Int63())
 		if err != nil {
 			t.Fatal(err)
@@ -74,36 +113,9 @@ func TestGoldenDetections(t *testing.T) {
 				tuples = append(tuples, tup)
 			}
 		}
-
-		dets, pruned := goldenReplay(t, plans, tuples)
-		if len(dets) < goldenLoops*len(names)/2 {
-			t.Errorf("session %d: only %d detections in %d loops of %d gestures; the pin covers too little",
-				s, len(dets), goldenLoops, len(names))
-		}
-		if pruned == 0 {
-			t.Errorf("session %d: no run was pruned; window expiry and consume-all are not exercised", s)
-		}
-		fmt.Fprintf(&got, "session %d tuples %d detections %d pruned %d sha256 %x\n",
-			s, len(tuples), len(dets), pruned, sha256.Sum256(EncodeDets(t, dets)))
+		sessions[s] = tuples
 	}
-
-	path := filepath.Join("testdata", "golden_detections.txt")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.String() != string(want) {
-		t.Errorf("detections drifted from the committed golden file %s\n got:\n%s\nwant:\n%s", path, got.String(), want)
-	}
+	return sessions
 }
 
 // goldenReplay is BareReplay for several plans at once; it also returns the

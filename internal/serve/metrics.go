@@ -116,10 +116,13 @@ func (m *Manager) Metrics() Metrics {
 	for _, sh := range m.shards {
 		processed := sh.processed.Load()
 		dropped := sh.dropped.Load()
+		sh.mu.Lock()
+		queued := sh.queued
+		sh.mu.Unlock()
 		sm := ShardMetrics{
 			Shard:      sh.id,
 			Sessions:   int(sh.sessions.Load()),
-			QueueDepth: len(sh.queue),
+			QueueDepth: queued,
 			Enqueued:   sh.enqueued.Load(),
 			Processed:  processed,
 			Dropped:    dropped,

@@ -16,12 +16,12 @@ import (
 type Policy int
 
 const (
-	// Block makes Feed wait until the shard worker frees a queue slot —
+	// Block makes a feed wait until its whole batch fits the shard queue —
 	// lossless ingestion, producers are paced by detection throughput.
 	Block Policy = iota
-	// DropOldest evicts the oldest queued tuple to admit the new one —
-	// bounded latency under overload, drops are counted per session and
-	// per shard.
+	// DropOldest evicts the oldest queued batches, whole, until the new one
+	// fits — bounded latency under overload; every tuple of an evicted batch
+	// is counted dropped, per session and per shard.
 	DropOldest
 )
 
@@ -55,7 +55,10 @@ type Config struct {
 	// multiplexed over. Each session is pinned to one shard. Defaults to
 	// GOMAXPROCS.
 	Shards int
-	// QueueDepth bounds each shard's tuple queue. Defaults to 256.
+	// QueueDepth bounds the tuples waiting in each shard's queue, however
+	// they are batched. A batch is admitted whole or not at all, so the one
+	// exception is a batch larger than the depth: it is admitted alone,
+	// into an empty queue. Defaults to 256.
 	QueueDepth int
 	// Policy selects the backpressure behaviour when a queue is full.
 	Policy Policy
@@ -87,12 +90,14 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// envelope is one queued unit of work: a tuple bound for a session's raw
-// stream. sentNs/enqNs are non-zero only for trace-sampled tuples with
-// instruments installed; unsampled traffic never reads a clock here.
+// envelope is one queued unit of work: a batch of tuples, in order, bound for
+// one session's raw stream — a decoded wire batch, or a batch of one. The
+// queue owns the slice from admission on. sentNs/enqNs are non-zero only for
+// trace-sampled batches with instruments installed; unsampled traffic never
+// reads a clock here.
 type envelope struct {
 	sess   *Session
-	tuple  stream.Tuple
+	tuples []stream.Tuple
 	sentNs int64 // client-send unix nanos (from the wire trace timestamp)
 	enqNs  int64 // local enqueue unix nanos
 }
@@ -102,10 +107,28 @@ type envelope struct {
 // every session's tuples are published by a single goroutine in FIFO order
 // — the stream package's single-publisher invariant, preserved at fleet
 // scale.
+//
+// The queue is a ring of envelopes bounded in tuples: a channel's capacity
+// would count envelopes, and an envelope holds anywhere from one tuple to a
+// full wire batch. The ring has Config.QueueDepth slots: an envelope holds at
+// least one tuple, so it can never be short of one.
 type shard struct {
-	id    int
-	queue chan envelope
-	quit  chan struct{}
+	id int
+
+	// admit is the turnstile of Block feeders: one at a time holds it from
+	// arrival until its batch is in the ring, waiting for room if need be, so
+	// a wide batch waiting for room is not overtaken forever by narrow ones
+	// that fit in every slot the worker frees (a starved sync.Mutex hands
+	// over in arrival order). Taken before mu; the worker never takes it.
+	admit sync.Mutex
+
+	mu       sync.Mutex
+	nonEmpty sync.Cond // the worker waits here for work
+	room     sync.Cond // the feeder holding admit waits here for room
+	ring     []envelope
+	head, n  int  // first envelope and envelope count
+	queued   int  // tuples in the ring
+	stopping bool // Close ran: the worker exits once the ring is empty
 
 	sessions   atomic.Int64
 	enqueued   atomic.Uint64
@@ -118,9 +141,62 @@ type shard struct {
 	// tuple is fed.
 	gate func(envelope)
 
-	// ins, when non-nil, receives stage latencies of trace-sampled tuples.
+	// ins, when non-nil, receives stage latencies of trace-sampled batches.
 	// Set via Manager.SetInstruments before traffic.
 	ins *Instruments
+}
+
+func newShard(id, depth int) *shard {
+	sh := &shard{id: id, ring: make([]envelope, depth)}
+	sh.nonEmpty.L = &sh.mu
+	sh.room.L = &sh.mu
+	return sh
+}
+
+// fits reports whether n more tuples may join the queue: within the depth,
+// or alone into an empty queue. Called with sh.mu held.
+func (sh *shard) fits(n int) bool {
+	return sh.queued+n <= len(sh.ring) || sh.queued == 0
+}
+
+// pop removes the oldest envelope. Called with sh.mu held and sh.n > 0.
+func (sh *shard) pop() envelope {
+	env := sh.ring[sh.head]
+	sh.ring[sh.head] = envelope{}
+	sh.head = (sh.head + 1) % len(sh.ring)
+	sh.n--
+	sh.queued -= len(env.tuples)
+	return env
+}
+
+// push admits env under the given backpressure policy and wakes the worker.
+func (sh *shard) push(env envelope, policy Policy) {
+	n := len(env.tuples)
+	switch policy {
+	case Block:
+		sh.admit.Lock()
+		defer sh.admit.Unlock()
+		sh.mu.Lock()
+		// The worker keeps draining until Close, and Close waits for the
+		// feed barrier this feeder holds, so the wait always ends.
+		for !sh.fits(n) {
+			sh.room.Wait()
+		}
+	case DropOldest:
+		sh.mu.Lock()
+		for !sh.fits(n) {
+			old := sh.pop()
+			lost := uint64(len(old.tuples))
+			old.sess.dropped.Add(lost)
+			old.sess.out.Add(lost)
+			sh.dropped.Add(lost)
+		}
+	}
+	sh.ring[(sh.head+sh.n)%len(sh.ring)] = env
+	sh.n++
+	sh.queued += n
+	sh.mu.Unlock()
+	sh.nonEmpty.Signal()
 }
 
 // Manager owns the shard fleet and the session table.
@@ -132,7 +208,7 @@ type Manager struct {
 
 	// feedMu is the Feed/Close barrier: enqueue holds it for reading,
 	// Close sets closed under the write lock before stopping the workers,
-	// so an admitted tuple always has a live worker to drain it. It
+	// so an admitted batch always has a live worker to drain it. It
 	// intentionally guards nothing else — in particular CloseSession does
 	// not take it, so a session may close itself from a detection
 	// listener without deadlocking its shard.
@@ -163,11 +239,7 @@ func NewManager(cfg Config, reg *Registry) (*Manager, error) {
 		sessions: make(map[string]*Session),
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		sh := &shard{
-			id:    i,
-			queue: make(chan envelope, cfg.QueueDepth),
-			quit:  make(chan struct{}),
-		}
+		sh := newShard(i, cfg.QueueDepth)
 		m.shards = append(m.shards, sh)
 		m.wg.Add(1)
 		go m.worker(sh)
@@ -185,136 +257,134 @@ func (m *Manager) Shards() int { return len(m.shards) }
 func (m *Manager) shardFor(id string) *shard {
 	h := fnv.New32a()
 	h.Write([]byte(id))
-	return m.shards[int(h.Sum32())%len(m.shards)]
+	return m.shards[shardIndex(h.Sum32(), len(m.shards))]
 }
 
-// worker drains one shard queue until the manager closes, then finishes
-// whatever is still queued and exits.
+// shardIndex reduces a hash to a shard index. The modulus is taken unsigned:
+// through int, a sum with the top bit set is negative where int is 32 bits.
+func shardIndex(sum uint32, shards int) int {
+	return int(sum % uint32(shards))
+}
+
+// worker drains one shard queue until the manager closes and the queue is
+// empty.
 func (m *Manager) worker(sh *shard) {
 	defer m.wg.Done()
 	for {
-		select {
-		case env := <-sh.queue:
-			sh.process(env)
-		case <-sh.quit:
-			for {
-				select {
-				case env := <-sh.queue:
-					sh.process(env)
-				default:
-					return
-				}
-			}
+		sh.mu.Lock()
+		for sh.n == 0 && !sh.stopping {
+			sh.nonEmpty.Wait()
 		}
+		if sh.n == 0 {
+			sh.mu.Unlock()
+			return
+		}
+		env := sh.pop()
+		sh.mu.Unlock()
+		sh.room.Signal()
+		sh.process(env)
 	}
 }
 
-// process publishes one tuple into its session's engine. Detections fan out
-// synchronously on this goroutine via the session's engine subscription.
+// process publishes one envelope's tuples, in order, into its session's
+// engine. Detections fan out synchronously on this goroutine via the
+// session's engine subscription; a listener that closes the session mid-batch
+// makes the rest of the batch skipped, not published — but still counted out.
 func (sh *shard) process(env envelope) {
 	if sh.gate != nil {
 		sh.gate(env)
 	}
-	// Trace-sampled envelopes carry their enqueue time; everything else
-	// skips the clock reads entirely.
-	var start time.Time
-	if env.enqNs != 0 {
-		start = time.Now()
-		sh.ins.QueueWait.Observe(time.Duration(start.UnixNano() - env.enqNs))
-	}
 	s := env.sess
-	if !s.closed.Load() {
-		// Feed validated the arity against the session schema, so Publish
-		// cannot fail; a failure here is a programming error.
-		if err := s.raw.Publish(env.tuple); err != nil {
-			panic(fmt.Sprintf("serve: session %q: %v", s.id, err))
-		}
-	}
-	s.out.Add(1)
-	sh.processed.Add(1)
+	tuples := env.tuples
+	// A trace-sampled envelope carries its enqueue time, and its first tuple
+	// carries the trace through the engine, so the stage histograms keep
+	// their per-tuple meaning; everything else skips the clock reads.
 	if env.enqNs != 0 {
+		start := time.Now()
+		sh.ins.QueueWait.Observe(time.Duration(start.UnixNano() - env.enqNs))
+		s.publish(tuples[0])
+		tuples = tuples[1:]
 		end := time.Now()
 		sh.ins.Detect.Observe(end.Sub(start))
 		if env.sentNs != 0 {
 			sh.ins.Ingest.Observe(time.Duration(end.UnixNano() - env.sentNs))
 		}
 	}
+	for i := range tuples {
+		s.publish(tuples[i])
+	}
+	n := uint64(len(env.tuples))
+	s.out.Add(n)
+	sh.processed.Add(n)
 }
 
-// enqueue admits one tuple into the session's shard queue, applying the
-// configured backpressure policy.
+// publish hands one tuple to the session's engine unless the session closed.
+func (s *Session) publish(t stream.Tuple) {
+	if s.closed.Load() {
+		return
+	}
+	// enqueue validated the arity against the session schema, so Publish
+	// cannot fail; a failure here is a programming error.
+	if err := s.raw.Publish(t); err != nil {
+		panic(fmt.Sprintf("serve: session %q: %v", s.id, err))
+	}
+}
+
+// enqueue admits one batch — all of it or none — into the session's shard
+// queue as a single envelope, applying the configured backpressure policy.
+// The queue takes ownership of the slice: the caller must not touch it, or
+// the tuples' field arrays, afterwards. sentNs, when non-zero, is the
+// client-send unix-nano timestamp of a trace-sampled wire batch; it rides in
+// the envelope so the shard worker can record queue-wait, detect and
+// end-to-end latencies (with no instruments installed it is ignored).
 //
 // It holds the feed barrier for the duration: Close sets m.closed under
-// the write side before stopping the workers, so a tuple admitted here is
-// guaranteed to still have a live worker to drain it — Feed can never
-// strand a tuple (and hang Flush) by racing Close.
-func (m *Manager) enqueue(s *Session, t stream.Tuple) error {
-	return m.enqueueTraced(s, t, 0)
-}
-
-// enqueueTraced is enqueue for a trace-sampled tuple: sentNs (the client-send
-// unix-nano timestamp off the wire) rides in the envelope so the shard worker
-// can record queue-wait, detect and end-to-end latencies. With no instruments
-// installed the trace degrades to a plain enqueue.
-func (m *Manager) enqueueTraced(s *Session, t stream.Tuple, sentNs int64) error {
+// the write side before stopping the workers, so a batch admitted here is
+// guaranteed to still have a live worker to drain it — a feed can never
+// strand tuples (and hang Flush) by racing Close.
+func (m *Manager) enqueue(s *Session, tuples []stream.Tuple, sentNs int64) error {
+	if len(tuples) == 0 {
+		return nil
+	}
 	if s.closed.Load() {
 		return fmt.Errorf("serve: session %q is closed", s.id)
 	}
 	if s.sealed.Load() {
 		return fmt.Errorf("serve: session %q is sealed for migration", s.id)
 	}
-	if len(t.Fields) != s.raw.Schema().Len() {
-		return fmt.Errorf("serve: session %q: tuple has %d fields, schema expects %d",
-			s.id, len(t.Fields), s.raw.Schema().Len())
+	arity := s.raw.Schema().Len()
+	for i := range tuples {
+		if len(tuples[i].Fields) != arity {
+			return fmt.Errorf("serve: session %q: tuple has %d fields, schema expects %d",
+				s.id, len(tuples[i].Fields), arity)
+		}
 	}
 	m.feedMu.RLock()
 	defer m.feedMu.RUnlock()
 	if m.closed.Load() {
 		return fmt.Errorf("serve: manager closed")
 	}
-	sh := s.shard
-	env := envelope{sess: s, tuple: t}
+	env := envelope{sess: s, tuples: tuples}
 	if sentNs != 0 && m.ins != nil {
 		env.sentNs = sentNs
 		env.enqNs = time.Now().UnixNano()
 	}
-	// Past the closed check the tuple is guaranteed to be admitted — this
+	// Past the closed check the batch is guaranteed to be admitted — this
 	// is where the recording tap observes it, so a recorded stream holds
 	// exactly what the session accepted (including tuples DropOldest may
 	// later evict: drops are a serving artifact, not part of the history).
 	if s.tap != nil {
-		s.tap(t)
-	}
-	// Count the tuple in before it becomes visible to the worker: counting
-	// first means no snapshot can ever observe more tuples out of a queue
-	// than went in.
-	s.in.Add(1)
-	sh.enqueued.Add(1)
-	switch m.cfg.Policy {
-	case Block:
-		// The worker keeps draining until Close, and Close waits for this
-		// read lock, so the send always completes.
-		sh.queue <- env
-	case DropOldest:
-		for admitted := false; !admitted; {
-			select {
-			case sh.queue <- env:
-				admitted = true
-			default:
-				// Queue full: evict the head to make room, then retry.
-				// Competing with the worker's receive is fine — whichever
-				// side wins, a slot frees up.
-				select {
-				case old := <-sh.queue:
-					old.sess.dropped.Add(1)
-					old.sess.out.Add(1)
-					sh.dropped.Add(1)
-				case sh.queue <- env:
-					admitted = true
-				}
-			}
+		for i := range tuples {
+			s.tap(tuples[i])
 		}
 	}
+	// Count the tuples in before they become visible to the worker: counting
+	// first means no snapshot can ever observe more tuples out of a queue
+	// than went in.
+	n := uint64(len(tuples))
+	s.in.Add(n)
+	s.shard.enqueued.Add(n)
+	s.shard.push(env, m.cfg.Policy)
 	return nil
 }
 
@@ -385,7 +455,10 @@ func (m *Manager) Close() {
 	m.mu.Unlock()
 
 	for _, sh := range m.shards {
-		close(sh.quit)
+		sh.mu.Lock()
+		sh.stopping = true
+		sh.mu.Unlock()
+		sh.nonEmpty.Signal()
 	}
 	m.wg.Wait()
 	for _, s := range sessions {

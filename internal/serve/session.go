@@ -13,9 +13,9 @@ import (
 
 // Session is one tenant of the runtime: a private engine (raw kinect stream
 // + kinect_t view + per-session NFAs instantiated from shared plans), pinned
-// to one ingestion shard. FeedTuple may be called from any goroutine; the actual
-// publishing happens on the shard worker, so detection semantics are
-// identical to a single-engine replay of the same tuples.
+// to one ingestion shard. FeedTuple and FeedBatch may be called from any
+// goroutine; the actual publishing happens on the shard worker, so detection
+// semantics are identical to a single-engine replay of the same tuples.
 type Session struct {
 	id     string
 	mgr    *Manager
@@ -23,9 +23,10 @@ type Session struct {
 	engine *anduin.Engine
 	raw    *stream.Stream
 
-	// tap, when non-nil, observes every admitted tuple on the feeding
-	// goroutine (the stream-store recording hook). Set at creation, never
-	// mutated, so enqueue reads it without synchronization.
+	// tap, when non-nil, observes every admitted tuple, one call per tuple in
+	// admit order, on the feeding goroutine (the stream-store recording
+	// hook). Set at creation, never mutated, so enqueue reads it without
+	// synchronization.
 	tap func(stream.Tuple)
 
 	closed atomic.Bool
@@ -161,17 +162,22 @@ func (s *Session) Shard() int { return s.shard.id }
 // routes through the shard worker.
 func (s *Session) Engine() *anduin.Engine { return s.engine }
 
-// FeedTuple enqueues one raw tuple for this session.
+// FeedTuple enqueues one raw tuple for this session: a batch of one.
 func (s *Session) FeedTuple(t stream.Tuple) error {
-	return s.mgr.enqueue(s, t)
+	return s.mgr.enqueue(s, []stream.Tuple{t}, 0)
 }
 
-// FeedTupleTraced enqueues one trace-sampled tuple: sentNs is the client-send
-// unix-nano timestamp carried by the tuple's wire batch, recorded into the
-// manager's stage histograms as the tuple moves through the shard. Detection
-// behaviour is identical to FeedTuple.
-func (s *Session) FeedTupleTraced(t stream.Tuple, sentNs int64) error {
-	return s.mgr.enqueueTraced(s, t, sentNs)
+// FeedBatch enqueues raw tuples, in order, as one unit of the shard queue:
+// one admission check, one queue operation, and the batch is admitted whole
+// or refused whole — a closed or sealed session never takes a prefix. The
+// session takes ownership of the slice and of the tuples' field arrays; the
+// caller must not touch them afterwards. sentNs is the client-send unix-nano
+// timestamp of a trace-sampled wire batch, 0 otherwise: the batch's first
+// tuple is then timed into the manager's stage histograms as it moves
+// through the shard. Detection behaviour is identical to feeding the tuples
+// one by one.
+func (s *Session) FeedBatch(tuples []stream.Tuple, sentNs int64) error {
+	return s.mgr.enqueue(s, tuples, sentNs)
 }
 
 // OnDetection registers a listener for this session's detections; the

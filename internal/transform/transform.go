@@ -100,16 +100,21 @@ func (t *Transformer) Reset() { t.hasEMA = false; t.emaForearm = 0 }
 // from left to right shoulder maps under the user rotation to
 // (cos yaw, 0, sin yaw).
 func EstimateYaw(f kinect.Frame) float64 {
-	v := f.Pos(kinect.RightShoulder).Sub(f.Pos(kinect.LeftShoulder))
+	return shoulderYaw(f.Pos(kinect.LeftShoulder), f.Pos(kinect.RightShoulder))
+}
+
+func shoulderYaw(left, right geom.Vec3) float64 {
+	v := right.Sub(left)
 	if v.X == 0 && v.Z == 0 {
 		return 0
 	}
 	return math.Atan2(v.Z, v.X)
 }
 
-// forearm returns the smoothed right-forearm length of the frame.
-func (t *Transformer) forearm(f kinect.Frame) float64 {
-	raw := f.Pos(kinect.RightElbow).Dist(f.Pos(kinect.RightHand))
+// forearm returns the smoothed right-forearm length given the elbow and hand
+// positions of one frame.
+func (t *Transformer) forearm(elbow, hand geom.Vec3) float64 {
+	raw := elbow.Dist(hand)
 	if raw < minForearm {
 		if t.hasEMA {
 			return t.emaForearm
@@ -126,37 +131,72 @@ func (t *Transformer) forearm(f kinect.Frame) float64 {
 	return t.emaForearm
 }
 
-// Frame transforms one skeleton frame into the user-invariant frame.
-func (t *Transformer) Frame(f kinect.Frame) kinect.Frame {
-	out := f
-	origin := geom.Vec3{}
+// params is the transformation of one frame: p ↦ scale · rot · (p − origin).
+type params struct {
+	origin geom.Vec3
+	rot    geom.Mat3
+	scale  float64
+}
+
+// estimate fills in one frame's parameters from the five joints they depend
+// on, advancing the smoothed forearm. Frame and Tuple share it; they differ
+// only in where joints are read from and written to.
+func (t *Transformer) estimate(p *params, torso, lShoulder, rShoulder, rElbow, rHand geom.Vec3) {
+	*p = params{rot: geom.Identity(), scale: 1}
 	if t.cfg.Shift {
-		origin = f.Pos(kinect.Torso)
+		p.origin = torso
 	}
-	rot := geom.Identity()
 	if t.cfg.Rotate {
-		rot = geom.RotY(EstimateYaw(f)) // inverse of the user's RotY(-yaw)
+		p.rot = geom.RotY(shoulderYaw(lShoulder, rShoulder)) // inverse of the user's RotY(-yaw)
 	}
-	scale := 1.0
 	if t.cfg.Scale {
-		scale = t.cfg.ReferenceForearm / t.forearm(f)
+		p.scale = t.cfg.ReferenceForearm / t.forearm(rElbow, rHand)
 	}
-	for j := 0; j < kinect.NumJoints; j++ {
-		p := f.Joints[j].Sub(origin)
-		p = rot.Apply(p)
-		out.Joints[j] = p.Scale(scale)
+}
+
+// Frame transforms one skeleton frame into the user-invariant frame. It is
+// the entry point of the learner and the experiments, which work on frames;
+// the serving path never builds one (see Tuple).
+func (t *Transformer) Frame(f kinect.Frame) kinect.Frame {
+	var par params
+	t.estimate(&par, f.Pos(kinect.Torso), f.Pos(kinect.LeftShoulder), f.Pos(kinect.RightShoulder),
+		f.Pos(kinect.RightElbow), f.Pos(kinect.RightHand))
+	out := f
+	for j := range f.Joints {
+		out.Joints[j] = par.rot.Apply(f.Joints[j].Sub(par.origin)).Scale(par.scale)
 	}
 	return out
 }
 
-// Tuple transforms a raw kinect tuple. Malformed tuples are dropped
-// (ok = false).
+// numFields is the arity of a kinect tuple: x, y, z per joint.
+const numFields = kinect.NumJoints * 3
+
+// Tuple transforms a raw kinect tuple. The result is bit-identical to
+// kinect.ToTuple(t.Frame(kinect.FromTuple(in))) — TestTupleMatchesFrame pins
+// it — but no frame is built: the five joints the parameters depend on are
+// read from in.Fields, and shift → rotate → scale is written straight into
+// the one array the result must own (downstream NFA runs retain it). The
+// arithmetic is Vec3.Sub, Mat3.Apply and Vec3.Scale spelled out in their
+// exact expression order, so not one output float differs. Malformed tuples
+// are dropped (ok = false).
 func (t *Transformer) Tuple(in stream.Tuple) (stream.Tuple, bool) {
-	f, err := kinect.FromTuple(in)
-	if err != nil {
+	if len(in.Fields) != numFields {
 		return stream.Tuple{}, false
 	}
-	return kinect.ToTuple(t.Frame(f)), true
+	f := (*[numFields]float64)(in.Fields)
+	joint := func(j kinect.Joint) geom.Vec3 { return geom.V(f[j*3], f[j*3+1], f[j*3+2]) }
+	var par params
+	t.estimate(&par, joint(kinect.Torso), joint(kinect.LeftShoulder), joint(kinect.RightShoulder),
+		joint(kinect.RightElbow), joint(kinect.RightHand))
+	o, r, s := par.origin, &par.rot, par.scale
+	out := new([numFields]float64)
+	for i := 0; i < numFields; i += 3 {
+		x, y, z := f[i]-o.X, f[i+1]-o.Y, f[i+2]-o.Z
+		out[i] = (r[0][0]*x + r[0][1]*y + r[0][2]*z) * s
+		out[i+1] = (r[1][0]*x + r[1][1]*y + r[1][2]*z) * s
+		out[i+2] = (r[2][0]*x + r[2][1]*y + r[2][2]*z) * s
+	}
+	return stream.Tuple{Ts: in.Ts, Seq: in.Seq, Fields: out[:]}, true
 }
 
 // ViewName is the conventional name of the transformed stream, matching the

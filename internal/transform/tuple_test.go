@@ -1,0 +1,119 @@
+package transform
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"gesturecep/internal/geom"
+	"gesturecep/internal/kinect"
+	"gesturecep/internal/stream"
+)
+
+// viaFrame is the definition Tuple must reproduce: the transformation written
+// with geom primitives on a kinect.Frame.
+func viaFrame(tr *Transformer, in stream.Tuple) (stream.Tuple, bool) {
+	f, err := kinect.FromTuple(in)
+	if err != nil {
+		return stream.Tuple{}, false
+	}
+	return kinect.ToTuple(tr.Frame(f)), true
+}
+
+// TestTupleMatchesFrame steps two transformers in lock-step — one through
+// Tuple, one through FromTuple → Frame → ToTuple — over random skeletons
+// interleaved with every degenerate input the parameter estimation branches
+// on, for all eight step combinations with and without forearm smoothing.
+// Every output float and the smoothed-forearm state must agree bit for bit.
+func TestTupleMatchesFrame(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	random := func() kinect.Frame {
+		var f kinect.Frame
+		for j := range f.Joints {
+			f.Joints[j] = geom.V(rng.NormFloat64()*800, rng.NormFloat64()*800, 2500+rng.NormFloat64()*800)
+		}
+		return f
+	}
+	with := func(edit func(*kinect.Frame)) kinect.Frame {
+		f := random()
+		edit(&f)
+		return f
+	}
+	shortForearm := func(f *kinect.Frame) {
+		f.Joints[kinect.RightHand] = f.Joints[kinect.RightElbow].Add(geom.V(minForearm/4, 0, 0))
+	}
+	frames := []kinect.Frame{with(shortForearm)} // below minForearm before the EMA is primed
+	for i := 0; i < 40; i++ {
+		frames = append(frames, random())
+	}
+	frames = append(frames,
+		with(shortForearm), // and after
+		with(func(f *kinect.Frame) { f.Joints[kinect.RightShoulder] = f.Joints[kinect.LeftShoulder] }), // yaw 0
+		with(func(f *kinect.Frame) { f.Joints[kinect.Torso].Y = math.NaN() }),
+		with(func(f *kinect.Frame) { f.Joints[kinect.LeftShoulder].Z = math.Inf(1) }),
+		with(func(f *kinect.Frame) { f.Joints[kinect.RightHand].X = math.Inf(-1) }),
+		with(func(f *kinect.Frame) { f.Joints[kinect.Head] = geom.V(math.NaN(), math.Inf(1), math.Copysign(0, -1)) }),
+	)
+	for i := 0; i < 40; i++ { // non-finite forearms above must not have poisoned one side only
+		frames = append(frames, random())
+	}
+	inputs := kinect.ToTuples(frames)
+	// Wrong arity in the middle of the run: refused, state untouched.
+	short := stream.Tuple{Fields: inputs[0].Fields[:numFields-1]}
+	inputs = append(inputs[:20:20], append([]stream.Tuple{short, {}}, inputs[20:]...)...)
+
+	for mask := 0; mask < 8; mask++ {
+		for _, smoothing := range []float64{0.2, 0} {
+			cfg := DefaultConfig()
+			cfg.Shift, cfg.Rotate, cfg.Scale = mask&1 != 0, mask&2 != 0, mask&4 != 0
+			cfg.ForearmSmoothing = smoothing
+			t.Run(fmt.Sprintf("shift=%t,rotate=%t,scale=%t,ema=%g", cfg.Shift, cfg.Rotate, cfg.Scale, smoothing), func(t *testing.T) {
+				a, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, _ := New(cfg)
+				for i, in := range inputs {
+					in.Seq = uint64(i)
+					got, gotOK := a.Tuple(in)
+					want, wantOK := viaFrame(b, in)
+					if gotOK != wantOK {
+						t.Fatalf("input %d: ok = %t, want %t", i, gotOK, wantOK)
+					}
+					if gotOK != (len(in.Fields) == numFields) {
+						t.Fatalf("input %d with %d fields: ok = %t", i, len(in.Fields), gotOK)
+					}
+					if !got.Ts.Equal(want.Ts) || got.Seq != want.Seq || len(got.Fields) != len(want.Fields) {
+						t.Fatalf("input %d: header (%v, %d, %d fields), want (%v, %d, %d fields)",
+							i, got.Ts, got.Seq, len(got.Fields), want.Ts, want.Seq, len(want.Fields))
+					}
+					for k := range want.Fields {
+						if math.Float64bits(got.Fields[k]) != math.Float64bits(want.Fields[k]) {
+							t.Fatalf("input %d field %d: %x (%g), want %x (%g)", i, k,
+								math.Float64bits(got.Fields[k]), got.Fields[k],
+								math.Float64bits(want.Fields[k]), want.Fields[k])
+						}
+					}
+					if a.hasEMA != b.hasEMA || math.Float64bits(a.emaForearm) != math.Float64bits(b.emaForearm) {
+						t.Fatalf("input %d: forearm state (%t, %g), want (%t, %g)",
+							i, a.hasEMA, a.emaForearm, b.hasEMA, b.emaForearm)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestTupleAllocGate pins the one allocation Tuple is allowed: the output
+// field array, which downstream NFA runs retain.
+func TestTupleAllocGate(t *testing.T) {
+	tr, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := kinect.ToTuple(frameFor(t, kinect.DefaultProfile()))
+	if allocs := testing.AllocsPerRun(1000, func() { tr.Tuple(in) }); allocs != 1 {
+		t.Fatalf("Transformer.Tuple allocates %g times per tuple, want exactly 1", allocs)
+	}
+}

@@ -138,6 +138,9 @@ func TestWire64Sessions(t *testing.T) {
 func TestWireDropReporting(t *testing.T) {
 	// Eight instantiations of a cheap always-false plan make per-tuple
 	// processing slow enough that a depth-1 queue must drop under a burst.
+	// The queue's unit is the wire batch: every batch here is wider than the
+	// depth, so it is admitted alone and evicts whatever is still queued —
+	// a round must therefore be several batches for one to overtake another.
 	const neverQuery = `SELECT "never" MATCHING kinect_t(rHand_y > 100000);`
 	plans := map[string]string{}
 	for i := 0; i < 8; i++ {
@@ -149,7 +152,7 @@ func TestWireDropReporting(t *testing.T) {
 	})
 
 	cl := h.Dial()
-	rs, err := cl.Attach("bursty", wire.AttachOptions{BatchSize: wire.MaxBatch})
+	rs, err := cl.Attach("bursty", wire.AttachOptions{BatchSize: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

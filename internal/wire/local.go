@@ -109,22 +109,15 @@ func (ls *localSession) Batch(b RawBatch) error {
 		ls.srv.BatchDecode.ObserveSince(start)
 		ls.srv.Ingress.Observe(time.Duration(start.UnixNano() - batch.SentNs))
 	}
-	for i := range batch.Tuples {
-		// FeedTuple blocks on a full shard queue under serve.Block — this
-		// is the backpressure path. The first tuple of a traced batch
-		// carries the trace through the shard so the serve-side stage
-		// histograms see it.
-		if i == 0 && batch.SentNs != 0 {
-			err = ls.sess.FeedTupleTraced(batch.Tuples[i], batch.SentNs)
-		} else {
-			err = ls.sess.FeedTuple(batch.Tuples[i])
-		}
-		if err != nil {
-			// A feed failure means the session or manager closed under the
-			// connection; it is fatal so the client never receives an error
-			// frame it has no request in flight for.
-			return fmt.Errorf("session %q: %w", ls.sess.ID(), err)
-		}
+	// The decoded slice is handed over whole, one shard-queue operation per
+	// wire batch; FeedBatch blocks on a full shard queue under serve.Block —
+	// this is the backpressure path. A traced batch's timestamp rides along
+	// so the serve-side stage histograms see it.
+	if err := ls.sess.FeedBatch(batch.Tuples, batch.SentNs); err != nil {
+		// A feed failure means the session or manager closed under the
+		// connection; it is fatal so the client never receives an error
+		// frame it has no request in flight for.
+		return fmt.Errorf("session %q: %w", ls.sess.ID(), err)
 	}
 	return nil
 }
