@@ -239,8 +239,8 @@ func BenchmarkTransformFrame(b *testing.B) {
 }
 
 // BenchmarkTransformTuple measures the kinect_t view as the serving path runs
-// it: one raw tuple in, one transformed tuple out, whose field array is the
-// only allocation.
+// it: one raw tuple in, one transformed tuple out, lent from the
+// transformer's scratch array — no allocation.
 func BenchmarkTransformTuple(b *testing.B) {
 	sim, err := kinect.NewSimulator(kinect.DefaultProfile(), kinect.DefaultNoise(), 1)
 	if err != nil {
@@ -254,7 +254,7 @@ func BenchmarkTransformTuple(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := tr.Tuple(tuples[i%len(tuples)]); !ok {
+		if _, ok := tr.Lend(tuples[i%len(tuples)]); !ok {
 			b.Fatal("well-formed tuple dropped")
 		}
 	}

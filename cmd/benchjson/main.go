@@ -18,10 +18,12 @@
 //	go test -run '^$' -bench 'GatewayProxy' -benchmem ./internal/cluster \
 //	    | go run ./cmd/benchjson -against BENCH_gateway.json > /tmp/fresh.json
 //
-// exits 1 when GatewayProxy loses more than 15% tuples/s or more than
-// doubles its allocs/op versus the baseline. Throughput on other shared
-// benchmarks is reported to stderr but never gates: only the proxy path has
-// an acceptance bar, and allocs/op is the noise-free half of it.
+// exits 1 when GatewayProxy more than doubles its allocs/op versus the
+// baseline — the noise-free half of the proxy path's acceptance bar. Its
+// tuples/s half is reported (with a warning past -15%) but does not gate: on
+// shared runners it failed on no-op changes (−17% measured at both a parent
+// and its change). Throughput on other shared benchmarks is reported to
+// stderr too and never gated either.
 package main
 
 import (
@@ -63,7 +65,7 @@ type document struct {
 }
 
 func main() {
-	against := flag.String("against", "", "baseline BENCH json to gate the fresh run against (exit 1 on GatewayProxy regression)")
+	against := flag.String("against", "", "baseline BENCH json to gate the fresh run against (exit 1 on a GatewayProxy allocs/op regression)")
 	flag.Parse()
 	doc, err := parse(bufio.NewScanner(os.Stdin))
 	if err != nil {
@@ -109,8 +111,10 @@ func loadDoc(path string) (*document, error) {
 	return doc, nil
 }
 
-// Gate thresholds for compare: the proxied data path may lose at most 15%
-// of its tuples/s and at most double its allocs/op against the baseline.
+// Thresholds for compare: the proxied data path may at most double its
+// allocs/op against the baseline (the gate); losing more than 15% of its
+// tuples/s is flagged but, being runner-speed noise as often as not, does
+// not fail the run.
 const (
 	gatedBench     = "GatewayProxy"
 	maxTuplesDrop  = 0.15
@@ -118,8 +122,8 @@ const (
 )
 
 // compare reports the fresh run against the committed baseline. Only
-// gatedBench decides the exit status; every other benchmark present in both
-// documents gets an informational throughput delta.
+// gatedBench's allocs/op decides the exit status; its tuples/s and every
+// other benchmark present in both documents get an informational delta.
 func compare(fresh, base *document) (lines []string, failed bool) {
 	find := func(doc *document, name string) *benchResult {
 		for i := range doc.Benchmarks {
@@ -139,12 +143,11 @@ func compare(fresh, base *document) (lines []string, failed bool) {
 	default:
 		if bt, ft := bb.Metrics["tuples/s"], fb.Metrics["tuples/s"]; bt > 0 {
 			drop := (bt - ft) / bt
-			verdict := "ok"
+			verdict := "info"
 			if drop > maxTuplesDrop {
-				verdict = "FAIL"
-				failed = true
+				verdict = "warn"
 			}
-			lines = append(lines, fmt.Sprintf("%s: %s tuples/s %.0f -> %.0f (%+.1f%%, gate -%.0f%%)",
+			lines = append(lines, fmt.Sprintf("%s: %s tuples/s %.0f -> %.0f (%+.1f%%, report-only past -%.0f%%)",
 				verdict, gatedBench, bt, ft, -drop*100, maxTuplesDrop*100))
 		}
 		if ba, fa := bb.Metrics["allocs/op"], fb.Metrics["allocs/op"]; ba > 0 {

@@ -176,18 +176,18 @@ func (e *Engine) RegisterUDF(udf query.UDF) error {
 
 // KinectPipeline registers the raw "kinect" stream plus the transformed
 // "kinect_t" view (§3.2) in one call and returns both. This is the standard
-// setup of every example and experiment.
+// setup of every example and experiment. The view's tuples are lent out of
+// one array (transform.View): subscribers that keep one clone it.
 func (e *Engine) KinectPipeline(cfg transform.Config) (raw, view *stream.Stream, err error) {
 	raw, err = e.RegisterStream(RawStreamName, kinect.Schema())
 	if err != nil {
 		return nil, nil, err
 	}
-	tr, err := transform.New(cfg)
+	view, err = transform.View(raw, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	view, err = e.RegisterView(transform.ViewName, RawStreamName, raw.Schema(), tr.Tuple)
-	if err != nil {
+	if err := e.attach(view); err != nil {
 		return nil, nil, err
 	}
 	return raw, view, nil
@@ -338,11 +338,11 @@ func (e *Engine) DeployPlan(p *Plan) (int, error) {
 				Start:   m.Start,
 				End:     m.End,
 			}
-			if len(measures) > 0 && len(m.Tuples) > 0 {
-				last := m.Tuples[len(m.Tuples)-1]
+			if len(measures) > 0 {
+				// The final matched tuple is the one in hand (cep.Match).
 				det.Measures = make([]float64, len(measures))
 				for i, ev := range measures {
-					det.Measures[i] = ev(last)
+					det.Measures[i] = ev(t)
 				}
 			}
 			e.dispatch(det)

@@ -1,6 +1,7 @@
 package anduin
 
 import (
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -356,5 +357,52 @@ func TestOutputMeasures(t *testing.T) {
 	// Invalid measure expressions are rejected at deploy time.
 	if _, err := e.DeployText(`SELECT "bad", nosuch MATCHING s(a < 10);`); err == nil {
 		t.Error("unknown measure attribute accepted")
+	}
+}
+
+// TestMeasuresOnLastMatchedTuple: a match's measures are computed on its
+// final matched tuple, which is the tuple being published when it fires —
+// the engine keeps no other. Every tuple arrives in the same, lent field
+// array, scribbled over as soon as Publish returns, so a measure read from
+// anything the engine held on to would come out NaN or stale.
+func TestMeasuresOnLastMatchedTuple(t *testing.T) {
+	e := New()
+	s, err := e.RegisterStream("s", stream.MustSchema("a", "b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.DeployText(`SELECT "ramp", b, a + b
+MATCHING s(a < 10) -> s(a > 40 and a < 60) -> s(a > 90)
+within 2 seconds select all consume none;`); err != nil {
+		t.Fatal(err)
+	}
+	var dets []Detection
+	e.Subscribe(func(d Detection) { dets = append(dets, d) })
+
+	// Two runs start (a = 5, 6), both advance on 50 and both complete on 95;
+	// 99 finds no run left to complete.
+	rows := [][2]float64{{5, 1}, {6, 2}, {30, 3}, {50, 4}, {70, 5}, {95, 6}, {99, 7}}
+	lent := make([]float64, 2)
+	for i, r := range rows {
+		lent[0], lent[1] = r[0], r[1]
+		tup := stream.Tuple{Ts: t0().Add(time.Duration(i) * 100 * time.Millisecond), Seq: uint64(i), Fields: lent}
+		if err := s.Publish(tup); err != nil {
+			t.Fatal(err)
+		}
+		lent[0], lent[1] = math.NaN(), math.NaN()
+	}
+	if len(dets) != 2 {
+		t.Fatalf("detections = %d, want 2: %+v", len(dets), dets)
+	}
+	for i, d := range dets {
+		if want := []float64{6, 101}; !reflect.DeepEqual(d.Measures, want) {
+			t.Errorf("detection %d: measures = %v, want %v (b and a+b of the closing tuple)", i, d.Measures, want)
+		}
+		if !d.End.Equal(t0().Add(500 * time.Millisecond)) {
+			t.Errorf("detection %d ends %v, want the closing tuple's time", i, d.End)
+		}
+	}
+	if !dets[0].Start.Equal(t0()) || !dets[1].Start.Equal(t0().Add(100*time.Millisecond)) {
+		t.Errorf("detections start %v and %v, want the two opening tuples' times", dets[0].Start, dets[1].Start)
 	}
 }

@@ -100,7 +100,11 @@ func (prog *Program) Instantiate() *NFA {
 // nanoseconds since the Unix epoch (Time.UnixNano — the unit the wire and
 // the store carry), so timestamps must lie between the years 1678 and 2262
 // and a monotonic clock reading on Tuple.Ts is ignored. Matches report the
-// matched tuples' own time.Time values.
+// first and last matched tuples' own time.Time values.
+//
+// Process borrows its tuple (the stream package's lend contract): a run
+// remembers when and at which Seq each state matched, never the tuple or
+// its field array, so the caller may reuse both as soon as Process returns.
 //
 // Predicates must be pure functions of the tuple: every run waiting at the
 // same state shares one evaluation per tuple.
@@ -121,7 +125,7 @@ type NFA struct {
 	// waiting at the same state are adjacent.
 	runs []*run
 
-	// free recycles run objects (and their ts/tuples backing arrays) so the
+	// free recycles run objects (and their ts/seqs backing arrays) so the
 	// steady-state Process path does not allocate. An NFA is single-threaded
 	// by contract, so a plain slice suffices. Bounded by maxRuns.
 	free []*run
@@ -134,15 +138,17 @@ type NFA struct {
 }
 
 // run is one partial match: next is the state awaiting a tuple, ts[i] and
-// tuples[i] hold the event time and tuple matched at state i < next.
+// seqs[i] hold the event time and Seq of the tuple matched at state i < next,
+// start the first one's Ts as it arrived (Match.Start).
 type run struct {
 	next int
 	// deadline is the earliest event time at which one of the windows the
 	// run is inside closes, cached when the run advances: the run dies on
 	// the first tuple later than it. noDeadline when inside no window.
 	deadline int64
+	start    time.Time
 	ts       []int64
-	tuples   []stream.Tuple
+	seqs     []uint64
 }
 
 const noDeadline int64 = math.MaxInt64
@@ -196,20 +202,17 @@ func (n *NFA) getRun(t stream.Tuple, now int64) *run {
 		r = &run{}
 	}
 	r.next = 1
+	r.start = t.Ts
 	r.ts = append(r.ts[:0], now)
-	r.tuples = append(r.tuples[:0], t)
+	r.seqs = append(r.seqs[:0], t.Seq)
 	r.deadline = n.prog.deadline(r)
 	return r
 }
 
-// putRun recycles a run that is no longer referenced anywhere. Tuple
-// references are cleared so a parked run does not pin field arrays.
+// putRun recycles a run that is no longer referenced anywhere.
 func (n *NFA) putRun(r *run) {
 	if len(n.free) >= n.maxRuns {
 		return
-	}
-	for i := range r.tuples {
-		r.tuples[i] = stream.Tuple{}
 	}
 	n.free = append(n.free, r)
 }
@@ -251,7 +254,7 @@ func (n *NFA) Process(t stream.Tuple) []Match {
 		}
 		if holds {
 			r.ts = append(r.ts, now)
-			r.tuples = append(r.tuples, t)
+			r.seqs = append(r.seqs, t.Seq)
 			r.next++
 			if r.next == len(states) {
 				completed = append(completed, r)
@@ -296,14 +299,15 @@ func (n *NFA) Process(t stream.Tuple) []Match {
 	}
 	out := make([]Match, 0, len(selected))
 	for _, r := range selected {
+		// A run completes on the tuple in hand: t is its last matched tuple.
 		out = append(out, Match{
-			Start:  r.tuples[0].Ts,
-			End:    r.tuples[len(r.tuples)-1].Ts,
-			Tuples: append([]stream.Tuple(nil), r.tuples...),
+			Start: r.start,
+			End:   t.Ts,
+			Seqs:  append([]uint64(nil), r.seqs...),
 		})
 	}
 	n.matches += uint64(len(out))
-	// Matches copy the tuples out above, so every completed run (selected or
+	// Matches copy the seqs out above, so every completed run (selected or
 	// not) can be recycled now.
 	for _, r := range completed {
 		n.putRun(r)

@@ -1,6 +1,7 @@
 package cep
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -61,9 +62,13 @@ func TestSimpleSequenceMatch(t *testing.T) {
 		tup(99, 600),  // ignored
 		tup(133, 800), // pose2 -> match
 	}
+	// Process borrows its tuple: every tuple arrives in the same field array,
+	// overwritten for the next, and the match still names the right ones.
+	lent := make([]float64, 1)
 	var matches []Match
-	for _, in := range inputs {
-		matches = append(matches, n.Process(in)...)
+	for i, in := range inputs {
+		lent[0] = in.Fields[0]
+		matches = append(matches, n.Process(stream.Tuple{Ts: in.Ts, Seq: uint64(10 + i), Fields: lent})...)
 	}
 	if len(matches) != 1 {
 		t.Fatalf("got %d matches, want 1", len(matches))
@@ -72,11 +77,11 @@ func TestSimpleSequenceMatch(t *testing.T) {
 	if m.Duration() != 133*time.Millisecond {
 		t.Errorf("match duration = %v", m.Duration())
 	}
-	if len(m.Tuples) != 3 {
-		t.Errorf("match captured %d tuples", len(m.Tuples))
+	if !m.Start.Equal(inputs[0].Ts) || !m.End.Equal(inputs[4].Ts) {
+		t.Errorf("match spans %v–%v, want %v–%v", m.Start, m.End, inputs[0].Ts, inputs[4].Ts)
 	}
-	if m.Tuples[1].Fields[0] != 400 {
-		t.Errorf("second captured tuple = %v", m.Tuples[1].Fields)
+	if want := []uint64{10, 12, 14}; !reflect.DeepEqual(m.Seqs, want) {
+		t.Errorf("match seqs = %v, want %v", m.Seqs, want)
 	}
 }
 

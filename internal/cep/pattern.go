@@ -131,13 +131,14 @@ func NewAtom(label string, pred func(stream.Tuple) bool) *Atom {
 	return &Atom{Label: label, Pred: pred}
 }
 
-// Match is one successful pattern instance.
+// Match is one successful pattern instance. The last contributing tuple is
+// always the one Process was called with when it returned the match.
 type Match struct {
 	// Start and End are the timestamps of the first and last contributing
 	// tuple.
 	Start, End time.Time
-	// Tuples holds the tuple matched by each atom, in pattern order.
-	Tuples []stream.Tuple
+	// Seqs holds the Seq of the tuple matched by each atom, in pattern order.
+	Seqs []uint64
 }
 
 // Duration returns End - Start.

@@ -5,12 +5,9 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
-	"gesturecep/internal/kinect"
 	"gesturecep/internal/serve"
 	"gesturecep/internal/stream"
 )
@@ -21,19 +18,7 @@ import (
 // detections the committed golden file pins for the bare engine, byte for
 // byte, with the same counters.
 func TestBatchSplitInvariance(t *testing.T) {
-	golden, err := os.ReadFile(filepath.Join("testdata", "golden_detections.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pinned := strings.Split(strings.TrimSpace(string(golden)), "\n")
-
-	reg := serve.NewRegistry()
-	for i, text := range DemoQueries(t) {
-		if _, err := reg.Register(kinect.DemoGestureNames()[i], text); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m, err := serve.NewManager(serve.Config{Shards: 2}, reg)
+	m, err := serve.NewManager(serve.Config{Shards: 2}, demoRegistry(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,9 +35,7 @@ func TestBatchSplitInvariance(t *testing.T) {
 		{"mixed", func() int { return 1 + rng.Intn(96) }},
 	}
 	sessions := goldenSessionTuples(t)
-	if len(pinned) != len(sessions) {
-		t.Fatalf("golden file pins %d sessions, the fixture has %d", len(pinned), len(sessions))
-	}
+	pinned := goldenPins(t, len(sessions))
 	for s, tuples := range sessions {
 		var first []byte
 		for _, split := range splits {

@@ -13,6 +13,7 @@ import (
 
 	"gesturecep/internal/anduin"
 	"gesturecep/internal/kinect"
+	"gesturecep/internal/serve"
 	"gesturecep/internal/stream"
 	"gesturecep/internal/transform"
 )
@@ -71,6 +72,34 @@ func TestGoldenDetections(t *testing.T) {
 	if got.String() != string(want) {
 		t.Errorf("detections drifted from the committed golden file %s\n got:\n%s\nwant:\n%s", path, got.String(), want)
 	}
+}
+
+// goldenPins returns the committed golden file's lines, one per pinned
+// session, and demoRegistry a registry serving the eight demo gestures in
+// the order the golden replay deploys them: what the tests that serve the
+// fixture some other way compare against and serve from.
+func goldenPins(t *testing.T, sessions int) []string {
+	t.Helper()
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden_detections.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := strings.Split(strings.TrimSpace(string(golden)), "\n")
+	if len(pinned) != sessions {
+		t.Fatalf("golden file pins %d sessions, the fixture has %d", len(pinned), sessions)
+	}
+	return pinned
+}
+
+func demoRegistry(t *testing.T) *serve.Registry {
+	t.Helper()
+	reg := serve.NewRegistry()
+	for i, text := range DemoQueries(t) {
+		if _, err := reg.Register(kinect.DemoGestureNames()[i], text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return reg
 }
 
 // goldenSessionTuples synthesizes the pinned sessions: each performs the

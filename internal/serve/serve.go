@@ -90,16 +90,32 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// Lender is what a feeder that lends its batch (Session.FeedLent) gets the
+// memory back through: Release is called exactly once, when the runtime has
+// published or dropped the batch's last tuple and nothing reads it any more.
+type Lender interface{ Release() }
+
 // envelope is one queued unit of work: a batch of tuples, in order, bound for
 // one session's raw stream — a decoded wire batch, or a batch of one. The
-// queue owns the slice from admission on. sentNs/enqNs are non-zero only for
-// trace-sampled batches with instruments installed; unsampled traffic never
-// reads a clock here.
+// queue holds the slice from admission until the envelope is processed or
+// evicted: for good when lender is nil, on loan otherwise — whoever takes the
+// envelope out of the ring releases it (done). sentNs/enqNs are non-zero only
+// for trace-sampled batches with instruments installed; unsampled traffic
+// never reads a clock here.
 type envelope struct {
 	sess   *Session
 	tuples []stream.Tuple
-	sentNs int64 // client-send unix nanos (from the wire trace timestamp)
-	enqNs  int64 // local enqueue unix nanos
+	lender Lender // nil: the queue owns tuples
+	sentNs int64  // client-send unix nanos (from the wire trace timestamp)
+	enqNs  int64  // local enqueue unix nanos
+}
+
+// done gives a lent envelope's memory back, once its last tuple was
+// published, skipped or dropped.
+func (env *envelope) done() {
+	if env.lender != nil {
+		env.lender.Release()
+	}
 }
 
 // shard is one ingestion lane: a bounded queue drained by exactly one
@@ -186,10 +202,14 @@ func (sh *shard) push(env envelope, policy Policy) {
 		sh.mu.Lock()
 		for !sh.fits(n) {
 			old := sh.pop()
+			// Release is the lender's code: not under the queue lock.
+			sh.mu.Unlock()
 			lost := uint64(len(old.tuples))
 			old.sess.dropped.Add(lost)
 			old.sess.out.Add(lost)
 			sh.dropped.Add(lost)
+			old.done()
+			sh.mu.Lock()
 		}
 	}
 	sh.ring[(sh.head+sh.n)%len(sh.ring)] = env
@@ -314,6 +334,7 @@ func (sh *shard) process(env envelope) {
 		s.publish(tuples[i])
 	}
 	n := uint64(len(env.tuples))
+	env.done()
 	s.out.Add(n)
 	sh.processed.Add(n)
 }
@@ -332,8 +353,10 @@ func (s *Session) publish(t stream.Tuple) {
 
 // enqueue admits one batch — all of it or none — into the session's shard
 // queue as a single envelope, applying the configured backpressure policy.
-// The queue takes ownership of the slice: the caller must not touch it, or
-// the tuples' field arrays, afterwards. sentNs, when non-zero, is the
+// Once admitted (nil error) the queue holds the slice and the tuples' field
+// arrays, and the caller must not touch them: for good when lender is nil,
+// until lender.Release otherwise. A refused batch stays the caller's, lender
+// included. sentNs, when non-zero, is the
 // client-send unix-nano timestamp of a trace-sampled wire batch; it rides in
 // the envelope so the shard worker can record queue-wait, detect and
 // end-to-end latencies (with no instruments installed it is ignored).
@@ -342,7 +365,7 @@ func (s *Session) publish(t stream.Tuple) {
 // the write side before stopping the workers, so a batch admitted here is
 // guaranteed to still have a live worker to drain it — a feed can never
 // strand tuples (and hang Flush) by racing Close.
-func (m *Manager) enqueue(s *Session, tuples []stream.Tuple, sentNs int64) error {
+func (m *Manager) enqueue(s *Session, tuples []stream.Tuple, sentNs int64, lender Lender) error {
 	if len(tuples) == 0 {
 		return nil
 	}
@@ -364,7 +387,7 @@ func (m *Manager) enqueue(s *Session, tuples []stream.Tuple, sentNs int64) error
 	if m.closed.Load() {
 		return fmt.Errorf("serve: manager closed")
 	}
-	env := envelope{sess: s, tuples: tuples}
+	env := envelope{sess: s, tuples: tuples, lender: lender}
 	if sentNs != 0 && m.ins != nil {
 		env.sentNs = sentNs
 		env.enqNs = time.Now().UnixNano()
@@ -373,6 +396,7 @@ func (m *Manager) enqueue(s *Session, tuples []stream.Tuple, sentNs int64) error
 	// is where the recording tap observes it, so a recorded stream holds
 	// exactly what the session accepted (including tuples DropOldest may
 	// later evict: drops are a serving artifact, not part of the history).
+	// The tap borrows each tuple for the call (SessionOptions.Tap).
 	if s.tap != nil {
 		for i := range tuples {
 			s.tap(tuples[i])

@@ -25,8 +25,8 @@ type Session struct {
 
 	// tap, when non-nil, observes every admitted tuple, one call per tuple in
 	// admit order, on the feeding goroutine (the stream-store recording
-	// hook). Set at creation, never mutated, so enqueue reads it without
-	// synchronization.
+	// hook); the tuple is lent for the call. Set at creation, never mutated,
+	// so enqueue reads it without synchronization.
 	tap func(stream.Tuple)
 
 	closed atomic.Bool
@@ -62,8 +62,10 @@ type SessionOptions struct {
 	Gestures []string
 	// Tap, when non-nil, is called with every tuple admitted to the
 	// session's queue, on the feeding goroutine, before shard processing.
-	// It must never block — the standard tap is store.Recorder.Tap, which
-	// does a non-blocking send into a bounded buffer and counts drops.
+	// The tuple is lent for the call: a tap that keeps it (any asynchronous
+	// one) copies it. It must never block — the standard tap is
+	// store.Recorder.Tap, which queues a copy in a bounded backlog and
+	// counts drops.
 	// With a single feeding goroutine (the usual pattern, and what the
 	// wire server guarantees) the tap observes exactly the admitted tuple
 	// order, which is what makes recorded sessions replayable
@@ -164,20 +166,31 @@ func (s *Session) Engine() *anduin.Engine { return s.engine }
 
 // FeedTuple enqueues one raw tuple for this session: a batch of one.
 func (s *Session) FeedTuple(t stream.Tuple) error {
-	return s.mgr.enqueue(s, []stream.Tuple{t}, 0)
+	return s.mgr.enqueue(s, []stream.Tuple{t}, 0, nil)
 }
 
 // FeedBatch enqueues raw tuples, in order, as one unit of the shard queue:
 // one admission check, one queue operation, and the batch is admitted whole
-// or refused whole — a closed or sealed session never takes a prefix. The
-// session takes ownership of the slice and of the tuples' field arrays; the
-// caller must not touch them afterwards. sentNs is the client-send unix-nano
+// or refused whole — a closed or sealed session never takes a prefix. An
+// admitted batch (nil error) is the session's: it takes ownership of the
+// slice and of the tuples' field arrays, which the caller must not touch
+// afterwards (they are read until the batch is published, never written). A
+// refused batch stays the caller's. sentNs is the client-send unix-nano
 // timestamp of a trace-sampled wire batch, 0 otherwise: the batch's first
 // tuple is then timed into the manager's stage histograms as it moves
 // through the shard. Detection behaviour is identical to feeding the tuples
 // one by one.
 func (s *Session) FeedBatch(tuples []stream.Tuple, sentNs int64) error {
-	return s.mgr.enqueue(s, tuples, sentNs)
+	return s.mgr.enqueue(s, tuples, sentNs, nil)
+}
+
+// FeedLent is FeedBatch for a feeder that wants the memory back: an admitted
+// batch is on loan until the runtime calls lender.Release — exactly once,
+// after the batch's last tuple was published, skipped (session closed) or
+// dropped (DropOldest), from whichever goroutine did that. On an error
+// nothing was lent and Release is not called.
+func (s *Session) FeedLent(tuples []stream.Tuple, sentNs int64, lender Lender) error {
+	return s.mgr.enqueue(s, tuples, sentNs, lender)
 }
 
 // OnDetection registers a listener for this session's detections; the

@@ -9,28 +9,40 @@ import (
 	"gesturecep/internal/stream"
 )
 
-// DefaultRecorderBuffer is the default depth of a Recorder's tap buffer.
-const DefaultRecorderBuffer = 4096
+// DefaultRecorderBuffer is the default depth of a Recorder's tap buffer, in
+// tuples. What it buys is time: how long the disk may stall before the
+// recording loses tuples. A write() routinely blocks for 100–300 ms once the
+// kernel starts writing dirty pages back, and a saturated bulk session feeds
+// some 45 000 tuples a second, so 16 384 tuples ride out ≈ 350 ms (a 30 Hz
+// interactive session, nine minutes). The memory is only used while a
+// backlog exists: ≈ 0.4 KiB per queued tuple, 7 MiB at the bound.
+const DefaultRecorderBuffer = 16384
 
 // Recorder decouples a live serving session from disk: the Tap function is
-// installed on the session's feed path and only ever does a non-blocking
-// send into a bounded buffer, so recording can never stall ingestion — if
-// the disk falls behind, tuples are dropped from the recording (never from
-// detection) and counted. A single drain goroutine owns the Writer.
+// installed on the session's feed path and only ever appends a copy of the
+// tuple to a bounded in-memory backlog, so recording can never stall
+// ingestion — if the disk falls behind, tuples are dropped from the
+// recording (never from detection) and counted. A single drain goroutine
+// owns the Writer: it takes the whole backlog in one swap whenever there is
+// one, so taps and drain meet once per burst, not once per tuple.
 type Recorder struct {
 	w      *Writer
-	ch     chan stream.Tuple
+	limit  int64
+	notify chan struct{} // the backlog went from empty to non-empty
 	syncCh chan chan error
 	quit   chan struct{}
 	done   chan struct{}
 
-	// tapMu makes Close a barrier for in-flight taps: taps hold the read
-	// side around the closed-check-then-send, Close flips closed under the
-	// write side, so once Close holds the lock no tap can still sneak a
-	// tuple into the buffer uncounted — Recorded()+Dropped() equals the
-	// number of tap calls exactly.
-	tapMu    sync.RWMutex
-	closed   atomic.Bool
+	// mu guards the tap side of the backlog. It also makes Close a barrier
+	// for in-flight taps: a tap appends under it, Close flips closed under
+	// it, so once Close holds the lock no tap can still sneak a tuple into
+	// the backlog uncounted — Recorded()+Dropped() equals the number of tap
+	// calls exactly.
+	mu      sync.Mutex
+	pending []stream.Tuple // tapped, not yet taken by the drain
+	closed  bool
+
+	queued   atomic.Int64 // tapped and not yet handed to the writer; ≤ limit
 	recorded atomic.Uint64
 	dropped  atomic.Uint64
 	err      atomic.Value // first Writer error, as errBox
@@ -49,7 +61,8 @@ func NewRecorder(w *Writer, buffer int) *Recorder {
 	}
 	r := &Recorder{
 		w:      w,
-		ch:     make(chan stream.Tuple, buffer),
+		limit:  int64(buffer),
+		notify: make(chan struct{}, 1),
 		syncCh: make(chan chan error),
 		quit:   make(chan struct{}),
 		done:   make(chan struct{}),
@@ -59,60 +72,79 @@ func NewRecorder(w *Writer, buffer int) *Recorder {
 }
 
 // Tap returns the function to install on the live feed path (e.g. as
-// serve.SessionOptions.Tap). It never blocks on the disk: a full buffer or
+// serve.SessionOptions.Tap). It never blocks on the disk: a full backlog or
 // a recorder that has stopped counts the tuple as dropped and moves on.
-// (The read lock only contends with Close itself, and only for an
-// instant.)
+// (The lock is held for an append; it contends only with the drain's swap
+// and with Close.) The tuple is only lent to the tap and the drain goroutine
+// reads it later, so what is queued is a copy — made only once the tuple is
+// going to be queued: a recorder that drops costs no allocation.
 func (r *Recorder) Tap() func(stream.Tuple) {
 	return func(t stream.Tuple) {
-		r.tapMu.RLock()
-		defer r.tapMu.RUnlock()
-		if r.closed.Load() || r.err.Load() != nil {
+		r.mu.Lock()
+		if r.closed || r.err.Load() != nil || r.queued.Load() >= r.limit {
+			r.mu.Unlock()
 			r.dropped.Add(1)
 			return
 		}
-		select {
-		case r.ch <- t:
-		default:
-			r.dropped.Add(1)
+		r.queued.Add(1)
+		r.pending = append(r.pending, t.Clone())
+		first := len(r.pending) == 1
+		r.mu.Unlock()
+		if first {
+			select {
+			case r.notify <- struct{}{}:
+			default: // a wake-up is already on its way
+			}
 		}
 	}
 }
 
-// drain moves tuples from the tap buffer to the writer until Close.
+// drain moves tuples from the backlog to the writer until Close.
 func (r *Recorder) drain() {
 	defer close(r.done)
+	var spare []stream.Tuple
 	for {
 		select {
-		case t := <-r.ch:
-			r.append(t)
+		case <-r.notify:
+			spare = r.drainBacklog(spare)
 		case reply := <-r.syncCh:
 			// Serviced on this goroutine so the backlog sweep and the
 			// writer flush never race an append.
-			r.drainBacklog()
+			spare = r.drainBacklog(spare)
 			if err := r.Err(); err != nil {
 				reply <- err
 			} else {
 				reply <- r.w.Flush()
 			}
 		case <-r.quit:
-			// Drain whatever the taps managed to buffer before Close.
-			r.drainBacklog()
+			// Whatever the taps managed to queue before Close.
+			r.drainBacklog(spare)
 			return
 		}
 	}
 }
 
-// drainBacklog empties the tap buffer into the writer without blocking.
-func (r *Recorder) drainBacklog() {
-	for {
-		select {
-		case t := <-r.ch:
-			r.append(t)
-		default:
-			return
-		}
+// maxSpareTuples bounds the backlog capacity kept between bursts, so one
+// long disk stall does not pin its high-water mark for the recording's life.
+const maxSpareTuples = 2048
+
+// drainBacklog takes everything the taps have queued — leaving them spare,
+// emptied, to queue into — and hands it to the writer. It returns the slice
+// it took, emptied, as the next swap's spare.
+func (r *Recorder) drainBacklog(spare []stream.Tuple) []stream.Tuple {
+	r.mu.Lock()
+	batch := r.pending
+	r.pending = spare
+	r.mu.Unlock()
+	for i := range batch {
+		r.append(batch[i])
+		r.queued.Add(-1)
 	}
+	if cap(batch) > maxSpareTuples {
+		return nil
+	}
+	clear(batch) // the writer owns the copies now
+	return batch[:0]
 }
 
 // Sync drains the tap backlog and flushes the writer, so that every tuple
@@ -171,12 +203,12 @@ func (r *Recorder) Writer() *Writer { return r.w }
 // drops) after Close.
 func (r *Recorder) Close() error {
 	r.closeOnce.Do(func() {
-		// The write lock waits out in-flight taps, so every tuple that
-		// passed a closed-check is in the buffer before quit is signalled
-		// and the drain's final sweep picks it up.
-		r.tapMu.Lock()
-		r.closed.Store(true)
-		r.tapMu.Unlock()
+		// The lock waits out in-flight taps, so every tuple that passed a
+		// closed-check is in the backlog before quit is signalled and the
+		// drain's final sweep picks it up.
+		r.mu.Lock()
+		r.closed = true
+		r.mu.Unlock()
 		close(r.quit)
 		<-r.done
 		r.closeErr = r.w.Close()

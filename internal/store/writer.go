@@ -201,7 +201,9 @@ func (w *Writer) recover() error {
 	return w.openSegment(1, 0)
 }
 
-// Append buffers one tuple; a full buffer is written out as one record.
+// Append buffers one tuple; a full buffer is written out as one record. The
+// writer keeps t, field array included, until that record is written: the
+// caller gives the tuple away (a Recorder appends its own clones).
 func (w *Writer) Append(t stream.Tuple) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -8,6 +8,17 @@
 // mirrors how AnduIN evaluates its operator graph per arriving tuple and
 // keeps detection latency deterministic, which the evaluation harness
 // measures. Asynchrony, when needed, lives at the edges (Source pumps).
+//
+// # Lent tuples
+//
+// A published tuple is lent for the duration of Publish: the publisher owns
+// Tuple.Fields and may overwrite or recycle the array the moment Publish
+// returns (the serving path decodes wire batches into a recycled buffer and
+// writes the kinect_t view into one scratch array per stream). A subscriber
+// may read the tuple, and hand it on to its own subscribers, until it
+// returns; whoever keeps it longer — a collector, an asynchronous recorder,
+// a test — keeps a Clone. The value parts (Ts, Seq) may be kept freely.
+// DESIGN.md, "Tuple field-array ownership", lists every owner and keeper.
 package stream
 
 import (

@@ -65,8 +65,9 @@ func Pump(ctx context.Context, s *Stream, ch <-chan Tuple) error {
 	}
 }
 
-// Collector is a subscriber that records every tuple it receives. It is safe
-// for concurrent use and is used pervasively in tests.
+// Collector is a subscriber that records a copy of every tuple it receives
+// (a published tuple is only lent). It is safe for concurrent use and is used
+// pervasively in tests.
 type Collector struct {
 	mu     sync.Mutex
 	tuples []Tuple
@@ -75,6 +76,7 @@ type Collector struct {
 // Attach subscribes the collector to s and returns the cancel function.
 func (c *Collector) Attach(s *Stream) func() {
 	return s.Subscribe(func(t Tuple) {
+		t = t.Clone()
 		c.mu.Lock()
 		c.tuples = append(c.tuples, t)
 		c.mu.Unlock()

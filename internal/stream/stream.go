@@ -101,7 +101,8 @@ func (s *Stream) SubscriberCount() int {
 
 // Publish delivers t to all current subscribers synchronously, in
 // subscription order. The tuple must have exactly as many fields as the
-// schema declares.
+// schema declares. t.Fields is lent to the subscribers until Publish returns
+// and is the caller's again afterwards.
 func (s *Stream) Publish(t Tuple) error {
 	if len(t.Fields) != s.schema.Len() {
 		return fmt.Errorf("stream %q: tuple has %d fields, schema %s expects %d",
@@ -121,9 +122,13 @@ func (s *Stream) Publish(t Tuple) error {
 
 // Derive creates a continuous view over src: for every tuple of src, f is
 // evaluated; when it returns ok, the produced tuple is published on the
-// derived stream. This is how the engine facade implements the paper's
-// kinect_t transformation view (§3.2): "for applying all transformations,
-// only a single step needs to be performed on the incoming data stream".
+// derived stream. f borrows its argument like any subscriber; it may return
+// it (Filter does), or a tuple over an array it reuses on its next call —
+// the result is published, and so lent on, before f runs again. This is the
+// shape of the paper's kinect_t transformation view (§3.2): "for applying
+// all transformations, only a single step needs to be performed on the
+// incoming data stream" (transform.View is that view, with its own
+// subscriber so it can mark the end of each loan).
 //
 // The derived stream stays attached to src for the lifetime of the process;
 // use DeriveCancelable when the view must be removable.

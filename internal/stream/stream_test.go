@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 )
@@ -337,5 +338,44 @@ func TestCollectorReset(t *testing.T) {
 	c.Reset()
 	if c.Len() != 0 {
 		t.Error("Reset did not clear")
+	}
+}
+
+// TestCollectorKeepsACopy: a published tuple is lent for the duration of
+// Publish, so the collector must not hold on to the publisher's array.
+func TestCollectorKeepsACopy(t *testing.T) {
+	s, _ := New("kinect", testSchema(t))
+	var c Collector
+	c.Attach(s)
+	lent := []float64{1, 2}
+	for i := 0; i < 3; i++ {
+		lent[0] = float64(i)
+		if err := s.Publish(Tuple{Ts: ts(33 * i), Seq: uint64(i), Fields: lent}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lent[0] = -1
+	for i, got := range c.Tuples() {
+		if got.Seq != uint64(i) || got.Fields[0] != float64(i) || got.Fields[1] != 2 {
+			t.Errorf("collected tuple %d = %+v, want the values at publish time", i, got)
+		}
+	}
+}
+
+// TestEndLoanPoisonsOnlyWhenAsked covers the test hook lenders call when a
+// loan ends.
+func TestEndLoanPoisonsOnlyWhenAsked(t *testing.T) {
+	fields := []float64{1, 2, 3}
+	EndLoan(fields)
+	if fields[0] != 1 || fields[2] != 3 {
+		t.Fatalf("EndLoan changed %v with poisoning off", fields)
+	}
+	PoisonEndedLoans(true)
+	defer PoisonEndedLoans(false)
+	EndLoan(fields)
+	for i, f := range fields {
+		if !math.IsNaN(f) {
+			t.Errorf("field %d = %g after a poisoned EndLoan, want NaN", i, f)
+		}
 	}
 }

@@ -2,14 +2,18 @@ package stream
 
 import (
 	"fmt"
+	"math"
 	"strings"
+	"sync/atomic"
 	"time"
 )
 
 // Tuple is a single stream element: a timestamp plus a flat vector of
 // float64 attribute values whose meaning is given by the stream's Schema.
-// Tuples are treated as immutable once published; operators that modify
-// values must work on a copy (see Clone).
+// Subscribers never write to a published tuple's Fields, and may read them
+// only until they return: the array is lent, not given (see the package
+// documentation). Operators that modify values, and anyone who keeps the
+// tuple, work on a copy (see Clone).
 type Tuple struct {
 	// Ts is the event time of the measurement (the Kinect frame time).
 	Ts time.Time
@@ -25,9 +29,30 @@ func NewTuple(ts time.Time, seq uint64, fields []float64) Tuple {
 	return Tuple{Ts: ts, Seq: seq, Fields: append([]float64(nil), fields...)}
 }
 
-// Clone returns a deep copy of the tuple.
+// Clone returns a deep copy of the tuple: what a keeper of a lent tuple
+// stores.
 func (t Tuple) Clone() Tuple {
 	return Tuple{Ts: t.Ts, Seq: t.Seq, Fields: append([]float64(nil), t.Fields...)}
+}
+
+// poisonLoans is the test hook behind EndLoan.
+var poisonLoans atomic.Bool
+
+// PoisonEndedLoans makes every EndLoan in the process overwrite the returned
+// array with NaNs (true) or leave it alone (false, the default). Tests switch
+// it on so that anything still reading a tuple after giving it back computes
+// garbage instead of passing by luck.
+func PoisonEndedLoans(on bool) { poisonLoans.Store(on) }
+
+// EndLoan marks the end of a loan: a lender calls it on a field array (or a
+// whole arena of them) once every borrower has returned and before the array
+// is reused. It costs one atomic load unless a test asked for poisoning.
+func EndLoan(fields []float64) {
+	if poisonLoans.Load() {
+		for i := range fields {
+			fields[i] = math.NaN()
+		}
+	}
 }
 
 // Get returns the value of the named attribute under the given schema.

@@ -79,6 +79,8 @@ type Transformer struct {
 	cfg        Config
 	emaForearm float64
 	hasEMA     bool
+	// scratch is the one array Lend writes every result into.
+	scratch [numFields]float64
 }
 
 // New validates cfg and returns a Transformer.
@@ -171,32 +173,52 @@ func (t *Transformer) Frame(f kinect.Frame) kinect.Frame {
 // numFields is the arity of a kinect tuple: x, y, z per joint.
 const numFields = kinect.NumJoints * 3
 
-// Tuple transforms a raw kinect tuple. The result is bit-identical to
-// kinect.ToTuple(t.Frame(kinect.FromTuple(in))) — TestTupleMatchesFrame pins
-// it — but no frame is built: the five joints the parameters depend on are
-// read from in.Fields, and shift → rotate → scale is written straight into
-// the one array the result must own (downstream NFA runs retain it). The
-// arithmetic is Vec3.Sub, Mat3.Apply and Vec3.Scale spelled out in their
-// exact expression order, so not one output float differs. Malformed tuples
-// are dropped (ok = false).
+// Tuple transforms a raw kinect tuple into one that owns its field array:
+// the entry point of callers that keep the result. The result is
+// bit-identical to kinect.ToTuple(t.Frame(kinect.FromTuple(in))) —
+// TestTupleMatchesFrame pins it. Malformed tuples are dropped (ok = false).
 func (t *Transformer) Tuple(in stream.Tuple) (stream.Tuple, bool) {
-	if len(in.Fields) != numFields {
+	out := new([numFields]float64)
+	if !t.into(out, in.Fields) {
 		return stream.Tuple{}, false
 	}
-	f := (*[numFields]float64)(in.Fields)
+	return stream.Tuple{Ts: in.Ts, Seq: in.Seq, Fields: out[:]}, true
+}
+
+// Lend is Tuple into the transformer's own scratch array — what the kinect_t
+// view publishes. The result is lent (the stream package's contract): it is
+// valid until the next Lend on this transformer, and a caller that keeps it
+// clones it.
+func (t *Transformer) Lend(in stream.Tuple) (stream.Tuple, bool) {
+	if !t.into(&t.scratch, in.Fields) {
+		return stream.Tuple{}, false
+	}
+	return stream.Tuple{Ts: in.Ts, Seq: in.Seq, Fields: t.scratch[:]}, true
+}
+
+// into writes the transformation of the raw field array in to out and
+// reports whether in was well-formed. No frame is built: the five joints the
+// parameters depend on are read from in, and shift → rotate → scale is
+// written straight into out. The arithmetic is Vec3.Sub, Mat3.Apply and
+// Vec3.Scale spelled out in their exact expression order, so not one output
+// float differs from Frame's.
+func (t *Transformer) into(out *[numFields]float64, in []float64) bool {
+	if len(in) != numFields {
+		return false
+	}
+	f := (*[numFields]float64)(in)
 	joint := func(j kinect.Joint) geom.Vec3 { return geom.V(f[j*3], f[j*3+1], f[j*3+2]) }
 	var par params
 	t.estimate(&par, joint(kinect.Torso), joint(kinect.LeftShoulder), joint(kinect.RightShoulder),
 		joint(kinect.RightElbow), joint(kinect.RightHand))
 	o, r, s := par.origin, &par.rot, par.scale
-	out := new([numFields]float64)
 	for i := 0; i < numFields; i += 3 {
 		x, y, z := f[i]-o.X, f[i+1]-o.Y, f[i+2]-o.Z
 		out[i] = (r[0][0]*x + r[0][1]*y + r[0][2]*z) * s
 		out[i+1] = (r[1][0]*x + r[1][1]*y + r[1][2]*z) * s
 		out[i+2] = (r[2][0]*x + r[2][1]*y + r[2][2]*z) * s
 	}
-	return stream.Tuple{Ts: in.Ts, Seq: in.Seq, Fields: out[:]}, true
+	return true
 }
 
 // ViewName is the conventional name of the transformed stream, matching the
@@ -205,13 +227,35 @@ const ViewName = "kinect_t"
 
 // View attaches the transformation as a derived stream over src (the raw
 // kinect stream) and returns it. The view shares the kinect schema: same
-// attributes, transformed values.
+// attributes, transformed values. Its tuples are lent out of one array owned
+// by the view's transformer, overwritten by the next tuple of src.
 func View(src *stream.Stream, cfg Config) (*stream.Stream, error) {
 	tr, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return stream.Derive(src, ViewName, src.Schema(), tr.Tuple)
+	if src == nil {
+		return nil, fmt.Errorf("transform: view of nil stream")
+	}
+	if n := src.Schema().Len(); n != numFields {
+		return nil, fmt.Errorf("transform: view of stream %q with %d fields, kinect tuples have %d", src.Name(), n, numFields)
+	}
+	view, err := stream.New(ViewName, src.Schema())
+	if err != nil {
+		return nil, err
+	}
+	src.Subscribe(func(in stream.Tuple) {
+		out, ok := tr.Lend(in)
+		if !ok {
+			return
+		}
+		// The arity was checked above, so Publish cannot fail.
+		if err := view.Publish(out); err != nil {
+			panic(fmt.Sprintf("transform: view %q: %v", ViewName, err))
+		}
+		stream.EndLoan(out.Fields)
+	})
+	return view, nil
 }
 
 // FrameSlice transforms a recorded sample (e.g. from the recorder) into the

@@ -203,6 +203,29 @@ func TestTupleViewDropsMalformed(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("view emitted %d tuples", c.Len())
 	}
+	// The view lends its tuples out of one array: with ended loans poisoned,
+	// a subscriber that kept the tuple itself reads NaNs once Publish has
+	// returned, while the collector's copy stays what was published.
+	stream.PoisonEndedLoans(true)
+	defer stream.PoisonEndedLoans(false)
+	var kept stream.Tuple
+	view.Subscribe(func(tp stream.Tuple) { kept = tp })
+	if err := src.Publish(kinect.ToTuple(f)); err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsNaN(kept.Fields[0]) {
+		t.Errorf("a kept view tuple still reads %g after Publish returned", kept.Fields[0])
+	}
+	if got := c.Tuples(); len(got) != 2 || math.IsNaN(got[1].Fields[0]) || got[1].Fields[0] != got[0].Fields[0] {
+		t.Errorf("collected copies = %v, want the published values twice", got)
+	}
+	short, err := stream.New("short", stream.MustSchema("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := View(short, DefaultConfig()); err == nil {
+		t.Error("view over a stream that is not kinect-shaped accepted")
+	}
 	// Malformed tuples cannot be published on the typed stream at all —
 	// the Tuple transform's drop path is still exercised directly:
 	tr, _ := New(DefaultConfig())

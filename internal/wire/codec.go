@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"gesturecep/internal/anduin"
 	"gesturecep/internal/stream"
@@ -259,9 +260,9 @@ func BatchGeometry(payload []byte) (handle uint32, count, fields int, err error)
 	return handle, count, fields, nil
 }
 
-// Batch is a decoded FrameBatch. Tuples share one freshly allocated field
-// arena per decode; they remain valid after the next Reader.Next and may be
-// retained by the engine (matched tuples feed output measures).
+// Batch is a decoded FrameBatch. Tuples share one field arena per decode;
+// from DecodeBatch both the arena and the tuple headers are freshly allocated
+// and the caller's to keep.
 type Batch struct {
 	Handle uint32
 	Fields int
@@ -271,10 +272,53 @@ type Batch struct {
 	SentNs int64
 }
 
-// DecodeBatch decodes a FrameBatch payload. The payload must be consumed
-// exactly; the tuple count and width are validated against the payload
-// length before the arena is allocated.
+// DecodeBatch decodes a FrameBatch payload into memory the caller owns. The
+// payload must be consumed exactly; the tuple count and width are validated
+// against the payload length before the arena is allocated.
 func DecodeBatch(payload []byte) (Batch, error) {
+	return decodeBatchInto(&batchBuf{}, payload)
+}
+
+// batchBuf is a recycled decode target — tuple headers plus one field arena
+// — for the one caller that decodes a batch only to lend it on: the local
+// host's data path. It rides the shard queue with the tuples it holds
+// (serve.Lender) and goes back to the pool through Release, exactly once.
+type batchBuf struct {
+	tuples []stream.Tuple
+	arena  []float64
+	out    bool // taken from the pool and not yet released
+}
+
+var batchBufPool = sync.Pool{New: func() any { return new(batchBuf) }}
+
+// batchBufsOut counts buffers taken and not yet released; the accounting
+// tests require it to return to zero.
+var batchBufsOut atomic.Int64
+
+func getBatchBuf() *batchBuf {
+	batchBufsOut.Add(1)
+	bb := batchBufPool.Get().(*batchBuf)
+	bb.out = true
+	return bb
+}
+
+// Release ends the loan of the tuples last decoded into bb and recycles it.
+// Nothing may read them afterwards.
+func (bb *batchBuf) Release() {
+	if !bb.out {
+		panic("wire: batch buffer released twice")
+	}
+	bb.out = false
+	stream.EndLoan(bb.arena)
+	batchBufsOut.Add(-1)
+	batchBufPool.Put(bb)
+}
+
+// decodeBatchInto is DecodeBatch into bb's memory, grown as needed: the
+// returned tuples alias bb and are valid until it is released or decoded
+// into again. Whatever bb held before is overwritten or out of reach — the
+// result has exactly the payload's tuples and fields, no stale tail.
+func decodeBatchInto(bb *batchBuf, payload []byte) (Batch, error) {
 	handle, count, fields, err := BatchGeometry(payload)
 	if err != nil {
 		return Batch{}, err
@@ -285,19 +329,25 @@ func DecodeBatch(payload []byte) (Batch, error) {
 		b.SentNs = int64(binary.BigEndian.Uint64(body[len(body)-8:]))
 		body = body[:len(body)-8]
 	}
-	tupleSize := tupleHeadSize + 8*b.Fields
-	arena := make([]float64, count*b.Fields)
-	b.Tuples = make([]stream.Tuple, count)
-	for i := 0; i < count; i++ {
+	if cap(bb.arena) < count*fields {
+		bb.arena = make([]float64, count*fields)
+	}
+	if cap(bb.tuples) < count {
+		bb.tuples = make([]stream.Tuple, count)
+	}
+	bb.arena, bb.tuples = bb.arena[:count*fields], bb.tuples[:count]
+	b.Tuples = bb.tuples
+	tupleSize := tupleHeadSize + 8*fields
+	for i := range b.Tuples {
 		off := i * tupleSize
-		fields := arena[i*b.Fields : (i+1)*b.Fields : (i+1)*b.Fields]
-		for j := range fields {
-			fields[j] = math.Float64frombits(binary.BigEndian.Uint64(body[off+tupleHeadSize+8*j:]))
+		fs := bb.arena[i*fields : (i+1)*fields : (i+1)*fields]
+		for j := range fs {
+			fs[j] = math.Float64frombits(binary.BigEndian.Uint64(body[off+tupleHeadSize+8*j:]))
 		}
 		b.Tuples[i] = stream.Tuple{
 			Ts:     decodeTime(int64(binary.BigEndian.Uint64(body[off:]))),
 			Seq:    binary.BigEndian.Uint64(body[off+8:]),
-			Fields: fields,
+			Fields: fs,
 		}
 	}
 	return b, nil

@@ -99,22 +99,51 @@ func FuzzDecodeBatch(f *testing.F) {
 	if p, err := AppendBatch(nil, 3, 2, []stream.Tuple{{Ts: ts, Seq: 9, Fields: []float64{4, 5}}}); err == nil {
 		f.Add(p)
 	}
+	if p, err := AppendBatchTraced(nil, 3, 2, []stream.Tuple{{Ts: ts, Seq: 9, Fields: []float64{4, 5}}}, 77); err == nil {
+		f.Add(p)
+	}
 	var lying []byte
 	lying = binary.BigEndian.AppendUint32(lying, 1)
 	lying = binary.BigEndian.AppendUint16(lying, 0xffff) // claims 65535 tuples
 	lying = binary.BigEndian.AppendUint16(lying, 0xffff) // of 65535 fields
 	f.Add(lying)
+	recycled := new(batchBuf)
+	var dirty [][]byte
+	for _, shape := range [][2]int{{MaxBatch, 3}, {1, 1}, {9, 45}} {
+		p, err := AppendBatch(nil, 1, shape[1], poolTuples(shape[0], shape[1]))
+		if err != nil {
+			f.Fatal(err)
+		}
+		dirty = append(dirty, p)
+	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		b, err := DecodeBatch(payload)
 		if err != nil {
 			return
 		}
-		re, err := AppendBatch(nil, b.Handle, b.Fields, b.Tuples)
+		// A traced batch re-encodes with its timestamp; the one accepted
+		// payload no encoder produces is a trace flag over a zero timestamp.
+		re, err := appendBatch(nil, b.Handle, b.Fields, b.Tuples, b.SentNs)
 		if err != nil {
 			t.Fatalf("accepted batch does not re-encode: %v", err)
 		}
-		if !bytes.Equal(re, payload) {
+		if !bytes.Equal(re, payload) && !(BatchTraced(payload) && b.SentNs == 0) {
 			t.Fatalf("batch decode/encode not canonical")
+		}
+		// The recycled-buffer form must agree with the owning one whatever
+		// the buffer held before: a wider batch, then a narrower one, then
+		// one of another field count.
+		for _, dirt := range dirty {
+			if _, err := decodeBatchInto(recycled, dirt); err != nil {
+				t.Fatal(err)
+			}
+			into, err := decodeBatchInto(recycled, payload)
+			if err != nil {
+				t.Fatalf("payload DecodeBatch accepts fails into a recycled buffer: %v", err)
+			}
+			if msg := sameBatch(into, b); msg != "" {
+				t.Fatalf("decode into a recycled buffer: %s", msg)
+			}
 		}
 	})
 }

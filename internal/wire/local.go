@@ -101,22 +101,26 @@ func (ls *localSession) Batch(b RawBatch) error {
 	if BatchTraced(b.Payload) {
 		start = time.Now()
 	}
-	batch, err := DecodeBatch(b.Payload)
+	buf := getBatchBuf()
+	batch, err := decodeBatchInto(buf, b.Payload)
 	if err != nil {
+		buf.Release()
 		return err
 	}
 	if batch.SentNs != 0 {
 		ls.srv.BatchDecode.ObserveSince(start)
 		ls.srv.Ingress.Observe(time.Duration(start.UnixNano() - batch.SentNs))
 	}
-	// The decoded slice is handed over whole, one shard-queue operation per
-	// wire batch; FeedBatch blocks on a full shard queue under serve.Block —
+	// The decoded slice is lent whole, one shard-queue operation per wire
+	// batch, and buf rides along: whoever takes the batch out of the queue
+	// releases it. FeedLent blocks on a full shard queue under serve.Block —
 	// this is the backpressure path. A traced batch's timestamp rides along
 	// so the serve-side stage histograms see it.
-	if err := ls.sess.FeedBatch(batch.Tuples, batch.SentNs); err != nil {
-		// A feed failure means the session or manager closed under the
-		// connection; it is fatal so the client never receives an error
-		// frame it has no request in flight for.
+	if err := ls.sess.FeedLent(batch.Tuples, batch.SentNs, buf); err != nil {
+		// Refused, so never lent. A feed failure means the session or manager
+		// closed under the connection; it is fatal so the client never
+		// receives an error frame it has no request in flight for.
+		buf.Release()
 		return fmt.Errorf("session %q: %w", ls.sess.ID(), err)
 	}
 	return nil
