@@ -141,10 +141,15 @@ type shard struct {
 	mu       sync.Mutex
 	nonEmpty sync.Cond // the worker waits here for work
 	room     sync.Cond // the feeder holding admit waits here for room
+	progress sync.Cond // flushers wait here for tuples to leave the queue
 	ring     []envelope
 	head, n  int  // first envelope and envelope count
 	queued   int  // tuples in the ring
 	stopping bool // Close ran: the worker exits once the ring is empty
+
+	// flushers counts goroutines waiting on progress, so that counting
+	// tuples out costs the worker one load while nobody flushes.
+	flushers atomic.Int32
 
 	sessions   atomic.Int64
 	enqueued   atomic.Uint64
@@ -166,7 +171,39 @@ func newShard(id, depth int) *shard {
 	sh := &shard{id: id, ring: make([]envelope, depth)}
 	sh.nonEmpty.L = &sh.mu
 	sh.room.L = &sh.mu
+	sh.progress.L = &sh.mu
 	return sh
+}
+
+// await blocks until drained — a session's or the shard's out counters have
+// caught up with its in counter — reports true. Whoever counts tuples out
+// calls counted, so no clock is involved: a flush returns when its last tuple
+// is out, not when the runtime next serves a timer (a 50 µs sleep in a
+// process with nothing else to run takes over a millisecond).
+func (sh *shard) await(drained func() bool) {
+	if drained() {
+		return
+	}
+	sh.mu.Lock()
+	sh.flushers.Add(1)
+	for !drained() {
+		sh.progress.Wait()
+	}
+	sh.flushers.Add(-1)
+	sh.mu.Unlock()
+}
+
+// counted wakes the flushers after tuples of s were counted out of the queue
+// (published, skipped or dropped), if that drained s: a flush waits for its
+// session to drain, or for the shard to, and a shard drains with the session
+// counted last. A flusher registers before it checks and checks under mu, so
+// either it sees the new count or this sees it.
+func (sh *shard) counted(s *Session) {
+	if sh.flushers.Load() != 0 && s.drained() {
+		sh.mu.Lock()
+		sh.progress.Broadcast()
+		sh.mu.Unlock()
+	}
 }
 
 // fits reports whether n more tuples may join the queue: within the depth,
@@ -209,6 +246,7 @@ func (sh *shard) push(env envelope, policy Policy) {
 			old.sess.out.Add(lost)
 			sh.dropped.Add(lost)
 			old.done()
+			sh.counted(old.sess)
 			sh.mu.Lock()
 		}
 	}
@@ -337,6 +375,7 @@ func (sh *shard) process(env envelope) {
 	env.done()
 	s.out.Add(n)
 	sh.processed.Add(n)
+	sh.counted(s)
 }
 
 // publish hands one tuple to the session's engine unless the session closed.
@@ -449,9 +488,7 @@ func (m *Manager) CloseSession(id string) error {
 // concurrent feeders can make Flush wait for their tuples too.
 func (m *Manager) Flush() {
 	for _, sh := range m.shards {
-		for sh.processed.Load()+sh.dropped.Load() < sh.enqueued.Load() {
-			time.Sleep(50 * time.Microsecond)
-		}
+		sh.await(func() bool { return sh.processed.Load()+sh.dropped.Load() >= sh.enqueued.Load() })
 	}
 }
 

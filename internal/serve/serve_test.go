@@ -326,6 +326,116 @@ func TestDropOldestPolicy(t *testing.T) {
 	}
 }
 
+// flushing runs flush on its own goroutine and returns a channel that closes
+// when it returns.
+func flushing(flush func()) chan struct{} {
+	done := make(chan struct{})
+	go func() {
+		flush()
+		close(done)
+	}()
+	return done
+}
+
+func returned(c chan struct{}) bool {
+	select {
+	case <-c:
+		return true
+	default:
+		return false
+	}
+}
+
+// TestFlushWakesOnTheTupleItWaitsFor walks a gated worker one envelope at a
+// time under three flushers: each returns when its own last tuple is counted
+// out — a session's as soon as the session is drained, with other sessions'
+// work still queued — and none before.
+func TestFlushWakesOnTheTupleItWaitsFor(t *testing.T) {
+	m, entered, release := gatedManager(t, Config{QueueDepth: 4, Policy: Block})
+	t.Cleanup(func() { close(release) }) // before the manager's Close, which drains
+	a, err := m.CreateSession("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := m.CreateSession("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuples := idleTuples(t, 2)
+	if err := a.FeedTuple(tuples[0]); err != nil {
+		t.Fatal(err)
+	}
+	<-entered // the worker holds a's tuple
+	if err := b.FeedTuple(tuples[1]); err != nil {
+		t.Fatal(err)
+	}
+	sh := m.shards[0]
+	aDone, bDone, allDone := flushing(a.Flush), flushing(b.Flush), flushing(m.Flush)
+	waitFor(t, "three flushers to wait", func() bool { return sh.flushers.Load() == 3 })
+	if returned(aDone) || returned(bDone) || returned(allDone) {
+		t.Fatal("a flush returned with its tuples still queued")
+	}
+
+	release <- struct{}{} // a's tuple is published
+	select {
+	case <-aDone:
+	case <-time.After(2 * time.Second):
+		t.Fatal("a.Flush still waiting after a's last tuple was published")
+	}
+	<-entered // the worker holds b's tuple
+	if returned(bDone) || returned(allDone) {
+		t.Fatal("a flush returned with its tuples still queued")
+	}
+
+	release <- struct{}{}
+	for _, c := range []chan struct{}{bDone, allDone} {
+		select {
+		case <-c:
+		case <-time.After(2 * time.Second):
+			t.Fatal("flush still waiting on a drained shard")
+		}
+	}
+	if n := sh.flushers.Load(); n != 0 {
+		t.Errorf("%d flushers left registered", n)
+	}
+}
+
+// TestFlushWakesOnEviction: a tuple DropOldest evicts is out of the queue,
+// so the evicting feeder, not the worker, ends the flush that waited for it.
+func TestFlushWakesOnEviction(t *testing.T) {
+	m, entered, release := gatedManager(t, Config{QueueDepth: 1, Policy: DropOldest})
+	t.Cleanup(func() { close(release) }) // before the manager's Close, which drains
+	a, err := m.CreateSession("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := m.CreateSession("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuples := idleTuples(t, 3)
+	if err := a.FeedTuple(tuples[0]); err != nil {
+		t.Fatal(err)
+	}
+	<-entered // the worker holds a's tuple for the rest of the test
+	if err := b.FeedTuple(tuples[1]); err != nil {
+		t.Fatal(err)
+	}
+	bDone := flushing(b.Flush)
+	waitFor(t, "b's flusher to wait", func() bool { return m.shards[0].flushers.Load() == 1 })
+	if err := a.FeedTuple(tuples[2]); err != nil { // evicts b's tuple
+		t.Fatal(err)
+	}
+	select {
+	case <-bDone:
+	case <-time.After(2 * time.Second):
+		t.Fatal("b.Flush still waiting after b's only queued tuple was dropped")
+	}
+	if in, out, dropped := b.Counters(); in != 1 || out != 1 || dropped != 1 {
+		t.Errorf("b counters = %d/%d/%d, want 1/1/1", in, out, dropped)
+	}
+}
+
 // TestSessionLifecycle covers close semantics: feeding a closed session
 // fails, its queued tuples are skipped, and the ID becomes reusable.
 func TestSessionLifecycle(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"gesturecep/internal/anduin"
 	"gesturecep/internal/stream"
@@ -235,10 +234,11 @@ func (s *Session) Counters() (in, out, dropped uint64) {
 // Flush blocks until every tuple this session has enqueued so far was
 // published or dropped. Call it after the session's producer is quiescent.
 func (s *Session) Flush() {
-	for s.out.Load() < s.in.Load() {
-		time.Sleep(50 * time.Microsecond)
-	}
+	s.shard.await(s.drained)
 }
+
+// drained reports whether every tuple admitted so far has left the queue.
+func (s *Session) drained() bool { return s.out.Load() >= s.in.Load() }
 
 // Seal refuses further feeds without closing the session. A sealed session's
 // admitted-tuple count is a stable migration cut ordinal: no tuple can slip
