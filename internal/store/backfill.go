@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -37,8 +38,16 @@ type BackfillOptions struct {
 // plans, and publishes every recorded tuple through it in order — the
 // lambda-style batch path over the same code the live path runs, so a
 // plan backfilled over a recorded session produces exactly the detections
-// a live session deploying it would have produced.
+// a live session deploying it would have produced. Records are borrowed from
+// the reader (Reader.Lend) and published while the loan lasts; nothing is
+// allocated per tuple.
 func Backfill(r *Reader, plans []*anduin.Plan, opts BackfillOptions) ([]anduin.Detection, error) {
+	return backfill(context.Background(), r, plans, opts)
+}
+
+// backfill is Backfill for a caller that may stop listening: once ctx is
+// done, evaluation stops before the next record and ctx's error is returned.
+func backfill(ctx context.Context, r *Reader, plans []*anduin.Plan, opts BackfillOptions) ([]anduin.Detection, error) {
 	if len(plans) == 0 {
 		return nil, fmt.Errorf("store: backfill needs at least one plan")
 	}
@@ -76,7 +85,10 @@ func Backfill(r *Reader, plans []*anduin.Plan, opts BackfillOptions) ([]anduin.D
 		}
 	}
 	for {
-		tuples, err := r.Next()
+		if err := ctx.Err(); err != nil {
+			return dets, err
+		}
+		tuples, err := r.Lend()
 		if err == io.EOF {
 			return dets, nil
 		}

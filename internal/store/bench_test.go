@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"gesturecep/internal/anduin"
 	"gesturecep/internal/kinect"
+	"gesturecep/internal/learn"
 	"gesturecep/internal/stream"
 )
 
@@ -205,4 +207,132 @@ func BenchmarkReplayThroughput(b *testing.B) {
 			b.Fatal(fmt.Errorf("read %d tuples, want %d", got, n))
 		}
 	}
+}
+
+// BenchmarkRecorderTap measures the recording pipeline a served tuple pays
+// for and the one behind it: the tap (encode onto the backlog, under its
+// lock), the drain's swap and the writer's record cuts. Every syncEvery taps
+// the backlog is drained — inside the timer — so nothing is ever dropped and
+// the figure is tuples recorded, not tuples offered. syncEvery stays under
+// maxSpareTuples: a bare tap loop outruns the drain, which a served session
+// does not, and past that bound the recorder gives its buffers up after every
+// burst, so the loop would time growing them back.
+func BenchmarkRecorderTap(b *testing.B) {
+	const resetEvery, syncEvery = 1 << 20, 1024
+	tuples := benchTuples(4096)
+	dir := benchDir(b)
+	w, err := Create(dir, "bench", kinect.Schema(), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec := NewRecorder(w, 0)
+	defer func() { rec.Close() }()
+	tap := rec.Tap()
+	b.SetBytes(int64(tupleBytes(kinect.Schema().Len())))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%resetEvery == 0 {
+			b.StopTimer()
+			if err := rec.Close(); err != nil {
+				b.Fatal(err)
+			}
+			if err := os.RemoveAll(dir); err != nil {
+				b.Fatal(err)
+			}
+			if w, err = Create(dir, "bench", kinect.Schema(), Options{}); err != nil {
+				b.Fatal(err)
+			}
+			rec = NewRecorder(w, 0)
+			tap = rec.Tap()
+			b.StartTimer()
+		}
+		tap(tuples[i%len(tuples)])
+		if i%syncEvery == syncEvery-1 {
+			if err := rec.Sync(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if err := rec.Sync(); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	if rec.Dropped() != 0 {
+		b.Fatalf("the recorder dropped %d tuples", rec.Dropped())
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tuples/s")
+}
+
+// benchPlans learns the first n demo gestures the way cmd/gestured does at
+// start-up and compiles them.
+func benchPlans(b testing.TB, n int) []*anduin.Plan {
+	b.Helper()
+	trainer, err := kinect.NewSimulator(kinect.DefaultProfile(), kinect.DefaultNoise(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	env := anduin.NewPlanEnv()
+	var plans []*anduin.Plan
+	for _, name := range kinect.DemoGestureNames()[:n] {
+		samples, err := trainer.Samples(kinect.StandardGestures()[name], 4, testTime(), kinect.PerformOpts{PathJitter: 25})
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := learn.Learn(name, samples, learn.DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		plan, err := anduin.CompilePlanText(res.QueryText, env)
+		if err != nil {
+			b.Fatal(err)
+		}
+		plans = append(plans, plan)
+	}
+	return plans
+}
+
+// BenchmarkBackfill measures offline evaluation of one recorded stream — a
+// played session looped to ≈ 16 k tuples — with four learned plans deployed:
+// segment read, CRC, decode, the kinect_t view and four NFAs per tuple. What
+// it allocates is the engine's set-up and the detections.
+func BenchmarkBackfill(b *testing.B) {
+	root := benchDir(b)
+	plans := benchPlans(b, 4)
+	once := kinect.ToTuples(playbackFrames(b, 7))
+	stride := once[len(once)-1].Ts.Sub(once[0].Ts) + time.Second
+	w, err := Create(root, "bench", kinect.Schema(), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := 0
+	for loop := 0; n < 1<<14; loop++ {
+		for _, tu := range once {
+			tu.Ts, tu.Seq = tu.Ts.Add(time.Duration(loop)*stride), uint64(n)
+			if err := w.Append(tu); err != nil {
+				b.Fatal(err)
+			}
+			n++
+		}
+	}
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := OpenReader(root, "bench")
+		if err != nil {
+			b.Fatal(err)
+		}
+		dets, err := Backfill(r, plans, BackfillOptions{})
+		r.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, got := r.Counters(); got != uint64(n) || len(dets) == 0 {
+			b.Fatalf("backfilled %d of %d tuples, %d detections", got, n, len(dets))
+		}
+	}
+	b.ReportMetric(float64(b.N)*float64(n)/b.Elapsed().Seconds(), "tuples/s")
 }

@@ -21,11 +21,11 @@ import (
 // expired segments are dropped off the front of a stream (never the
 // middle — the record-ordinal chain must stay contiguous); and the
 // now-oldest segment is rewritten without its expired prefix records. A
-// rewrite re-encodes the kept records verbatim (the codec is canonical, so
-// bytes are preserved exactly), writes segment-then-sidecar under .tmp
-// names and renames the segment before the sidecar — a crash between the
-// two leaves a sidecar whose baseRecord disagrees with the new header,
-// which readers detect and ignore.
+// rewrite copies the kept records' CRC-checked payloads as they are (a
+// record keeps its ordinal, so not a byte of it changes), writes
+// segment-then-sidecar under .tmp names and renames the segment before the
+// sidecar — a crash between the two leaves a sidecar whose baseRecord
+// disagrees with the new header, which readers detect and ignore.
 //
 // The read-lock protocol (the oidadb job-scheduled access pattern): every
 // stream has a gate RWMutex owned by the Archive. Readers opened through
@@ -330,8 +330,8 @@ func compactStream(dir string, cutoffNs int64, stats *CompactStats) error {
 }
 
 // rewriteHead rewrites one sealed segment dropping the leading records
-// whose every tuple predates the cutoff. Kept records are re-encoded
-// through the canonical codec — byte-identical to the originals — into
+// whose every tuple predates the cutoff. Kept records keep their payload
+// bytes — decoded only to validate them and to read their event times — in
 // segment-and-sidecar .tmp files renamed into place, segment first.
 func rewriteHead(dir string, index int, ix *segIndex, cutoffNs int64) (reclaimed int64, rewrote bool, err error) {
 	path := segmentPath(dir, index)
@@ -344,55 +344,43 @@ func rewriteHead(dir string, index int, ix *segIndex, cutoffNs int64) (reclaimed
 	if err != nil {
 		return 0, false, err
 	}
-	var (
-		dropRecords uint64
-		dropTuples  uint64
-	)
-	// Buffer kept records' re-encoded payloads while streaming through the
-	// file once; a sealed segment is bounded by Options.SegmentBytes, so
-	// holding its live suffix in memory is fine.
-	var kept [][]byte
-	var keptTuples []struct {
-		count   int
-		firstNs int64
-		maxNs   int64
+	var dropRecords, dropTuples uint64
+	// Buffer kept records' payloads while streaming through the file once;
+	// a sealed segment is bounded by Options.SegmentBytes, so holding its
+	// live suffix in memory is fine. The decoded tuples are looked at and
+	// dropped record by record.
+	type keptRecord struct {
+		payload        []byte
+		count          int
+		firstNs, maxNs int64
 	}
-	inPrefix := true
+	var kept []keptRecord
+	var bb wire.BatchBuf
 	for {
-		b, rerr := sr.Next()
+		b, rerr := sr.Next(&bb)
 		if rerr == io.EOF {
 			break
 		}
 		if rerr != nil {
 			return 0, false, rerr
 		}
-		maxNs := int64(0)
+		rec := keptRecord{count: len(b.Tuples)}
 		for i := range b.Tuples {
-			if ns := b.Tuples[i].Ts.UnixNano(); ns > maxNs {
-				maxNs = ns
+			ns := b.Tuples[i].Ts.UnixNano()
+			if i == 0 {
+				rec.firstNs = ns
 			}
+			rec.maxNs = max(rec.maxNs, ns)
 		}
-		if inPrefix && maxNs < cutoffNs {
+		if len(kept) == 0 && rec.maxNs < cutoffNs {
 			dropRecords++
-			dropTuples += uint64(len(b.Tuples))
+			dropTuples += uint64(rec.count)
 			continue
 		}
-		inPrefix = false
-		payload, perr := wire.AppendBatch(nil, b.Handle, b.Fields, b.Tuples)
-		if perr != nil {
-			return 0, false, perr
-		}
-		kept = append(kept, payload)
-		firstNs := int64(0)
-		if len(b.Tuples) > 0 {
-			firstNs = b.Tuples[0].Ts.UnixNano()
-		}
-		keptTuples = append(keptTuples, struct {
-			count   int
-			firstNs int64
-			maxNs   int64
-		}{len(b.Tuples), firstNs, maxNs})
+		rec.payload = append([]byte(nil), sr.payload...)
+		kept = append(kept, rec)
 	}
+	bb.EndLoan()
 	if dropRecords == 0 {
 		return 0, false, nil
 	}
@@ -418,35 +406,29 @@ func rewriteHead(dir string, index int, ix *segIndex, cutoffNs int64) (reclaimed
 	}
 	off := int64(segHeaderBytes)
 	tupleOrd := newBaseTuple
-	for i, payload := range kept {
+	for i, rec := range kept {
 		if uint64(i)%uint64(ix.every) == 0 {
-			out.entries = append(out.entries, idxEntry{
-				tupleOrd: tupleOrd,
-				tsNs:     keptTuples[i].firstNs,
-				offset:   off,
-			})
+			out.entries = append(out.entries, idxEntry{tupleOrd: tupleOrd, tsNs: rec.firstNs, offset: off})
 		}
 		if out.firstTsNs == 0 {
-			out.firstTsNs = keptTuples[i].firstNs
+			out.firstTsNs = rec.firstNs
 		}
-		if keptTuples[i].maxNs > out.lastTsNs {
-			out.lastTsNs = keptTuples[i].maxNs
-		}
+		out.lastTsNs = max(out.lastTsNs, rec.maxNs)
 		var rh [recHeaderBytes]byte
-		binary.BigEndian.PutUint32(rh[0:4], uint32(len(payload)))
-		binary.BigEndian.PutUint32(rh[4:8], crc32.ChecksumIEEE(payload))
+		binary.BigEndian.PutUint32(rh[0:4], uint32(len(rec.payload)))
+		binary.BigEndian.PutUint32(rh[4:8], crc32.ChecksumIEEE(rec.payload))
 		if _, err := f.Write(rh[:]); err != nil {
 			f.Close()
 			os.Remove(tmpSeg)
 			return 0, false, err
 		}
-		if _, err := f.Write(payload); err != nil {
+		if _, err := f.Write(rec.payload); err != nil {
 			f.Close()
 			os.Remove(tmpSeg)
 			return 0, false, err
 		}
-		off += recHeaderBytes + int64(len(payload))
-		tupleOrd += uint64(keptTuples[i].count)
+		off += recHeaderBytes + int64(len(rec.payload))
+		tupleOrd += uint64(rec.count)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()

@@ -7,11 +7,15 @@ import (
 	"os"
 
 	"gesturecep/internal/stream"
+	"gesturecep/internal/wire"
 )
 
 // Reader iterates a recorded stream record by record, in append order,
 // verifying every record's CRC, canonical encoding and ordinal continuity
-// as it goes. Not safe for concurrent use.
+// as it goes. A record is read one of two ways: Next returns tuples the
+// caller owns, Lend tuples in the reader's own recycled buffer for a caller
+// that is done with each record before it asks for the next. Not safe for
+// concurrent use.
 type Reader struct {
 	dir  string
 	man  Manifest
@@ -24,6 +28,7 @@ type Reader struct {
 	nextRecord uint64
 	records    uint64
 	tuples     uint64
+	lent       wire.BatchBuf // what Lend decodes into
 
 	meta   []segMeta // lazy per-segment metadata for seeks
 	unlock func()    // archive compaction read-lock, released on Close
@@ -98,19 +103,33 @@ func (r *Reader) openNext() error {
 	return nil
 }
 
-// Next returns the tuples of the next record. io.EOF signals the clean end
-// of the stream; a torn final record (crash without recovery) also ends
-// the iteration cleanly, mirroring what Open would truncate. Any other
-// decode failure is surfaced as an error — offline evaluation must not
-// silently skip history.
+// Next returns the tuples of the next record, in memory the caller owns.
+// io.EOF signals the clean end of the stream; a torn final record (crash
+// without recovery) also ends the iteration cleanly, mirroring what Open
+// would truncate. Any other decode failure is surfaced as an error — offline
+// evaluation must not silently skip history.
 func (r *Reader) Next() ([]stream.Tuple, error) {
+	return r.read(new(wire.BatchBuf))
+}
+
+// Lend is Next into the reader's own buffer: the tuples, field arrays
+// included, are valid until the next Next, Lend, seek or Close, and a caller
+// that keeps one clones it. It allocates nothing once the buffer has grown to
+// the stream's record size.
+func (r *Reader) Lend() ([]stream.Tuple, error) {
+	return r.read(&r.lent)
+}
+
+// read decodes the next record into bb. Whatever was lent before is over.
+func (r *Reader) read(bb *wire.BatchBuf) ([]stream.Tuple, error) {
+	r.lent.EndLoan()
 	for {
 		if r.sr == nil {
 			if err := r.openNext(); err != nil {
 				return nil, err
 			}
 		}
-		b, err := r.sr.Next()
+		b, err := r.sr.Next(bb)
 		if err == io.EOF {
 			// Clean end of this segment; only the last may end the stream.
 			if r.pos >= len(r.segs) {
@@ -134,7 +153,10 @@ func (r *Reader) Next() ([]stream.Tuple, error) {
 	}
 }
 
+// closeSegment also ends whatever Lend lent: every seek and Close come
+// through here.
 func (r *Reader) closeSegment() {
+	r.lent.EndLoan()
 	if r.f != nil {
 		r.f.Close()
 		r.f, r.sr = nil, nil

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"gesturecep/internal/stream"
+	"gesturecep/internal/wire"
 )
 
 // DefaultRecorderBuffer is the default depth of a Recorder's tap buffer, in
@@ -15,18 +16,20 @@ import (
 // kernel starts writing dirty pages back, and a saturated bulk session feeds
 // some 45 000 tuples a second, so 16 384 tuples ride out ≈ 350 ms (a 30 Hz
 // interactive session, nine minutes). The memory is only used while a
-// backlog exists: ≈ 0.4 KiB per queued tuple, 7 MiB at the bound.
+// backlog exists: the tuple's encoded size per queued tuple (376 B at kinect
+// width), 6 MiB at the bound.
 const DefaultRecorderBuffer = 16384
 
 // Recorder decouples a live serving session from disk: the Tap function is
-// installed on the session's feed path and only ever appends a copy of the
-// tuple to a bounded in-memory backlog, so recording can never stall
+// installed on the session's feed path and only ever encodes the tuple onto
+// a bounded in-memory backlog of bytes, so recording can never stall
 // ingestion — if the disk falls behind, tuples are dropped from the
 // recording (never from detection) and counted. A single drain goroutine
 // owns the Writer: it takes the whole backlog in one swap whenever there is
 // one, so taps and drain meet once per burst, not once per tuple.
 type Recorder struct {
 	w      *Writer
+	fields int // the stream's width; a tuple of any other is refused
 	limit  int64
 	notify chan struct{} // the backlog went from empty to non-empty
 	syncCh chan chan error
@@ -39,19 +42,17 @@ type Recorder struct {
 	// the backlog uncounted — Recorded()+Dropped() equals the number of tap
 	// calls exactly.
 	mu      sync.Mutex
-	pending []stream.Tuple // tapped, not yet taken by the drain
+	pending []byte // tapped and not yet taken by the drain: one encoded tuple body after another
 	closed  bool
 
 	queued   atomic.Int64 // tapped and not yet handed to the writer; ≤ limit
 	recorded atomic.Uint64
 	dropped  atomic.Uint64
-	err      atomic.Value // first Writer error, as errBox
+	err      atomic.Pointer[error] // first error, the writer's or a tap's
 
 	closeOnce sync.Once
 	closeErr  error
 }
-
-type errBox struct{ err error }
 
 // NewRecorder starts recording into w, taking ownership of it (Close
 // closes the writer). buffer <= 0 selects DefaultRecorderBuffer.
@@ -61,6 +62,7 @@ func NewRecorder(w *Writer, buffer int) *Recorder {
 	}
 	r := &Recorder{
 		w:      w,
+		fields: len(w.man.Fields),
 		limit:  int64(buffer),
 		notify: make(chan struct{}, 1),
 		syncCh: make(chan chan error),
@@ -74,27 +76,35 @@ func NewRecorder(w *Writer, buffer int) *Recorder {
 // Tap returns the function to install on the live feed path (e.g. as
 // serve.SessionOptions.Tap). It never blocks on the disk: a full backlog or
 // a recorder that has stopped counts the tuple as dropped and moves on.
-// (The lock is held for an append; it contends only with the drain's swap
-// and with Close.) The tuple is only lent to the tap and the drain goroutine
-// reads it later, so what is queued is a copy — made only once the tuple is
-// going to be queued: a recorder that drops costs no allocation.
-func (r *Recorder) Tap() func(stream.Tuple) {
-	return func(t stream.Tuple) {
-		r.mu.Lock()
-		if r.closed || r.err.Load() != nil || r.queued.Load() >= r.limit {
-			r.mu.Unlock()
-			r.dropped.Add(1)
-			return
-		}
-		r.queued.Add(1)
-		r.pending = append(r.pending, t.Clone())
-		first := len(r.pending) == 1
+// (The lock is held for one tuple's encoding; it contends only with the
+// drain's swap and with Close.) The tuple is only lent to the tap, and the
+// tap keeps none of it: what is queued is its wire encoding, written while
+// the loan lasts — and only once the tuple is going to be queued, so a
+// recorder that drops costs nothing.
+func (r *Recorder) Tap() func(stream.Tuple) { return r.tap }
+
+func (r *Recorder) tap(t stream.Tuple) {
+	r.mu.Lock()
+	if r.closed || r.err.Load() != nil || r.queued.Load() >= r.limit {
 		r.mu.Unlock()
-		if first {
-			select {
-			case r.notify <- struct{}{}:
-			default: // a wake-up is already on its way
-			}
+		r.dropped.Add(1)
+		return
+	}
+	if len(t.Fields) != r.fields {
+		// What Writer.Append would have answered; the recording ends here.
+		r.fail(r.w.arityError(len(t.Fields)))
+		r.mu.Unlock()
+		r.dropped.Add(1)
+		return
+	}
+	r.queued.Add(1)
+	first := len(r.pending) == 0
+	r.pending = wire.AppendTupleBody(r.pending, &t)
+	r.mu.Unlock()
+	if first {
+		select {
+		case r.notify <- struct{}{}:
+		default: // a wake-up is already on its way
 		}
 	}
 }
@@ -102,7 +112,7 @@ func (r *Recorder) Tap() func(stream.Tuple) {
 // drain moves tuples from the backlog to the writer until Close.
 func (r *Recorder) drain() {
 	defer close(r.done)
-	var spare []stream.Tuple
+	var spare []byte
 	for {
 		select {
 		case <-r.notify:
@@ -129,21 +139,21 @@ func (r *Recorder) drain() {
 const maxSpareTuples = 2048
 
 // drainBacklog takes everything the taps have queued — leaving them spare,
-// emptied, to queue into — and hands it to the writer. It returns the slice
+// emptied, to queue into — and hands it to the writer. It returns the buffer
 // it took, emptied, as the next swap's spare.
-func (r *Recorder) drainBacklog(spare []stream.Tuple) []stream.Tuple {
+func (r *Recorder) drainBacklog(spare []byte) []byte {
 	r.mu.Lock()
 	batch := r.pending
 	r.pending = spare
 	r.mu.Unlock()
-	for i := range batch {
-		r.append(batch[i])
-		r.queued.Add(-1)
+	size := tupleBytes(r.fields)
+	if n := len(batch) / size; n > 0 {
+		r.append(batch, n)
+		r.queued.Add(-int64(n))
 	}
-	if cap(batch) > maxSpareTuples {
+	if cap(batch) > maxSpareTuples*size {
 		return nil
 	}
-	clear(batch) // the writer owns the copies now
 	return batch[:0]
 }
 
@@ -162,18 +172,20 @@ func (r *Recorder) Sync() error {
 	}
 }
 
-func (r *Recorder) append(t stream.Tuple) {
-	if r.err.Load() != nil {
-		r.dropped.Add(1)
-		return
+// append hands n encoded tuples to the writer and counts each of them,
+// recorded or dropped. (A writer that has failed refuses them all; a tap
+// that has, refused only what came after.)
+func (r *Recorder) append(bodies []byte, n int) {
+	taken, err := r.w.appendEncoded(bodies, n)
+	if err != nil {
+		r.fail(err)
 	}
-	if err := r.w.Append(t); err != nil {
-		r.err.Store(errBox{err})
-		r.dropped.Add(1)
-		return
-	}
-	r.recorded.Add(1)
+	r.recorded.Add(uint64(taken))
+	r.dropped.Add(uint64(n - taken))
 }
+
+// fail ends the recording with err, unless an earlier error already has.
+func (r *Recorder) fail(err error) { r.err.CompareAndSwap(nil, &err) }
 
 // Recorded returns the number of tuples handed to the writer.
 func (r *Recorder) Recorded() uint64 { return r.recorded.Load() }
@@ -185,8 +197,8 @@ func (r *Recorder) Dropped() uint64 { return r.dropped.Load() }
 // Err returns the first writer error, if any; once set, the recorder stops
 // appending and counts everything as dropped.
 func (r *Recorder) Err() error {
-	if b, ok := r.err.Load().(errBox); ok {
-		return b.err
+	if err := r.err.Load(); err != nil {
+		return *err
 	}
 	return nil
 }

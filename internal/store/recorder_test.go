@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"gesturecep/internal/kinect"
@@ -10,12 +11,13 @@ import (
 	"gesturecep/internal/stream"
 )
 
-// TestRecorderKeepsACopy: the tap is lent each tuple for the call only, and
-// the drain goroutine (and the writer's record buffer) read it later. Every
-// batch's field arrays are scribbled over as soon as the session has
-// published them — the way a recycled decode buffer is reused — and the
-// recording must still hold the original bytes.
-func TestRecorderKeepsACopy(t *testing.T) {
+// TestRecorderKeepsTheBytes: the tap is lent each tuple for the call only,
+// and the drain goroutine writes it out later — from the encoding the tap
+// made during the loan, not from the tuple. Every batch's field arrays are
+// scribbled over as soon as the session has published them — the way a
+// recycled decode buffer is reused — and the recording must still hold the
+// original bytes.
+func TestRecorderKeepsTheBytes(t *testing.T) {
 	root := t.TempDir()
 	w, err := Create(root, "lent", kinect.Schema(), Options{})
 	if err != nil {
@@ -66,9 +68,9 @@ func TestRecorderKeepsACopy(t *testing.T) {
 }
 
 // TestDroppingRecorderDoesNotCopy: a tap that is going to drop the tuple —
-// buffer full, writer failed, recorder closed — decides so before it clones,
-// so a recorder that has fallen behind costs the feed path no allocation;
-// and every tap call is still counted, recorded or dropped.
+// buffer full, writer failed, recorder closed — decides so before it encodes,
+// so a recorder that has fallen behind costs the feed path neither a copy nor
+// an allocation; and every tap call is still counted, recorded or dropped.
 func TestDroppingRecorderDoesNotCopy(t *testing.T) {
 	tu := synthTuples(1)[0]
 	const runs = 100 // AllocsPerRun adds one warm-up call
@@ -85,13 +87,16 @@ func TestDroppingRecorderDoesNotCopy(t *testing.T) {
 	}
 
 	// No drain goroutine: the backlog fills and stays full.
-	stuck := &Recorder{limit: 2}
+	stuck := &Recorder{limit: 2, fields: len(tu.Fields)}
 	stuck.Tap()(tu)
 	stuck.Tap()(tu)
-	if len(stuck.pending) != 2 {
-		t.Fatalf("backlog holds %d of 2 tapped tuples", len(stuck.pending))
+	if want := 2 * tupleBytes(len(tu.Fields)); len(stuck.pending) != want {
+		t.Fatalf("backlog holds %d bytes, want the %d of 2 tapped tuples", len(stuck.pending), want)
 	}
 	dropsFree("full buffer", stuck)
+	if want := 2 * tupleBytes(len(tu.Fields)); len(stuck.pending) != want {
+		t.Fatalf("dropping taps left %d bytes queued, want %d", len(stuck.pending), want)
+	}
 
 	w, err := Create(t.TempDir(), "drops", synthSchema, Options{})
 	if err != nil {
@@ -105,7 +110,7 @@ func TestDroppingRecorderDoesNotCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	broke := errors.New("disk gone")
-	rec.err.Store(errBox{broke})
+	rec.fail(broke)
 	dropsFree("failed writer", rec)
 	if err := rec.Close(); !errors.Is(err, broke) {
 		t.Fatalf("Close = %v, want the writer's error", err)
@@ -148,4 +153,33 @@ func TestRecorderRidesOutAStalledWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	tuplesEqual(t, got, tuples[:8])
+}
+
+// TestRecorderRefusesAWrongWidth: a tuple that is not the stream's width ends
+// the recording with the error Writer.Append gives it — the tap cannot encode
+// it into a backlog of fixed-size bodies — and it and everything after it
+// count as dropped.
+func TestRecorderRefusesAWrongWidth(t *testing.T) {
+	root := t.TempDir()
+	w, err := Create(root, "narrow", synthSchema, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := NewRecorder(w, 8)
+	tap := rec.Tap()
+	good := synthTuples(2)
+	tap(good[0])
+	tap(stream.Tuple{Ts: testTime(), Fields: []float64{1}})
+	tap(good[1])
+	if err := rec.Close(); err == nil || !strings.Contains(err.Error(), "tuple has 1 fields") {
+		t.Fatalf("Close = %v, want the width error", err)
+	}
+	if rec.Recorded() != 1 || rec.Dropped() != 2 {
+		t.Errorf("recorded %d, dropped %d of 3 taps, want 1 and 2", rec.Recorded(), rec.Dropped())
+	}
+	got, err := ReadAll(root, "narrow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuplesEqual(t, got, good[:1])
 }

@@ -130,7 +130,7 @@ func (r *Reader) scanToRecord(ord uint64) error {
 			r.nextRecord = r.sr.next
 			return nil
 		}
-		_, err := r.sr.Next()
+		_, err := r.sr.Next(&r.lent) // skipped, so nobody keeps it
 		if err == io.EOF {
 			r.nextRecord = r.sr.next
 			r.sr = nil

@@ -94,11 +94,12 @@ var errTorn = errors.New("store: torn record at segment tail")
 // wire codec, match the expected schema width and continue the record
 // ordinal sequence.
 type segmentReader struct {
-	r      *bufio.Reader
-	hdr    segHeader
-	next   uint64 // stream-wide ordinal expected of the next record
-	buf    []byte
-	rechdr [recHeaderBytes]byte
+	r       *bufio.Reader
+	hdr     segHeader
+	next    uint64 // stream-wide ordinal expected of the next record
+	buf     []byte
+	payload []byte // the record Next last accepted, CRC-checked, inside buf; valid until the next call
+	rechdr  [recHeaderBytes]byte
 }
 
 // newSegmentReader reads and validates the segment header. wantFields and
@@ -125,10 +126,12 @@ func newSegmentReaderAt(r io.Reader, hdr segHeader, next uint64) *segmentReader 
 	return &segmentReader{r: bufio.NewReaderSize(r, 64<<10), hdr: hdr, next: next}
 }
 
-// Next decodes one record. io.EOF signals a clean end exactly at a record
-// boundary; errTorn (wrapped) signals a truncated tail; any other error is
-// corruption.
-func (sr *segmentReader) Next() (wire.Batch, error) {
+// Next decodes one record into bb, which decides who owns the tuples: a fresh
+// buffer gives the caller memory to keep, a recycled one a loan that lasts
+// until bb is decoded into again. io.EOF signals a clean end exactly at a
+// record boundary; errTorn (wrapped) signals a truncated tail; any other
+// error is corruption.
+func (sr *segmentReader) Next(bb *wire.BatchBuf) (wire.Batch, error) {
 	if _, err := io.ReadFull(sr.r, sr.rechdr[:]); err != nil {
 		if err == io.EOF {
 			return wire.Batch{}, io.EOF
@@ -163,7 +166,7 @@ func (sr *segmentReader) Next() (wire.Batch, error) {
 		}
 		return wire.Batch{}, fmt.Errorf("store: record %d crc %#08x, stored %#08x (mid-segment corruption)", sr.next, got, sum)
 	}
-	b, err := wire.DecodeBatch(payload)
+	b, err := wire.DecodeBatchInto(bb, payload)
 	if err != nil {
 		return wire.Batch{}, fmt.Errorf("store: record %d: %w", sr.next, err)
 	}
@@ -176,6 +179,7 @@ func (sr *segmentReader) Next() (wire.Batch, error) {
 			b.Handle, uint32(sr.next))
 	}
 	sr.next++
+	sr.payload = payload
 	return b, nil
 }
 
@@ -213,8 +217,9 @@ func scanSegment(path string, every int) (s segScan, headerOK bool, err error) {
 	}
 	s.hdr = sr.hdr
 	s.validBytes = segHeaderBytes
+	var bb wire.BatchBuf // every record is done with before the next is read
 	for {
-		b, err := sr.Next()
+		b, err := sr.Next(&bb)
 		if err == io.EOF || errors.Is(err, errTorn) {
 			// Clean end or torn tail: everything before this point is
 			// intact, everything after is a crash artifact.
@@ -242,6 +247,6 @@ func scanSegment(path string, every int) (s segScan, headerOK bool, err error) {
 		}
 		s.records++
 		s.tuples += uint64(len(b.Tuples))
-		s.validBytes += recHeaderBytes + int64(batchHeadBytes+len(b.Tuples)*tupleBytes(b.Fields))
+		s.validBytes += recHeaderBytes + int64(len(sr.payload))
 	}
 }

@@ -29,9 +29,8 @@ type backfillFixture struct {
 
 // startBackfillFixture records n streams — stream i plays its own seeded
 // session i%3+1 times back to back, less a few tuples, so no two are equally
-// long — and serves them. open is what the backfill source opens streams
-// with; nil selects OpenReader over the archive root.
-func startBackfillFixture(t *testing.T, n int, open func(root, name string) (*Reader, error)) *backfillFixture {
+// long — and serves them.
+func startBackfillFixture(t *testing.T, n int) *backfillFixture {
 	t.Helper()
 	fx := &backfillFixture{root: t.TempDir(), reg: serve.NewRegistry()}
 	plan, err := fx.reg.Register("swipe_right", swipeQuery(t))
@@ -72,11 +71,8 @@ func startBackfillFixture(t *testing.T, n int, open func(root, name string) (*Re
 	if err != nil {
 		t.Fatal(err)
 	}
-	if open == nil {
-		open = OpenReader
-	}
 	srv := wire.NewServer(mgr)
-	srv.BackfillSource = NewWireBackfillSource(fx.reg, func(name string) (*Reader, error) { return open(fx.root, name) })
+	srv.BackfillSource = NewWireBackfillSource(fx.reg, func(name string) (*Reader, error) { return OpenReader(fx.root, name) })
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +93,7 @@ func startBackfillFixture(t *testing.T, n int, open func(root, name string) (*Re
 // hold reported by its index — with and without an event-time window.
 func TestWireBackfillEqualsSerial(t *testing.T) {
 	n := 3*runtime.GOMAXPROCS(0) + 1
-	fx := startBackfillFixture(t, n, nil)
+	fx := startBackfillFixture(t, n)
 	cl, err := wire.Dial(fx.addr)
 	if err != nil {
 		t.Fatal(err)

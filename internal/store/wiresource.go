@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -25,7 +26,7 @@ const backfillEmitChunk = wire.MaxDetections
 // BackfillReply.Missing instead of failing the request — the fleet
 // coordinator's cue to retry the stream on the backend that recorded it.
 func NewWireBackfillSource(reg *serve.Registry, open func(stream string) (*Reader, error)) wire.BackfillFunc {
-	return func(stream string, gestures []string, since, until time.Time,
+	return func(ctx context.Context, stream string, gestures []string, since, until time.Time,
 		emit func([]anduin.Detection) error) (records, tuples uint64, err error) {
 		plans, err := reg.Resolve(gestures...)
 		if err != nil {
@@ -39,25 +40,27 @@ func NewWireBackfillSource(reg *serve.Registry, open func(stream string) (*Reade
 			return 0, 0, err
 		}
 		defer r.Close()
-		// Detections buffer into full wire frames; an emit failure (the
-		// requesting connection died) stops evaluation at the next flush.
+		// Detections buffer into full wire frames. Evaluation stops at the
+		// next record once nobody wants the result: the request is over
+		// (ctx), or a frame could not be emitted.
+		ctx, stop := context.WithCancel(ctx)
+		defer stop()
 		var pending []anduin.Detection
 		var emitErr error
 		flush := func() {
 			if emitErr != nil || len(pending) == 0 {
 				return
 			}
-			emitErr = emit(pending)
+			if emitErr = emit(pending); emitErr != nil {
+				stop()
+			}
 			pending = pending[:0]
 		}
-		_, err = Backfill(r, plans, BackfillOptions{
+		_, err = backfill(ctx, r, plans, BackfillOptions{
 			Discard: true,
 			Since:   since,
 			Until:   until,
 			OnDetection: func(d anduin.Detection) {
-				if emitErr != nil {
-					return
-				}
 				pending = append(pending, d)
 				if len(pending) >= backfillEmitChunk {
 					flush()
@@ -65,6 +68,9 @@ func NewWireBackfillSource(reg *serve.Registry, open func(stream string) (*Reade
 			},
 		})
 		records, tuples = r.Counters()
+		if emitErr != nil {
+			return records, tuples, emitErr
+		}
 		if err != nil {
 			return records, tuples, err
 		}

@@ -12,15 +12,14 @@ import (
 	"gesturecep/internal/wire"
 )
 
-// Writer appends tuples to one recorded stream. Tuples are buffered into
-// records of Options.BatchTuples and framed with a CRC; segments roll at
+// Writer appends tuples to one recorded stream. Tuples are buffered, encoded,
+// into records of Options.BatchTuples and framed with a CRC; segments roll at
 // Options.SegmentBytes, and sealing a segment writes its sparse index
 // sidecar. Safe for concurrent use (appends serialize on an internal
 // lock), though the usual producer is a single Recorder drain goroutine.
 //
-// Appended tuples are retained until their record is written; callers that
-// mutate field slices after Append must pass a Clone. (Tuples taken off a
-// live stream are immutable by convention and need no copy.)
+// The writer keeps bytes, never tuples: Append encodes its argument before it
+// returns, so a caller may reuse the tuple's field array at once.
 type Writer struct {
 	dir  string
 	man  Manifest
@@ -34,10 +33,11 @@ type Writer struct {
 	records   uint64 // stream-wide records written (== next record ordinal)
 	tuples    uint64 // tuples appended this writer (excludes history)
 	bytes     uint64 // record bytes written this writer (headers + payloads)
-	batch     []stream.Tuple
-	encBuf    []byte
+	body      []byte // encoded bodies of the tuples appended since the last record cut
+	pending   int    // how many tuples body holds; < BatchTuples between calls
+	hdr       [recHeaderBytes + batchHeadBytes]byte
 	closed    bool
-	failed    error // sticky: a failed roll poisons the writer
+	failed    error // sticky: a failed record write or roll poisons the writer
 	recovered RecoveryInfo
 
 	// Sparse-index state of the segment currently being appended, written
@@ -77,7 +77,7 @@ func (w *Writer) Records() uint64 {
 func (w *Writer) Tuples() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.tuples + uint64(len(w.batch))
+	return w.tuples + uint64(w.pending)
 }
 
 // Bytes returns the record bytes (headers plus payloads) written through
@@ -201,81 +201,123 @@ func (w *Writer) recover() error {
 	return w.openSegment(1, 0)
 }
 
-// Append buffers one tuple; a full buffer is written out as one record. The
-// writer keeps t, field array included, until that record is written: the
-// caller gives the tuple away (a Recorder appends its own clones).
+// Append encodes one tuple into the record buffer; a full buffer is written
+// out as one record. t is read only during the call.
 func (w *Writer) Append(t stream.Tuple) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if err := w.appendableLocked(); err != nil {
+		return err
+	}
+	if len(t.Fields) != len(w.man.Fields) {
+		return w.arityError(len(t.Fields))
+	}
+	w.body = wire.AppendTupleBody(w.body, &t)
+	w.pending++
+	if w.pending >= w.opts.BatchTuples {
+		return w.writeRecordLocked()
+	}
+	return nil
+}
+
+func (w *Writer) appendableLocked() error {
 	if w.failed != nil {
 		return w.failed
 	}
 	if w.closed {
 		return fmt.Errorf("store: writer for %q is closed", w.man.Stream)
 	}
-	if len(t.Fields) != len(w.man.Fields) {
-		return fmt.Errorf("store: tuple has %d fields, stream %q records %d",
-			len(t.Fields), w.man.Stream, len(w.man.Fields))
-	}
-	w.batch = append(w.batch, t)
-	if len(w.batch) >= w.opts.BatchTuples {
-		return w.writeRecordLocked()
-	}
 	return nil
 }
 
-// writeRecordLocked flushes the buffered tuples as one CRC-framed record
-// and rolls the segment if it crossed the size threshold.
+func (w *Writer) arityError(got int) error {
+	return fmt.Errorf("store: tuple has %d fields, stream %q records %d", got, w.man.Stream, len(w.man.Fields))
+}
+
+// appendEncoded appends n tuples that are already encoded — bodies is n
+// times wire.AppendTupleBody at the stream's width, as a Recorder's taps
+// queue them — and cuts records exactly where n Appends would have. Returns
+// how many tuples were taken before the first error.
+func (w *Writer) appendEncoded(bodies []byte, n int) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err := w.appendableLocked(); err != nil {
+		return 0, err
+	}
+	size := tupleBytes(len(w.man.Fields))
+	for taken := 0; taken < n; {
+		k := min(n-taken, w.opts.BatchTuples-w.pending)
+		w.body = append(w.body, bodies[taken*size:(taken+k)*size]...)
+		if w.pending += k; w.pending >= w.opts.BatchTuples {
+			if err := w.writeRecordLocked(); err != nil {
+				return taken, err
+			}
+		}
+		taken += k
+	}
+	return n, nil
+}
+
+// writeRecordLocked writes the buffered tuple bodies, if any, as one
+// CRC-framed record — record header, wire batch header, bodies: the bytes
+// wire.AppendBatch would have produced for the tuples — and rolls the segment
+// if it crossed the size threshold. What the sparse index needs is read from
+// the bodies: each starts with its event time.
 func (w *Writer) writeRecordLocked() error {
-	if len(w.batch) == 0 {
+	if w.pending == 0 {
 		return nil
 	}
-	payload, err := wire.AppendBatch(w.encBuf[:0], uint32(w.records), len(w.man.Fields), w.batch)
-	if err != nil {
-		return err
-	}
-	w.encBuf = payload[:0]
+	body, count := w.body, w.pending
+	firstNs := int64(binary.BigEndian.Uint64(body))
 	if rel := w.records - w.seg.baseRecord; rel%uint64(w.opts.IndexEvery) == 0 {
 		w.seg.entries = append(w.seg.entries, idxEntry{
 			tupleOrd: w.streamTuples,
-			tsNs:     w.batch[0].Ts.UnixNano(),
+			tsNs:     firstNs,
 			offset:   w.segBytes,
 		})
 	}
 	if w.seg.firstTsNs == 0 {
-		w.seg.firstTsNs = w.batch[0].Ts.UnixNano()
+		w.seg.firstTsNs = firstNs
 	}
-	for i := range w.batch {
-		if ns := w.batch[i].Ts.UnixNano(); ns > w.seg.lastTsNs {
+	for off, size := 0, len(body)/count; off < len(body); off += size {
+		if ns := int64(binary.BigEndian.Uint64(body[off:])); ns > w.seg.lastTsNs {
 			w.seg.lastTsNs = ns
 		}
 	}
-	var hdr [recHeaderBytes]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := w.bw.Write(hdr[:]); err != nil {
-		return err
+	// Both headers go out in one write: the record header's eight bytes are
+	// filled in once the batch header behind them exists to be summed.
+	hdr := wire.AppendBatchHeader(w.hdr[:recHeaderBytes], uint32(w.records), count, len(w.man.Fields))
+	payloadLen := batchHeadBytes + len(body)
+	binary.BigEndian.PutUint32(hdr[0:4], uint32(payloadLen))
+	binary.BigEndian.PutUint32(hdr[4:8], crc32.Update(crc32.ChecksumIEEE(hdr[recHeaderBytes:]), crc32.IEEETable, body))
+	if _, err := w.bw.Write(hdr); err != nil {
+		return w.failLocked("record write", err)
 	}
-	if _, err := w.bw.Write(payload); err != nil {
-		return err
+	if _, err := w.bw.Write(body); err != nil {
+		return w.failLocked("record write", err)
 	}
 	w.records++
-	w.tuples += uint64(len(w.batch))
-	w.streamTuples += uint64(len(w.batch))
-	w.batch = w.batch[:0]
-	w.bytes += uint64(recHeaderBytes + len(payload))
-	w.segBytes += int64(recHeaderBytes + len(payload))
+	w.tuples += uint64(count)
+	w.streamTuples += uint64(count)
+	w.body, w.pending = body[:0], 0
+	w.bytes += uint64(recHeaderBytes + payloadLen)
+	w.segBytes += int64(recHeaderBytes + payloadLen)
 	if w.segBytes >= w.opts.SegmentBytes {
 		if err := w.rollLocked(); err != nil {
-			// A failed roll leaves no segment safe to append to — the old
-			// file is sealed (or half-sealed), the new one never opened.
-			// Poison the writer so every later call surfaces the fault
-			// instead of quietly buffering into a closed file.
-			w.failed = fmt.Errorf("store: stream %q: segment roll failed: %w", w.man.Stream, err)
-			return w.failed
+			return w.failLocked("segment roll", err)
 		}
 	}
 	return nil
+}
+
+// failLocked poisons the writer so every later call surfaces the fault
+// instead of quietly buffering: a failed roll leaves no segment safe to
+// append to — the old file is sealed (or half-sealed), the new one never
+// opened — and a failed record write leaves a torn record at the tail (the
+// file's buffered writer refuses everything after it anyway).
+func (w *Writer) failLocked(what string, err error) error {
+	w.failed = fmt.Errorf("store: stream %q: %s failed: %w", w.man.Stream, what, err)
+	return w.failed
 }
 
 // rollLocked seals the current segment and opens the next one.
@@ -319,11 +361,8 @@ func (w *Writer) sealLocked() error {
 func (w *Writer) Flush() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.failed != nil {
-		return w.failed
-	}
-	if w.closed {
-		return fmt.Errorf("store: writer for %q is closed", w.man.Stream)
+	if err := w.appendableLocked(); err != nil {
+		return err
 	}
 	if err := w.writeRecordLocked(); err != nil {
 		return err

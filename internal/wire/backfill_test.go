@@ -1,11 +1,14 @@
 package wire_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -59,7 +62,7 @@ func synthDets(stream string, n int) []anduin.Detection {
 // stubSource serves synthDets(stream, countOf[stream]) per stream, emitting
 // in chunks of emitEvery; streams absent from countOf are unknown.
 func stubSource(t *testing.T, countOf map[string]int, emitEvery int) wire.BackfillFunc {
-	return func(stream string, gestures []string, since, until time.Time,
+	return func(_ context.Context, stream string, gestures []string, since, until time.Time,
 		emit func([]anduin.Detection) error) (uint64, uint64, error) {
 		n, ok := countOf[stream]
 		if !ok {
@@ -179,7 +182,7 @@ func TestWireBackfillErrors(t *testing.T) {
 	})
 
 	t.Run("source error mid-request", func(t *testing.T) {
-		source := func(stream string, _ []string, _, _ time.Time,
+		source := func(_ context.Context, stream string, _ []string, _, _ time.Time,
 			emit func([]anduin.Detection) error) (uint64, uint64, error) {
 			if stream == "bad" {
 				return 0, 0, errors.New("disk exploded")
@@ -214,7 +217,7 @@ func TestWireBackfillTimeBounds(t *testing.T) {
 	until := since.Add(time.Hour)
 	var mu sync.Mutex
 	var gotSince, gotUntil []time.Time
-	source := func(_ string, _ []string, s, u time.Time,
+	source := func(_ context.Context, _ string, _ []string, s, u time.Time,
 		_ func([]anduin.Detection) error) (uint64, uint64, error) {
 		mu.Lock()
 		gotSince = append(gotSince, s)
@@ -242,5 +245,98 @@ func TestWireBackfillTimeBounds(t *testing.T) {
 	}
 	if !gotSince[1].IsZero() || !gotUntil[1].IsZero() {
 		t.Errorf("unbounded call saw [%v, %v), want zero times", gotSince[1], gotUntil[1])
+	}
+}
+
+// TestWireBackfillHangUp: a requester that closes its connection in the
+// middle of a backfill costs the server no more than the streams that finish
+// before it notices — the first write that fails ends the request, every
+// stream still being evaluated is told to stop, and no goroutine outlives the
+// handler. Stream 0 answers at once and the client hangs up on its first
+// frame; stream 1 finishes after the hang-up, so its frames meet a dead
+// socket; the rest — those the window lets start — evaluate "forever", that
+// is until their context ends.
+func TestWireBackfillHangUp(t *testing.T) {
+	const streams = 6
+	hungUp := make(chan struct{})
+	var stopped, abandoned atomic.Int32
+	source := func(ctx context.Context, stream string, _ []string, _, _ time.Time,
+		emit func([]anduin.Detection) error) (uint64, uint64, error) {
+		var idx int
+		fmt.Sscanf(stream, "s%d", &idx)
+		if idx == 0 {
+			return 1, 1, emit(synthDets(stream, 1))
+		}
+		for range 8 { // eight full frames: enough writes to meet the reset
+			if err := emit(synthDets(stream, wire.MaxDetections)); err != nil {
+				return 0, 0, err
+			}
+		}
+		switch idx {
+		case 1:
+			<-hungUp
+		default:
+			select {
+			case <-ctx.Done():
+				stopped.Add(1)
+				return 1, 1, ctx.Err()
+			case <-time.After(10 * time.Second):
+				abandoned.Add(1)
+			}
+		}
+		return 1, 1, nil
+	}
+
+	mgr, err := serve.NewManager(serve.Config{Shards: 1}, serve.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	before := runtime.NumGoroutine() // the manager's workers outlive the server
+	srv := wire.NewServer(mgr)
+	srv.BackfillSource = source
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	cl, err := wire.Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	req := wire.BackfillRequest{}
+	for i := range streams {
+		req.Streams = append(req.Streams, fmt.Sprintf("s%d", i))
+	}
+	first := make(chan struct{})
+	var once sync.Once
+	failed := make(chan error, 1)
+	go func() {
+		_, err := cl.Backfill(req, func(int, []anduin.Detection) { once.Do(func() { close(first) }) })
+		failed <- err
+	}()
+	<-first
+	cl.Close()
+	close(hungUp)
+	if err := <-failed; err == nil {
+		t.Error("a backfill whose connection was closed under it reported success")
+	}
+
+	// Close waits for the connection's handler, which waits for its workers.
+	srv.Close()
+	if n := abandoned.Load(); n != 0 {
+		t.Errorf("%d streams were evaluated to the end for nobody", n)
+	}
+	if runtime.GOMAXPROCS(0) > 1 && stopped.Load() == 0 {
+		t.Error("no stream in flight was told the request had failed")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		buf := make([]byte, 1<<16)
+		t.Errorf("%d goroutines before the backfill, %d after the server closed\n%s", before, n, buf[:runtime.Stack(buf, true)])
 	}
 }

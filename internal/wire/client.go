@@ -728,9 +728,13 @@ func (rs *RemoteSession) MigrateCommit(ordinal uint64) (SessionCounters, error) 
 // belong to; pushes arrive in stream order, each stream's detections in
 // evaluation order, all before Backfill returns. The reply lists streams
 // the server does not archive in Missing — those produced no detections
-// and should be retried against the backend that has them. Note the
-// request holds the server connection's reader goroutine for its whole
-// run; use a dedicated connection when live traffic shares the client.
+// and should be retried against the backend that has them. A stream's
+// pushes arrive together, once the server has finished the stream; on an
+// error, whatever was pushed for earlier streams stands and the caller
+// discards it or not. Closing the client ends the server's evaluation
+// within a record of its next write. Note the request holds the server
+// connection's reader goroutine for its whole run; use a dedicated
+// connection when live traffic shares the client.
 func (cl *Client) Backfill(req BackfillRequest, onDets func(streamIdx int, dets []anduin.Detection)) (BackfillReply, error) {
 	var reply BackfillReply
 	var cb func(uint32, []anduin.Detection)

@@ -199,28 +199,42 @@ func appendBatch(dst []byte, handle uint32, fields int, tuples []stream.Tuple, s
 	if fields <= 0 || fields > MaxTupleFields {
 		return nil, fmt.Errorf("wire: %d fields per tuple (want 1..%d)", fields, MaxTupleFields)
 	}
-	flags := uint16(fields)
+	dst = AppendBatchHeader(dst, handle, len(tuples), fields)
 	if sentNs != 0 {
-		flags |= batchTraceFlag
+		dst[len(dst)-2] |= batchTraceFlag >> 8
 	}
-	dst = binary.BigEndian.AppendUint32(dst, handle)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(tuples)))
-	dst = binary.BigEndian.AppendUint16(dst, flags)
 	for i := range tuples {
-		t := &tuples[i]
-		if len(t.Fields) != fields {
-			return nil, fmt.Errorf("wire: tuple %d has %d fields, batch declares %d", i, len(t.Fields), fields)
+		if len(tuples[i].Fields) != fields {
+			return nil, fmt.Errorf("wire: tuple %d has %d fields, batch declares %d", i, len(tuples[i].Fields), fields)
 		}
-		dst = binary.BigEndian.AppendUint64(dst, uint64(t.Ts.UnixNano()))
-		dst = binary.BigEndian.AppendUint64(dst, t.Seq)
-		for _, f := range t.Fields {
-			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(f))
-		}
+		dst = AppendTupleBody(dst, &tuples[i])
 	}
 	if sentNs != 0 {
 		dst = binary.BigEndian.AppendUint64(dst, uint64(sentNs))
 	}
 	return dst, nil
+}
+
+// AppendTupleBody appends the batch-body encoding of one tuple — ts i64 | seq
+// u64 | one f64 per field — to dst: what follows a batch header, count times
+// over. It reads t only during the call, so a caller that is lent a tuple and
+// must remember it (the stream store's recorder) keeps these bytes instead of
+// a copy of the tuple, and frames them later with AppendBatchHeader.
+func AppendTupleBody(dst []byte, t *stream.Tuple) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, uint64(t.Ts.UnixNano()))
+	dst = binary.BigEndian.AppendUint64(dst, t.Seq)
+	for _, f := range t.Fields {
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(f))
+	}
+	return dst
+}
+
+// AppendBatchHeader appends the 8-byte header of an untraced batch payload
+// whose count tuple bodies, each fields wide, follow it.
+func AppendBatchHeader(dst []byte, handle uint32, count, fields int) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, handle)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(count))
+	return binary.BigEndian.AppendUint16(dst, uint16(fields))
 }
 
 // BatchTraced reports whether a batch payload carries the trace-sample
@@ -276,49 +290,57 @@ type Batch struct {
 // payload must be consumed exactly; the tuple count and width are validated
 // against the payload length before the arena is allocated.
 func DecodeBatch(payload []byte) (Batch, error) {
-	return decodeBatchInto(&batchBuf{}, payload)
+	return DecodeBatchInto(&BatchBuf{}, payload)
 }
 
-// batchBuf is a recycled decode target — tuple headers plus one field arena
-// — for the one caller that decodes a batch only to lend it on: the local
-// host's data path. It rides the shard queue with the tuples it holds
-// (serve.Lender) and goes back to the pool through Release, exactly once.
-type batchBuf struct {
+// BatchBuf is a reusable decode target — tuple headers plus one field arena —
+// for a caller that decodes a batch only to lend it on and is done with it
+// before it decodes the next: the zero value is ready, DecodeBatchInto grows
+// it as needed, EndLoan marks the moment nobody may read the tuples any more.
+// The local host's data path takes its buffers from a pool instead: they ride
+// the shard queue with the tuples they hold (serve.Lender) and go back
+// through Release, exactly once. The stream store's readers each own one.
+type BatchBuf struct {
 	tuples []stream.Tuple
 	arena  []float64
 	out    bool // taken from the pool and not yet released
 }
 
-var batchBufPool = sync.Pool{New: func() any { return new(batchBuf) }}
+var batchBufPool = sync.Pool{New: func() any { return new(BatchBuf) }}
 
-// batchBufsOut counts buffers taken and not yet released; the accounting
-// tests require it to return to zero.
+// batchBufsOut counts pooled buffers taken and not yet released; the
+// accounting tests require it to return to zero.
 var batchBufsOut atomic.Int64
 
-func getBatchBuf() *batchBuf {
+func getBatchBuf() *BatchBuf {
 	batchBufsOut.Add(1)
-	bb := batchBufPool.Get().(*batchBuf)
+	bb := batchBufPool.Get().(*BatchBuf)
 	bb.out = true
 	return bb
 }
 
-// Release ends the loan of the tuples last decoded into bb and recycles it.
-// Nothing may read them afterwards.
-func (bb *batchBuf) Release() {
+// EndLoan ends the loan of the tuples last decoded into bb; the owner calls
+// it before decoding into bb again or dropping it. Nothing may read them
+// afterwards (see stream.EndLoan).
+func (bb *BatchBuf) EndLoan() { stream.EndLoan(bb.arena) }
+
+// Release ends the loan of the tuples last decoded into a pooled bb and
+// recycles it.
+func (bb *BatchBuf) Release() {
 	if !bb.out {
 		panic("wire: batch buffer released twice")
 	}
 	bb.out = false
-	stream.EndLoan(bb.arena)
+	bb.EndLoan()
 	batchBufsOut.Add(-1)
 	batchBufPool.Put(bb)
 }
 
-// decodeBatchInto is DecodeBatch into bb's memory, grown as needed: the
-// returned tuples alias bb and are valid until it is released or decoded
+// DecodeBatchInto is DecodeBatch into bb's memory, grown as needed: the
+// returned tuples alias bb and are valid until its loan ends or it is decoded
 // into again. Whatever bb held before is overwritten or out of reach — the
 // result has exactly the payload's tuples and fields, no stale tail.
-func decodeBatchInto(bb *batchBuf, payload []byte) (Batch, error) {
+func DecodeBatchInto(bb *BatchBuf, payload []byte) (Batch, error) {
 	handle, count, fields, err := BatchGeometry(payload)
 	if err != nil {
 		return Batch{}, err

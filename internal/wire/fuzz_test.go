@@ -107,7 +107,7 @@ func FuzzDecodeBatch(f *testing.F) {
 	lying = binary.BigEndian.AppendUint16(lying, 0xffff) // claims 65535 tuples
 	lying = binary.BigEndian.AppendUint16(lying, 0xffff) // of 65535 fields
 	f.Add(lying)
-	recycled := new(batchBuf)
+	recycled := new(BatchBuf)
 	var dirty [][]byte
 	for _, shape := range [][2]int{{MaxBatch, 3}, {1, 1}, {9, 45}} {
 		p, err := AppendBatch(nil, 1, shape[1], poolTuples(shape[0], shape[1]))
@@ -134,10 +134,10 @@ func FuzzDecodeBatch(f *testing.F) {
 		// the buffer held before: a wider batch, then a narrower one, then
 		// one of another field count.
 		for _, dirt := range dirty {
-			if _, err := decodeBatchInto(recycled, dirt); err != nil {
+			if _, err := DecodeBatchInto(recycled, dirt); err != nil {
 				t.Fatal(err)
 			}
-			into, err := decodeBatchInto(recycled, payload)
+			into, err := DecodeBatchInto(recycled, payload)
 			if err != nil {
 				t.Fatalf("payload DecodeBatch accepts fails into a recycled buffer: %v", err)
 			}

@@ -11,7 +11,7 @@ import (
 )
 
 // Tests of the local host's lent decode buffer: localSession.Batch decodes
-// into a recycled batchBuf that rides the shard queue and must come back
+// into a recycled BatchBuf that rides the shard queue and must come back
 // exactly once on every path. A second Release panics, so batchBufsOut
 // returning to zero means every buffer taken was released once.
 
@@ -235,10 +235,10 @@ func TestBatchAllocGate(t *testing.T) {
 // or one of another field count, decodes exactly what a fresh DecodeBatch
 // does — the right count, the right widths, nothing of the previous tenant.
 func TestDecodeIntoDirtyBuffer(t *testing.T) {
-	bb := new(batchBuf)
+	bb := new(BatchBuf)
 	for _, shape := range [][2]int{{64, kinectFields}, {3, kinectFields}, {5, 7}, {1, 1}, {64, kinectFields}} {
 		payload := lendPayloads(t, 1, shape[0], shape[1])[0]
-		got, err := decodeBatchInto(bb, payload)
+		got, err := DecodeBatchInto(bb, payload)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -74,8 +74,9 @@ func (h *localHost) Attach(req AttachRequest, push *Push) (Session, int, []strin
 // HistoryReader iterates a recorded session's admitted tuples in record
 // batches, ending with io.EOF — the shape of *store.Reader, declared here so
 // the wire layer can stream migration history without importing the store.
+// A batch is lent: it is valid until the next Lend or Close.
 type HistoryReader interface {
-	Next() ([]stream.Tuple, error)
+	Lend() ([]stream.Tuple, error)
 	Close() error
 }
 
@@ -102,7 +103,7 @@ func (ls *localSession) Batch(b RawBatch) error {
 		start = time.Now()
 	}
 	buf := getBatchBuf()
-	batch, err := decodeBatchInto(buf, b.Payload)
+	batch, err := DecodeBatchInto(buf, b.Payload)
 	if err != nil {
 		buf.Release()
 		return err
@@ -212,6 +213,8 @@ func (c *conn) handleMigrateBegin(payload []byte) error {
 // handleMigrateState streams the next chunk of a sealed session's recorded
 // history: one record re-encoded as a canonical batch payload (handle 0; the
 // requester patches it before forwarding), empty payload at end of history.
+// The record is borrowed from the history reader and encoded before this
+// returns, which is before anything reads the history again.
 // A request whose After disagrees with the cursor reopens the history and
 // skips forward — how a retry against a fresh target restarts from zero.
 func (c *conn) handleMigrateState(payload []byte) error {
@@ -238,7 +241,7 @@ func (c *conn) handleMigrateState(payload []byte) error {
 	}
 	var chunk []stream.Tuple
 	for chunk == nil {
-		tuples, err := ls.migReader.Next()
+		tuples, err := ls.migReader.Lend()
 		if err == io.EOF {
 			break
 		}

@@ -1,10 +1,12 @@
 package wire
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -146,13 +148,15 @@ type Server struct {
 	// evaluate the named plans over the named recorded stream within the
 	// given event-time window, calling emit (possibly repeatedly, in order)
 	// with the detections as they fire, and return the records and tuples
-	// evaluated. A stream the server does not archive is reported by
-	// returning (or wrapping) ErrUnknownStream — the request then lists it
-	// as missing instead of failing, which is how a fleet coordinator
+	// evaluated; once ctx is done the request is over and it should return
+	// at the next record. A stream the server does not archive is reported
+	// by returning (or wrapping) ErrUnknownStream — the request then lists
+	// it as missing instead of failing, which is how a fleet coordinator
 	// discovers it must retry the stream elsewhere. The standard
 	// implementation is store.NewWireBackfillSource over the server's
-	// archive. Runs on the connection's reader goroutine; set before Serve,
-	// safe for concurrent use.
+	// archive. One request calls it for up to GOMAXPROCS of its streams at
+	// a time, each on a goroutine of its own; set before Serve, safe for
+	// concurrent use.
 	BackfillSource BackfillFunc
 
 	// MigrateSource, when non-nil, makes this server's sessions migratable:
@@ -294,7 +298,7 @@ type conn struct {
 // request — the Server.BackfillSource contract, declared here so the wire
 // layer can serve offline evaluation without importing the store. A zero
 // since or until leaves that side of the event-time window unbounded.
-type BackfillFunc func(stream string, gestures []string, since, until time.Time,
+type BackfillFunc func(ctx context.Context, stream string, gestures []string, since, until time.Time,
 	emit func([]anduin.Detection) error) (records, tuples uint64, err error)
 
 // connSession is one attached session: its handle, the host's side of it,
@@ -455,12 +459,19 @@ func (c *conn) handleSync(payload []byte, ack FrameType, detach bool) error {
 	return c.w.WriteJSON(ack, &counters)
 }
 
-// handleBackfill evaluates plans over recorded streams on the connection's
-// reader goroutine: per stream, detections go out as FrameBackfillDet
-// frames addressed by the stream's request index, then one FrameBackfillOK
-// summarizes the run. Unknown streams are collected in Missing; any other
-// per-stream failure aborts the request with a FrameError (the connection
-// and its sessions survive).
+// handleBackfill evaluates plans over recorded streams: per stream,
+// detections go out as FrameBackfillDet frames addressed by the stream's
+// request index, then one FrameBackfillOK summarizes the run. Unknown streams
+// are collected in Missing; any other per-stream failure aborts the request
+// with a FrameError (the connection and its sessions survive).
+//
+// Streams are independent, so up to GOMAXPROCS of them are evaluated at a
+// time, each by a worker that encodes its frames into a buffer of its own;
+// this goroutine writes the buffers out in request order, and starts stream
+// i+GOMAXPROCS only once stream i has been written — what the client reads is
+// what one goroutine walking the list would have sent, and at most GOMAXPROCS
+// streams' detections are ever held. However the request ends, the workers
+// are told (they stop at their next record) and waited for.
 func (c *conn) handleBackfill(payload []byte) error {
 	var req BackfillRequest
 	if err := unmarshalStrict(payload, &req); err != nil {
@@ -469,6 +480,60 @@ func (c *conn) handleBackfill(payload []byte) error {
 	if c.srv.BackfillSource == nil {
 		return c.sessionError(0, fmt.Errorf("wire: server has no backfill source"))
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var workers sync.WaitGroup
+	defer func() {
+		cancel()
+		workers.Wait()
+	}()
+	results := make([]chan *streamBackfill, len(req.Streams))
+	start := func(i int) {
+		results[i] = make(chan *streamBackfill, 1)
+		workers.Add(1)
+		go func() {
+			defer workers.Done()
+			results[i] <- c.backfillStream(ctx, &req, i)
+		}()
+	}
+	window := runtime.GOMAXPROCS(0)
+	for i := 0; i < window && i < len(req.Streams); i++ {
+		start(i)
+	}
+	var reply BackfillReply
+	for i, name := range req.Streams {
+		res := <-results[i]
+		reply.Records += res.records
+		reply.Tuples += res.tuples
+		switch {
+		case errors.Is(res.err, ErrUnknownStream):
+			reply.Missing = append(reply.Missing, i)
+		case res.err != nil:
+			return c.sessionError(0, fmt.Errorf("wire: backfill stream %q: %w", name, res.err))
+		default:
+			if err := c.writeBackfillFrames(res); err != nil {
+				return err
+			}
+			reply.Detections += res.detections
+		}
+		if next := i + window; next < len(req.Streams) {
+			start(next)
+		}
+	}
+	return c.reply(FrameBackfillOK, &reply)
+}
+
+// streamBackfill is one stream's share of a backfill request: its
+// FrameBackfillDet payloads and its counters.
+type streamBackfill struct {
+	frames          [][]byte
+	records, tuples uint64
+	detections      uint64
+	err             error
+}
+
+// backfillStream evaluates stream i of req through the server's source,
+// keeping what it would send.
+func (c *conn) backfillStream(ctx context.Context, req *BackfillRequest, i int) *streamBackfill {
 	var since, until time.Time
 	if req.SinceNs != 0 {
 		since = decodeTime(req.SinceNs)
@@ -476,44 +541,34 @@ func (c *conn) handleBackfill(payload []byte) error {
 	if req.UntilNs != 0 {
 		until = decodeTime(req.UntilNs)
 	}
-	var reply BackfillReply
-	var encBuf []byte
-	for i, name := range req.Streams {
-		idx := uint32(i)
-		emit := func(dets []anduin.Detection) error {
-			for len(dets) > 0 {
-				n := len(dets)
-				if n > MaxDetections {
-					n = MaxDetections
-				}
-				buf, err := AppendDetections(encBuf[:0], idx, 0, dets[:n])
-				if err != nil {
-					return err
-				}
-				encBuf = buf[:0]
-				c.wmu.Lock()
-				err = c.w.WriteFrame(FrameBackfillDet, buf)
-				c.wmu.Unlock()
-				if err != nil {
-					return err
-				}
-				reply.Detections += uint64(n)
-				dets = dets[n:]
+	res := new(streamBackfill)
+	emit := func(dets []anduin.Detection) error {
+		for len(dets) > 0 {
+			n := min(len(dets), MaxDetections)
+			frame, err := AppendDetections(nil, uint32(i), 0, dets[:n])
+			if err != nil {
+				return err
 			}
-			return nil
+			res.frames = append(res.frames, frame)
+			res.detections += uint64(n)
+			dets = dets[n:]
 		}
-		records, tuples, err := c.srv.BackfillSource(name, req.Gestures, since, until, emit)
-		reply.Records += records
-		reply.Tuples += tuples
-		if err != nil {
-			if errors.Is(err, ErrUnknownStream) {
-				reply.Missing = append(reply.Missing, i)
-				continue
-			}
-			return c.sessionError(0, fmt.Errorf("wire: backfill stream %q: %w", name, err))
+		return nil
+	}
+	res.records, res.tuples, res.err = c.srv.BackfillSource(ctx, req.Streams[i], req.Gestures, since, until, emit)
+	return res
+}
+
+// writeBackfillFrames sends one stream's detection frames.
+func (c *conn) writeBackfillFrames(res *streamBackfill) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	for _, frame := range res.frames {
+		if err := c.w.WriteFrame(FrameBackfillDet, frame); err != nil {
+			return err
 		}
 	}
-	return c.reply(FrameBackfillOK, &reply)
+	return nil
 }
 
 func (c *conn) session(handle uint32) *connSession {

@@ -239,7 +239,11 @@ type MigrateCommitRequest struct {
 // stream order, each stream's detections in evaluation order — followed by
 // one FrameBackfillOK. Streams the server does not archive are reported in
 // the reply's Missing list rather than failing the request, so a fleet
-// coordinator can retry just those on other backends.
+// coordinator can retry just those on other backends. That much is
+// guaranteed; when frames leave is not — a server evaluates several streams
+// at a time and sends a stream's frames once the stream is done — and a
+// request that fails (FrameError) may have delivered any prefix of the
+// streams before the failing one, and nothing of that one.
 type BackfillRequest struct {
 	Streams  []string `json:"streams"`
 	Gestures []string `json:"gestures,omitempty"`
