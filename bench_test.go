@@ -1,9 +1,9 @@
 package gesture
 
-// Benchmark harness: one benchmark per experiment of DESIGN.md /
-// EXPERIMENTS.md (the paper has no numbered result tables, so each figure
-// and quantified claim is an experiment), plus micro-benchmarks of the hot
-// paths. Regenerate everything with:
+// Benchmark harness: one benchmark per experiment E1–E10 of DESIGN.md and
+// `go run ./cmd/gesturebench` (the paper has no numbered result tables, so
+// each figure and quantified claim is an experiment), plus micro-benchmarks
+// of the hot paths. Regenerate everything with:
 //
 //	go test -bench=. -benchmem
 //

@@ -1,5 +1,5 @@
-// Command gesturebench runs the reproduction experiments E1–E9 (see
-// DESIGN.md and EXPERIMENTS.md) and prints their result tables — the
+// Command gesturebench runs the reproduction experiments E1–E10 (see
+// DESIGN.md and internal/experiments) and prints their result tables — the
 // regeneration harness for every figure and quantified claim of the paper.
 //
 // Usage:

@@ -129,7 +129,7 @@ func run(addr, name string, shards, queue int, policyName string, gestures int, 
 		// coordinator (gesturereplay -mode fleet-backfill, or a cluster
 		// gateway) evaluates this server's registered plans over the
 		// recordings through the wire protocol's history path.
-		srv.BackfillSource = store.NewWireBackfillSource(reg, arch.OpenReader)
+		srv.BackfillSource = store.NewWireBackfillSource(reg.Resolve, arch.OpenReader)
 		if retain > 0 {
 			comp = arch.NewCompactor(store.RetentionPolicy{MaxAge: retain})
 			stop := comp.Start(compactEvery, func(err error) {

@@ -32,7 +32,6 @@ import (
 	"gesturecep/internal/cluster"
 	"gesturecep/internal/kinect"
 	"gesturecep/internal/learn"
-	"gesturecep/internal/membership"
 	"gesturecep/internal/obs"
 	"gesturecep/internal/serve"
 	"gesturecep/internal/store"
@@ -208,7 +207,7 @@ func run(addr string, external []cluster.Backend, backends, vnodes int, loadFact
 			// gesturereplay -mode fleet-backfill) fans out across.
 			opts.Backfill = func(backendID string) wire.BackfillFunc {
 				arch := archiveOf[backendID]
-				return store.NewWireBackfillSource(reg, arch.OpenReader)
+				return store.NewWireBackfillSource(reg.Resolve, arch.OpenReader)
 			}
 		}
 		sp, err := cluster.Spawn(backends, reg, opts)
@@ -243,9 +242,6 @@ func run(addr string, external []cluster.Backend, backends, vnodes int, loadFact
 		return err
 	}
 
-	ctrl := membership.New(gw, gw.Log(), 0)
-	defer ctrl.Close()
-
 	if adminAddr != "" {
 		admin, err := obs.StartAdmin(adminAddr, obs.AdminConfig{
 			Collect: gw.WriteProm,
@@ -260,14 +256,14 @@ func run(addr string, external []cluster.Backend, backends, vnodes int, loadFact
 			Healthy: func() error { return nil }, // the process serves while it runs
 			Ready:   gw.Ready,
 			Events:  gw.Events,
-			Routes:  ctrl.Routes(),
+			Routes:  gw.AdminRoutes(),
 		})
 		if err != nil {
 			gw.Close()
 			return err
 		}
 		defer admin.Close()
-		fmt.Printf("admin plane on http://%s/metrics (membership: /backends, /backends/drain, /migrations, /backfill)\n", admin.Addr())
+		fmt.Printf("admin plane on http://%s/metrics (membership: /backends, /backends/{add,drain,remove}; /backfill; every change in /events)\n", admin.Addr())
 	}
 
 	sigc := make(chan os.Signal, 1)

@@ -210,12 +210,13 @@ func replay(o opts, reg *serve.Registry) error {
 		defer admin.Close()
 		fmt.Printf("admin plane on http://%s/metrics\n", admin.Addr())
 	}
-	stats, err := store.ReplayToSession(r, sess, store.ReplayOptions{
+	stats, err := store.Replay(r, sess.FeedTuple, store.ReplayOptions{
 		Speed:    o.speed,
 		Offset:   o.offset,
 		Limit:    o.limit,
 		Progress: func(tuples uint64) { replayed.Store(tuples) },
 	})
+	sess.Flush()
 	if err != nil {
 		return err
 	}
@@ -276,7 +277,7 @@ func splitList(s string) []string {
 
 // fleetBackfill stands up an ad-hoc gateway over the named backends (no
 // probing, no serving — just the ring and the backfill fan-out) and runs one
-// fleet backfill through the same code path the membership admin plane uses.
+// fleet backfill through the same code path the gateway's POST /backfill uses.
 func fleetBackfill(o opts) error {
 	addrs := splitList(o.backends)
 	if len(addrs) == 0 {

@@ -455,7 +455,9 @@ func NewStoreArchive(root string, opts StoreOptions) *StoreArchive {
 // ReplayStore feeds a recorded history through a serving session at the
 // configured speed; detections are byte-identical to the original run.
 func ReplayStore(r *StoreReader, sess *ServeSession, opts ReplayStoreOptions) (ReplayStoreStats, error) {
-	return store.ReplayToSession(r, sess, opts)
+	stats, err := store.Replay(r, sess.FeedTuple, opts)
+	sess.Flush()
+	return stats, err
 }
 
 // BackfillStore evaluates compiled plans over a recorded history offline

@@ -1,7 +1,6 @@
-package membership_test
+package cluster_test
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,18 +11,120 @@ import (
 	"gesturecep/internal/cluster"
 	"gesturecep/internal/e2e"
 	"gesturecep/internal/kinect"
-	"gesturecep/internal/membership"
 	"gesturecep/internal/obs"
 	"gesturecep/internal/serve"
 	"gesturecep/internal/wire"
 )
 
+// eventFields indexes one event's fields by key.
+func eventFields(e obs.Event) map[string]any {
+	fields := make(map[string]any, len(e.Fields))
+	for _, f := range e.Fields {
+		fields[f.Key] = f.Value
+	}
+	return fields
+}
+
+// TestMembershipVerbsLogOnce pins the fleet's one record of what was asked
+// of it: every membership verb, applied or refused, leaves exactly one event
+// in gw.Events, carrying op and backend, sessions for a drain, and err for
+// a refusal.
+func TestMembershipVerbsLogOnce(t *testing.T) {
+	h := e2e.Start(t, e2e.Options{
+		Backends:      2,
+		Gateway:       true,
+		Serve:         serve.Config{Shards: 1, QueueDepth: 128},
+		Record:        true,
+		ProbeInterval: -1,
+	})
+	gw := h.Gateway
+	tuples := kinect.ToTuples(e2e.PlaybackFrames(t, 7))
+	cl := h.Dial()
+	for i := 0; i < 4; i++ {
+		rs, err := cl.Attach(fmt.Sprintf("log-%d", i), wire.AttachOptions{BatchSize: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tp := range tuples[:64] {
+			if err := rs.FeedTuple(tp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := rs.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var victim, victimAddr, survivor string // the victim carries sessions
+	for _, row := range gw.BackendsInfo() {
+		if row.Sessions > 0 && victim == "" {
+			victim, victimAddr = row.ID, row.Addr
+		} else {
+			survivor = row.ID
+		}
+	}
+
+	// step runs one verb and returns the fields of the one event it left.
+	step := func(op, id string, refused bool, verb func() error) map[string]any {
+		t.Helper()
+		before := len(gw.Events(0))
+		err := verb()
+		if (err != nil) != refused {
+			t.Fatalf("%s %q: err = %v, want refused = %v", op, id, err, refused)
+		}
+		events := gw.Events(0)
+		if len(events) != before+1 {
+			t.Fatalf("%s %q left %d events, want exactly 1: %v", op, id, len(events)-before, events[before:])
+		}
+		e := events[len(events)-1]
+		fields := eventFields(e)
+		if fields["op"] != op || fields["backend"] != id {
+			t.Errorf("%s %q logged %s", op, id, e)
+		}
+		if _, hasErr := fields["err"]; hasErr != refused {
+			t.Errorf("%s %q logged %s; want err only on a refusal", op, id, e)
+		}
+		if refused && e.Level != obs.LevelWarn {
+			t.Errorf("refused %s %q logged at %s, want warn", op, id, e.Level)
+		}
+		return fields
+	}
+	drain := func(id string, refused bool) (int, map[string]any) {
+		t.Helper()
+		var moved int
+		fields := step("drain", id, refused, func() (err error) {
+			moved, err = gw.Drain(id)
+			return err
+		})
+		if fields["sessions"] != moved {
+			t.Errorf("drain %q logged sessions = %v, moved %d", id, fields["sessions"], moved)
+		}
+		return moved, fields
+	}
+
+	step("add", "", true, func() error { return gw.AddBackend("", "127.0.0.1:1") })
+	step("add", survivor, true, func() error { return gw.AddBackend(survivor, "127.0.0.1:1") })
+	step("remove", survivor, true, func() error { return gw.RemoveBackend(survivor) })
+	drain("no-such-backend", true)
+	if moved, _ := drain(victim, false); moved == 0 {
+		t.Fatalf("drain of %s moved no session", victim)
+	}
+	// The last live backend's sessions have nowhere to go: the drain
+	// reverts, and its one event says so.
+	if moved, fields := drain(survivor, true); moved != 0 || !strings.Contains(fmt.Sprint(fields["err"]), "no live backend") {
+		t.Errorf("last-backend drain moved %d, logged err %v", moved, fields["err"])
+	}
+	step("add", victim, false, func() error { return gw.AddBackend(victim, victimAddr) })
+	drain(victim, false)
+	step("remove", victim, false, func() error { return gw.RemoveBackend(victim) })
+}
+
 // TestControllerHTTPRollingRestart drives the full rolling-restart cycle the
 // way an operator would — entirely over the admin plane's HTTP endpoints:
 // read /backends to pick a victim, POST /backends/drain, POST /backends/add
-// to re-admit it, and audit the whole story through /migrations. Refusals
-// (draining the last backend, removing a live one, bad bodies, wrong
-// methods, a closed controller) must map onto the right status codes.
+// to re-admit it, and audit the whole story through /events and the
+// gateway's MigrationStats. Refusals (draining the last backend, removing a
+// live one, bad bodies, wrong methods, a closed gateway) must map onto the
+// right status codes.
 func TestControllerHTTPRollingRestart(t *testing.T) {
 	tuples := kinect.ToTuples(e2e.PlaybackFrames(t, 7))
 	h := e2e.Start(t, e2e.Options{
@@ -34,8 +135,7 @@ func TestControllerHTTPRollingRestart(t *testing.T) {
 		ProbeInterval: -1,
 	})
 	gw := h.Gateway
-	ctrl := membership.New(gw, gw.Log(), 0)
-	admin, err := obs.StartAdmin("127.0.0.1:0", obs.AdminConfig{Routes: ctrl.Routes()})
+	admin, err := obs.StartAdmin("127.0.0.1:0", obs.AdminConfig{Routes: gw.AdminRoutes(), Events: gw.Events})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,18 +223,26 @@ func TestControllerHTTPRollingRestart(t *testing.T) {
 		t.Fatal("no backend carries a session")
 	}
 
-	// Drain the victim over HTTP; the record must carry the moved count.
-	var rec membership.Record
+	// The reply to a membership POST, built from the call.
+	type opReply struct {
+		Op       string `json:"op"`
+		Backend  string `json:"backend"`
+		Sessions int    `json:"sessions_moved"`
+		Err      string `json:"err"`
+	}
+
+	// Drain the victim over HTTP; the reply must carry the moved count.
+	var rec opReply
 	if code := post("/backends/drain", `{"id":"`+victim+`"}`, &rec); code != 200 {
 		t.Fatalf("POST /backends/drain = %d, want 200 (%+v)", code, rec)
 	}
 	if rec.Op != "drain" || rec.Backend != victim || rec.Sessions == 0 || rec.Err != "" {
-		t.Errorf("drain record = %+v, want a clean drain of %s with sessions moved", rec, victim)
+		t.Errorf("drain reply = %+v, want a clean drain of %s with sessions moved", rec, victim)
 	}
 	movedFirst := rec.Sessions
 
 	// Draining the survivor must refuse — its sessions have nowhere to go —
-	// and surface as 409 with the error in the record.
+	// and surface as 409 with the error in the reply.
 	survivor := fleet[0].ID
 	if survivor == victim {
 		survivor = fleet[1].ID
@@ -143,7 +251,7 @@ func TestControllerHTTPRollingRestart(t *testing.T) {
 		t.Fatalf("draining the last backend = %d, want 409 (%+v)", code, rec)
 	}
 	if rec.Err == "" || rec.Sessions != 0 {
-		t.Errorf("refused drain record = %+v, want an error and no sessions moved", rec)
+		t.Errorf("refused drain reply = %+v, want an error and no sessions moved", rec)
 	}
 
 	// /backends now shows the drained/survivor split.
@@ -169,7 +277,7 @@ func TestControllerHTTPRollingRestart(t *testing.T) {
 	if code := post("/backends/remove", `{"id":"`+survivor+`"}`, &rec); code != 409 {
 		t.Fatalf("removing a live backend = %d, want 409 (%+v)", code, rec)
 	}
-	rec = membership.Record{} // "err" is omitempty: clear the refusal before decoding a success
+	rec = opReply{} // "err" is omitempty: clear the refusal before decoding a success
 	if code := post("/backends/add", `{"id":"`+victim+`","addr":"`+victimAddr+`"}`, &rec); code != 200 || rec.Err != "" {
 		t.Fatalf("re-adding the drained backend = %d (%+v), want 200", code, rec)
 	}
@@ -201,7 +309,7 @@ func TestControllerHTTPRollingRestart(t *testing.T) {
 	}
 
 	// Input validation: bad JSON, a missing id, an add without addr, and
-	// wrong methods on every route.
+	// wrong methods on every route. None of them reaches a verb.
 	if code := post("/backends/drain", `{`, nil); code != 400 {
 		t.Errorf("bad JSON body = %d, want 400", code)
 	}
@@ -214,90 +322,62 @@ func TestControllerHTTPRollingRestart(t *testing.T) {
 	if code := post("/backends", ``, nil); code != 405 {
 		t.Errorf("POST /backends = %d, want 405", code)
 	}
-	if code := post("/migrations", ``, nil); code != 405 {
-		t.Errorf("POST /migrations = %d, want 405", code)
-	}
 	if code := get("/backends/drain", nil); code != 405 {
 		t.Errorf("GET /backends/drain = %d, want 405", code)
 	}
+	if code := get("/migrations", nil); code != 404 {
+		t.Errorf("GET /migrations = %d, want 404: /events is the record", code)
+	}
 
-	// The audit trail: five records in apply order (drain, refused drain,
-	// refused remove, add, drain, remove), counters tallying exactly the
-	// outcomes above, and the gateway's migration stats riding along.
-	var mig struct {
-		Records  []membership.Record    `json:"records"`
-		Counters membership.Counters    `json:"counters"`
-		Stats    cluster.MigrationStats `json:"migration"`
+	// The audit trail: one event per operation in apply order (drain,
+	// refused drain, refused remove, add, drain, remove), with the moved
+	// counts on the applied drains.
+	var events []obs.Event
+	if code := get("/events", &events); code != 200 {
+		t.Fatalf("GET /events = %d, want 200", code)
 	}
-	if code := get("/migrations", &mig); code != 200 {
-		t.Fatalf("GET /migrations = %d, want 200", code)
-	}
-	want := membership.Counters{Adds: 1, Drains: 2, Removes: 1, Failures: 2,
-		SessionsMoved: uint64(movedFirst + sessions)}
-	if mig.Counters != want {
-		t.Errorf("counters = %+v, want %+v", mig.Counters, want)
-	}
-	if len(mig.Records) != 6 {
-		t.Errorf("/migrations holds %d records, want 6", len(mig.Records))
-	}
-	for i, r := range mig.Records {
-		if r.Seq != uint64(i+1) {
-			t.Errorf("record %d seq = %d, want %d", i, r.Seq, i+1)
+	var got []string
+	for _, e := range events {
+		f := eventFields(e)
+		if _, ok := f["op"]; !ok {
+			continue
 		}
+		line := fmt.Sprintf("%v %v", f["op"], f["backend"])
+		if _, refused := f["err"]; refused {
+			line += " refused"
+		} else if n, ok := f["sessions"]; ok {
+			line += fmt.Sprintf(" sessions=%v", n)
+		}
+		got = append(got, line)
+	}
+	want := []string{
+		fmt.Sprintf("drain %s sessions=%d", victim, movedFirst),
+		"drain " + survivor + " refused",
+		"remove " + survivor + " refused",
+		"add " + victim,
+		fmt.Sprintf("drain %s sessions=%d", survivor, sessions),
+		"remove " + survivor,
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("/events membership trail:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 	// The refused last-backend drain attempted (and failed) one migration
 	// before reverting, so the gateway's ledger shows exactly one failure.
-	if mig.Stats.Migrations != uint64(movedFirst+sessions) || mig.Stats.Failed != 1 {
-		t.Errorf("migration stats = %+v, want %d completed migrations and 1 failed", mig.Stats, movedFirst+sessions)
+	if ms := gw.MigrationStats(); ms.Migrations != uint64(movedFirst+sessions) || ms.Failed != 1 {
+		t.Errorf("migration stats = %+v, want %d completed migrations and 1 failed", ms, movedFirst+sessions)
 	}
 
-	// A closed controller refuses every operation as 409 but keeps serving
-	// the read-only endpoints.
-	ctrl.Close()
+	// A closed gateway refuses every verb as 409 but keeps serving the
+	// read-only endpoints.
+	gw.Close()
 	if code := post("/backends/drain", `{"id":"`+victim+`"}`, &rec); code != 409 {
 		t.Errorf("drain after Close = %d, want 409", code)
 	}
-	if !strings.Contains(rec.Err, "controller closed") {
-		t.Errorf("closed-controller record err = %q, want the closed refusal", rec.Err)
+	if !strings.Contains(rec.Err, "gateway closed") {
+		t.Errorf("closed-gateway reply err = %q, want the closed refusal", rec.Err)
 	}
 	if code := get("/backends", &fleet); code != 200 {
 		t.Errorf("GET /backends after Close = %d, want 200", code)
-	}
-}
-
-// TestControllerHistoryBound pins the record ring: with history=2 only the
-// newest two records survive, while seq and counters keep the full tally.
-func TestControllerHistoryBound(t *testing.T) {
-	h := e2e.Start(t, e2e.Options{
-		Backends:      1,
-		Gateway:       true,
-		Serve:         serve.Config{Shards: 1},
-		ProbeInterval: -1,
-	})
-	ctrl := membership.New(h.Gateway, nil, 2)
-	for i := 0; i < 5; i++ {
-		if rec := ctrl.Drain("no-such-backend"); rec.Err == "" {
-			t.Fatal("draining an unknown backend succeeded")
-		}
-	}
-	recs := ctrl.Records()
-	if len(recs) != 2 {
-		t.Fatalf("history holds %d records, want 2", len(recs))
-	}
-	if recs[0].Seq != 4 || recs[1].Seq != 5 {
-		t.Errorf("retained seqs = %d, %d; want 4, 5", recs[0].Seq, recs[1].Seq)
-	}
-	if c := ctrl.Counters(); c.Failures != 5 {
-		t.Errorf("failures = %d, want 5", c.Failures)
-	}
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(recs[0]); err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{`"seq"`, `"op"`, `"backend"`, `"duration_ns"`, `"sessions_moved"`, `"err"`} {
-		if !strings.Contains(buf.String(), key) {
-			t.Errorf("record JSON missing %s: %s", key, buf.String())
-		}
 	}
 }
 
@@ -312,8 +392,7 @@ func TestBackfillEndpoint(t *testing.T) {
 		Serve:         serve.Config{Shards: 1},
 		ProbeInterval: -1,
 	})
-	ctrl := membership.New(h.Gateway, nil, 0)
-	admin, err := obs.StartAdmin("127.0.0.1:0", obs.AdminConfig{Routes: ctrl.Routes()})
+	admin, err := obs.StartAdmin("127.0.0.1:0", obs.AdminConfig{Routes: h.Gateway.AdminRoutes()})
 	if err != nil {
 		t.Fatal(err)
 	}

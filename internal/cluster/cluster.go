@@ -30,6 +30,9 @@
 //     charged to the session's Lost/Dropped accounting and surfaced
 //     through the existing flush-ack and detection-push drop counters —
 //     loss is explicit, never silent;
+//   - admin plane — AdminRoutes serves the membership verbs and the fleet
+//     backfill over HTTP (admin.go); every verb, applied or refused, is
+//     one event in the gateway's log, which /events serves;
 //   - Spawner — an in-process backend fleet (manager + wire server per
 //     backend) for cmd/gesturegateway's all-in-one mode and the e2e test
 //     harness.
@@ -86,9 +89,10 @@ type Config struct {
 	TolerateDown bool
 	// Logger, when non-nil, receives structured backend lifecycle events
 	// (ejection, recovery, re-admission) with backend ID, incarnation and
-	// state fields, and backs the admin plane's /events endpoint; give it a
-	// sink to mirror each event elsewhere. When nil, the gateway builds its
-	// own ring-buffered logger with no sink.
+	// state fields, one event per membership verb (op, backend, duration,
+	// and sessions or err), and backs the admin plane's /events endpoint;
+	// give it a sink to mirror each event elsewhere. When nil, the gateway
+	// builds its own ring-buffered logger with no sink.
 	Logger *obs.Logger
 }
 

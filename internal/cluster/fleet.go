@@ -395,27 +395,27 @@ func (fl *fleet) retire(be *backend, drained bool) (sessions []*proxySession, st
 
 // remove forgets a member that is out of the serving path — drained,
 // terminally ejected, or still recovering (its re-dial loop is cancelled).
-func (fl *fleet) remove(id string) (BackendState, error) {
+func (fl *fleet) remove(id string) error {
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
 	if fl.closed {
-		return "", errClosed
+		return errClosed
 	}
 	m := fl.members[id]
 	if m == nil {
-		return "", fmt.Errorf("cluster: no backend %s", id)
+		return fmt.Errorf("cluster: no backend %s", id)
 	}
 	switch m.state {
 	case StateDrained, StateEjected, StateRecovering:
 	default:
-		return "", fmt.Errorf("cluster: backend %s is %s; drain it before removing", id, m.state)
+		return fmt.Errorf("cluster: backend %s is %s; drain it before removing", id, m.state)
 	}
 	if m.cancel != nil {
 		close(m.cancel)
 	}
 	delete(fl.members, id)
 	fl.order = slices.DeleteFunc(fl.order, func(o string) bool { return o == id })
-	return m.state, nil
+	return nil
 }
 
 // shutdown refuses every later membership change and waits the recovery

@@ -27,10 +27,10 @@ type Gateway struct {
 	sessions atomic.Int64 // proxied sessions across all front connections
 
 	// memberMu serializes membership operations — AddBackend, Drain,
-	// RemoveBackend — against each other, and Close waits on it for the one
-	// in flight; the fleet's own lock stays the fine-grained one for each
-	// state step inside them. Lock ordering: memberMu before fleet.mu, never
-	// the reverse.
+	// RemoveBackend — against each other, and so orders their events in
+	// the log; Close waits on it for the one in flight. The fleet's own lock
+	// stays the fine-grained one for each state step inside them. Lock
+	// ordering: memberMu before fleet.mu, never the reverse.
 	memberMu sync.Mutex
 
 	closeOnce sync.Once
@@ -100,10 +100,6 @@ func NewGateway(cfg Config) (*Gateway, error) {
 	go gw.probeLoop()
 	return gw, nil
 }
-
-// Log returns the gateway's structured lifecycle event log (never nil); the
-// admin plane serves its recent ring at /events.
-func (gw *Gateway) Log() *obs.Logger { return gw.log }
 
 // State reports a backend's lifecycle state ("" for an unknown ID).
 func (gw *Gateway) State(id string) BackendState {

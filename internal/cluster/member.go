@@ -2,9 +2,26 @@ package cluster
 
 import (
 	"fmt"
+	"time"
 
 	"gesturecep/internal/obs"
 )
+
+// logOp records one membership verb — AddBackend, Drain or RemoveBackend —
+// as the one event the gateway's log (/events) holds for it, the fleet's
+// only record of what was asked of it: msg at info when the verb applied,
+// "backend <op> refused" at warn with the error when it did not. Every
+// event carries op, backend and duration besides the verb's own fields.
+// The verbs call it under memberMu, so events keep apply order.
+func (gw *Gateway) logOp(op, id string, start time.Time, err error, msg string, fields ...obs.Field) {
+	fields = append([]obs.Field{obs.F("op", op), obs.F("backend", id)}, fields...)
+	fields = append(fields, obs.F("duration", time.Since(start).String()))
+	if err != nil {
+		gw.log.Warn("backend "+op+" refused", append(fields, obs.F("err", err.Error()))...)
+		return
+	}
+	gw.log.Info(msg, fields...)
+}
 
 // AddBackend admits a new fleet member at runtime: dial and verify its data
 // and probe connections, install the incarnation and enter it on the ring
@@ -16,19 +33,17 @@ import (
 // member re-admits it (the rolling-restart cycle: drain → deploy →
 // AddBackend); a live, draining or recovering ID is refused.
 func (gw *Gateway) AddBackend(id, addr string) error {
-	if id == "" || addr == "" {
-		return fmt.Errorf("cluster: backend needs both an id and an address")
-	}
 	gw.memberMu.Lock()
 	defer gw.memberMu.Unlock()
-	be, err := gw.fleet.install(id, addr, nil)
-	if err != nil {
-		return err
+	start := time.Now()
+	var err error
+	if id == "" || addr == "" {
+		err = fmt.Errorf("cluster: backend needs both an id and an address")
+	} else {
+		_, err = gw.fleet.install(id, addr, nil)
 	}
-	gw.log.Info("backend added",
-		obs.F("backend", id), obs.F("addr", addr), obs.F("incarnation", be.inc),
-		obs.F("state", string(StateLive)))
-	return nil
+	gw.logOp("add", id, start, err, "backend added", obs.F("addr", addr))
+	return err
 }
 
 // Drain gracefully retires a live backend: it leaves the ring first (no new
@@ -44,6 +59,8 @@ func (gw *Gateway) AddBackend(id, addr string) error {
 func (gw *Gateway) Drain(id string) (moved int, err error) {
 	gw.memberMu.Lock()
 	defer gw.memberMu.Unlock()
+	start := time.Now()
+	defer func() { gw.logOp("drain", id, start, err, "backend drained", obs.F("sessions", moved)) }()
 	m, ok := gw.fleet.lookup(id)
 	if !ok {
 		return 0, fmt.Errorf("cluster: no backend %s", id)
@@ -55,9 +72,6 @@ func (gw *Gateway) Drain(id string) (moved int, err error) {
 	if err := gw.fleet.setDraining(be, true); err != nil { // no new sessions land here while draining
 		return 0, err
 	}
-	gw.log.Info("backend draining",
-		obs.F("backend", id), obs.F("addr", be.addr), obs.F("incarnation", be.inc),
-		obs.F("state", string(StateDraining)))
 
 	// revert returns a drain that cannot complete to live service; the
 	// sessions the backend still carries never stopped serving — a failed
@@ -65,9 +79,6 @@ func (gw *Gateway) Drain(id string) (moved int, err error) {
 	// refuses and the ejection's verdict stands.)
 	revert := func(cause error) (int, error) {
 		gw.fleet.setDraining(be, false)
-		gw.log.Warn("backend drain reverted",
-			obs.F("backend", id), obs.F("incarnation", be.inc),
-			obs.F("sessions_moved", moved), obs.F("err", cause.Error()))
 		return moved, cause
 	}
 
@@ -116,9 +127,6 @@ func (gw *Gateway) Drain(id string) (moved int, err error) {
 	if _, _, ok := gw.fleet.retire(be, true); !ok {
 		return moved, fmt.Errorf("cluster: backend %s was ejected mid-drain (state %s)", id, gw.State(id))
 	}
-	gw.log.Info("backend drained",
-		obs.F("backend", id), obs.F("addr", be.addr), obs.F("incarnation", be.inc),
-		obs.F("state", string(StateDrained)), obs.F("sessions", moved))
 	return moved, nil
 }
 
@@ -129,13 +137,10 @@ func (gw *Gateway) Drain(id string) (moved int, err error) {
 func (gw *Gateway) RemoveBackend(id string) error {
 	gw.memberMu.Lock()
 	defer gw.memberMu.Unlock()
-	st, err := gw.fleet.remove(id)
-	if err != nil {
-		return err
-	}
-	gw.log.Info("backend removed",
-		obs.F("backend", id), obs.F("state", string(st)))
-	return nil
+	start := time.Now()
+	err := gw.fleet.remove(id)
+	gw.logOp("remove", id, start, err, "backend removed")
+	return err
 }
 
 // BackendInfo is one row of the admin plane's read-only /backends listing.

@@ -132,7 +132,7 @@ func Start(t testing.TB, opts Options) *Harness {
 		// archive — the fleet-parallel path gw.Backfill fans out over.
 		spawnOpts.Backfill = func(backendID string) wire.BackfillFunc {
 			arch := archiveOf[backendID]
-			return store.NewWireBackfillSource(h.Registry, arch.OpenReader)
+			return store.NewWireBackfillSource(h.Registry.Resolve, arch.OpenReader)
 		}
 		// Backend IDs are assigned by Spawn in order; pre-bind them.
 		for i := 0; i < opts.Backends; i++ {

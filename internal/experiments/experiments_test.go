@@ -8,7 +8,7 @@ import (
 
 // These tests run each experiment end-to-end at small scale and assert the
 // qualitative shape the paper claims — they are the executable version of
-// EXPERIMENTS.md.
+// the tables `go run ./cmd/gesturebench` prints.
 
 func parseF(t *testing.T, s string) float64 {
 	t.Helper()

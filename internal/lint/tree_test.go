@@ -39,28 +39,43 @@ func TestTreeClean(t *testing.T) {
 // only code outside it (the facade, commands, tests) may know the Kinect
 // layout. Test files are exempt — they feed simulated Kinect sessions.
 func TestServingStackIsSchemaGeneric(t *testing.T) {
+	for _, pkg := range []string{"serve", "wire", "cluster", "store"} {
+		forbidImport(t, pkg, "kinect", "convert frames to tuples at the caller")
+	}
+}
+
+// TestStoreDoesNotImportServe is the first step of the store split: the
+// archive keeps bytes and tuples and never reaches into the serving
+// runtime — a caller hands it a plan resolver, or feeds a replay into a
+// session itself.
+func TestStoreDoesNotImportServe(t *testing.T) {
+	forbidImport(t, "store", "serve", "take what it needs as a function value")
+}
+
+// forbidImport fails for every non-test file of internal/pkg that imports
+// internal/banned.
+func forbidImport(t *testing.T, pkg, banned, fix string) {
+	t.Helper()
 	root, err := ModuleRoot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	const banned = `"gesturecep/internal/kinect"`
-	for _, pkg := range []string{"serve", "wire", "cluster", "store"} {
-		files, err := filepath.Glob(filepath.Join(root, "internal", pkg, "*.go"))
-		if err != nil || len(files) == 0 {
-			t.Fatalf("internal/%s: %d files, %v", pkg, len(files), err)
+	files, err := filepath.Glob(filepath.Join(root, "internal", pkg, "*.go"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("internal/%s: %d files, %v", pkg, len(files), err)
+	}
+	path := `"gesturecep/internal/` + banned + `"`
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
 		}
-		for _, file := range files {
-			if strings.HasSuffix(file, "_test.go") {
-				continue
-			}
-			f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.ImportsOnly)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, imp := range f.Imports {
-				if imp.Path.Value == banned {
-					t.Errorf("%s imports internal/kinect; convert frames to tuples at the caller", file)
-				}
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == path {
+				t.Errorf("%s imports internal/%s; %s", file, banned, fix)
 			}
 		}
 	}

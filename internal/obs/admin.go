@@ -33,9 +33,9 @@ type AdminConfig struct {
 	// (the Logger.Recent contract); served as JSON at /events?n=.
 	Events func(n int) []Event
 	// Routes adds process-specific endpoints to the admin mux (path →
-	// handler) — e.g. a gateway's membership plane (/backends,
-	// /backends/drain, /migrations). Registered alongside the fixed
-	// endpoints; a route must not reuse one of their paths (the mux
+	// handler) — e.g. cluster.Gateway.AdminRoutes (/backends,
+	// /backends/{add,drain,remove}, /backfill). Registered alongside the
+	// fixed endpoints; a route must not reuse one of their paths (the mux
 	// panics on a duplicate pattern).
 	Routes map[string]http.HandlerFunc
 }
@@ -105,7 +105,7 @@ func (a *AdminServer) handleMetricsJSON(w http.ResponseWriter, r *http.Request) 
 	if a.cfg.MetricsJSON != nil {
 		v = a.cfg.MetricsJSON()
 	}
-	writeJSON(w, v)
+	WriteJSON(w, http.StatusOK, v)
 }
 
 func (a *AdminServer) handleEvents(w http.ResponseWriter, r *http.Request) {
@@ -121,7 +121,7 @@ func (a *AdminServer) handleEvents(w http.ResponseWriter, r *http.Request) {
 			events = e
 		}
 	}
-	writeJSON(w, events)
+	WriteJSON(w, http.StatusOK, events)
 }
 
 // probeHandler adapts a health hook into a 200/503 endpoint.
@@ -138,11 +138,16 @@ func probeHandler(probe func() error) http.HandlerFunc {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+// WriteJSON replies with v as indented JSON under status — the one JSON
+// writer of the admin plane and of the routes processes add to it. A value
+// that does not marshal replies 500 instead.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	w.Write(append(b, '\n'))
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"gesturecep/internal/stream"
-	"gesturecep/internal/transform"
 )
 
 // Policy selects the backpressure behaviour of a full shard queue.
@@ -62,9 +61,6 @@ type Config struct {
 	QueueDepth int
 	// Policy selects the backpressure behaviour when a queue is full.
 	Policy Policy
-	// Transform configures the §3.2 kinect_t view of every session; nil
-	// selects transform.DefaultConfig().
-	Transform *transform.Config
 }
 
 func (c Config) withDefaults() Config {
@@ -81,11 +77,6 @@ func (c Config) withDefaults() Config {
 func (c Config) Validate() error {
 	if c.Policy != Block && c.Policy != DropOldest {
 		return fmt.Errorf("serve: invalid policy %d", int(c.Policy))
-	}
-	if c.Transform != nil {
-		if err := c.Transform.Validate(); err != nil {
-			return err
-		}
 	}
 	return nil
 }

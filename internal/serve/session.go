@@ -98,12 +98,8 @@ func (m *Manager) CreateSessionWith(id string, opts SessionOptions) (*Session, e
 		return nil, fmt.Errorf("serve: session %q: no plans to deploy (registry is empty)", id)
 	}
 
-	cfg := transform.DefaultConfig()
-	if m.cfg.Transform != nil {
-		cfg = *m.cfg.Transform
-	}
 	engine := anduin.New()
-	raw, _, err := engine.KinectPipeline(cfg)
+	raw, _, err := engine.KinectPipeline(transform.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}

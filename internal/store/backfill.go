@@ -13,10 +13,6 @@ import (
 
 // BackfillOptions tunes offline evaluation.
 type BackfillOptions struct {
-	// Transform configures the kinect_t view the plans read; nil selects
-	// transform.DefaultConfig() — the same default a serving session uses,
-	// so backfill results line up with live detections.
-	Transform *transform.Config
 	// OnDetection, when non-nil, streams each detection out as it fires,
 	// in order, on the calling goroutine.
 	OnDetection func(anduin.Detection)
@@ -34,8 +30,8 @@ type BackfillOptions struct {
 }
 
 // Backfill evaluates compiled plans over a recorded history offline: it
-// builds a private engine with the standard kinect pipeline, deploys the
-// plans, and publishes every recorded tuple through it in order — the
+// builds a private engine with the standard kinect pipeline (the default
+// transform, as every serving session has), deploys the plans, and publishes every recorded tuple through it in order — the
 // lambda-style batch path over the same code the live path runs, so a
 // plan backfilled over a recorded session produces exactly the detections
 // a live session deploying it would have produced. Records are borrowed from
@@ -51,12 +47,8 @@ func backfill(ctx context.Context, r *Reader, plans []*anduin.Plan, opts Backfil
 	if len(plans) == 0 {
 		return nil, fmt.Errorf("store: backfill needs at least one plan")
 	}
-	cfg := transform.DefaultConfig()
-	if opts.Transform != nil {
-		cfg = *opts.Transform
-	}
 	engine := anduin.New()
-	raw, _, err := engine.KinectPipeline(cfg)
+	raw, _, err := engine.KinectPipeline(transform.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}

@@ -64,9 +64,10 @@ func TestRecordOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if _, err := store.ReplayToSession(r, sess, store.ReplayOptions{}); err != nil {
+	if _, err := store.Replay(r, sess.FeedTuple, store.ReplayOptions{}); err != nil {
 		t.Fatal(err)
 	}
+	sess.Flush()
 	replayed := sess.Detections()
 	if !bytes.Equal(e2e.EncodeDets(t, remote), e2e.EncodeDets(t, replayed)) {
 		t.Errorf("replay of wire recording diverges:\nremote: %+v\nreplay: %+v", remote, replayed)

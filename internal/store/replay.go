@@ -4,7 +4,6 @@ import (
 	"io"
 	"time"
 
-	"gesturecep/internal/serve"
 	"gesturecep/internal/stream"
 )
 
@@ -55,7 +54,9 @@ type ReplayStats struct {
 var testHookReplayPositioned func()
 
 // Replay streams a recorded history into sink in record order. The sink is
-// called on the calling goroutine; an error from it aborts the replay.
+// called on the calling goroutine; an error from it aborts the replay. A
+// serving session's FeedTuple is a sink: flushed afterwards, the session
+// detects byte-identically to the original run.
 func Replay(r *Reader, sink func(stream.Tuple) error, opts ReplayOptions) (stats ReplayStats, err error) {
 	begin := time.Now()
 	var wallStart time.Time // pacing anchor: set when the first tuple is delivered
@@ -136,14 +137,4 @@ func Replay(r *Reader, sink func(stream.Tuple) error, opts ReplayOptions) (stats
 			opts.Progress(stats.Tuples)
 		}
 	}
-}
-
-// ReplayToSession feeds a recorded history through a serving session —
-// the same shard queue, transformation view and NFA evaluation a live
-// producer gets, so detections are byte-identical to the original run —
-// and flushes the session before returning.
-func ReplayToSession(r *Reader, sess *serve.Session, opts ReplayOptions) (ReplayStats, error) {
-	stats, err := Replay(r, sess.FeedTuple, opts)
-	sess.Flush()
-	return stats, err
 }

@@ -510,7 +510,8 @@ func TestDeterminismRecordReplayBackfill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := ReplayToSession(r, sess2, ReplayOptions{})
+	stats, err := Replay(r, sess2.FeedTuple, ReplayOptions{})
+	sess2.Flush()
 	r.Close()
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"gesturecep/internal/anduin"
-	"gesturecep/internal/serve"
 	"gesturecep/internal/wire"
 )
 
@@ -17,18 +16,20 @@ import (
 const backfillEmitChunk = wire.MaxDetections
 
 // NewWireBackfillSource adapts an archive to the wire protocol's backfill
-// handler (wire.Server.BackfillSource): plan names resolve through the
-// server's registry (empty = every registered plan), streams open through
-// the given opener — pass Archive.OpenReader so evaluation holds the
-// compaction read-lock, or a closure over the package-level OpenReader for
-// an archive nothing compacts. A stream the archive does not hold is
-// reported as wire.ErrUnknownStream, which the protocol surfaces in
-// BackfillReply.Missing instead of failing the request — the fleet
-// coordinator's cue to retry the stream on the backend that recorded it.
-func NewWireBackfillSource(reg *serve.Registry, open func(stream string) (*Reader, error)) wire.BackfillFunc {
+// handler (wire.Server.BackfillSource). resolve maps plan names to plans:
+// pass the server registry's Resolve, for which no names means every
+// registered plan. open opens a stream: pass Archive.OpenReader so
+// evaluation holds the compaction read-lock, or a closure over the
+// package-level OpenReader for an archive nothing compacts. A stream the
+// archive does not hold is reported as wire.ErrUnknownStream, which the
+// protocol surfaces in BackfillReply.Missing instead of failing the request
+// — the fleet coordinator's cue to retry the stream on the backend that
+// recorded it.
+func NewWireBackfillSource(resolve func(names ...string) ([]*anduin.Plan, error),
+	open func(stream string) (*Reader, error)) wire.BackfillFunc {
 	return func(ctx context.Context, stream string, gestures []string, since, until time.Time,
 		emit func([]anduin.Detection) error) (records, tuples uint64, err error) {
-		plans, err := reg.Resolve(gestures...)
+		plans, err := resolve(gestures...)
 		if err != nil {
 			return 0, 0, err
 		}
