@@ -238,9 +238,11 @@ func BenchmarkTransformFrame(b *testing.B) {
 	}
 }
 
-// BenchmarkTransformTuple measures the kinect_t view as the serving path runs
-// it: one raw tuple in, one transformed tuple out, lent from the
-// transformer's scratch array — no allocation.
+// BenchmarkTransformTuple measures the kinect_t view's kernel for a
+// subscriber that reads every field: one raw tuple in, all 15 joints out,
+// lent from the transformer's scratch array — no allocation. With only
+// deployed plans subscribed, the view computes just the joints they read
+// (transform.View), so on the serving path this is an upper bound.
 func BenchmarkTransformTuple(b *testing.B) {
 	sim, err := kinect.NewSimulator(kinect.DefaultProfile(), kinect.DefaultNoise(), 1)
 	if err != nil {

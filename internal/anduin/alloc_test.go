@@ -14,7 +14,7 @@ import (
 // view and the eight learned queries allocates nothing for a tuple that
 // completes no match. The view writes into its transformer's one array, runs
 // come from the NFAs' free lists and remember times and Seqs, not the tuple,
-// predicates are range tables, event time is integers — nothing on the path
+// predicates are range rows, event time is integers — nothing on the path
 // keeps the tuple, so nothing has to own it.
 func TestPublishAllocGate(t *testing.T) {
 	plans := e2e.DemoPlans(t)

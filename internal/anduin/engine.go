@@ -177,7 +177,9 @@ func (e *Engine) RegisterUDF(udf query.UDF) error {
 // KinectPipeline registers the raw "kinect" stream plus the transformed
 // "kinect_t" view (§3.2) in one call and returns both. This is the standard
 // setup of every example and experiment. The view's tuples are lent out of
-// one array (transform.View): subscribers that keep one clone it.
+// one array (transform.View): subscribers that keep one clone it. The view
+// rotates and scales only the joints the deployed plans read, and every
+// joint as soon as it has a subscriber that is not a deployed plan.
 func (e *Engine) KinectPipeline(cfg transform.Config) (raw, view *stream.Stream, err error) {
 	raw, err = e.RegisterStream(RawStreamName, kinect.Schema())
 	if err != nil {
@@ -212,6 +214,10 @@ type Plan struct {
 	Program *cep.Program
 	// measures are the compiled output-measure evaluators (§3.3.4).
 	measures []func(stream.Tuple) float64
+	// reads is the set of source fields the pattern and measures read; nil
+	// (every field) for a plan not made by CompilePlan, whose Program may
+	// read anything.
+	reads *stream.ReadSet
 }
 
 // NewPlanEnv returns the canonical compilation environment for gesture
@@ -249,6 +255,7 @@ func CompilePlan(q *query.Query, text string, env *query.Env) (*Plan, error) {
 		Atoms:    compiled.NumAtoms,
 		Program:  prog,
 		measures: compiled.Measures,
+		reads:    compiled.Reads,
 	}, nil
 }
 
@@ -299,9 +306,11 @@ func (e *Engine) deploy(q *query.Query, text string) (int, error) {
 }
 
 // DeployPlan activates a pre-compiled plan: it instantiates a fresh NFA from
-// the plan's shared Program and subscribes it to the plan's source stream.
-// This is the fast path of the serving layer — no parsing, type-checking or
-// pattern flattening happens per deployment.
+// the plan's shared Program and subscribes it to the plan's source stream,
+// declaring the fields the plan reads, so a derived source such as kinect_t
+// computes no more than its deployed plans read. This is the fast path of
+// the serving layer — no parsing, type-checking or pattern flattening
+// happens per deployment.
 func (e *Engine) DeployPlan(p *Plan) (int, error) {
 	if p == nil || p.Program == nil {
 		return 0, fmt.Errorf("anduin: nil plan")
@@ -330,7 +339,7 @@ func (e *Engine) DeployPlan(p *Plan) (int, error) {
 
 	// Subscribe outside the lock; stream subscription has its own lock.
 	measures := p.measures
-	cancel := src.Subscribe(func(t stream.Tuple) {
+	cancel := src.SubscribeReads(p.reads, func(t stream.Tuple) {
 		for _, m := range nfa.Process(t) {
 			det := Detection{
 				Gesture: d.info.Gesture,

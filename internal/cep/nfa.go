@@ -9,10 +9,27 @@ import (
 )
 
 // state is one flattened NFA state: it accepts a single tuple satisfying
-// pred and moves the run forward.
+// every row of rows, or pred when the atom had no rows, and moves the run
+// forward.
 type state struct {
 	label string
+	rows  []Range
 	pred  func(stream.Tuple) bool
+}
+
+// holds reports whether t satisfies the state. Rows are evaluated here, in
+// the NFA's own loop; only a state compiled from a closure makes an
+// indirect call.
+func (s *state) holds(t stream.Tuple) bool {
+	if s.pred != nil {
+		return s.pred(t)
+	}
+	for _, r := range s.rows {
+		if !(math.Abs(t.Fields[r.Field]-r.Center) < r.HalfWidth) {
+			return false
+		}
+	}
+	return true
 }
 
 // windowConstraint enforces a `within` clause over the atoms [first, last]
@@ -57,7 +74,7 @@ func CompileProgram(p Pattern, sel SelectPolicy, consume ConsumePolicy) (*Progra
 func (prog *Program) flatten(p Pattern) (first, last int) {
 	switch pt := p.(type) {
 	case *Atom:
-		prog.states = append(prog.states, state{label: pt.Label, pred: pt.Pred})
+		prog.states = append(prog.states, state{label: pt.Label, rows: append([]Range(nil), pt.Ranges...), pred: pt.Pred})
 		i := len(prog.states) - 1
 		return i, i
 	case *Sequence:
@@ -85,9 +102,9 @@ func (prog *Program) Consume() ConsumePolicy { return prog.consume }
 
 // Instantiate creates a fresh NFA executing the shared program. The returned
 // NFA carries only run state (partial matches and counters), so instantiation
-// is O(1) and allocation-light regardless of pattern size.
+// is two small allocations: the NFA and its empty per-state run queues.
 func (prog *Program) Instantiate() *NFA {
-	return &NFA{prog: prog, maxRuns: DefaultMaxRuns}
+	return &NFA{prog: prog, maxRuns: DefaultMaxRuns, queues: make([]runQueue, len(prog.states))}
 }
 
 // NFA is an executable instance of a compiled Program. It follows
@@ -119,11 +136,17 @@ type NFA struct {
 	// adversarial input; the oldest run is evicted when exceeded.
 	maxRuns int
 
-	// runs holds the partial matches in activation order, oldest first. A
-	// run that started earlier has matched every state no later than a
-	// younger one, so the list is also ordered by next, descending: runs
-	// waiting at the same state are adjacent.
-	runs []*run
+	// queues[s] holds the partial matches awaiting state s (queues[0] stays
+	// empty: a run has matched state 0 when it is made), each queue in
+	// activation order, oldest first. Runs at one state pass or fail
+	// together, so a whole queue moves on at once. A run that started
+	// earlier has matched every state no later than a younger one. Hence
+	// higher states hold older runs, and within a queue the windows a run
+	// is inside were entered no later than a younger run's, so the cached
+	// deadlines are non-decreasing: the runs a tuple expires are a prefix.
+	queues []runQueue
+	// live counts the runs across all queues.
+	live int
 
 	// free recycles run objects (and their ts/seqs backing arrays) so the
 	// steady-state Process path does not allocate. An NFA is single-threaded
@@ -152,6 +175,29 @@ type run struct {
 }
 
 const noDeadline int64 = math.MaxInt64
+
+// runQueue is the runs awaiting one state, oldest first: runs[head:] are
+// live. Dropping an expired prefix only moves head; the array is compacted
+// when an append would otherwise have to grow it.
+type runQueue struct {
+	runs []*run
+	head int
+}
+
+// add appends rs, youngest last.
+func (q *runQueue) add(rs ...*run) {
+	if q.head > 0 && len(q.runs)+len(rs) > cap(q.runs) {
+		q.runs = q.runs[:copy(q.runs, q.runs[q.head:])]
+		q.head = 0
+	}
+	q.runs = append(q.runs, rs...)
+}
+
+// empty drops every run from the queue, keeping its array.
+func (q *runQueue) empty() {
+	q.runs = q.runs[:0]
+	q.head = 0
+}
 
 // DefaultMaxRuns bounds simultaneous partial matches per query.
 const DefaultMaxRuns = 1024
@@ -182,11 +228,12 @@ func (n *NFA) SetMaxRuns(limit int) {
 }
 
 // ActiveRuns returns the number of live partial matches.
-func (n *NFA) ActiveRuns() int { return len(n.runs) }
+func (n *NFA) ActiveRuns() int { return n.live }
 
 // Reset discards all partial matches and statistics.
 func (n *NFA) Reset() {
-	n.runs = nil
+	clear(n.queues)
+	n.live = 0
 	n.free = nil
 	n.processed, n.predCalls, n.matches, n.runsPruned = 0, 0, 0, 0
 }
@@ -227,63 +274,73 @@ func (n *NFA) Stats() (processed, predCalls, matches, pruned uint64) {
 // completes. Tuples must arrive in non-decreasing timestamp order.
 func (n *NFA) Process(t stream.Tuple) []Match {
 	states := n.prog.states
+	last := len(states) - 1
 	now := t.Ts.UnixNano()
 	n.processed++
 
 	var completed []*run
 
-	// One pass over the partial matches: drop a run whose earliest window
-	// has closed, advance one whose awaited state accepts t (each consumes at
-	// most one tuple per step), keep the rest waiting. Runs waiting at the
-	// same state are adjacent (see NFA.runs), so re-evaluating only when the
-	// state changes asks each state's predicate once. A run that advances
-	// cannot die of it: its open windows have just been checked at this very
-	// time, and a window entered now closes no earlier than now.
-	kept := n.runs[:0]
-	state, holds := 0, false
-	for _, r := range n.runs {
-		if now > r.deadline {
-			n.runsPruned++
-			n.putRun(r)
+	// One pass over the awaited states, last to first, so a queue that
+	// moves on lands on a state this tuple is already done with (each run
+	// consumes at most one tuple per step). Per queue: drop the runs whose
+	// earliest window has closed — a prefix, see NFA.queues — then ask the
+	// state once and, on a pass, advance the whole queue. A run that
+	// advances cannot die of it: its open windows have just been checked at
+	// this very time, and a window entered now closes no earlier than now.
+	// Runs awaiting state k+1 are older than those awaiting k, so a moved
+	// queue goes behind the one it joins and both orders hold.
+	for s := last; s >= 1 && n.live > 0; s-- {
+		q := &n.queues[s]
+		live := q.runs[q.head:]
+		dead := 0
+		for dead < len(live) && now > live[dead].deadline {
+			n.putRun(live[dead])
+			dead++
+		}
+		n.runsPruned += uint64(dead)
+		n.live -= dead
+		if dead == len(live) {
+			q.empty()
 			continue
 		}
-		if r.next != state {
-			state = r.next
-			holds = states[state].pred(t)
-			n.predCalls++
+		q.head += dead
+		live = live[dead:]
+		n.predCalls++
+		if !states[s].holds(t) {
+			continue
 		}
-		if holds {
+		for _, r := range live {
 			r.ts = append(r.ts, now)
 			r.seqs = append(r.seqs, t.Seq)
 			r.next++
-			if r.next == len(states) {
-				completed = append(completed, r)
-				continue
-			}
-			r.deadline = n.prog.deadline(r)
 		}
-		kept = append(kept, r)
+		if s == last {
+			completed = append(completed, live...)
+			n.live -= len(live)
+		} else {
+			for _, r := range live {
+				r.deadline = n.prog.deadline(r)
+			}
+			n.queues[s+1].add(live...)
+		}
+		q.empty()
 	}
-	n.runs = kept
 
 	// Try to start a fresh run with this tuple.
 	n.predCalls++
-	if states[0].pred(t) {
+	if states[0].holds(t) {
 		r := n.getRun(t, now)
-		if len(states) == 1 {
-			r.next = len(states)
+		if last == 0 {
+			r.next = 1
 			completed = append(completed, r)
 		} else {
-			if len(n.runs) >= n.maxRuns {
-				// Evict the oldest partial run to bound memory. Completed
-				// runs have already left the set, so only live runs count
-				// against the cap. Shifting down keeps the backing array in
-				// place under sustained eviction.
-				n.putRun(n.runs[0])
-				n.runs = n.runs[:copy(n.runs, n.runs[1:])]
-				n.runsPruned++
+			if n.live >= n.maxRuns {
+				// Completed runs have already left the queues, so only live
+				// runs count against the cap.
+				n.evictOldest()
 			}
-			n.runs = append(n.runs, r)
+			n.queues[1].add(r)
+			n.live++
 		}
 	}
 
@@ -315,13 +372,36 @@ func (n *NFA) Process(t stream.Tuple) []Match {
 
 	if n.prog.consume == ConsumeAll {
 		// Consuming a match invalidates all in-flight partial matches.
-		n.runsPruned += uint64(len(n.runs))
-		for _, r := range n.runs {
-			n.putRun(r)
+		n.runsPruned += uint64(n.live)
+		for i := range n.queues {
+			q := &n.queues[i]
+			for _, r := range q.runs[q.head:] {
+				n.putRun(r)
+			}
+			q.empty()
 		}
-		n.runs = n.runs[:0]
+		n.live = 0
 	}
 	return out
+}
+
+// evictOldest drops the oldest partial run to bound memory: the head of the
+// highest non-empty queue (see NFA.queues).
+func (n *NFA) evictOldest() {
+	for s := len(n.queues) - 1; s >= 1; s-- {
+		q := &n.queues[s]
+		if q.head == len(q.runs) {
+			continue
+		}
+		n.putRun(q.runs[q.head])
+		q.head++
+		if q.head == len(q.runs) {
+			q.empty()
+		}
+		n.live--
+		n.runsPruned++
+		return
+	}
 }
 
 // deadline returns the earliest closing time among the windows r is inside

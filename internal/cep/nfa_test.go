@@ -35,6 +35,10 @@ func TestCompileValidation(t *testing.T) {
 	if _, err := Compile(&Atom{Label: "x"}, SelectFirst, ConsumeAll); err == nil {
 		t.Error("nil predicate accepted")
 	}
+	both := &Atom{Label: "x", Ranges: []Range{{Field: 0, HalfWidth: 1}}, Pred: fieldIn(0, 1)}
+	if _, err := Compile(both, SelectFirst, ConsumeAll); err == nil {
+		t.Error("atom with both range rows and a predicate accepted")
+	}
 	if _, err := Compile(Seq(), SelectFirst, ConsumeAll); err == nil {
 		t.Error("empty sequence accepted")
 	}

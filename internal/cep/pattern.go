@@ -70,19 +70,37 @@ type Pattern interface {
 	Validate() error
 }
 
-// Atom matches a single tuple satisfying Pred. Label is used in diagnostics
-// and trace output (e.g. "pose 2 of swipe_right").
+// Atom matches a single tuple satisfying its predicate, given one of two
+// ways. Ranges, when the atom has any, is a conjunction of range rows — the
+// shape every learned pose has (§3.3.4), which the NFA evaluates inline.
+// Pred is any other predicate, as a closure. An atom has exactly one of the
+// two. Label is used in diagnostics and trace output (e.g. "pose 2 of
+// swipe_right").
 type Atom struct {
-	Label string
-	Pred  func(stream.Tuple) bool
+	Label  string
+	Ranges []Range
+	Pred   func(stream.Tuple) bool
+}
+
+// Range is one row of a range predicate: it holds on a tuple whose field
+// Field lies strictly within HalfWidth of Center, computed as
+// |Fields[Field] − Center| < HalfWidth. It is the same float expression as
+// the query language's abs(attr - c) < w, so a NaN field or bound fails the
+// row and ±Inf behaves as IEEE subtraction says.
+type Range struct {
+	Field             int
+	Center, HalfWidth float64
 }
 
 func (*Atom) isPattern() {}
 
 // Validate implements Pattern.
 func (a *Atom) Validate() error {
-	if a.Pred == nil {
-		return fmt.Errorf("cep: atom %q has nil predicate", a.Label)
+	switch {
+	case len(a.Ranges) == 0 && a.Pred == nil:
+		return fmt.Errorf("cep: atom %q has no predicate", a.Label)
+	case len(a.Ranges) > 0 && a.Pred != nil:
+		return fmt.Errorf("cep: atom %q has both range rows and a predicate", a.Label)
 	}
 	return nil
 }
@@ -126,7 +144,7 @@ func SeqWithin(within time.Duration, elems ...Pattern) *Sequence {
 	return &Sequence{Elems: elems, Within: within}
 }
 
-// NewAtom is a convenience constructor for an Atom.
+// NewAtom is a convenience constructor for an Atom with a closure predicate.
 func NewAtom(label string, pred func(stream.Tuple) bool) *Atom {
 	return &Atom{Label: label, Pred: pred}
 }

@@ -2,6 +2,7 @@ package cep
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -179,25 +180,51 @@ const frame = 33 * time.Millisecond
 
 // learnerShaped builds a random pattern of the shape learn.GenerateQuery
 // emits: a left-nested sequence ((p0 -> p1 within d1) -> p2 within d2) …
-// of 2–6 atoms, each level's window covering the poses so far. Pose k
-// accepts tuples whose field 0 is k and, like overlapping pose windows, now
-// and then a neighbour's value too — so one tuple can complete a run and
-// start the next. Most levels carry a window, a few do not, so inner-only
-// and outer-only constraints both occur. Windows are whole frames, like the
-// stream's gaps, so a tuple landing exactly on a deadline (which must still
-// match) is common.
-func learnerShaped(rng *rand.Rand) (Pattern, int) {
-	atoms := 2 + rng.Intn(5)
-	pose := func(k int) Pattern {
-		accepts := uint(1) << k
-		for v := 0; v < atoms; v++ {
-			if rng.Intn(5) == 0 {
-				accepts |= 1 << v
+// of 2–6 atoms, each level's window covering the poses so far. It returns
+// the pattern twice over the same predicates: once as the engine runs it,
+// and once with every range row rewritten as a closure for the reference.
+//
+// Pose k mostly tests range rows, as learned poses do: field 0 within a
+// half-width of k — 1 (k alone, with k ± 1 exactly on the open edge) or 1.5
+// (a neighbour too, like overlapping pose windows, so one tuple can
+// complete a run and start the next) — and now and then field 1 within 2 of
+// 0. The other poses are closures accepting k and random other values, the
+// shape of a predicate the query compiler cannot turn into rows. Most
+// levels carry a window, a few do not, so inner-only and outer-only
+// constraints both occur. Windows are whole frames, like the stream's gaps,
+// so a tuple landing exactly on a deadline (which must still match) is
+// common.
+func learnerShaped(rng *rand.Rand) (engine, ref Pattern, atoms int) {
+	atoms = 2 + rng.Intn(5)
+	pose := func(k int) (engine, ref Pattern) {
+		label := fmt.Sprintf("pose%d", k)
+		if rng.Intn(4) == 0 {
+			accepts := uint(1) << k
+			for v := 0; v < atoms; v++ {
+				if rng.Intn(5) == 0 {
+					accepts |= 1 << v
+				}
 			}
+			a := NewAtom(label, func(t stream.Tuple) bool {
+				v := t.Fields[0]
+				return v == v && accepts>>uint(v)&1 == 1
+			})
+			return a, a
 		}
-		return NewAtom(fmt.Sprintf("pose%d", k), func(t stream.Tuple) bool { return accepts>>uint(t.Fields[0])&1 == 1 })
+		rows := []Range{{Field: 0, Center: float64(k), HalfWidth: []float64{1, 1.5}[rng.Intn(2)]}}
+		if rng.Intn(3) == 0 {
+			rows = append(rows, Range{Field: 1, Center: 0, HalfWidth: 2})
+		}
+		return &Atom{Label: label, Ranges: rows}, NewAtom(label, func(t stream.Tuple) bool {
+			for _, r := range rows {
+				if d := t.Fields[r.Field] - r.Center; !(d < r.HalfWidth && -d < r.HalfWidth) {
+					return false
+				}
+			}
+			return true
+		})
 	}
-	var p Pattern = pose(0)
+	engine, ref = pose(0)
 	var cumulative time.Duration
 	for k := 1; k < atoms; k++ {
 		cumulative += time.Duration(3+rng.Intn(9)) * frame
@@ -205,16 +232,48 @@ func learnerShaped(rng *rand.Rand) (Pattern, int) {
 		if rng.Intn(5) == 0 {
 			within = 0 // this level is unconstrained
 		}
-		p = &Sequence{Elems: []Pattern{p, pose(k)}, Within: within}
+		e, r := pose(k)
+		engine = &Sequence{Elems: []Pattern{engine, e}, Within: within}
+		ref = &Sequence{Elems: []Pattern{ref, r}, Within: within}
 	}
-	return p, atoms
+	return engine, ref, atoms
 }
 
-// TestQuickNFAMatchesReference drives the NFA and the reference matcher
-// with the same random learner-shaped pattern and stream — equal and
-// repeated timestamps, all four select/consume combinations, a run cap of
-// 2–4 so eviction fires — and requires identical matches and counters.
-func TestQuickNFAMatchesReference(t *testing.T) {
+// checkQueues is the NFA's internal invariant, checked after every Process:
+// queues[0] is empty, every run in queues[s] awaits state s, deadlines are
+// non-decreasing within each queue (what pruning only a prefix rests on),
+// and ActiveRuns is the sum of the queue lengths. It reports whether a run
+// is alive at exactly its deadline.
+func checkQueues(n *NFA, now int64) (atDeadline bool, err error) {
+	total := 0
+	for s := range n.queues {
+		q := n.queues[s].runs[n.queues[s].head:]
+		if s == 0 && len(q) > 0 {
+			return false, fmt.Errorf("%d runs queued at state 0", len(q))
+		}
+		for i, r := range q {
+			if r.next != s {
+				return false, fmt.Errorf("run awaiting state %d queued at state %d", r.next, s)
+			}
+			if i > 0 && r.deadline < q[i-1].deadline {
+				return false, fmt.Errorf("state %d: deadline %d behind its elder's %d", s, r.deadline, q[i-1].deadline)
+			}
+			atDeadline = atDeadline || r.deadline == now
+		}
+		total += len(q)
+	}
+	if n.ActiveRuns() != total {
+		return false, fmt.Errorf("ActiveRuns %d, queues hold %d", n.ActiveRuns(), total)
+	}
+	return atDeadline, nil
+}
+
+// differential drives the NFA and the reference matcher with the same
+// random learner-shaped pattern and stream, seeded by seed: equal and
+// repeated timestamps, NaN fields, all four select/consume combinations, a
+// run cap of 2–4 so eviction fires. It reports a mismatch as an error, and
+// which behaviours the stream reached.
+func differential(seed int64) (evicted, matched, atDeadline bool, err error) {
 	type policy struct {
 		sel     SelectPolicy
 		consume ConsumePolicy
@@ -223,86 +282,105 @@ func TestQuickNFAMatchesReference(t *testing.T) {
 		{SelectFirst, ConsumeAll}, {SelectFirst, ConsumeNone},
 		{SelectAll, ConsumeAll}, {SelectAll, ConsumeNone},
 	}
-	var evicting, matching int
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		pattern, atoms := learnerShaped(rng)
-		pol := policies[rng.Intn(len(policies))]
-		prog, err := CompileProgram(pattern, pol.sel, pol.consume)
-		if err != nil {
-			t.Log(err)
-			return false
-		}
-		maxRuns := 2 + rng.Intn(3)
-		if rng.Intn(3) == 0 {
-			maxRuns = DefaultMaxRuns
-		}
-		nfa := prog.Instantiate()
-		nfa.SetMaxRuns(maxRuns)
-		ref := newRefNFA(prog, maxRuns)
+	rng := rand.New(rand.NewSource(seed))
+	pattern, refPattern, atoms := learnerShaped(rng)
+	pol := policies[rng.Intn(len(policies))]
+	prog, err := CompileProgram(pattern, pol.sel, pol.consume)
+	if err != nil {
+		return false, false, false, err
+	}
+	refProg, err := CompileProgram(refPattern, pol.sel, pol.consume)
+	if err != nil {
+		return false, false, false, err
+	}
+	maxRuns := 2 + rng.Intn(3)
+	if rng.Intn(3) == 0 {
+		maxRuns = DefaultMaxRuns
+	}
+	nfa := prog.Instantiate()
+	nfa.SetMaxRuns(maxRuns)
+	ref := newRefNFA(refProg, maxRuns)
 
-		// The stream walks the poses mostly in order, so runs advance, with
-		// repeats (runs pile up at one state), noise values, and gaps of
-		// 0 ms (equal timestamps), one frame or a window-breaking pause.
-		n := 20 + rng.Intn(120)
-		ts := time.Date(2014, 3, 24, 10, 0, 0, 0, time.UTC)
-		pose := 0
-		for i := 0; i < n; i++ {
-			switch g := rng.Intn(10); {
-			case g < 2:
-			case g < 9:
-				ts = ts.Add(frame)
-			default:
-				ts = ts.Add(time.Duration(6+rng.Intn(18)) * frame)
+	// The stream walks the poses mostly in order, so runs advance, with
+	// repeats (runs pile up at one state), noise values, and gaps of
+	// 0 ms (equal timestamps), one frame or a window-breaking pause.
+	n := 20 + rng.Intn(120)
+	ts := time.Date(2014, 3, 24, 10, 0, 0, 0, time.UTC)
+	pose := 0
+	for i := 0; i < n; i++ {
+		switch g := rng.Intn(10); {
+		case g < 2:
+		case g < 9:
+			ts = ts.Add(frame)
+		default:
+			ts = ts.Add(time.Duration(6+rng.Intn(18)) * frame)
+		}
+		v := float64(pose)
+		switch c := rng.Intn(20); {
+		case c < 8:
+			pose = (pose + 1) % atoms
+		case c < 12:
+			v = float64(rng.Intn(atoms + 1)) // atoms itself is noise
+		case c < 13:
+			v = math.NaN()
+		}
+		side := []float64{0, 1, -2, 2, 3, math.NaN()}[rng.Intn(6)]
+		tup := stream.Tuple{Ts: ts, Seq: uint64(i), Fields: []float64{v, side}}
+		got, want := nfa.Process(tup), ref.Process(tup)
+		if len(got) != len(want) {
+			return evicted, matched, atDeadline, fmt.Errorf("tuple %d: %d matches, reference %d", i, len(got), len(want))
+		}
+		for m := range got {
+			if !got[m].Start.Equal(want[m].Start) || !got[m].End.Equal(want[m].End) ||
+				len(got[m].Seqs) != len(want[m].Tuples) {
+				return evicted, matched, atDeadline, fmt.Errorf("tuple %d match %d: got %v–%v, reference %v–%v",
+					i, m, got[m].Start, got[m].End, want[m].Start, want[m].End)
 			}
-			v := float64(pose)
-			switch c := rng.Intn(10); {
-			case c < 4:
-				pose = (pose + 1) % atoms
-			case c < 6:
-				v = float64(rng.Intn(atoms + 1)) // atoms itself is noise
-			}
-			tup := stream.Tuple{Ts: ts, Seq: uint64(i), Fields: []float64{v}}
-			got, want := nfa.Process(tup), ref.Process(tup)
-			if len(got) != len(want) {
-				t.Logf("seed %d tuple %d: %d matches, reference %d", seed, i, len(got), len(want))
-				return false
-			}
-			for m := range got {
-				if !got[m].Start.Equal(want[m].Start) || !got[m].End.Equal(want[m].End) ||
-					len(got[m].Seqs) != len(want[m].Tuples) {
-					t.Logf("seed %d tuple %d match %d: got %v–%v, reference %v–%v",
-						seed, i, m, got[m].Start, got[m].End, want[m].Start, want[m].End)
-					return false
+			for k, seq := range got[m].Seqs {
+				if seq != want[m].Tuples[k].Seq {
+					return evicted, matched, atDeadline, fmt.Errorf("tuple %d match %d: atom %d matched seq %d, reference %d",
+						i, m, k, seq, want[m].Tuples[k].Seq)
 				}
-				for k, seq := range got[m].Seqs {
-					if seq != want[m].Tuples[k].Seq {
-						t.Logf("seed %d tuple %d match %d: atom %d matched seq %d, reference %d",
-							seed, i, m, k, seq, want[m].Tuples[k].Seq)
-						return false
-					}
-				}
-			}
-			if nfa.ActiveRuns() != len(ref.runs) {
-				t.Logf("seed %d tuple %d: %d active runs, reference %d", seed, i, nfa.ActiveRuns(), len(ref.runs))
-				return false
 			}
 		}
-		processed, predCalls, matches, pruned := nfa.Stats()
-		if processed != ref.processed || matches != ref.matches || pruned != ref.runsPruned {
-			t.Logf("seed %d: processed/matches/pruned %d/%d/%d, reference %d/%d/%d",
-				seed, processed, matches, pruned, ref.processed, ref.matches, ref.runsPruned)
+		if nfa.ActiveRuns() != len(ref.runs) {
+			return evicted, matched, atDeadline, fmt.Errorf("tuple %d: %d active runs, reference %d", i, nfa.ActiveRuns(), len(ref.runs))
+		}
+		at, err := checkQueues(nfa, ts.UnixNano())
+		if err != nil {
+			return evicted, matched, atDeadline, fmt.Errorf("tuple %d: %w", i, err)
+		}
+		atDeadline = atDeadline || at
+	}
+	processed, predCalls, matches, pruned := nfa.Stats()
+	if processed != ref.processed || matches != ref.matches || pruned != ref.runsPruned {
+		return evicted, matched, atDeadline, fmt.Errorf("processed/matches/pruned %d/%d/%d, reference %d/%d/%d",
+			processed, matches, pruned, ref.processed, ref.matches, ref.runsPruned)
+	}
+	if predCalls > ref.predCalls {
+		return evicted, matched, atDeadline, fmt.Errorf("%d predicate calls, reference %d", predCalls, ref.predCalls)
+	}
+	return ref.evicted > 0, matches > 0, atDeadline, nil
+}
+
+// TestQuickNFAMatchesReference runs the differential over 2000 seeds and
+// requires identical matches and counters.
+func TestQuickNFAMatchesReference(t *testing.T) {
+	var evicting, matching, onDeadline int
+	f := func(seed int64) bool {
+		evicted, matched, atDeadline, err := differential(seed)
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
-		if predCalls > ref.predCalls {
-			t.Logf("seed %d: %d predicate calls, reference %d", seed, predCalls, ref.predCalls)
-			return false
-		}
-		if ref.evicted > 0 {
+		if evicted {
 			evicting++
 		}
-		if matches > 0 {
+		if matched {
 			matching++
+		}
+		if atDeadline {
+			onDeadline++
 		}
 		return true
 	}
@@ -311,7 +389,22 @@ func TestQuickNFAMatchesReference(t *testing.T) {
 	}
 	// The generator must actually reach the behaviours the differential is
 	// for, or equality above says nothing.
-	if evicting < 100 || matching < 100 {
-		t.Errorf("generator too tame: %d streams evicted a run, %d matched", evicting, matching)
+	if evicting < 100 || matching < 100 || onDeadline < 100 {
+		t.Errorf("generator too tame: %d streams evicted a run, %d matched, %d held a run at its deadline",
+			evicting, matching, onDeadline)
 	}
+}
+
+// FuzzNFAEqualsReference is the differential as a fuzz target: every seed
+// the fuzzer finds must give the NFA and the reference the same matches,
+// counters and queue invariants.
+func FuzzNFAEqualsReference(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		if _, _, _, err := differential(seed); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	})
 }

@@ -22,7 +22,7 @@ type UDF struct {
 	// and reused across calls — implementations must not retain it.
 	Fn func(args []float64) float64
 
-	// mathAbs marks the builtin abs, the only function the range-table
+	// mathAbs marks the builtin abs, the only function the range-row
 	// recogniser may replace with math.Abs; a user function that merely
 	// shares the name is left to the closure compiler.
 	mathAbs bool
@@ -84,6 +84,9 @@ type Compiled struct {
 	// Measures are the compiled output-measure evaluators (§3.3.4),
 	// applied to the final matched tuple of each detection.
 	Measures []func(stream.Tuple) float64
+	// Reads is the set of source fields the atoms and measures read: the
+	// rest of a tuple cannot change a detection.
+	Reads *stream.ReadSet
 }
 
 // CompileQuery type-checks q against env and produces an executable form.
@@ -128,6 +131,20 @@ func CompileQuery(q *Query, env *Env) (*Compiled, error) {
 		}
 		measures = append(measures, ev)
 	}
+	// Every attribute resolved above, so each identifier has an index.
+	var reads []int
+	read := func(e Expr) {
+		for _, name := range Idents(e) {
+			i, _ := schema.Index(name)
+			reads = append(reads, i)
+		}
+	}
+	for _, a := range atoms {
+		read(a.Pred)
+	}
+	for _, m := range q.Measures {
+		read(m)
+	}
 
 	c := &Compiled{
 		Output:   q.Output,
@@ -137,6 +154,7 @@ func CompileQuery(q *Query, env *Env) (*Compiled, error) {
 		Consume:  cep.ConsumeAll,
 		NumAtoms: len(atoms),
 		Measures: measures,
+		Reads:    stream.NewReadSet(reads...),
 	}
 	if q.Pattern.HasSelect {
 		c.Select = q.Pattern.Select
@@ -155,13 +173,12 @@ func compilePattern(node *PatternNode, gesture string, schema *stream.Schema, en
 	for _, term := range node.Terms {
 		switch {
 		case term.Atom != nil:
-			pred, err := CompilePredicate(term.Atom.Pred, schema, env.UDFs)
+			atom, err := CompileAtom(fmt.Sprintf("%s[%d]", gesture, *atomIdx), term.Atom.Pred, schema, env.UDFs)
 			if err != nil {
 				return nil, err
 			}
-			label := fmt.Sprintf("%s[%d]", gesture, *atomIdx)
 			*atomIdx++
-			seq.Elems = append(seq.Elems, cep.NewAtom(label, pred))
+			seq.Elems = append(seq.Elems, atom)
 		case term.Group != nil:
 			sub, err := compilePattern(term.Group, gesture, schema, env, atomIdx)
 			if err != nil {
@@ -175,54 +192,31 @@ func compilePattern(node *PatternNode, gesture string, schema *stream.Schema, en
 	return seq, nil
 }
 
-// CompilePredicate compiles a boolean expression over the given schema into
-// a tuple predicate. Comparisons and logic evaluate to 1/0; the predicate is
-// true when the result is non-zero.
-//
-// A conjunction of `abs(attr ± literal) < literal` terms — the only
-// predicate shape the learner generates (§3.3.4) — compiles to a rangeTable
-// evaluated in one loop. Every other expression goes through the general
-// closure compiler; both compute the same float expression, so which one a
-// predicate gets is invisible in its results.
-func CompilePredicate(e Expr, schema *stream.Schema, udfs map[string]UDF) (func(stream.Tuple) bool, error) {
-	if tbl, ok := recogniseRanges(e, schema, udfs); ok {
-		return tbl.match, nil
+// CompileAtom compiles a boolean expression over the given schema into a
+// pattern atom. A conjunction of `abs(attr ± literal) < literal` terms — the
+// only predicate shape the learner generates (§3.3.4) — becomes the atom's
+// range rows, which the NFA evaluates inline. Every other expression becomes
+// a closure from the general compiler, true when the result is non-zero.
+// Both compute the same float expression, so which form a predicate gets is
+// invisible in its results.
+func CompileAtom(label string, e Expr, schema *stream.Schema, udfs map[string]UDF) (*cep.Atom, error) {
+	if rows, ok := recogniseRanges(e, schema, udfs); ok {
+		return &cep.Atom{Label: label, Ranges: rows}, nil
 	}
 	ev, err := compileExpr(e, schema, udfs)
 	if err != nil {
 		return nil, err
 	}
-	return func(t stream.Tuple) bool { return ev(t) != 0 }, nil
-}
-
-// rangeTable is a compiled conjunction of per-attribute range tests: the
-// predicate holds when every row's |field − center| < halfWidth.
-type rangeTable []rangeRow
-
-type rangeRow struct {
-	field             int
-	center, halfWidth float64
-}
-
-// match evaluates the conjunction on one tuple. Each row is the same float
-// expression the closure compiler builds for abs(attr - c) < w, so a NaN
-// field or bound fails the row and ±Inf behaves as IEEE subtraction says.
-func (tbl rangeTable) match(t stream.Tuple) bool {
-	for _, r := range tbl {
-		if !(math.Abs(t.Fields[r.field]-r.center) < r.halfWidth) {
-			return false
-		}
-	}
-	return true
+	return cep.NewAtom(label, func(t stream.Tuple) bool { return ev(t) != 0 }), nil
 }
 
 // recogniseRanges reports whether e is a conjunction (any nesting of `and`)
 // of terms abs(attr - c) < w or abs(attr + c) < w over known attributes,
-// with c and w plain literals and abs the builtin, and returns its table in
+// with c and w plain literals and abs the builtin, and returns its rows in
 // evaluation order. attr + c is stored as center −c: x − (−c) and x + c are
 // the same IEEE operation. Anything else — including an unknown attribute,
 // which the closure compiler turns into the error — is not recognised.
-func recogniseRanges(e Expr, schema *stream.Schema, udfs map[string]UDF) (rangeTable, bool) {
+func recogniseRanges(e Expr, schema *stream.Schema, udfs map[string]UDF) ([]cep.Range, bool) {
 	cmp, ok := e.(*Binary)
 	if !ok {
 		return nil, false
@@ -259,11 +253,11 @@ func recogniseRanges(e Expr, schema *stream.Schema, udfs map[string]UDF) (rangeT
 	if !ok {
 		return nil, false
 	}
-	row := rangeRow{field: field, center: center.Value, halfWidth: width.Value}
+	row := cep.Range{Field: field, Center: center.Value, HalfWidth: width.Value}
 	if shift.Op == OpAdd {
-		row.center = -center.Value
+		row.Center = -center.Value
 	}
-	return rangeTable{row}, true
+	return []cep.Range{row}, true
 }
 
 // CompileScalar compiles an arithmetic expression over the given schema

@@ -310,7 +310,7 @@ func TestCompileScalarAndUDFs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := CompilePredicate(q.Pattern.Terms[0].Atom.Pred, schema, udfs)
+	pred, err := compileBool(q.Pattern.Terms[0].Atom.Pred, schema, udfs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,11 +392,11 @@ func TestPrintPrecedenceParens(t *testing.T) {
 			t.Fatalf("re-parse failed for %s:\n%s\n%v", src, text, err)
 		}
 		// Semantics must be preserved: compile both and compare on samples.
-		p1, err := CompilePredicate(q.Pattern.Terms[0].Atom.Pred, schema, env.UDFs)
+		p1, err := compileBool(q.Pattern.Terms[0].Atom.Pred, schema, env.UDFs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p2, err := CompilePredicate(q2.Pattern.Terms[0].Atom.Pred, schema, env.UDFs)
+		p2, err := compileBool(q2.Pattern.Terms[0].Atom.Pred, schema, env.UDFs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -485,4 +485,14 @@ func TestParseAndPrintMeasures(t *testing.T) {
 	if _, err := CompileQuery(bad, env); err == nil {
 		t.Error("unknown measure attribute accepted")
 	}
+}
+
+// compileBool compiles a predicate through the general evaluator: true when
+// the result is non-zero, as in a closure atom.
+func compileBool(e Expr, schema *stream.Schema, udfs map[string]UDF) (func(stream.Tuple) bool, error) {
+	ev, err := CompileScalar(e, schema, udfs)
+	if err != nil {
+		return nil, err
+	}
+	return func(t stream.Tuple) bool { return ev(t) != 0 }, nil
 }

@@ -4,7 +4,9 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
+	"gesturecep/internal/cep"
 	"gesturecep/internal/e2e"
 	"gesturecep/internal/kinect"
 	"gesturecep/internal/query"
@@ -13,7 +15,7 @@ import (
 
 // TestLearnedPredicatesAreRangeTables: every pose predicate of the eight
 // demo gestures, learned as cmd/gestured learns them, is the shape the
-// range-table recogniser takes — one row per constrained coordinate.
+// range-row recogniser takes — one row per constrained coordinate.
 func TestLearnedPredicatesAreRangeTables(t *testing.T) {
 	udfs := query.BuiltinUDFs()
 	for _, text := range e2e.DemoQueries(t) {
@@ -27,18 +29,22 @@ func TestLearnedPredicatesAreRangeTables(t *testing.T) {
 			t.Fatalf("%s: %d poses", name, len(atoms))
 		}
 		for i, a := range atoms {
-			rows, ok := query.RangeRows(a.Pred, kinect.Schema(), udfs)
-			if want := len(query.Idents(a.Pred)); !ok || rows != want {
-				t.Errorf("%s pose %d: range table %v with %d rows, want one per coordinate (%d)", name, i, ok, rows, want)
+			atom, err := query.CompileAtom(name, a.Pred, kinect.Schema(), udfs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := len(query.Idents(a.Pred)); atom.Pred != nil || len(atom.Ranges) != want {
+				t.Errorf("%s pose %d: %d range rows (closure %t), want one per coordinate (%d)",
+					name, i, len(atom.Ranges), atom.Pred != nil, want)
 			}
 		}
 	}
 }
 
 // TestRangeTableRecogniserAndFallback pins which predicate shapes compile to
-// a range table and checks that, table or closure, CompilePredicate agrees
-// with the general expression evaluator on random tuples that include NaN,
-// ±Inf and values exactly on a range's edge.
+// range rows and checks that, rows or closure, the atom CompileAtom makes
+// agrees in the NFA with the general expression evaluator on random tuples
+// that include NaN, ±Inf and values exactly on a range's edge.
 func TestRangeTableRecogniserAndFallback(t *testing.T) {
 	schema := stream.MustSchema("a", "b", "c")
 	builtin := query.BuiltinUDFs()
@@ -75,14 +81,18 @@ func TestRangeTableRecogniserAndFallback(t *testing.T) {
 				t.Fatal(err)
 			}
 			e := q.Pattern.Atoms()[0].Pred
-			rows, ok := query.RangeRows(e, schema, tc.udfs)
-			if ok != (tc.rows > 0) || rows != tc.rows {
-				t.Fatalf("range table %v with %d rows, want %d rows", ok, rows, tc.rows)
-			}
-			pred, err := query.CompilePredicate(e, schema, tc.udfs)
+			atom, err := query.CompileAtom("g", e, schema, tc.udfs)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if (atom.Pred == nil) != (tc.rows > 0) || len(atom.Ranges) != tc.rows {
+				t.Fatalf("%d range rows (closure %t), want %d rows", len(atom.Ranges), atom.Pred != nil, tc.rows)
+			}
+			nfa, err := cep.Compile(atom, cep.SelectFirst, cep.ConsumeNone)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pred := func(tup stream.Tuple) bool { return len(nfa.Process(tup)) == 1 }
 			general, err := query.CompileScalar(e, schema, tc.udfs)
 			if err != nil {
 				t.Fatal(err)
@@ -90,7 +100,7 @@ func TestRangeTableRecogniserAndFallback(t *testing.T) {
 			rng := rand.New(rand.NewSource(1))
 			var held int
 			for i := 0; i < 1000; i++ {
-				tup := stream.Tuple{Fields: make([]float64, schema.Len())}
+				tup := stream.Tuple{Ts: time.Unix(0, 0), Fields: make([]float64, schema.Len())}
 				for f := range tup.Fields {
 					if rng.Intn(4) == 0 {
 						tup.Fields[f] = edges[rng.Intn(len(edges))]
@@ -118,7 +128,7 @@ func TestRangeTableRecogniserAndFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := query.CompilePredicate(q.Pattern.Atoms()[0].Pred, schema, builtin); err == nil {
+	if _, err := query.CompileAtom("g", q.Pattern.Atoms()[0].Pred, schema, builtin); err == nil {
 		t.Error("unknown attribute compiled")
 	}
 }

@@ -19,6 +19,15 @@
 // returns; whoever keeps it longer — a collector, an asynchronous recorder,
 // a test — keeps a Clone. The value parts (Ts, Seq) may be kept freely.
 // DESIGN.md, "Tuple field-array ownership", lists every owner and keeper.
+//
+// # Read sets
+//
+// A subscriber may declare which fields it reads (SubscribeReads). A stream
+// tracks the union over its subscribers, and a derived stream that builds
+// its tuples field by field (PublishDerived) need only write that union:
+// the other fields of a tuple it publishes are unspecified. A subscriber
+// that declares nothing (Subscribe) reads every field, so it always gets a
+// whole tuple.
 package stream
 
 import (

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -19,15 +20,15 @@ type Stream struct {
 	schema *Schema
 
 	mu    sync.RWMutex
-	subs  map[int]func(Tuple)
+	subs  map[int]subscriber
 	order []int
 	next  int
 
-	// handlers holds an immutable snapshot of the subscriber functions in
-	// subscription order, rebuilt copy-on-write whenever the subscriber set
-	// changes. Publish loads it atomically, so the per-tuple hot path does
-	// not allocate and does not take the mutex.
-	handlers atomic.Pointer[[]func(Tuple)]
+	// fanout holds an immutable snapshot of the subscribers, rebuilt
+	// copy-on-write whenever the subscriber set changes. Publish loads it
+	// atomically, so the per-tuple hot path does not allocate and does not
+	// take the mutex.
+	fanout atomic.Pointer[fanout]
 
 	published atomic.Uint64
 }
@@ -40,7 +41,46 @@ func New(name string, schema *Schema) (*Stream, error) {
 	if schema == nil {
 		return nil, fmt.Errorf("stream: nil schema for stream %q", name)
 	}
-	return &Stream{name: name, schema: schema, subs: make(map[int]func(Tuple))}, nil
+	return &Stream{name: name, schema: schema, subs: make(map[int]subscriber)}, nil
+}
+
+type subscriber struct {
+	fn    func(Tuple)
+	reads *ReadSet
+}
+
+// fanout is one delivery snapshot: the subscriber functions in subscription
+// order and the union of the fields they read.
+type fanout struct {
+	fns   []func(Tuple)
+	reads *ReadSet
+}
+
+// ReadSet is a set of field indices: what a subscriber reads of each tuple,
+// or the union over a stream's subscribers. The nil *ReadSet is the set of
+// every field. A ReadSet is immutable, so one that is still the same
+// pointer still holds the same fields.
+type ReadSet struct {
+	fields []int
+}
+
+// noFields is the empty read set: what a stream nobody subscribes to reads.
+var noFields = &ReadSet{}
+
+// NewReadSet returns the set of the given field indices.
+func NewReadSet(fields ...int) *ReadSet {
+	fs := slices.Clone(fields)
+	slices.Sort(fs)
+	return &ReadSet{fields: slices.Compact(fs)}
+}
+
+// Fields returns the set's indices in ascending order, or nil for the set
+// of every field. The slice is the set's own: do not modify it.
+func (r *ReadSet) Fields() []int {
+	if r == nil {
+		return nil
+	}
+	return r.fields
 }
 
 // Name returns the stream name.
@@ -55,10 +95,18 @@ func (s *Stream) Published() uint64 { return s.published.Load() }
 // Subscribe registers fn to receive every future tuple. The returned
 // function removes the subscription; calling it more than once is harmless.
 func (s *Stream) Subscribe(fn func(Tuple)) (cancel func()) {
+	return s.SubscribeReads(nil, fn)
+}
+
+// SubscribeReads is Subscribe for a subscriber that reads only the fields
+// in reads (nil: every field). A derived stream need write only the union
+// of its subscribers' sets (see PublishDerived), so fn must not read a
+// field outside its own.
+func (s *Stream) SubscribeReads(reads *ReadSet, fn func(Tuple)) (cancel func()) {
 	s.mu.Lock()
 	id := s.next
 	s.next++
-	s.subs[id] = fn
+	s.subs[id] = subscriber{fn: fn, reads: reads}
 	s.order = append(s.order, id)
 	s.rebuildHandlersLocked()
 	s.mu.Unlock()
@@ -83,13 +131,29 @@ func (s *Stream) Subscribe(fn func(Tuple)) (cancel func()) {
 // rebuildHandlersLocked regenerates the immutable delivery snapshot. Callers
 // must hold s.mu.
 func (s *Stream) rebuildHandlersLocked() {
-	hs := make([]func(Tuple), 0, len(s.order))
+	f := &fanout{fns: make([]func(Tuple), 0, len(s.order))}
+	var union []int
+	all := false
 	for _, id := range s.order {
-		if fn, ok := s.subs[id]; ok {
-			hs = append(hs, fn)
+		if sub, ok := s.subs[id]; ok {
+			f.fns = append(f.fns, sub.fn)
+			all = all || sub.reads == nil
+			union = append(union, sub.reads.Fields()...)
 		}
 	}
-	s.handlers.Store(&hs)
+	if !all {
+		f.reads = NewReadSet(union...)
+	}
+	s.fanout.Store(f)
+}
+
+// Reads returns the union of the fields the current subscribers read (nil:
+// every field). A stream without subscribers reads the empty set.
+func (s *Stream) Reads() *ReadSet {
+	if f := s.fanout.Load(); f != nil {
+		return f.reads
+	}
+	return noFields
 }
 
 // SubscriberCount returns the current number of subscribers.
@@ -105,19 +169,51 @@ func (s *Stream) SubscriberCount() int {
 // and is the caller's again afterwards.
 func (s *Stream) Publish(t Tuple) error {
 	if len(t.Fields) != s.schema.Len() {
-		return fmt.Errorf("stream %q: tuple has %d fields, schema %s expects %d",
-			s.name, len(t.Fields), s.schema, s.schema.Len())
+		return s.arityErr(t)
 	}
-	// The snapshot is immutable, so subscribers may unsubscribe (or new ones
-	// subscribe) during delivery without invalidating this iteration — the
-	// change lands in the next snapshot.
-	if hs := s.handlers.Load(); hs != nil {
-		for _, fn := range *hs {
+	s.deliver(s.fanout.Load(), t)
+	return nil
+}
+
+func (s *Stream) arityErr(t Tuple) error {
+	return fmt.Errorf("stream %q: tuple has %d fields, schema %s expects %d",
+		s.name, len(t.Fields), s.schema, s.schema.Len())
+}
+
+// deliver hands t to the subscribers of snapshot f. The snapshot is
+// immutable, so subscribers may unsubscribe (or new ones subscribe) during
+// delivery without invalidating this iteration — the change lands in the
+// next snapshot.
+func (s *Stream) deliver(f *fanout, t Tuple) {
+	if f != nil {
+		for _, fn := range f.fns {
 			fn(t)
 		}
 	}
 	s.published.Add(1)
-	return nil
+}
+
+// PublishDerived publishes the tuple build makes from in, and returns it
+// with ok = false when build dropped in. build is handed the union of the
+// fields the current subscribers read (nil: every field) and need write
+// only those. The result goes to exactly the subscribers that union was
+// taken over: one snapshot decides both, so a subscriber that arrives
+// meanwhile gets its first tuple built for it. Like Publish, the result is
+// lent to the subscribers until PublishDerived returns.
+func (s *Stream) PublishDerived(in Tuple, build func(Tuple, *ReadSet) (Tuple, bool)) (out Tuple, ok bool, err error) {
+	f := s.fanout.Load()
+	reads := noFields
+	if f != nil {
+		reads = f.reads
+	}
+	if out, ok = build(in, reads); !ok {
+		return out, false, nil
+	}
+	if len(out.Fields) != s.schema.Len() {
+		return out, false, s.arityErr(out)
+	}
+	s.deliver(f, out)
+	return out, true, nil
 }
 
 // Derive creates a continuous view over src: for every tuple of src, f is

@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 	"time"
 )
@@ -140,6 +141,57 @@ func TestStreamPublishSubscribe(t *testing.T) {
 	if s.Published() != 2 {
 		t.Errorf("Published = %d", s.Published())
 	}
+}
+
+// TestReadSetsAndPublishDerived: a stream's read set is the union of what
+// its subscribers declared, every field once one declared nothing, and it
+// narrows again when they leave; PublishDerived builds each tuple for the
+// very subscribers it then delivers to.
+func TestReadSetsAndPublishDerived(t *testing.T) {
+	s, err := New("v", MustSchema("a", "b", "c"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var built []*ReadSet
+	build := func(in Tuple, reads *ReadSet) (Tuple, bool) {
+		built = append(built, reads)
+		return in, in.Seq != 99
+	}
+	publish := func(seq uint64) (bool, error) {
+		_, ok, err := s.PublishDerived(Tuple{Seq: seq, Fields: []float64{1, 2, 3}}, build)
+		return ok, err
+	}
+	same := func(r *ReadSet, want ...int) bool {
+		return r != nil && slices.Equal(r.Fields(), want)
+	}
+	if _, err := publish(0); err != nil || !same(built[0]) || !same(s.Reads()) {
+		t.Fatalf("no subscriber: built for %v (err %v), stream reads %v; want the empty set", built[0].Fields(), err, s.Reads().Fields())
+	}
+	got := 0
+	cancelC := s.SubscribeReads(NewReadSet(2), func(Tuple) { got++ })
+	cancelAC := s.SubscribeReads(NewReadSet(2, 0, 2), func(Tuple) { got++ })
+	if !same(s.Reads(), 0, 2) {
+		t.Fatalf("reads %v, want [0 2]", s.Reads().Fields())
+	}
+	cancelAll := s.Subscribe(func(Tuple) { got++ })
+	if s.Reads() != nil {
+		t.Fatalf("reads %v with a subscriber that declared nothing, want every field", s.Reads().Fields())
+	}
+	if ok, err := publish(1); !ok || err != nil || built[1] != nil || got != 3 {
+		t.Fatalf("published %t (err %v) built for %v to %d subscribers, want every field to 3", ok, err, built[1].Fields(), got)
+	}
+	cancelAll()
+	cancelAC()
+	if !same(s.Reads(), 2) {
+		t.Fatalf("reads %v after two left, want [2]", s.Reads().Fields())
+	}
+	if ok, _ := publish(99); ok || got != 3 || s.Published() != 2 {
+		t.Fatalf("dropped tuple: published %t, delivered to %d, count %d", ok, got-3, s.Published())
+	}
+	if _, _, err := s.PublishDerived(Tuple{}, func(in Tuple, _ *ReadSet) (Tuple, bool) { return in, true }); err == nil {
+		t.Error("derived tuple of the wrong arity published")
+	}
+	cancelC()
 }
 
 func TestStreamSchemaMismatch(t *testing.T) {

@@ -72,6 +72,9 @@ func (c Config) Validate() error {
 // elbow and hand on top of each other.
 const minForearm = 50.0
 
+// allJoints is the joint mask of every joint.
+const allJoints = 1<<kinect.NumJoints - 1
+
 // Transformer applies the §3.2 transformation frame by frame. It keeps a
 // smoothed forearm estimate across frames and is therefore stateful; use
 // one Transformer per stream and do not share across goroutines.
@@ -79,8 +82,11 @@ type Transformer struct {
 	cfg        Config
 	emaForearm float64
 	hasEMA     bool
-	// scratch is the one array Lend writes every result into.
+	// scratch is the one array Lend and project write every result into.
 	scratch [numFields]float64
+	// reads is the read set project last saw, joints its joint mask.
+	reads  *stream.ReadSet
+	joints uint16
 }
 
 // New validates cfg and returns a Transformer.
@@ -88,7 +94,7 @@ func New(cfg Config) (*Transformer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Transformer{cfg: cfg}, nil
+	return &Transformer{cfg: cfg, joints: allJoints}, nil
 }
 
 // Config returns the transformer configuration.
@@ -114,10 +120,12 @@ func shoulderYaw(left, right geom.Vec3) float64 {
 }
 
 // forearm returns the smoothed right-forearm length given the elbow and hand
-// positions of one frame.
+// positions of one frame. A non-finite distance (a NaN or ±Inf coordinate)
+// is a glitch like a too-short one: fed to the average, it would poison
+// every later scale.
 func (t *Transformer) forearm(elbow, hand geom.Vec3) float64 {
 	raw := elbow.Dist(hand)
-	if raw < minForearm {
+	if raw < minForearm || math.IsNaN(raw) || math.IsInf(raw, 0) {
 		if t.hasEMA {
 			return t.emaForearm
 		}
@@ -179,7 +187,7 @@ const numFields = kinect.NumJoints * 3
 // TestTupleMatchesFrame pins it. Malformed tuples are dropped (ok = false).
 func (t *Transformer) Tuple(in stream.Tuple) (stream.Tuple, bool) {
 	out := new([numFields]float64)
-	if !t.into(out, in.Fields) {
+	if !t.into(out, in.Fields, allJoints) {
 		return stream.Tuple{}, false
 	}
 	return stream.Tuple{Ts: in.Ts, Seq: in.Seq, Fields: out[:]}, true
@@ -190,19 +198,44 @@ func (t *Transformer) Tuple(in stream.Tuple) (stream.Tuple, bool) {
 // valid until the next Lend on this transformer, and a caller that keeps it
 // clones it.
 func (t *Transformer) Lend(in stream.Tuple) (stream.Tuple, bool) {
-	if !t.into(&t.scratch, in.Fields) {
+	return t.project(in, nil)
+}
+
+// project is Lend for subscribers that read only the fields in reads (nil:
+// every field): the parameters are estimated as always, so the smoothed
+// forearm advances on every tuple, but only the joints with a field in
+// reads are shifted, rotated and scaled. The scratch array's other fields
+// keep whatever they held. It is the kinect_t view's build step (see View).
+func (t *Transformer) project(in stream.Tuple, reads *stream.ReadSet) (stream.Tuple, bool) {
+	if reads != t.reads {
+		t.reads, t.joints = reads, jointMask(reads)
+	}
+	if !t.into(&t.scratch, in.Fields, t.joints) {
 		return stream.Tuple{}, false
 	}
 	return stream.Tuple{Ts: in.Ts, Seq: in.Seq, Fields: t.scratch[:]}, true
 }
 
-// into writes the transformation of the raw field array in to out and
-// reports whether in was well-formed. No frame is built: the five joints the
-// parameters depend on are read from in, and shift → rotate → scale is
-// written straight into out. The arithmetic is Vec3.Sub, Mat3.Apply and
-// Vec3.Scale spelled out in their exact expression order, so not one output
-// float differs from Frame's.
-func (t *Transformer) into(out *[numFields]float64, in []float64) bool {
+// jointMask returns the joints (bit j for joint j) that hold a field of
+// reads.
+func jointMask(reads *stream.ReadSet) uint16 {
+	if reads == nil {
+		return allJoints
+	}
+	var m uint16
+	for _, f := range reads.Fields() {
+		m |= 1 << (f / 3)
+	}
+	return m
+}
+
+// into writes the transformation of the raw field array in to out for the
+// joints in the mask and reports whether in was well-formed. No frame is
+// built: the five joints the parameters depend on are read from in, and
+// shift → rotate → scale is written straight into out. The arithmetic is
+// Vec3.Sub, Mat3.Apply and Vec3.Scale spelled out in their exact expression
+// order, so not one output float differs from Frame's.
+func (t *Transformer) into(out *[numFields]float64, in []float64, joints uint16) bool {
 	if len(in) != numFields {
 		return false
 	}
@@ -213,10 +246,14 @@ func (t *Transformer) into(out *[numFields]float64, in []float64) bool {
 		joint(kinect.RightElbow), joint(kinect.RightHand))
 	o, r, s := par.origin, &par.rot, par.scale
 	for i := 0; i < numFields; i += 3 {
-		x, y, z := f[i]-o.X, f[i+1]-o.Y, f[i+2]-o.Z
-		out[i] = (r[0][0]*x + r[0][1]*y + r[0][2]*z) * s
-		out[i+1] = (r[1][0]*x + r[1][1]*y + r[1][2]*z) * s
-		out[i+2] = (r[2][0]*x + r[2][1]*y + r[2][2]*z) * s
+		// Testing for the whole mask first keeps every-joint callers
+		// (Tuple, Lend) as fast as the unmasked loop.
+		if joints == allJoints || joints&(1<<(i/3)) != 0 {
+			x, y, z := f[i]-o.X, f[i+1]-o.Y, f[i+2]-o.Z
+			out[i] = (r[0][0]*x + r[0][1]*y + r[0][2]*z) * s
+			out[i+1] = (r[1][0]*x + r[1][1]*y + r[1][2]*z) * s
+			out[i+2] = (r[2][0]*x + r[2][1]*y + r[2][2]*z) * s
+		}
 	}
 	return true
 }
@@ -228,7 +265,12 @@ const ViewName = "kinect_t"
 // View attaches the transformation as a derived stream over src (the raw
 // kinect stream) and returns it. The view shares the kinect schema: same
 // attributes, transformed values. Its tuples are lent out of one array owned
-// by the view's transformer, overwritten by the next tuple of src.
+// by the view's transformer, overwritten by the next tuple of src. Each
+// tuple is computed for the view's subscribers (stream.PublishDerived): a
+// joint is rotated and scaled only when one of them reads one of its
+// fields, so with every subscriber a deployed plan (anduin.Engine.DeployPlan
+// declares what each reads), only the joints in the plans' union are; one
+// subscriber that declares nothing gets all 15.
 func View(src *stream.Stream, cfg Config) (*stream.Stream, error) {
 	tr, err := New(cfg)
 	if err != nil {
@@ -244,16 +286,16 @@ func View(src *stream.Stream, cfg Config) (*stream.Stream, error) {
 	if err != nil {
 		return nil, err
 	}
+	build := tr.project
 	src.Subscribe(func(in stream.Tuple) {
-		out, ok := tr.Lend(in)
-		if !ok {
-			return
-		}
-		// The arity was checked above, so Publish cannot fail.
-		if err := view.Publish(out); err != nil {
+		out, ok, err := view.PublishDerived(in, build)
+		if err != nil {
+			// The arity was checked above, so this cannot happen.
 			panic(fmt.Sprintf("transform: view %q: %v", ViewName, err))
 		}
-		stream.EndLoan(out.Fields)
+		if ok {
+			stream.EndLoan(out.Fields)
+		}
 	})
 	return view, nil
 }

@@ -182,6 +182,45 @@ func TestForearmGuard(t *testing.T) {
 	}
 }
 
+// TestNonFiniteForearmIsAGlitch: one frame whose right elbow or right hand
+// holds a NaN or ±Inf coordinate is skipped by the smoothed forearm like a
+// too-short one, so every later Lend equals, bit for bit, what a
+// transformer that never saw that frame returns.
+func TestNonFiniteForearmIsAGlitch(t *testing.T) {
+	sim, err := kinect.NewSimulator(kinect.DefaultProfile(), kinect.DefaultNoise(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := sim.Idle(t0(), time.Second)
+	const bad = 10
+	for _, joint := range []kinect.Joint{kinect.RightElbow, kinect.RightHand} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			glitch := frames[bad]
+			glitch.Joints[joint].Y = v
+			saw, _ := New(DefaultConfig())
+			never, _ := New(DefaultConfig())
+			for i, f := range frames {
+				if i == bad {
+					saw.Lend(kinect.ToTuple(glitch))
+					continue
+				}
+				got, _ := saw.Lend(kinect.ToTuple(f))
+				want, _ := never.Lend(kinect.ToTuple(f))
+				for k := range want.Fields {
+					if math.Float64bits(got.Fields[k]) != math.Float64bits(want.Fields[k]) {
+						t.Fatalf("joint %d = %g at frame %d: frame %d field %d is %g, want %g",
+							joint, v, bad, i, k, got.Fields[k], want.Fields[k])
+					}
+				}
+				if math.Float64bits(saw.emaForearm) != math.Float64bits(never.emaForearm) {
+					t.Fatalf("joint %d = %g at frame %d: frame %d forearm %g, want %g",
+						joint, v, bad, i, saw.emaForearm, never.emaForearm)
+				}
+			}
+		}
+	}
+}
+
 func TestTupleViewDropsMalformed(t *testing.T) {
 	src, err := stream.New("kinect", kinect.Schema())
 	if err != nil {

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
 	"gesturecep/internal/geom"
 	"gesturecep/internal/kinect"
@@ -155,5 +157,51 @@ func TestLendReusesOneArray(t *testing.T) {
 	}
 	if _, ok := lend.Lend(stream.Tuple{Fields: adult.Fields[:numFields-1]}); ok {
 		t.Error("Lend accepted a short tuple")
+	}
+}
+
+// TestProjectComputesOnlyReadJoints: project writes, bit for bit as Tuple
+// does, every field of each joint that holds a field of the read set, and
+// leaves the scratch array's other fields as they were. The smoothed forearm
+// advances on every tuple whatever the set, so a set that changes midway
+// changes nothing for the joints both sets read.
+func TestProjectComputesOnlyReadJoints(t *testing.T) {
+	sim, err := kinect.NewSimulator(kinect.DefaultProfile(), kinect.DefaultNoise(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := kinect.ToTuples(sim.Idle(t0(), time.Second))
+	rHandX := int(kinect.RightHand) * 3
+	lHandZ := int(kinect.LeftHand)*3 + 2
+	sets := []*stream.ReadSet{
+		stream.NewReadSet(rHandX),
+		stream.NewReadSet(rHandX, lHandZ),
+		stream.NewReadSet(),
+		nil,
+	}
+	own, _ := New(DefaultConfig())
+	proj, _ := New(DefaultConfig())
+	for i, in := range inputs {
+		reads := sets[i*len(sets)/len(inputs)]
+		for k := range proj.scratch {
+			proj.scratch[k] = math.NaN()
+		}
+		want, _ := own.Tuple(in)
+		got, ok := proj.project(in, reads)
+		if !ok {
+			t.Fatalf("tuple %d dropped", i)
+		}
+		for k := range want.Fields {
+			read := reads == nil
+			for f := k - k%3; f < k-k%3+3; f++ {
+				read = read || slices.Contains(reads.Fields(), f)
+			}
+			switch {
+			case read && math.Float64bits(got.Fields[k]) != math.Float64bits(want.Fields[k]):
+				t.Fatalf("tuple %d field %d (read set %v): %g, want %g", i, k, reads.Fields(), got.Fields[k], want.Fields[k])
+			case !read && !math.IsNaN(got.Fields[k]):
+				t.Fatalf("tuple %d field %d (read set %v): written, but no read field is on its joint", i, k, reads.Fields())
+			}
+		}
 	}
 }
