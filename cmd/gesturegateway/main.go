@@ -130,24 +130,14 @@ func run(addr string, external []cluster.Backend, backends, vnodes int, loadFact
 
 		// Learn each gesture once; the whole fleet shares the plans.
 		fmt.Printf("learning %d gestures ... ", gestures)
-		start := time.Date(2014, 3, 24, 10, 0, 0, 0, time.UTC)
 		learnStart := time.Now()
-		trainer, err := kinect.NewSimulator(kinect.DefaultProfile(), kinect.DefaultNoise(), seed)
+		learned, err := learn.Demo(gestures, seed)
 		if err != nil {
 			return err
 		}
 		reg := serve.NewRegistry()
-		specs := kinect.StandardGestures()
-		for _, name := range gestureNames[:gestures] {
-			samples, err := trainer.Samples(specs[name], 4, start, kinect.PerformOpts{PathJitter: 25})
-			if err != nil {
-				return err
-			}
-			res, err := learn.Learn(name, samples, learn.DefaultConfig())
-			if err != nil {
-				return err
-			}
-			if _, err := reg.Register(name, res.QueryText); err != nil {
+		for _, res := range learned {
+			if _, err := reg.Register(res.Model.Name, res.QueryText); err != nil {
 				return err
 			}
 		}

@@ -293,6 +293,6 @@ func driveSession(cl *wire.Client, id string, batch, trace, recording int, tuple
 	}
 	res.counters = counters
 	dets := rs.TakeDetections()
-	res.detBytes, res.err = wire.AppendDetections(nil, 0, 0, dets)
+	res.detBytes, res.err = wire.AppendDetectionFrames(nil, dets)
 	return res
 }

@@ -100,10 +100,20 @@ func run(o opts) error {
 	if o.gestures < 1 || o.gestures > len(gestureNames) {
 		return fmt.Errorf("gesturereplay: -gestures must be 1..%d", len(gestureNames))
 	}
-	reg, err := learnPlans(o.gestures, o.seed)
+	// The same -gestures/-seed as the recording server yield its plans.
+	fmt.Printf("learning %d gestures ... ", o.gestures)
+	begin := time.Now()
+	learned, err := learn.Demo(o.gestures, o.seed)
 	if err != nil {
 		return err
 	}
+	reg := serve.NewRegistry()
+	for _, res := range learned {
+		if _, err := reg.Register(res.Model.Name, res.QueryText); err != nil {
+			return err
+		}
+	}
+	fmt.Printf("done in %v\n", time.Since(begin).Round(time.Millisecond))
 	switch o.mode {
 	case "replay":
 		return replay(o, reg)
@@ -139,35 +149,6 @@ func listStreams(dir string) error {
 			span.Round(time.Millisecond), info.Indexed)
 	}
 	return nil
-}
-
-// learnPlans mirrors gestured's startup: the same trainer seed yields the
-// same learned queries and therefore the same compiled plans.
-func learnPlans(gestures int, seed int64) (*serve.Registry, error) {
-	fmt.Printf("learning %d gestures ... ", gestures)
-	begin := time.Now()
-	start := time.Date(2014, 3, 24, 10, 0, 0, 0, time.UTC)
-	trainer, err := kinect.NewSimulator(kinect.DefaultProfile(), kinect.DefaultNoise(), seed)
-	if err != nil {
-		return nil, err
-	}
-	reg := serve.NewRegistry()
-	specs := kinect.StandardGestures()
-	for _, name := range gestureNames[:gestures] {
-		samples, err := trainer.Samples(specs[name], 4, start, kinect.PerformOpts{PathJitter: 25})
-		if err != nil {
-			return nil, err
-		}
-		res, err := learn.Learn(name, samples, learn.DefaultConfig())
-		if err != nil {
-			return nil, err
-		}
-		if _, err := reg.Register(name, res.QueryText); err != nil {
-			return nil, err
-		}
-	}
-	fmt.Printf("done in %v\n", time.Since(begin).Round(time.Millisecond))
-	return reg, nil
 }
 
 func printDetection(d anduin.Detection) {

@@ -28,39 +28,11 @@ import (
 // submission week, as elsewhere in the repo).
 func TestTime() time.Time { return time.Date(2014, 3, 24, 10, 0, 0, 0, time.UTC) }
 
-var (
-	learnOnce sync.Once
-	learnTxt  string
-	learnErr  error
-)
-
-// SwipeQuery learns the swipe_right gesture once per test binary and
-// returns the generated query text.
+// SwipeQuery returns the generated query text of swipe_right, the first
+// demo gesture.
 func SwipeQuery(t testing.TB) string {
 	t.Helper()
-	learnOnce.Do(func() {
-		sim, err := kinect.NewSimulator(kinect.DefaultProfile(), kinect.DefaultNoise(), 1)
-		if err != nil {
-			learnErr = err
-			return
-		}
-		samples, err := sim.Samples(kinect.StandardGestures()[kinect.GestureSwipeRight], 4,
-			TestTime(), kinect.PerformOpts{PathJitter: 25})
-		if err != nil {
-			learnErr = err
-			return
-		}
-		res, err := learn.Learn("swipe_right", samples, learn.DefaultConfig())
-		if err != nil {
-			learnErr = err
-			return
-		}
-		learnTxt = res.QueryText
-	})
-	if learnErr != nil {
-		t.Fatal(learnErr)
-	}
-	return learnTxt
+	return DemoQueries(t)[0]
 }
 
 var (
@@ -70,29 +42,14 @@ var (
 )
 
 // DemoQueries learns the eight demo gestures exactly as cmd/gestured does at
-// start-up — one trainer (seed 1) walking kinect.DemoGestureNames in order,
-// four samples each with PathJitter 25 — once per test binary, and returns
-// the generated query texts in that order.
+// start-up with -seed 1, once per test binary, and returns the generated
+// query texts in kinect.DemoGestureNames order.
 func DemoQueries(t testing.TB) []string {
 	t.Helper()
 	demoOnce.Do(func() {
-		trainer, err := kinect.NewSimulator(kinect.DefaultProfile(), kinect.DefaultNoise(), 1)
-		if err != nil {
-			demoErr = err
-			return
-		}
-		specs := kinect.StandardGestures()
-		for _, name := range kinect.DemoGestureNames() {
-			samples, err := trainer.Samples(specs[name], 4, TestTime(), kinect.PerformOpts{PathJitter: 25})
-			if err != nil {
-				demoErr = err
-				return
-			}
-			res, err := learn.Learn(name, samples, learn.DefaultConfig())
-			if err != nil {
-				demoErr = err
-				return
-			}
+		var learned []*learn.Result
+		learned, demoErr = learn.Demo(len(kinect.DemoGestureNames()), 1)
+		for _, res := range learned {
 			demoTxts = append(demoTxts, res.QueryText)
 		}
 	})
@@ -155,7 +112,7 @@ func FeedFrames(s interface{ FeedTuple(stream.Tuple) error }, frames []kinect.Fr
 // different code paths compare byte-for-byte.
 func EncodeDets(t testing.TB, dets []anduin.Detection) []byte {
 	t.Helper()
-	buf, err := wire.AppendDetections(nil, 0, 0, dets)
+	buf, err := wire.AppendDetectionFrames(nil, dets)
 	if err != nil {
 		t.Fatal(err)
 	}

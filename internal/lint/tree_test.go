@@ -40,7 +40,7 @@ func TestTreeClean(t *testing.T) {
 // layout. Test files are exempt — they feed simulated Kinect sessions.
 func TestServingStackIsSchemaGeneric(t *testing.T) {
 	for _, pkg := range []string{"serve", "wire", "cluster", "store"} {
-		forbidImport(t, pkg, "kinect", "convert frames to tuples at the caller")
+		forbidImport(t, "internal/"+pkg, "kinect", "convert frames to tuples at the caller")
 	}
 }
 
@@ -49,20 +49,31 @@ func TestServingStackIsSchemaGeneric(t *testing.T) {
 // runtime — a caller hands it a plan resolver, or feeds a replay into a
 // session itself.
 func TestStoreDoesNotImportServe(t *testing.T) {
-	forbidImport(t, "store", "serve", "take what it needs as a function value")
+	forbidImport(t, "internal/store", "serve", "take what it needs as a function value")
 }
 
-// forbidImport fails for every non-test file of internal/pkg that imports
+// TestFacadeIsTheWorkflow keeps the root package to the paper's Fig. 2
+// workflow (learn, deploy, detect). Serving, the wire protocol, the
+// cluster and the store are reached through the binaries, so the facade
+// does not re-export them.
+func TestFacadeIsTheWorkflow(t *testing.T) {
+	for _, pkg := range []string{"serve", "wire", "cluster", "store"} {
+		forbidImport(t, ".", pkg, "the facade is the learn-deploy-detect workflow; serve through the binaries")
+	}
+}
+
+// forbidImport fails for every non-test file of the package in dir (relative
+// to the module root, "." for the root package) that imports
 // internal/banned.
-func forbidImport(t *testing.T, pkg, banned, fix string) {
+func forbidImport(t *testing.T, dir, banned, fix string) {
 	t.Helper()
 	root, err := ModuleRoot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	files, err := filepath.Glob(filepath.Join(root, "internal", pkg, "*.go"))
+	files, err := filepath.Glob(filepath.Join(root, dir, "*.go"))
 	if err != nil || len(files) == 0 {
-		t.Fatalf("internal/%s: %d files, %v", pkg, len(files), err)
+		t.Fatalf("%s: %d files, %v", dir, len(files), err)
 	}
 	path := `"gesturecep/internal/` + banned + `"`
 	for _, file := range files {

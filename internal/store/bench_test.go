@@ -268,21 +268,13 @@ func BenchmarkRecorderTap(b *testing.B) {
 // start-up and compiles them.
 func benchPlans(b testing.TB, n int) []*anduin.Plan {
 	b.Helper()
-	trainer, err := kinect.NewSimulator(kinect.DefaultProfile(), kinect.DefaultNoise(), 1)
+	learned, err := learn.Demo(n, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	env := anduin.NewPlanEnv()
 	var plans []*anduin.Plan
-	for _, name := range kinect.DemoGestureNames()[:n] {
-		samples, err := trainer.Samples(kinect.StandardGestures()[name], 4, testTime(), kinect.PerformOpts{PathJitter: 25})
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := learn.Learn(name, samples, learn.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
+	for _, res := range learned {
 		plan, err := anduin.CompilePlanText(res.QueryText, env)
 		if err != nil {
 			b.Fatal(err)

@@ -410,6 +410,22 @@ func AppendDetections(dst []byte, handle uint32, dropped uint64, dets []anduin.D
 	return dst, nil
 }
 
+// AppendDetectionFrames appends dets to dst as consecutive FrameDetections
+// payloads (handle 0, nothing dropped) of at most MaxDetections each: the
+// canonical bytes of a detection list of any length, for comparing lists
+// from different code paths. An empty list is one empty payload.
+func AppendDetectionFrames(dst []byte, dets []anduin.Detection) ([]byte, error) {
+	for first := true; first || len(dets) > 0; first = false {
+		n := min(len(dets), MaxDetections)
+		var err error
+		if dst, err = AppendDetections(dst, 0, 0, dets[:n]); err != nil {
+			return nil, err
+		}
+		dets = dets[n:]
+	}
+	return dst, nil
+}
+
 // minDetSize is the encoded size of a detection with no name and no
 // measures; it bounds how many detections a payload can possibly hold.
 const minDetSize = 2 + 4 + 8 + 8 + 2

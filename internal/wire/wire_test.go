@@ -69,6 +69,37 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendDetectionFrames pins the canonical bytes of a detection list:
+// one AppendDetections payload up to MaxDetections, consecutive payloads of
+// at most MaxDetections beyond it.
+func TestAppendDetectionFrames(t *testing.T) {
+	dets := make([]anduin.Detection, MaxDetections+1)
+	for i := range dets {
+		at := testTime().Add(time.Duration(i) * time.Millisecond)
+		dets[i] = anduin.Detection{Gesture: "push", QueryID: i % 3, Start: at, End: at.Add(time.Second)}
+	}
+	frame := func(dets []anduin.Detection) []byte {
+		p, err := AppendDetections(nil, 0, 0, dets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for _, n := range []int{0, 1, MaxDetections, MaxDetections + 1} {
+		want := frame(dets[:min(n, MaxDetections)])
+		if n > MaxDetections {
+			want = append(want, frame(dets[MaxDetections:n])...)
+		}
+		got, err := AppendDetectionFrames(nil, dets[:n])
+		if err != nil {
+			t.Fatalf("%d detections: %v", n, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%d detections: %d bytes, want %d", n, len(got), len(want))
+		}
+	}
+}
+
 // TestBatchGeometry checks the proxy-side structural validator agrees with
 // the decoder: a payload passing BatchGeometry decodes, a payload failing
 // it is rejected by DecodeBatch too.
