@@ -24,8 +24,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -34,7 +32,6 @@ import (
 	"gesturecep/internal/obs"
 	"gesturecep/internal/serve"
 	"gesturecep/internal/store"
-	"gesturecep/internal/stream"
 	"gesturecep/internal/wire"
 )
 
@@ -104,22 +101,16 @@ func run(addr, name string, shards, queue int, policyName string, gestures int, 
 	srv.BatchDecode = obs.NewHistogram()
 	srv.Ingress = obs.NewHistogram()
 
-	// Recording throughput counters for the admin plane: live recorders are
-	// summed per scrape, released ones folded into the done totals.
-	var recMu sync.Mutex
-	liveRecs := make(map[*store.Recorder]struct{})
-	var doneTuples, doneDropped, doneBytes atomic.Uint64
-
 	var arch *store.Archive
 	var comp *store.Compactor
 	if recordDir != "" {
-		arch = store.NewArchive(recordDir, store.Options{}, 0)
+		// The archive records every session, makes sessions live-migratable
+		// (what lets a gateway drain this server with state), and answers
+		// the wire protocol's backfill requests over the recordings
+		// (gesturereplay -mode fleet-backfill, or a cluster gateway).
+		arch = store.NewArchive(recordDir, kinect.Schema(), store.Options{}, 0)
 		defer arch.Close()
-		// The archive doubles as the offline-backfill source: a remote
-		// coordinator (gesturereplay -mode fleet-backfill, or a cluster
-		// gateway) evaluates this server's registered plans over the
-		// recordings through the wire protocol's history path.
-		srv.BackfillSource = store.NewWireBackfillSource(reg.Resolve, arch.OpenReader)
+		arch.Serve(srv, reg.Resolve, func(err error) { log.Printf("gestured: %v", err) })
 		if retain > 0 {
 			comp = arch.NewCompactor(store.RetentionPolicy{MaxAge: retain})
 			stop := comp.Start(compactEvery, func(err error) {
@@ -127,30 +118,6 @@ func run(addr, name string, shards, queue int, policyName string, gestures int, 
 			})
 			defer stop()
 			fmt.Printf("retaining %v of recorded history (compacting every %v)\n", retain, compactEvery)
-		}
-		srv.TapSessions = func(id string) (func(stream.Tuple), func(bool), error) {
-			rec, err := arch.Record(id, kinect.Schema())
-			if err != nil {
-				return nil, nil, err
-			}
-			recMu.Lock()
-			liveRecs[rec] = struct{}{}
-			recMu.Unlock()
-			return rec.Tap(), func(aborted bool) {
-				recMu.Lock()
-				delete(liveRecs, rec)
-				recMu.Unlock()
-				doneTuples.Add(rec.Recorded())
-				doneDropped.Add(rec.Dropped())
-				doneBytes.Add(rec.Writer().Bytes())
-				end := arch.Release
-				if aborted { // attach failed: drop the never-used recording
-					end = arch.Abort
-				}
-				if err := end(rec); err != nil {
-					log.Printf("gestured: recording %q: %v", rec.Stream(), err)
-				}
-			}, nil
 		}
 		fmt.Printf("recording sessions into %s\n", recordDir)
 	}
@@ -163,17 +130,7 @@ func run(addr, name string, shards, queue int, policyName string, gestures int, 
 				w.Histogram("wire_batch_decode_seconds", "FrameBatch decode time of trace-sampled batches.", nil, srv.BatchDecode.Snapshot())
 				w.Histogram("wire_ingress_seconds", "Client-send to server-decode latency of trace-sampled batches.", nil, srv.Ingress.Snapshot())
 				if arch != nil {
-					tuples, dropped, bytes := doneTuples.Load(), doneDropped.Load(), doneBytes.Load()
-					recMu.Lock()
-					for rec := range liveRecs {
-						tuples += rec.Recorded()
-						dropped += rec.Dropped()
-						bytes += rec.Writer().Bytes()
-					}
-					recMu.Unlock()
-					w.Counter("store_record_tuples_total", "Tuples appended to session recordings.", nil, tuples)
-					w.Counter("store_record_dropped_total", "Tuples lost to full recording buffers.", nil, dropped)
-					w.Counter("store_record_bytes_total", "Record bytes written to session recordings.", nil, bytes)
+					arch.WriteProm(w)
 				}
 				if comp != nil {
 					comp.WriteProm(w)

@@ -14,9 +14,12 @@
 //
 // Fronting external gestured processes instead:
 //
-//	go run ./cmd/gestured -addr :7474 -name b0 &
-//	go run ./cmd/gestured -addr :7476 -name b1 &
+//	go run ./cmd/gestured -addr :7474 -name b0 -record-dir rec/b0 &
+//	go run ./cmd/gestured -addr :7476 -name b1 -record-dir rec/b1 &
 //	go run ./cmd/gesturegateway -addr :7475 -backend b0=localhost:7474 -backend b1=localhost:7476
+//
+// With -record-dir on every gestured, draining a backend through the admin
+// plane (-admin-addr) moves its sessions with their state.
 package main
 
 import (
@@ -35,7 +38,6 @@ import (
 	"gesturecep/internal/obs"
 	"gesturecep/internal/serve"
 	"gesturecep/internal/store"
-	"gesturecep/internal/stream"
 	"gesturecep/internal/wire"
 )
 
@@ -144,60 +146,20 @@ func run(addr string, external []cluster.Backend, backends, vnodes int, loadFact
 		fmt.Printf("done in %v\n", time.Since(learnStart).Round(time.Millisecond))
 
 		opts := cluster.SpawnOptions{Serve: serve.Config{Shards: shards, QueueDepth: queue, Policy: pol}}
-		var archives []*store.Archive
+		archiveOf := make(map[string]*store.Archive, backends)
 		if recordDir != "" {
-			archiveOf := make(map[string]*store.Archive, backends)
+			// One archive per backend records its sessions, makes them
+			// live-migratable (what lets /backends/drain move them with
+			// state) and answers the wire backfill requests POST /backfill
+			// fans out across the fleet.
 			for i := 0; i < backends; i++ {
 				id := cluster.BackendID(i)
-				archiveOf[id] = store.NewArchive(recordDir+"/"+id, store.Options{}, 0)
-				archives = append(archives, archiveOf[id])
+				archiveOf[id] = store.NewArchive(recordDir+"/"+id, kinect.Schema(), store.Options{}, 0)
 			}
-			opts.TapSessions = func(backendID string) func(string) (func(stream.Tuple), func(bool), error) {
-				arch := archiveOf[backendID]
-				return func(sessionID string) (func(stream.Tuple), func(bool), error) {
-					rec, err := arch.Record(sessionID, kinect.Schema())
-					if err != nil {
-						return nil, nil, err
-					}
-					return rec.Tap(), func(aborted bool) {
-						end := arch.Release
-						if aborted {
-							end = arch.Abort
-						}
-						if err := end(rec); err != nil {
-							log.Printf("gesturegateway: recording %q: %v", rec.Stream(), err)
-						}
-					}, nil
-				}
-			}
-			// Recording makes sessions live-migratable: the migration source
-			// syncs a session's recorder and streams the recording back out,
-			// which is what lets /backends/drain move sessions with state.
-			// Readers come from arch.OpenReader so they hold the archive's
-			// per-stream read lock against background compaction.
-			opts.MigrateSource = func(backendID string) func(string) (wire.HistoryReader, uint64, error) {
-				arch := archiveOf[backendID]
-				return func(sessionID string) (wire.HistoryReader, uint64, error) {
-					rec, ok := arch.LiveRecorder(sessionID)
-					if !ok {
-						return nil, 0, fmt.Errorf("gesturegateway: no live recording for session %q on %s", sessionID, backendID)
-					}
-					if err := rec.Sync(); err != nil {
-						return nil, 0, err
-					}
-					r, err := arch.OpenReader(rec.Stream())
-					if err != nil {
-						return nil, 0, err
-					}
-					return r, rec.Recorded(), nil
-				}
-			}
-			// Each backend answers wire backfill requests over its own
-			// archive, which is what POST /backfill on the admin plane (and
-			// gesturereplay -mode fleet-backfill) fans out across.
-			opts.Backfill = func(backendID string) wire.BackfillFunc {
-				arch := archiveOf[backendID]
-				return store.NewWireBackfillSource(reg.Resolve, arch.OpenReader)
+			opts.Record = func(backendID string, srv *wire.Server) {
+				archiveOf[backendID].Serve(srv, reg.Resolve, func(err error) {
+					log.Printf("gesturegateway: %s: %v", backendID, err)
+				})
 			}
 		}
 		sp, err := cluster.Spawn(backends, reg, opts)
@@ -205,7 +167,7 @@ func run(addr string, external []cluster.Backend, backends, vnodes int, loadFact
 			return err
 		}
 		defer sp.Close()
-		for _, arch := range archives {
+		for _, arch := range archiveOf {
 			defer arch.Close()
 		}
 		if recordDir != "" {

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"gesturecep/internal/serve"
-	"gesturecep/internal/stream"
 	"gesturecep/internal/wire"
 )
 
@@ -14,23 +13,14 @@ import (
 type SpawnOptions struct {
 	// Serve configures every backend's session manager.
 	Serve serve.Config
-	// TapSessions, when non-nil, builds each backend's recording hook (see
-	// wire.Server.TapSessions) with the backend ID bound — how an
-	// all-in-one gateway process records per-backend archives. It is
-	// invoked again on Restart, so a hook backed by mutable state (e.g. a
-	// fresh archive per incarnation) picks up the restarted backend.
-	TapSessions func(backendID string) func(sessionID string) (func(stream.Tuple), func(bool), error)
-	// MigrateSource, when non-nil, builds each backend's migration history
-	// hook (see wire.Server.MigrateSource) with the backend ID bound — the
-	// recording counterpart that makes the fleet's sessions live-migratable.
-	// Like TapSessions it is re-invoked on Restart.
-	MigrateSource func(backendID string) func(sessionID string) (wire.HistoryReader, uint64, error)
-	// Backfill, when non-nil, builds each backend's offline backfill hook
-	// (see wire.Server.BackfillSource) with the backend ID bound — the
-	// standard implementation is store.NewWireBackfillSource over the
-	// backend's recording archive. Like TapSessions it is re-invoked on
-	// Restart, so a fresh incarnation serves from its fresh archive.
-	Backfill func(backendID string) wire.BackfillFunc
+	// Record, when non-nil, makes the backends record their sessions: it
+	// is handed each backend's ID and fresh wire server before the server
+	// listens, and installs the recording hooks on it — normally
+	// (*store.Archive).Serve over that backend's archive, which also makes
+	// the sessions live-migratable and answers backfills. It is called
+	// again on Restart, so a fresh incarnation can record into a fresh
+	// archive.
+	Record func(backendID string, srv *wire.Server)
 }
 
 // spawned is one in-process backend: its own session manager and wire
@@ -68,33 +58,36 @@ func Spawn(n int, reg *serve.Registry, opts SpawnOptions) (*Spawner, error) {
 	}
 	sp := &Spawner{reg: reg, opts: opts}
 	for i := 0; i < n; i++ {
-		id := BackendID(i)
-		mgr, err := serve.NewManager(opts.Serve, reg)
+		b, err := sp.start(BackendID(i), "127.0.0.1:0")
 		if err != nil {
 			sp.Close()
 			return nil, err
 		}
-		srv := wire.NewServer(mgr)
-		srv.Name = id
-		if opts.TapSessions != nil {
-			srv.TapSessions = opts.TapSessions(id)
-		}
-		if opts.MigrateSource != nil {
-			srv.MigrateSource = opts.MigrateSource(id)
-		}
-		if opts.Backfill != nil {
-			srv.BackfillSource = opts.Backfill(id)
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			mgr.Close()
-			sp.Close()
-			return nil, err
-		}
-		go srv.Serve(ln)
-		sp.backends = append(sp.backends, &spawned{id: id, mgr: mgr, srv: srv, addr: ln.Addr().String()})
+		sp.backends = append(sp.backends, b)
 	}
 	return sp, nil
+}
+
+// start brings up one incarnation of backend id: a fresh manager behind a
+// fresh server, with the recording hooks of SpawnOptions.Record, listening
+// on addr.
+func (sp *Spawner) start(id, addr string) (*spawned, error) {
+	mgr, err := serve.NewManager(sp.opts.Serve, sp.reg)
+	if err != nil {
+		return nil, err
+	}
+	srv := wire.NewServer(mgr)
+	srv.Name = id
+	if sp.opts.Record != nil {
+		sp.opts.Record(id, srv)
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		mgr.Close()
+		return nil, err
+	}
+	go srv.Serve(ln)
+	return &spawned{id: id, mgr: mgr, srv: srv, addr: ln.Addr().String()}, nil
 }
 
 // Backends returns the fleet descriptors for Config.Backends.
@@ -144,8 +137,8 @@ func (sp *Spawner) Kill(i int) {
 // restarted process a recovering cluster re-admits. The incarnation is
 // genuinely fresh, exactly like a crashed gestured coming back: a new
 // manager (empty session table; the old NFA state died with the kill)
-// behind a new server on a re-bound listener, with the recording hook
-// re-derived from SpawnOptions.TapSessions.
+// behind a new server on a re-bound listener, with the recording hooks
+// installed again by SpawnOptions.Record.
 func (sp *Spawner) Restart(i int) error {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
@@ -153,28 +146,11 @@ func (sp *Spawner) Restart(i int) error {
 	if !b.killed {
 		return fmt.Errorf("cluster: backend %s is still running", b.id)
 	}
-	mgr, err := serve.NewManager(sp.opts.Serve, sp.reg)
+	nb, err := sp.start(b.id, b.addr)
 	if err != nil {
-		return err
+		return fmt.Errorf("cluster: restarting backend %s on %s: %w", b.id, b.addr, err)
 	}
-	srv := wire.NewServer(mgr)
-	srv.Name = b.id
-	if sp.opts.TapSessions != nil {
-		srv.TapSessions = sp.opts.TapSessions(b.id)
-	}
-	if sp.opts.MigrateSource != nil {
-		srv.MigrateSource = sp.opts.MigrateSource(b.id)
-	}
-	if sp.opts.Backfill != nil {
-		srv.BackfillSource = sp.opts.Backfill(b.id)
-	}
-	ln, err := net.Listen("tcp", b.addr)
-	if err != nil {
-		mgr.Close()
-		return fmt.Errorf("cluster: backend %s: rebinding %s: %w", b.id, b.addr, err)
-	}
-	b.mgr, b.srv, b.killed = mgr, srv, false
-	go srv.Serve(ln)
+	b.mgr, b.srv, b.killed = nb.mgr, nb.srv, false
 	return nil
 }
 

@@ -1,7 +1,6 @@
 package e2e
 
 import (
-	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -85,58 +84,13 @@ func Start(t testing.TB, opts Options) *Harness {
 		h.recBuf = opts.RecorderBuffer
 		h.archives = make([]*store.Archive, opts.Backends)
 		h.roots = make([]string, opts.Backends)
+		h.archiveOf = make(map[string]*store.Archive, opts.Backends)
 		for i := range h.archives {
 			h.roots[i] = t.TempDir()
-			h.archives[i] = store.NewArchive(h.roots[i], store.Options{}, opts.RecorderBuffer)
+			h.newArchive(i)
 		}
-		archiveOf := make(map[string]*store.Archive, opts.Backends)
-		h.archiveOf = archiveOf
-		spawnOpts.TapSessions = func(backendID string) func(string) (func(stream.Tuple), func(bool), error) {
-			arch := archiveOf[backendID]
-			return func(sessionID string) (func(stream.Tuple), func(bool), error) {
-				rec, err := arch.Record(sessionID, kinect.Schema())
-				if err != nil {
-					return nil, nil, err
-				}
-				return rec.Tap(), func(aborted bool) {
-					if aborted {
-						arch.Abort(rec)
-					} else {
-						arch.Release(rec)
-					}
-				}, nil
-			}
-		}
-		// With a recording archive per backend, every session is also
-		// live-migratable: the migration history source syncs the session's
-		// recorder (draining the tap backlog to disk) and reads its stream
-		// back — the replay a drain streams into the target.
-		spawnOpts.MigrateSource = func(backendID string) func(string) (wire.HistoryReader, uint64, error) {
-			arch := archiveOf[backendID]
-			return func(sessionID string) (wire.HistoryReader, uint64, error) {
-				rec, ok := arch.LiveRecorder(sessionID)
-				if !ok {
-					return nil, 0, fmt.Errorf("e2e: no live recording for session %q on %s", sessionID, backendID)
-				}
-				if err := rec.Sync(); err != nil {
-					return nil, 0, err
-				}
-				r, err := store.OpenReader(arch.Root(), rec.Stream())
-				if err != nil {
-					return nil, 0, err
-				}
-				return r, rec.Recorded(), nil
-			}
-		}
-		// Every recording backend can also serve offline backfills from its
-		// archive — the fleet-parallel path gw.Backfill fans out over.
-		spawnOpts.Backfill = func(backendID string) wire.BackfillFunc {
-			arch := archiveOf[backendID]
-			return store.NewWireBackfillSource(h.Registry.Resolve, arch.OpenReader)
-		}
-		// Backend IDs are assigned by Spawn in order; pre-bind them.
-		for i := 0; i < opts.Backends; i++ {
-			archiveOf[cluster.BackendID(i)] = h.archives[i]
+		spawnOpts.Record = func(backendID string, srv *wire.Server) {
+			h.archiveOf[backendID].Serve(srv, h.Registry.Resolve, nil)
 		}
 	}
 
@@ -249,12 +203,18 @@ func (h *Harness) KillBackend(i int) {
 func (h *Harness) RestartBackend(i int) {
 	h.t.Helper()
 	if h.archives != nil {
-		h.archives[i] = store.NewArchive(h.roots[i], store.Options{}, h.recBuf)
-		h.archiveOf[cluster.BackendID(i)] = h.archives[i]
+		h.newArchive(i)
 	}
 	if err := h.Spawner.Restart(i); err != nil {
 		h.t.Fatal(err)
 	}
+}
+
+// newArchive opens a fresh archive over backend i's root directory, the
+// one its next incarnation records into.
+func (h *Harness) newArchive(i int) {
+	h.archives[i] = store.NewArchive(h.roots[i], kinect.Schema(), store.Options{}, h.recBuf)
+	h.archiveOf[cluster.BackendID(i)] = h.archives[i]
 }
 
 // RecordRoot returns backend i's archive directory (Record only).

@@ -1,8 +1,10 @@
 package lint
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -59,6 +61,57 @@ func TestStoreDoesNotImportServe(t *testing.T) {
 func TestFacadeIsTheWorkflow(t *testing.T) {
 	for _, pkg := range []string{"serve", "wire", "cluster", "store"} {
 		forbidImport(t, ".", pkg, "the facade is the learn-deploy-detect workflow; serve through the binaries")
+	}
+}
+
+// TestRecordingBackendIsTheArchive pins one wiring of a server's recording
+// hooks: outside internal/store no non-test file sets wire.Server's
+// TapSessions, MigrateSource or BackfillSource — a recording backend is
+// (*store.Archive).Serve, so the tap, the migration source and the
+// backfill source cannot drift apart between the binaries and the tests.
+func TestRecordingBackendIsTheArchive(t *testing.T) {
+	root, err := ModuleRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hooks := map[string]bool{"TapSessions": true, "MigrateSource": true, "BackfillSource": true}
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			rel, _ := filepath.Rel(root, path)
+			if rel == filepath.Join("internal", "store") || d.Name() == "testdata" ||
+				(rel != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			as, ok := n.(*ast.AssignStmt)
+			if !ok {
+				return true
+			}
+			for _, lhs := range as.Lhs {
+				if sel, ok := lhs.(*ast.SelectorExpr); ok && hooks[sel.Sel.Name] {
+					t.Errorf("%s sets .%s; make the server's recording backend with (*store.Archive).Serve",
+						fset.Position(lhs.Pos()), sel.Sel.Name)
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -139,14 +139,14 @@ func TestCompactionRetention(t *testing.T) {
 // history — never a half-rewritten stream.
 func TestCompactionRacesLiveReadersAndRecorder(t *testing.T) {
 	root := t.TempDir()
-	arch := NewArchive(root, smallSegOpts, 1<<16)
+	arch := NewArchive(root, synthSchema, smallSegOpts, 1<<16)
 	const n = 1200
 	hist := synthTuples(n)
 	writeStream(t, root, "hist", hist, smallSegOpts)
 
 	// The live stream's tuples are just as old as hist's: only the
 	// live-recorder skip keeps the compactor off it.
-	rec, err := arch.Record("live", synthSchema)
+	rec, err := arch.Record("live")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,10 +33,10 @@ func readAllTuples(t *testing.T, r *Reader) []stream.Tuple {
 // readable at the migration cut without closing the session, and Recorded()
 // is the exact cut ordinal the reader's contents match.
 func TestSyncMidStreamReadback(t *testing.T) {
-	arch := NewArchive(t.TempDir(), Options{}, 0)
+	arch := NewArchive(t.TempDir(), synthSchema, Options{}, 0)
 	defer arch.Close()
 	tuples := synthTuples(96)
-	rec, err := arch.Record("live", synthSchema)
+	rec, err := arch.Record("live")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestSyncMidStreamReadback(t *testing.T) {
 	if got := rec.Recorded(); got != 64 {
 		t.Fatalf("Recorded() = %d after sync, want 64", got)
 	}
-	r, err := OpenReader(arch.Root(), rec.Stream())
+	r, err := OpenReader(arch.root, rec.Stream())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestSyncMidStreamReadback(t *testing.T) {
 	if got := rec.Recorded(); got != 96 {
 		t.Fatalf("Recorded() = %d after second sync, want 96", got)
 	}
-	r, err = OpenReader(arch.Root(), rec.Stream())
+	r, err = OpenReader(arch.root, rec.Stream())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,14 +83,14 @@ func TestSyncMidStreamReadback(t *testing.T) {
 // released recorder stops resolving (a migration source must never sync a
 // closed recorder).
 func TestLiveRecorderResolution(t *testing.T) {
-	arch := NewArchive(t.TempDir(), Options{}, 0)
+	arch := NewArchive(t.TempDir(), synthSchema, Options{}, 0)
 	defer arch.Close()
 
 	if _, ok := arch.LiveRecorder("ghost"); ok {
 		t.Fatal("LiveRecorder resolved a name that was never recorded")
 	}
 
-	first, err := arch.Record("sess", synthSchema)
+	first, err := arch.Record("sess")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestLiveRecorderResolution(t *testing.T) {
 
 	// A reused session name records under a suffixed stream; the live index
 	// must follow the newest incarnation, not the stream name.
-	second, err := arch.Record("sess", synthSchema)
+	second, err := arch.Record("sess")
 	if err != nil {
 		t.Fatal(err)
 	}

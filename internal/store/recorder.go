@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"gesturecep/internal/obs"
 	"gesturecep/internal/stream"
 	"gesturecep/internal/wire"
 )
@@ -206,10 +207,6 @@ func (r *Recorder) Err() error {
 // Stream returns the name of the recorded stream.
 func (r *Recorder) Stream() string { return r.w.Manifest().Stream }
 
-// Writer exposes the underlying stream writer — its Records/Tuples/Bytes
-// counters feed the admin plane's append-throughput gauges.
-func (r *Recorder) Writer() *Writer { return r.w }
-
 // Close stops the taps, drains the buffer and closes the writer.
 // Idempotent; taps installed on still-live sessions keep working (counting
 // drops) after Close.
@@ -237,6 +234,7 @@ func (r *Recorder) Close() error {
 // Safe for concurrent use.
 type Archive struct {
 	root   string
+	schema *stream.Schema
 	opts   Options
 	buffer int
 	gate   *streamGate // compaction vs. reader serialization, per stream
@@ -246,22 +244,33 @@ type Archive struct {
 	byName map[string]*Recorder // by originally requested session name
 	origOf map[string]string    // stream name -> originally requested name
 	closed bool
+	// done totals the recordings that have ended. A recording moves from
+	// open into done in one step under mu, after its Close has drained
+	// the backlog, so a scrape counts every recording exactly once.
+	done recordCounts
 }
 
-// NewArchive creates an archive rooted at dir; streams are created lazily
-// by Record. buffer <= 0 selects DefaultRecorderBuffer per recorder.
-func NewArchive(root string, opts Options, buffer int) *Archive {
+// recordCounts are the recording throughput counters of WriteProm.
+type recordCounts struct{ tuples, dropped, bytes uint64 }
+
+func (c *recordCounts) add(rec *Recorder) {
+	c.tuples += rec.Recorded()
+	c.dropped += rec.Dropped()
+	c.bytes += rec.w.Bytes()
+}
+
+// NewArchive creates an archive rooted at dir whose streams all have the
+// given schema; streams are created lazily by Record. buffer <= 0 selects
+// DefaultRecorderBuffer per recorder.
+func NewArchive(root string, schema *stream.Schema, opts Options, buffer int) *Archive {
 	return &Archive{
-		root: root, opts: opts, buffer: buffer,
+		root: root, schema: schema, opts: opts, buffer: buffer,
 		gate:   newStreamGate(),
 		open:   make(map[string]*Recorder),
 		byName: make(map[string]*Recorder),
 		origOf: make(map[string]string),
 	}
 }
-
-// Root returns the archive directory.
-func (a *Archive) Root() string { return a.root }
 
 // OpenReader opens a recorded stream for reading under the archive's
 // compaction gate: the reader holds the stream's read lock until Close, so
@@ -283,7 +292,7 @@ func (a *Archive) OpenReader(name string) (*Reader, error) {
 // Record creates a fresh recorded stream for the given session and returns
 // its recorder. If a stream of that name already exists (an earlier run,
 // or a reused session ID), ".2", ".3", … suffixes are tried.
-func (a *Archive) Record(name string, schema *stream.Schema) (*Recorder, error) {
+func (a *Archive) Record(name string) (*Recorder, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.closed {
@@ -297,7 +306,7 @@ func (a *Archive) Record(name string, schema *stream.Schema) (*Recorder, error) 
 		}
 		candidate = fmt.Sprintf("%s.%d", name, n)
 	}
-	w, err := Create(a.root, candidate, schema, a.opts)
+	w, err := Create(a.root, candidate, a.schema, a.opts)
 	if err != nil {
 		return nil, err
 	}
@@ -319,9 +328,17 @@ func (a *Archive) LiveRecorder(name string) (*Recorder, bool) {
 	return rec, ok
 }
 
-// forget drops one recorder from every index. Callers hold a.mu.
-func (a *Archive) forget(rec *Recorder) {
+// Release closes one recorder and moves it from the open recordings into
+// the done totals. Called when its session ends; Close handles any
+// recorder not released by then, and a second release is a no-op.
+func (a *Archive) Release(rec *Recorder) error {
+	err := rec.Close() // drains the backlog, so the counters read below are final
 	name := rec.Stream()
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.open[name] != rec {
+		return err
+	}
 	delete(a.open, name)
 	if orig, ok := a.origOf[name]; ok {
 		delete(a.origOf, name)
@@ -329,15 +346,8 @@ func (a *Archive) forget(rec *Recorder) {
 			delete(a.byName, orig)
 		}
 	}
-}
-
-// Release closes one recorder and forgets it. Called when its session
-// ends; Close handles any recorder not released by then.
-func (a *Archive) Release(rec *Recorder) error {
-	a.mu.Lock()
-	a.forget(rec)
-	a.mu.Unlock()
-	return rec.Close()
+	a.done.add(rec)
+	return err
 }
 
 // Abort closes one recorder and deletes its recording entirely — for
@@ -345,25 +355,38 @@ func (a *Archive) Release(rec *Recorder) error {
 // retries do not litter the archive with empty streams and burn ID
 // suffixes.
 func (a *Archive) Abort(rec *Recorder) error {
-	a.mu.Lock()
-	a.forget(rec)
-	a.mu.Unlock()
-	closeErr := rec.Close()
+	closeErr := a.Release(rec)
 	if err := os.RemoveAll(rec.w.Dir()); err != nil {
 		return err
 	}
 	return closeErr
 }
 
-// Streams returns the names of recordings currently open.
-func (a *Archive) Streams() []string {
+// WriteProm emits the recording throughput counters of every recording
+// the archive has made, open ones included, in Prometheus text format.
+func (a *Archive) WriteProm(w *obs.PromWriter) {
+	c := a.counts()
+	w.Counter("store_record_tuples_total", "Tuples appended to session recordings.", nil, c.tuples)
+	w.Counter("store_record_dropped_total", "Tuples lost to full recording buffers.", nil, c.dropped)
+	w.Counter("store_record_bytes_total", "Record bytes written to session recordings.", nil, c.bytes)
+}
+
+// counts sums the done totals and the open recordings. It reads the open
+// ones after letting go of mu, since a writer's byte count waits out a
+// record write in progress; a recording released meanwhile is still
+// counted once, among the open ones, just not yet at its final value.
+func (a *Archive) counts() recordCounts {
 	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]string, 0, len(a.open))
-	for name := range a.open {
-		out = append(out, name)
+	c := a.done
+	open := make([]*Recorder, 0, len(a.open))
+	for _, rec := range a.open {
+		open = append(open, rec)
 	}
-	return out
+	a.mu.Unlock()
+	for _, rec := range open {
+		c.add(rec)
+	}
+	return c
 }
 
 // Close closes every recorder still open. The archive directory remains
@@ -376,16 +399,13 @@ func (a *Archive) Close() error {
 	}
 	a.closed = true
 	recs := make([]*Recorder, 0, len(a.open))
-	for name, rec := range a.open {
+	for _, rec := range a.open {
 		recs = append(recs, rec)
-		delete(a.open, name)
 	}
-	a.byName = make(map[string]*Recorder)
-	a.origOf = make(map[string]string)
 	a.mu.Unlock()
 	var first error
 	for _, rec := range recs {
-		if err := rec.Close(); err != nil && first == nil {
+		if err := a.Release(rec); err != nil && first == nil {
 			first = err
 		}
 	}

@@ -2,11 +2,14 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"gesturecep/internal/kinect"
+	"gesturecep/internal/obs"
 	"gesturecep/internal/serve"
 	"gesturecep/internal/stream"
 )
@@ -182,4 +185,102 @@ func TestRecorderRefusesAWrongWidth(t *testing.T) {
 		t.Fatal(err)
 	}
 	tuplesEqual(t, got, good[:1])
+}
+
+// TestArchiveCountersAfterRelease pins the admin plane's recording counters
+// to what is on disk: tuples tapped and never synced are drained by the
+// release, and the counters count them — tuples, bytes and drops equal
+// what a Reader reads back, whatever was still in the backlog when the
+// session ended.
+func TestArchiveCountersAfterRelease(t *testing.T) {
+	arch := NewArchive(t.TempDir(), synthSchema, Options{BatchTuples: 7}, 0)
+	defer arch.Close()
+	const n = 1000
+	rec, err := arch.Record("sess")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tap := rec.Tap()
+	for _, tu := range synthTuples(n) {
+		tap(tu)
+	}
+	if err := arch.Release(rec); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := arch.OpenReader(rec.Stream())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(readAllTuples(t, r)); got != n {
+		t.Fatalf("read back %d tuples, want %d", got, n)
+	}
+	records, tuples := r.Counters()
+	wantBytes := records*(recHeaderBytes+batchHeadBytes) + tuples*uint64(tupleBytes(synthSchema.Len()))
+	if got := arch.counts(); got != (recordCounts{tuples: n, dropped: 0, bytes: wantBytes}) {
+		t.Fatalf("counters %+v, want %d tuples, 0 dropped, %d bytes", got, n, wantBytes)
+	}
+
+	w := obs.NewPromWriter()
+	arch.WriteProm(w)
+	for _, want := range []string{
+		fmt.Sprintf("store_record_tuples_total %d\n", n),
+		"store_record_dropped_total 0\n",
+		fmt.Sprintf("store_record_bytes_total %d\n", wantBytes),
+	} {
+		if !strings.Contains(string(w.Bytes()), want) {
+			t.Errorf("WriteProm lacks %q:\n%s", want, w.Bytes())
+		}
+	}
+}
+
+// TestArchiveCountersNeverGoDown: a scrape racing releases sees every
+// recording exactly once — in the open sum or in the done totals — so the
+// counter only grows, and ends at the tuples tapped.
+func TestArchiveCountersNeverGoDown(t *testing.T) {
+	arch := NewArchive(t.TempDir(), synthSchema, Options{}, 0)
+	defer arch.Close()
+	const sessions, n = 8, 500
+	recs := make([]*Recorder, sessions)
+	for i := range recs {
+		rec, err := arch.Record(fmt.Sprintf("s%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tap := rec.Tap()
+		for _, tu := range synthTuples(n) {
+			tap(tu)
+		}
+		if err := rec.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		recs[i] = rec
+	}
+	var wg sync.WaitGroup
+	for _, rec := range recs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := arch.Release(rec); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	released := make(chan struct{})
+	go func() { wg.Wait(); close(released) }()
+	for last := uint64(0); ; {
+		got := arch.counts().tuples
+		if got < last {
+			t.Fatalf("store_record_tuples_total went down: %d → %d", last, got)
+		}
+		last = got
+		select {
+		case <-released:
+			if got := arch.counts().tuples; got != sessions*n {
+				t.Fatalf("%d tuples counted, want %d", got, sessions*n)
+			}
+			return
+		default:
+		}
+	}
 }

@@ -4,7 +4,9 @@
 // serve sessions without ever blocking the hot path, a Replayer that feeds
 // recorded history back through a serving session at wall-clock, scaled or
 // maximum speed, and a Backfill evaluator that runs any compiled
-// anduin.Plan over recorded history offline.
+// anduin.Plan over recorded history offline. Archive.Serve makes an
+// archive a wire server's recording backend: it records the sessions,
+// makes them live-migratable and answers backfill requests.
 //
 // The paper's pipeline is learn-once/detect-live; this package turns the
 // runtime into a lambda-style live+historical system: every detection is

@@ -585,12 +585,12 @@ func TestRecorderDropAccounting(t *testing.T) {
 // suffixed stream rather than clobbering or failing.
 func TestArchiveNameCollision(t *testing.T) {
 	root := t.TempDir()
-	arch := NewArchive(root, Options{}, 0)
-	r1, err := arch.Record("user", synthSchema)
+	arch := NewArchive(root, synthSchema, Options{}, 0)
+	r1, err := arch.Record("user")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := arch.Record("user", synthSchema)
+	r2, err := arch.Record("user")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func startBackfillFixture(t *testing.T, n int) *backfillFixture {
 		t.Fatal(err)
 	}
 	srv := wire.NewServer(mgr)
-	srv.BackfillSource = NewWireBackfillSource(fx.reg.Resolve, func(name string) (*Reader, error) { return OpenReader(fx.root, name) })
+	srv.BackfillSource = newWireBackfillSource(fx.reg.Resolve, func(name string) (*Reader, error) { return OpenReader(fx.root, name) })
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

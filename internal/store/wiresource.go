@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"gesturecep/internal/anduin"
+	"gesturecep/internal/stream"
 	"gesturecep/internal/wire"
 )
 
@@ -15,17 +16,62 @@ import (
 // before pushing a frame — one full FrameBackfillDet per flush.
 const backfillEmitChunk = wire.MaxDetections
 
-// NewWireBackfillSource adapts an archive to the wire protocol's backfill
-// handler (wire.Server.BackfillSource). resolve maps plan names to plans:
-// pass the server registry's Resolve, for which no names means every
-// registered plan. open opens a stream: pass Archive.OpenReader so
-// evaluation holds the compaction read-lock, or a closure over the
-// package-level OpenReader for an archive nothing compacts. A stream the
-// archive does not hold is reported as wire.ErrUnknownStream, which the
-// protocol surfaces in BackfillReply.Missing instead of failing the request
-// — the fleet coordinator's cue to retry the stream on the backend that
-// recorded it.
-func NewWireBackfillSource(resolve func(names ...string) ([]*anduin.Plan, error),
+// Serve makes the archive srv's recording backend, installing all three of
+// the server's recording hooks:
+//   - TapSessions records every attached session into a stream of its own
+//     (Record), released when the session ends or aborted when its attach
+//     failed;
+//   - MigrateSource makes the sessions live-migratable: it syncs a
+//     session's recorder and reads its stream back, which is what lets a
+//     drain move a session with its state;
+//   - BackfillSource evaluates the plans resolve returns over the
+//     recordings. Pass the server registry's Resolve, for which no names
+//     means every registered plan.
+//
+// Every reader holds the archive's compaction read lock. onErr, if non-nil,
+// receives the errors of ending a recording, which happens after the
+// session is gone and so has no caller to return them to. Call before srv
+// serves.
+func (a *Archive) Serve(srv *wire.Server, resolve func(names ...string) ([]*anduin.Plan, error), onErr func(error)) {
+	srv.TapSessions = func(id string) (func(stream.Tuple), func(bool), error) {
+		rec, err := a.Record(id)
+		if err != nil {
+			return nil, nil, err
+		}
+		return rec.Tap(), func(aborted bool) {
+			end := a.Release
+			if aborted { // the attach failed: drop the never-used recording
+				end = a.Abort
+			}
+			if err := end(rec); err != nil && onErr != nil {
+				onErr(fmt.Errorf("recording %q: %w", rec.Stream(), err))
+			}
+		}, nil
+	}
+	srv.MigrateSource = func(id string) (wire.HistoryReader, uint64, error) {
+		rec, ok := a.LiveRecorder(id)
+		if !ok {
+			return nil, 0, fmt.Errorf("store: no live recording for session %q", id)
+		}
+		if err := rec.Sync(); err != nil {
+			return nil, 0, err
+		}
+		r, err := a.OpenReader(rec.Stream())
+		if err != nil {
+			return nil, 0, err
+		}
+		return r, rec.Recorded(), nil
+	}
+	srv.BackfillSource = newWireBackfillSource(resolve, a.OpenReader)
+}
+
+// newWireBackfillSource adapts a recording store to the wire protocol's
+// backfill handler (wire.Server.BackfillSource). resolve maps plan names
+// to plans; open opens a stream. A stream the store does not hold is
+// reported as wire.ErrUnknownStream, which the protocol surfaces in
+// BackfillReply.Missing instead of failing the request — the fleet
+// coordinator's cue to retry the stream on the backend that recorded it.
+func newWireBackfillSource(resolve func(names ...string) ([]*anduin.Plan, error),
 	open func(stream string) (*Reader, error)) wire.BackfillFunc {
 	return func(ctx context.Context, stream string, gestures []string, since, until time.Time,
 		emit func([]anduin.Detection) error) (records, tuples uint64, err error) {

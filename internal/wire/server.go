@@ -139,9 +139,10 @@ type Server struct {
 	// never created (the attach failed after the tap was made), so the
 	// hook can discard a recording no tuple ever reached; aborted=false
 	// means a normal detach or connection teardown. An error fails the
-	// attach. This is how cmd/gestured records remote sessions into a
-	// stream-store archive without the wire layer knowing about disks.
-	// Set it before Serve; it must be safe for concurrent use.
+	// attach. (*store.Archive).Serve installs it, with MigrateSource and
+	// BackfillSource, to record remote sessions into a stream-store archive
+	// without the wire layer knowing about disks. Set it before Serve; it
+	// must be safe for concurrent use.
 	TapSessions func(sessionID string) (tap func(stream.Tuple), release func(aborted bool), err error)
 
 	// BackfillSource, when non-nil, serves FrameBackfill requests: it must
@@ -153,21 +154,22 @@ type Server struct {
 	// by returning (or wrapping) ErrUnknownStream — the request then lists
 	// it as missing instead of failing, which is how a fleet coordinator
 	// discovers it must retry the stream elsewhere. The standard
-	// implementation is store.NewWireBackfillSource over the server's
-	// archive. One request calls it for up to GOMAXPROCS of its streams at
-	// a time, each on a goroutine of its own; set before Serve, safe for
-	// concurrent use.
+	// implementation is the one (*store.Archive).Serve installs over the
+	// server's archive. One request calls it for up to GOMAXPROCS of its
+	// streams at a time, each on a goroutine of its own; set before Serve,
+	// safe for concurrent use.
 	BackfillSource BackfillFunc
 
 	// MigrateSource, when non-nil, makes this server's sessions migratable:
 	// on FrameMigrateBegin it must return a reader over the session's
 	// recorded history plus the recorded-tuple count, with everything tapped
 	// so far flushed to readable state (the session is sealed and drained
-	// before the call, so the tap is quiescent). The standard implementation
-	// syncs the session's store.Recorder and opens a store.Reader on its
-	// stream. A recorded count short of the session's admitted count fails
-	// the migration cleanly — a lossy recording cannot rebuild engine state.
-	// Set before Serve; safe for concurrent use.
+	// before the call, so the tap is quiescent). The standard implementation,
+	// installed by (*store.Archive).Serve, syncs the session's
+	// store.Recorder and opens a store.Reader on its stream. A recorded
+	// count short of the session's admitted count fails the migration
+	// cleanly — a lossy recording cannot rebuild engine state. Set before
+	// Serve; safe for concurrent use.
 	MigrateSource func(sessionID string) (hr HistoryReader, recorded uint64, err error)
 
 	mu     sync.Mutex
