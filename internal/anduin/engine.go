@@ -12,7 +12,9 @@
 package anduin
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -55,12 +57,30 @@ type QueryInfo struct {
 // Engine is the DSMS facade. Streams must be fed from a single goroutine at
 // a time (the usual replay/pump pattern); management operations (deploy,
 // subscribe, …) are safe for concurrent use.
+//
+// Detections are dispatched in the order publishing tuple after tuple
+// produces: by tuple, and for one tuple by plan in the order the streams
+// deliver to them — deploy order among the plans of one stream, a view's
+// plans before those of its source that subscribed after the view. A
+// plan's subscriber hands its detections to the engine, which dispatches
+// them at once, or, inside PublishBatch, merges the plans' detections back
+// into that order once the whole batch has been evaluated.
 type Engine struct {
 	mu        sync.Mutex
 	streams   map[string]*stream.Stream
 	env       *query.Env
 	queries   map[int]*deployed
 	nextQuery int
+
+	// all is the immutable snapshot of the registered streams, rebuilt
+	// copy-on-write when one is attached, which PublishBatch reads without
+	// the lock.
+	all atomic.Pointer[[]*stream.Stream]
+	// batching is set while PublishBatch delivers a batch; pending holds
+	// the detections found until they are dispatched. Only the publishing
+	// goroutine touches either.
+	batching bool
+	pending  []pending
 
 	listenMu  sync.Mutex
 	listeners []listener // subscription order
@@ -78,9 +98,19 @@ type listener struct {
 }
 
 type deployed struct {
-	info   QueryInfo
-	nfa    *cep.NFA
+	info     QueryInfo
+	nfa      *cep.NFA
+	measures []func(stream.Tuple) float64
+	// found is the NFA's match buffer, reused batch after batch.
+	found  []cep.BatchMatch
 	cancel func()
+}
+
+// pending is a detection found and not yet dispatched: at is the index, in
+// the published batch, of the tuple that completed it.
+type pending struct {
+	at  int
+	det Detection
 }
 
 // RawStreamName is the conventional name of the raw sensor stream
@@ -130,6 +160,11 @@ func (e *Engine) attach(s *stream.Stream) error {
 	}
 	e.streams[s.Name()] = s
 	e.env.Schemas[s.Name()] = s.Schema()
+	all := make([]*stream.Stream, 0, len(e.streams))
+	for _, st := range e.streams {
+		all = append(all, st)
+	}
+	e.all.Store(&all)
 	return nil
 }
 
@@ -321,7 +356,6 @@ func (e *Engine) DeployPlan(p *Plan) (int, error) {
 		e.mu.Unlock()
 		return 0, fmt.Errorf("anduin: query %q reads unregistered stream %q", p.Gesture, p.Source)
 	}
-	nfa := p.Program.Instantiate()
 	id := e.nextQuery
 	e.nextQuery++
 	d := &deployed{
@@ -332,29 +366,20 @@ func (e *Engine) DeployPlan(p *Plan) (int, error) {
 			Atoms:   p.Atoms,
 			Text:    p.Text,
 		},
-		nfa: nfa,
+		nfa:      p.Program.Instantiate(),
+		measures: p.measures,
 	}
 	e.queries[id] = d
 	e.mu.Unlock()
 
 	// Subscribe outside the lock; stream subscription has its own lock.
-	measures := p.measures
-	cancel := src.SubscribeReads(p.reads, func(t stream.Tuple) {
-		for _, m := range nfa.Process(t) {
-			det := Detection{
-				Gesture: d.info.Gesture,
-				QueryID: id,
-				Start:   m.Start,
-				End:     m.End,
-			}
-			if len(measures) > 0 {
-				// The final matched tuple is the one in hand (cep.Match).
-				det.Measures = make([]float64, len(measures))
-				for i, ev := range measures {
-					det.Measures[i] = ev(t)
-				}
-			}
-			e.dispatch(det)
+	cancel := src.SubscribeBatch(p.reads, func(ts []stream.Tuple) {
+		d.found = d.nfa.ProcessBatch(ts, d.found[:0])
+		for i := range d.found {
+			e.pending = append(e.pending, pending{at: d.found[i].At, det: d.detection(d.found[i], ts)})
+		}
+		if !e.batching {
+			e.flush(nil)
 		}
 	})
 
@@ -371,6 +396,89 @@ func (e *Engine) DeployPlan(p *Plan) (int, error) {
 		cancel()
 	}
 	return id, nil
+}
+
+// detection is the result tuple of match m, found in batch ts. The output
+// measures are evaluated on the match's last tuple, which the batch still
+// holds (cep.BatchMatch.At).
+func (d *deployed) detection(m cep.BatchMatch, ts []stream.Tuple) Detection {
+	det := Detection{
+		Gesture: d.info.Gesture,
+		QueryID: d.info.ID,
+		Start:   m.Start,
+		End:     m.End,
+	}
+	if len(d.measures) > 0 {
+		det.Measures = make([]float64, len(d.measures))
+		for i, ev := range d.measures {
+			det.Measures[i] = ev(ts[m.At])
+		}
+	}
+	return det
+}
+
+// PublishBatch publishes ts on s, one of the engine's streams, and
+// dispatches the detections they fire exactly as publishing them tuple
+// after tuple would (see Engine): the streams hand the batch on whole, each
+// deployed plan evaluates it in one call (cep.NFA.ProcessBatch), and the
+// plans' detections are merged back into tuple order before any is
+// dispatched. A stream with a subscriber that takes tuples one at a time
+// could observe the difference, so while any stream of the engine has one,
+// PublishBatch publishes the tuples one at a time instead. live, when
+// non-nil, is asked before the detections of each tuple are dispatched;
+// once it reports false, no detection of that tuple or a later one is —
+// how a listener that closes the session stops the rest of the batch. The
+// batch is lent for the call.
+func (e *Engine) PublishBatch(s *stream.Stream, ts []stream.Tuple, live func() bool) error {
+	if !e.batched() {
+		for i := range ts {
+			if live != nil && !live() {
+				return nil
+			}
+			if err := s.Publish(ts[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	e.batching = true
+	err := s.PublishBatch(ts)
+	e.batching = false
+	e.flush(live)
+	return err
+}
+
+// batched reports whether every subscriber of every stream of the engine
+// takes batches.
+func (e *Engine) batched() bool {
+	if all := e.all.Load(); all != nil {
+		for _, st := range *all {
+			if !st.Batched() {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// flush dispatches the pending detections by tuple, and for one tuple in
+// the order they were found, asking live (when non-nil) before each tuple's.
+func (e *Engine) flush(live func() bool) {
+	ps := e.pending
+	if len(ps) > 1 {
+		// Each plan's detections arrive in tuple order, one plan after
+		// another: a stable sort by tuple keeps the plans' order per tuple.
+		//lint:ignore hotpathalloc a type parameter, not an interface: nothing is boxed
+		slices.SortStableFunc(ps, func(a, b pending) int { return cmp.Compare(a.at, b.at) })
+	}
+	for i := range ps {
+		if live != nil && (i == 0 || ps[i].at != ps[i-1].at) && !live() {
+			break
+		}
+		e.dispatch(ps[i].det)
+	}
+	clear(ps)
+	e.pending = ps[:0]
 }
 
 // Undeploy removes a query; its partial matches are discarded. A nil

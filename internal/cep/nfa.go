@@ -3,6 +3,7 @@ package cep
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 
 	"gesturecep/internal/stream"
@@ -30,6 +31,25 @@ func (s *state) holds(t stream.Tuple) bool {
 		}
 	}
 	return true
+}
+
+// rowMask tests a state of range rows on up to 64 tuples, row by row down
+// the column of the row's field: bit k of the result is set when ts[k]
+// satisfies every row, exactly when holds(ts[k]) would report it.
+func (s *state) rowMask(ts []stream.Tuple) uint64 {
+	m := uint64(1)<<len(ts) - 1
+	for _, r := range s.rows {
+		var pass uint64
+		for k := range ts {
+			if math.Abs(ts[k].Fields[r.Field]-r.Center) < r.HalfWidth {
+				pass |= 1 << k
+			}
+		}
+		if m &= pass; m == 0 {
+			break
+		}
+	}
+	return m
 }
 
 // windowConstraint enforces a `within` clause over the atoms [first, last]
@@ -147,6 +167,10 @@ type NFA struct {
 	queues []runQueue
 	// live counts the runs across all queues.
 	live int
+
+	// done collects the runs one step completes; kept between steps so
+	// completing a run allocates nothing.
+	done []*run
 
 	// free recycles run objects (and their ts/seqs backing arrays) so the
 	// steady-state Process path does not allocate. An NFA is single-threaded
@@ -271,14 +295,79 @@ func (n *NFA) Stats() (processed, predCalls, matches, pruned uint64) {
 }
 
 // Process advances the automaton with one tuple and returns any matches it
-// completes. Tuples must arrive in non-decreasing timestamp order.
+// completes. Tuples must arrive in non-decreasing timestamp order. It is
+// ProcessBatch over a batch of one.
 func (n *NFA) Process(t stream.Tuple) []Match {
+	one := [1]stream.Tuple{t}
+	found := n.ProcessBatch(one[:], nil)
+	if len(found) == 0 {
+		return nil
+	}
+	out := make([]Match, len(found))
+	for i := range found {
+		out[i] = found[i].Match
+	}
+	return out
+}
+
+// BatchMatch is a match ProcessBatch completed: At is the index, in the
+// batch, of its last tuple.
+type BatchMatch struct {
+	Match
+	At int
+}
+
+// batchWidth is how many tuples ProcessBatch tests state 0 over at once:
+// one bit each of a mask.
+const batchWidth = 64
+
+// ProcessBatch advances the automaton with every tuple of ts, in order, and
+// appends the matches they complete to dst, each with the index of the tuple
+// that completed it. Matches, run state and Stats come out exactly as from
+// Process called on each tuple in turn; the batch only changes how state 0
+// is asked. A state 0 of range rows is tested over up to 64 tuples at a
+// time, row by row down the column of its field, into a bit mask, and
+// while no run is live the tuples whose bit is clear are only counted:
+// with nothing to advance they could do nothing else. A state 0 compiled to
+// a closure is asked tuple by tuple. ts is borrowed like Process's tuple.
+func (n *NFA) ProcessBatch(ts []stream.Tuple, dst []BatchMatch) []BatchMatch {
+	first := &n.prog.states[0]
+	for base := 0; base < len(ts); base += batchWidth {
+		chunk := ts[base:min(base+batchWidth, len(ts))]
+		var starts uint64 // bit k: chunk[k] satisfies state 0, for a row state
+		if first.pred == nil {
+			starts = first.rowMask(chunk)
+		}
+		for k := 0; k < len(chunk); k++ {
+			if n.live == 0 && first.pred == nil {
+				skip := min(bits.TrailingZeros64(starts>>k), len(chunk)-k)
+				n.processed += uint64(skip)
+				n.predCalls += uint64(skip)
+				if k += skip; k == len(chunk) {
+					break
+				}
+			}
+			var start bool
+			if first.pred == nil {
+				start = starts>>k&1 == 1
+			} else {
+				start = first.pred(chunk[k])
+			}
+			dst = n.step(chunk[k], base+k, start, dst)
+		}
+	}
+	return dst
+}
+
+// step advances the automaton with tuple t, index at of its batch, whose
+// state-0 test came out start, and appends the matches it completes to dst.
+func (n *NFA) step(t stream.Tuple, at int, start bool, dst []BatchMatch) []BatchMatch {
 	states := n.prog.states
 	last := len(states) - 1
 	now := t.Ts.UnixNano()
 	n.processed++
-
-	var completed []*run
+	n.predCalls++ // state 0, asked by the caller
+	completed := n.done[:0]
 
 	// One pass over the awaited states, last to first, so a queue that
 	// moves on lands on a state this tuple is already done with (each run
@@ -326,12 +415,10 @@ func (n *NFA) Process(t stream.Tuple) []Match {
 		q.empty()
 	}
 
-	// Try to start a fresh run with this tuple.
-	n.predCalls++
-	if states[0].holds(t) {
+	// Start a fresh run with this tuple.
+	if start {
 		r := n.getRun(t, now)
 		if last == 0 {
-			r.next = 1
 			completed = append(completed, r)
 		} else {
 			if n.live >= n.maxRuns {
@@ -343,9 +430,9 @@ func (n *NFA) Process(t stream.Tuple) []Match {
 			n.live++
 		}
 	}
-
+	n.done = completed[:0]
 	if len(completed) == 0 {
-		return nil
+		return dst
 	}
 
 	// Apply selection policy. Runs complete in activation order, so the
@@ -354,21 +441,21 @@ func (n *NFA) Process(t stream.Tuple) []Match {
 	if n.prog.sel == SelectFirst {
 		selected = completed[:1]
 	}
-	out := make([]Match, 0, len(selected))
 	for _, r := range selected {
 		// A run completes on the tuple in hand: t is its last matched tuple.
-		out = append(out, Match{
+		dst = append(dst, BatchMatch{At: at, Match: Match{
 			Start: r.start,
 			End:   t.Ts,
 			Seqs:  append([]uint64(nil), r.seqs...),
-		})
+		}})
 	}
-	n.matches += uint64(len(out))
+	n.matches += uint64(len(selected))
 	// Matches copy the seqs out above, so every completed run (selected or
 	// not) can be recycled now.
 	for _, r := range completed {
 		n.putRun(r)
 	}
+	clear(completed)
 
 	if n.prog.consume == ConsumeAll {
 		// Consuming a match invalidates all in-flight partial matches.
@@ -382,7 +469,7 @@ func (n *NFA) Process(t stream.Tuple) []Match {
 		}
 		n.live = 0
 	}
-	return out
+	return dst
 }
 
 // evictOldest drops the oldest partial run to bound memory: the head of the

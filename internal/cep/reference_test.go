@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -268,12 +269,24 @@ func checkQueues(n *NFA, now int64) (atDeadline bool, err error) {
 	return atDeadline, nil
 }
 
+// reach is which behaviours one differential stream reached.
+type reach struct {
+	evicted, matched, atDeadline bool
+	// closureStart: state 0 is a closure, so ProcessBatch asked it tuple
+	// by tuple instead of down a column.
+	closureStart bool
+}
+
 // differential drives the NFA and the reference matcher with the same
 // random learner-shaped pattern and stream, seeded by seed: equal and
 // repeated timestamps, NaN fields, all four select/consume combinations, a
-// run cap of 2–4 so eviction fires. It reports a mismatch as an error, and
-// which behaviours the stream reached.
-func differential(seed int64) (evicted, matched, atDeadline bool, err error) {
+// run cap of 2–4 so eviction fires. The same stream, cut into batches at
+// random boundaries (widths 1 to 150, so a batch can span more than one
+// 64-tuple mask), goes through ProcessBatch on a third NFA, which must
+// report the per-tuple NFA's matches at the same tuple indices and the same
+// four counters. It reports a mismatch as an error, and which behaviours
+// the stream reached.
+func differential(seed int64) (reached reach, err error) {
 	type policy struct {
 		sel     SelectPolicy
 		consume ConsumePolicy
@@ -287,11 +300,11 @@ func differential(seed int64) (evicted, matched, atDeadline bool, err error) {
 	pol := policies[rng.Intn(len(policies))]
 	prog, err := CompileProgram(pattern, pol.sel, pol.consume)
 	if err != nil {
-		return false, false, false, err
+		return reached, err
 	}
 	refProg, err := CompileProgram(refPattern, pol.sel, pol.consume)
 	if err != nil {
-		return false, false, false, err
+		return reached, err
 	}
 	maxRuns := 2 + rng.Intn(3)
 	if rng.Intn(3) == 0 {
@@ -300,14 +313,16 @@ func differential(seed int64) (evicted, matched, atDeadline bool, err error) {
 	nfa := prog.Instantiate()
 	nfa.SetMaxRuns(maxRuns)
 	ref := newRefNFA(refProg, maxRuns)
+	reached.closureStart = prog.states[0].pred != nil
 
 	// The stream walks the poses mostly in order, so runs advance, with
 	// repeats (runs pile up at one state), noise values, and gaps of
 	// 0 ms (equal timestamps), one frame or a window-breaking pause.
 	n := 20 + rng.Intn(120)
+	tuples := make([]stream.Tuple, n)
 	ts := time.Date(2014, 3, 24, 10, 0, 0, 0, time.UTC)
 	pose := 0
-	for i := 0; i < n; i++ {
+	for i := range tuples {
 		switch g := rng.Intn(10); {
 		case g < 2:
 		case g < 9:
@@ -325,62 +340,106 @@ func differential(seed int64) (evicted, matched, atDeadline bool, err error) {
 			v = math.NaN()
 		}
 		side := []float64{0, 1, -2, 2, 3, math.NaN()}[rng.Intn(6)]
-		tup := stream.Tuple{Ts: ts, Seq: uint64(i), Fields: []float64{v, side}}
+		tuples[i] = stream.Tuple{Ts: ts, Seq: uint64(i), Fields: []float64{v, side}}
+	}
+
+	var perTuple []BatchMatch
+	active := make([]int, n) // ActiveRuns after each tuple
+	for i, tup := range tuples {
 		got, want := nfa.Process(tup), ref.Process(tup)
 		if len(got) != len(want) {
-			return evicted, matched, atDeadline, fmt.Errorf("tuple %d: %d matches, reference %d", i, len(got), len(want))
+			return reached, fmt.Errorf("tuple %d: %d matches, reference %d", i, len(got), len(want))
 		}
 		for m := range got {
 			if !got[m].Start.Equal(want[m].Start) || !got[m].End.Equal(want[m].End) ||
 				len(got[m].Seqs) != len(want[m].Tuples) {
-				return evicted, matched, atDeadline, fmt.Errorf("tuple %d match %d: got %v–%v, reference %v–%v",
+				return reached, fmt.Errorf("tuple %d match %d: got %v–%v, reference %v–%v",
 					i, m, got[m].Start, got[m].End, want[m].Start, want[m].End)
 			}
 			for k, seq := range got[m].Seqs {
 				if seq != want[m].Tuples[k].Seq {
-					return evicted, matched, atDeadline, fmt.Errorf("tuple %d match %d: atom %d matched seq %d, reference %d",
+					return reached, fmt.Errorf("tuple %d match %d: atom %d matched seq %d, reference %d",
 						i, m, k, seq, want[m].Tuples[k].Seq)
 				}
 			}
+			perTuple = append(perTuple, BatchMatch{Match: got[m], At: i})
 		}
-		if nfa.ActiveRuns() != len(ref.runs) {
-			return evicted, matched, atDeadline, fmt.Errorf("tuple %d: %d active runs, reference %d", i, nfa.ActiveRuns(), len(ref.runs))
+		if active[i] = nfa.ActiveRuns(); active[i] != len(ref.runs) {
+			return reached, fmt.Errorf("tuple %d: %d active runs, reference %d", i, active[i], len(ref.runs))
 		}
-		at, err := checkQueues(nfa, ts.UnixNano())
+		at, err := checkQueues(nfa, tup.Ts.UnixNano())
 		if err != nil {
-			return evicted, matched, atDeadline, fmt.Errorf("tuple %d: %w", i, err)
+			return reached, fmt.Errorf("tuple %d: %w", i, err)
 		}
-		atDeadline = atDeadline || at
+		reached.atDeadline = reached.atDeadline || at
 	}
 	processed, predCalls, matches, pruned := nfa.Stats()
 	if processed != ref.processed || matches != ref.matches || pruned != ref.runsPruned {
-		return evicted, matched, atDeadline, fmt.Errorf("processed/matches/pruned %d/%d/%d, reference %d/%d/%d",
+		return reached, fmt.Errorf("processed/matches/pruned %d/%d/%d, reference %d/%d/%d",
 			processed, matches, pruned, ref.processed, ref.matches, ref.runsPruned)
 	}
 	if predCalls > ref.predCalls {
-		return evicted, matched, atDeadline, fmt.Errorf("%d predicate calls, reference %d", predCalls, ref.predCalls)
+		return reached, fmt.Errorf("%d predicate calls, reference %d", predCalls, ref.predCalls)
 	}
-	return ref.evicted > 0, matches > 0, atDeadline, nil
+
+	batched := prog.Instantiate()
+	batched.SetMaxRuns(maxRuns)
+	var inBatches []BatchMatch
+	for off := 0; off < n; {
+		end := min(off+1+rng.Intn(150), n)
+		found := batched.ProcessBatch(tuples[off:end], nil)
+		for _, m := range found {
+			m.At += off
+			inBatches = append(inBatches, m)
+		}
+		if batched.ActiveRuns() != active[end-1] {
+			return reached, fmt.Errorf("batch ending at tuple %d: %d active runs, per tuple %d",
+				end, batched.ActiveRuns(), active[end-1])
+		}
+		if _, err := checkQueues(batched, tuples[end-1].Ts.UnixNano()); err != nil {
+			return reached, fmt.Errorf("batch ending at tuple %d: %w", end, err)
+		}
+		off = end
+	}
+	if len(inBatches) != len(perTuple) {
+		return reached, fmt.Errorf("%d matches in batches, %d per tuple", len(inBatches), len(perTuple))
+	}
+	for m, want := range perTuple {
+		got := inBatches[m]
+		if got.At != want.At || !got.Start.Equal(want.Start) || !got.End.Equal(want.End) || !slices.Equal(got.Seqs, want.Seqs) {
+			return reached, fmt.Errorf("match %d: batched %+v, per tuple %+v", m, got, want)
+		}
+	}
+	bp, bc, bm, bpr := batched.Stats()
+	if bp != processed || bc != predCalls || bm != matches || bpr != pruned {
+		return reached, fmt.Errorf("batched processed/predCalls/matches/pruned %d/%d/%d/%d, per tuple %d/%d/%d/%d",
+			bp, bc, bm, bpr, processed, predCalls, matches, pruned)
+	}
+	reached.evicted, reached.matched = ref.evicted > 0, matches > 0
+	return reached, nil
 }
 
 // TestQuickNFAMatchesReference runs the differential over 2000 seeds and
-// requires identical matches and counters.
+// requires identical matches and counters, per tuple and in batches.
 func TestQuickNFAMatchesReference(t *testing.T) {
-	var evicting, matching, onDeadline int
+	var evicting, matching, onDeadline, closures int
 	f := func(seed int64) bool {
-		evicted, matched, atDeadline, err := differential(seed)
+		reached, err := differential(seed)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
-		if evicted {
+		if reached.evicted {
 			evicting++
 		}
-		if matched {
+		if reached.matched {
 			matching++
 		}
-		if atDeadline {
+		if reached.atDeadline {
 			onDeadline++
+		}
+		if reached.closureStart {
+			closures++
 		}
 		return true
 	}
@@ -389,21 +448,21 @@ func TestQuickNFAMatchesReference(t *testing.T) {
 	}
 	// The generator must actually reach the behaviours the differential is
 	// for, or equality above says nothing.
-	if evicting < 100 || matching < 100 || onDeadline < 100 {
-		t.Errorf("generator too tame: %d streams evicted a run, %d matched, %d held a run at its deadline",
-			evicting, matching, onDeadline)
+	if evicting < 100 || matching < 100 || onDeadline < 100 || closures < 100 {
+		t.Errorf("generator too tame: %d streams evicted a run, %d matched, %d held a run at its deadline, %d began with a closure",
+			evicting, matching, onDeadline, closures)
 	}
 }
 
 // FuzzNFAEqualsReference is the differential as a fuzz target: every seed
-// the fuzzer finds must give the NFA and the reference the same matches,
-// counters and queue invariants.
+// the fuzzer finds must give the NFA, per tuple and in batches, and the
+// reference the same matches, counters and queue invariants.
 func FuzzNFAEqualsReference(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		if _, _, _, err := differential(seed); err != nil {
+		if _, err := differential(seed); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	})

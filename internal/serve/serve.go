@@ -336,9 +336,10 @@ func (m *Manager) worker(sh *shard) {
 }
 
 // process publishes one envelope's tuples, in order, into its session's
-// engine. Detections fan out synchronously on this goroutine via the
-// session's engine subscription; a listener that closes the session mid-batch
-// makes the rest of the batch skipped, not published — but still counted out.
+// engine, as one batch. Detections fan out synchronously on this goroutine
+// via the session's engine subscription; a listener that closes the session
+// mid-batch stops the detections of the tuples behind the one it fired on
+// from being dispatched — the rest of the batch is still counted out.
 func (sh *shard) process(env envelope) {
 	if sh.gate != nil {
 		sh.gate(env)
@@ -351,7 +352,7 @@ func (sh *shard) process(env envelope) {
 	if env.enqNs != 0 {
 		start := time.Now()
 		sh.ins.QueueWait.Observe(time.Duration(start.UnixNano() - env.enqNs))
-		s.publish(tuples[0])
+		s.publish(tuples[:1])
 		tuples = tuples[1:]
 		end := time.Now()
 		sh.ins.Detect.Observe(end.Sub(start))
@@ -359,9 +360,7 @@ func (sh *shard) process(env envelope) {
 			sh.ins.Ingest.Observe(time.Duration(end.UnixNano() - env.sentNs))
 		}
 	}
-	for i := range tuples {
-		s.publish(tuples[i])
-	}
+	s.publish(tuples)
 	n := uint64(len(env.tuples))
 	env.done()
 	s.out.Add(n)
@@ -369,14 +368,15 @@ func (sh *shard) process(env envelope) {
 	sh.counted(s)
 }
 
-// publish hands one tuple to the session's engine unless the session closed.
-func (s *Session) publish(t stream.Tuple) {
-	if s.closed.Load() {
+// publish hands a batch of tuples to the session's engine unless the
+// session closed.
+func (s *Session) publish(ts []stream.Tuple) {
+	if len(ts) == 0 || s.closed.Load() {
 		return
 	}
-	// enqueue validated the arity against the session schema, so Publish
-	// cannot fail; a failure here is a programming error.
-	if err := s.raw.Publish(t); err != nil {
+	// enqueue validated the arity against the session schema, so the
+	// publish cannot fail; a failure here is a programming error.
+	if err := s.engine.PublishBatch(s.raw, ts, s.live); err != nil {
 		panic(fmt.Sprintf("serve: session %q: %v", s.id, err))
 	}
 }

@@ -29,6 +29,9 @@ type Session struct {
 	tap func(stream.Tuple)
 
 	closed atomic.Bool
+	// live reports !closed: what the engine asks between the tuples of a
+	// batch, made once so publishing allocates nothing.
+	live func() bool
 	// sealed refuses further feeds without closing the session — the
 	// migration pause: a sealed session's admitted-tuple count is a stable
 	// cut ordinal until Unseal.
@@ -112,6 +115,7 @@ func (m *Manager) CreateSessionWith(id string, opts SessionOptions) (*Session, e
 		tap:       opts.Tap,
 		catchUpTo: opts.CatchUpTo,
 	}
+	s.live = func() bool { return !s.closed.Load() }
 	if opts.CatchUpTo > 0 {
 		s.catchingUp.Store(true)
 	}

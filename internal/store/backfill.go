@@ -93,18 +93,29 @@ func backfill(ctx context.Context, r *Reader, plans []*anduin.Plan, opts Backfil
 			// Until either.
 			return dets, nil
 		}
-		for i := range tuples {
-			if !opts.Since.IsZero() && tuples[i].Ts.Before(opts.Since) {
-				continue
+		// The record goes to the engine as one batch, or as one batch per
+		// run of consecutive tuples inside the window.
+		for len(tuples) > 0 {
+			n := 0
+			for n < len(tuples) && inWindow(tuples[n].Ts, opts) {
+				n++
 			}
-			if !opts.Until.IsZero() && !tuples[i].Ts.Before(opts.Until) {
-				continue
+			if n > 0 {
+				if err := engine.PublishBatch(raw, tuples[:n], nil); err != nil {
+					return dets, err
+				}
 			}
-			if err := raw.Publish(tuples[i]); err != nil {
-				return dets, err
+			for n < len(tuples) && !inWindow(tuples[n].Ts, opts) {
+				n++
 			}
+			tuples = tuples[n:]
 		}
 	}
+}
+
+// inWindow reports whether event time ts lies in [opts.Since, opts.Until).
+func inWindow(ts time.Time, opts BackfillOptions) bool {
+	return (opts.Since.IsZero() || !ts.Before(opts.Since)) && (opts.Until.IsZero() || ts.Before(opts.Until))
 }
 
 // BackfillStreams evaluates plans over several recorded streams, each in

@@ -23,6 +23,10 @@ type Stream struct {
 	subs  map[int]subscriber
 	order []int
 	next  int
+	// feed is the subscription that publishes this stream's tuples, when
+	// this is a derived stream attached with Feed; its read set follows
+	// this stream's union.
+	feed *feed
 
 	// fanout holds an immutable snapshot of the subscribers, rebuilt
 	// copy-on-write whenever the subscriber set changes. Publish loads it
@@ -31,6 +35,11 @@ type Stream struct {
 	fanout atomic.Pointer[fanout]
 
 	published atomic.Uint64
+
+	// one holds the tuple Publish hands a batch subscriber, as a batch of
+	// one, so a single publish allocates nothing. Only the publishing
+	// goroutine touches it.
+	one [1]Tuple
 }
 
 // New creates a stream with the given name and schema.
@@ -44,16 +53,26 @@ func New(name string, schema *Schema) (*Stream, error) {
 	return &Stream{name: name, schema: schema, subs: make(map[int]subscriber)}, nil
 }
 
+// subscriber takes tuples one at a time (fn) or whole batches (batch).
 type subscriber struct {
 	fn    func(Tuple)
+	batch func([]Tuple)
 	reads *ReadSet
 }
 
-// fanout is one delivery snapshot: the subscriber functions in subscription
-// order and the union of the fields they read.
+// fanout is one delivery snapshot: the subscribers in subscription order,
+// the union of the fields they read, and whether every one takes batches.
 type fanout struct {
-	fns   []func(Tuple)
-	reads *ReadSet
+	subs    []subscriber
+	reads   *ReadSet
+	batched bool
+}
+
+// feed links a derived stream to the subscription on src that publishes it.
+type feed struct {
+	src  *Stream
+	id   int
+	need func(*ReadSet) *ReadSet
 }
 
 // ReadSet is a set of field indices: what a subscriber reads of each tuple,
@@ -100,17 +119,39 @@ func (s *Stream) Subscribe(fn func(Tuple)) (cancel func()) {
 
 // SubscribeReads is Subscribe for a subscriber that reads only the fields
 // in reads (nil: every field). A derived stream need write only the union
-// of its subscribers' sets (see PublishDerived), so fn must not read a
+// of its subscribers' sets (see PublishDerivedBatch), so fn must not read a
 // field outside its own.
 func (s *Stream) SubscribeReads(reads *ReadSet, fn func(Tuple)) (cancel func()) {
+	return s.subscribe(subscriber{fn: fn, reads: reads})
+}
+
+// SubscribeBatch is SubscribeReads for a subscriber that takes tuples in
+// batches: each PublishBatch hands it the whole batch in one call, and
+// Publish a batch of one. The batch and its tuples' field arrays are lent
+// until fn returns.
+func (s *Stream) SubscribeBatch(reads *ReadSet, fn func([]Tuple)) (cancel func()) {
+	return s.subscribe(subscriber{batch: fn, reads: reads})
+}
+
+func (s *Stream) subscribe(sub subscriber) (cancel func()) {
 	s.mu.Lock()
+	id := s.addLocked(sub)
+	s.mu.Unlock()
+	return s.canceler(id)
+}
+
+// addLocked registers sub and returns its id. Callers must hold s.mu.
+func (s *Stream) addLocked(sub subscriber) int {
 	id := s.next
 	s.next++
-	s.subs[id] = subscriber{fn: fn, reads: reads}
+	s.subs[id] = sub
 	s.order = append(s.order, id)
 	s.rebuildHandlersLocked()
-	s.mu.Unlock()
+	return id
+}
 
+// canceler returns the idempotent function that removes subscription id.
+func (s *Stream) canceler(id int) func() {
 	var once sync.Once
 	return func() {
 		once.Do(func() {
@@ -128,15 +169,44 @@ func (s *Stream) SubscribeReads(reads *ReadSet, fn func(Tuple)) (cancel func()) 
 	}
 }
 
-// rebuildHandlersLocked regenerates the immutable delivery snapshot. Callers
-// must hold s.mu.
+// Feed attaches s as a stream derived from src: fn, which publishes s's
+// tuples (normally with PublishDerivedBatch), subscribes to src's batches,
+// declaring need(r) as the fields of src it reads whenever r is the union
+// of what s's own subscribers read — at once, and again each time s's
+// subscribers change. need maps nil (every field) to nil. A stream is fed
+// from at most one source; the returned function detaches it.
+func (s *Stream) Feed(src *Stream, need func(*ReadSet) *ReadSet, fn func([]Tuple)) (cancel func(), err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.feed != nil {
+		return nil, fmt.Errorf("stream %q is already fed by %q", s.name, s.feed.src.name)
+	}
+	// Lock order: a derived stream before its source, here and in
+	// rebuildHandlersLocked.
+	src.mu.Lock()
+	id := src.addLocked(subscriber{batch: fn, reads: need(s.Reads())})
+	src.mu.Unlock()
+	s.feed = &feed{src: src, id: id, need: need}
+	detach := src.canceler(id)
+	return func() {
+		s.mu.Lock()
+		s.feed = nil
+		s.mu.Unlock()
+		detach()
+	}, nil
+}
+
+// rebuildHandlersLocked regenerates the immutable delivery snapshot, and
+// the read set of the subscription that feeds s, if any. Callers must hold
+// s.mu.
 func (s *Stream) rebuildHandlersLocked() {
-	f := &fanout{fns: make([]func(Tuple), 0, len(s.order))}
+	f := &fanout{subs: make([]subscriber, 0, len(s.order)), batched: true}
 	var union []int
 	all := false
 	for _, id := range s.order {
 		if sub, ok := s.subs[id]; ok {
-			f.fns = append(f.fns, sub.fn)
+			f.subs = append(f.subs, sub)
+			f.batched = f.batched && sub.batch != nil
 			all = all || sub.reads == nil
 			union = append(union, sub.reads.Fields()...)
 		}
@@ -145,6 +215,15 @@ func (s *Stream) rebuildHandlersLocked() {
 		f.reads = NewReadSet(union...)
 	}
 	s.fanout.Store(f)
+	if fd := s.feed; fd != nil {
+		fd.src.mu.Lock()
+		if sub, ok := fd.src.subs[fd.id]; ok {
+			sub.reads = fd.need(f.reads)
+			fd.src.subs[fd.id] = sub
+			fd.src.rebuildHandlersLocked()
+		}
+		fd.src.mu.Unlock()
+	}
 }
 
 // Reads returns the union of the fields the current subscribers read (nil:
@@ -163,6 +242,14 @@ func (s *Stream) SubscriberCount() int {
 	return len(s.subs)
 }
 
+// Batched reports whether every current subscriber takes batches (true
+// with none): then PublishBatch hands the batch to each in one call, and
+// nobody sees the tuples one at a time.
+func (s *Stream) Batched() bool {
+	f := s.fanout.Load()
+	return f == nil || f.batched
+}
+
 // Publish delivers t to all current subscribers synchronously, in
 // subscription order. The tuple must have exactly as many fields as the
 // schema declares. t.Fields is lent to the subscribers until Publish returns
@@ -171,7 +258,33 @@ func (s *Stream) Publish(t Tuple) error {
 	if len(t.Fields) != s.schema.Len() {
 		return s.arityErr(t)
 	}
-	s.deliver(s.fanout.Load(), t)
+	if f := s.fanout.Load(); f != nil {
+		for _, sub := range f.subs {
+			if sub.fn != nil {
+				sub.fn(t)
+				continue
+			}
+			s.one[0] = t
+			sub.batch(s.one[:])
+			s.one[0] = Tuple{}
+		}
+	}
+	s.published.Add(1)
+	return nil
+}
+
+// PublishBatch delivers ts to all current subscribers synchronously, in
+// subscription order: a batch subscriber gets the whole batch in one call,
+// any other one tuple after tuple. Every tuple must have as many fields as
+// the schema declares; otherwise nothing is delivered. The batch and its
+// field arrays are lent to the subscribers until PublishBatch returns.
+func (s *Stream) PublishBatch(ts []Tuple) error {
+	for i := range ts {
+		if len(ts[i].Fields) != s.schema.Len() {
+			return s.arityErr(ts[i])
+		}
+	}
+	s.deliverBatch(s.fanout.Load(), ts)
 	return nil
 }
 
@@ -180,40 +293,49 @@ func (s *Stream) arityErr(t Tuple) error {
 		s.name, len(t.Fields), s.schema, s.schema.Len())
 }
 
-// deliver hands t to the subscribers of snapshot f. The snapshot is
+// deliverBatch hands ts to the subscribers of snapshot f. The snapshot is
 // immutable, so subscribers may unsubscribe (or new ones subscribe) during
 // delivery without invalidating this iteration — the change lands in the
 // next snapshot.
-func (s *Stream) deliver(f *fanout, t Tuple) {
+func (s *Stream) deliverBatch(f *fanout, ts []Tuple) {
 	if f != nil {
-		for _, fn := range f.fns {
-			fn(t)
+		for _, sub := range f.subs {
+			if sub.batch != nil {
+				sub.batch(ts)
+				continue
+			}
+			for i := range ts {
+				sub.fn(ts[i])
+			}
 		}
 	}
-	s.published.Add(1)
+	s.published.Add(uint64(len(ts)))
 }
 
-// PublishDerived publishes the tuple build makes from in, and returns it
-// with ok = false when build dropped in. build is handed the union of the
-// fields the current subscribers read (nil: every field) and need write
-// only those. The result goes to exactly the subscribers that union was
-// taken over: one snapshot decides both, so a subscriber that arrives
-// meanwhile gets its first tuple built for it. Like Publish, the result is
-// lent to the subscribers until PublishDerived returns.
-func (s *Stream) PublishDerived(in Tuple, build func(Tuple, *ReadSet) (Tuple, bool)) (out Tuple, ok bool, err error) {
+// PublishDerivedBatch publishes the batch build makes from in, one tuple
+// per tuple of in. build is handed the union of the fields the current
+// subscribers read (nil: every field) and need write only those. The
+// result goes to exactly the subscribers that union was taken over: one
+// snapshot decides both, so a subscriber that arrives meanwhile gets its
+// first batch built for it. Like PublishBatch, the result is lent to the
+// subscribers until PublishDerivedBatch returns.
+func (s *Stream) PublishDerivedBatch(in []Tuple, build func([]Tuple, *ReadSet) []Tuple) error {
 	f := s.fanout.Load()
 	reads := noFields
 	if f != nil {
 		reads = f.reads
 	}
-	if out, ok = build(in, reads); !ok {
-		return out, false, nil
+	out := build(in, reads)
+	if len(out) != len(in) {
+		return fmt.Errorf("stream %q: derived %d tuples from a batch of %d", s.name, len(out), len(in))
 	}
-	if len(out.Fields) != s.schema.Len() {
-		return out, false, s.arityErr(out)
+	for i := range out {
+		if len(out[i].Fields) != s.schema.Len() {
+			return s.arityErr(out[i])
+		}
 	}
-	s.deliver(f, out)
-	return out, true, nil
+	s.deliverBatch(f, out)
+	return nil
 }
 
 // Derive creates a continuous view over src: for every tuple of src, f is

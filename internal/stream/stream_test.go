@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -145,31 +146,34 @@ func TestStreamPublishSubscribe(t *testing.T) {
 
 // TestReadSetsAndPublishDerived: a stream's read set is the union of what
 // its subscribers declared, every field once one declared nothing, and it
-// narrows again when they leave; PublishDerived builds each tuple for the
-// very subscribers it then delivers to.
+// narrows again when they leave; PublishDerivedBatch builds each batch for
+// the very subscribers it then delivers to, and delivers nothing that is not
+// one tuple of the schema's arity per tuple of its input.
 func TestReadSetsAndPublishDerived(t *testing.T) {
 	s, err := New("v", MustSchema("a", "b", "c"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var built []*ReadSet
-	build := func(in Tuple, reads *ReadSet) (Tuple, bool) {
+	build := func(in []Tuple, reads *ReadSet) []Tuple {
 		built = append(built, reads)
-		return in, in.Seq != 99
+		if in[0].Seq == 99 {
+			return nil
+		}
+		return in
 	}
-	publish := func(seq uint64) (bool, error) {
-		_, ok, err := s.PublishDerived(Tuple{Seq: seq, Fields: []float64{1, 2, 3}}, build)
-		return ok, err
+	publish := func(seq uint64) error {
+		return s.PublishDerivedBatch([]Tuple{{Seq: seq, Fields: []float64{1, 2, 3}}}, build)
 	}
 	same := func(r *ReadSet, want ...int) bool {
 		return r != nil && slices.Equal(r.Fields(), want)
 	}
-	if _, err := publish(0); err != nil || !same(built[0]) || !same(s.Reads()) {
+	if err := publish(0); err != nil || !same(built[0]) || !same(s.Reads()) {
 		t.Fatalf("no subscriber: built for %v (err %v), stream reads %v; want the empty set", built[0].Fields(), err, s.Reads().Fields())
 	}
 	got := 0
 	cancelC := s.SubscribeReads(NewReadSet(2), func(Tuple) { got++ })
-	cancelAC := s.SubscribeReads(NewReadSet(2, 0, 2), func(Tuple) { got++ })
+	cancelAC := s.SubscribeBatch(NewReadSet(2, 0, 2), func(ts []Tuple) { got += len(ts) })
 	if !same(s.Reads(), 0, 2) {
 		t.Fatalf("reads %v, want [0 2]", s.Reads().Fields())
 	}
@@ -177,21 +181,109 @@ func TestReadSetsAndPublishDerived(t *testing.T) {
 	if s.Reads() != nil {
 		t.Fatalf("reads %v with a subscriber that declared nothing, want every field", s.Reads().Fields())
 	}
-	if ok, err := publish(1); !ok || err != nil || built[1] != nil || got != 3 {
-		t.Fatalf("published %t (err %v) built for %v to %d subscribers, want every field to 3", ok, err, built[1].Fields(), got)
+	if err := publish(1); err != nil || built[1] != nil || got != 3 {
+		t.Fatalf("published (err %v) built for %v to %d subscribers, want every field to 3", err, built[1].Fields(), got)
 	}
 	cancelAll()
 	cancelAC()
 	if !same(s.Reads(), 2) {
 		t.Fatalf("reads %v after two left, want [2]", s.Reads().Fields())
 	}
-	if ok, _ := publish(99); ok || got != 3 || s.Published() != 2 {
-		t.Fatalf("dropped tuple: published %t, delivered to %d, count %d", ok, got-3, s.Published())
+	if err := publish(99); err == nil || got != 3 || s.Published() != 2 {
+		t.Fatalf("short derived batch: err %v, delivered to %d, count %d", err, got-3, s.Published())
 	}
-	if _, _, err := s.PublishDerived(Tuple{}, func(in Tuple, _ *ReadSet) (Tuple, bool) { return in, true }); err == nil {
+	if err := s.PublishDerivedBatch([]Tuple{{}}, func(in []Tuple, _ *ReadSet) []Tuple { return in }); err == nil {
 		t.Error("derived tuple of the wrong arity published")
 	}
 	cancelC()
+}
+
+// TestPublishBatch: a batch subscriber gets the batch whole, a plain one
+// tuple by tuple, in subscription order; Publish hands a batch subscriber a
+// batch of one; a batch with a tuple of the wrong arity delivers nothing.
+func TestPublishBatch(t *testing.T) {
+	s, _ := New("kinect", testSchema(t))
+	if !s.Batched() {
+		t.Error("a stream without subscribers is not batched")
+	}
+	var events []string
+	s.SubscribeBatch(nil, func(ts []Tuple) { events = append(events, fmt.Sprintf("batch of %d", len(ts))) })
+	if !s.Batched() {
+		t.Error("a stream with only a batch subscriber is not batched")
+	}
+	cancel := s.Subscribe(func(tu Tuple) { events = append(events, fmt.Sprintf("tuple %d", tu.Seq)) })
+	if s.Batched() {
+		t.Error("a stream with a plain subscriber is batched")
+	}
+	batch := []Tuple{NewTuple(ts(0), 1, []float64{0, 0}), NewTuple(ts(33), 2, []float64{0, 0})}
+	if err := s.PublishBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Publish(NewTuple(ts(66), 3, []float64{0, 0})); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"batch of 2", "tuple 1", "tuple 2", "batch of 1", "tuple 3"}
+	if !slices.Equal(events, want) {
+		t.Fatalf("deliveries %v, want %v", events, want)
+	}
+	if err := s.PublishBatch(append(batch, NewTuple(ts(99), 4, []float64{0}))); err == nil || len(events) != len(want) || s.Published() != 3 {
+		t.Fatalf("short tuple in a batch: err %v, %d deliveries, %d published", err, len(events)-len(want), s.Published())
+	}
+	cancel()
+	if !s.Batched() {
+		t.Error("batched stays false after the plain subscriber left")
+	}
+}
+
+// TestFeedFollowsTheDerivedReadSet: the subscription a derived stream is fed
+// through declares need of the derived stream's union, re-derived as its
+// subscribers come and go; detaching removes it.
+func TestFeedFollowsTheDerivedReadSet(t *testing.T) {
+	src, _ := New("raw", MustSchema("a", "b", "c", "d"))
+	d, _ := New("view", src.Schema())
+	// The derived field f reads source fields f and 3.
+	need := func(r *ReadSet) *ReadSet {
+		if r == nil {
+			return nil
+		}
+		return NewReadSet(append(slices.Clone(r.Fields()), 3)...)
+	}
+	detach, err := d.Feed(src, need, func(in []Tuple) {
+		if err := d.PublishDerivedBatch(in, func(in []Tuple, _ *ReadSet) []Tuple { return in }); err != nil {
+			t.Error(err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Feed(src, need, func([]Tuple) {}); err == nil {
+		t.Error("a stream was fed from two sources")
+	}
+	reads := func() []int { return src.Reads().Fields() }
+	if !slices.Equal(reads(), []int{3}) {
+		t.Fatalf("no derived subscriber: source reads %v, want [3]", reads())
+	}
+	got := 0
+	cancelB := d.SubscribeBatch(NewReadSet(1), func(ts []Tuple) { got += len(ts) })
+	if !slices.Equal(reads(), []int{1, 3}) {
+		t.Fatalf("derived subscriber reads [1]: source reads %v, want [1 3]", reads())
+	}
+	cancelAll := d.Subscribe(func(Tuple) { got++ })
+	if src.Reads() != nil {
+		t.Fatalf("derived subscriber reads every field: source reads %v, want every field", reads())
+	}
+	if err := src.PublishBatch([]Tuple{NewTuple(ts(0), 0, []float64{1, 2, 3, 4})}); err != nil || got != 2 {
+		t.Fatalf("published (err %v) to %d derived subscribers, want 2", err, got)
+	}
+	cancelAll()
+	cancelB()
+	if !slices.Equal(reads(), []int{3}) {
+		t.Fatalf("derived subscribers gone: source reads %v, want [3]", reads())
+	}
+	detach()
+	if src.SubscriberCount() != 0 || !slices.Equal(reads(), []int{}) {
+		t.Fatalf("after detach: %d source subscribers reading %v, want none", src.SubscriberCount(), reads())
+	}
 }
 
 func TestStreamSchemaMismatch(t *testing.T) {

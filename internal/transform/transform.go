@@ -82,8 +82,12 @@ type Transformer struct {
 	cfg        Config
 	emaForearm float64
 	hasEMA     bool
-	// scratch is the one array Lend and project write every result into.
+	// scratch is the one array Lend writes every result into.
 	scratch [numFields]float64
+	// batch and arena hold the batch project builds: tuple headers and
+	// their field arrays, numFields apiece, grown to the widest batch.
+	batch []stream.Tuple
+	arena []float64
 	// reads is the read set project last saw, joints its joint mask.
 	reads  *stream.ReadSet
 	joints uint16
@@ -186,34 +190,47 @@ const numFields = kinect.NumJoints * 3
 // bit-identical to kinect.ToTuple(t.Frame(kinect.FromTuple(in))) —
 // TestTupleMatchesFrame pins it. Malformed tuples are dropped (ok = false).
 func (t *Transformer) Tuple(in stream.Tuple) (stream.Tuple, bool) {
-	out := new([numFields]float64)
-	if !t.into(out, in.Fields, allJoints) {
+	if len(in.Fields) != numFields {
 		return stream.Tuple{}, false
 	}
+	out := new([numFields]float64)
+	t.into(out, (*[numFields]float64)(in.Fields), allJoints)
 	return stream.Tuple{Ts: in.Ts, Seq: in.Seq, Fields: out[:]}, true
 }
 
-// Lend is Tuple into the transformer's own scratch array — what the kinect_t
-// view publishes. The result is lent (the stream package's contract): it is
-// valid until the next Lend on this transformer, and a caller that keeps it
-// clones it.
+// Lend is Tuple into the transformer's own scratch array. The result is
+// lent (the stream package's contract): it is valid until the next Lend on
+// this transformer, and a caller that keeps it clones it.
 func (t *Transformer) Lend(in stream.Tuple) (stream.Tuple, bool) {
-	return t.project(in, nil)
+	if len(in.Fields) != numFields {
+		return stream.Tuple{}, false
+	}
+	t.into(&t.scratch, (*[numFields]float64)(in.Fields), allJoints)
+	return stream.Tuple{Ts: in.Ts, Seq: in.Seq, Fields: t.scratch[:]}, true
 }
 
-// project is Lend for subscribers that read only the fields in reads (nil:
-// every field): the parameters are estimated as always, so the smoothed
-// forearm advances on every tuple, but only the joints with a field in
-// reads are shifted, rotated and scaled. The scratch array's other fields
-// keep whatever they held. It is the kinect_t view's build step (see View).
-func (t *Transformer) project(in stream.Tuple, reads *stream.ReadSet) (stream.Tuple, bool) {
+// project transforms a batch of raw kinect tuples, each exactly numFields
+// wide, into the transformer's batch arena for subscribers that read only
+// the fields in reads (nil: every field): the parameters are estimated for
+// every tuple, so the smoothed forearm advances on each, but only the
+// joints with a field in reads are shifted, rotated and scaled. The arena's
+// other fields keep whatever they held. It is the kinect_t view's build
+// step (see View); the batch it returns is lent until the next project.
+func (t *Transformer) project(in []stream.Tuple, reads *stream.ReadSet) []stream.Tuple {
 	if reads != t.reads {
 		t.reads, t.joints = reads, jointMask(reads)
 	}
-	if !t.into(&t.scratch, in.Fields, t.joints) {
-		return stream.Tuple{}, false
+	if len(in) > len(t.batch) {
+		t.batch = make([]stream.Tuple, len(in))
+		t.arena = make([]float64, len(in)*numFields)
 	}
-	return stream.Tuple{Ts: in.Ts, Seq: in.Seq, Fields: t.scratch[:]}, true
+	out := t.batch[:len(in)]
+	for i := range in {
+		fs := (*[numFields]float64)(t.arena[i*numFields : (i+1)*numFields])
+		t.into(fs, (*[numFields]float64)(in[i].Fields), t.joints)
+		out[i] = stream.Tuple{Ts: in[i].Ts, Seq: in[i].Seq, Fields: fs[:]}
+	}
+	return out
 }
 
 // jointMask returns the joints (bit j for joint j) that hold a field of
@@ -229,17 +246,36 @@ func jointMask(reads *stream.ReadSet) uint16 {
 	return m
 }
 
-// into writes the transformation of the raw field array in to out for the
-// joints in the mask and reports whether in was well-formed. No frame is
-// built: the five joints the parameters depend on are read from in, and
-// shift → rotate → scale is written straight into out. The arithmetic is
-// Vec3.Sub, Mat3.Apply and Vec3.Scale spelled out in their exact expression
-// order, so not one output float differs from Frame's.
-func (t *Transformer) into(out *[numFields]float64, in []float64, joints uint16) bool {
-	if len(in) != numFields {
-		return false
+// paramJoints are the joints estimate reads.
+var paramJoints = [...]kinect.Joint{kinect.Torso, kinect.LeftShoulder, kinect.RightShoulder, kinect.RightElbow, kinect.RightHand}
+
+// rawReads returns the raw fields project reads to build the fields in
+// reads (nil: every field): the three of every joint it transforms and of
+// every joint the parameters are estimated from.
+func rawReads(reads *stream.ReadSet) *stream.ReadSet {
+	if reads == nil {
+		return nil
 	}
-	f := (*[numFields]float64)(in)
+	m := jointMask(reads)
+	for _, j := range paramJoints {
+		m |= 1 << j
+	}
+	var fields []int
+	for j := range kinect.NumJoints {
+		if m&(1<<j) != 0 {
+			fields = append(fields, 3*j, 3*j+1, 3*j+2)
+		}
+	}
+	return stream.NewReadSet(fields...)
+}
+
+// into writes the transformation of the raw field array in to out for the
+// joints in the mask. No frame is built: the five joints the parameters
+// depend on are read from in, and shift → rotate → scale is written
+// straight into out. The arithmetic is Vec3.Sub, Mat3.Apply and Vec3.Scale
+// spelled out in their exact expression order, so not one output float
+// differs from Frame's.
+func (t *Transformer) into(out, f *[numFields]float64, joints uint16) {
 	joint := func(j kinect.Joint) geom.Vec3 { return geom.V(f[j*3], f[j*3+1], f[j*3+2]) }
 	var par params
 	t.estimate(&par, joint(kinect.Torso), joint(kinect.LeftShoulder), joint(kinect.RightShoulder),
@@ -255,7 +291,6 @@ func (t *Transformer) into(out *[numFields]float64, in []float64, joints uint16)
 			out[i+2] = (r[2][0]*x + r[2][1]*y + r[2][2]*z) * s
 		}
 	}
-	return true
 }
 
 // ViewName is the conventional name of the transformed stream, matching the
@@ -264,13 +299,17 @@ const ViewName = "kinect_t"
 
 // View attaches the transformation as a derived stream over src (the raw
 // kinect stream) and returns it. The view shares the kinect schema: same
-// attributes, transformed values. Its tuples are lent out of one array owned
-// by the view's transformer, overwritten by the next tuple of src. Each
-// tuple is computed for the view's subscribers (stream.PublishDerived): a
-// joint is rotated and scaled only when one of them reads one of its
-// fields, so with every subscriber a deployed plan (anduin.Engine.DeployPlan
-// declares what each reads), only the joints in the plans' union are; one
-// subscriber that declares nothing gets all 15.
+// attributes, transformed values. It works a batch at a time: each batch of
+// src is transformed into one arena owned by the view's transformer and
+// published as one batch, lent until that publish returns and overwritten
+// by the next. Each batch is computed for the view's subscribers
+// (stream.PublishDerivedBatch): a joint is rotated and scaled only when one
+// of them reads one of its fields, so with every subscriber a deployed plan
+// (anduin.Engine.DeployPlan declares what each reads), only the joints in
+// the plans' union are; one subscriber that declares nothing gets all 15.
+// The view in turn declares to src the raw fields it reads
+// (stream.Stream.Feed): those joints and the five the parameters are
+// estimated from.
 func View(src *stream.Stream, cfg Config) (*stream.Stream, error) {
 	tr, err := New(cfg)
 	if err != nil {
@@ -287,16 +326,16 @@ func View(src *stream.Stream, cfg Config) (*stream.Stream, error) {
 		return nil, err
 	}
 	build := tr.project
-	src.Subscribe(func(in stream.Tuple) {
-		out, ok, err := view.PublishDerived(in, build)
-		if err != nil {
-			// The arity was checked above, so this cannot happen.
+	if _, err := view.Feed(src, rawReads, func(in []stream.Tuple) {
+		if err := view.PublishDerivedBatch(in, build); err != nil {
+			// src and the view share a schema of numFields fields, so this
+			// cannot happen.
 			panic(fmt.Sprintf("transform: view %q: %v", ViewName, err))
 		}
-		if ok {
-			stream.EndLoan(out.Fields)
-		}
-	})
+		stream.EndLoan(tr.arena)
+	}); err != nil {
+		return nil, err
+	}
 	return view, nil
 }
 

@@ -162,15 +162,17 @@ func TestLendReusesOneArray(t *testing.T) {
 
 // TestProjectComputesOnlyReadJoints: project writes, bit for bit as Tuple
 // does, every field of each joint that holds a field of the read set, and
-// leaves the scratch array's other fields as they were. The smoothed forearm
-// advances on every tuple whatever the set, so a set that changes midway
-// changes nothing for the joints both sets read.
+// leaves the arena's other fields as they were. It reads no raw field
+// outside rawReads of the set: those are NaN in its input here. The
+// smoothed forearm advances on every tuple whatever the set, so a set that
+// changes midway changes nothing for the joints both sets read, and where
+// the stream is cut into batches changes nothing at all.
 func TestProjectComputesOnlyReadJoints(t *testing.T) {
 	sim, err := kinect.NewSimulator(kinect.DefaultProfile(), kinect.DefaultNoise(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inputs := kinect.ToTuples(sim.Idle(t0(), time.Second))
+	inputs := kinect.ToTuples(sim.Idle(t0(), 3*time.Second))
 	rHandX := int(kinect.RightHand) * 3
 	lHandZ := int(kinect.LeftHand)*3 + 2
 	sets := []*stream.ReadSet{
@@ -181,27 +183,46 @@ func TestProjectComputesOnlyReadJoints(t *testing.T) {
 	}
 	own, _ := New(DefaultConfig())
 	proj, _ := New(DefaultConfig())
-	for i, in := range inputs {
-		reads := sets[i*len(sets)/len(inputs)]
-		for k := range proj.scratch {
-			proj.scratch[k] = math.NaN()
-		}
-		want, _ := own.Tuple(in)
-		got, ok := proj.project(in, reads)
-		if !ok {
-			t.Fatalf("tuple %d dropped", i)
-		}
-		for k := range want.Fields {
-			read := reads == nil
-			for f := k - k%3; f < k-k%3+3; f++ {
-				read = read || slices.Contains(reads.Fields(), f)
-			}
-			switch {
-			case read && math.Float64bits(got.Fields[k]) != math.Float64bits(want.Fields[k]):
-				t.Fatalf("tuple %d field %d (read set %v): %g, want %g", i, k, reads.Fields(), got.Fields[k], want.Fields[k])
-			case !read && !math.IsNaN(got.Fields[k]):
-				t.Fatalf("tuple %d field %d (read set %v): written, but no read field is on its joint", i, k, reads.Fields())
+	widths := []int{1, 7, 64, 3}
+	proj.batch, proj.arena = make([]stream.Tuple, 64), make([]float64, 64*numFields) // so the NaNs below stay
+	for off, b := 0, 0; off < len(inputs); b++ {
+		batch := inputs[off:min(off+widths[b%len(widths)], len(inputs))]
+		reads := sets[off*len(sets)/len(inputs)]
+		unread := rawReads(reads)
+		in := make([]stream.Tuple, len(batch))
+		for i := range batch {
+			in[i] = batch[i].Clone()
+			for k := range in[i].Fields {
+				if unread != nil && !slices.Contains(unread.Fields(), k) {
+					in[i].Fields[k] = math.NaN()
+				}
 			}
 		}
+		for k := range proj.arena {
+			proj.arena[k] = math.NaN()
+		}
+		got := proj.project(in, reads)
+		if len(got) != len(in) {
+			t.Fatalf("batch at %d: %d tuples out of %d", off, len(got), len(in))
+		}
+		for i := range batch {
+			want, _ := own.Tuple(batch[i])
+			for k := range want.Fields {
+				read := reads == nil
+				for f := k - k%3; f < k-k%3+3; f++ {
+					read = read || slices.Contains(reads.Fields(), f)
+				}
+				switch {
+				case read && math.Float64bits(got[i].Fields[k]) != math.Float64bits(want.Fields[k]):
+					t.Fatalf("tuple %d field %d (read set %v): %g, want %g", off+i, k, reads.Fields(), got[i].Fields[k], want.Fields[k])
+				case !read && !math.IsNaN(got[i].Fields[k]):
+					t.Fatalf("tuple %d field %d (read set %v): written, but no read field is on its joint", off+i, k, reads.Fields())
+				}
+			}
+		}
+		off += len(batch)
+	}
+	if got := rawReads(stream.NewReadSet(rHandX)).Fields(); len(got) != 15 {
+		t.Errorf("the right hand and the parameter joints read %d raw fields, want 15: %v", len(got), got)
 	}
 }
