@@ -2,8 +2,8 @@ package anduin_test
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
+	"time"
 
 	"gesturecep/internal/anduin"
 	"gesturecep/internal/e2e"
@@ -29,8 +29,9 @@ func batchPipeline(t *testing.T) (e *anduin.Engine, raw, view *stream.Stream, de
 	return e, raw, view, dets
 }
 
-// TestPublishBatchEqualsPerTuple: publishing the session in batches of 1, 7
-// or 64 through Engine.PublishBatch dispatches, byte for byte and measures
+// TestPublishBatchEqualsPerTuple: publishing the session in batches of 1, 7,
+// 64 or 150 (which goes through in slices of 64) through
+// Engine.PublishBatch dispatches, byte for byte and measures
 // included, the detections publishing it tuple by tuple does, in the same
 // order — across the eight demo plans, a hand-written left-hand plan and
 // one whose first atom is a closure. Ended loans are poisoned, so a
@@ -52,7 +53,7 @@ func TestPublishBatchEqualsPerTuple(t *testing.T) {
 	if fired["left_raise"] < 2 || fired["hand_up"] < 1 || len(fired) < 4 {
 		t.Fatalf("per tuple fired %v; the comparison needs the extra plans and several demo plans to fire", fired)
 	}
-	for _, width := range []int{1, 7, 64} {
+	for _, width := range []int{1, 7, 64, 150} {
 		e, raw, _, got := batchPipeline(t)
 		for off := 0; off < len(tuples); off += width {
 			if err := e.PublishBatch(raw, tuples[off:min(off+width, len(tuples))], nil); err != nil {
@@ -65,35 +66,29 @@ func TestPublishBatchEqualsPerTuple(t *testing.T) {
 	}
 }
 
-// TestPublishBatchWithAPlainSubscriber: a view subscriber that takes tuples
-// one at a time sees each tuple, and each detection, exactly where it would
-// tuple by tuple — PublishBatch publishes tuple by tuple while one is there.
-func TestPublishBatchWithAPlainSubscriber(t *testing.T) {
-	tuples := projectionSession(t)
-	trace := func(batch bool) []string {
-		e, raw, view, _ := batchPipeline(t)
-		var events []string
-		view.Subscribe(func(tu stream.Tuple) { events = append(events, fmt.Sprint("tuple ", tu.Seq)) })
-		e.Subscribe(func(d anduin.Detection) { events = append(events, d.Gesture) })
-		for off := 0; off < len(tuples); off += 64 {
-			ts := tuples[off:min(off+64, len(tuples))]
-			if !batch {
-				for _, tu := range ts {
-					if err := raw.Publish(tu); err != nil {
-						t.Fatal(err)
-					}
-				}
-			} else if err := e.PublishBatch(raw, ts, nil); err != nil {
-				t.Fatal(err)
-			}
+// TestPublishBatchThroughAPerTupleViewPanics: a plan behind a stream.Derive
+// view gets the batch a tuple at a time, so its matches could not be merged
+// into tuple order; PublishBatch refuses loudly instead of misordering.
+func TestPublishBatchThroughAPerTupleViewPanics(t *testing.T) {
+	e := anduin.New()
+	src, err := e.RegisterStream("s", stream.MustSchema("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RegisterView("v", "s", src.Schema(), func(tu stream.Tuple) (stream.Tuple, bool) { return tu, true }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.DeployText(`SELECT "high" MATCHING v(a > 5);`); err != nil {
+		t.Fatal(err)
+	}
+	ts := []stream.Tuple{stream.NewTuple(time.Unix(0, 0), 1, []float64{9}), stream.NewTuple(time.Unix(1, 0), 2, []float64{9})}
+	if err := e.PublishBatch(src, ts[:1], nil); err != nil {
+		t.Fatalf("a batch of one: %v", err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a two-tuple batch reached a plan behind a per-tuple view without a panic")
 		}
-		return events
-	}
-	want, got := trace(false), trace(true)
-	if len(want) <= len(tuples) {
-		t.Fatalf("%d events over %d tuples: nothing fired", len(want), len(tuples))
-	}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("batched trace differs from the per-tuple one")
-	}
+	}()
+	e.PublishBatch(src, ts, nil)
 }

@@ -72,15 +72,11 @@ type Engine struct {
 	queries   map[int]*deployed
 	nextQuery int
 
-	// all is the immutable snapshot of the registered streams, rebuilt
-	// copy-on-write when one is attached, which PublishBatch reads without
-	// the lock.
-	all atomic.Pointer[[]*stream.Stream]
-	// batching is set while PublishBatch delivers a batch; pending holds
-	// the detections found until they are dispatched. Only the publishing
-	// goroutine touches either.
-	batching bool
-	pending  []pending
+	// width is the length of the batch PublishBatch is delivering (0
+	// outside it); pending holds the detections found until they are
+	// dispatched. Only the publishing goroutine touches either.
+	width   int
+	pending []pending
 
 	listenMu  sync.Mutex
 	listeners []listener // subscription order
@@ -160,11 +156,6 @@ func (e *Engine) attach(s *stream.Stream) error {
 	}
 	e.streams[s.Name()] = s
 	e.env.Schemas[s.Name()] = s.Schema()
-	all := make([]*stream.Stream, 0, len(e.streams))
-	for _, st := range e.streams {
-		all = append(all, st)
-	}
-	e.all.Store(&all)
 	return nil
 }
 
@@ -374,11 +365,17 @@ func (e *Engine) DeployPlan(p *Plan) (int, error) {
 
 	// Subscribe outside the lock; stream subscription has its own lock.
 	cancel := src.SubscribeBatch(p.reads, func(ts []stream.Tuple) {
+		if e.width != 0 && len(ts) != e.width {
+			// A per-tuple subscriber (stream.Derive) between the published
+			// stream and this plan: the indices of its matches are not the
+			// batch's, so they could not be merged into tuple order.
+			panic(fmt.Sprintf("anduin: plan %q got %d tuples of a %d-tuple batch; PublishBatch needs batch subscribers from the published stream to every plan", d.info.Gesture, len(ts), e.width))
+		}
 		d.found = d.nfa.ProcessBatch(ts, d.found[:0])
 		for i := range d.found {
 			e.pending = append(e.pending, pending{at: d.found[i].At, det: d.detection(d.found[i], ts)})
 		}
-		if !e.batching {
+		if e.width == 0 && len(e.pending) > 0 {
 			e.flush(nil)
 		}
 	})
@@ -418,48 +415,48 @@ func (d *deployed) detection(m cep.BatchMatch, ts []stream.Tuple) Detection {
 }
 
 // PublishBatch publishes ts on s, one of the engine's streams, and
-// dispatches the detections they fire exactly as publishing them tuple
+// dispatches the detections they fire in the order publishing them tuple
 // after tuple would (see Engine): the streams hand the batch on whole, each
 // deployed plan evaluates it in one call (cep.NFA.ProcessBatch), and the
 // plans' detections are merged back into tuple order before any is
-// dispatched. A stream with a subscriber that takes tuples one at a time
-// could observe the difference, so while any stream of the engine has one,
-// PublishBatch publishes the tuples one at a time instead. live, when
-// non-nil, is asked before the detections of each tuple are dispatched;
-// once it reports false, no detection of that tuple or a later one is —
-// how a listener that closes the session stops the rest of the batch. The
-// batch is lent for the call.
+// dispatched. Every stream from s to a plan must hand it batches
+// (stream.SubscribeBatch, stream.Feed), as the kinect_t view does; a plan
+// reached through a per-tuple subscriber (stream.Derive) panics. A plain
+// subscriber of a stream on the way sees a batch's tuples one after
+// another before any of the batch's detections.
+//
+// live, when non-nil, is asked before the detections of each tuple are
+// dispatched; once it reports false, no detection of that tuple or a later
+// one is — how a listener that closes the session stops the rest of the
+// batch. The batch is still evaluated whole: the streams' Published and the
+// plans' Stats count its every tuple. Likewise a deploy, undeploy or
+// subscribe made while a batch is out, by a listener or another goroutine,
+// takes effect at the next batch: a plan undeployed by a listener still has
+// the rest of the batch's detections dispatched. A batch wider than 64
+// tuples goes through in slices of 64, each such a batch. ts is lent for
+// the call.
 func (e *Engine) PublishBatch(s *stream.Stream, ts []stream.Tuple, live func() bool) error {
-	if !e.batched() {
-		for i := range ts {
-			if live != nil && !live() {
-				return nil
-			}
-			if err := s.Publish(ts[i]); err != nil {
-				return err
-			}
+	for len(ts) > 0 {
+		if live != nil && !live() {
+			return nil
 		}
-		return nil
+		n := min(len(ts), maxBatch)
+		e.width = n
+		err := s.PublishBatch(ts[:n])
+		e.width = 0
+		e.flush(live)
+		if err != nil {
+			return err
+		}
+		ts = ts[n:]
 	}
-	e.batching = true
-	err := s.PublishBatch(ts)
-	e.batching = false
-	e.flush(live)
-	return err
+	return nil
 }
 
-// batched reports whether every subscriber of every stream of the engine
-// takes batches.
-func (e *Engine) batched() bool {
-	if all := e.all.Load(); all != nil {
-		for _, st := range *all {
-			if !st.Batched() {
-				return false
-			}
-		}
-	}
-	return true
-}
+// maxBatch is the widest batch PublishBatch hands the streams, and so the
+// most tuples a derived stream's arena holds (the kinect_t view's): a wire
+// batch is normally this wide, a recorded record four times wider.
+const maxBatch = 64
 
 // flush dispatches the pending detections by tuple, and for one tuple in
 // the order they were found, asking live (when non-nil) before each tuple's.

@@ -21,9 +21,9 @@ type state struct {
 // holds reports whether t satisfies the state. Rows are evaluated here, in
 // the NFA's own loop; only a state compiled from a closure makes an
 // indirect call.
-func (s *state) holds(t stream.Tuple) bool {
+func (s *state) holds(t *stream.Tuple) bool {
 	if s.pred != nil {
-		return s.pred(t)
+		return s.pred(*t)
 	}
 	for _, r := range s.rows {
 		if !(math.Abs(t.Fields[r.Field]-r.Center) < r.HalfWidth) {
@@ -168,9 +168,11 @@ type NFA struct {
 	// live counts the runs across all queues.
 	live int
 
-	// done collects the runs one step completes; kept between steps so
-	// completing a run allocates nothing.
-	done []*run
+	// done collects the runs one step completes, and found the matches
+	// Process has step append; both are kept between steps so completing a
+	// run allocates nothing but the Match it makes.
+	done  []*run
+	found []BatchMatch
 
 	// free recycles run objects (and their ts/seqs backing arrays) so the
 	// steady-state Process path does not allocate. An NFA is single-threaded
@@ -264,7 +266,7 @@ func (n *NFA) Reset() {
 
 // getRun takes a run from the free list (or allocates one) and initialises
 // it as a fresh partial match holding only t, matched at event time now.
-func (n *NFA) getRun(t stream.Tuple, now int64) *run {
+func (n *NFA) getRun(t *stream.Tuple, now int64) *run {
 	var r *run
 	if len(n.free) > 0 {
 		r = n.free[len(n.free)-1]
@@ -295,18 +297,17 @@ func (n *NFA) Stats() (processed, predCalls, matches, pruned uint64) {
 }
 
 // Process advances the automaton with one tuple and returns any matches it
-// completes. Tuples must arrive in non-decreasing timestamp order. It is
-// ProcessBatch over a batch of one.
+// completes. Tuples must arrive in non-decreasing timestamp order.
 func (n *NFA) Process(t stream.Tuple) []Match {
-	one := [1]stream.Tuple{t}
-	found := n.ProcessBatch(one[:], nil)
-	if len(found) == 0 {
+	n.found = n.step(&t, 0, n.prog.states[0].holds(&t), n.found[:0])
+	if len(n.found) == 0 {
 		return nil
 	}
-	out := make([]Match, len(found))
-	for i := range found {
-		out[i] = found[i].Match
+	out := make([]Match, len(n.found))
+	for i := range n.found {
+		out[i] = n.found[i].Match
 	}
+	clear(n.found) // the Seqs are the caller's now
 	return out
 }
 
@@ -332,6 +333,10 @@ const batchWidth = 64
 // a closure is asked tuple by tuple. ts is borrowed like Process's tuple.
 func (n *NFA) ProcessBatch(ts []stream.Tuple, dst []BatchMatch) []BatchMatch {
 	first := &n.prog.states[0]
+	if len(ts) == 1 {
+		// A column of one: asking the state is the whole test.
+		return n.step(&ts[0], 0, first.holds(&ts[0]), dst)
+	}
 	for base := 0; base < len(ts); base += batchWidth {
 		chunk := ts[base:min(base+batchWidth, len(ts))]
 		var starts uint64 // bit k: chunk[k] satisfies state 0, for a row state
@@ -353,7 +358,7 @@ func (n *NFA) ProcessBatch(ts []stream.Tuple, dst []BatchMatch) []BatchMatch {
 			} else {
 				start = first.pred(chunk[k])
 			}
-			dst = n.step(chunk[k], base+k, start, dst)
+			dst = n.step(&chunk[k], base+k, start, dst)
 		}
 	}
 	return dst
@@ -361,7 +366,7 @@ func (n *NFA) ProcessBatch(ts []stream.Tuple, dst []BatchMatch) []BatchMatch {
 
 // step advances the automaton with tuple t, index at of its batch, whose
 // state-0 test came out start, and appends the matches it completes to dst.
-func (n *NFA) step(t stream.Tuple, at int, start bool, dst []BatchMatch) []BatchMatch {
+func (n *NFA) step(t *stream.Tuple, at int, start bool, dst []BatchMatch) []BatchMatch {
 	states := n.prog.states
 	last := len(states) - 1
 	now := t.Ts.UnixNano()
@@ -380,6 +385,9 @@ func (n *NFA) step(t stream.Tuple, at int, start bool, dst []BatchMatch) []Batch
 	// queue goes behind the one it joins and both orders hold.
 	for s := last; s >= 1 && n.live > 0; s-- {
 		q := &n.queues[s]
+		if q.head == len(q.runs) {
+			continue
+		}
 		live := q.runs[q.head:]
 		dead := 0
 		for dead < len(live) && now > live[dead].deadline {
@@ -455,7 +463,6 @@ func (n *NFA) step(t stream.Tuple, at int, start bool, dst []BatchMatch) []Batch
 	for _, r := range completed {
 		n.putRun(r)
 	}
-	clear(completed)
 
 	if n.prog.consume == ConsumeAll {
 		// Consuming a match invalidates all in-flight partial matches.

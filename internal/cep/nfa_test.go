@@ -275,6 +275,27 @@ func TestSingleAtomPattern(t *testing.T) {
 	}
 }
 
+// TestProcessMatchAllocs: a tuple that completes a match costs Process two
+// allocations, the []Match it returns and the match's Seqs; a tuple that
+// completes none costs nothing.
+func TestProcessMatchAllocs(t *testing.T) {
+	n, err := Compile(NewAtom("only", fieldIn(0, 1)), SelectFirst, ConsumeAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit, miss := tup(0, 0.5), tup(0, 5)
+	if got := testing.AllocsPerRun(100, func() {
+		if len(n.Process(hit)) != 1 {
+			t.Fatal("no match")
+		}
+	}); got != 2 {
+		t.Errorf("matching tuple: %v allocs, want 2", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { n.Process(miss) }); got != 0 {
+		t.Errorf("non-matching tuple: %v allocs, want 0", got)
+	}
+}
+
 func TestMaxRunsEviction(t *testing.T) {
 	n, _ := Compile(threeStep(time.Hour), SelectFirst, ConsumeNone)
 	n.SetMaxRuns(4)

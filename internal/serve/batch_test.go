@@ -526,3 +526,38 @@ func TestShardIndex(t *testing.T) {
 		}
 	}
 }
+
+// TestLentBatchNarrowerThanTheReadSetPanics: a lent batch holds only the
+// fields the session read when it was fed. A plan deployed through Engine
+// afterwards reads more, so the worker refuses to publish such a batch
+// rather than let the plan read undefined fields; a batch holding every
+// field, or the session's current set, is published.
+func TestLentBatchNarrowerThanTheReadSetPanics(t *testing.T) {
+	m := newTestManager(t, Config{Shards: 1}, map[string]string{"never": neverQuery})
+	s, err := m.CreateSession("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fed := s.Reads()
+	if fed == nil {
+		t.Fatal("a session with one plan and no tap reads every field")
+	}
+	tuples := idleTuples(t, 2)
+	refused := func(reads *stream.ReadSet) (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		m.shards[0].process(envelope{sess: s, tuples: tuples, reads: reads})
+		return false
+	}
+	if refused(fed) || refused(nil) {
+		t.Fatal("a batch holding what the session reads was refused")
+	}
+	if _, err := s.Engine().DeployText(`SELECT "left" MATCHING kinect_t(lHand_x > 100000);`); err != nil {
+		t.Fatal(err)
+	}
+	if !refused(fed) {
+		t.Fatalf("a batch holding %v was published to a session reading %v", fed.Fields(), s.Reads().Fields())
+	}
+	if refused(s.Reads()) || refused(nil) {
+		t.Fatal("a batch holding what the session reads now was refused")
+	}
+}

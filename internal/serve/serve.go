@@ -96,9 +96,10 @@ type Lender interface{ Release() }
 type envelope struct {
 	sess   *Session
 	tuples []stream.Tuple
-	lender Lender // nil: the queue owns tuples
-	sentNs int64  // client-send unix nanos (from the wire trace timestamp)
-	enqNs  int64  // local enqueue unix nanos
+	lender Lender          // nil: the queue owns tuples
+	reads  *stream.ReadSet // the fields the tuples hold (nil: every field)
+	sentNs int64           // client-send unix nanos (from the wire trace timestamp)
+	enqNs  int64           // local enqueue unix nanos
 }
 
 // done gives a lent envelope's memory back, once its last tuple was
@@ -346,6 +347,9 @@ func (sh *shard) process(env envelope) {
 	}
 	s := env.sess
 	tuples := env.tuples
+	if !env.reads.Covers(s.Reads()) {
+		s.readsBeyond(env.reads)
+	}
 	// A trace-sampled envelope carries its enqueue time, and its first tuple
 	// carries the trace through the engine, so the stage histograms keep
 	// their per-tuple meaning; everything else skips the clock reads.
@@ -366,6 +370,12 @@ func (sh *shard) process(env envelope) {
 	s.out.Add(n)
 	sh.processed.Add(n)
 	sh.counted(s)
+}
+
+// readsBeyond panics: the session now reads a field outside held, the set
+// a batch it was fed holds (Session.FeedLent).
+func (s *Session) readsBeyond(held *stream.ReadSet) {
+	panic(fmt.Sprintf("serve: session %q reads fields %v of a batch that holds only %v", s.id, s.Reads().Fields(), held.Fields()))
 }
 
 // publish hands a batch of tuples to the session's engine unless the
@@ -395,7 +405,7 @@ func (s *Session) publish(ts []stream.Tuple) {
 // the write side before stopping the workers, so a batch admitted here is
 // guaranteed to still have a live worker to drain it — a feed can never
 // strand tuples (and hang Flush) by racing Close.
-func (m *Manager) enqueue(s *Session, tuples []stream.Tuple, sentNs int64, lender Lender) error {
+func (m *Manager) enqueue(s *Session, tuples []stream.Tuple, reads *stream.ReadSet, sentNs int64, lender Lender) error {
 	if len(tuples) == 0 {
 		return nil
 	}
@@ -417,7 +427,7 @@ func (m *Manager) enqueue(s *Session, tuples []stream.Tuple, sentNs int64, lende
 	if m.closed.Load() {
 		return fmt.Errorf("serve: manager closed")
 	}
-	env := envelope{sess: s, tuples: tuples, lender: lender}
+	env := envelope{sess: s, tuples: tuples, lender: lender, reads: reads}
 	if sentNs != 0 && m.ins != nil {
 		env.sentNs = sentNs
 		env.enqNs = time.Now().UnixNano()

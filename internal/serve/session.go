@@ -158,14 +158,33 @@ func (s *Session) ID() string { return s.id }
 // Shard returns the index of the shard the session is pinned to.
 func (s *Session) Shard() int { return s.shard.id }
 
+// Reads returns the raw fields the session reads of a tuple it is fed
+// (nil: every field): the union its raw stream's subscribers declare — for
+// the kinect_t view, the joints its plans read and the five the transform's
+// parameters are estimated from — or every field when the session records,
+// since its tap keeps whole tuples. A feeder that lends its batches may
+// leave the other fields unset (FeedLent). The set changes only when a plan
+// is deployed or a subscriber added through Engine: CreateSession deploys
+// every plan before the session can be fed.
+func (s *Session) Reads() *stream.ReadSet {
+	if s.tap != nil {
+		return nil
+	}
+	return s.raw.Reads()
+}
+
 // Engine exposes the session's private engine (for stats and advanced
 // management). Do not publish tuples to it directly — use FeedTuple, which
-// routes through the shard worker.
+// routes through the shard worker. A plan deployed or a stream subscriber
+// added through it takes effect at the next batch the worker publishes, and
+// widens Reads: a batch fed with FeedLent before then holds only the old
+// set, and the worker panics on it rather than let the new reader see
+// undefined fields.
 func (s *Session) Engine() *anduin.Engine { return s.engine }
 
 // FeedTuple enqueues one raw tuple for this session: a batch of one.
 func (s *Session) FeedTuple(t stream.Tuple) error {
-	return s.mgr.enqueue(s, []stream.Tuple{t}, 0, nil)
+	return s.mgr.enqueue(s, []stream.Tuple{t}, nil, 0, nil)
 }
 
 // FeedBatch enqueues raw tuples, in order, as one unit of the shard queue:
@@ -180,16 +199,20 @@ func (s *Session) FeedTuple(t stream.Tuple) error {
 // through the shard. Detection behaviour is identical to feeding the tuples
 // one by one.
 func (s *Session) FeedBatch(tuples []stream.Tuple, sentNs int64) error {
-	return s.mgr.enqueue(s, tuples, sentNs, nil)
+	return s.mgr.enqueue(s, tuples, nil, sentNs, nil)
 }
 
 // FeedLent is FeedBatch for a feeder that wants the memory back: an admitted
 // batch is on loan until the runtime calls lender.Release — exactly once,
 // after the batch's last tuple was published, skipped (session closed) or
 // dropped (DropOldest), from whichever goroutine did that. On an error
-// nothing was lent and Release is not called.
-func (s *Session) FeedLent(tuples []stream.Tuple, sentNs int64, lender Lender) error {
-	return s.mgr.enqueue(s, tuples, sentNs, lender)
+// nothing was lent and Release is not called. reads is the set of fields
+// the tuples hold (nil: every field), normally what Reads returned when
+// they were decoded; the others may hold anything. The worker checks that
+// the session still reads no field outside it before publishing the batch,
+// and panics if it does — a programming error (see Engine).
+func (s *Session) FeedLent(tuples []stream.Tuple, reads *stream.ReadSet, sentNs int64, lender Lender) error {
+	return s.mgr.enqueue(s, tuples, reads, sentNs, lender)
 }
 
 // OnDetection registers a listener for this session's detections; the

@@ -14,20 +14,24 @@
 // A published tuple is lent for the duration of Publish: the publisher owns
 // Tuple.Fields and may overwrite or recycle the array the moment Publish
 // returns (the serving path decodes wire batches into a recycled buffer and
-// writes the kinect_t view into one scratch array per stream). A subscriber
-// may read the tuple, and hand it on to its own subscribers, until it
-// returns; whoever keeps it longer — a collector, an asynchronous recorder,
-// a test — keeps a Clone. The value parts (Ts, Seq) may be kept freely.
-// DESIGN.md, "Tuple field-array ownership", lists every owner and keeper.
+// writes the kinect_t view into one arena per stream). A batch published
+// with PublishBatch is lent the same way, slice and field arrays, until
+// PublishBatch returns. A subscriber may read the tuple, and hand it on to
+// its own subscribers, until it returns; whoever keeps it longer — a
+// collector, an asynchronous recorder, a test — keeps a Clone. The value
+// parts (Ts, Seq) may be kept freely. DESIGN.md, "Tuple field-array
+// ownership", lists every owner and keeper.
 //
 // # Read sets
 //
-// A subscriber may declare which fields it reads (SubscribeReads). A stream
-// tracks the union over its subscribers, and a derived stream that builds
-// its tuples field by field (PublishDerived) need only write that union:
-// the other fields of a tuple it publishes are unspecified. A subscriber
-// that declares nothing (Subscribe) reads every field, so it always gets a
-// whole tuple.
+// A subscriber may declare which fields it reads (SubscribeReads,
+// SubscribeBatch). A stream tracks the union over its subscribers, and a
+// derived stream that builds its tuples field by field
+// (PublishDerivedBatch) need only write that union: the other fields of a
+// tuple it publishes are unspecified. A subscriber that declares nothing
+// (Subscribe) reads every field, so it always gets a whole tuple. A derived
+// stream attached with Feed declares to its source what it reads to build
+// its union, so the union of the source is what the whole chain reads.
 package stream
 
 import (

@@ -12,9 +12,10 @@ import (
 // in subscription order before returning, giving deterministic per-tuple
 // evaluation like AnduIN's operator graph.
 //
-// Subscribing and publishing are safe for concurrent use, but a single
-// stream's tuples should be published from one goroutine at a time to
-// preserve ordering.
+// Subscribing is safe for concurrent use with publishing, but a single
+// stream's tuples must be published from one goroutine at a time: to
+// preserve ordering, and because Publish delivers a single tuple as a batch
+// of one out of an array of the stream's own.
 type Stream struct {
 	name   string
 	schema *Schema
@@ -36,9 +37,8 @@ type Stream struct {
 
 	published atomic.Uint64
 
-	// one holds the tuple Publish hands a batch subscriber, as a batch of
-	// one, so a single publish allocates nothing. Only the publishing
-	// goroutine touches it.
+	// one holds the tuple Publish delivers, as a batch of one, so a single
+	// publish allocates nothing. Only the publishing goroutine touches it.
 	one [1]Tuple
 }
 
@@ -60,12 +60,11 @@ type subscriber struct {
 	reads *ReadSet
 }
 
-// fanout is one delivery snapshot: the subscribers in subscription order,
-// the union of the fields they read, and whether every one takes batches.
+// fanout is one delivery snapshot: the subscribers in subscription order
+// and the union of the fields they read.
 type fanout struct {
-	subs    []subscriber
-	reads   *ReadSet
-	batched bool
+	subs  []subscriber
+	reads *ReadSet
 }
 
 // feed links a derived stream to the subscription on src that publishes it.
@@ -91,6 +90,26 @@ func NewReadSet(fields ...int) *ReadSet {
 	fs := slices.Clone(fields)
 	slices.Sort(fs)
 	return &ReadSet{fields: slices.Compact(fs)}
+}
+
+// Covers reports whether r holds every field of o.
+func (r *ReadSet) Covers(o *ReadSet) bool {
+	if r == nil || r == o {
+		return true
+	}
+	if o == nil {
+		return false
+	}
+	i := 0
+	for _, f := range o.fields {
+		for i < len(r.fields) && r.fields[i] < f {
+			i++
+		}
+		if i == len(r.fields) || r.fields[i] != f {
+			return false
+		}
+	}
+	return true
 }
 
 // Fields returns the set's indices in ascending order, or nil for the set
@@ -125,6 +144,16 @@ func (s *Stream) SubscribeReads(reads *ReadSet, fn func(Tuple)) (cancel func()) 
 	return s.subscribe(subscriber{fn: fn, reads: reads})
 }
 
+// addLocked registers sub and returns its id. Callers must hold s.mu.
+func (s *Stream) addLocked(sub subscriber) int {
+	id := s.next
+	s.next++
+	s.subs[id] = sub
+	s.order = append(s.order, id)
+	s.rebuildHandlersLocked()
+	return id
+}
+
 // SubscribeBatch is SubscribeReads for a subscriber that takes tuples in
 // batches: each PublishBatch hands it the whole batch in one call, and
 // Publish a batch of one. The batch and its tuples' field arrays are lent
@@ -137,21 +166,6 @@ func (s *Stream) subscribe(sub subscriber) (cancel func()) {
 	s.mu.Lock()
 	id := s.addLocked(sub)
 	s.mu.Unlock()
-	return s.canceler(id)
-}
-
-// addLocked registers sub and returns its id. Callers must hold s.mu.
-func (s *Stream) addLocked(sub subscriber) int {
-	id := s.next
-	s.next++
-	s.subs[id] = sub
-	s.order = append(s.order, id)
-	s.rebuildHandlersLocked()
-	return id
-}
-
-// canceler returns the idempotent function that removes subscription id.
-func (s *Stream) canceler(id int) func() {
 	var once sync.Once
 	return func() {
 		once.Do(func() {
@@ -174,12 +188,12 @@ func (s *Stream) canceler(id int) func() {
 // declaring need(r) as the fields of src it reads whenever r is the union
 // of what s's own subscribers read — at once, and again each time s's
 // subscribers change. need maps nil (every field) to nil. A stream is fed
-// from at most one source; the returned function detaches it.
-func (s *Stream) Feed(src *Stream, need func(*ReadSet) *ReadSet, fn func([]Tuple)) (cancel func(), err error) {
+// from at most one source, for the life of both.
+func (s *Stream) Feed(src *Stream, need func(*ReadSet) *ReadSet, fn func([]Tuple)) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.feed != nil {
-		return nil, fmt.Errorf("stream %q is already fed by %q", s.name, s.feed.src.name)
+		return fmt.Errorf("stream %q is already fed by %q", s.name, s.feed.src.name)
 	}
 	// Lock order: a derived stream before its source, here and in
 	// rebuildHandlersLocked.
@@ -187,26 +201,19 @@ func (s *Stream) Feed(src *Stream, need func(*ReadSet) *ReadSet, fn func([]Tuple
 	id := src.addLocked(subscriber{batch: fn, reads: need(s.Reads())})
 	src.mu.Unlock()
 	s.feed = &feed{src: src, id: id, need: need}
-	detach := src.canceler(id)
-	return func() {
-		s.mu.Lock()
-		s.feed = nil
-		s.mu.Unlock()
-		detach()
-	}, nil
+	return nil
 }
 
 // rebuildHandlersLocked regenerates the immutable delivery snapshot, and
 // the read set of the subscription that feeds s, if any. Callers must hold
 // s.mu.
 func (s *Stream) rebuildHandlersLocked() {
-	f := &fanout{subs: make([]subscriber, 0, len(s.order)), batched: true}
+	f := &fanout{subs: make([]subscriber, 0, len(s.order))}
 	var union []int
 	all := false
 	for _, id := range s.order {
 		if sub, ok := s.subs[id]; ok {
 			f.subs = append(f.subs, sub)
-			f.batched = f.batched && sub.batch != nil
 			all = all || sub.reads == nil
 			union = append(union, sub.reads.Fields()...)
 		}
@@ -242,14 +249,6 @@ func (s *Stream) SubscriberCount() int {
 	return len(s.subs)
 }
 
-// Batched reports whether every current subscriber takes batches (true
-// with none): then PublishBatch hands the batch to each in one call, and
-// nobody sees the tuples one at a time.
-func (s *Stream) Batched() bool {
-	f := s.fanout.Load()
-	return f == nil || f.batched
-}
-
 // Publish delivers t to all current subscribers synchronously, in
 // subscription order. The tuple must have exactly as many fields as the
 // schema declares. t.Fields is lent to the subscribers until Publish returns
@@ -258,18 +257,9 @@ func (s *Stream) Publish(t Tuple) error {
 	if len(t.Fields) != s.schema.Len() {
 		return s.arityErr(t)
 	}
-	if f := s.fanout.Load(); f != nil {
-		for _, sub := range f.subs {
-			if sub.fn != nil {
-				sub.fn(t)
-				continue
-			}
-			s.one[0] = t
-			sub.batch(s.one[:])
-			s.one[0] = Tuple{}
-		}
-	}
-	s.published.Add(1)
+	s.one[0] = t
+	s.deliverBatch(s.fanout.Load(), s.one[:])
+	s.one[0] = Tuple{}
 	return nil
 }
 

@@ -203,18 +203,9 @@ func TestReadSetsAndPublishDerived(t *testing.T) {
 // batch of one; a batch with a tuple of the wrong arity delivers nothing.
 func TestPublishBatch(t *testing.T) {
 	s, _ := New("kinect", testSchema(t))
-	if !s.Batched() {
-		t.Error("a stream without subscribers is not batched")
-	}
 	var events []string
 	s.SubscribeBatch(nil, func(ts []Tuple) { events = append(events, fmt.Sprintf("batch of %d", len(ts))) })
-	if !s.Batched() {
-		t.Error("a stream with only a batch subscriber is not batched")
-	}
-	cancel := s.Subscribe(func(tu Tuple) { events = append(events, fmt.Sprintf("tuple %d", tu.Seq)) })
-	if s.Batched() {
-		t.Error("a stream with a plain subscriber is batched")
-	}
+	s.Subscribe(func(tu Tuple) { events = append(events, fmt.Sprintf("tuple %d", tu.Seq)) })
 	batch := []Tuple{NewTuple(ts(0), 1, []float64{0, 0}), NewTuple(ts(33), 2, []float64{0, 0})}
 	if err := s.PublishBatch(batch); err != nil {
 		t.Fatal(err)
@@ -229,15 +220,11 @@ func TestPublishBatch(t *testing.T) {
 	if err := s.PublishBatch(append(batch, NewTuple(ts(99), 4, []float64{0}))); err == nil || len(events) != len(want) || s.Published() != 3 {
 		t.Fatalf("short tuple in a batch: err %v, %d deliveries, %d published", err, len(events)-len(want), s.Published())
 	}
-	cancel()
-	if !s.Batched() {
-		t.Error("batched stays false after the plain subscriber left")
-	}
 }
 
 // TestFeedFollowsTheDerivedReadSet: the subscription a derived stream is fed
 // through declares need of the derived stream's union, re-derived as its
-// subscribers come and go; detaching removes it.
+// subscribers come and go.
 func TestFeedFollowsTheDerivedReadSet(t *testing.T) {
 	src, _ := New("raw", MustSchema("a", "b", "c", "d"))
 	d, _ := New("view", src.Schema())
@@ -248,7 +235,7 @@ func TestFeedFollowsTheDerivedReadSet(t *testing.T) {
 		}
 		return NewReadSet(append(slices.Clone(r.Fields()), 3)...)
 	}
-	detach, err := d.Feed(src, need, func(in []Tuple) {
+	err := d.Feed(src, need, func(in []Tuple) {
 		if err := d.PublishDerivedBatch(in, func(in []Tuple, _ *ReadSet) []Tuple { return in }); err != nil {
 			t.Error(err)
 		}
@@ -256,7 +243,7 @@ func TestFeedFollowsTheDerivedReadSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Feed(src, need, func([]Tuple) {}); err == nil {
+	if err := d.Feed(src, need, func([]Tuple) {}); err == nil {
 		t.Error("a stream was fed from two sources")
 	}
 	reads := func() []int { return src.Reads().Fields() }
@@ -279,10 +266,6 @@ func TestFeedFollowsTheDerivedReadSet(t *testing.T) {
 	cancelB()
 	if !slices.Equal(reads(), []int{3}) {
 		t.Fatalf("derived subscribers gone: source reads %v, want [3]", reads())
-	}
-	detach()
-	if src.SubscriberCount() != 0 || !slices.Equal(reads(), []int{}) {
-		t.Fatalf("after detach: %d source subscribers reading %v, want none", src.SubscriberCount(), reads())
 	}
 }
 
@@ -520,6 +503,24 @@ func TestEndLoanPoisonsOnlyWhenAsked(t *testing.T) {
 	for i, f := range fields {
 		if !math.IsNaN(f) {
 			t.Errorf("field %d = %g after a poisoned EndLoan, want NaN", i, f)
+		}
+	}
+}
+
+// TestReadSetCovers: r covers o when r holds every field of o; nil is
+// every field.
+func TestReadSetCovers(t *testing.T) {
+	abc, ac, ad := NewReadSet(0, 1, 2), NewReadSet(2, 0), NewReadSet(0, 3)
+	for _, c := range []struct {
+		r, o *ReadSet
+		want bool
+	}{
+		{abc, ac, true}, {ac, abc, false}, {abc, ad, false}, {ac, ac, true},
+		{abc, noFields, true}, {noFields, ac, false},
+		{nil, abc, true}, {abc, nil, false}, {nil, nil, true},
+	} {
+		if got := c.r.Covers(c.o); got != c.want {
+			t.Errorf("%v covers %v = %v, want %v", c.r.Fields(), c.o.Fields(), got, c.want)
 		}
 	}
 }

@@ -326,7 +326,7 @@ func View(src *stream.Stream, cfg Config) (*stream.Stream, error) {
 		return nil, err
 	}
 	build := tr.project
-	if _, err := view.Feed(src, rawReads, func(in []stream.Tuple) {
+	if err := view.Feed(src, rawReads, func(in []stream.Tuple) {
 		if err := view.PublishDerivedBatch(in, build); err != nil {
 			// src and the view share a schema of numFields fields, so this
 			// cannot happen.

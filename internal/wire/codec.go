@@ -341,6 +341,17 @@ func (bb *BatchBuf) Release() {
 // into again. Whatever bb held before is overwritten or out of reach — the
 // result has exactly the payload's tuples and fields, no stale tail.
 func DecodeBatchInto(bb *BatchBuf, payload []byte) (Batch, error) {
+	return decodeBatch(bb, payload, nil)
+}
+
+// decodeBatch is DecodeBatchInto that converts only the fields in reads
+// (nil: every field; indices outside the batch's width are ignored). The
+// payload is validated exactly as BatchGeometry does, whatever reads holds,
+// and every tuple gets its Ts, Seq and a field array of the batch's width;
+// the fields outside reads hold undefined values — NaN under
+// stream.PoisonEndedLoans, since decoding into bb ends the loan of what it
+// held.
+func decodeBatch(bb *BatchBuf, payload []byte, reads *stream.ReadSet) (Batch, error) {
 	handle, count, fields, err := BatchGeometry(payload)
 	if err != nil {
 		return Batch{}, err
@@ -358,13 +369,25 @@ func DecodeBatchInto(bb *BatchBuf, payload []byte) (Batch, error) {
 		bb.tuples = make([]stream.Tuple, count)
 	}
 	bb.arena, bb.tuples = bb.arena[:count*fields], bb.tuples[:count]
+	if reads != nil {
+		bb.EndLoan()
+	}
 	b.Tuples = bb.tuples
 	tupleSize := tupleHeadSize + 8*fields
 	for i := range b.Tuples {
 		off := i * tupleSize
 		fs := bb.arena[i*fields : (i+1)*fields : (i+1)*fields]
-		for j := range fs {
-			fs[j] = math.Float64frombits(binary.BigEndian.Uint64(body[off+tupleHeadSize+8*j:]))
+		vals := body[off+tupleHeadSize : off+tupleSize]
+		if reads == nil {
+			for j := range fs {
+				fs[j] = math.Float64frombits(binary.BigEndian.Uint64(vals[8*j:]))
+			}
+		} else {
+			for _, j := range reads.Fields() {
+				if j >= 0 && j < fields {
+					fs[j] = math.Float64frombits(binary.BigEndian.Uint64(vals[8*j:]))
+				}
+			}
 		}
 		b.Tuples[i] = stream.Tuple{
 			Ts:     decodeTime(int64(binary.BigEndian.Uint64(body[off:]))),

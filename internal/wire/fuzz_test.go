@@ -93,20 +93,23 @@ func FuzzDecodeFrame(f *testing.F) {
 }
 
 // FuzzDecodeBatch hits the batch decoder directly (no frame header), so the
-// mutator spends its budget on payload structure.
+// mutator spends its budget on payload structure. fieldSet picks a read set
+// (bit j for field j, bit 63 for field 1000): decoding only it must accept
+// and refuse exactly what the full decode does, and agree with it on every
+// field in the set.
 func FuzzDecodeBatch(f *testing.F) {
 	ts := time.Date(2014, 3, 24, 10, 0, 0, 0, time.UTC)
 	if p, err := AppendBatch(nil, 3, 2, []stream.Tuple{{Ts: ts, Seq: 9, Fields: []float64{4, 5}}}); err == nil {
-		f.Add(p)
+		f.Add(p, uint64(0b10))
 	}
 	if p, err := AppendBatchTraced(nil, 3, 2, []stream.Tuple{{Ts: ts, Seq: 9, Fields: []float64{4, 5}}}, 77); err == nil {
-		f.Add(p)
+		f.Add(p, uint64(0))
 	}
 	var lying []byte
 	lying = binary.BigEndian.AppendUint32(lying, 1)
 	lying = binary.BigEndian.AppendUint16(lying, 0xffff) // claims 65535 tuples
 	lying = binary.BigEndian.AppendUint16(lying, 0xffff) // of 65535 fields
-	f.Add(lying)
+	f.Add(lying, uint64(1<<63|1))
 	recycled := new(BatchBuf)
 	var dirty [][]byte
 	for _, shape := range [][2]int{{MaxBatch, 3}, {1, 1}, {9, 45}} {
@@ -116,10 +119,26 @@ func FuzzDecodeBatch(f *testing.F) {
 		}
 		dirty = append(dirty, p)
 	}
-	f.Fuzz(func(t *testing.T, payload []byte) {
+	f.Fuzz(func(t *testing.T, payload []byte, fieldSet uint64) {
 		b, err := DecodeBatch(payload)
+		fields := []int{} // not nil: sameBatchOn reads nil as every field
+		for j := range 63 {
+			if fieldSet>>j&1 == 1 {
+				fields = append(fields, j)
+			}
+		}
+		if fieldSet>>63 == 1 {
+			fields = append(fields, 1000)
+		}
+		part, perr := decodeBatch(recycled, payload, stream.NewReadSet(fields...))
+		if (perr == nil) != (err == nil) || (err != nil && perr.Error() != err.Error()) {
+			t.Fatalf("decoding fields %v: error %v, full decode %v", fields, perr, err)
+		}
 		if err != nil {
 			return
+		}
+		if msg := sameBatchOn(part, b, fields); msg != "" {
+			t.Fatalf("decoding fields %v: %s", fields, msg)
 		}
 		// A traced batch re-encodes with its timestamp; the one accepted
 		// payload no encoder produces is a trace flag over a zero timestamp.

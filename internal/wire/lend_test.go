@@ -2,12 +2,14 @@ package wire
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"gesturecep/internal/anduin"
 	"gesturecep/internal/serve"
+	"gesturecep/internal/stream"
 )
 
 // Tests of the local host's lent decode buffer: localSession.Batch decodes
@@ -252,10 +254,49 @@ func TestDecodeIntoDirtyBuffer(t *testing.T) {
 	}
 }
 
+// TestDecodeOnlyTheReadSet: decoding a read set converts exactly its
+// fields, bit for bit as the full decode does, and with ended loans
+// poisoned leaves NaN in every other field — also in a buffer that held a
+// full decode, and in one grown for the batch.
+func TestDecodeOnlyTheReadSet(t *testing.T) {
+	stream.PoisonEndedLoans(true)
+	defer stream.PoisonEndedLoans(false)
+	reads := []int{0, 2, 24, 25, 26, 44}
+	bb := new(BatchBuf)
+	for _, width := range []int{64, 3, 64, 200} {
+		payload := lendPayloads(t, 1, width, kinectFields)[0]
+		want, err := DecodeBatch(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeBatchInto(bb, payload); err != nil {
+			t.Fatal(err)
+		}
+		got, err := decodeBatch(bb, payload, stream.NewReadSet(reads...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msg := sameBatchOn(got, want, reads); msg != "" {
+			t.Fatalf("%d tuples: %s", width, msg)
+		}
+		for i, tup := range got.Tuples {
+			for k, v := range tup.Fields {
+				if !slices.Contains(reads, k) && !math.IsNaN(v) {
+					t.Fatalf("%d tuples: tuple %d field %d outside the read set holds %g, want NaN", width, i, k, v)
+				}
+			}
+		}
+	}
+}
+
 // sameBatch reports how two decoded batches differ, "" when they do not.
 // Fields compare as bits (payloads may carry NaNs) and capacities count: a
 // tuple must not be able to reach into its neighbour's fields.
-func sameBatch(got, want Batch) string {
+func sameBatch(got, want Batch) string { return sameBatchOn(got, want, nil) }
+
+// sameBatchOn is sameBatch comparing the values of only the given fields
+// (nil: every field).
+func sameBatchOn(got, want Batch, fields []int) string {
 	if got.Handle != want.Handle || got.Fields != want.Fields || got.SentNs != want.SentNs || len(got.Tuples) != len(want.Tuples) {
 		return "headers or tuple counts differ"
 	}
@@ -265,6 +306,9 @@ func sameBatch(got, want Batch) string {
 			return "tuple headers differ"
 		}
 		for k := range w.Fields {
+			if fields != nil && !slices.Contains(fields, k) {
+				continue
+			}
 			if math.Float64bits(g.Fields[k]) != math.Float64bits(w.Fields[k]) {
 				return "fields differ"
 			}

@@ -102,8 +102,11 @@ func (ls *localSession) Batch(b RawBatch) error {
 	if BatchTraced(b.Payload) {
 		start = time.Now()
 	}
+	// Only the fields the session reads are converted (serve.Session.Reads):
+	// for the demo plans 15 of 45.
 	buf := getBatchBuf()
-	batch, err := DecodeBatchInto(buf, b.Payload)
+	reads := ls.sess.Reads()
+	batch, err := decodeBatch(buf, b.Payload, reads)
 	if err != nil {
 		buf.Release()
 		return err
@@ -117,7 +120,7 @@ func (ls *localSession) Batch(b RawBatch) error {
 	// releases it. FeedLent blocks on a full shard queue under serve.Block —
 	// this is the backpressure path. A traced batch's timestamp rides along
 	// so the serve-side stage histograms see it.
-	if err := ls.sess.FeedLent(batch.Tuples, batch.SentNs, buf); err != nil {
+	if err := ls.sess.FeedLent(batch.Tuples, reads, batch.SentNs, buf); err != nil {
 		// Refused, so never lent. A feed failure means the session or manager
 		// closed under the connection; it is fatal so the client never
 		// receives an error frame it has no request in flight for.
