@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"io"
@@ -238,4 +239,59 @@ func TestBackfillStopsAtTheNextRecord(t *testing.T) {
 	if _, err := r.Lend(); err != nil {
 		t.Errorf("the recording ends where the backfill stopped (%v); the test stopped nothing", err)
 	}
+}
+
+// TestSegmentBuffersOutliveTheSegment: the writer rolls onto a new segment
+// through the bufio.Writer it already has, and a reader crosses into the
+// next segment through the bufio.Reader and record buffer it already has —
+// a segment boundary opens a file and leaves no buffers to the collector.
+func TestSegmentBuffersOutliveTheSegment(t *testing.T) {
+	root := t.TempDir()
+	w, err := Create(root, "s", synthSchema, smallSegOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bw := w.bw
+	tuples := synthTuples(64)
+	for _, tu := range tuples {
+		if err := w.Append(tu); err != nil {
+			t.Fatal(err)
+		}
+		if w.bw != bw {
+			t.Fatalf("segment %d is written through a new bufio.Writer", w.segIndex)
+		}
+	}
+	if w.segIndex < 2 {
+		t.Fatalf("wrote %d segments, want several", w.segIndex+1)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := OpenReader(root, "s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var br *bufio.Reader
+	var buf *byte
+	var got []stream.Tuple
+	for {
+		ts, err := r.Lend()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if br == nil {
+			br, buf = r.seg.r, &r.seg.buf[0]
+		} else if r.seg.r != br || &r.seg.buf[0] != buf {
+			t.Fatalf("segment %d is read through new buffers", r.pos-1)
+		}
+		for _, tu := range ts {
+			got = append(got, tu.Clone())
+		}
+	}
+	tuplesEqual(t, got, tuples)
 }

@@ -23,8 +23,9 @@ type Reader struct {
 	pos  int // next index into segs to open
 
 	f          *os.File
-	sr         *segmentReader
-	started    bool // a segment has been opened; nextRecord is anchored
+	sr         *segmentReader // &seg while a segment is open, else nil
+	seg        segmentReader  // reads each segment in turn, keeping its buffers
+	started    bool           // a segment has been opened; nextRecord is anchored
 	nextRecord uint64
 	records    uint64
 	tuples     uint64
@@ -79,11 +80,11 @@ func (r *Reader) openNext() error {
 	if err != nil {
 		return err
 	}
-	sr, err := newSegmentReader(f)
-	if err != nil {
+	if err := r.seg.open(f); err != nil {
 		f.Close()
 		return fmt.Errorf("store: segment %d: %w", index, err)
 	}
+	sr := &r.seg
 	if sr.hdr.fields != len(r.man.Fields) {
 		f.Close()
 		return fmt.Errorf("store: segment %d is %d fields wide, manifest declares %d",

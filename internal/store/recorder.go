@@ -42,8 +42,12 @@ type Recorder struct {
 	// it, so once Close holds the lock no tap can still sneak a tuple into
 	// the backlog uncounted — Recorded()+Dropped() equals the number of tap
 	// calls exactly.
-	mu      sync.Mutex
-	pending []byte // tapped and not yet taken by the drain: one encoded tuple body after another
+	mu sync.Mutex
+	// pending is what the taps queued and the drain has not taken: chunks
+	// of chunkTuples encoded tuple bodies, the last one being filled. free
+	// holds emptied chunks for the taps to fill again.
+	pending [][]byte
+	free    [][]byte
 	closed  bool
 
 	queued   atomic.Int64 // tapped and not yet handed to the writer; ≤ limit
@@ -100,7 +104,12 @@ func (r *Recorder) tap(t stream.Tuple) {
 	}
 	r.queued.Add(1)
 	first := len(r.pending) == 0
-	r.pending = wire.AppendTupleBody(r.pending, &t)
+	n := len(r.pending)
+	if n == 0 || len(r.pending[n-1]) == cap(r.pending[n-1]) {
+		r.pending = append(r.pending, r.chunkLocked())
+		n++
+	}
+	r.pending[n-1] = wire.AppendTupleBody(r.pending[n-1], &t)
 	r.mu.Unlock()
 	if first {
 		select {
@@ -113,7 +122,7 @@ func (r *Recorder) tap(t stream.Tuple) {
 // drain moves tuples from the backlog to the writer until Close.
 func (r *Recorder) drain() {
 	defer close(r.done)
-	var spare []byte
+	var spare [][]byte
 	for {
 		select {
 		case <-r.notify:
@@ -135,27 +144,56 @@ func (r *Recorder) drain() {
 	}
 }
 
-// maxSpareTuples bounds the backlog capacity kept between bursts, so one
-// long disk stall does not pin its high-water mark for the recording's life.
+// chunkTuples is how many encoded tuples one chunk of the backlog holds.
+// The backlog grows a chunk at a time, so a disk stall costs the memory of
+// what it queued and no more: nothing is copied into a doubled buffer, and
+// no outgrown buffer is left to the garbage collector.
+const chunkTuples = 64
+
+// maxSpareTuples bounds the emptied chunks kept between bursts, so one long
+// disk stall does not pin its high-water mark for the recording's life.
 const maxSpareTuples = 2048
 
-// drainBacklog takes everything the taps have queued — leaving them spare,
-// emptied, to queue into — and hands it to the writer. It returns the buffer
+// chunkLocked returns an empty chunk for the taps to fill, a spare one when
+// there is one. r.mu must be held.
+func (r *Recorder) chunkLocked() []byte {
+	if n := len(r.free); n > 0 {
+		c := r.free[n-1]
+		r.free[n-1] = nil
+		r.free = r.free[:n-1]
+		return c
+	}
+	return make([]byte, 0, chunkTuples*tupleBytes(r.fields))
+}
+
+// drainBacklog takes every chunk the taps have queued — leaving them spare,
+// an empty list to queue into — hands the chunks to the writer in order and
+// gives them back, emptied, for the taps to fill again. It returns the list
 // it took, emptied, as the next swap's spare.
-func (r *Recorder) drainBacklog(spare []byte) []byte {
+func (r *Recorder) drainBacklog(spare [][]byte) [][]byte {
 	r.mu.Lock()
-	batch := r.pending
+	chunks := r.pending
 	r.pending = spare
 	r.mu.Unlock()
+	if len(chunks) == 0 {
+		return chunks
+	}
 	size := tupleBytes(r.fields)
-	if n := len(batch) / size; n > 0 {
-		r.append(batch, n)
-		r.queued.Add(-int64(n))
+	for _, c := range chunks {
+		if n := len(c) / size; n > 0 {
+			r.append(c, n)
+			r.queued.Add(-int64(n))
+		}
 	}
-	if cap(batch) > maxSpareTuples*size {
-		return nil
+	r.mu.Lock()
+	for i, c := range chunks {
+		if len(r.free) < maxSpareTuples/chunkTuples {
+			r.free = append(r.free, c[:0])
+		}
+		chunks[i] = nil
 	}
-	return batch[:0]
+	r.mu.Unlock()
+	return chunks[:0]
 }
 
 // Sync drains the tap backlog and flushes the writer, so that every tuple

@@ -93,12 +93,12 @@ func TestDroppingRecorderDoesNotCopy(t *testing.T) {
 	stuck := &Recorder{limit: 2, fields: len(tu.Fields)}
 	stuck.Tap()(tu)
 	stuck.Tap()(tu)
-	if want := 2 * tupleBytes(len(tu.Fields)); len(stuck.pending) != want {
-		t.Fatalf("backlog holds %d bytes, want the %d of 2 tapped tuples", len(stuck.pending), want)
+	if want := 2 * tupleBytes(len(tu.Fields)); backlogBytes(stuck) != want {
+		t.Fatalf("backlog holds %d bytes, want the %d of 2 tapped tuples", backlogBytes(stuck), want)
 	}
 	dropsFree("full buffer", stuck)
-	if want := 2 * tupleBytes(len(tu.Fields)); len(stuck.pending) != want {
-		t.Fatalf("dropping taps left %d bytes queued, want %d", len(stuck.pending), want)
+	if want := 2 * tupleBytes(len(tu.Fields)); backlogBytes(stuck) != want {
+		t.Fatalf("dropping taps left %d bytes queued, want %d", backlogBytes(stuck), want)
 	}
 
 	w, err := Create(t.TempDir(), "drops", synthSchema, Options{})
@@ -122,6 +122,62 @@ func TestDroppingRecorderDoesNotCopy(t *testing.T) {
 	if taps := uint64(3 + 2*(runs+1)); rec.Recorded() != 3 || rec.Recorded()+rec.Dropped() != taps {
 		t.Errorf("recorded %d + dropped %d, want 3 recorded of %d tap calls", rec.Recorded(), rec.Dropped(), taps)
 	}
+}
+
+// backlogBytes is how many encoded bytes r's taps have queued.
+func backlogBytes(r *Recorder) int {
+	n := 0
+	for _, c := range r.pending {
+		n += len(c)
+	}
+	return n
+}
+
+// TestRecorderBacklogGrowsByChunks: what a stalled drain leaves queued
+// costs its encoded bytes rounded up to one chunk — never a doubled buffer —
+// and once the drain has written it, the emptied chunks are what the next
+// taps fill. (The drain is called by hand: no goroutine races the counts.)
+func TestRecorderBacklogGrowsByChunks(t *testing.T) {
+	root := t.TempDir()
+	w, err := Create(root, "chunks", synthSchema, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuples := synthTuples(1000)
+	rec := &Recorder{w: w, limit: 4096, fields: synthSchema.Len()}
+	chunkBytes := chunkTuples * tupleBytes(rec.fields)
+	held := func() (bytes, chunks int) {
+		for _, c := range rec.pending {
+			bytes += cap(c)
+		}
+		return bytes, len(rec.pending)
+	}
+	want := (len(tuples) + chunkTuples - 1) / chunkTuples
+	for _, tu := range tuples {
+		rec.tap(tu)
+	}
+	if bytes, chunks := held(); chunks != want || bytes != want*chunkBytes {
+		t.Fatalf("%d tuples queued in %d chunks of %d bytes in all, want %d chunks of %d", len(tuples), chunks, bytes, want, chunkBytes)
+	}
+	spare := rec.drainBacklog(nil)
+	if len(rec.free) != want || rec.Recorded() != uint64(len(tuples)) {
+		t.Fatalf("after the drain: %d chunks spare and %d recorded, want %d and %d", len(rec.free), rec.Recorded(), want, len(tuples))
+	}
+	for _, tu := range tuples {
+		rec.tap(tu)
+	}
+	if bytes, chunks := held(); len(rec.free) != 0 || chunks != want || bytes != want*chunkBytes {
+		t.Fatalf("refilled %d chunks of %d bytes in all, %d left spare; want the %d spare ones reused", chunks, bytes, len(rec.free), want)
+	}
+	rec.drainBacklog(spare)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadAll(root, "chunks")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuplesEqual(t, got, append(tuples[:len(tuples):len(tuples)], tuples...))
 }
 
 // TestRecorderRidesOutAStalledWriter: while the disk does not take a write,

@@ -95,7 +95,8 @@ func (r *Reader) seekTo(segPos int, offset int64, next uint64) error {
 		}
 	}
 	r.f = f
-	r.sr = newSegmentReaderAt(f, hdr, next)
+	r.seg.openAt(f, hdr, next)
+	r.sr = &r.seg
 	r.pos = segPos + 1
 	r.started = true
 	r.nextRecord = next

@@ -106,24 +106,47 @@ type segmentReader struct {
 // wantBase are checked when non-negative / non-max (the fuzz target reads
 // segments standalone and passes no expectations).
 func newSegmentReader(r io.Reader) (*segmentReader, error) {
-	br := bufio.NewReaderSize(r, 64<<10)
+	sr := new(segmentReader)
+	if err := sr.open(r); err != nil {
+		return nil, err
+	}
+	return sr, nil
+}
+
+// open makes sr read segment r, validating its header. The buffers sr
+// already holds are kept: a Reader moves one segmentReader from segment to
+// segment rather than growing new ones for each.
+func (sr *segmentReader) open(r io.Reader) error {
+	sr.reset(r)
 	var hb [segHeaderBytes]byte
-	if _, err := io.ReadFull(br, hb[:]); err != nil {
-		return nil, fmt.Errorf("store: short segment header: %w", err)
+	if _, err := io.ReadFull(sr.r, hb[:]); err != nil {
+		return fmt.Errorf("store: short segment header: %w", err)
 	}
 	hdr, err := decodeSegHeader(hb[:])
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &segmentReader{r: br, hdr: hdr, next: hdr.baseRecord}, nil
+	sr.hdr, sr.next = hdr, hdr.baseRecord
+	return nil
 }
 
-// newSegmentReaderAt wraps a file already positioned at a record boundary
+// openAt is open for a file already positioned at a record boundary
 // mid-segment — the seek path, which validated the header and picked the
 // position from the sparse index. next is the stream-wide ordinal of the
 // record at that position.
-func newSegmentReaderAt(r io.Reader, hdr segHeader, next uint64) *segmentReader {
-	return &segmentReader{r: bufio.NewReaderSize(r, 64<<10), hdr: hdr, next: next}
+func (sr *segmentReader) openAt(r io.Reader, hdr segHeader, next uint64) {
+	sr.reset(r)
+	sr.hdr, sr.next = hdr, next
+}
+
+// reset points sr's buffered reader at r, dropping whatever it buffered.
+func (sr *segmentReader) reset(r io.Reader) {
+	if sr.r == nil {
+		sr.r = bufio.NewReaderSize(r, 64<<10)
+	} else {
+		sr.r.Reset(r)
+	}
+	sr.payload = nil
 }
 
 // Next decodes one record into bb, which decides who owns the tuples: a fresh

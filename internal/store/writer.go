@@ -110,7 +110,13 @@ func (w *Writer) openSegment(index int, baseRecord uint64) error {
 		return err
 	}
 	w.f = f
-	w.bw = bufio.NewWriterSize(f, 64<<10)
+	if w.bw == nil {
+		w.bw = bufio.NewWriterSize(f, 64<<10)
+	} else {
+		// A roll: the sealed segment's buffer was flushed, and serves the
+		// next segment instead of being left to the garbage collector.
+		w.bw.Reset(f)
+	}
 	w.segIndex = index
 	w.segBytes = segHeaderBytes
 	w.records = baseRecord
