@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"gesturecep/internal/anduin"
 	"gesturecep/internal/cep"
 	"gesturecep/internal/detect"
 	"gesturecep/internal/e2e"
@@ -167,14 +168,11 @@ func BenchmarkNFAProcessTuple(b *testing.B) {
 	}
 }
 
-// BenchmarkNFALearnedQueries measures the engine kernel on what the
-// serving stack actually runs: the eight demo gestures learned as
-// cmd/gestured learns them, one NFA each, stepped over a scripted session
-// (every gesture performed once, idle between) already transformed to
-// kinect_t. BenchmarkNFAProcessTuple above only exercises a hand-written
-// closure that never matches. One op is one tuple through all eight NFAs.
-func BenchmarkNFALearnedQueries(b *testing.B) {
-	var nfas []*cep.NFA
+// learnedSession is what the learned-query benchmarks step: the eight demo
+// gestures learned as cmd/gestured learns them, one NFA each, and a scripted
+// session (every gesture performed once, idle between) already transformed
+// to kinect_t, with the stride a replay of it moves event time on by.
+func learnedSession(b *testing.B) (nfas []*cep.NFA, tuples []stream.Tuple, stride time.Duration) {
 	script := []kinect.ScriptItem{{Idle: 500 * time.Millisecond}}
 	for _, plan := range e2e.DemoPlans(b) {
 		nfas = append(nfas, plan.Program.Instantiate())
@@ -194,9 +192,30 @@ func BenchmarkNFALearnedQueries(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tuples := kinect.ToTuples(view)
-	stride := sess.Duration().Truncate(time.Second) + 2*time.Second
+	return nfas, kinect.ToTuples(view), sess.Duration().Truncate(time.Second) + 2*time.Second
+}
 
+// reportLearned fails a run long enough to hold a whole session that
+// detected nothing, and reports ns and predicate calls per tuple.
+func reportLearned(b *testing.B, nfas []*cep.NFA, sessionLen, matches int) {
+	if b.N >= sessionLen && matches == 0 {
+		b.Fatal("a full session through eight learned queries detected nothing")
+	}
+	var processed, predCalls uint64
+	for _, nfa := range nfas {
+		p, c, _, _ := nfa.Stats()
+		processed, predCalls = processed+p, predCalls+c
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/tuple")
+	b.ReportMetric(float64(predCalls)/float64(processed), "predcalls/tuple")
+}
+
+// BenchmarkNFALearnedQueries measures the engine kernel on what the
+// serving stack actually runs (learnedSession), tuple by tuple through
+// Process. BenchmarkNFAProcessTuple above only exercises a hand-written
+// closure that never matches. One op is one tuple through all eight NFAs.
+func BenchmarkNFALearnedQueries(b *testing.B) {
+	nfas, tuples, stride := learnedSession(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	matches := 0
@@ -208,16 +227,33 @@ func BenchmarkNFALearnedQueries(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if b.N >= len(tuples) && matches == 0 {
-		b.Fatal("a full session through eight learned queries detected nothing")
+	reportLearned(b, nfas, len(tuples), matches)
+}
+
+// BenchmarkNFALearnedQueriesBatch is BenchmarkNFALearnedQueries through the
+// entry point the shard worker and backfill call: 64-wide batches through
+// ProcessBatch, one per NFA. One op is still one tuple through all eight
+// NFAs, and the detections and counters are those of Process.
+func BenchmarkNFALearnedQueriesBatch(b *testing.B) {
+	nfas, tuples, stride := learnedSession(b)
+	batch := make([]stream.Tuple, 64)
+	var found []cep.BatchMatch
+	b.ReportAllocs()
+	b.ResetTimer()
+	matches := 0
+	for i := 0; i < b.N; i += len(batch) {
+		chunk := batch[:min(len(batch), b.N-i)]
+		for k := range chunk {
+			chunk[k] = tuples[(i+k)%len(tuples)]
+			chunk[k].Ts = chunk[k].Ts.Add(time.Duration((i+k)/len(tuples)) * stride)
+		}
+		for _, nfa := range nfas {
+			found = nfa.ProcessBatch(chunk, found[:0])
+			matches += len(found)
+		}
 	}
-	var processed, predCalls uint64
-	for _, nfa := range nfas {
-		p, c, _, _ := nfa.Stats()
-		processed, predCalls = processed+p, predCalls+c
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/tuple")
-	b.ReportMetric(float64(predCalls)/float64(processed), "predcalls/tuple")
+	b.StopTimer()
+	reportLearned(b, nfas, len(tuples), matches)
 }
 
 // BenchmarkTransformFrame measures the §3.2 transformation per skeleton
@@ -258,6 +294,46 @@ func BenchmarkTransformTuple(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, ok := tr.Lend(tuples[i%len(tuples)]); !ok {
 			b.Fatal("well-formed tuple dropped")
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/tuple")
+}
+
+// BenchmarkTransformProject measures the kinect_t view as the serving path
+// runs it: 64-wide raw batches published through transform.View to one
+// subscriber reading what the eight demo plans read, so only the joints in
+// their union (one, the right hand) are rotated and scaled, and the
+// parameters are estimated for every tuple.
+func BenchmarkTransformProject(b *testing.B) {
+	engine := anduin.New()
+	_, demoView, err := engine.KinectPipeline(transform.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, plan := range e2e.DemoPlans(b) {
+		if _, err := engine.DeployPlan(plan); err != nil {
+			b.Fatal(err)
+		}
+	}
+	raw, err := stream.New("kinect", kinect.Schema())
+	if err != nil {
+		b.Fatal(err)
+	}
+	view, err := transform.View(raw, transform.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	view.SubscribeBatch(demoView.Reads(), func([]stream.Tuple) {})
+	sim, err := kinect.NewSimulator(kinect.DefaultProfile(), kinect.DefaultNoise(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tuples := kinect.ToTuples(sim.Idle(benchTime(), 3*time.Second))[:64]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += len(tuples) {
+		if err := raw.PublishBatch(tuples[:min(len(tuples), b.N-i)]); err != nil {
+			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/tuple")

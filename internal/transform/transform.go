@@ -24,6 +24,7 @@ package transform
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"gesturecep/internal/geom"
 	"gesturecep/internal/kinect"
@@ -152,19 +153,29 @@ type params struct {
 	scale  float64
 }
 
-// estimate fills in one frame's parameters from the five joints they depend
-// on, advancing the smoothed forearm. Frame and Tuple share it; they differ
-// only in where joints are read from and written to.
+// estimate writes one frame's parameters into p from the five joints they
+// depend on, advancing the smoothed forearm. Frame and Tuple share it; they
+// differ only in where joints are read from and written to. Each field of p
+// is written once. The rotation is geom.RotY of the yaw (the inverse of the
+// user's RotY(-yaw)) with sine and cosine from one math.Sincos: it reduces
+// the angle once and evaluates the same polynomials as math.Sin and
+// math.Cos, so every entry is bit-identical to RotY's (TestSincosIsSinCos).
 func (t *Transformer) estimate(p *params, torso, lShoulder, rShoulder, rElbow, rHand geom.Vec3) {
-	*p = params{rot: geom.Identity(), scale: 1}
 	if t.cfg.Shift {
 		p.origin = torso
+	} else {
+		p.origin = geom.Vec3{}
 	}
 	if t.cfg.Rotate {
-		p.rot = geom.RotY(shoulderYaw(lShoulder, rShoulder)) // inverse of the user's RotY(-yaw)
+		s, c := math.Sincos(shoulderYaw(lShoulder, rShoulder))
+		p.rot = geom.Mat3{{c, 0, s}, {0, 1, 0}, {-s, 0, c}}
+	} else {
+		p.rot = geom.Identity()
 	}
 	if t.cfg.Scale {
 		p.scale = t.cfg.ReferenceForearm / t.forearm(rElbow, rHand)
+	} else {
+		p.scale = 1
 	}
 }
 
@@ -270,26 +281,25 @@ func rawReads(reads *stream.ReadSet) *stream.ReadSet {
 }
 
 // into writes the transformation of the raw field array in to out for the
-// joints in the mask. No frame is built: the five joints the parameters
-// depend on are read from in, and shift → rotate → scale is written
-// straight into out. The arithmetic is Vec3.Sub, Mat3.Apply and Vec3.Scale
-// spelled out in their exact expression order, so not one output float
-// differs from Frame's.
+// joints in the mask, visiting only its set bits. No frame is built: the
+// five joints the parameters depend on are read from in, and shift →
+// rotate → scale is written straight into out. The arithmetic is Vec3.Sub,
+// Mat3.Apply and Vec3.Scale spelled out in their exact expression order, so
+// not one output float differs from Frame's.
 func (t *Transformer) into(out, f *[numFields]float64, joints uint16) {
 	joint := func(j kinect.Joint) geom.Vec3 { return geom.V(f[j*3], f[j*3+1], f[j*3+2]) }
 	var par params
 	t.estimate(&par, joint(kinect.Torso), joint(kinect.LeftShoulder), joint(kinect.RightShoulder),
 		joint(kinect.RightElbow), joint(kinect.RightHand))
 	o, r, s := par.origin, &par.rot, par.scale
-	for i := 0; i < numFields; i += 3 {
-		// Testing for the whole mask first keeps every-joint callers
-		// (Tuple, Lend) as fast as the unmasked loop.
-		if joints == allJoints || joints&(1<<(i/3)) != 0 {
-			x, y, z := f[i]-o.X, f[i+1]-o.Y, f[i+2]-o.Z
-			out[i] = (r[0][0]*x + r[0][1]*y + r[0][2]*z) * s
-			out[i+1] = (r[1][0]*x + r[1][1]*y + r[1][2]*z) * s
-			out[i+2] = (r[2][0]*x + r[2][1]*y + r[2][2]*z) * s
-		}
+	for m := joints; m != 0; m &= m - 1 {
+		// The zero entries of r are multiplied too, as Mat3.Apply does: a
+		// NaN or ±Inf coordinate makes them NaN.
+		i := 3 * bits.TrailingZeros16(m)
+		x, y, z := f[i]-o.X, f[i+1]-o.Y, f[i+2]-o.Z
+		out[i] = (r[0][0]*x + r[0][1]*y + r[0][2]*z) * s
+		out[i+1] = (r[1][0]*x + r[1][1]*y + r[1][2]*z) * s
+		out[i+2] = (r[2][0]*x + r[2][1]*y + r[2][2]*z) * s
 	}
 }
 
