@@ -33,23 +33,36 @@ func (s *state) holds(t *stream.Tuple) bool {
 	return true
 }
 
-// rowMask tests a state of range rows on up to 64 tuples, row by row down
-// the column of the row's field: bit k of the result is set when ts[k]
-// satisfies every row, exactly when holds(ts[k]) would report it.
+// rowMask tests a state of range rows on up to 64 tuples: bit k of the
+// result is set when ts[k] satisfies every row, exactly when holds(ts[k])
+// would report it. The first row runs down the whole column of its field;
+// each later row is tested only on the tuples that passed the rows before
+// it, the set bits of the mask so far (a selection vector, as in
+// MonetDB/X100). Every bit is set and cleared from the comparison's flag,
+// with no branch on the outcome.
 func (s *state) rowMask(ts []stream.Tuple) uint64 {
-	m := uint64(1)<<len(ts) - 1
-	for _, r := range s.rows {
-		var pass uint64
-		for k := range ts {
-			if math.Abs(ts[k].Fields[r.Field]-r.Center) < r.HalfWidth {
-				pass |= 1 << k
-			}
-		}
-		if m &= pass; m == 0 {
-			break
+	r := &s.rows[0]
+	var m uint64
+	for k := range ts {
+		m |= bit(math.Abs(ts[k].Fields[r.Field]-r.Center) < r.HalfWidth) << (k & 63)
+	}
+	for _, r := range s.rows[1:] {
+		for rest := m; rest != 0; rest &= rest - 1 {
+			k := bits.TrailingZeros64(rest)
+			m &^= bit(!(math.Abs(ts[k].Fields[r.Field]-r.Center) < r.HalfWidth)) << k
 		}
 	}
 	return m
+}
+
+// bit is 1 for true and 0 for false. The compiler makes it a SETcc, not a
+// jump.
+func bit(b bool) uint64 {
+	var u uint64
+	if b {
+		u = 1
+	}
+	return u
 }
 
 // windowConstraint enforces a `within` clause over the atoms [first, last]
