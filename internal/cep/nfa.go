@@ -82,8 +82,24 @@ type windowConstraint struct {
 type Program struct {
 	states      []state
 	constraints []windowConstraint
-	sel         SelectPolicy
-	consume     ConsumePolicy
+	// awaiting[next] is the deadline table: the windows a run awaiting
+	// state next is inside, as deadline reads them. It has an entry past
+	// the last state, for a run that has completed: that run is inside no
+	// window.
+	awaiting []openWindows
+	sel      SelectPolicy
+	consume  ConsumePolicy
+}
+
+// openWindows is the windows a run awaiting one state is inside: entered
+// (first state matched) but not completed (last state pending). Those
+// entered at state 0 all opened at the run's first tuple, so the earliest
+// of them to close is the shortest: anchored is its within, 0 when there is
+// none. later is every other open window, entered at a later state; a
+// pattern learned as a left-nested sequence has none.
+type openWindows struct {
+	anchored time.Duration
+	later    []windowConstraint
 }
 
 // CompileProgram flattens a validated Pattern into a shareable Program.
@@ -98,6 +114,19 @@ func CompileProgram(p Pattern, sel SelectPolicy, consume ConsumePolicy) (*Progra
 	prog.flatten(p)
 	if len(prog.states) == 0 {
 		return nil, fmt.Errorf("cep: pattern compiled to zero states")
+	}
+	prog.awaiting = make([]openWindows, len(prog.states)+1)
+	for next := range prog.awaiting {
+		w := &prog.awaiting[next]
+		for _, c := range prog.constraints {
+			switch {
+			case next <= c.first || c.last < next:
+			case c.first > 0:
+				w.later = append(w.later, c)
+			case w.anchored == 0 || c.within < w.anchored:
+				w.anchored = c.within
+			}
+		}
 	}
 	return prog, nil
 }
@@ -515,15 +544,20 @@ func (n *NFA) evictOldest() {
 // — entered (first state matched) but not completed (last state pending):
 // the tuple matching a window's last state must arrive no later than within
 // after the one that matched its first. A closing time beyond int64 is no
-// deadline.
+// deadline. It reads the windows off prog.awaiting: the shortest one
+// anchored at state 0 is one add to r's first time, the others a loop.
 func (prog *Program) deadline(r *run) int64 {
+	w := &prog.awaiting[r.next]
 	d := noDeadline
-	for _, c := range prog.constraints {
-		if c.first < r.next && r.next <= c.last {
-			entered := r.ts[c.first]
-			if end := entered + int64(c.within); end >= entered && end < d {
-				d = end
-			}
+	if w.anchored > 0 {
+		if end := r.ts[0] + int64(w.anchored); end >= r.ts[0] {
+			d = end
+		}
+	}
+	for _, c := range w.later {
+		entered := r.ts[c.first]
+		if end := entered + int64(c.within); end >= entered && end < d {
+			d = end
 		}
 	}
 	return d

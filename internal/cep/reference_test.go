@@ -179,11 +179,15 @@ func (n *refNFA) sweep() {
 // frame is the Kinect's 30 Hz tuple spacing.
 const frame = 33 * time.Millisecond
 
-// learnerShaped builds a random pattern of the shape learn.GenerateQuery
-// emits: a left-nested sequence ((p0 -> p1 within d1) -> p2 within d2) …
-// of 2–6 atoms, each level's window covering the poses so far. It returns
-// the pattern twice over the same predicates: once as the engine runs it,
-// and once with every range row rewritten as a closure for the reference.
+// learnerShaped builds a random pattern of 2–6 atoms and returns it twice
+// over the same predicates: once as the engine runs it, and once with every
+// range row rewritten as a closure for the reference. Half the patterns have
+// the shape learn.GenerateQuery emits: a left-nested sequence
+// ((p0 -> p1 within d1) -> p2 within d2) …, each level's window covering the
+// poses so far, so every window opens at state 0. The other half nest at
+// random, like p0 -> (p1 -> p2 within d) or
+// (p0 -> (p1 -> p2 within d1)) -> p3 within d2, so windows also open at a
+// later state, and a run is inside windows entered at different times.
 //
 // Pose k mostly tests range rows, as learned poses do: field 0 within a
 // half-width of k — 1 (k alone, with k ± 1 exactly on the open edge) or 1.5
@@ -191,7 +195,7 @@ const frame = 33 * time.Millisecond
 // complete a run and start the next) — and now and then field 1 within 2 of
 // 0. The other poses are closures accepting k and random other values, the
 // shape of a predicate the query compiler cannot turn into rows. Most
-// levels carry a window, a few do not, so inner-only and outer-only
+// sequences carry a window, a few do not, so inner-only and outer-only
 // constraints both occur. Windows are whole frames, like the stream's gaps,
 // so a tuple landing exactly on a deadline (which must still match) is
 // common.
@@ -225,18 +229,53 @@ func learnerShaped(rng *rand.Rand) (engine, ref Pattern, atoms int) {
 			return true
 		})
 	}
-	engine, ref = pose(0)
-	var cumulative time.Duration
-	for k := 1; k < atoms; k++ {
-		cumulative += time.Duration(3+rng.Intn(9)) * frame
-		within := cumulative
-		if rng.Intn(5) == 0 {
-			within = 0 // this level is unconstrained
-		}
-		e, r := pose(k)
-		engine = &Sequence{Elems: []Pattern{engine, e}, Within: within}
-		ref = &Sequence{Elems: []Pattern{ref, r}, Within: within}
+	engines, refs := make([]Pattern, atoms), make([]Pattern, atoms)
+	for k := range atoms {
+		engines[k], refs[k] = pose(k)
 	}
+	// window returns the within of a sequence spanning the given number of
+	// atoms: a few frames per step, or now and then none.
+	window := func(span int) time.Duration {
+		var d time.Duration
+		for range span - 1 {
+			d += time.Duration(3+rng.Intn(9)) * frame
+		}
+		if rng.Intn(5) == 0 {
+			return 0 // this level is unconstrained
+		}
+		return d
+	}
+	if rng.Intn(2) == 0 {
+		engine, ref = engines[0], refs[0]
+		for k := 1; k < atoms; k++ {
+			within := window(k + 1)
+			engine = &Sequence{Elems: []Pattern{engine, engines[k]}, Within: within}
+			ref = &Sequence{Elems: []Pattern{ref, refs[k]}, Within: within}
+		}
+		return engine, ref, atoms
+	}
+	// nested returns atoms [lo, hi) as a sequence of two or three parts,
+	// each an atom or, recursively, a nested sequence.
+	var nested func(lo, hi int) (engine, ref Pattern)
+	nested = func(lo, hi int) (engine, ref Pattern) {
+		if hi-lo == 1 {
+			return engines[lo], refs[lo]
+		}
+		cuts := []int{lo, lo + 1 + rng.Intn(hi-lo-1), hi}
+		if hi-lo >= 3 && rng.Intn(2) == 0 {
+			if c := lo + 1 + rng.Intn(hi-lo-1); c != cuts[1] {
+				cuts = []int{lo, min(c, cuts[1]), max(c, cuts[1]), hi}
+			}
+		}
+		e, r := &Sequence{Within: window(hi - lo)}, &Sequence{}
+		r.Within = e.Within
+		for i := 1; i < len(cuts); i++ {
+			pe, pr := nested(cuts[i-1], cuts[i])
+			e.Elems, r.Elems = append(e.Elems, pe), append(r.Elems, pr)
+		}
+		return e, r
+	}
+	engine, ref = nested(0, atoms)
 	return engine, ref, atoms
 }
 
@@ -275,10 +314,13 @@ type reach struct {
 	// closureStart: state 0 is a closure, so ProcessBatch asked it tuple
 	// by tuple instead of down a column.
 	closureStart bool
+	// laterWindow: a run awaited a state inside a window entered after
+	// state 0, whose deadline comes from the table's loop, not its add.
+	laterWindow bool
 }
 
 // differential drives the NFA and the reference matcher with the same
-// random learner-shaped pattern and stream, seeded by seed: equal and
+// random pattern (learnerShaped) and stream, seeded by seed: equal and
 // repeated timestamps, NaN fields, all four select/consume combinations, a
 // run cap of 2–4 so eviction fires. The same stream, cut into batches at
 // random boundaries (widths 1 to 150, so a batch can span more than one
@@ -372,6 +414,9 @@ func differential(seed int64) (reached reach, err error) {
 			return reached, fmt.Errorf("tuple %d: %w", i, err)
 		}
 		reached.atDeadline = reached.atDeadline || at
+		for s, q := range nfa.queues {
+			reached.laterWindow = reached.laterWindow || (q.head < len(q.runs) && len(prog.awaiting[s].later) > 0)
+		}
 	}
 	processed, predCalls, matches, pruned := nfa.Stats()
 	if processed != ref.processed || matches != ref.matches || pruned != ref.runsPruned {
@@ -422,7 +467,7 @@ func differential(seed int64) (reached reach, err error) {
 // TestQuickNFAMatchesReference runs the differential over 2000 seeds and
 // requires identical matches and counters, per tuple and in batches.
 func TestQuickNFAMatchesReference(t *testing.T) {
-	var evicting, matching, onDeadline, closures int
+	var evicting, matching, onDeadline, closures, later int
 	f := func(seed int64) bool {
 		reached, err := differential(seed)
 		if err != nil {
@@ -441,6 +486,9 @@ func TestQuickNFAMatchesReference(t *testing.T) {
 		if reached.closureStart {
 			closures++
 		}
+		if reached.laterWindow {
+			later++
+		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -448,11 +496,19 @@ func TestQuickNFAMatchesReference(t *testing.T) {
 	}
 	// The generator must actually reach the behaviours the differential is
 	// for, or equality above says nothing.
-	if evicting < 100 || matching < 100 || onDeadline < 100 || closures < 100 {
-		t.Errorf("generator too tame: %d streams evicted a run, %d matched, %d held a run at its deadline, %d began with a closure",
-			evicting, matching, onDeadline, closures)
+	if evicting < 100 || matching < 100 || onDeadline < 100 || closures < 100 || later < 100 {
+		t.Errorf("generator too tame: %d streams evicted a run, %d matched, %d held a run at its deadline, %d began with a closure, %d held a run inside a window entered after state 0",
+			evicting, matching, onDeadline, closures, later)
+	}
+	if reached, err := differential(laterWindowSeed); err != nil || !reached.laterWindow {
+		t.Errorf("seed %d: err %v, run inside a window entered after state 0 %t; the fuzz corpus wants one that is",
+			laterWindowSeed, err, reached.laterWindow)
 	}
 }
+
+// laterWindowSeed is a seed whose pattern has a window entered after state
+// 0 and whose stream holds a run inside it.
+const laterWindowSeed = 9
 
 // FuzzNFAEqualsReference is the differential as a fuzz target: every seed
 // the fuzzer finds must give the NFA, per tuple and in batches, and the
@@ -461,6 +517,7 @@ func FuzzNFAEqualsReference(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed)
 	}
+	f.Add(int64(laterWindowSeed))
 	f.Fuzz(func(t *testing.T, seed int64) {
 		if _, err := differential(seed); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
