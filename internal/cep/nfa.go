@@ -121,6 +121,7 @@ func CompileProgram(p Pattern, sel SelectPolicy, consume ConsumePolicy) (*Progra
 		for _, c := range prog.constraints {
 			switch {
 			case next <= c.first || c.last < next:
+				// not inside this window
 			case c.first > 0:
 				w.later = append(w.later, c)
 			case w.anchored == 0 || c.within < w.anchored:

@@ -267,8 +267,8 @@ func learnerShaped(rng *rand.Rand) (engine, ref Pattern, atoms int) {
 				cuts = []int{lo, min(c, cuts[1]), max(c, cuts[1]), hi}
 			}
 		}
-		e, r := &Sequence{Within: window(hi - lo)}, &Sequence{}
-		r.Within = e.Within
+		within := window(hi - lo)
+		e, r := &Sequence{Within: within}, &Sequence{Within: within}
 		for i := 1; i < len(cuts); i++ {
 			pe, pr := nested(cuts[i-1], cuts[i])
 			e.Elems, r.Elems = append(e.Elems, pe), append(r.Elems, pr)
