@@ -246,10 +246,10 @@ func TestViewMatchesReference(t *testing.T) {
 
 // TestSincosIsSinCos pins what estimate's single math.Sincos rests on: it
 // returns, bit for bit, math.Sin and math.Cos of the same angle. It holds
-// where the three share one pure-Go reduction and polynomials (amd64 and
-// arm64 among them; not s390x, whose Sin and Cos are assembly). Atan2
-// returns angles in [−π, π], NaN or ±0; the test covers those densely and
-// the rest of the line sparsely.
+// where the three are the same pure-Go reduction and polynomials, as on
+// amd64 (not on s390x, whose Sin and Cos are assembly). Atan2 returns
+// angles in [−π, π] or NaN; the test covers those densely and the rest of
+// the line sparsely.
 func TestSincosIsSinCos(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	angles := []float64{

@@ -159,7 +159,8 @@ type params struct {
 // is written once. The rotation is geom.RotY of the yaw (the inverse of the
 // user's RotY(-yaw)) with sine and cosine from one math.Sincos: it reduces
 // the angle once and evaluates the same polynomials as math.Sin and
-// math.Cos, so every entry is bit-identical to RotY's (TestSincosIsSinCos).
+// math.Cos, so on amd64 every entry is bit-identical to RotY's
+// (TestSincosIsSinCos).
 func (t *Transformer) estimate(p *params, torso, lShoulder, rShoulder, rElbow, rHand geom.Vec3) {
 	if t.cfg.Shift {
 		p.origin = torso
