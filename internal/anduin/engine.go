@@ -55,7 +55,7 @@ type QueryInfo struct {
 }
 
 // Engine is the DSMS facade. Streams must be fed from a single goroutine at
-// a time (the usual replay/pump pattern); management operations (deploy,
+// a time (the usual replay pattern); management operations (deploy,
 // subscribe, …) are safe for concurrent use.
 //
 // Detections are dispatched in the order publishing tuple after tuple
@@ -165,25 +165,6 @@ func (e *Engine) Stream(name string) (*stream.Stream, bool) {
 	defer e.mu.Unlock()
 	s, ok := e.streams[name]
 	return s, ok
-}
-
-// RegisterView derives a continuous view over the named base stream and
-// registers it under its own name so queries can read it.
-func (e *Engine) RegisterView(name, base string, schema *stream.Schema, f func(stream.Tuple) (stream.Tuple, bool)) (*stream.Stream, error) {
-	e.mu.Lock()
-	src, ok := e.streams[base]
-	e.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("anduin: view %q references unknown stream %q", name, base)
-	}
-	v, err := stream.Derive(src, name, schema, f)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.attach(v); err != nil {
-		return nil, err
-	}
-	return v, nil
 }
 
 // RegisterUDF adds a scalar function to the query environment.
@@ -365,12 +346,6 @@ func (e *Engine) DeployPlan(p *Plan) (int, error) {
 
 	// Subscribe outside the lock; stream subscription has its own lock.
 	cancel := src.SubscribeBatch(p.reads, func(ts []stream.Tuple) {
-		if e.width != 0 && len(ts) != e.width {
-			// A per-tuple subscriber (stream.Derive) between the published
-			// stream and this plan: the indices of its matches are not the
-			// batch's, so they could not be merged into tuple order.
-			panic(fmt.Sprintf("anduin: plan %q got %d tuples of a %d-tuple batch; PublishBatch needs batch subscribers from the published stream to every plan", d.info.Gesture, len(ts), e.width))
-		}
 		d.found = d.nfa.ProcessBatch(ts, d.found[:0])
 		for i := range d.found {
 			e.pending = append(e.pending, pending{at: d.found[i].At, det: d.detection(d.found[i], ts)})
@@ -419,11 +394,8 @@ func (d *deployed) detection(m cep.BatchMatch, ts []stream.Tuple) Detection {
 // after tuple would (see Engine): the streams hand the batch on whole, each
 // deployed plan evaluates it in one call (cep.NFA.ProcessBatch), and the
 // plans' detections are merged back into tuple order before any is
-// dispatched. Every stream from s to a plan must hand it batches
-// (stream.SubscribeBatch, stream.Feed), as the kinect_t view does; a plan
-// reached through a per-tuple subscriber (stream.Derive) panics. A plain
-// subscriber of a stream on the way sees a batch's tuples one after
-// another before any of the batch's detections.
+// dispatched. A plain subscriber of a stream on the way sees a batch's
+// tuples one after another before any of the batch's detections.
 //
 // live, when non-nil, is asked before the detections of each tuple are
 // dispatched; once it reports false, no detection of that tuple or a later

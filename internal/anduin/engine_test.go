@@ -169,30 +169,6 @@ func TestRegisterStreamAndViewValidation(t *testing.T) {
 	if _, err := e.RegisterStream("s", stream.MustSchema("a")); err == nil {
 		t.Error("duplicate stream accepted")
 	}
-	if _, err := e.RegisterView("v", "nosuch", stream.MustSchema("a"), nil); err == nil {
-		t.Error("view over unknown stream accepted")
-	}
-	v, err := e.RegisterView("v", "s", stream.MustSchema("b"), func(t stream.Tuple) (stream.Tuple, bool) {
-		return stream.Tuple{Ts: t.Ts, Fields: []float64{t.Fields[0] * 2}}, true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := e.Stream("v"); !ok {
-		t.Error("view not registered as stream")
-	}
-	// Queries can read views.
-	if _, err := e.DeployText(`SELECT "doubled" MATCHING v(b > 5);`); err != nil {
-		t.Fatal(err)
-	}
-	var got int
-	e.Subscribe(func(Detection) { got++ })
-	s, _ := e.Stream("s")
-	_ = s.Publish(stream.Tuple{Ts: t0(), Fields: []float64{4}}) // view emits 8 > 5
-	if got != 1 {
-		t.Errorf("view-based detection = %d", got)
-	}
-	_ = v
 }
 
 func TestRegisterUDF(t *testing.T) {

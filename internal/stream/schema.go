@@ -1,13 +1,14 @@
 // Package stream implements the data-stream substrate underneath the CEP
 // engine: typed tuples with named float64 attributes, schemas, synchronous
-// publish/subscribe streams, derived streams (continuous views such as the
-// paper's kinect_t, §3.2) and channel-driven replay sources.
+// publish/subscribe streams, derived streams fed batch by batch (continuous
+// views such as the paper's kinect_t, §3.2) and a replay source.
 //
 // The design is deliberately push-based and synchronous: a tuple published
 // on a stream is handed to every subscriber before Publish returns. This
 // mirrors how AnduIN evaluates its operator graph per arriving tuple and
 // keeps detection latency deterministic, which the evaluation harness
-// measures. Asynchrony, when needed, lives at the edges (Source pumps).
+// measures. Asynchrony, when needed, lives outside this package (the
+// serving layer's shard queues).
 //
 // # Lent tuples
 //
@@ -24,12 +25,12 @@
 //
 // # Read sets
 //
-// A subscriber may declare which fields it reads (SubscribeReads,
-// SubscribeBatch). A stream tracks the union over its subscribers, and a
+// A batch subscriber declares which fields it reads (SubscribeBatch; nil is
+// every field). A stream tracks the union over its subscribers, and a
 // derived stream that builds its tuples field by field
 // (PublishDerivedBatch) need only write that union: the other fields of a
-// tuple it publishes are unspecified. A subscriber that declares nothing
-// (Subscribe) reads every field, so it always gets a whole tuple. A derived
+// tuple it publishes are unspecified. A plain subscriber (Subscribe) reads
+// every field, so it always gets a whole tuple. A derived
 // stream attached with Feed declares to its source what it reads to build
 // its union, so the union of the source is what the whole chain reads.
 package stream

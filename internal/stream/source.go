@@ -1,10 +1,8 @@
 package stream
 
 import (
-	"context"
 	"fmt"
 	"sync"
-	"time"
 )
 
 // Replay publishes the given tuples on s in order, as fast as possible.
@@ -18,51 +16,6 @@ func Replay(s *Stream, tuples []Tuple) error {
 		}
 	}
 	return nil
-}
-
-// ReplayRealtime publishes tuples paced by their timestamps: the gap between
-// consecutive tuples is reproduced as wall-clock sleep (scaled by speedup,
-// e.g. 2.0 plays twice as fast). It stops early when ctx is cancelled.
-// This is used by the interactive examples to emulate a live 30 Hz camera.
-func ReplayRealtime(ctx context.Context, s *Stream, tuples []Tuple, speedup float64) error {
-	if speedup <= 0 {
-		return fmt.Errorf("stream: speedup must be positive, got %g", speedup)
-	}
-	for i, t := range tuples {
-		if i > 0 {
-			gap := t.Ts.Sub(tuples[i-1].Ts)
-			if gap > 0 {
-				wait := time.Duration(float64(gap) / speedup)
-				select {
-				case <-ctx.Done():
-					return ctx.Err()
-				case <-time.After(wait):
-				}
-			}
-		}
-		if err := s.Publish(t); err != nil {
-			return fmt.Errorf("stream: realtime replay tuple %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// Pump copies tuples from ch onto the stream until ch is closed or ctx is
-// cancelled. It returns the first publish error encountered.
-func Pump(ctx context.Context, s *Stream, ch <-chan Tuple) error {
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case t, ok := <-ch:
-			if !ok {
-				return nil
-			}
-			if err := s.Publish(t); err != nil {
-				return err
-			}
-		}
-	}
 }
 
 // Collector is a subscriber that records a copy of every tuple it receives

@@ -20,7 +20,7 @@ type Stream struct {
 	name   string
 	schema *Schema
 
-	mu    sync.RWMutex
+	mu    sync.Mutex
 	subs  map[int]subscriber
 	order []int
 	next  int
@@ -53,9 +53,8 @@ func New(name string, schema *Schema) (*Stream, error) {
 	return &Stream{name: name, schema: schema, subs: make(map[int]subscriber)}, nil
 }
 
-// subscriber takes tuples one at a time (fn) or whole batches (batch).
+// subscriber takes tuples in whole batches and reads the fields in reads.
 type subscriber struct {
-	fn    func(Tuple)
 	batch func([]Tuple)
 	reads *ReadSet
 }
@@ -130,18 +129,15 @@ func (s *Stream) Schema() *Schema { return s.schema }
 // Published returns the number of tuples published so far.
 func (s *Stream) Published() uint64 { return s.published.Load() }
 
-// Subscribe registers fn to receive every future tuple. The returned
-// function removes the subscription; calling it more than once is harmless.
+// Subscribe registers fn to receive every future tuple, one after another,
+// reading every field. The returned function removes the subscription;
+// calling it more than once is harmless.
 func (s *Stream) Subscribe(fn func(Tuple)) (cancel func()) {
-	return s.SubscribeReads(nil, fn)
-}
-
-// SubscribeReads is Subscribe for a subscriber that reads only the fields
-// in reads (nil: every field). A derived stream need write only the union
-// of its subscribers' sets (see PublishDerivedBatch), so fn must not read a
-// field outside its own.
-func (s *Stream) SubscribeReads(reads *ReadSet, fn func(Tuple)) (cancel func()) {
-	return s.subscribe(subscriber{fn: fn, reads: reads})
+	return s.SubscribeBatch(nil, func(ts []Tuple) {
+		for i := range ts {
+			fn(ts[i])
+		}
+	})
 }
 
 // addLocked registers sub and returns its id. Callers must hold s.mu.
@@ -154,17 +150,16 @@ func (s *Stream) addLocked(sub subscriber) int {
 	return id
 }
 
-// SubscribeBatch is SubscribeReads for a subscriber that takes tuples in
-// batches: each PublishBatch hands it the whole batch in one call, and
-// Publish a batch of one. The batch and its tuples' field arrays are lent
-// until fn returns.
+// SubscribeBatch registers fn to receive every future tuple in batches:
+// each PublishBatch hands it the whole batch in one call, and Publish a
+// batch of one. fn reads only the fields in reads (nil: every field): a
+// derived stream need write only the union of its subscribers' sets (see
+// PublishDerivedBatch), so fn must not read a field outside its own. The
+// batch and its tuples' field arrays are lent until fn returns. The
+// returned function removes the subscription, like Subscribe's.
 func (s *Stream) SubscribeBatch(reads *ReadSet, fn func([]Tuple)) (cancel func()) {
-	return s.subscribe(subscriber{batch: fn, reads: reads})
-}
-
-func (s *Stream) subscribe(sub subscriber) (cancel func()) {
 	s.mu.Lock()
-	id := s.addLocked(sub)
+	id := s.addLocked(subscriber{batch: fn, reads: reads})
 	s.mu.Unlock()
 	var once sync.Once
 	return func() {
@@ -242,13 +237,6 @@ func (s *Stream) Reads() *ReadSet {
 	return noFields
 }
 
-// SubscriberCount returns the current number of subscribers.
-func (s *Stream) SubscriberCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.subs)
-}
-
 // Publish delivers t to all current subscribers synchronously, in
 // subscription order. The tuple must have exactly as many fields as the
 // schema declares. t.Fields is lent to the subscribers until Publish returns
@@ -264,8 +252,8 @@ func (s *Stream) Publish(t Tuple) error {
 }
 
 // PublishBatch delivers ts to all current subscribers synchronously, in
-// subscription order: a batch subscriber gets the whole batch in one call,
-// any other one tuple after tuple. Every tuple must have as many fields as
+// subscription order, each getting the whole batch in one call (a
+// Subscribe subscriber then takes it tuple after tuple). Every tuple must have as many fields as
 // the schema declares; otherwise nothing is delivered. The batch and its
 // field arrays are lent to the subscribers until PublishBatch returns.
 func (s *Stream) PublishBatch(ts []Tuple) error {
@@ -290,13 +278,7 @@ func (s *Stream) arityErr(t Tuple) error {
 func (s *Stream) deliverBatch(f *fanout, ts []Tuple) {
 	if f != nil {
 		for _, sub := range f.subs {
-			if sub.batch != nil {
-				sub.batch(ts)
-				continue
-			}
-			for i := range ts {
-				sub.fn(ts[i])
-			}
+			sub.batch(ts)
 		}
 	}
 	s.published.Add(uint64(len(ts)))
@@ -326,64 +308,4 @@ func (s *Stream) PublishDerivedBatch(in []Tuple, build func([]Tuple, *ReadSet) [
 	}
 	s.deliverBatch(f, out)
 	return nil
-}
-
-// Derive creates a continuous view over src: for every tuple of src, f is
-// evaluated; when it returns ok, the produced tuple is published on the
-// derived stream. f borrows its argument like any subscriber; it may return
-// it (Filter does), or a tuple over an array it reuses on its next call —
-// the result is published, and so lent on, before f runs again. This is the
-// shape of the paper's kinect_t transformation view (§3.2): "for applying
-// all transformations, only a single step needs to be performed on the
-// incoming data stream" (transform.View is that view, with its own
-// subscriber so it can mark the end of each loan).
-//
-// The derived stream stays attached to src for the lifetime of the process;
-// use DeriveCancelable when the view must be removable.
-func Derive(src *Stream, name string, schema *Schema, f func(Tuple) (Tuple, bool)) (*Stream, error) {
-	d, cancel, err := DeriveCancelable(src, name, schema, f)
-	_ = cancel
-	return d, err
-}
-
-// DeriveCancelable is Derive with an explicit detach function.
-func DeriveCancelable(src *Stream, name string, schema *Schema, f func(Tuple) (Tuple, bool)) (*Stream, func(), error) {
-	if src == nil {
-		return nil, nil, fmt.Errorf("stream: Derive from nil source")
-	}
-	if f == nil {
-		return nil, nil, fmt.Errorf("stream: Derive with nil transform")
-	}
-	d, err := New(name, schema)
-	if err != nil {
-		return nil, nil, err
-	}
-	cancel := src.Subscribe(func(t Tuple) {
-		out, ok := f(t)
-		if !ok {
-			return
-		}
-		// An error here means the transform produced a tuple that does not
-		// match the declared schema — a programming error in the view
-		// definition. Surface it loudly instead of dropping data silently.
-		if err := d.Publish(out); err != nil {
-			panic(fmt.Sprintf("stream: view %q produced invalid tuple: %v", name, err))
-		}
-	})
-	return d, cancel, nil
-}
-
-// Filter derives a stream containing only tuples for which pred is true.
-// The schema is shared with the source.
-func Filter(src *Stream, name string, pred func(Tuple) bool) (*Stream, error) {
-	return Derive(src, name, src.Schema(), func(t Tuple) (Tuple, bool) {
-		return t, pred(t)
-	})
-}
-
-// Map derives a stream by applying a total transformation to every tuple.
-func Map(src *Stream, name string, schema *Schema, f func(Tuple) Tuple) (*Stream, error) {
-	return Derive(src, name, schema, func(t Tuple) (Tuple, bool) {
-		return f(t), true
-	})
 }

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -172,7 +171,7 @@ func TestReadSetsAndPublishDerived(t *testing.T) {
 		t.Fatalf("no subscriber: built for %v (err %v), stream reads %v; want the empty set", built[0].Fields(), err, s.Reads().Fields())
 	}
 	got := 0
-	cancelC := s.SubscribeReads(NewReadSet(2), func(Tuple) { got++ })
+	cancelC := s.SubscribeBatch(NewReadSet(2), func(ts []Tuple) { got += len(ts) })
 	cancelAC := s.SubscribeBatch(NewReadSet(2, 0, 2), func(ts []Tuple) { got += len(ts) })
 	if !same(s.Reads(), 0, 2) {
 		t.Fatalf("reads %v, want [0 2]", s.Reads().Fields())
@@ -312,84 +311,6 @@ func TestUnsubscribeDuringDelivery(t *testing.T) {
 	}
 }
 
-func TestDeriveView(t *testing.T) {
-	src, _ := New("kinect", testSchema(t))
-	outSchema := MustSchema("sum")
-	view, err := Derive(src, "kinect_t", outSchema, func(tp Tuple) (Tuple, bool) {
-		if tp.Fields[0] < 0 {
-			return Tuple{}, false // drop negatives
-		}
-		return Tuple{Ts: tp.Ts, Seq: tp.Seq, Fields: []float64{tp.Fields[0] + tp.Fields[1]}}, true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var c Collector
-	c.Attach(view)
-
-	_ = src.Publish(NewTuple(ts(0), 0, []float64{1, 2}))
-	_ = src.Publish(NewTuple(ts(33), 1, []float64{-1, 2}))
-	_ = src.Publish(NewTuple(ts(66), 2, []float64{3, 4}))
-
-	got := c.Tuples()
-	if len(got) != 2 {
-		t.Fatalf("view produced %d tuples, want 2", len(got))
-	}
-	if got[0].Fields[0] != 3 || got[1].Fields[0] != 7 {
-		t.Errorf("view values = %v, %v", got[0].Fields, got[1].Fields)
-	}
-}
-
-func TestDeriveCancelable(t *testing.T) {
-	src, _ := New("kinect", testSchema(t))
-	view, cancel, err := DeriveCancelable(src, "v", src.Schema(), func(tp Tuple) (Tuple, bool) { return tp, true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	var c Collector
-	c.Attach(view)
-	_ = src.Publish(NewTuple(ts(0), 0, []float64{1, 2}))
-	cancel()
-	_ = src.Publish(NewTuple(ts(33), 1, []float64{1, 2}))
-	if c.Len() != 1 {
-		t.Errorf("detached view still receives tuples: %d", c.Len())
-	}
-}
-
-func TestDeriveValidation(t *testing.T) {
-	src, _ := New("kinect", testSchema(t))
-	if _, err := Derive(nil, "v", src.Schema(), func(tp Tuple) (Tuple, bool) { return tp, true }); err == nil {
-		t.Error("nil source accepted")
-	}
-	if _, err := Derive(src, "v", src.Schema(), nil); err == nil {
-		t.Error("nil transform accepted")
-	}
-}
-
-func TestFilterMap(t *testing.T) {
-	src, _ := New("kinect", testSchema(t))
-	f, err := Filter(src, "pos", func(tp Tuple) bool { return tp.Fields[0] > 0 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := Map(f, "scaled", src.Schema(), func(tp Tuple) Tuple {
-		out := tp.Clone()
-		out.Fields[0] *= 10
-		return out
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var c Collector
-	c.Attach(m)
-	_ = src.Publish(NewTuple(ts(0), 0, []float64{-5, 0}))
-	_ = src.Publish(NewTuple(ts(33), 1, []float64{5, 0}))
-	got := c.Tuples()
-	if len(got) != 1 || got[0].Fields[0] != 50 {
-		t.Errorf("filter+map result = %+v", got)
-	}
-}
-
 func TestReplay(t *testing.T) {
 	src, _ := New("kinect", testSchema(t))
 	var c Collector
@@ -407,53 +328,6 @@ func TestReplay(t *testing.T) {
 	bad := []Tuple{NewTuple(ts(0), 0, []float64{1})}
 	if err := Replay(src, bad); err == nil {
 		t.Error("invalid tuple replay accepted")
-	}
-}
-
-func TestReplayRealtime(t *testing.T) {
-	src, _ := New("kinect", testSchema(t))
-	var c Collector
-	c.Attach(src)
-	tuples := []Tuple{
-		NewTuple(ts(0), 0, []float64{1, 2}),
-		NewTuple(ts(10), 1, []float64{3, 4}),
-		NewTuple(ts(20), 2, []float64{5, 6}),
-	}
-	start := time.Now()
-	if err := ReplayRealtime(context.Background(), src, tuples, 1.0); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < 15*time.Millisecond {
-		t.Errorf("realtime replay too fast: %v", elapsed)
-	}
-	if c.Len() != 3 {
-		t.Errorf("replayed %d tuples", c.Len())
-	}
-	if err := ReplayRealtime(context.Background(), src, tuples, 0); err == nil {
-		t.Error("zero speedup accepted")
-	}
-	// Cancellation stops playback.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	err := ReplayRealtime(ctx, src, tuples, 1.0)
-	if err == nil {
-		t.Error("cancelled replay returned nil")
-	}
-}
-
-func TestPump(t *testing.T) {
-	src, _ := New("kinect", testSchema(t))
-	var c Collector
-	c.Attach(src)
-	ch := make(chan Tuple, 2)
-	ch <- NewTuple(ts(0), 0, []float64{1, 2})
-	ch <- NewTuple(ts(33), 1, []float64{3, 4})
-	close(ch)
-	if err := Pump(context.Background(), src, ch); err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != 2 {
-		t.Errorf("pumped %d tuples", c.Len())
 	}
 }
 
