@@ -95,7 +95,6 @@ type Logger struct {
 	next  int
 	total uint64
 	sink  func(Event) // optional mirror (terminal, test log)
-	min   Level
 }
 
 // NewLogger returns a logger retaining the last ringSize events (minimum 16)
@@ -105,30 +104,16 @@ func NewLogger(ringSize int, sink func(Event)) *Logger {
 	if ringSize < 16 {
 		ringSize = 16
 	}
-	return &Logger{ring: make([]Event, ringSize), sink: sink, min: LevelInfo}
+	return &Logger{ring: make([]Event, ringSize), sink: sink}
 }
 
-// SetLevel drops events below min.
-func (l *Logger) SetLevel(min Level) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	l.min = min
-	l.mu.Unlock()
-}
-
-// Log records one event.
+// Log records one event; one below LevelInfo is dropped.
 func (l *Logger) Log(level Level, msg string, fields ...Field) {
-	if l == nil {
+	if l == nil || level < LevelInfo {
 		return
 	}
 	e := Event{Time: time.Now(), Level: level, Msg: msg, Fields: fields}
 	l.mu.Lock()
-	if level < l.min {
-		l.mu.Unlock()
-		return
-	}
 	l.ring[l.next] = e
 	l.next = (l.next + 1) % len(l.ring)
 	l.total++
@@ -139,8 +124,7 @@ func (l *Logger) Log(level Level, msg string, fields ...Field) {
 	}
 }
 
-// Debug, Info, Warn and Error record one event at the named level.
-func (l *Logger) Debug(msg string, fields ...Field) { l.Log(LevelDebug, msg, fields...) }
+// Info, Warn and Error record one event at the named level.
 func (l *Logger) Info(msg string, fields ...Field)  { l.Log(LevelInfo, msg, fields...) }
 func (l *Logger) Warn(msg string, fields ...Field)  { l.Log(LevelWarn, msg, fields...) }
 func (l *Logger) Error(msg string, fields ...Field) { l.Log(LevelError, msg, fields...) }

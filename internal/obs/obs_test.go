@@ -209,7 +209,7 @@ func TestSampler(t *testing.T) {
 func TestLoggerRingAndLevels(t *testing.T) {
 	var sunk []Event
 	l := NewLogger(16, func(e Event) { sunk = append(sunk, e) })
-	l.Debug("dropped") // below default LevelInfo
+	l.Log(LevelDebug, "dropped") // below LevelInfo
 	for i := 0; i < 20; i++ {
 		l.Info("event", F("i", i))
 	}
