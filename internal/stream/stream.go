@@ -252,10 +252,11 @@ func (s *Stream) Publish(t Tuple) error {
 }
 
 // PublishBatch delivers ts to all current subscribers synchronously, in
-// subscription order, each getting the whole batch in one call (a
-// Subscribe subscriber then takes it tuple after tuple). Every tuple must have as many fields as
-// the schema declares; otherwise nothing is delivered. The batch and its
-// field arrays are lent to the subscribers until PublishBatch returns.
+// subscription order, each getting the whole batch in one call (a Subscribe
+// subscriber then takes it tuple after tuple). Every tuple must have as
+// many fields as the schema declares; otherwise nothing is delivered. The
+// batch and its field arrays are lent to the subscribers until PublishBatch
+// returns.
 func (s *Stream) PublishBatch(ts []Tuple) error {
 	for i := range ts {
 		if len(ts[i].Fields) != s.schema.Len() {
