@@ -30,9 +30,9 @@
 // derived stream that builds its tuples field by field
 // (PublishDerivedBatch) need only write that union: the other fields of a
 // tuple it publishes are unspecified. A plain subscriber (Subscribe) reads
-// every field, so it always gets a whole tuple. A derived
-// stream attached with Feed declares to its source what it reads to build
-// its union, so the union of the source is what the whole chain reads.
+// every field, so it always gets a whole tuple. A derived stream attached
+// with Feed declares to its source what it reads to build its union, so the
+// union of the source is what the whole chain reads.
 package stream
 
 import (
