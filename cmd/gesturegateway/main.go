@@ -1,22 +1,16 @@
-// gesturegateway is the cluster front door: it terminates the wire
-// protocol and shards remote sessions across a fleet of gestured backends
+// gesturegateway is the cluster front door: it terminates the wire protocol
+// and shards remote sessions across a fleet of external gestured processes
 // with a bounded-load consistent-hash ring, health-checking each backend,
-// re-homing sessions off dead ones, and (by default) re-admitting a
-// backend once it answers pings again — new sessions then drift back to it
-// through the ring's load bound. Clients — cmd/gestureload included —
-// target it exactly as they would a single gestured process.
-//
-// All-in-one mode spawns the backends in-process (learning the gestures
-// once, sharing the compiled plans across the fleet):
-//
-//	go run ./cmd/gesturegateway -addr :7475 -backends 3
-//	go run ./cmd/gestureload -addr localhost:7475 -sessions 256 -verify
-//
-// Fronting external gestured processes instead:
+// re-homing sessions off dead ones and re-admitting a backend once it
+// answers pings again — new sessions then drift back to it through the
+// ring's load bound. A backend that is down at startup joins the same way
+// when it comes up. Clients — cmd/gestureload included — target it exactly
+// as they would a single gestured process.
 //
 //	go run ./cmd/gestured -addr :7474 -name b0 -record-dir rec/b0 &
 //	go run ./cmd/gestured -addr :7476 -name b1 -record-dir rec/b1 &
 //	go run ./cmd/gesturegateway -addr :7475 -backend b0=localhost:7474 -backend b1=localhost:7476
+//	go run ./cmd/gestureload -addr localhost:7475 -sessions 256 -verify
 //
 // With -record-dir on every gestured, draining a backend through the admin
 // plane (-admin-addr) moves its sessions with their state.
@@ -33,15 +27,9 @@ import (
 	"time"
 
 	"gesturecep/internal/cluster"
-	"gesturecep/internal/kinect"
-	"gesturecep/internal/learn"
 	"gesturecep/internal/obs"
 	"gesturecep/internal/serve"
-	"gesturecep/internal/store"
-	"gesturecep/internal/wire"
 )
-
-var gestureNames = kinect.DemoGestureNames()
 
 // backendFlags collects repeated -backend id=addr values.
 type backendFlags []cluster.Backend
@@ -64,132 +52,29 @@ func (b *backendFlags) Set(v string) error {
 }
 
 func main() {
-	var external backendFlags
-	var (
-		addr         = flag.String("addr", ":7475", "TCP listen address for the gateway front")
-		backends     = flag.Int("backends", 3, "in-process backends to spawn (ignored with -backend)")
-		vnodes       = flag.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per backend on the ring")
-		loadFactor   = flag.Float64("load-factor", cluster.DefaultLoadFactor, "bounded-load factor c (max sessions per backend = ceil(c × average))")
-		probe        = flag.Duration("probe", 500*time.Millisecond, "health-probe interval (negative disables probing)")
-		probeTimeout = flag.Duration("probe-timeout", 2*time.Second, "health-probe timeout before a backend is ejected")
-		readmit      = flag.Bool("readmit", true, "re-admit ejected backends once they answer pings again (re-dial with capped exponential backoff)")
-		backoff      = flag.Duration("readmit-backoff", 250*time.Millisecond, "initial re-dial delay of the recovery loop (doubles per failed attempt)")
-		maxBackoff   = flag.Duration("readmit-max-backoff", 5*time.Second, "cap on the recovery loop's exponential backoff")
-		tolerateDown = flag.Bool("tolerate-down", false, "start even if some backends are unreachable and admit them when they come up (external backends)")
-		shards       = flag.Int("shards", 0, "ingestion shards per spawned backend (0 = GOMAXPROCS)")
-		queue        = flag.Int("queue", 256, "per-shard queue depth of spawned backends")
-		policy       = flag.String("policy", "block", "spawned backends' backpressure policy: block or drop-oldest")
-		gestures     = flag.Int("gestures", 4, "gestures to learn for spawned backends (1-8)")
-		seed         = flag.Int64("seed", 1, "trainer random seed")
-		recordDir    = flag.String("record-dir", "", "record every spawned backend's sessions under this directory (one archive per backend)")
-		adminAddr    = flag.String("admin-addr", "", "HTTP admin plane listen address (/metrics, /readyz flips with live-backend count, /events, /debug/pprof); empty disables")
-		verbose      = flag.Bool("v", false, "print the per-backend metric table on shutdown")
-	)
-	flag.Var(&external, "backend", "external backend as id=host:port (repeatable; disables spawning)")
+	var cfg cluster.Config
+	addr := flag.String("addr", ":7475", "TCP listen address for the gateway front")
+	flag.Var((*backendFlags)(&cfg.Backends), "backend", "backend gestured as id=host:port (repeatable; at least one)")
+	flag.DurationVar(&cfg.ProbeInterval, "probe", 500*time.Millisecond, "health-probe interval (negative disables probing)")
+	flag.DurationVar(&cfg.ProbeTimeout, "probe-timeout", 2*time.Second, "health-probe timeout before a backend is ejected")
+	flag.DurationVar(&cfg.ReadmitBackoff, "readmit-backoff", 250*time.Millisecond, "initial re-dial delay of the recovery loop (doubles per failed attempt)")
+	flag.DurationVar(&cfg.ReadmitMaxBackoff, "readmit-max-backoff", 5*time.Second, "cap on the recovery loop's exponential backoff")
+	adminAddr := flag.String("admin-addr", "", "HTTP admin plane listen address (/metrics, /readyz flips with live-backend count, /events, /debug/pprof); empty disables")
+	verbose := flag.Bool("v", false, "print the per-backend metric table on shutdown")
 	flag.Parse()
-	health := healthConfig{
-		probe:        *probe,
-		probeTimeout: *probeTimeout,
-		readmit:      *readmit,
-		backoff:      *backoff,
-		maxBackoff:   *maxBackoff,
-		tolerateDown: *tolerateDown,
-	}
-	if err := run(*addr, external, *backends, *vnodes, *loadFactor, health,
-		*shards, *queue, *policy, *gestures, *seed, *recordDir, *adminAddr, *verbose); err != nil {
+	cfg.Name = "gesturegateway"
+	cfg.Logger = obs.NewLogger(256, func(e obs.Event) { log.Printf("%s", e) })
+	if err := run(cfg, *addr, *adminAddr, *verbose); err != nil {
 		log.SetFlags(0)
 		log.Fatal(err)
 	}
 }
 
-// healthConfig groups the probing and recovery flags.
-type healthConfig struct {
-	probe        time.Duration
-	probeTimeout time.Duration
-	readmit      bool
-	backoff      time.Duration
-	maxBackoff   time.Duration
-	tolerateDown bool
-}
-
-func run(addr string, external []cluster.Backend, backends, vnodes int, loadFactor float64,
-	health healthConfig, shards, queue int, policyName string,
-	gestures int, seed int64, recordDir, adminAddr string, verbose bool) error {
-	if health.tolerateDown && len(external) == 0 {
-		// Spawned backends are in-process: if one failed to come up, Spawn
-		// already failed. Tolerance is for external fleets.
-		return fmt.Errorf("gesturegateway: -tolerate-down only makes sense with external -backend fleets")
+func run(cfg cluster.Config, addr, adminAddr string, verbose bool) error {
+	if len(cfg.Backends) == 0 {
+		return fmt.Errorf("gesturegateway: no backends; name each gestured with -backend id=host:port")
 	}
-	fleet := external
-	if len(external) == 0 {
-		if gestures < 1 || gestures > len(gestureNames) {
-			return fmt.Errorf("gesturegateway: -gestures must be 1..%d", len(gestureNames))
-		}
-		pol, err := serve.ParsePolicy(policyName)
-		if err != nil {
-			return err
-		}
-
-		// Learn each gesture once; the whole fleet shares the plans.
-		fmt.Printf("learning %d gestures ... ", gestures)
-		learnStart := time.Now()
-		learned, err := learn.Demo(gestures, seed)
-		if err != nil {
-			return err
-		}
-		reg := serve.NewRegistry()
-		for _, res := range learned {
-			if _, err := reg.Register(res.Model.Name, res.QueryText); err != nil {
-				return err
-			}
-		}
-		fmt.Printf("done in %v\n", time.Since(learnStart).Round(time.Millisecond))
-
-		opts := cluster.SpawnOptions{Serve: serve.Config{Shards: shards, QueueDepth: queue, Policy: pol}}
-		archiveOf := make(map[string]*store.Archive, backends)
-		if recordDir != "" {
-			// One archive per backend records its sessions, makes them
-			// live-migratable (what lets /backends/drain move them with
-			// state) and answers the wire backfill requests POST /backfill
-			// fans out across the fleet.
-			for i := 0; i < backends; i++ {
-				id := cluster.BackendID(i)
-				archiveOf[id] = store.NewArchive(recordDir+"/"+id, kinect.Schema(), store.Options{}, 0)
-			}
-			opts.Record = func(backendID string, srv *wire.Server) {
-				archiveOf[backendID].Serve(srv, reg.Resolve, func(err error) {
-					log.Printf("gesturegateway: %s: %v", backendID, err)
-				})
-			}
-		}
-		sp, err := cluster.Spawn(backends, reg, opts)
-		if err != nil {
-			return err
-		}
-		defer sp.Close()
-		for _, arch := range archiveOf {
-			defer arch.Close()
-		}
-		if recordDir != "" {
-			fmt.Printf("recording sessions under %s (one archive per backend)\n", recordDir)
-		}
-		fleet = sp.Backends()
-		fmt.Printf("spawned %d backends, %d plans, policy %s\n", backends, reg.Len(), pol)
-	}
-
-	gw, err := cluster.NewGateway(cluster.Config{
-		Backends:          fleet,
-		Name:              "gesturegateway",
-		VNodes:            vnodes,
-		LoadFactor:        loadFactor,
-		ProbeInterval:     health.probe,
-		ProbeTimeout:      health.probeTimeout,
-		Readmit:           health.readmit,
-		ReadmitBackoff:    health.backoff,
-		ReadmitMaxBackoff: health.maxBackoff,
-		TolerateDown:      health.tolerateDown,
-		Logger:            obs.NewLogger(256, func(e obs.Event) { log.Printf("%s", e) }),
-	})
+	gw, err := cluster.NewGateway(cfg)
 	if err != nil {
 		return err
 	}
@@ -223,12 +108,9 @@ func run(addr string, external []cluster.Backend, backends, vnodes int, loadFact
 	errc := make(chan error, 1)
 	go func() { errc <- gw.ListenAndServe(addr) }()
 
-	readmitDesc := "readmit off"
-	if health.readmit {
-		readmitDesc = fmt.Sprintf("readmit backoff %v..%v", health.backoff, health.maxBackoff)
-	}
-	fmt.Printf("gesturegateway listening on %s — %d backends, %d vnodes, load factor %.2f, probe %v, %s\n",
-		addr, len(fleet), vnodes, loadFactor, health.probe, readmitDesc)
+	live, total := gw.LiveBackends()
+	fmt.Printf("gesturegateway listening on %s — %d of %d backends live, probe %v, readmit backoff %v..%v\n",
+		addr, live, total, cfg.ProbeInterval, cfg.ReadmitBackoff, cfg.ReadmitMaxBackoff)
 
 	select {
 	case err := <-errc:

@@ -22,7 +22,10 @@
 // evaluates its own archive under its own registered plans (narrow with
 // -fleet-gestures), and the detections merge deterministically in sorted
 // stream order — byte-identical to a single-node backfill over the union of
-// the fleet's archives.
+// the fleet's archives. A backend that does not answer is left out, as the
+// gateway leaves out any backend that is down: streams only it archives are
+// reported missing, and with no backend answering the run fails with "no
+// live backends".
 package main
 
 import (

@@ -22,7 +22,8 @@
 //     path serves startup, AddBackend and re-admission (fleet.go);
 //   - health checking — each backend gets a dedicated probe connection
 //     pinged on an interval; a probe failure, timeout, or data-path write
-//     error ejects the backend from the ring;
+//     error ejects the backend from the ring and hands it to the recovery
+//     loop, which re-admits it once it answers pings again;
 //   - session ownership — one record per session, moved only by place,
 //     bind and ensureOwnerLocked (owner.go). A drain migrates a session
 //     with its state; when the owner died instead, its NFA progress died
@@ -34,8 +35,7 @@
 //     backfill over HTTP (admin.go); every verb, applied or refused, is
 //     one event in the gateway's log, which /events serves;
 //   - Spawner — an in-process backend fleet (manager + wire server per
-//     backend) for cmd/gesturegateway's all-in-one mode and the e2e test
-//     harness.
+//     backend) for the e2e test harness, the cluster tests and benchmarks.
 package cluster
 
 import (
@@ -55,38 +55,23 @@ type Backend struct {
 
 // Config tunes a Gateway.
 type Config struct {
-	// Backends is the initial fleet. All are dialed eagerly by NewGateway.
+	// Backends is the initial fleet. All are dialed eagerly by NewGateway;
+	// one that does not answer joins through the recovery loop.
 	Backends []Backend
 	// Name identifies the gateway in Pong replies.
 	Name string
-	// VNodes is the number of virtual nodes per backend on the ring
-	// (default DefaultVNodes).
-	VNodes int
-	// LoadFactor is the bounded-load factor c (default DefaultLoadFactor).
-	LoadFactor float64
 	// ProbeInterval is the health-check period (default 500ms; negative
 	// disables probing — data-path errors still eject).
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one health probe round trip (default 2s). It also
 	// bounds each re-dial attempt of the recovery machinery.
 	ProbeTimeout time.Duration
-	// Readmit enables backend recovery: an ejected backend is re-dialed
-	// with capped exponential backoff and returned to the ring once it
-	// answers pings again. Off, ejection is permanent for the gateway's
-	// lifetime (the pre-recovery behavior).
-	Readmit bool
 	// ReadmitBackoff is the recovery loop's initial re-dial delay (default
 	// 250ms); it doubles per failed attempt.
 	ReadmitBackoff time.Duration
 	// ReadmitMaxBackoff caps the exponential backoff (default 5s; raised to
 	// ReadmitBackoff if set below it).
 	ReadmitMaxBackoff time.Duration
-	// TolerateDown admits initially-unreachable backends through the
-	// recovery machinery instead of failing NewGateway: the gateway starts
-	// serving on whatever subset of the fleet answered, and the rest join
-	// the ring when they come up. Startup recovery runs even with Readmit
-	// off; Readmit only governs recovery after a later ejection.
-	TolerateDown bool
 	// Logger, when non-nil, receives structured backend lifecycle events
 	// (ejection, recovery, re-admission) with backend ID, incarnation and
 	// state fields, one event per membership verb (op, backend, duration,
@@ -117,25 +102,23 @@ func (c Config) withDefaults() Config {
 
 // BackendState is one step of a backend's lifecycle state machine:
 //
-//	         AddBackend
-//	             │
-//	             ▼
-//	live ──eject──▶ ejected (terminal unless Readmit) ──RemoveBackend──▶ gone
-//	  ▲  ▲             │ Readmit
-//	  │  │         recovering ──re-dial + ping ok──▶ live (fresh incarnation)
-//	  │  │             │ └──────────────────────────────▲
-//	  │  │             └──RemoveBackend──▶ gone         │
-//	  │  Drain                                     AddBackend
-//	  │  │                                              │
-//	  │  ▼                                              │
-//	  │ draining ──every session migrated──▶ drained ───┘
-//	  │    │                                    │
-//	  └────┘ (no capacity: revert)              └──RemoveBackend──▶ gone
+//	    NewGateway, AddBackend     NewGateway: no answer
+//	       │                          │
+//	       ▼                          ▼
+//	┌──▶  live ──────eject──────▶ recovering ──RemoveBackend──▶ gone
+//	│     ▲ │▲                        │
+//	│     │ │└──re-dial + ping ok─────┘
+//	│     │ │ Drain ▼, no capacity: revert ▲
+//	│     │ ▼
+//	│    draining ──every session migrated──▶ drained ──RemoveBackend──▶ gone
+//	│                                            │
+//	└─────────────────AddBackend─────────────────┘
 //
-// A re-admitted backend is a brand-new incarnation — fresh data and probe
-// connections, an empty session set — so a session still bound to a dead
-// incarnation can never write to the new one. TolerateDown enters backends
-// at "recovering" straight from NewGateway.
+// Every backend has this one lifecycle: one lost at runtime, or down when
+// NewGateway dials it, is re-dialed with capped exponential backoff until it
+// answers pings again. A re-admitted backend is a brand-new incarnation —
+// fresh data and probe connections, an empty session set — so a session
+// still bound to a dead incarnation can never write to the new one.
 //
 // Drain is the graceful counterpart of eject: the backend leaves the ring
 // first (no new placements), then every session it carries is live-migrated
@@ -149,7 +132,8 @@ type BackendState string
 const (
 	// StateLive: on the ring, receiving sessions, health-probed.
 	StateLive BackendState = "live"
-	// StateEjected: off the ring permanently (Readmit disabled).
+	// StateEjected: off the ring for good — retired after Close began,
+	// when nothing re-dials it.
 	StateEjected BackendState = "ejected"
 	// StateRecovering: off the ring; a recovery loop is re-dialing it with
 	// capped exponential backoff.

@@ -110,15 +110,17 @@ func TestConfigValidate(t *testing.T) {
 
 // TestEjectConcurrentIdempotent races many ejectors of the same incarnation
 // (run under -race in CI): exactly one must win — one ejections tick, one
-// ring removal — and the gateway must stay consistent however the losers
-// interleave.
+// ring removal, one hand-off to the recovery loop — and the gateway must stay
+// consistent however the losers interleave.
 func TestEjectConcurrentIdempotent(t *testing.T) {
 	sp, err := Spawn(2, serve.NewRegistry(), SpawnOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sp.Close()
-	gw, err := NewGateway(Config{Backends: sp.Backends(), ProbeInterval: -1})
+	// The victim is alive: an hour of backoff keeps the recovery loop from
+	// re-admitting it mid-assertion.
+	gw, err := NewGateway(Config{Backends: sp.Backends(), ProbeInterval: -1, ReadmitBackoff: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,8 +145,8 @@ func TestEjectConcurrentIdempotent(t *testing.T) {
 	if got := m.stats.ejections.Load(); got != 1 {
 		t.Errorf("16 concurrent ejects of one incarnation counted %d ejections, want 1", got)
 	}
-	if gw.State(victim) != StateEjected {
-		t.Errorf("victim state = %q, want %q (Readmit off)", gw.State(victim), StateEjected)
+	if gw.State(victim) != StateRecovering {
+		t.Errorf("victim state = %q, want %q", gw.State(victim), StateRecovering)
 	}
 	if ids := gw.Ring().Backends(); len(ids) != 1 || ids[0] != sp.ID(1) {
 		t.Errorf("ring holds %v after ejection, want only %s", ids, sp.ID(1))

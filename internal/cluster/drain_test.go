@@ -337,8 +337,8 @@ func TestDrainDeadTargetSticky(t *testing.T) {
 	if st := gw.State(victimID); st != cluster.StateLive {
 		t.Errorf("aborted drain left the source in state %q, want live (reverted)", st)
 	}
-	if st := gw.State(otherID); st != cluster.StateEjected {
-		t.Errorf("dead target state = %q, want ejected", st)
+	if st := gw.State(otherID); st != cluster.StateRecovering {
+		t.Errorf("dead target state = %q, want recovering", st)
 	}
 	if ids := gw.Ring().Backends(); len(ids) != 1 || ids[0] != victimID {
 		t.Errorf("ring holds %v, want only the reverted source", ids)

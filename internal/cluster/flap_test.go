@@ -124,7 +124,6 @@ func testFlappingBackend(t *testing.T, killOnAttach bool) {
 		Name:              "flap-gw",
 		ProbeInterval:     -1, // batch failures alone drive the eject/readmit cycle
 		ProbeTimeout:      time.Second,
-		Readmit:           true,
 		ReadmitBackoff:    time.Millisecond,
 		ReadmitMaxBackoff: 5 * time.Millisecond,
 		Logger:            obs.NewLogger(256, func(e obs.Event) { t.Logf("%s", e) }),

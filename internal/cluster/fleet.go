@@ -129,7 +129,7 @@ func newFleet(cfg Config, log *obs.Logger, quit chan struct{}) *fleet {
 	return &fleet{
 		cfg:     cfg,
 		log:     log,
-		ring:    NewRing(cfg.VNodes, cfg.LoadFactor),
+		ring:    NewRing(DefaultVNodes, DefaultLoadFactor),
 		quit:    quit,
 		members: make(map[string]*member),
 	}
@@ -172,12 +172,12 @@ func (fl *fleet) memberLocked(id, addr string) *member {
 }
 
 // admissibleLocked reports whether the caller may install an incarnation of
-// id now: the member must have none (unknown, drained, ejected or
-// recovering), and the caller's claim must be the one on the slot — the
-// cancel channel of the recovery loop that owns a recovering member, nil
-// otherwise. Matching the channel rather than the state is what refuses a
-// superseded loop: RemoveBackend, AddBackend and a fresh ejection can put
-// the ID back in recovery under a new loop while an old one is mid-dial.
+// id now: the member must have none (unknown, drained or recovering), and
+// the caller's claim must be the one on the slot — the cancel channel of the
+// recovery loop that owns a recovering member, nil otherwise. Matching the
+// channel rather than the state is what refuses a superseded loop:
+// RemoveBackend, AddBackend and a fresh ejection can put the ID back in
+// recovery under a new loop while an old one is mid-dial.
 func (fl *fleet) admissibleLocked(id string, claim chan struct{}) error {
 	if fl.closed {
 		return errClosed
@@ -275,7 +275,7 @@ func (fl *fleet) dial(addr string) (*wire.Client, error) {
 
 // recoverLater enters id as a recovering member (creating it if need be)
 // and starts its recovery loop — NewGateway's path for a backend that is
-// down at startup under TolerateDown.
+// down at startup.
 func (fl *fleet) recoverLater(id, addr string) {
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
@@ -354,8 +354,9 @@ func (fl *fleet) setDraining(be *backend, draining bool) error {
 
 // retire takes an incarnation out of service: marks it ejected, removes its
 // ring entry, moves its member on — to drained when a drain emptied it,
-// otherwise to recovering (Readmit) or terminally ejected — and closes its
-// connections, which makes every round trip still blocked on it fail fast.
+// otherwise to recovering, or to ejected once Close has begun and nothing
+// re-dials — and closes its connections, which makes every round trip
+// still blocked on it fail fast.
 // It returns the sessions the incarnation carried, for the caller to move.
 // Idempotent: the ejected flag admits exactly one caller per incarnation;
 // ok is false for every later one.
@@ -379,7 +380,7 @@ func (fl *fleet) retire(be *backend, drained bool) (sessions []*proxySession, st
 			switch {
 			case drained:
 				m.state = StateDrained
-			case fl.cfg.Readmit && !fl.closed:
+			case !fl.closed:
 				fl.recoverLocked(m)
 			default:
 				m.state = StateEjected
@@ -393,8 +394,8 @@ func (fl *fleet) retire(be *backend, drained bool) (sessions []*proxySession, st
 	return sessions, state, true
 }
 
-// remove forgets a member that is out of the serving path — drained,
-// terminally ejected, or still recovering (its re-dial loop is cancelled).
+// remove forgets a member that is out of the serving path — drained, or
+// still recovering (its re-dial loop is cancelled).
 func (fl *fleet) remove(id string) error {
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
@@ -406,7 +407,7 @@ func (fl *fleet) remove(id string) error {
 		return fmt.Errorf("cluster: no backend %s", id)
 	}
 	switch m.state {
-	case StateDrained, StateEjected, StateRecovering:
+	case StateDrained, StateRecovering:
 	default:
 		return fmt.Errorf("cluster: backend %s is %s; drain it before removing", id, m.state)
 	}

@@ -57,12 +57,10 @@ type Gateway struct {
 }
 
 // NewGateway installs every configured backend (verified data + probe
-// connections) and builds the ring. By default it fails fast if any backend
-// is unreachable: a fleet that starts degraded is a configuration error,
-// whereas a backend lost later is a runtime event the gateway survives by
-// ejection. With Config.TolerateDown, an unreachable backend is instead
-// admitted through the recovery machinery — the gateway starts on the
-// reachable subset and the rest join the ring when they answer pings.
+// connections) and builds the ring. A backend that does not answer is
+// admitted through the recovery loop, exactly like one lost later: the
+// gateway starts on the reachable subset and the rest join the ring when
+// they answer pings. Only an invalid Config fails it.
 func NewGateway(cfg Config) (*Gateway, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -85,17 +83,12 @@ func NewGateway(cfg Config) (*Gateway, error) {
 	gw.front = wire.NewHostServer(proxyHost{gw})
 	gw.front.Name = cfg.Name
 	for _, b := range cfg.Backends {
-		_, err := gw.fleet.install(b.ID, b.Addr, nil)
-		if err == nil {
-			continue
+		if _, err := gw.fleet.install(b.ID, b.Addr, nil); err != nil {
+			gw.log.Warn("backend down at startup; admitting through recovery",
+				obs.F("backend", b.ID), obs.F("addr", b.Addr),
+				obs.F("state", string(StateRecovering)), obs.F("err", err.Error()))
+			gw.fleet.recoverLater(b.ID, b.Addr)
 		}
-		if !cfg.TolerateDown {
-			gw.fleet.closeAll()
-			return nil, err
-		}
-		gw.log.Warn("backend down at startup; admitting through recovery",
-			obs.F("backend", b.ID), obs.F("addr", b.Addr), obs.F("state", string(StateRecovering)))
-		gw.fleet.recoverLater(b.ID, b.Addr)
 	}
 	go gw.probeLoop()
 	return gw, nil
@@ -179,8 +172,7 @@ func (gw *Gateway) probeLoop() {
 					default:
 						gw.log.Error("backend probe failed; ejecting",
 							obs.F("backend", be.id), obs.F("addr", be.addr),
-							obs.F("incarnation", be.inc), obs.F("state", string(StateEjected)),
-							obs.F("err", err.Error()))
+							obs.F("incarnation", be.inc), obs.F("err", err.Error()))
 						gw.eject(be, nil)
 					}
 				}

@@ -420,7 +420,6 @@ func TestGatewayRecovery(t *testing.T) {
 		Record:         true,
 		RecorderBuffer: 1 << 15,
 		ProbeInterval:  25 * time.Millisecond,
-		Readmit:        true,
 	})
 	plan, _ := h.Registry.Get("swipe_right")
 	want := e2e.EncodeDets(t, e2e.BareReplay(t, plan, e2e.WireTuples(t, tuples)))
@@ -740,25 +739,18 @@ func TestGatewayRecovery(t *testing.T) {
 }
 
 // TestGatewayTolerateDown starts a gateway against a fleet with one dead
-// backend: strict mode must refuse, TolerateDown must serve on the live
-// subset and admit the dead backend through the recovery machinery when it
-// comes up.
+// backend: it must serve on the live subset and admit the dead backend
+// through the recovery machinery when it comes up.
 func TestGatewayTolerateDown(t *testing.T) {
 	h := e2e.Start(t, e2e.Options{Backends: 2, Serve: serve.Config{Shards: 1}})
 	h.KillBackend(1)
 	downID := h.Spawner.ID(1)
-
-	// Strict mode: a down backend at startup is a configuration error.
-	if _, err := cluster.NewGateway(cluster.Config{Backends: h.Spawner.Backends()}); err == nil {
-		t.Fatal("strict NewGateway accepted a fleet with a dead backend")
-	}
 
 	gw, err := cluster.NewGateway(cluster.Config{
 		Backends:          h.Spawner.Backends(),
 		Name:              "tolerant",
 		ProbeInterval:     25 * time.Millisecond,
 		ProbeTimeout:      time.Second,
-		TolerateDown:      true,
 		ReadmitBackoff:    10 * time.Millisecond,
 		ReadmitMaxBackoff: 100 * time.Millisecond,
 		Logger:            obs.NewLogger(256, func(e obs.Event) { t.Logf("%s", e) }),

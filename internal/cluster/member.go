@@ -29,9 +29,9 @@ func (gw *Gateway) logOp(op, id string, start time.Time, err error, msg string, 
 // refused within ProbeTimeout and changes nothing). The
 // bounded-load placement then steers new sessions toward the fresh, empty
 // backend (ceil(c × avg) caps everyone else) — a gradual re-balance, no
-// forced movement. Re-using the ID of a drained or terminally-ejected
-// member re-admits it (the rolling-restart cycle: drain → deploy →
-// AddBackend); a live, draining or recovering ID is refused.
+// forced movement. Re-using the ID of a drained member re-admits it (the
+// rolling-restart cycle: drain → deploy → AddBackend); a live, draining or
+// recovering ID is refused.
 func (gw *Gateway) AddBackend(id, addr string) error {
 	gw.memberMu.Lock()
 	defer gw.memberMu.Unlock()
@@ -131,7 +131,7 @@ func (gw *Gateway) Drain(id string) (moved int, err error) {
 }
 
 // RemoveBackend forgets a member that is out of the serving path — drained,
-// terminally ejected, or still recovering (its re-dial loop is cancelled).
+// or still recovering (its re-dial loop is cancelled).
 // A live or draining backend must be drained first; removal never moves
 // sessions.
 func (gw *Gateway) RemoveBackend(id string) error {

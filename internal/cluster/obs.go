@@ -20,9 +20,9 @@ func (gw *Gateway) LiveBackends() (live, total int) {
 
 // Ready implements the admin plane's readiness probe: nil while at least one
 // backend is live (the gateway can place sessions), an error otherwise. A
-// TolerateDown gateway that started with its whole fleet down is running but
-// unready — exactly the state an orchestrator should drain traffic around —
-// and flips ready the moment a recovery loop admits a backend.
+// gateway that started with its whole fleet down is running but unready —
+// exactly the state an orchestrator should drain traffic around — and flips
+// ready the moment a recovery loop admits a backend.
 func (gw *Gateway) Ready() error {
 	live, total := gw.LiveBackends()
 	if live == 0 {

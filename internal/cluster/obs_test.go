@@ -26,7 +26,6 @@ func TestGatewayAdminPlane(t *testing.T) {
 	h := e2e.Start(t, e2e.Options{
 		Backends: 2,
 		Gateway:  true,
-		Readmit:  true,
 		Serve:    serve.Config{Shards: 1},
 	})
 	gw := h.Gateway

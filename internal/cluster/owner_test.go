@@ -235,8 +235,8 @@ func TestOwnershipTransitions(t *testing.T) {
 				t.Errorf("session placed on the dead candidate %s", first)
 			}
 			m, _ := f.gw.fleet.lookup(first)
-			if m.state != StateEjected || m.stats.ejections.Load() != 1 {
-				t.Errorf("dead candidate: state %s, %d ejections, want ejected once", m.state, m.stats.ejections.Load())
+			if m.state != StateRecovering || m.stats.ejections.Load() != 1 {
+				t.Errorf("dead candidate: state %s, %d ejections, want recovering after one ejection", m.state, m.stats.ejections.Load())
 			}
 			if n := f.rehomedTotal(); n != 0 {
 				t.Errorf("a first placement counted %d re-homes", n)
@@ -354,7 +354,7 @@ func TestInstallRefusesSupersededRecovery(t *testing.T) {
 	// An hour of backoff parks every recovery loop in its select, so the
 	// test alone decides who calls install and when.
 	gw, err := NewGateway(Config{Backends: sp.Backends(), ProbeInterval: -1,
-		ProbeTimeout: time.Second, Readmit: true, ReadmitBackoff: time.Hour})
+		ProbeTimeout: time.Second, ReadmitBackoff: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,7 +155,6 @@ func TestProbeTimeoutNoGoroutineLeak(t *testing.T) {
 		Backends:          []Backend{{ID: "flappy", Addr: fb.Addr()}},
 		ProbeInterval:     10 * time.Millisecond,
 		ProbeTimeout:      40 * time.Millisecond,
-		Readmit:           true,
 		ReadmitBackoff:    5 * time.Millisecond,
 		ReadmitMaxBackoff: 20 * time.Millisecond,
 	})

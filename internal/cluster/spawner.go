@@ -34,8 +34,8 @@ type spawned struct {
 }
 
 // Spawner runs an in-process fleet of wire backends sharing one plan
-// registry — the all-in-one deployment cmd/gesturegateway defaults to, and
-// the substrate the e2e harness builds clusters from. Every backend is a
+// registry — the substrate the e2e harness, the cluster tests and the
+// gateway benchmarks build clusters from. Every backend is a
 // full gestured node: its own serve.Manager (private shard workers and
 // sessions) behind its own wire.Server on a loopback listener, so a
 // gateway, cmd/gestureload, or any wire client can target it unchanged.

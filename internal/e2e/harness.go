@@ -32,15 +32,12 @@ type Options struct {
 	Record bool
 	// RecorderBuffer overrides the recorder tap buffer (0 = store default).
 	RecorderBuffer int
-	// VNodes / LoadFactor / ProbeInterval / ProbeTimeout tune the gateway
-	// ring and health checks; zero values pick fast test defaults.
-	VNodes        int
-	LoadFactor    float64
-	ProbeInterval time.Duration
-	ProbeTimeout  time.Duration
-	// Readmit enables the gateway's backend recovery loop; the backoff
-	// knobs default to fast test values (10ms initial, 100ms cap).
-	Readmit           bool
+	// ProbeInterval / ProbeTimeout tune the gateway's health checks, and
+	// ReadmitBackoff / ReadmitMaxBackoff its recovery loop, which re-admits
+	// every lost backend once it answers again; zero values pick fast test
+	// defaults (50ms probes, 1s timeout, 10ms..100ms backoff).
+	ProbeInterval     time.Duration
+	ProbeTimeout      time.Duration
 	ReadmitBackoff    time.Duration
 	ReadmitMaxBackoff time.Duration
 }
@@ -116,11 +113,8 @@ func Start(t testing.TB, opts Options) *Harness {
 		gw, err := cluster.NewGateway(cluster.Config{
 			Backends:          sp.Backends(),
 			Name:              "e2e-gateway",
-			VNodes:            opts.VNodes,
-			LoadFactor:        opts.LoadFactor,
 			ProbeInterval:     opts.ProbeInterval,
 			ProbeTimeout:      opts.ProbeTimeout,
-			Readmit:           opts.Readmit,
 			ReadmitBackoff:    opts.ReadmitBackoff,
 			ReadmitMaxBackoff: opts.ReadmitMaxBackoff,
 			Logger:            obs.NewLogger(256, func(e obs.Event) { t.Logf("%s", e) }),

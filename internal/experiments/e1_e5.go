@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"gesturecep/internal/detect"
 	"gesturecep/internal/geom"
 	"gesturecep/internal/kinect"
 	"gesturecep/internal/learn"
@@ -303,14 +302,4 @@ func E1Trace(seed int64, rows int) (Table, error) {
 		count++
 	}
 	return t, nil
-}
-
-// DetectionLatency summarizes true-positive latency over a session —
-// support data for E6.
-func DetectionLatency(out map[string]detect.Outcome) time.Duration {
-	var all detect.Outcome
-	for _, o := range out {
-		all = all.Merge(o)
-	}
-	return all.MeanLatency()
 }

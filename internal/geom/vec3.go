@@ -57,9 +57,6 @@ func (v Vec3) NormSq() float64 { return v.Dot(v) }
 // default metric for distance-based sampling (§3.3.1).
 func (v Vec3) Dist(w Vec3) float64 { return v.Sub(w).Norm() }
 
-// DistSq returns the squared Euclidean distance between v and w.
-func (v Vec3) DistSq(w Vec3) float64 { return v.Sub(w).NormSq() }
-
 // Unit returns v normalized to length 1. The zero vector is returned
 // unchanged.
 func (v Vec3) Unit() Vec3 {

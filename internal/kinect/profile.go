@@ -57,9 +57,6 @@ func (p Profile) ScaleFactor() float64 { return p.Height / ReferenceHeight }
 // factor the paper's transformation divides by (§3.2).
 func (p Profile) Forearm() float64 { return ReferenceForearm * p.ScaleFactor() }
 
-// UpperArm returns the shoulder→elbow length (mm).
-func (p Profile) UpperArm() float64 { return 280 * p.ScaleFactor() }
-
 // DefaultProfile is an average adult standing 2 m in front of the camera,
 // facing it — comparable to the trace shown in the paper's Fig. 1 (torso
 // near (45, 165, 1960)).

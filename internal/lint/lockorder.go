@@ -15,9 +15,8 @@ import (
 //
 // The analyzer is driven by a registration table of ordered pairs keyed
 // by (type name, field name): acquiring pair.First while pair.Second is
-// held in the same function is reported. New lock pairs ride along by
-// adding a RegisterLockOrder call (or a table entry) when the order is
-// documented.
+// held in the same function is reported. New lock pairs ride along as a
+// lockOrderTable entry when the order is documented.
 //
 // Because the check is intra-procedural, functions whose callers hold a
 // lock declare it with a doc-comment annotation, extending coverage one
@@ -53,15 +52,6 @@ var lockOrderTable = []lockOrderPair{
 	// internal/cluster: membership verbs serialize on memberMu and use
 	// the fleet's mu for each fine-grained step inside.
 	{lockKey{"Gateway", "memberMu"}, lockKey{"fleet", "mu"}},
-}
-
-// RegisterLockOrder adds an ordered pair (firstType.firstField acquired
-// before secondType.secondField) to the table. Exposed so future
-// subsystems register their documented orders next to the documentation.
-func RegisterLockOrder(firstType, firstField, secondType, secondField string) {
-	lockOrderTable = append(lockOrderTable, lockOrderPair{
-		lockKey{firstType, firstField}, lockKey{secondType, secondField},
-	})
 }
 
 var holdsRe = regexp.MustCompile(`^//lint:holds\s+(\S+)$`)

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -106,15 +105,4 @@ func formatFloat(v float64) string {
 		return fmt.Sprintf("%d", int64(v))
 	}
 	return fmt.Sprintf("%g", v)
-}
-
-// SortedLabelKeys is a small helper for callers building label sets from
-// maps deterministically.
-func SortedLabelKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

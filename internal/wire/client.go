@@ -273,10 +273,10 @@ func (cl *Client) readLoop() {
 	}
 }
 
-// roundTrip sends one control frame and waits for the matching reply type.
-// Round trips pipeline: concurrent callers each get the reply matching
-// their request's position in wire order. A FrameError reply is surfaced
-// as *ErrorReply.
+// roundTrip sends one control frame and waits for the matching reply type,
+// unmarshalling its payload into out (nil discards it). Round trips
+// pipeline: concurrent callers each get the reply matching their request's
+// position in wire order. A FrameError reply is surfaced as *ErrorReply.
 func (cl *Client) roundTrip(req FrameType, v any, wantReply FrameType, out any) error {
 	return cl.roundTripWith(req, v, wantReply, out, nil)
 }
@@ -285,69 +285,33 @@ func (cl *Client) roundTrip(req FrameType, v any, wantReply FrameType, out any) 
 // callback (backfill requests stream detections before their reply).
 func (cl *Client) roundTripWith(req FrameType, v any, wantReply FrameType, out any,
 	onDets func(uint32, []anduin.Detection)) error {
+	payload, err := cl.roundTripRaw(req, v, wantReply, onDets)
+	if err != nil || out == nil {
+		return err
+	}
+	return unmarshalStrict(payload, out)
+}
+
+// roundTripRaw is the one control round trip: it queues the request's
+// waiter, writes the frame (through the coalescer when enabled) and returns
+// the raw reply bytes, already copied out of the read buffer by the read
+// loop — for replies whose payload is not JSON, and under every roundTrip.
+// FrameError replies surface as *ErrorReply; any other unexpected reply
+// type fails the connection.
+func (cl *Client) roundTripRaw(req FrameType, v any, wantReply FrameType,
+	onDets func(uint32, []anduin.Detection)) ([]byte, error) {
 	if cl.closed.Load() {
-		return cl.closedErr()
+		return nil, cl.closedErr()
 	}
 	ch := make(chan controlResp, 1)
 	pr := pendingReq{ch: ch, onDets: onDets}
 	if co := cl.co.Load(); co != nil {
 		payload, err := json.Marshal(v)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		// The marshalled payload is freshly allocated, so the coalescer may
 		// reference it until flushed without a copy.
-		if err := co.enqueue(req, payload, false, &pr); err != nil {
-			return err
-		}
-	} else {
-		cl.wmu.Lock()
-		cl.pmu.Lock()
-		cl.waiters = append(cl.waiters, pr)
-		cl.pmu.Unlock()
-		err := cl.w.WriteJSON(req, v)
-		cl.wmu.Unlock()
-		if err != nil {
-			return cl.fail(err)
-		}
-	}
-	select {
-	case resp := <-ch:
-		switch resp.frameType {
-		case wantReply:
-			if out == nil {
-				return nil
-			}
-			return unmarshalStrict(resp.payload, out)
-		case FrameError:
-			var er ErrorReply
-			if err := unmarshalStrict(resp.payload, &er); err != nil {
-				return err
-			}
-			return &er
-		default:
-			return cl.fail(fmt.Errorf("wire: got %s reply, want %s", resp.frameType, wantReply))
-		}
-	case <-cl.done:
-		return cl.closedErr()
-	}
-}
-
-// roundTripRaw is roundTrip for replies whose payload is not JSON: it
-// returns the raw reply bytes (already copied out of the read buffer by the
-// read loop) instead of unmarshalling them. FrameError replies still surface
-// as *ErrorReply.
-func (cl *Client) roundTripRaw(req FrameType, v any, wantReply FrameType) ([]byte, error) {
-	if cl.closed.Load() {
-		return nil, cl.closedErr()
-	}
-	ch := make(chan controlResp, 1)
-	pr := pendingReq{ch: ch}
-	if co := cl.co.Load(); co != nil {
-		payload, err := json.Marshal(v)
-		if err != nil {
-			return nil, err
-		}
 		if err := co.enqueue(req, payload, false, &pr); err != nil {
 			return nil, err
 		}
@@ -708,7 +672,7 @@ func (rs *RemoteSession) MigrateBegin() (MigrateBeginReply, error) {
 // restart the transfer from 0 toward a fresh target — at the cost of the
 // server reopening its history reader.
 func (rs *RemoteSession) MigrateFetch(after uint64) ([]byte, error) {
-	return rs.cl.roundTripRaw(FrameMigrateState, &MigrateStateRequest{Handle: rs.handle, After: after}, FrameMigrateStateOK)
+	return rs.cl.roundTripRaw(FrameMigrateState, &MigrateStateRequest{Handle: rs.handle, After: after}, FrameMigrateStateOK, nil)
 }
 
 // MigrateCommit completes a catch-up attach on the migration target: the
