@@ -323,7 +323,7 @@ type proxyHost struct{ gw *Gateway }
 func (h proxyHost) SessionCount() int      { return int(h.gw.sessions.Load()) }
 func (h proxyHost) Metrics() serve.Metrics { return h.gw.Metrics() }
 
-func (h proxyHost) Attach(req wire.AttachRequest, push *wire.Push) (wire.Session, int, []string, error) {
+func (h proxyHost) Attach(req wire.AttachRequest, push *wire.Push) (wire.Session, wire.AttachReply, error) {
 	ps := &proxySession{gw: h.gw, id: req.ID, gestures: req.Gestures, push: push}
 	// A new session is a session with no owner yet: the same transition that
 	// moves one off a dead backend places it.
@@ -331,11 +331,14 @@ func (h proxyHost) Attach(req wire.AttachRequest, push *wire.Push) (wire.Session
 	defer ps.mu.Unlock()
 	if err := h.gw.ensureOwnerLocked(ps); err != nil {
 		// No backend, or the backend refused (duplicate ID, unknown plan, …).
-		return nil, 0, nil, err
+		return nil, wire.AttachReply{}, err
 	}
-	ps.fields = ps.rs.Fields()
+	// The first owner's read set is the one the client is given: it sends
+	// narrowed batches the gateway forwards unchanged, so every later owner
+	// must advertise the same set (place refuses one that does not).
+	ps.fields, ps.reads = ps.rs.Fields(), ps.rs.Reads()
 	h.gw.sessions.Add(1)
-	return ps, ps.fields, ps.rs.Plans(), nil
+	return ps, wire.AttachReply{Fields: ps.fields, Plans: ps.rs.Plans(), Reads: ps.reads}, nil
 }
 
 // proxySession is one front session and its ownership record: which backend
@@ -345,6 +348,7 @@ type proxySession struct {
 	id       string
 	gestures []string
 	fields   int
+	reads    []int      // the read set the client narrows to; nil: full width
 	push     *wire.Push // the front server's detection buffer for this session
 
 	// mu serializes the data/control path against owner changes: forwards,
@@ -405,10 +409,16 @@ const (
 
 // Batch forwards one batch to the session's owner: the payload the front
 // reader filled is re-addressed in place and handed to the backend
-// connection — never decoded, never copied.
+// connection — never decoded, never copied. A narrowed batch must carry the
+// read set the client was given, a full-width one the schema's width: the
+// owner then accepts it as it stands.
 func (ps *proxySession) Batch(b wire.RawBatch) error {
-	if b.Fields != ps.fields {
-		return fmt.Errorf("session %q: batch carries %d-field tuples, schema expects %d", ps.id, b.Fields, ps.fields)
+	want, narrowed := ps.fields, wire.BatchNarrowed(b.Payload)
+	if narrowed {
+		want = len(ps.reads)
+	}
+	if b.Fields != want {
+		return fmt.Errorf("session %q: batch carries %d-field tuples (narrowed %t), session expects %d", ps.id, b.Fields, narrowed, want)
 	}
 	ps.mu.Lock()
 	defer ps.mu.Unlock()

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"gesturecep/internal/wire"
 )
@@ -35,8 +36,11 @@ func refused(err error) bool {
 // startAt replayed tuples and mutes its detections until MigrateCommit). A
 // candidate that turns out dead is ejected and the next one tried; one that
 // is healthy but refuses the session (duplicate ID, unknown plan, …) ends
-// the search — the session is unplaceable, not the fleet broken. On error no
-// ring slot is held.
+// the search — the session is unplaceable, not the fleet broken. So does a
+// candidate that, for a session which already had an owner, advertises a
+// read set other than the one the client was given at attach: the client's
+// batches would not decode there. The gateway detaches from it before
+// anything is forwarded. On error no ring slot is held.
 //
 //lint:holds proxySession.mu
 func (gw *Gateway) place(ps *proxySession, startAt uint64) (*backend, *wire.RemoteSession, error) {
@@ -58,6 +62,12 @@ func (gw *Gateway) place(ps *proxySession, startAt uint64) (*backend, *wire.Remo
 			StartAt:      startAt,
 			OnDetections: ps.pushHook(be),
 		})
+		if err == nil && ps.rs != nil && !slices.Equal(rs.Reads(), ps.reads) {
+			rs.Detach()
+			ring.Release(id)
+			return nil, nil, fmt.Errorf("cluster: backend %s reads %s, the session's client sends %s",
+				be.id, describeReads(rs.Reads()), describeReads(ps.reads))
+		}
 		if err == nil {
 			return be, rs, nil
 		}
@@ -67,6 +77,14 @@ func (gw *Gateway) place(ps *proxySession, startAt uint64) (*backend, *wire.Remo
 		}
 		gw.eject(be, ps)
 	}
+}
+
+// describeReads names a read set in an error message.
+func describeReads(reads []int) string {
+	if reads == nil {
+		return "every field"
+	}
+	return fmt.Sprintf("fields %v", reads)
 }
 
 // bind makes be the session's owner, with forwarded tuples of serving state

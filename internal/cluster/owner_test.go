@@ -1,13 +1,16 @@
 package cluster
 
 import (
+	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"gesturecep/internal/kinect"
 	"gesturecep/internal/serve"
+	"gesturecep/internal/store"
 	"gesturecep/internal/stream"
 	"gesturecep/internal/wire"
 )
@@ -15,14 +18,15 @@ import (
 // ownerFixture is a gateway over n real in-process backends (Spawn: each a
 // full wire server, so every candidate speaks the protocol correctly until
 // the row kills it), probes off so only the ownership paths may eject, and
-// one front connection.
+// one front connection. The backends named in recording record their
+// sessions, which makes those sessions read every field.
 type ownerFixture struct {
 	sp *Spawner
 	gw *Gateway
 	cl *wire.Client
 }
 
-func newOwnerFixture(t *testing.T, backends int) *ownerFixture {
+func newOwnerFixture(t *testing.T, backends int, recording ...string) *ownerFixture {
 	t.Helper()
 	reg := serve.NewRegistry()
 	// Ownership never looks inside a tuple; one plan that cannot fire is
@@ -30,7 +34,17 @@ func newOwnerFixture(t *testing.T, backends int) *ownerFixture {
 	if _, err := reg.Register("never", `SELECT "never" MATCHING kinect_t(rHand_y > 100000);`); err != nil {
 		t.Fatal(err)
 	}
-	sp, err := Spawn(backends, reg, SpawnOptions{})
+	var opts SpawnOptions
+	if len(recording) > 0 {
+		opts.Record = func(id string, srv *wire.Server) {
+			if slices.Contains(recording, id) {
+				archive := store.NewArchive(t.TempDir(), kinect.Schema(), store.Options{}, 0)
+				t.Cleanup(func() { archive.Close() })
+				archive.Serve(srv, reg.Resolve, nil)
+			}
+		}
+	}
+	sp, err := Spawn(backends, reg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,6 +312,80 @@ func TestOwnershipTransitions(t *testing.T) {
 			f := newOwnerFixture(t, row.backends)
 			f.conserved(t, row.run(t, f))
 		})
+	}
+}
+
+// placedOn returns a session ID whose first ring candidate is backend.
+func (f *ownerFixture) placedOn(backend string) string {
+	for i := 0; ; i++ {
+		if first, _ := f.gw.Ring().Lookup(fmt.Sprint("s", i)); first == backend {
+			return fmt.Sprint("s", i)
+		}
+	}
+}
+
+// TestRehomeKeepsReadSet: a session's client narrows its batches to the read
+// set the first owner advertised, and the gateway forwards them unchanged,
+// so a new owner must read the same set. When the only candidate left is a
+// recording backend — its sessions read every field — the failover refuses
+// it: the session fails with the sticky error, the candidate is detached
+// from and receives no batch.
+func TestRehomeKeepsReadSet(t *testing.T) {
+	f := newOwnerFixture(t, 2, BackendID(1))
+	id := f.placedOn(BackendID(0))
+	rs := f.attach(t, id)
+	if rs.Reads() == nil {
+		t.Fatal("a session of a backend that does not record was given no read set")
+	}
+	f.feed(t, rs, 0, 8)
+	f.flush(t, rs, 8, 0)
+	if be := f.ownerOf(t, id); be.id != BackendID(0) {
+		t.Fatalf("session placed on %s, want %s", be.id, BackendID(0))
+	}
+	f.sp.Kill(0)
+	var first string
+	for attempt := 1; attempt <= 2; attempt++ {
+		_, err := rs.Flush()
+		if _, ok := err.(*wire.ErrorReply); !ok || !strings.Contains(err.Error(), "re-home refused") ||
+			!strings.Contains(err.Error(), "reads every field") {
+			t.Fatalf("flush %d error = %v (%T), want the sticky refusal of an owner that reads another set", attempt, err, err)
+		}
+		if first == "" {
+			first = err.Error()
+		} else if err.Error() != first {
+			t.Errorf("flush %d error = %q, want the same sticky %q", attempt, err, first)
+		}
+	}
+	if m := f.sp.Manager(1).Metrics(); m.Sessions != 0 || m.Enqueued != 0 {
+		t.Errorf("the refused owner holds %d sessions and took %d tuples, want none", m.Sessions, m.Enqueued)
+	}
+	f.conserved(t, 0)
+}
+
+// TestMigrationKeepsReadSet: a recording session's client sends full width,
+// so a drain must not move it onto a backend whose sessions read less. The
+// migration is refused like any target refusal — the target is detached
+// from before any history reaches it, the source unseals, the drain
+// reverts — and the session goes on serving where it was, losing nothing.
+func TestMigrationKeepsReadSet(t *testing.T) {
+	f := newOwnerFixture(t, 2, BackendID(0))
+	id := f.placedOn(BackendID(0))
+	rs := f.attach(t, id)
+	if rs.Reads() != nil {
+		t.Fatalf("a recording session's client sends fields %v, want every field", rs.Reads())
+	}
+	f.feed(t, rs, 0, 8)
+	f.flush(t, rs, 8, 0)
+	if _, err := f.gw.Drain(BackendID(0)); err == nil || !strings.Contains(err.Error(), "migration target refused attach") {
+		t.Fatalf("drain error = %v, want the target's read set refused", err)
+	}
+	if m := f.sp.Manager(1).Metrics(); m.Sessions != 0 || m.Enqueued != 0 {
+		t.Errorf("the refused target holds %d sessions and took %d tuples, want none", m.Sessions, m.Enqueued)
+	}
+	f.feed(t, rs, 8, 4)
+	f.flush(t, rs, 12, 0)
+	if be := f.ownerOf(t, id); be.id != BackendID(0) {
+		t.Errorf("session owned by %s after a refused migration, want %s", be.id, BackendID(0))
 	}
 }
 

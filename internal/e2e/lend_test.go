@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -25,7 +26,8 @@ import (
 // detections would leave the committed golden digests. They must not, for
 // batches of 1, 7, 64 and random widths, under Block (a short queue, so the
 // reader waits on the worker with buffers in flight) and under DropOldest
-// (a queue deep enough that nothing is ever evicted).
+// (a queue deep enough that nothing is ever evicted). Every batch goes out
+// narrowed to the read set the server advertised.
 func TestNobodyReadsALentTuple(t *testing.T) {
 	stream.PoisonEndedLoans(true)
 	defer stream.PoisonEndedLoans(false)
@@ -61,12 +63,10 @@ func TestNobodyReadsALentTuple(t *testing.T) {
 			}
 			go srv.Serve(ln)
 			defer srv.Close()
-			cl, err := wire.Dial(ln.Addr().String())
-			if err != nil {
-				t.Fatal(err)
-			}
+			cl, sent := dialCounting(t, ln.Addr().String())
 			defer cl.Close()
 
+			var reads []int
 			for s, tuples := range sessions {
 				for _, split := range splits {
 					// The client cuts a batch where the test says, not at a
@@ -74,6 +74,12 @@ func TestNobodyReadsALentTuple(t *testing.T) {
 					rs, err := cl.Attach(fmt.Sprintf("lent-%d-by-%s", s, split.name), wire.AttachOptions{BatchSize: wire.MaxBatch})
 					if err != nil {
 						t.Fatal(err)
+					}
+					if reads == nil {
+						reads = rs.Reads()
+					}
+					if rs.Reads() == nil || !slices.Equal(rs.Reads(), reads) {
+						t.Fatalf("session sends fields %v, the first sent %v; want one read set", rs.Reads(), reads)
 					}
 					for off := 0; off < len(tuples); {
 						n := min(split.width(), len(tuples)-off)
@@ -100,6 +106,7 @@ func TestNobodyReadsALentTuple(t *testing.T) {
 					}
 				}
 			}
+			sent.only(t, batchShape{narrowed: true, fields: len(reads)})
 		})
 	}
 }

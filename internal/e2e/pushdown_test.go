@@ -2,9 +2,11 @@ package e2e
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"net"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -38,11 +40,72 @@ func twoHandSession(t *testing.T) []stream.Tuple {
 	return kinect.ToTuples(sess.Frames)
 }
 
+// sentBatches is a client connection that tallies the batch frames written
+// through it by shape.
+type sentBatches struct {
+	net.Conn
+
+	mu      sync.Mutex
+	pending []byte // bytes of a frame not yet written whole
+	shapes  map[batchShape]int
+}
+
+// batchShape is what a batch frame carries per tuple: narrowed to a read
+// set or not, and the field count.
+type batchShape struct {
+	narrowed bool
+	fields   int
+}
+
+func (c *sentBatches) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	c.pending = append(c.pending, p...)
+	for len(c.pending) >= 5 {
+		end := 5 + int(binary.BigEndian.Uint32(c.pending))
+		if len(c.pending) < end {
+			break
+		}
+		if payload := c.pending[5:end]; wire.FrameType(c.pending[4]) == wire.FrameBatch {
+			_, _, fields, err := wire.BatchGeometry(payload)
+			if err != nil {
+				fields = -1
+			}
+			c.shapes[batchShape{wire.BatchNarrowed(payload), fields}]++
+		}
+		c.pending = c.pending[end:]
+	}
+	c.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+// only fails t unless batches were sent, every one of them of shape want.
+func (c *sentBatches) only(t *testing.T, want batchShape) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.shapes) != 1 || c.shapes[want] == 0 {
+		t.Errorf("batch frames sent, by shape: %v; want only %+v", c.shapes, want)
+	}
+}
+
+// dialCounting dials addr over a connection that tallies the batches sent.
+func dialCounting(t *testing.T, addr string) (*wire.Client, *sentBatches) {
+	t.Helper()
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb := &sentBatches{Conn: c, shapes: make(map[batchShape]int)}
+	return wire.NewClient(sb), sb
+}
+
 // TestPushdownDetectsWhatFullWidthDoes: a wire session decodes only the raw
 // fields its plan and the transform read — the left hand and the five
 // parameter joints — and, with every field outside that set NaN (ended
 // loans poisoned, so the decoder NaN-fills what it skips), detects exactly
-// what a bare engine replaying the full-width tuples does.
+// what a bare engine replaying the full-width tuples does. The client is
+// told that set at attach, and every batch it sends carries only those
+// fields.
 func TestPushdownDetectsWhatFullWidthDoes(t *testing.T) {
 	stream.PoisonEndedLoans(true)
 	defer stream.PoisonEndedLoans(false)
@@ -63,10 +126,7 @@ func TestPushdownDetectsWhatFullWidthDoes(t *testing.T) {
 	}
 	go srv.Serve(ln)
 	defer srv.Close()
-	cl, err := wire.Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl, sent := dialCounting(t, ln.Addr().String())
 	defer cl.Close()
 
 	tuples := twoHandSession(t)
@@ -96,6 +156,10 @@ func TestPushdownDetectsWhatFullWidthDoes(t *testing.T) {
 	if reads == nil || !slices.Contains(reads.Fields(), lHandX) || slices.Contains(reads.Fields(), headX) || len(reads.Fields()) != 18 {
 		t.Fatalf("session reads %v; want the left hand and the five parameter joints, 18 fields", reads.Fields())
 	}
+	if !slices.Equal(rs.Reads(), reads.Fields()) {
+		t.Fatalf("client sends fields %v, the session reads %v", rs.Reads(), reads.Fields())
+	}
+	sent.only(t, batchShape{narrowed: true, fields: 18})
 	if _, err := rs.Detach(); err != nil {
 		t.Fatal(err)
 	}

@@ -409,6 +409,7 @@ func (cl *Client) Attach(id string, opts AttachOptions) (*RemoteSession, error) 
 		handle:    reply.Handle,
 		id:        id,
 		fields:    reply.Fields,
+		reads:     sendable(reply.Reads, reply.Fields),
 		plans:     reply.Plans,
 		batchSize: opts.BatchSize,
 		onDet:     opts.OnDetection,
@@ -420,6 +421,23 @@ func (cl *Client) Attach(id string, opts AttachOptions) (*RemoteSession, error) 
 	cl.sessions[reply.Handle] = rs
 	cl.mu.Unlock()
 	return rs, nil
+}
+
+// sendable returns the fields a session narrows its batches to, given the
+// read set and schema width of its attach reply: reads when it is non-empty
+// and every index lies inside the schema, nil (every field) otherwise. A
+// server that predates read sets sends none, and full width is what every
+// server accepts.
+func sendable(reads []int, fields int) []int {
+	if len(reads) == 0 {
+		return nil
+	}
+	for _, j := range reads {
+		if j < 0 || j >= fields {
+			return nil
+		}
+	}
+	return reads
 }
 
 // Metrics fetches the server's fleet-wide metrics snapshot.
@@ -497,6 +515,7 @@ type RemoteSession struct {
 	handle    uint32
 	id        string
 	fields    int
+	reads     []int // the fields each tuple carries, in order; nil: every field
 	plans     []string
 	batchSize int
 	onDet     func(anduin.Detection)
@@ -504,8 +523,11 @@ type RemoteSession struct {
 	discard   bool
 	tracer    *obs.Sampler
 
-	batch  []stream.Tuple // pending tuples, flushed at batchSize
-	encBuf []byte         // batch encode scratch
+	// frame is the pending batch payload: a header whose count and fields
+	// word sealBatch writes at FlushBatch, then the bodies of the pending
+	// tuples, each encoded when it was fed.
+	frame   []byte
+	pending int
 
 	dmu     sync.Mutex
 	dets    []anduin.Detection
@@ -525,6 +547,11 @@ func (rs *RemoteSession) Plans() []string { return append([]string(nil), rs.plan
 // Fields returns the server's raw tuple schema width.
 func (rs *RemoteSession) Fields() int { return rs.fields }
 
+// Reads returns the raw fields the session's tuples carry on the wire, as
+// the server advertised them at attach (AttachReply.Reads), or nil when
+// they carry every field. The slice is the session's own: do not modify it.
+func (rs *RemoteSession) Reads() []int { return rs.reads }
+
 // deliver runs on the client read goroutine for every detection push.
 func (rs *RemoteSession) deliver(dropped uint64, dets []anduin.Detection) {
 	rs.dropped.Store(dropped)
@@ -543,14 +570,18 @@ func (rs *RemoteSession) deliver(dropped uint64, dets []anduin.Detection) {
 	}
 }
 
-// FeedTuple buffers one raw tuple, flushing a full batch to the socket.
-// The tuple's field slice is copied during encoding; the caller may reuse it.
+// FeedTuple encodes one raw tuple into the pending batch — only the fields
+// the server reads (Reads) — flushing a full batch to the socket. The tuple
+// is read during the call only; the caller may reuse its field slice.
 func (rs *RemoteSession) FeedTuple(t stream.Tuple) error {
 	if len(t.Fields) != rs.fields {
 		return fmt.Errorf("wire: tuple has %d fields, session schema expects %d", len(t.Fields), rs.fields)
 	}
-	rs.batch = append(rs.batch, t)
-	if len(rs.batch) >= rs.batchSize {
+	if rs.pending == 0 {
+		rs.frame = AppendBatchHeader(rs.frame[:0], rs.handle, 0, 0)
+	}
+	rs.frame = appendTupleBody(rs.frame, &t, rs.reads)
+	if rs.pending++; rs.pending >= rs.batchSize {
 		return rs.FlushBatch()
 	}
 	return nil
@@ -558,26 +589,20 @@ func (rs *RemoteSession) FeedTuple(t stream.Tuple) error {
 
 // FlushBatch sends any buffered tuples immediately.
 func (rs *RemoteSession) FlushBatch() error {
-	if len(rs.batch) == 0 {
+	if rs.pending == 0 {
 		return nil
 	}
 	if rs.cl.closed.Load() {
 		return rs.cl.closedErr()
 	}
-	var buf []byte
-	var err error
+	var sentNs int64
 	if rs.tracer.Sample() {
-		buf, err = AppendBatchTraced(rs.encBuf[:0], rs.handle, rs.fields, rs.batch, time.Now().UnixNano())
-	} else {
-		buf, err = AppendBatch(rs.encBuf[:0], rs.handle, rs.fields, rs.batch)
+		sentNs = time.Now().UnixNano()
 	}
-	if err != nil {
-		return err
-	}
-	rs.encBuf = buf[:0]
-	rs.batch = rs.batch[:0]
+	buf := sealBatch(rs.frame, 0, rs.pending, rs.fields, rs.reads, sentNs)
+	rs.frame, rs.pending = buf[:0], 0
 	if co := rs.cl.co.Load(); co != nil {
-		// The encode scratch is reused by the next FlushBatch, so hand the
+		// The pending frame is reused by the next FeedTuple, so hand the
 		// coalescer its own pooled copy.
 		p := GetFrameBuf(len(buf))
 		copy(p, buf)
@@ -588,7 +613,7 @@ func (rs *RemoteSession) FlushBatch() error {
 		return nil
 	}
 	rs.cl.wmu.Lock()
-	err = rs.cl.w.WriteFrame(FrameBatch, buf)
+	err := rs.cl.w.WriteFrame(FrameBatch, buf)
 	rs.cl.wmu.Unlock()
 	if err != nil {
 		// fail keeps the first error: if the socket died under the read

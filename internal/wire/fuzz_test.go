@@ -94,16 +94,29 @@ func FuzzDecodeFrame(f *testing.F) {
 
 // FuzzDecodeBatch hits the batch decoder directly (no frame header), so the
 // mutator spends its budget on payload structure. fieldSet picks a read set
-// (bit j for field j, bit 63 for field 1000): decoding only it must accept
-// and refuse exactly what the full decode does, and agree with it on every
-// field in the set.
+// (bit j for field j, bit 63 for field 1000) of a schema 64 fields wide
+// (1001 with field 1000). On a full-width payload, decoding only the set
+// must accept and refuse exactly what the full decode does and agree with
+// it on every field in the set, and so must a decode of the same batch
+// narrowed to the set. A narrowed payload only decodes against its set:
+// DecodeBatch refuses it, and one decodeBatch accepts re-encodes to the
+// same bytes.
 func FuzzDecodeBatch(f *testing.F) {
 	ts := time.Date(2014, 3, 24, 10, 0, 0, 0, time.UTC)
-	if p, err := AppendBatch(nil, 3, 2, []stream.Tuple{{Ts: ts, Seq: 9, Fields: []float64{4, 5}}}); err == nil {
+	two := []stream.Tuple{{Ts: ts, Seq: 9, Fields: []float64{4, 5}}}
+	if p, err := AppendBatch(nil, 3, 2, two); err == nil {
 		f.Add(p, uint64(0b10))
 	}
-	if p, err := AppendBatchTraced(nil, 3, 2, []stream.Tuple{{Ts: ts, Seq: 9, Fields: []float64{4, 5}}}, 77); err == nil {
+	if p, err := appendBatch(nil, 3, 2, two, nil, 77); err == nil {
 		f.Add(p, uint64(0))
+	}
+	if p, err := appendBatch(nil, 3, 2, two, []int{1}, 0); err == nil {
+		f.Add(p, uint64(0b10)) // narrowed, decoded against its own set
+		f.Add(p, uint64(0b11)) // narrowed, against a wider set
+		f.Add(p, uint64(0))    // narrowed, against no set
+	}
+	if p, err := appendBatch(nil, 3, 2, two, []int{0, 1}, 78); err == nil {
+		f.Add(p, uint64(0b11)) // narrowed and traced
 	}
 	var lying []byte
 	lying = binary.BigEndian.AppendUint32(lying, 1)
@@ -127,10 +140,32 @@ func FuzzDecodeBatch(f *testing.F) {
 				fields = append(fields, j)
 			}
 		}
+		width := 64
 		if fieldSet>>63 == 1 {
 			fields = append(fields, 1000)
+			width = 1001
 		}
-		part, perr := decodeBatch(recycled, payload, stream.NewReadSet(fields...))
+		set := stream.NewReadSet(fields...)
+		part, perr := decodeBatch(recycled, payload, set, width)
+		if BatchNarrowed(payload) {
+			if err == nil {
+				t.Fatal("DecodeBatch accepted a narrowed batch")
+			}
+			if perr != nil {
+				return
+			}
+			if part.Fields != width || len(fields) == 0 {
+				t.Fatalf("a narrowed batch decoded against fields %v is %d wide, want %d", fields, part.Fields, width)
+			}
+			re, err := appendBatch(nil, part.Handle, width, part.Tuples, fields, part.SentNs)
+			if err != nil {
+				t.Fatalf("accepted narrowed batch does not re-encode: %v", err)
+			}
+			if !bytes.Equal(re, payload) && !(BatchTraced(payload) && part.SentNs == 0) {
+				t.Fatalf("narrowed batch decode/encode not canonical")
+			}
+			return
+		}
 		if (perr == nil) != (err == nil) || (err != nil && perr.Error() != err.Error()) {
 			t.Fatalf("decoding fields %v: error %v, full decode %v", fields, perr, err)
 		}
@@ -142,12 +177,27 @@ func FuzzDecodeBatch(f *testing.F) {
 		}
 		// A traced batch re-encodes with its timestamp; the one accepted
 		// payload no encoder produces is a trace flag over a zero timestamp.
-		re, err := appendBatch(nil, b.Handle, b.Fields, b.Tuples, b.SentNs)
+		re, err := appendBatch(nil, b.Handle, b.Fields, b.Tuples, nil, b.SentNs)
 		if err != nil {
 			t.Fatalf("accepted batch does not re-encode: %v", err)
 		}
 		if !bytes.Equal(re, payload) && !(BatchTraced(payload) && b.SentNs == 0) {
 			t.Fatalf("batch decode/encode not canonical")
+		}
+		// The same batch narrowed to the set, as a client sends it, decodes
+		// to what the full decode holds on every field of the set.
+		if len(fields) > 0 && fields[len(fields)-1] < b.Fields {
+			narrow, err := appendBatch(nil, b.Handle, b.Fields, b.Tuples, fields, b.SentNs)
+			if err != nil {
+				t.Fatalf("accepted batch does not narrow to fields %v: %v", fields, err)
+			}
+			nb, err := decodeBatch(recycled, narrow, set, b.Fields)
+			if err != nil {
+				t.Fatalf("batch narrowed to fields %v does not decode: %v", fields, err)
+			}
+			if msg := sameBatchOn(nb, b, fields); msg != "" {
+				t.Fatalf("batch narrowed to fields %v: %s", fields, msg)
+			}
 		}
 		// The recycled-buffer form must agree with the owning one whatever
 		// the buffer held before: a wider batch, then a narrower one, then

@@ -50,7 +50,8 @@ func lendFixture(t *testing.T, cfg serve.Config, queries ...string) (*serve.Mana
 		t.Fatal(err)
 	}
 	sess.SetCollect(false)
-	return mgr, &localSession{srv: NewServer(mgr), sess: sess, cancel: func() {}}
+	return mgr, &localSession{srv: NewServer(mgr), sess: sess, cancel: func() {},
+		reads: advertised(sess), fields: kinectFields}
 }
 
 // lendPayloads encodes n consecutive batches of width tuples.
@@ -193,10 +194,14 @@ func TestRefusedBatchIsReleasedByTheCaller(t *testing.T) {
 // TestBatchAllocGate: once the pooled buffers and the shard ring are warm, a
 // 64-tuple payload through decode-into → FeedLent → publish (the kinect_t
 // view and two queries, one of which starts and expires runs all the time)
-// allocates nothing, on the feeding goroutine or the shard worker.
+// allocates nothing, on the feeding goroutine or the shard worker — full
+// width and narrowed to the session's read set, in alternate rounds.
 func TestBatchAllocGate(t *testing.T) {
 	mgr, ls := lendFixture(t, serve.Config{Shards: 1}, restQuery,
 		`SELECT "never" MATCHING kinect_t(rHand_x > 1000000000);`)
+	if ls.reads == nil {
+		t.Fatal("the session advertises no read set; the narrowed rounds would be full width")
+	}
 	// One payload, re-stamped per round so event time keeps moving forward
 	// and the runs restQuery starts meet their window.
 	tuples := poolTuples(64, kinectFields)
@@ -206,9 +211,13 @@ func TestBatchAllocGate(t *testing.T) {
 		for i := range tuples {
 			tuples[i].Ts = testTime().Add(time.Duration(round*64+i) * 33 * time.Millisecond)
 		}
+		var reads []int
+		if round%2 == 1 {
+			reads = ls.reads.Fields()
+		}
 		round++
 		var err error
-		if payload, err = AppendBatch(payload[:0], 1, kinectFields, tuples); err != nil {
+		if payload, err = appendBatch(payload[:0], 1, kinectFields, tuples, reads, 0); err != nil {
 			t.Fatal(err)
 		}
 		if err := ls.Batch(RawBatch{Payload: payload}); err != nil {
@@ -272,7 +281,7 @@ func TestDecodeOnlyTheReadSet(t *testing.T) {
 		if _, err := DecodeBatchInto(bb, payload); err != nil {
 			t.Fatal(err)
 		}
-		got, err := decodeBatch(bb, payload, stream.NewReadSet(reads...))
+		got, err := decodeBatch(bb, payload, stream.NewReadSet(reads...), kinectFields)
 		if err != nil {
 			t.Fatal(err)
 		}

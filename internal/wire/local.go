@@ -21,14 +21,14 @@ type localHost struct {
 func (h *localHost) SessionCount() int      { return h.mgr.SessionCount() }
 func (h *localHost) Metrics() serve.Metrics { return h.mgr.Metrics() }
 
-func (h *localHost) Attach(req AttachRequest, push *Push) (Session, int, []string, error) {
+func (h *localHost) Attach(req AttachRequest, push *Push) (Session, AttachReply, error) {
 	var tap func(stream.Tuple)
 	var release func(aborted bool)
 	if h.srv.TapSessions != nil {
 		var err error
 		tap, release, err = h.srv.TapSessions(req.ID)
 		if err != nil {
-			return nil, 0, nil, fmt.Errorf("wire: recording %q: %w", req.ID, err)
+			return nil, AttachReply{}, fmt.Errorf("wire: recording %q: %w", req.ID, err)
 		}
 	}
 	sess, err := h.mgr.CreateSessionWith(req.ID, serve.SessionOptions{
@@ -40,7 +40,7 @@ func (h *localHost) Attach(req AttachRequest, push *Push) (Session, int, []strin
 		if release != nil {
 			release(true)
 		}
-		return nil, 0, nil, err
+		return nil, AttachReply{}, err
 	}
 	ls := &localSession{srv: h.srv, sess: sess, release: release}
 	// Stream detections out instead of buffering them in the session: the
@@ -60,15 +60,29 @@ func (h *localHost) Attach(req AttachRequest, push *Push) (Session, int, []strin
 	})
 	sess.SetCollect(false)
 
-	plans := req.Gestures
-	if len(plans) == 0 {
-		plans = h.mgr.Registry().Names()
+	reply := AttachReply{Plans: req.Gestures}
+	if len(reply.Plans) == 0 {
+		reply.Plans = h.mgr.Registry().Names()
 	}
-	fields := 0
 	if raw, ok := sess.Engine().Stream(anduin.RawStreamName); ok {
-		fields = raw.Schema().Len()
+		reply.Fields = raw.Schema().Len()
 	}
-	return ls, fields, plans, nil
+	// CreateSessionWith deployed every plan, so the read set is final: it is
+	// what the client may narrow its batches to, and what they are decoded
+	// against for the session's life.
+	ls.reads, ls.fields = advertised(sess), reply.Fields
+	reply.Reads = ls.reads.Fields()
+	return ls, reply, nil
+}
+
+// advertised is the read set a session's client may narrow its batches to:
+// the session's raw read set, or nil — full width only — when it reads every
+// field (a recording session: its tap keeps whole tuples) or none.
+func advertised(sess *serve.Session) *stream.ReadSet {
+	if reads := sess.Reads(); len(reads.Fields()) > 0 {
+		return reads
+	}
+	return nil
 }
 
 // HistoryReader iterates a recorded session's admitted tuples in record
@@ -87,6 +101,12 @@ type localSession struct {
 	cancel  func()
 	release func(aborted bool) // recording tap release; nil when not recording
 
+	// reads is the read set advertised at attach (nil: none, full width
+	// only), which a narrowed batch must match; fields the schema width the
+	// batch is scattered back to.
+	reads  *stream.ReadSet
+	fields int
+
 	// Migration source state: the open history cursor of a sealed session
 	// and its absolute tuple position. Only the connection's reader
 	// goroutine touches these (every migrate frame, detach and teardown run
@@ -102,11 +122,17 @@ func (ls *localSession) Batch(b RawBatch) error {
 	if BatchTraced(b.Payload) {
 		start = time.Now()
 	}
-	// Only the fields the session reads are converted (serve.Session.Reads):
-	// for the demo plans 15 of 45.
+	// Only the fields the session reads are converted: for the demo plans 15
+	// of 45. A narrowed batch carries no others and is decoded against the
+	// set advertised at attach; a full-width one against the current
+	// serve.Session.Reads. The shard worker checks the set a batch holds
+	// covers what the session reads when it publishes.
 	buf := getBatchBuf()
-	reads := ls.sess.Reads()
-	batch, err := decodeBatch(buf, b.Payload, reads)
+	reads := ls.reads
+	if !BatchNarrowed(b.Payload) {
+		reads = ls.sess.Reads()
+	}
+	batch, err := decodeBatch(buf, b.Payload, reads, ls.fields)
 	if err != nil {
 		buf.Release()
 		return err

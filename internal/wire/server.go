@@ -32,10 +32,13 @@ const maxPendingDetections = 65536
 type Host interface {
 	// Attach opens the session req names (the server has already checked the
 	// protocol version). Detections the session fires go into push, from any
-	// goroutine. fields is the raw tuple schema width, plans the deployed
-	// plan names. An error refuses this session only; the connection and its
-	// other sessions survive.
-	Attach(req AttachRequest, push *Push) (sess Session, fields int, plans []string, err error)
+	// goroutine. The reply is the attach acknowledgement minus the handle,
+	// which the server assigns: the raw tuple schema width, the deployed
+	// plan names and the read set the client may narrow its batches to
+	// (nil: full width). The session must decode a narrowed batch against
+	// exactly that set for as long as it lives. An error refuses this
+	// session only; the connection and its other sessions survive.
+	Attach(req AttachRequest, push *Push) (sess Session, reply AttachReply, err error)
 	// SessionCount is the live-session figure a Pong reports.
 	SessionCount() int
 	// Metrics answers a metrics request.
@@ -62,9 +65,10 @@ type Session interface {
 }
 
 // RawBatch is one FrameBatch payload as the connection's reader filled it,
-// its geometry (BatchGeometry) already validated. Payload is the reader's
-// pooled buffer, valid until Batch returns — unless the session takes it
-// with Own.
+// its geometry (BatchGeometry) already validated: Fields is the count each
+// tuple carries, which for a narrowed batch (BatchNarrowed) the session
+// checks against its advertised read set. Payload is the reader's pooled
+// buffer, valid until Batch returns — unless the session takes it with Own.
 type RawBatch struct {
 	Payload       []byte
 	Count, Fields int
@@ -399,7 +403,7 @@ func (c *conn) handleAttach(payload []byte) error {
 	// One slot: a notification that finds the pusher busy is remembered,
 	// and the pusher drains everything pending per wake-up.
 	cs.push.notify = make(chan struct{}, 1)
-	sess, fields, plans, err := c.srv.host.Attach(req, &cs.push)
+	sess, reply, err := c.srv.host.Attach(req, &cs.push)
 	if err != nil {
 		return c.sessionError(0, err)
 	}
@@ -410,7 +414,8 @@ func (c *conn) handleAttach(payload []byte) error {
 	c.sessions[cs.handle] = cs
 	c.mu.Unlock()
 	go c.pushLoop(cs)
-	return c.reply(FrameAttachOK, &AttachReply{Handle: cs.handle, Fields: fields, Plans: plans})
+	reply.Handle = cs.handle
+	return c.reply(FrameAttachOK, &reply)
 }
 
 func (c *conn) handleBatch(payload []byte) error {

@@ -24,7 +24,7 @@ func TestCodecTracedBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced, err := AppendBatchTraced(nil, 7, 3, tuples, sentNs)
+	traced, err := appendBatch(nil, 7, 3, tuples, nil, sentNs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestCodecTracedBatch(t *testing.T) {
 		}
 	}
 	// Canonical re-encode.
-	re, err := AppendBatchTraced(nil, b.Handle, b.Fields, b.Tuples, b.SentNs)
+	re, err := appendBatch(nil, b.Handle, b.Fields, b.Tuples, nil, b.SentNs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,9 +84,6 @@ func TestCodecTracedBatch(t *testing.T) {
 		t.Error("traced encoding is not canonical under round trip")
 	}
 
-	if _, err := AppendBatchTraced(nil, 7, 3, tuples, 0); err == nil {
-		t.Error("AppendBatchTraced accepted a zero timestamp")
-	}
 	// A traced payload missing its trailer must be rejected.
 	if _, _, _, err := BatchGeometry(traced[:len(traced)-8]); err == nil {
 		t.Error("BatchGeometry accepted a traced payload without its trailer")

@@ -34,11 +34,27 @@
 // Data-plane payloads:
 //
 //	FrameBatch      handle u32 | count u16 | fields u16 |
-//	                count × (ts i64 unix-ns | seq u64 | fields × f64)
+//	                count × (ts i64 unix-ns | seq u64 | fields × f64) |
+//	                [sent i64 unix-ns]
 //	FrameDetections handle u32 | dropped u64 | count u16 |
 //	                count × (nameLen u16 | name | queryID u32 |
 //	                         start i64 | end i64 | nMeasures u16 |
 //	                         nMeasures × f64)
+//
+// The top two bits of a batch's fields word are flags; the count is the
+// word with both cleared (MaxTupleFields is 1024, so no count reaches
+// them):
+//
+//	0x8000 traced    the trailing sent timestamp is present (the batch is
+//	                 trace-sampled; see AttachOptions.TraceEvery)
+//	0x4000 narrowed  each tuple carries only the raw fields of the read set
+//	                 the server advertised at attach (AttachReply.Reads), in
+//	                 that order, and fields is the length of that set
+//
+// A client sends narrowed batches exactly when its attach reply listed a
+// read set. Every server accepts full-width batches from any client; a
+// narrowed batch whose field count is not its session's advertised set is
+// a protocol violation.
 //
 // Control-plane payloads are JSON-encoded structs (AttachRequest,
 // AttachReply, SessionRef, SessionCounters, serve.Metrics, ErrorReply,
@@ -150,11 +166,16 @@ type AttachRequest struct {
 
 // AttachReply acknowledges an attach: the connection-local session handle
 // used by all subsequent data frames, the raw tuple schema width, and the
-// deployed plan names.
+// deployed plan names. Reads, when present, is the session's raw read set
+// in ascending order: the only schema fields its plans and the transform
+// read, fixed at attach. The client then sends narrowed batches carrying
+// just those fields. Absent (a recording session, whose archive keeps whole
+// tuples, or a server that predates read sets), every batch is full width.
 type AttachReply struct {
 	Handle uint32   `json:"handle"`
 	Fields int      `json:"fields"`
 	Plans  []string `json:"plans"`
+	Reads  []int    `json:"reads,omitempty"`
 }
 
 // SessionRef addresses one attached session in control frames.
