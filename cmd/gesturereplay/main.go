@@ -293,15 +293,15 @@ func fleetBackfill(o opts) error {
 		return err
 	}
 	elapsed := time.Since(begin)
-	part := make([]string, 0, len(res.Partitions))
-	for id, names := range res.Partitions {
-		part = append(part, fmt.Sprintf("%s=%d", id, len(names)))
+	sources := make([]string, 0, len(res.Sources))
+	for id, names := range res.Sources {
+		sources = append(sources, fmt.Sprintf("%s=%d", id, len(names)))
 	}
-	sort.Strings(part)
-	fmt.Printf("fleet backfill over %d backends: %d/%d streams, %d records, %d tuples, %d detections in %v (partition %s, %d retried)\n",
+	sort.Strings(sources)
+	fmt.Printf("fleet backfill over %d backends: %d/%d streams, %d records, %d tuples, %d detections in %v (sources %s)\n",
 		len(addrs), res.Found, len(res.Streams), res.Records, res.Tuples,
 		res.DetectionTotal(), elapsed.Round(time.Millisecond),
-		strings.Join(part, " "), res.Retried)
+		strings.Join(sources, " "))
 	for i, name := range res.Streams {
 		if o.verbose {
 			fmt.Printf("%s: %d detections\n", name, len(res.Detections[i]))

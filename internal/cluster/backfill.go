@@ -24,20 +24,23 @@ type BackfillSpec struct {
 // BackfillResult is the deterministic merge of a fleet backfill. Streams is
 // the canonical evaluation order (sorted, deduped — store.SortStreams);
 // Detections is aligned with it, each stream's detections in evaluation
-// order. Because every stream is evaluated by exactly one backend's
-// store.Backfill path and the merge concatenates the per-stream groups in
-// canonical order, the result is byte-identical to single-node
-// store.BackfillStreams over the union of the fleet's archives — regardless
-// of how the ring happened to partition the work.
+// order. Every live backend evaluates every stream it holds, and each
+// stream's detections come from one copy: the one that read the most
+// tuples, the earlier backend in admission order on a tie. Sources maps
+// each backend to the streams whose copy it supplied, and Records and
+// Tuples sum over the chosen copies. A copy a session left behind when it
+// moved is a prefix of the copy it moved to, and its detections a prefix
+// of that copy's, so the result is byte-identical to single-node
+// store.BackfillStreams over the union of the fleet's archives with each
+// stream's fullest copy.
 type BackfillResult struct {
 	Streams    []string             `json:"streams"`
 	Detections [][]anduin.Detection `json:"-"`
-	Partitions map[string][]string  `json:"partitions"`
+	Sources    map[string][]string  `json:"sources"`
 	Missing    []string             `json:"missing,omitempty"`
 	Records    uint64               `json:"records"`
 	Tuples     uint64               `json:"tuples"`
 	Found      int                  `json:"found"`
-	Retried    int                  `json:"retried"`
 }
 
 // DetectionTotal counts the merged detections.
@@ -50,26 +53,23 @@ func (r *BackfillResult) DetectionTotal() int {
 }
 
 // Backfill evaluates recorded streams across the live fleet in parallel and
-// merges the detections deterministically. The plan:
+// merges the detections deterministically:
 //
 //  1. Canonicalize the stream list (sorted, deduped) — the order both the
 //     merge and the single-node baseline use.
-//  2. Partition streams across live backends by ring lookup (the pure
-//     consistent-hash assignment; load bounds don't apply to batch work).
-//  3. Run each partition through the wire protocol's backfill path on a
-//     dedicated connection per backend — a backfill request holds its
-//     server connection's reader goroutine, so the proxied live sessions'
-//     shared connections are never touched.
-//  4. Sessions are placed by bounded-load Acquire, not pure Lookup, so a
-//     stream's recording often lives on a different backend than the ring
-//     names: streams a backend reports Missing (and whole partitions whose
-//     backend call failed) are retried on the remaining live backends in
-//     admission order until located or exhausted.
+//  2. Send every live backend the whole list at once, each call on a
+//     dedicated connection — a backfill request holds its server
+//     connection's reader goroutine, so the proxied live sessions' shared
+//     connections are never touched. Sessions are placed by bounded-load
+//     Acquire and move on drains and failovers, so any backend may hold
+//     any stream, and a stream may be held twice.
+//  3. Per stream, keep the copy that read the most tuples (see
+//     BackfillResult).
 //
 // Streams no live backend archives come back in Result.Missing with an
 // empty detection group; the caller decides whether that is an error.
-// A failed backend call never contributes partial results — its streams are
-// wholly retried elsewhere — so no detection is ever merged twice.
+// A failed backend call contributes nothing: its detections buffer locally
+// and are dropped with it.
 func (gw *Gateway) Backfill(spec BackfillSpec) (*BackfillResult, error) {
 	start := time.Now()
 	res, err := gw.backfill(spec)
@@ -97,155 +97,108 @@ func (gw *Gateway) backfill(spec BackfillSpec) (*BackfillResult, error) {
 	if len(live) == 0 {
 		return nil, fmt.Errorf("cluster: backfill: no live backends")
 	}
-	res := &BackfillResult{
-		Streams:    streams,
-		Detections: make([][]anduin.Detection, len(streams)),
-		Partitions: make(map[string][]string, len(live)),
-	}
 
-	// Ring partition: stream name → owning live backend. Deterministic for
-	// a given membership, but correctness never depends on it — any
-	// backend may hold any recording (see the retry pass).
-	partition := make(map[string][]int, len(live))
-	for i, name := range streams {
-		id, ok := gw.fleet.ring.Lookup(name)
-		if !ok {
-			return nil, fmt.Errorf("cluster: backfill: ring is empty")
-		}
-		partition[id] = append(partition[id], i)
+	copies := make([]*backfillCopy, len(live))
+	var wg sync.WaitGroup
+	for j, m := range live {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			copies[j] = gw.backfillOn(spec, m, streams)
+		}()
 	}
+	wg.Wait()
 
-	// located[i] flips when stream i's detections are merged; tried tracks
-	// which backends already answered (or failed) for a stream so the retry
-	// pass never re-asks.
-	located := make([]bool, len(streams))
-	tried := make([]map[string]bool, len(streams))
-	for i := range tried {
-		tried[i] = map[string]bool{}
-	}
-
-	type call struct {
-		member
-		idxs []int
-	}
-	runWave := func(calls []call) {
-		var wg sync.WaitGroup
-		for _, c := range calls {
-			wg.Add(1)
-			go func(c call) {
-				defer wg.Done()
-				gw.backfillOn(spec, c.member, c.idxs, streams, res, located, tried)
-			}(c)
-		}
-		wg.Wait()
-	}
-
-	var wave []call
-	for _, m := range live {
-		if idxs := partition[m.id]; len(idxs) > 0 {
-			wave = append(wave, call{m, idxs})
-			names := make([]string, len(idxs))
-			for j, i := range idxs {
-				names[j] = streams[i]
-			}
-			res.Partitions[m.id] = names
-		}
-	}
-	runWave(wave)
-
-	// Retry pass: offer every still-unlocated stream to each remaining live
-	// backend, one backend per wave, until everything is found or the fleet
-	// is exhausted. Waves stay parallel-free here (one backend at a time)
-	// because each wave's remainder depends on the last.
-	for _, m := range live {
-		var idxs []int
-		for i := range streams {
-			if !located[i] && !tried[i][m.id] {
-				idxs = append(idxs, i)
-			}
-		}
-		if len(idxs) == 0 {
-			continue
-		}
-		res.Retried += len(idxs)
-		runWave([]call{{m, idxs}})
-	}
-
-	for i, name := range streams {
-		if located[i] {
-			res.Found++
-		} else {
-			res.Missing = append(res.Missing, name)
-		}
-	}
+	res := mergeCopies(streams, copies)
 	gw.log.Info("fleet backfill merged",
 		obs.F("streams", len(streams)), obs.F("found", res.Found),
-		obs.F("missing", len(res.Missing)), obs.F("retried", res.Retried),
-		obs.F("detections", res.DetectionTotal()))
+		obs.F("missing", len(res.Missing)), obs.F("detections", res.DetectionTotal()))
 	return res, nil
 }
 
-// backfillOn runs one backfill call against backend m for the given stream
-// indices, merging what it finds. Results land at disjoint global indices
-// (idxs never overlaps across concurrent calls of one wave), so only the
-// shared counters need res's lock, held via gw.backfillMu. On any call-level
-// error the backend is marked tried for every offered stream and nothing is
-// merged — the whole sublist stays eligible for retry elsewhere.
-func (gw *Gateway) backfillOn(spec BackfillSpec, m member, idxs []int, streams []string,
-	res *BackfillResult, located []bool, tried []map[string]bool) {
-	id := m.id
-	for _, i := range idxs {
-		tried[i][id] = true
+// mergeCopies picks each stream's fullest copy out of the backends'
+// answers, given in admission order (nil for a failed call).
+func mergeCopies(streams []string, copies []*backfillCopy) *BackfillResult {
+	res := &BackfillResult{
+		Streams:    streams,
+		Detections: make([][]anduin.Detection, len(streams)),
+		Sources:    make(map[string][]string, len(copies)),
 	}
-	names := make([]string, len(idxs))
-	for j, i := range idxs {
-		names[j] = streams[i]
+	for i, name := range streams {
+		best := -1
+		for j, c := range copies {
+			if c != nil && !c.missing[i] && (best < 0 || c.tuples(i) > copies[best].tuples(i)) {
+				best = j
+			}
+		}
+		if best < 0 {
+			res.Missing = append(res.Missing, name)
+			continue
+		}
+		c := copies[best]
+		res.Detections[i] = c.dets[i]
+		res.Records += countAt(c.reply.StreamRecords, i)
+		res.Tuples += c.tuples(i)
+		res.Found++
+		res.Sources[c.id] = append(res.Sources[c.id], name)
 	}
+	return res
+}
+
+// backfillCopy is one backend's answer to a fleet backfill: its detections
+// and reply, indexed like the canonical stream list.
+type backfillCopy struct {
+	id      string
+	dets    [][]anduin.Detection
+	reply   wire.BackfillReply
+	missing map[int]bool
+}
+
+// tuples is what the copy read of stream i; 0 from a server that predates
+// the per-stream counts, so such copies tie.
+func (c *backfillCopy) tuples(i int) uint64 { return countAt(c.reply.StreamTuples, i) }
+
+func countAt(counts []uint64, i int) uint64 {
+	if i < len(counts) {
+		return counts[i]
+	}
+	return 0
+}
+
+// backfillOn asks backend m for every stream. It returns nil when the call
+// fails, so a partial answer is never merged.
+func (gw *Gateway) backfillOn(spec BackfillSpec, m member, streams []string) *backfillCopy {
 	// A dedicated connection per call: the backfill request occupies the
 	// server connection's reader goroutine until done, which must never
 	// stall the proxied live sessions sharing the pooled data connection.
 	cl, err := wire.DialTimeout(m.addr, gw.cfg.ProbeTimeout)
 	if err != nil {
-		gw.log.Warn("backfill dial failed",
-			obs.F("backend", id), obs.F("streams", len(names)), obs.F("err", err.Error()))
-		return
+		gw.log.Warn("backfill dial failed", obs.F("backend", m.id), obs.F("err", err.Error()))
+		return nil
 	}
 	defer cl.Close()
-	req := wire.BackfillRequest{Streams: names, Gestures: spec.Gestures}
+	req := wire.BackfillRequest{Streams: streams, Gestures: spec.Gestures}
 	if !spec.Since.IsZero() {
 		req.SinceNs = spec.Since.UnixNano()
 	}
 	if !spec.Until.IsZero() {
 		req.UntilNs = spec.Until.UnixNano()
 	}
-	// Detections buffer locally and merge only after the reply confirms
-	// success — a mid-request failure must not leave partial groups behind.
-	got := make([][]anduin.Detection, len(idxs))
-	reply, err := cl.Backfill(req, func(local int, dets []anduin.Detection) {
-		if local >= 0 && local < len(got) {
-			got[local] = append(got[local], dets...)
+	c := &backfillCopy{id: m.id, dets: make([][]anduin.Detection, len(streams))}
+	c.reply, err = cl.Backfill(req, func(i int, dets []anduin.Detection) {
+		if i >= 0 && i < len(c.dets) {
+			c.dets[i] = append(c.dets[i], dets...)
 		}
 	})
 	if err != nil {
-		gw.log.Warn("backfill call failed",
-			obs.F("backend", id), obs.F("streams", len(names)), obs.F("err", err.Error()))
-		return
+		gw.log.Warn("backfill call failed", obs.F("backend", m.id), obs.F("err", err.Error()))
+		return nil
 	}
-	missing := make(map[int]bool, len(reply.Missing))
-	for _, local := range reply.Missing {
-		missing[local] = true
+	c.missing = make(map[int]bool, len(c.reply.Missing))
+	for _, i := range c.reply.Missing {
+		c.missing[i] = true
 	}
-	gw.backfillMu.Lock()
-	for j, i := range idxs {
-		if missing[j] {
-			continue
-		}
-		res.Detections[i] = got[j]
-		located[i] = true
-	}
-	res.Records += reply.Records
-	res.Tuples += reply.Tuples
-	gw.backfillMu.Unlock()
+	return c
 }
 
 // BackfillStats is the backfill plane's counter snapshot.

@@ -11,8 +11,10 @@ import (
 	"gesturecep/internal/anduin"
 	"gesturecep/internal/cluster"
 	"gesturecep/internal/e2e"
+	"gesturecep/internal/kinect"
 	"gesturecep/internal/serve"
 	"gesturecep/internal/store"
+	"gesturecep/internal/stream"
 	"gesturecep/internal/wire"
 )
 
@@ -70,10 +72,9 @@ func unionRoot(t testing.TB, h *e2e.Harness, backends int, streams []string) str
 // TestFleetBackfillByteIdentity is the acceptance bar for fleet-parallel
 // backfill: over three backends, the merged result must be byte-identical to
 // single-node store.BackfillStreams over the union of the fleet's archives.
-// Sessions are placed by bounded-load Acquire while the backfill partition
-// uses pure ring Lookup, so recordings routinely live off-partition — the
-// Missing-retry path runs as part of the ordinary flow, not as a contrived
-// failure.
+// Every backend is asked for every stream and each stream is held by one of
+// them, so every backend reports most of the list Missing as part of the
+// ordinary flow, not as a contrived failure.
 func TestFleetBackfillByteIdentity(t *testing.T) {
 	const backends = 3
 	h := e2e.Start(t, e2e.Options{
@@ -194,6 +195,100 @@ func TestFleetBackfillSurvivesDeadBackend(t *testing.T) {
 		}
 		if gotMissing != wantMissing {
 			t.Errorf("stream %q (backend %d): missing=%v, want %v", name, onBackend[name], gotMissing, wantMissing)
+		}
+	}
+}
+
+// TestFleetBackfillAfterDrainAndReadmit walks the rolling-restart cycle under
+// recording: sessions fed half their stream, their backend drained (the
+// moved sessions re-record their whole history on the target), the rest fed,
+// the drained backend re-admitted. The re-admitted backend still archives the
+// moved streams' pre-drain prefixes, and for some of them the ring names it
+// as their owner again; the fleet backfill must still return every stream's
+// whole-stream detections, not a prefix's.
+func TestFleetBackfillAfterDrainAndReadmit(t *testing.T) {
+	tuples := kinect.ToTuples(e2e.PlaybackFrames(t, 13))
+	half := len(tuples) / 2
+	h := e2e.Start(t, e2e.Options{
+		Backends:      2,
+		Gateway:       true,
+		Record:        true,
+		Serve:         serve.Config{Shards: 1},
+		ProbeInterval: -1,
+	})
+	gw := h.Gateway
+	plan, _ := h.Registry.Get("swipe_right")
+	whole := e2e.BareReplay(t, plan, e2e.WireTuples(t, tuples))
+	want := e2e.EncodeDets(t, whole)
+
+	cl := h.Dial()
+	const sessions = 8
+	names := make([]string, sessions)
+	rss := make([]*wire.RemoteSession, sessions)
+	for i := range rss {
+		names[i] = fmt.Sprintf("s-%d", i)
+		rs, err := cl.Attach(names[i], wire.AttachOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rss[i] = rs
+		feedTuples(t, rs, tuples[:half])
+		if _, err := rs.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drained := h.Spawner.ID(0)
+	var moved []string
+	for _, name := range names {
+		if h.HasRecording(0, name) {
+			moved = append(moved, name)
+		}
+	}
+	if n, err := gw.Drain(drained); err != nil || n != len(moved) || n == 0 {
+		t.Fatalf("Drain(%s) moved %d sessions (err %v), want the %d it carried, at least one", drained, n, err, len(moved))
+	}
+	for _, rs := range rss {
+		feedTuples(t, rs, tuples[half:])
+		if _, err := rs.Detach(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := gw.AddBackend(drained, h.Spawner.Addr(0)); err != nil {
+		t.Fatal(err)
+	}
+	stale := 0
+	for _, name := range moved {
+		if owner, _ := gw.Ring().Lookup(name); owner == drained {
+			stale++
+		}
+	}
+	if stale == 0 {
+		t.Fatalf("no moved stream of %v hashes to %s; the run does not cover a stale prefix", moved, drained)
+	}
+
+	res, err := gw.Backfill(cluster.BackfillSpec{Streams: names})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Found != sessions || len(res.Missing) != 0 {
+		t.Fatalf("found %d of %d streams, missing %v", res.Found, sessions, res.Missing)
+	}
+	for i, name := range res.Streams {
+		if got := e2e.EncodeDets(t, res.Detections[i]); !bytes.Equal(got, want) {
+			t.Errorf("stream %q: fleet backfill found %d detections, the whole stream has %d",
+				name, len(res.Detections[i]), len(whole))
+		}
+	}
+	if res.Tuples != uint64(sessions*len(tuples)) {
+		t.Errorf("fleet backfill read %d tuples from its chosen copies, the streams hold %d", res.Tuples, sessions*len(tuples))
+	}
+}
+
+func feedTuples(t *testing.T, rs *wire.RemoteSession, tuples []stream.Tuple) {
+	t.Helper()
+	for _, tp := range tuples {
+		if err := rs.FeedTuple(tp); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

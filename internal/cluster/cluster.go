@@ -120,8 +120,8 @@ func (c Config) withDefaults() Config {
 // fresh data and probe connections, an empty session set — so a session
 // still bound to a dead incarnation can never write to the new one.
 //
-// Drain is the graceful counterpart of eject: the backend leaves the ring
-// first (no new placements), then every session it carries is live-migrated
+// Drain is the graceful counterpart of eject: the backend is closed to new
+// placements first, then every session it carries is live-migrated
 // onto the rest of the fleet with full NFA state — zero tuples lost, zero
 // detections diverging — and only then are its connections dropped. A
 // drained backend is out of the serving path but remains a configured
@@ -138,8 +138,8 @@ const (
 	// StateRecovering: off the ring; a recovery loop is re-dialing it with
 	// capped exponential backoff.
 	StateRecovering BackendState = "recovering"
-	// StateDraining: off the ring; Drain is live-migrating its sessions
-	// onto the rest of the fleet.
+	// StateDraining: on the ring but closed to new placements; Drain is
+	// live-migrating its sessions onto the rest of the fleet.
 	StateDraining BackendState = "draining"
 	// StateDrained: off the ring with zero sessions, connections closed;
 	// awaiting AddBackend (re-admission) or RemoveBackend (decommission).

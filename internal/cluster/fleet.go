@@ -111,7 +111,8 @@ type member struct {
 // incarnation) and, through Gateway.eject, retire; everything that changes
 // membership goes through install, setDraining, retire and remove, which
 // keep one invariant under mu: an ID is on the ring exactly while its member
-// is live with a current incarnation.
+// has a current incarnation, and open to placements exactly while it is
+// live.
 type fleet struct {
 	cfg  Config
 	log  *obs.Logger
@@ -323,12 +324,11 @@ func (fl *fleet) recoverLoop(id, addr string, cancel chan struct{}) {
 	}
 }
 
-// setDraining takes a live member off the ring for a drain, or (draining
-// false) returns a draining one to it. It fails when be is no longer the
+// setDraining closes a live member to new placements for a drain, or
+// (draining false) reopens a draining one. It fails when be is no longer the
 // member's current incarnation in the expected state — an ejection won the
-// race. Re-entering the ring resets the ID's load, exactly like a
-// re-admission, so the bounded-load walk steers new placements toward it
-// until the count catches up.
+// race. The ID keeps its ring load throughout, so the sessions it still
+// carries stay charged to it whether the drain completes or reverts.
 func (fl *fleet) setDraining(be *backend, draining bool) error {
 	from, to := StateLive, StateDraining
 	if !draining {
@@ -343,11 +343,7 @@ func (fl *fleet) setDraining(be *backend, draining bool) error {
 	if m == nil || m.be != be || m.state != from {
 		return fmt.Errorf("cluster: backend %s is no longer %s", be.id, from)
 	}
-	if draining {
-		fl.ring.Remove(be.id)
-	} else if err := fl.ring.Add(be.id); err != nil {
-		return err
-	}
+	fl.ring.SetOpen(be.id, !draining)
 	m.state = to
 	return nil
 }

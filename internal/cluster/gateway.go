@@ -43,9 +43,7 @@ type Gateway struct {
 	migratedTuples   atomic.Uint64
 	migrateDur       *obs.Histogram
 
-	// Fleet-backfill counters (see BackfillStats) plus the merge lock the
-	// per-backend calls of one run share.
-	backfillMu      sync.Mutex
+	// Fleet-backfill counters (see BackfillStats).
 	backfills       atomic.Uint64
 	backfillsFailed atomic.Uint64
 	backfillStreams atomic.Uint64

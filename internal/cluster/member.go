@@ -46,13 +46,13 @@ func (gw *Gateway) AddBackend(id, addr string) error {
 	return err
 }
 
-// Drain gracefully retires a live backend: it leaves the ring first (no new
-// placements), then every session it carries is live-migrated onto the rest
+// Drain gracefully retires a live backend: it is closed to new placements
+// first, then every session it carries is live-migrated onto the rest
 // of the fleet — full NFA state, zero tuple loss, detections byte-identical
 // to a run that never moved — and only then are its connections dropped.
 // The drained member stays configured: AddBackend re-admits it, or
 // RemoveBackend forgets it. On a migration failure (typically no remaining
-// capacity) the drain reverts: the backend returns to the ring live, the
+// capacity) the drain reverts: the backend reopens to placements, the
 // already-moved sessions stay validly placed on their targets, and the
 // error reports the first session that could not move. Returns the number
 // of sessions migrated.

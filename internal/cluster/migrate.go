@@ -93,8 +93,8 @@ Target:
 			return abort(fmt.Errorf("cluster: session %q: migration aborted by shutdown", ps.id))
 		default:
 		}
-		// The source left the ring before the drain started, so place can
-		// only offer other backends.
+		// The source was closed to placements before the drain started, so
+		// place can only offer other backends.
 		tgt, trs, err := gw.place(ps, cut)
 		switch {
 		case errors.Is(err, errNoBackend):

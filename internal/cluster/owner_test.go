@@ -382,11 +382,17 @@ func TestMigrationKeepsReadSet(t *testing.T) {
 	if m := f.sp.Manager(1).Metrics(); m.Sessions != 0 || m.Enqueued != 0 {
 		t.Errorf("the refused target holds %d sessions and took %d tuples, want none", m.Sessions, m.Enqueued)
 	}
+	for _, row := range f.gw.BackendsInfo() {
+		if row.Sessions != row.RingLoad {
+			t.Errorf("/backends row %s after the reverted drain: %d sessions, ring load %d", row.ID, row.Sessions, row.RingLoad)
+		}
+	}
 	f.feed(t, rs, 8, 4)
 	f.flush(t, rs, 12, 0)
 	if be := f.ownerOf(t, id); be.id != BackendID(0) {
 		t.Errorf("session owned by %s after a refused migration, want %s", be.id, BackendID(0))
 	}
+	f.conserved(t, 1)
 }
 
 // TestAddBackendVerifiesLiveness pins the one dial path: an address that

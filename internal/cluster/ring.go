@@ -34,7 +34,9 @@ type point struct {
 // placement: Lookup maps a key to the backend owning the first virtual node
 // at or after the key's hash, and Acquire additionally skips backends that
 // already hold their fair share of sessions (load > ceil(c × average)),
-// walking on to the next arc. Safe for concurrent use.
+// walking on to the next arc. A backend can be closed to new placements
+// (a drain) while keeping its points and its load; Lookup and Acquire skip
+// it, and the average is over the open backends. Safe for concurrent use.
 //
 // Two properties matter to the gateway above it:
 //
@@ -47,9 +49,9 @@ type Ring struct {
 	mu     sync.RWMutex
 	vnodes int
 	factor float64
-	points []point        // sorted by hash
-	loads  map[string]int // sessions currently placed per backend
-	total  int            // sum of loads
+	points []point         // sorted by hash
+	loads  map[string]int  // sessions currently placed per backend
+	closed map[string]bool // backends closed to new placements
 }
 
 // NewRing creates an empty ring. vnodes <= 0 selects DefaultVNodes; factor
@@ -62,7 +64,7 @@ func NewRing(vnodes int, factor float64) *Ring {
 	if factor < 1 {
 		factor = DefaultLoadFactor
 	}
-	return &Ring{vnodes: vnodes, factor: factor, loads: make(map[string]int)}
+	return &Ring{vnodes: vnodes, factor: factor, loads: make(map[string]int), closed: make(map[string]bool)}
 }
 
 // mix64 finalizes a hash value (the splitmix64 finalizer). FNV alone
@@ -103,18 +105,17 @@ func (r *Ring) Add(id string) error {
 	return nil
 }
 
-// Remove ejects a backend and its virtual nodes. The sessions it carried
-// keep counting toward total until their owners Release them and re-Acquire
-// elsewhere; removing an absent backend is a no-op.
+// Remove ejects a backend, its virtual nodes and its load: the sessions it
+// carried hold no slot until they re-Acquire elsewhere. Removing an absent
+// backend is a no-op.
 func (r *Ring) Remove(id string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	load, ok := r.loads[id]
-	if !ok {
+	if _, ok := r.loads[id]; !ok {
 		return
 	}
 	delete(r.loads, id)
-	r.total -= load
+	delete(r.closed, id)
 	kept := r.points[:0]
 	for _, p := range r.points {
 		if p.id != id {
@@ -124,26 +125,45 @@ func (r *Ring) Remove(id string) {
 	r.points = kept
 }
 
-// Backends returns the live backend IDs, sorted.
+// SetOpen closes a backend to new placements (open false) or reopens it.
+// A closed backend keeps its points and its load, so the sessions it still
+// carries stay charged to it and Release them as they leave. Setting an
+// absent backend is a no-op.
+func (r *Ring) SetOpen(id string, open bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.loads[id]; !ok {
+		return
+	}
+	if open {
+		delete(r.closed, id)
+	} else {
+		r.closed[id] = true
+	}
+}
+
+// Backends returns the open backend IDs, sorted.
 func (r *Ring) Backends() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	out := make([]string, 0, len(r.loads))
 	for id := range r.loads {
-		out = append(out, id)
+		if !r.closed[id] {
+			out = append(out, id)
+		}
 	}
 	sort.Strings(out)
 	return out
 }
 
-// Len returns the number of live backends.
+// Len returns the number of open backends.
 func (r *Ring) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return len(r.loads)
+	return len(r.loads) - len(r.closed)
 }
 
-// Load returns the sessions currently placed on a backend.
+// Load returns the sessions currently placed on a backend, open or closed.
 func (r *Ring) Load(id string) int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -161,57 +181,67 @@ func (r *Ring) start(key string) int {
 	return i
 }
 
-// Lookup maps a key to its owning backend, ignoring load — the pure
+// Lookup maps a key to its owning open backend, ignoring load — the pure
 // consistent-hash assignment that the minimal-movement property speaks
-// about. ok is false on an empty ring.
+// about. ok is false when no backend is open.
 func (r *Ring) Lookup(key string) (id string, ok bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if len(r.points) == 0 {
-		return "", false
+	start := r.start(key)
+	for i := range r.points {
+		if p := r.points[(start+i)%len(r.points)]; !r.closed[p.id] {
+			return p.id, true
+		}
 	}
-	return r.points[r.start(key)].id, true
+	return "", false
 }
 
 // Acquire places a session: it walks the ring from the key's position and
-// picks the first backend whose load is below the bound
-// ceil(factor × (total+1) / n), then counts the session against it. The
-// bound always admits at least one backend (if every load reached it, the
-// total would exceed itself), so the walk terminates on the first lap; the
-// least-loaded fallback only guards the degenerate float paths. ok is false
-// on an empty ring. Pair every Acquire with a Release.
+// picks the first open backend whose load is below the bound
+// ceil(factor × (total+1) / n), total and n taken over the open backends,
+// then counts the session against it. The bound always admits at least one
+// open backend (if every load reached it, the total would exceed itself),
+// so the walk terminates on the first lap; the least-loaded fallback only
+// guards the degenerate float paths. ok is false when no backend is open.
+// Pair every Acquire with a Release.
 func (r *Ring) Acquire(key string) (id string, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.points) == 0 {
+	n, total := 0, 0
+	for id, load := range r.loads {
+		if !r.closed[id] {
+			n++
+			total += load
+		}
+	}
+	if n == 0 {
 		return "", false
 	}
-	bound := int(r.factor * float64(r.total+1) / float64(len(r.loads)))
-	if float64(bound) < r.factor*float64(r.total+1)/float64(len(r.loads)) {
+	avg := r.factor * float64(total+1) / float64(n)
+	bound := int(avg)
+	if float64(bound) < avg {
 		bound++ // ceil
 	}
 	if bound < 1 {
 		bound = 1
 	}
 	start := r.start(key)
-	for i := 0; i < len(r.points); i++ {
+	for i := range r.points {
 		p := r.points[(start+i)%len(r.points)]
-		if r.loads[p.id] < bound {
+		if !r.closed[p.id] && r.loads[p.id] < bound {
 			r.loads[p.id]++
-			r.total++
 			return p.id, true
 		}
 	}
-	// Unreachable with factor ≥ 1; pick the least-loaded backend so a
+	// Unreachable with factor ≥ 1; pick the least-loaded open backend so a
 	// misconfigured ring still places rather than spins.
 	min := ""
 	for id := range r.loads {
-		if min == "" || r.loads[id] < r.loads[min] || (r.loads[id] == r.loads[min] && id < min) {
+		if !r.closed[id] && (min == "" || r.loads[id] < r.loads[min] || (r.loads[id] == r.loads[min] && id < min)) {
 			min = id
 		}
 	}
 	r.loads[min]++
-	r.total++
 	return min, true
 }
 
@@ -222,6 +252,5 @@ func (r *Ring) Release(id string) {
 	defer r.mu.Unlock()
 	if load, ok := r.loads[id]; ok && load > 0 {
 		r.loads[id] = load - 1
-		r.total--
 	}
 }

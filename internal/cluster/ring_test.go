@@ -136,6 +136,63 @@ func TestRingEdgeCases(t *testing.T) {
 	}
 }
 
+// TestRingClosedBackend: a closed backend takes no new placement and is left
+// out of the bound's average, but keeps its load — the sessions it still
+// carries release their slots as they leave — and a reopened backend places
+// again with that load counted.
+func TestRingClosedBackend(t *testing.T) {
+	r := NewRing(8, 1)
+	for _, id := range []string{"a", "b"} {
+		if err := r.Add(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		r.Acquire(fmt.Sprint("k", i))
+	}
+	loadA := r.Load("a")
+	r.SetOpen("a", false)
+	if ids := r.Backends(); r.Len() != 1 || len(ids) != 1 || ids[0] != "b" {
+		t.Errorf("open backends = %v (Len %d), want [b]", ids, r.Len())
+	}
+	// Bound ceil(1 × (load(b)+1) / 1) always admits b: a's load stays out
+	// of the average.
+	for i := 0; i < 8; i++ {
+		key := fmt.Sprint("closed-", i)
+		if id, ok := r.Lookup(key); !ok || id != "b" {
+			t.Fatalf("Lookup(%s) = %q/%t with a closed, want b", key, id, ok)
+		}
+		if id, ok := r.Acquire(key); !ok || id != "b" {
+			t.Fatalf("Acquire(%s) = %q/%t with a closed, want b", key, id, ok)
+		}
+	}
+	if got := r.Load("a"); got != loadA {
+		t.Errorf("closed backend's load = %d, want the %d it carried", got, loadA)
+	}
+	if loadA > 0 {
+		r.Release("a")
+		if got := r.Load("a"); got != loadA-1 {
+			t.Errorf("load after a release on the closed backend = %d, want %d", got, loadA-1)
+		}
+	}
+	r.SetOpen("b", false)
+	if _, ok := r.Acquire("k"); ok {
+		t.Error("Acquire placed a session with every backend closed")
+	}
+	if _, ok := r.Lookup("k"); ok {
+		t.Error("Lookup named an owner with every backend closed")
+	}
+	r.SetOpen("a", true)
+	r.SetOpen("ghost", false) // no-op
+	if ids := r.Backends(); len(ids) != 1 || ids[0] != "a" {
+		t.Errorf("open backends after reopening a = %v, want [a]", ids)
+	}
+	r.Remove("b")
+	if err := r.Add("b"); err != nil || r.Load("b") != 0 || r.Len() != 2 {
+		t.Errorf("re-added b: err %v, load %d, Len %d; want open with load 0", err, r.Load("b"), r.Len())
+	}
+}
+
 // FuzzRingLookup drives arbitrary membership churn and then requires that
 // Lookup and Acquire never panic and always return a live backend exactly
 // when the ring is non-empty.

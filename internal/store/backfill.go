@@ -122,10 +122,10 @@ func inWindow(ts time.Time, opts BackfillOptions) bool {
 // its own private engine (streams are independent sessions; their
 // histories never interleave), and returns the detections grouped per
 // stream in sorted stream-name order. This is the single-node baseline a
-// fleet-parallel backfill must merge back to byte for byte: the fleet
-// partitions the same sorted stream list across backends, each stream is
-// still evaluated by exactly this function's per-stream path, and the
-// merge concatenates the groups in the same order.
+// fleet-parallel backfill must merge back to byte for byte: every backend
+// evaluates the same sorted stream list by this function's per-stream
+// path, and the merge concatenates, in the same order, each stream's group
+// from its fullest copy.
 func BackfillStreams(root string, streams []string, plans []*anduin.Plan, opts BackfillOptions) ([][]anduin.Detection, error) {
 	streams = SortStreams(streams)
 	out := make([][]anduin.Detection, len(streams))

@@ -89,8 +89,10 @@ func startBackfillFixture(t *testing.T, n int) *backfillFixture {
 // TestWireBackfillEqualsSerial: a backend may evaluate a request's streams
 // side by side, but what the client sees is what one goroutine walking the
 // list would have sent — frames in request order, every stream's detections
-// byte for byte those of store.BackfillStreams, a stream the archive does not
-// hold reported by its index — with and without an event-time window.
+// byte for byte those of store.BackfillStreams, each stream's records and
+// tuples counted as its reader counts them, a stream the archive does not
+// hold reported by its index and counted 0 — with and without an event-time
+// window.
 func TestWireBackfillEqualsSerial(t *testing.T) {
 	n := 3*runtime.GOMAXPROCS(0) + 1
 	fx := startBackfillFixture(t, n)
@@ -170,6 +172,28 @@ func TestWireBackfillEqualsSerial(t *testing.T) {
 			}
 			if reply.Records == 0 || reply.Tuples == 0 {
 				t.Errorf("reply counters = %+v", reply)
+			}
+			if len(reply.StreamRecords) != len(requested) || len(reply.StreamTuples) != len(requested) {
+				t.Fatalf("reply counts %d/%d streams' records/tuples, the request names %d",
+					len(reply.StreamRecords), len(reply.StreamTuples), len(requested))
+			}
+			for i, name := range requested {
+				var records, tuples uint64
+				if i != ghostAt {
+					r, err := OpenReader(fx.root, name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := Backfill(r, fx.plans, BackfillOptions{Since: tc.since, Until: tc.until}); err != nil {
+						t.Fatal(err)
+					}
+					records, tuples = r.Counters()
+					r.Close()
+				}
+				if reply.StreamRecords[i] != records || reply.StreamTuples[i] != tuples {
+					t.Errorf("stream %q: reply counts %d records, %d tuples; its reader counted %d, %d",
+						name, reply.StreamRecords[i], reply.StreamTuples[i], records, tuples)
+				}
 			}
 		})
 	}

@@ -717,7 +717,7 @@ func (rs *RemoteSession) MigrateCommit(ordinal uint64) (SessionCounters, error) 
 // belong to; pushes arrive in stream order, each stream's detections in
 // evaluation order, all before Backfill returns. The reply lists streams
 // the server does not archive in Missing — those produced no detections
-// and should be retried against the backend that has them. A stream's
+// here — and counts what it read of each stream it does. A stream's
 // pushes arrive together, once the server has finished the stream; on an
 // error, whatever was pushed for earlier streams stands and the caller
 // discards it or not. Closing the client ends the server's evaluation

@@ -506,7 +506,10 @@ func (c *conn) handleBackfill(payload []byte) error {
 	for i := 0; i < window && i < len(req.Streams); i++ {
 		start(i)
 	}
-	var reply BackfillReply
+	reply := BackfillReply{
+		StreamRecords: make([]uint64, len(req.Streams)),
+		StreamTuples:  make([]uint64, len(req.Streams)),
+	}
 	for i, name := range req.Streams {
 		res := <-results[i]
 		reply.Records += res.records
@@ -521,6 +524,7 @@ func (c *conn) handleBackfill(payload []byte) error {
 				return err
 			}
 			reply.Detections += res.detections
+			reply.StreamRecords[i], reply.StreamTuples[i] = res.records, res.tuples
 		}
 		if next := i + window; next < len(req.Streams) {
 			start(next)

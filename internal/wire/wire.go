@@ -260,7 +260,7 @@ type MigrateCommitRequest struct {
 // stream order, each stream's detections in evaluation order — followed by
 // one FrameBackfillOK. Streams the server does not archive are reported in
 // the reply's Missing list rather than failing the request, so a fleet
-// coordinator can retry just those on other backends. That much is
+// coordinator can ask every backend for the whole list. That much is
 // guaranteed; when frames leave is not — a server evaluates several streams
 // at a time and sends a stream's frames once the stream is done — and a
 // request that fails (FrameError) may have delivered any prefix of the
@@ -273,13 +273,19 @@ type BackfillRequest struct {
 }
 
 // BackfillReply summarizes a backfill run: totals across the evaluated
-// streams plus the request indices of streams this server has no recording
-// of (their detections were not produced).
+// streams, the records and tuples read from each stream (indexed like the
+// request; 0 for a stream not archived here), and the request indices of
+// streams this server has no recording of (their detections were not
+// produced). A fleet coordinator compares the per-stream counts to pick the
+// fullest of several copies of one stream; a server that predates them
+// sends neither array.
 type BackfillReply struct {
-	Records    uint64 `json:"records"`
-	Tuples     uint64 `json:"tuples"`
-	Detections uint64 `json:"detections"`
-	Missing    []int  `json:"missing,omitempty"`
+	Records       uint64   `json:"records"`
+	Tuples        uint64   `json:"tuples"`
+	Detections    uint64   `json:"detections"`
+	Missing       []int    `json:"missing,omitempty"`
+	StreamRecords []uint64 `json:"stream_records"`
+	StreamTuples  []uint64 `json:"stream_tuples"`
 }
 
 // ErrUnknownStream is the sentinel a Server.BackfillSource wraps (or
