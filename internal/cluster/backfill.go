@@ -127,7 +127,7 @@ func mergeCopies(streams []string, copies []*backfillCopy) *BackfillResult {
 	for i, name := range streams {
 		best := -1
 		for j, c := range copies {
-			if c != nil && !c.missing[i] && (best < 0 || c.tuples(i) > copies[best].tuples(i)) {
+			if c != nil && !c.missing[i] && (best < 0 || c.reply.StreamTuples[i] > copies[best].reply.StreamTuples[i]) {
 				best = j
 			}
 		}
@@ -137,8 +137,8 @@ func mergeCopies(streams []string, copies []*backfillCopy) *BackfillResult {
 		}
 		c := copies[best]
 		res.Detections[i] = c.dets[i]
-		res.Records += countAt(c.reply.StreamRecords, i)
-		res.Tuples += c.tuples(i)
+		res.Records += c.reply.StreamRecords[i]
+		res.Tuples += c.reply.StreamTuples[i]
 		res.Found++
 		res.Sources[c.id] = append(res.Sources[c.id], name)
 	}
@@ -146,23 +146,13 @@ func mergeCopies(streams []string, copies []*backfillCopy) *BackfillResult {
 }
 
 // backfillCopy is one backend's answer to a fleet backfill: its detections
-// and reply, indexed like the canonical stream list.
+// and reply (which Client.Backfill checked has a count per stream), indexed
+// like the canonical stream list.
 type backfillCopy struct {
 	id      string
 	dets    [][]anduin.Detection
 	reply   wire.BackfillReply
 	missing map[int]bool
-}
-
-// tuples is what the copy read of stream i; 0 from a server that predates
-// the per-stream counts, so such copies tie.
-func (c *backfillCopy) tuples(i int) uint64 { return countAt(c.reply.StreamTuples, i) }
-
-func countAt(counts []uint64, i int) uint64 {
-	if i < len(counts) {
-		return counts[i]
-	}
-	return 0
 }
 
 // backfillOn asks backend m for every stream. It returns nil when the call

@@ -54,6 +54,10 @@ func (fb *flapBackend) serve(c net.Conn) {
 	r := wire.NewReader(c)
 	w := wire.NewWriter(c)
 	var handles uint32
+	reads := make([]int, kinect.Schema().Len()) // every field, as a recording server lists it
+	for j := range reads {
+		reads[j] = j
+	}
 	for {
 		f, err := r.Next()
 		if err != nil {
@@ -72,8 +76,9 @@ func (fb *flapBackend) serve(c net.Conn) {
 			handles++
 			if w.WriteJSON(wire.FrameAttachOK, &wire.AttachReply{
 				Handle: handles,
-				Fields: kinect.Schema().Len(),
+				Fields: len(reads),
 				Plans:  []string{"swipe_right"},
+				Reads:  reads,
 			}) != nil {
 				return
 			}

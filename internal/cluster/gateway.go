@@ -331,12 +331,13 @@ func (h proxyHost) Attach(req wire.AttachRequest, push *wire.Push) (wire.Session
 		// No backend, or the backend refused (duplicate ID, unknown plan, …).
 		return nil, wire.AttachReply{}, err
 	}
-	// The first owner's read set is the one the client is given: it sends
-	// narrowed batches the gateway forwards unchanged, so every later owner
-	// must advertise the same set (place refuses one that does not).
-	ps.fields, ps.reads = ps.rs.Fields(), ps.rs.Reads()
+	// The first owner's read set is the one the client is given: its
+	// batches carry those fields and the gateway forwards them unchanged, so
+	// every later owner must advertise the same set (place refuses one that
+	// does not).
+	ps.reads = ps.rs.Reads()
 	h.gw.sessions.Add(1)
-	return ps, wire.AttachReply{Fields: ps.fields, Plans: ps.rs.Plans(), Reads: ps.reads}, nil
+	return ps, wire.AttachReply{Fields: ps.rs.Fields(), Plans: ps.rs.Plans(), Reads: ps.reads}, nil
 }
 
 // proxySession is one front session and its ownership record: which backend
@@ -345,8 +346,7 @@ type proxySession struct {
 	gw       *Gateway
 	id       string
 	gestures []string
-	fields   int
-	reads    []int      // the read set the client narrows to; nil: full width
+	reads    []int      // the read set the client's batches carry; nil: every field
 	push     *wire.Push // the front server's detection buffer for this session
 
 	// mu serializes the data/control path against owner changes: forwards,
@@ -407,17 +407,10 @@ const (
 
 // Batch forwards one batch to the session's owner: the payload the front
 // reader filled is re-addressed in place and handed to the backend
-// connection — never decoded, never copied. A narrowed batch must carry the
-// read set the client was given, a full-width one the schema's width: the
-// owner then accepts it as it stands.
+// connection — never decoded, never copied. The front server has checked
+// it carries the read set the client was given, so the owner, which
+// advertised the same set, accepts it as it stands.
 func (ps *proxySession) Batch(b wire.RawBatch) error {
-	want, narrowed := ps.fields, wire.BatchNarrowed(b.Payload)
-	if narrowed {
-		want = len(ps.reads)
-	}
-	if b.Fields != want {
-		return fmt.Errorf("session %q: batch carries %d-field tuples (narrowed %t), session expects %d", ps.id, b.Fields, narrowed, want)
-	}
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	if err := ps.failedLocked(); err != nil {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/json"
 	"fmt"
 	"net"
 	"slices"
@@ -18,12 +19,13 @@ import (
 // ownerFixture is a gateway over n real in-process backends (Spawn: each a
 // full wire server, so every candidate speaks the protocol correctly until
 // the row kills it), probes off so only the ownership paths may eject, and
-// one front connection. The backends named in recording record their
-// sessions, which makes those sessions read every field.
+// one front connection to addr. The backends named in recording record
+// their sessions, which makes those sessions read every field.
 type ownerFixture struct {
-	sp *Spawner
-	gw *Gateway
-	cl *wire.Client
+	sp   *Spawner
+	gw   *Gateway
+	cl   *wire.Client
+	addr string
 }
 
 func newOwnerFixture(t *testing.T, backends int, recording ...string) *ownerFixture {
@@ -64,7 +66,7 @@ func newOwnerFixture(t *testing.T, backends int, recording ...string) *ownerFixt
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cl.Close() })
-	return &ownerFixture{sp: sp, gw: gw, cl: cl}
+	return &ownerFixture{sp: sp, gw: gw, cl: cl, addr: ln.Addr().String()}
 }
 
 func (f *ownerFixture) attach(t *testing.T, id string) *wire.RemoteSession {
@@ -360,6 +362,55 @@ func TestRehomeKeepsReadSet(t *testing.T) {
 		t.Errorf("the refused owner holds %d sessions and took %d tuples, want none", m.Sessions, m.Enqueued)
 	}
 	f.conserved(t, 0)
+}
+
+// TestGatewayRefusesFullWidth: a batch through the gateway carries exactly
+// the read set of the session's attach reply. A full-width batch to a
+// session that reads less is a protocol violation at the front server —
+// answered with the error, the connection closed — and the owner admits
+// none of it.
+func TestGatewayRefusesFullWidth(t *testing.T) {
+	f := newOwnerFixture(t, 1)
+	c, err := net.Dial("tcp", f.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(10 * time.Second))
+	r, w := wire.NewReader(c), wire.NewWriter(c)
+	if err := w.WriteJSON(wire.FrameAttach, &wire.AttachRequest{Version: wire.ProtocolVersion, ID: "full"}); err != nil {
+		t.Fatal(err)
+	}
+	fr, err := r.Next()
+	if err != nil || fr.Type != wire.FrameAttachOK {
+		t.Fatalf("attach answered %v, %v", fr.Type, err)
+	}
+	var reply wire.AttachReply
+	if err := json.Unmarshal(fr.Payload, &reply); err != nil {
+		t.Fatal(err)
+	}
+	width := kinect.Schema().Len()
+	if len(reply.Reads) == 0 || len(reply.Reads) >= width {
+		t.Fatalf("session reads %v; the test needs a read set narrower than the schema", reply.Reads)
+	}
+	tuples := []stream.Tuple{{Ts: time.Unix(1395655200, 0), Fields: make([]float64, width)}}
+	payload, err := wire.AppendBatch(nil, reply.Handle, width, tuples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteFrame(wire.FrameBatch, payload); err != nil {
+		t.Fatal(err)
+	}
+	if fr, err = r.Next(); err != nil || fr.Type != wire.FrameError ||
+		!strings.Contains(string(fr.Payload), fmt.Sprintf("batch carries %d fields per tuple", width)) {
+		t.Fatalf("full-width batch answered %v %q, %v; want the width refused", fr.Type, fr.Payload, err)
+	}
+	if _, err := r.Next(); err == nil {
+		t.Error("the connection stayed open after a protocol violation")
+	}
+	if m := f.sp.Manager(0).Metrics(); m.Enqueued != 0 {
+		t.Errorf("the owner admitted %d tuples of a batch of the wrong width", m.Enqueued)
+	}
 }
 
 // TestMigrationKeepsReadSet: a recording session's client sends full width,

@@ -50,8 +50,8 @@ type sentBatches struct {
 	shapes  map[batchShape]int
 }
 
-// batchShape is what a batch frame carries per tuple: narrowed to a read
-// set or not, and the field count.
+// batchShape is what a batch frame carries per tuple: fewer fields than the
+// kinect schema's (narrowed to a read set) or not, and the field count.
 type batchShape struct {
 	narrowed bool
 	fields   int
@@ -70,7 +70,7 @@ func (c *sentBatches) Write(p []byte) (int, error) {
 			if err != nil {
 				fields = -1
 			}
-			c.shapes[batchShape{wire.BatchNarrowed(payload), fields}]++
+			c.shapes[batchShape{fields < kinect.Schema().Len(), fields}]++
 		}
 		c.pending = c.pending[end:]
 	}

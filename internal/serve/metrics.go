@@ -42,8 +42,11 @@ type BackendMetrics struct {
 	Addr    string `json:"addr"`
 	Healthy bool   `json:"healthy"`
 	// State is the gateway's lifecycle state for this backend: "live" (on
-	// the ring), "ejected" (off the ring permanently), or "recovering" (off
-	// the ring, being re-dialed for re-admission).
+	// the ring, taking sessions), "draining" (on the ring but closed to new
+	// sessions while Drain migrates its own), "drained" (off the ring with
+	// no sessions, awaiting re-admission or removal), "recovering" (off the
+	// ring, being re-dialed for re-admission) or "ejected" (retired after
+	// the gateway's Close began, never re-dialed).
 	State    string `json:"state,omitempty"`
 	Sessions int    `json:"sessions"` // proxied sessions currently homed here
 	Batches  uint64 `json:"batches"`  // batch frames forwarded
@@ -160,13 +163,7 @@ func (m Metrics) Table() string {
 			"backend", "addr", "state", "sessions", "batches", "tuples", "detections", "lost", "rehomed", "ejects", "readmits")
 		for _, be := range m.Backends {
 			state := be.State
-			if state == "" {
-				if be.Healthy {
-					state = "live"
-				} else {
-					state = "unhealthy"
-				}
-			} else if state == "live" && !be.Healthy {
+			if state == "live" && !be.Healthy {
 				state = "unreachable" // live on the ring, but the metrics fetch failed
 			}
 			fmt.Fprintf(&b, "%-12s %-21s %-10s %8d %10d %10d %10d %8d %8d %7d %8d\n",

@@ -80,10 +80,10 @@ func (m Metrics) WriteProm(w *obs.PromWriter) {
 		}
 		w.Gauge("cluster_backend_up", "1 when the gateway's last probe of the backend succeeded.", l, up)
 		live := 0.0
-		if be.State == "live" || (be.State == "" && be.Healthy) {
+		if be.State == "live" {
 			live = 1
 		}
-		w.Gauge("cluster_backend_live", "1 when the backend is on the routing ring.", l, live)
+		w.Gauge("cluster_backend_live", "1 when the backend is live: on the routing ring and open to new sessions.", l, live)
 		w.Gauge("cluster_backend_sessions", "Proxied sessions homed on the backend.", l, float64(be.Sessions))
 		w.Counter("cluster_backend_batches_total", "Batch frames forwarded to the backend.", l, be.Batches)
 		w.Counter("cluster_backend_tuples_total", "Tuples forwarded to the backend.", l, be.Tuples)

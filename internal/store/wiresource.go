@@ -69,8 +69,8 @@ func (a *Archive) Serve(srv *wire.Server, resolve func(names ...string) ([]*andu
 // backfill handler (wire.Server.BackfillSource). resolve maps plan names
 // to plans; open opens a stream. A stream the store does not hold is
 // reported as wire.ErrUnknownStream, which the protocol surfaces in
-// BackfillReply.Missing instead of failing the request — the fleet
-// coordinator's cue to retry the stream on the backend that recorded it.
+// BackfillReply.Missing instead of failing the request: this backend holds
+// no copy of the stream.
 func newWireBackfillSource(resolve func(names ...string) ([]*anduin.Plan, error),
 	open func(stream string) (*Reader, error)) wire.BackfillFunc {
 	return func(ctx context.Context, stream string, gestures []string, since, until time.Time,

@@ -164,9 +164,36 @@ func TestWireBackfill(t *testing.T) {
 	}
 }
 
+// cannedBackfill serves one connection that answers every backfill
+// request with reply, as a server that miscounts would.
+func cannedBackfill(t *testing.T, reply string) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		r, w := wire.NewReader(c), wire.NewWriter(c)
+		for {
+			f, err := r.Next()
+			if err != nil || f.Type != wire.FrameBackfill || w.WriteFrame(wire.FrameBackfillOK, []byte(reply)) != nil {
+				return
+			}
+		}
+	}()
+	return ln.Addr().String()
+}
+
 // TestWireBackfillErrors pins failure scoping: no source configured and a
 // source that fails mid-stream both abort the request with a FrameError, and
-// the connection stays usable for ordinary control traffic afterwards.
+// the connection stays usable for ordinary control traffic afterwards. A
+// reply whose per-stream counts do not match the request is an error too.
 func TestWireBackfillErrors(t *testing.T) {
 	t.Run("no source", func(t *testing.T) {
 		addr := startBackfillServer(t, nil)
@@ -208,6 +235,21 @@ func TestWireBackfillErrors(t *testing.T) {
 			t.Errorf("connection dead after aborted backfill: %v", err)
 		}
 	})
+
+	// A reply must count each requested stream once and miss only
+	// requested streams; Client.Backfill refuses any other shape.
+	for _, row := range []struct{ name, reply, want string }{
+		{"short stream_tuples", `{"records":2,"tuples":4,"detections":0,"stream_records":[1,1],"stream_tuples":[4]}`, "counts 2 and 1 streams"},
+		{"no counts", `{"records":2,"tuples":4,"detections":0,"stream_records":null,"stream_tuples":null}`, "counts 0 and 0 streams"},
+		{"missing outside the request", `{"records":0,"tuples":0,"detections":0,"missing":[2],"stream_records":[0,0],"stream_tuples":[0,0]}`, "misses stream 2 of 2"},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cl := dialBackfill(t, cannedBackfill(t, row.reply), false)
+			if _, err := cl.Backfill(wire.BackfillRequest{Streams: []string{"a", "b"}}, nil); err == nil || !strings.Contains(err.Error(), row.want) {
+				t.Fatalf("backfill = %v, want an error naming %q", err, row.want)
+			}
+		})
+	}
 }
 
 // TestWireBackfillTimeBounds verifies Since/Until cross the wire intact and

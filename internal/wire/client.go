@@ -404,12 +404,22 @@ func (cl *Client) Attach(id string, opts AttachOptions) (*RemoteSession, error) 
 	if err != nil {
 		return nil, err
 	}
+	if err := checkReads(reply.Reads, reply.Fields); err != nil {
+		// The session exists on the server; leave nothing behind there.
+		var counters SessionCounters
+		cl.roundTrip(FrameDetach, &SessionRef{Handle: reply.Handle}, FrameDetachOK, &counters)
+		return nil, fmt.Errorf("wire: attach %q: %w", id, err)
+	}
+	reads := reply.Reads
+	if len(reads) == reply.Fields {
+		reads = nil // every field, in order
+	}
 	rs := &RemoteSession{
 		cl:        cl,
 		handle:    reply.Handle,
 		id:        id,
 		fields:    reply.Fields,
-		reads:     sendable(reply.Reads, reply.Fields),
+		reads:     reads,
 		plans:     reply.Plans,
 		batchSize: opts.BatchSize,
 		onDet:     opts.OnDetection,
@@ -423,21 +433,19 @@ func (cl *Client) Attach(id string, opts AttachOptions) (*RemoteSession, error) 
 	return rs, nil
 }
 
-// sendable returns the fields a session narrows its batches to, given the
-// read set and schema width of its attach reply: reads when it is non-empty
-// and every index lies inside the schema, nil (every field) otherwise. A
-// server that predates read sets sends none, and full width is what every
-// server accepts.
-func sendable(reads []int, fields int) []int {
+// checkReads validates the read set of an attach reply, which every batch
+// of the session carries: non-empty, strictly ascending, inside the
+// schema's fields.
+func checkReads(reads []int, fields int) error {
 	if len(reads) == 0 {
-		return nil
+		return fmt.Errorf("attach reply lists no read set")
 	}
-	for _, j := range reads {
-		if j < 0 || j >= fields {
-			return nil
+	for i, j := range reads {
+		if j < 0 || j >= fields || (i > 0 && j <= reads[i-1]) {
+			return fmt.Errorf("attach reply's read set %v is not ascending inside the %d-field schema", reads, fields)
 		}
 	}
-	return reads
+	return nil
 }
 
 // Metrics fetches the server's fleet-wide metrics snapshot.
@@ -599,7 +607,11 @@ func (rs *RemoteSession) FlushBatch() error {
 	if rs.tracer.Sample() {
 		sentNs = time.Now().UnixNano()
 	}
-	buf := sealBatch(rs.frame, 0, rs.pending, rs.fields, rs.reads, sentNs)
+	sent := rs.fields
+	if rs.reads != nil {
+		sent = len(rs.reads)
+	}
+	buf := sealBatch(rs.frame, 0, rs.pending, sent, sentNs)
 	rs.frame, rs.pending = buf[:0], 0
 	if co := rs.cl.co.Load(); co != nil {
 		// The pending frame is reused by the next FeedTuple, so hand the
@@ -717,7 +729,8 @@ func (rs *RemoteSession) MigrateCommit(ordinal uint64) (SessionCounters, error) 
 // belong to; pushes arrive in stream order, each stream's detections in
 // evaluation order, all before Backfill returns. The reply lists streams
 // the server does not archive in Missing — those produced no detections
-// here — and counts what it read of each stream it does. A stream's
+// here — and counts what it read of each stream, one count per requested
+// stream: a reply of another shape is an error. A stream's
 // pushes arrive together, once the server has finished the stream; on an
 // error, whatever was pushed for earlier streams stands and the caller
 // discards it or not. Closing the client ends the server's evaluation
@@ -732,8 +745,20 @@ func (cl *Client) Backfill(req BackfillRequest, onDets func(streamIdx int, dets 
 	} else {
 		cb = func(uint32, []anduin.Detection) {}
 	}
-	err := cl.roundTripWith(FrameBackfill, &req, FrameBackfillOK, &reply, cb)
-	return reply, err
+	if err := cl.roundTripWith(FrameBackfill, &req, FrameBackfillOK, &reply, cb); err != nil {
+		return reply, err
+	}
+	n := len(req.Streams)
+	if len(reply.StreamRecords) != n || len(reply.StreamTuples) != n {
+		return reply, fmt.Errorf("wire: backfill reply counts %d and %d streams, the request names %d",
+			len(reply.StreamRecords), len(reply.StreamTuples), n)
+	}
+	for _, i := range reply.Missing {
+		if i < 0 || i >= n {
+			return reply, fmt.Errorf("wire: backfill reply misses stream %d of %d", i, n)
+		}
+	}
+	return reply, nil
 }
 
 // MigrateAbort cancels a migration on the source: the history reader is

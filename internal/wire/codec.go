@@ -166,46 +166,29 @@ func (e *Writer) WriteJSON(t FrameType, v any) error {
 
 const tupleHeadSize = 16 // ts i64 + seq u64
 
-// The batch header's fields word carries two flag bits above the field
-// count. Field counts are bounded by MaxTupleFields (1024), so neither bit
-// can collide with a real width, and a batch with neither set is
-// byte-identical to the encoding that predates them.
-//
-// batchTraceFlag means the payload carries a trailing 8-byte client-send
-// timestamp (unix nanoseconds) after the tuple bodies — the sampled trace
-// timestamp of the observability layer.
-//
-// batchNarrowFlag means each tuple body carries only the raw fields the
-// session reads, in the order of the read set its server advertised at
-// attach (AttachReply.Reads), and the count is the length of that set: the
-// payload decodes only against that set (decodeBatch), never on its own.
-const (
-	batchTraceFlag  = 0x8000
-	batchNarrowFlag = 0x4000
-)
+// batchTraceFlag is the top bit of a batch header's fields word, above the
+// field count (bounded by MaxTupleFields, 1024, so no count reaches it): the
+// payload carries a trailing 8-byte client-send timestamp (unix nanoseconds)
+// after the tuple bodies — the sampled trace timestamp of the observability
+// layer. An untraced batch's fields word is its field count.
+const batchTraceFlag = 0x8000
 
 // AppendBatch appends a FrameBatch payload for the given tuples to dst and
 // returns the extended slice. Every tuple must have exactly fields values.
 func AppendBatch(dst []byte, handle uint32, fields int, tuples []stream.Tuple) ([]byte, error) {
-	return appendBatch(dst, handle, fields, tuples, nil, 0)
+	return appendBatch(dst, handle, fields, tuples, 0)
 }
 
 // appendBatch is the one batch encoder: a header, one body per tuple
-// (appendTupleBody, narrowed to reads when reads is non-nil) and the
-// trailer sealBatch writes, which marks the batch trace-sampled when sentNs
-// (a client-send unix-nano timestamp) is non-zero. RemoteSession runs the
-// same three steps spread over its FeedTuple calls.
-func appendBatch(dst []byte, handle uint32, fields int, tuples []stream.Tuple, reads []int, sentNs int64) ([]byte, error) {
+// (appendTupleBody) and the trailer sealBatch writes, which marks the batch
+// trace-sampled when sentNs (a client-send unix-nano timestamp) is non-zero.
+// RemoteSession runs the same three steps spread over its FeedTuple calls.
+func appendBatch(dst []byte, handle uint32, fields int, tuples []stream.Tuple, sentNs int64) ([]byte, error) {
 	if len(tuples) == 0 || len(tuples) > MaxBatch {
 		return nil, fmt.Errorf("wire: batch of %d tuples (want 1..%d)", len(tuples), MaxBatch)
 	}
 	if fields <= 0 || fields > MaxTupleFields {
 		return nil, fmt.Errorf("wire: %d fields per tuple (want 1..%d)", fields, MaxTupleFields)
-	}
-	for _, j := range reads {
-		if j < 0 || j >= fields {
-			return nil, fmt.Errorf("wire: read set field %d outside the %d-field schema", j, fields)
-		}
 	}
 	start := len(dst)
 	dst = AppendBatchHeader(dst, handle, 0, 0)
@@ -213,21 +196,17 @@ func appendBatch(dst []byte, handle uint32, fields int, tuples []stream.Tuple, r
 		if len(tuples[i].Fields) != fields {
 			return nil, fmt.Errorf("wire: tuple %d has %d fields, batch declares %d", i, len(tuples[i].Fields), fields)
 		}
-		dst = appendTupleBody(dst, &tuples[i], reads)
+		dst = appendTupleBody(dst, &tuples[i], nil)
 	}
-	return sealBatch(dst, start, len(tuples), fields, reads, sentNs), nil
+	return sealBatch(dst, start, len(tuples), fields, sentNs), nil
 }
 
 // sealBatch completes the batch payload that starts at frame[start] and
-// holds count tuple bodies: it writes the header's count and fields word —
-// len(reads) under the narrowed flag when reads is non-nil, fields
-// otherwise — and, for a traced batch (sentNs non-zero), sets the trace
-// flag and appends the timestamp.
-func sealBatch(frame []byte, start, count, fields int, reads []int, sentNs int64) []byte {
+// holds count tuple bodies of fields values each: it writes the header's
+// count and fields word and, for a traced batch (sentNs non-zero), sets the
+// trace flag and appends the timestamp.
+func sealBatch(frame []byte, start, count, fields int, sentNs int64) []byte {
 	word := uint16(fields)
-	if reads != nil {
-		word = uint16(len(reads)) | batchNarrowFlag
-	}
 	if sentNs != 0 {
 		word |= batchTraceFlag
 		frame = binary.BigEndian.AppendUint64(frame, uint64(sentNs))
@@ -278,23 +257,15 @@ func BatchTraced(payload []byte) bool {
 	return len(payload) >= 8 && payload[6]&(batchTraceFlag>>8) != 0
 }
 
-// BatchNarrowed reports whether a batch payload carries only a session's
-// read set, by flag alone, like BatchTraced. It does not validate the
-// payload.
-func BatchNarrowed(payload []byte) bool {
-	return len(payload) >= 8 && payload[6]&(batchNarrowFlag>>8) != 0
-}
-
 // BatchGeometry validates a FrameBatch payload's structure — header, tuple
 // count, field count, exact body length — without decoding a single tuple,
 // and returns the routing facts a proxy needs; fields is the count each
-// body carries, flags aside. A full-width payload that passes is guaranteed
-// to decode, so a gateway may forward it verbatim knowing the backend cannot
-// reject it as a protocol violation (tuple bodies are arbitrary float64
-// bits; only geometry can be malformed). A narrowed payload (BatchNarrowed)
-// that passes decodes only against a read set of exactly fields entries:
-// the one its session's server advertised, which the proxy must check
-// fields against before it forwards.
+// body carries. A payload that passes decodes on its own (DecodeBatch) and
+// against any read set of exactly fields entries, so once a server has
+// checked fields against the session's attach reply, a gateway may forward
+// the payload verbatim knowing the backend cannot reject it as a protocol
+// violation (tuple bodies are arbitrary float64 bits; only geometry can be
+// malformed).
 func BatchGeometry(payload []byte) (handle uint32, count, fields int, err error) {
 	if len(payload) < 8 {
 		return 0, 0, 0, fmt.Errorf("wire: batch payload of %d bytes is shorter than its header", len(payload))
@@ -302,7 +273,7 @@ func BatchGeometry(payload []byte) (handle uint32, count, fields int, err error)
 	handle = binary.BigEndian.Uint32(payload[:4])
 	count = int(binary.BigEndian.Uint16(payload[4:6]))
 	flags := binary.BigEndian.Uint16(payload[6:8])
-	fields = int(flags &^ (batchTraceFlag | batchNarrowFlag))
+	fields = int(flags &^ batchTraceFlag)
 	if count == 0 || count > MaxBatch {
 		return 0, 0, 0, fmt.Errorf("wire: batch of %d tuples (want 1..%d)", count, MaxBatch)
 	}
@@ -333,9 +304,7 @@ type Batch struct {
 
 // DecodeBatch decodes a FrameBatch payload into memory the caller owns. The
 // payload must be consumed exactly; the tuple count and width are validated
-// against the payload length before the arena is allocated. A narrowed
-// payload (BatchNarrowed) is an error: it decodes only against the read set
-// its session's server advertised, which the caller does not have.
+// against the payload length before the arena is allocated.
 func DecodeBatch(payload []byte) (Batch, error) {
 	return DecodeBatchInto(&BatchBuf{}, payload)
 }
@@ -386,33 +355,33 @@ func (bb *BatchBuf) Release() {
 // DecodeBatchInto is DecodeBatch into bb's memory, grown as needed: the
 // returned tuples alias bb and are valid until its loan ends or it is decoded
 // into again. Whatever bb held before is overwritten or out of reach — the
-// result has exactly the payload's tuples and fields, no stale tail. Like
-// DecodeBatch it refuses a narrowed payload.
+// result has exactly the payload's tuples and fields, no stale tail.
 func DecodeBatchInto(bb *BatchBuf, payload []byte) (Batch, error) {
 	return decodeBatch(bb, payload, nil, 0)
 }
 
-// decodeBatch is the one batch decoder. A full-width payload is decoded as
-// DecodeBatchInto does, converting only the fields in reads (nil: every
-// field; indices outside the batch's width are ignored); width is unused.
-// A narrowed payload must carry exactly the fields of reads, in its order,
-// each inside a schema width fields wide: its values are scattered to
-// their indices in width-wide field arrays, the layout a full-width decode
-// gives, and any other shape is an error. Either way the payload is
-// validated as BatchGeometry does, and every tuple gets its Ts, Seq and a
-// field array; the fields outside reads hold undefined values — NaN under
+// decodeBatch is the one batch decoder. With reads nil it converts every
+// field the payload carries; width is unused. With a read set, the payload
+// must carry exactly the set's fields, in its order, each inside a schema
+// width fields wide: its values are scattered to their indices in
+// width-wide field arrays, the layout of a full decode, and the fields
+// outside the set hold undefined values — NaN under
 // stream.PoisonEndedLoans, since decoding into bb ends the loan of what it
-// held.
+// held. Either way the payload is validated as BatchGeometry does, and
+// every tuple gets its Ts, Seq and a field array.
 func decodeBatch(bb *BatchBuf, payload []byte, reads *stream.ReadSet, width int) (Batch, error) {
 	handle, count, sent, err := BatchGeometry(payload)
 	if err != nil {
 		return Batch{}, err
 	}
 	fields := sent
-	narrowed := BatchNarrowed(payload)
-	if narrowed {
-		if err := checkNarrowed(sent, reads, width); err != nil {
-			return Batch{}, err
+	if reads != nil {
+		rf := reads.Fields()
+		if sent != len(rf) {
+			return Batch{}, fmt.Errorf("wire: batch carries %d fields per tuple, the read set %d", sent, len(rf))
+		}
+		if width > MaxTupleFields || rf[0] < 0 || rf[len(rf)-1] >= width {
+			return Batch{}, fmt.Errorf("wire: read set %v does not fit a %d-field schema", rf, width)
 		}
 		fields = width
 	}
@@ -438,20 +407,13 @@ func decodeBatch(bb *BatchBuf, payload []byte, reads *stream.ReadSet, width int)
 		off := i * tupleSize
 		fs := bb.arena[i*fields : (i+1)*fields : (i+1)*fields]
 		vals := body[off+tupleHeadSize : off+tupleSize]
-		switch {
-		case narrowed:
-			for k, j := range reads.Fields() {
-				fs[j] = math.Float64frombits(binary.BigEndian.Uint64(vals[8*k:]))
-			}
-		case reads == nil:
+		if reads == nil {
 			for j := range fs {
 				fs[j] = math.Float64frombits(binary.BigEndian.Uint64(vals[8*j:]))
 			}
-		default:
-			for _, j := range reads.Fields() {
-				if j >= 0 && j < fields {
-					fs[j] = math.Float64frombits(binary.BigEndian.Uint64(vals[8*j:]))
-				}
+		} else {
+			for k, j := range reads.Fields() {
+				fs[j] = math.Float64frombits(binary.BigEndian.Uint64(vals[8*k:]))
 			}
 		}
 		b.Tuples[i] = stream.Tuple{
@@ -461,22 +423,6 @@ func decodeBatch(bb *BatchBuf, payload []byte, reads *stream.ReadSet, width int)
 		}
 	}
 	return b, nil
-}
-
-// checkNarrowed validates a narrowed batch carrying sent fields per tuple
-// against the read set and schema width it is decoded for.
-func checkNarrowed(sent int, reads *stream.ReadSet, width int) error {
-	if reads == nil {
-		return fmt.Errorf("wire: narrowed batch of %d fields per tuple, but no read set to decode it against", sent)
-	}
-	rf := reads.Fields()
-	if sent != len(rf) {
-		return fmt.Errorf("wire: narrowed batch carries %d fields per tuple, the session's read set %d", sent, len(rf))
-	}
-	if width <= 0 || width > MaxTupleFields || rf[0] < 0 || rf[len(rf)-1] >= width {
-		return fmt.Errorf("wire: read set %v does not fit a %d-field schema", rf, width)
-	}
-	return nil
 }
 
 // --- Detection push (data plane, server → client). ---

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"testing"
 	"time"
 
@@ -35,7 +36,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	}); err == nil {
 		seed(FrameDetections, p)
 	}
-	seed(FrameAttach, []byte(`{"version":1,"id":"u"}`))
+	seed(FrameAttach, []byte(`{"version":2,"id":"u"}`))
 	seed(FrameFlush, []byte(`{"handle":1}`))
 	// Lying length prefix and truncated header.
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, byte(FrameBatch)})
@@ -95,29 +96,28 @@ func FuzzDecodeFrame(f *testing.F) {
 // FuzzDecodeBatch hits the batch decoder directly (no frame header), so the
 // mutator spends its budget on payload structure. fieldSet picks a read set
 // (bit j for field j, bit 63 for field 1000) of a schema 64 fields wide
-// (1001 with field 1000). On a full-width payload, decoding only the set
-// must accept and refuse exactly what the full decode does and agree with
-// it on every field in the set, and so must a decode of the same batch
-// narrowed to the set. A narrowed payload only decodes against its set:
-// DecodeBatch refuses it, and one decodeBatch accepts re-encodes to the
-// same bytes.
+// (1001 with field 1000). Decoding the payload against the set accepts
+// exactly the payloads the full decode accepts that carry one field per
+// member of the set, agrees with the full decode on them field for field,
+// and re-encodes to the same bytes; the full decode re-encodes too. A batch
+// the full decode accepts, encoded for the set as a client sends it,
+// decodes against the set to what the full decode holds on the set's
+// fields.
 func FuzzDecodeBatch(f *testing.F) {
 	ts := time.Date(2014, 3, 24, 10, 0, 0, 0, time.UTC)
 	two := []stream.Tuple{{Ts: ts, Seq: 9, Fields: []float64{4, 5}}}
 	if p, err := AppendBatch(nil, 3, 2, two); err == nil {
-		f.Add(p, uint64(0b10))
+		f.Add(p, uint64(0b11)) // every field, as a recording session sends it
+		f.Add(p, uint64(0b10)) // against a narrower set
 	}
-	if p, err := appendBatch(nil, 3, 2, two, nil, 77); err == nil {
-		f.Add(p, uint64(0))
+	if p, err := appendBatch(nil, 3, 2, two, 77); err == nil {
+		f.Add(p, uint64(0)) // traced, against the empty set
 	}
-	if p, err := appendBatch(nil, 3, 2, two, []int{1}, 0); err == nil {
-		f.Add(p, uint64(0b10)) // narrowed, decoded against its own set
-		f.Add(p, uint64(0b11)) // narrowed, against a wider set
-		f.Add(p, uint64(0))    // narrowed, against no set
-	}
-	if p, err := appendBatch(nil, 3, 2, two, []int{0, 1}, 78); err == nil {
-		f.Add(p, uint64(0b11)) // narrowed and traced
-	}
+	p := appendReadBatch(nil, 3, two, []int{1}, 0)
+	f.Add(p, uint64(0b10)) // against its own set
+	f.Add(p, uint64(0b11)) // against a wider set
+	// Traced, against a set reaching field 1000.
+	f.Add(appendReadBatch(nil, 3, two, []int{0, 1}, 78), uint64(1<<63|0b10))
 	var lying []byte
 	lying = binary.BigEndian.AppendUint32(lying, 1)
 	lying = binary.BigEndian.AppendUint16(lying, 0xffff) // claims 65535 tuples
@@ -134,7 +134,7 @@ func FuzzDecodeBatch(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, payload []byte, fieldSet uint64) {
 		b, err := DecodeBatch(payload)
-		fields := []int{} // not nil: sameBatchOn reads nil as every field
+		var fields []int
 		for j := range 63 {
 			if fieldSet>>j&1 == 1 {
 				fields = append(fields, j)
@@ -145,58 +145,52 @@ func FuzzDecodeBatch(f *testing.F) {
 			fields = append(fields, 1000)
 			width = 1001
 		}
-		set := stream.NewReadSet(fields...)
-		part, perr := decodeBatch(recycled, payload, set, width)
-		if BatchNarrowed(payload) {
-			if err == nil {
-				t.Fatal("DecodeBatch accepted a narrowed batch")
-			}
-			if perr != nil {
-				return
-			}
-			if part.Fields != width || len(fields) == 0 {
-				t.Fatalf("a narrowed batch decoded against fields %v is %d wide, want %d", fields, part.Fields, width)
-			}
-			re, err := appendBatch(nil, part.Handle, width, part.Tuples, fields, part.SentNs)
-			if err != nil {
-				t.Fatalf("accepted narrowed batch does not re-encode: %v", err)
-			}
-			if !bytes.Equal(re, payload) && !(BatchTraced(payload) && part.SentNs == 0) {
-				t.Fatalf("narrowed batch decode/encode not canonical")
-			}
-			return
+		part, perr := decodeBatch(recycled, payload, stream.NewReadSet(fields...), width)
+		if want := err == nil && b.Fields == len(fields); (perr == nil) != want {
+			t.Fatalf("decoding fields %v: error %v, full decode %v of %d fields", fields, perr, err, b.Fields)
 		}
-		if (perr == nil) != (err == nil) || (err != nil && perr.Error() != err.Error()) {
-			t.Fatalf("decoding fields %v: error %v, full decode %v", fields, perr, err)
+		if perr == nil {
+			if part.Fields != width || part.Handle != b.Handle || part.SentNs != b.SentNs || len(part.Tuples) != len(b.Tuples) {
+				t.Fatalf("decoding fields %v: %d tuples %d wide, full decode %d", fields, len(part.Tuples), part.Fields, len(b.Tuples))
+			}
+			for i, tup := range part.Tuples {
+				w := b.Tuples[i]
+				if !tup.Ts.Equal(w.Ts) || tup.Seq != w.Seq {
+					t.Fatalf("decoding fields %v: tuple %d headers differ", fields, i)
+				}
+				for k, j := range fields {
+					if math.Float64bits(tup.Fields[j]) != math.Float64bits(w.Fields[k]) {
+						t.Fatalf("decoding fields %v: tuple %d field %d differs", fields, i, j)
+					}
+				}
+			}
+			// A traced batch re-encodes with its timestamp; the one accepted
+			// payload no encoder produces is a trace flag over a zero one.
+			re := appendReadBatch(nil, part.Handle, part.Tuples, fields, part.SentNs)
+			if !bytes.Equal(re, payload) && !(BatchTraced(payload) && part.SentNs == 0) {
+				t.Fatalf("batch decoded for fields %v does not re-encode to itself", fields)
+			}
 		}
 		if err != nil {
 			return
 		}
-		if msg := sameBatchOn(part, b, fields); msg != "" {
-			t.Fatalf("decoding fields %v: %s", fields, msg)
-		}
-		// A traced batch re-encodes with its timestamp; the one accepted
-		// payload no encoder produces is a trace flag over a zero timestamp.
-		re, err := appendBatch(nil, b.Handle, b.Fields, b.Tuples, nil, b.SentNs)
+		re, err := appendBatch(nil, b.Handle, b.Fields, b.Tuples, b.SentNs)
 		if err != nil {
 			t.Fatalf("accepted batch does not re-encode: %v", err)
 		}
 		if !bytes.Equal(re, payload) && !(BatchTraced(payload) && b.SentNs == 0) {
 			t.Fatalf("batch decode/encode not canonical")
 		}
-		// The same batch narrowed to the set, as a client sends it, decodes
+		// The same batch encoded for the set, as a client sends it, decodes
 		// to what the full decode holds on every field of the set.
 		if len(fields) > 0 && fields[len(fields)-1] < b.Fields {
-			narrow, err := appendBatch(nil, b.Handle, b.Fields, b.Tuples, fields, b.SentNs)
+			sent := appendReadBatch(nil, b.Handle, b.Tuples, fields, b.SentNs)
+			nb, err := decodeBatch(recycled, sent, stream.NewReadSet(fields...), b.Fields)
 			if err != nil {
-				t.Fatalf("accepted batch does not narrow to fields %v: %v", fields, err)
-			}
-			nb, err := decodeBatch(recycled, narrow, set, b.Fields)
-			if err != nil {
-				t.Fatalf("batch narrowed to fields %v does not decode: %v", fields, err)
+				t.Fatalf("batch encoded for fields %v does not decode: %v", fields, err)
 			}
 			if msg := sameBatchOn(nb, b, fields); msg != "" {
-				t.Fatalf("batch narrowed to fields %v: %s", fields, msg)
+				t.Fatalf("batch encoded for fields %v: %s", fields, msg)
 			}
 		}
 		// The recycled-buffer form must agree with the owning one whatever

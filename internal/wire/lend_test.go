@@ -54,17 +54,13 @@ func lendFixture(t *testing.T, cfg serve.Config, queries ...string) (*serve.Mana
 		reads: advertised(sess), fields: kinectFields}
 }
 
-// lendPayloads encodes n consecutive batches of width tuples.
-func lendPayloads(t *testing.T, n, width, fields int) [][]byte {
-	t.Helper()
+// lendPayloads encodes n consecutive batches of width tuples, each fields
+// wide, carrying only the fields in reads (nil: every field).
+func lendPayloads(n, width, fields int, reads *stream.ReadSet) [][]byte {
 	tuples := poolTuples(n*width, fields)
 	out := make([][]byte, n)
 	for i := range out {
-		p, err := AppendBatch(nil, 1, fields, tuples[i*width:(i+1)*width])
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[i] = p
+		out[i] = appendReadBatch(nil, 1, tuples[i*width:(i+1)*width], reads.Fields(), 0)
 	}
 	return out
 }
@@ -106,7 +102,7 @@ func TestLentBatchClosedFromListenerMidBatch(t *testing.T) {
 		fired++
 		ls.sess.Close() // the other 63 tuples of the batch are skipped
 	})
-	if err := ls.Batch(RawBatch{Payload: lendPayloads(t, 1, 64, kinectFields)[0]}); err != nil {
+	if err := ls.Batch(RawBatch{Payload: lendPayloads(1, 64, kinectFields, ls.reads)[0]}); err != nil {
 		t.Fatal(err)
 	}
 	ls.sess.Flush()
@@ -120,7 +116,7 @@ func TestLentBatchClosedFromListenerMidBatch(t *testing.T) {
 func TestLentBatchesQueuedWhenSessionCloses(t *testing.T) {
 	mgr, ls := lendFixture(t, serve.Config{Shards: 1, QueueDepth: 256}, tickQuery)
 	entered, release := holdWorker(ls.sess)
-	payloads := lendPayloads(t, 3, 64, kinectFields)
+	payloads := lendPayloads(3, 64, kinectFields, ls.reads)
 	for i, p := range payloads {
 		if err := ls.Batch(RawBatch{Payload: p}); err != nil {
 			t.Fatal(err)
@@ -144,7 +140,7 @@ func TestLentBatchesQueuedWhenSessionCloses(t *testing.T) {
 func TestLentBatchesEvictedByDropOldest(t *testing.T) {
 	mgr, ls := lendFixture(t, serve.Config{Shards: 1, QueueDepth: 128, Policy: serve.DropOldest}, tickQuery)
 	entered, release := holdWorker(ls.sess)
-	payloads := lendPayloads(t, 6, 64, kinectFields)
+	payloads := lendPayloads(6, 64, kinectFields, ls.reads)
 	for i, p := range payloads {
 		if err := ls.Batch(RawBatch{Payload: p}); err != nil {
 			t.Fatal(err)
@@ -166,14 +162,14 @@ func TestLentBatchesEvictedByDropOldest(t *testing.T) {
 
 func TestRefusedBatchIsReleasedByTheCaller(t *testing.T) {
 	mgr, ls := lendFixture(t, serve.Config{Shards: 1}, tickQuery)
-	good := lendPayloads(t, 1, 64, kinectFields)[0]
+	good := lendPayloads(1, 64, kinectFields, ls.reads)[0]
 	refusals := []struct {
 		name    string
 		payload []byte
 		arrange func()
 	}{
 		{"malformed payload", good[:len(good)-1], func() {}},
-		{"wrong arity", lendPayloads(t, 1, 64, 3)[0], func() {}},
+		{"wrong arity", lendPayloads(1, 64, 3, nil)[0], func() {}},
 		{"sealed session", good, ls.sess.Seal},
 		{"closed session", good, func() { ls.sess.Close() }},
 		{"closed manager", good, mgr.Close},
@@ -192,15 +188,15 @@ func TestRefusedBatchIsReleasedByTheCaller(t *testing.T) {
 }
 
 // TestBatchAllocGate: once the pooled buffers and the shard ring are warm, a
-// 64-tuple payload through decode-into → FeedLent → publish (the kinect_t
-// view and two queries, one of which starts and expires runs all the time)
-// allocates nothing, on the feeding goroutine or the shard worker — full
-// width and narrowed to the session's read set, in alternate rounds.
+// 64-tuple payload carrying the session's read set through decode-into →
+// FeedLent → publish (the kinect_t view and two queries, one of which
+// starts and expires runs all the time) allocates nothing, on the feeding
+// goroutine or the shard worker.
 func TestBatchAllocGate(t *testing.T) {
 	mgr, ls := lendFixture(t, serve.Config{Shards: 1}, restQuery,
 		`SELECT "never" MATCHING kinect_t(rHand_x > 1000000000);`)
 	if ls.reads == nil {
-		t.Fatal("the session advertises no read set; the narrowed rounds would be full width")
+		t.Fatal("the session advertises no read set; the batches would be full width")
 	}
 	// One payload, re-stamped per round so event time keeps moving forward
 	// and the runs restQuery starts meet their window.
@@ -211,15 +207,8 @@ func TestBatchAllocGate(t *testing.T) {
 		for i := range tuples {
 			tuples[i].Ts = testTime().Add(time.Duration(round*64+i) * 33 * time.Millisecond)
 		}
-		var reads []int
-		if round%2 == 1 {
-			reads = ls.reads.Fields()
-		}
 		round++
-		var err error
-		if payload, err = appendBatch(payload[:0], 1, kinectFields, tuples, reads, 0); err != nil {
-			t.Fatal(err)
-		}
+		payload = appendReadBatch(payload[:0], 1, tuples, ls.reads.Fields(), 0)
 		if err := ls.Batch(RawBatch{Payload: payload}); err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +237,7 @@ func TestBatchAllocGate(t *testing.T) {
 func TestDecodeIntoDirtyBuffer(t *testing.T) {
 	bb := new(BatchBuf)
 	for _, shape := range [][2]int{{64, kinectFields}, {3, kinectFields}, {5, 7}, {1, 1}, {64, kinectFields}} {
-		payload := lendPayloads(t, 1, shape[0], shape[1])[0]
+		payload := lendPayloads(1, shape[0], shape[1], nil)[0]
 		got, err := DecodeBatchInto(bb, payload)
 		if err != nil {
 			t.Fatal(err)
@@ -263,17 +252,21 @@ func TestDecodeIntoDirtyBuffer(t *testing.T) {
 	}
 }
 
-// TestDecodeOnlyTheReadSet: decoding a read set converts exactly its
-// fields, bit for bit as the full decode does, and with ended loans
-// poisoned leaves NaN in every other field — also in a buffer that held a
-// full decode, and in one grown for the batch.
+// TestDecodeOnlyTheReadSet: a batch carrying a read set decodes to exactly
+// its fields, bit for bit as the full decode of the same tuples does, and
+// with ended loans poisoned leaves NaN in every other field — also in a
+// buffer that held a full decode, and in one grown for the batch.
 func TestDecodeOnlyTheReadSet(t *testing.T) {
 	stream.PoisonEndedLoans(true)
 	defer stream.PoisonEndedLoans(false)
-	reads := []int{0, 2, 24, 25, 26, 44}
+	reads := stream.NewReadSet(0, 2, 24, 25, 26, 44)
 	bb := new(BatchBuf)
 	for _, width := range []int{64, 3, 64, 200} {
-		payload := lendPayloads(t, 1, width, kinectFields)[0]
+		tuples := poolTuples(width, kinectFields)
+		payload, err := AppendBatch(nil, 1, kinectFields, tuples)
+		if err != nil {
+			t.Fatal(err)
+		}
 		want, err := DecodeBatch(payload)
 		if err != nil {
 			t.Fatal(err)
@@ -281,16 +274,16 @@ func TestDecodeOnlyTheReadSet(t *testing.T) {
 		if _, err := DecodeBatchInto(bb, payload); err != nil {
 			t.Fatal(err)
 		}
-		got, err := decodeBatch(bb, payload, stream.NewReadSet(reads...), kinectFields)
+		got, err := decodeBatch(bb, appendReadBatch(nil, 1, tuples, reads.Fields(), 0), reads, kinectFields)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if msg := sameBatchOn(got, want, reads); msg != "" {
+		if msg := sameBatchOn(got, want, reads.Fields()); msg != "" {
 			t.Fatalf("%d tuples: %s", width, msg)
 		}
 		for i, tup := range got.Tuples {
 			for k, v := range tup.Fields {
-				if !slices.Contains(reads, k) && !math.IsNaN(v) {
+				if !slices.Contains(reads.Fields(), k) && !math.IsNaN(v) {
 					t.Fatalf("%d tuples: tuple %d field %d outside the read set holds %g, want NaN", width, i, k, v)
 				}
 			}

@@ -67,17 +67,17 @@ func (h *localHost) Attach(req AttachRequest, push *Push) (Session, AttachReply,
 	if raw, ok := sess.Engine().Stream(anduin.RawStreamName); ok {
 		reply.Fields = raw.Schema().Len()
 	}
-	// CreateSessionWith deployed every plan, so the read set is final: it is
-	// what the client may narrow its batches to, and what they are decoded
-	// against for the session's life.
+	// CreateSessionWith deployed every plan, so the read set is final: the
+	// fields the client sends, and what its batches are decoded against for
+	// the session's life.
 	ls.reads, ls.fields = advertised(sess), reply.Fields
 	reply.Reads = ls.reads.Fields()
 	return ls, reply, nil
 }
 
-// advertised is the read set a session's client may narrow its batches to:
-// the session's raw read set, or nil — full width only — when it reads every
-// field (a recording session: its tap keeps whole tuples) or none.
+// advertised is the read set a session's batches carry: the session's raw
+// read set, or nil — every field — when it reads every field (a recording
+// session: its tap keeps whole tuples) or none.
 func advertised(sess *serve.Session) *stream.ReadSet {
 	if reads := sess.Reads(); len(reads.Fields()) > 0 {
 		return reads
@@ -101,9 +101,8 @@ type localSession struct {
 	cancel  func()
 	release func(aborted bool) // recording tap release; nil when not recording
 
-	// reads is the read set advertised at attach (nil: none, full width
-	// only), which a narrowed batch must match; fields the schema width the
-	// batch is scattered back to.
+	// reads is the read set advertised at attach (nil: every field), which
+	// every batch carries; fields the schema width it is scattered back to.
 	reads  *stream.ReadSet
 	fields int
 
@@ -122,17 +121,12 @@ func (ls *localSession) Batch(b RawBatch) error {
 	if BatchTraced(b.Payload) {
 		start = time.Now()
 	}
-	// Only the fields the session reads are converted: for the demo plans 15
-	// of 45. A narrowed batch carries no others and is decoded against the
-	// set advertised at attach; a full-width one against the current
-	// serve.Session.Reads. The shard worker checks the set a batch holds
-	// covers what the session reads when it publishes.
+	// The batch carries only the fields the session reads — for the demo
+	// plans 15 of 45 — and is decoded against the set advertised at attach.
+	// The shard worker checks the set a batch holds covers what the session
+	// reads when it publishes.
 	buf := getBatchBuf()
-	reads := ls.reads
-	if !BatchNarrowed(b.Payload) {
-		reads = ls.sess.Reads()
-	}
-	batch, err := decodeBatch(buf, b.Payload, reads, ls.fields)
+	batch, err := decodeBatch(buf, b.Payload, ls.reads, ls.fields)
 	if err != nil {
 		buf.Release()
 		return err
@@ -146,7 +140,7 @@ func (ls *localSession) Batch(b RawBatch) error {
 	// releases it. FeedLent blocks on a full shard queue under serve.Block —
 	// this is the backpressure path. A traced batch's timestamp rides along
 	// so the serve-side stage histograms see it.
-	if err := ls.sess.FeedLent(batch.Tuples, reads, batch.SentNs, buf); err != nil {
+	if err := ls.sess.FeedLent(batch.Tuples, ls.reads, batch.SentNs, buf); err != nil {
 		// Refused, so never lent. A feed failure means the session or manager
 		// closed under the connection; it is fatal so the client never
 		// receives an error frame it has no request in flight for.

@@ -1,34 +1,40 @@
 package wire
 
 import (
-	"bytes"
 	"fmt"
 	"net"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"gesturecep/internal/serve"
 	"gesturecep/internal/stream"
 )
 
 // Tests of read-set pushdown to the sender: the attach reply's read set,
-// the client's narrowed batches, and the server's checks on them.
+// the client's batches that carry just those fields, and the server's
+// checks on them.
 
 // captureHost is a host whose sessions advertise a fixed attach reply and
-// keep every batch they are sent, decoded as the local host decodes it.
+// keep every batch they are sent, as bytes and decoded as the local host
+// decodes it.
 type captureHost struct {
 	reply AttachReply
 
 	mu       sync.Mutex
-	narrowed []bool
+	live     int // sessions attached and not yet detached or closed
+	payloads [][]byte
 	tuples   []stream.Tuple
 }
 
 func (h *captureHost) SessionCount() int      { return 0 }
 func (h *captureHost) Metrics() serve.Metrics { return serve.Metrics{} }
 func (h *captureHost) Attach(AttachRequest, *Push) (Session, AttachReply, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.live++
 	return captureSession{h}, h.reply, nil
 }
 
@@ -36,8 +42,7 @@ type captureSession struct{ h *captureHost }
 
 func (s captureSession) Batch(b RawBatch) error {
 	var reads *stream.ReadSet
-	narrowed := BatchNarrowed(b.Payload)
-	if narrowed && s.h.reply.Reads != nil {
+	if s.h.reply.Reads != nil {
 		reads = stream.NewReadSet(s.h.reply.Reads...)
 	}
 	batch, err := decodeBatch(new(BatchBuf), b.Payload, reads, s.h.reply.Fields)
@@ -46,13 +51,39 @@ func (s captureSession) Batch(b RawBatch) error {
 	}
 	s.h.mu.Lock()
 	defer s.h.mu.Unlock()
-	s.h.narrowed = append(s.h.narrowed, narrowed)
+	s.h.payloads = append(s.h.payloads, slices.Clone(b.Payload))
 	s.h.tuples = append(s.h.tuples, batch.Tuples...)
 	return nil
 }
 
-func (captureSession) Sync(bool) (SessionCounters, error) { return SessionCounters{}, nil }
-func (captureSession) Close()                             {}
+func (s captureSession) Sync(detach bool) (SessionCounters, error) {
+	if detach {
+		s.Close()
+	}
+	return SessionCounters{}, nil
+}
+
+func (s captureSession) Close() {
+	s.h.mu.Lock()
+	defer s.h.mu.Unlock()
+	s.h.live--
+}
+
+// appendReadBatch encodes tuples as a batch whose bodies carry only the
+// fields in reads, in that order (nil: every field) — what the client of a
+// session with that read set sends.
+func appendReadBatch(dst []byte, handle uint32, tuples []stream.Tuple, reads []int, sentNs int64) []byte {
+	start := len(dst)
+	dst = AppendBatchHeader(dst, handle, 0, 0)
+	for i := range tuples {
+		dst = appendTupleBody(dst, &tuples[i], reads)
+	}
+	sent := len(reads)
+	if reads == nil {
+		sent = len(tuples[0].Fields)
+	}
+	return sealBatch(dst, start, len(tuples), sent, sentNs)
+}
 
 // serveHost serves h on a loopback listener and dials it.
 func serveHost(t *testing.T, h Host) *Client {
@@ -74,46 +105,64 @@ func serveHost(t *testing.T, h Host) *Client {
 
 // TestFeedTupleReusedSlice: FeedTuple reads the tuple during the call only,
 // so a producer that fills one field slice for every tuple of a batch gets
-// every tuple's own values to the server — full width and narrowed alike.
-// The client sends full width when the attach reply has no read set, which
-// is the reply of a server that predates them, or a set that does not fit
-// the schema.
+// every tuple's own values to the server — every field and a read set
+// alike, and a session that reads every field sends the bytes of a
+// full-width batch (AppendBatch). An attach reply whose read set is empty, reaches outside the
+// schema or is out of order makes Attach fail, and the session it opened
+// on the server is detached.
 func TestFeedTupleReusedSlice(t *testing.T) {
 	for _, row := range []struct {
-		name     string
-		reads    []int
-		narrowed bool
+		name    string
+		reads   []int // the host's reply; nil: the server lists every field
+		sent    []int // what the client sends; nil: every field
+		refused bool
 	}{
-		{"no read set", nil, false},
-		{"read set", []int{1}, true},
-		{"read set outside the schema", []int{5}, false},
+		{"every field", nil, nil, false},
+		{"read set", []int{1}, []int{1}, false},
+		{"no read set", []int{}, nil, true},
+		{"read set outside the schema", []int{5}, nil, true},
+		{"read set out of order", []int{1, 0}, nil, true},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			h := &captureHost{reply: AttachReply{Fields: 2, Plans: []string{}, Reads: row.reads}}
 			rs, err := serveHost(t, h).Attach("reuse", AttachOptions{BatchSize: 3})
+			if row.refused {
+				h.mu.Lock()
+				defer h.mu.Unlock()
+				if err == nil || !strings.Contains(err.Error(), "read set") || h.live != 0 {
+					t.Fatalf("attach = %v with %d server sessions left; want the read set refused and none left", err, h.live)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := rs.Reads(); (got != nil) != row.narrowed {
-				t.Fatalf("session sends fields %v; narrowed should be %t", got, row.narrowed)
+			if got := rs.Reads(); !slices.Equal(got, row.sent) {
+				t.Fatalf("session sends fields %v, want %v", got, row.sent)
 			}
 			fields := make([]float64, 2)
+			var fed []stream.Tuple
 			for i := range 3 {
 				fields[0], fields[1] = float64(i), float64(10*i)
-				if err := rs.FeedTuple(stream.Tuple{Ts: testTime(), Seq: uint64(i), Fields: fields}); err != nil {
+				tup := stream.Tuple{Ts: testTime(), Seq: uint64(i), Fields: fields}
+				if err := rs.FeedTuple(tup); err != nil {
 					t.Fatal(err)
 				}
+				fed = append(fed, tup.Clone())
 			}
 			if _, err := rs.Flush(); err != nil {
 				t.Fatal(err)
 			}
 			h.mu.Lock()
 			defer h.mu.Unlock()
-			if len(h.narrowed) != 1 || h.narrowed[0] != row.narrowed || len(h.tuples) != 3 {
-				t.Fatalf("server got %d tuples in batches narrowed %v; want 3 in one batch narrowed %t", len(h.tuples), h.narrowed, row.narrowed)
+			if len(h.tuples) != 3 || len(h.payloads) != 1 {
+				t.Fatalf("server got %d tuples in %d batches, want 3 in one", len(h.tuples), len(h.payloads))
+			}
+			if want := appendReadBatch(nil, rs.Handle(), fed, row.sent, 0); !slices.Equal(h.payloads[0], want) {
+				t.Errorf("batch bytes %x, want %x", h.payloads[0], want)
 			}
 			for i, tup := range h.tuples {
-				if tup.Seq != uint64(i) || tup.Fields[1] != float64(10*i) || (!row.narrowed && tup.Fields[0] != float64(i)) {
+				if tup.Seq != uint64(i) || tup.Fields[1] != float64(10*i) || (row.sent == nil && tup.Fields[0] != float64(i)) {
 					t.Errorf("tuple %d arrived as seq %d fields %v, fed seq %d fields [%d %d]", i, tup.Seq, tup.Fields, i, i, 10*i)
 				}
 			}
@@ -150,67 +199,43 @@ func wireFixture(t *testing.T, queries ...string) (*serve.Manager, *Client) {
 	return mgr, cl
 }
 
-// TestServerTakesFullWidthFromOldClient: a server that advertised a read set
-// still takes full-width batches — what a client that predates read sets
-// sends — and detects on them what it detects on the narrowed ones.
-func TestServerTakesFullWidthFromOldClient(t *testing.T) {
-	_, cl := wireFixture(t, tickQuery)
-	tuples := poolTuples(100, kinectFields)
-	narrowed, err := cl.Attach("narrowed", AttachOptions{BatchSize: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if narrowed.Reads() == nil || len(narrowed.Reads()) >= kinectFields {
-		t.Fatalf("session sends fields %v; want a read set narrower than the schema", narrowed.Reads())
-	}
-	for _, tup := range tuples {
-		if err := narrowed.FeedTuple(tup); err != nil {
-			t.Fatal(err)
-		}
-	}
-	old, err := cl.Attach("full-width", AttachOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for off := 0; off < len(tuples); off += 16 {
-		payload, err := AppendBatch(nil, 0, kinectFields, tuples[off:min(off+16, len(tuples))])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := cl.ProxyBatch(old.Handle(), payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var enc [2][]byte
-	for i, rs := range []*RemoteSession{narrowed, old} {
-		if _, err := rs.Detach(); err != nil {
-			t.Fatal(err)
-		}
-		dets := rs.Detections()
-		if len(dets) != len(tuples) {
-			t.Fatalf("session %s: %d detections of a query that fires on each of %d tuples", rs.ID(), len(dets), len(tuples))
-		}
-		if enc[i], err = AppendDetectionFrames(nil, dets); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !bytes.Equal(enc[0], enc[1]) {
-		t.Error("full-width batches detect other than narrowed ones")
-	}
-}
-
-// refusedBatch attaches a session over a bare connection to addr, sends the
-// batch payload makes of the attach reply, and returns the message of the
-// error frame the server answers with; the server must then close the
-// connection.
-func refusedBatch(t *testing.T, addr string, payload func(AttachReply) []byte) string {
+// rawConn dials addr over a bare connection that fails a read or write
+// stuck for ten seconds.
+func rawConn(t *testing.T, addr string) (*Reader, *Writer) {
 	t.Helper()
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	r, w := NewReader(c), NewWriter(c)
+	t.Cleanup(func() { c.Close() })
+	c.SetDeadline(time.Now().Add(10 * time.Second))
+	return NewReader(c), NewWriter(c)
+}
+
+// violation reads the error frame a server answers a protocol violation
+// with and returns its message; the server must then close the connection.
+func violation(t *testing.T, r *Reader) string {
+	t.Helper()
+	f, err := r.Next()
+	if err != nil || f.Type != FrameError {
+		t.Fatalf("answered %v, %v; want an error frame", f.Type, err)
+	}
+	var er ErrorReply
+	if err := unmarshalStrict(f.Payload, &er); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Next(); err == nil {
+		t.Error("the connection stayed open after a protocol violation")
+	}
+	return er.Msg
+}
+
+// refusedBatch attaches a session over a bare connection to addr, sends the
+// batch payload makes of the attach reply, and returns the message of the
+// error frame the server answers with.
+func refusedBatch(t *testing.T, addr string, payload func(AttachReply) []byte) string {
+	t.Helper()
+	r, w := rawConn(t, addr)
 	if err := w.WriteJSON(FrameAttach, &AttachRequest{Version: ProtocolVersion, ID: "raw"}); err != nil {
 		t.Fatal(err)
 	}
@@ -225,57 +250,58 @@ func refusedBatch(t *testing.T, addr string, payload func(AttachReply) []byte) s
 	if err := w.WriteFrame(FrameBatch, payload(reply)); err != nil {
 		t.Fatal(err)
 	}
-	if f, err = r.Next(); err != nil || f.Type != FrameError {
-		t.Fatalf("batch answered %v, %v; want an error frame", f.Type, err)
-	}
-	var er ErrorReply
-	if err := unmarshalStrict(f.Payload, &er); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Next(); err == nil {
-		t.Error("the connection stayed open after a protocol violation")
-	}
-	return er.Msg
+	return violation(t, r)
 }
 
-// TestNarrowedBatchOfAnotherWidth: a narrowed batch whose field count is not
-// the session's advertised read set is a protocol violation — the server
-// answers with the decode error, closes the connection and goes on serving
-// — and so is one sent to a session that advertised no set.
+// TestNarrowedBatchOfAnotherWidth: a batch whose field count is not that of
+// its session's attach reply is a protocol violation — wider than the read
+// set, or full width to a session that reads less — so the server answers
+// with the error, closes the connection, admits nothing and goes on
+// serving.
 func TestNarrowedBatchOfAnotherWidth(t *testing.T) {
-	mgr, cl := wireFixture(t, tickQuery)
-	var wider []int
-	msg := refusedBatch(t, cl.c.RemoteAddr().String(), func(reply AttachReply) []byte {
-		if reply.Reads == nil || slices.Contains(reply.Reads, 0) {
-			t.Fatalf("session reads %v; the test needs a read set without field 0", reply.Reads)
-		}
-		wider = append([]int{0}, reply.Reads...)
-		payload, err := appendBatch(nil, reply.Handle, kinectFields, poolTuples(4, kinectFields), wider, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return payload
-	})
-	if want := fmt.Sprintf("narrowed batch carries %d fields per tuple, the session's read set %d", len(wider), len(wider)-1); !strings.Contains(msg, want) {
-		t.Errorf("error %q, want %q", msg, want)
+	for _, row := range []struct {
+		name  string
+		reads func(reply AttachReply) []int
+	}{
+		{"wider than the read set", func(reply AttachReply) []int { return append([]int{0}, reply.Reads...) }},
+		{"full width", func(AttachReply) []int { return nil }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			mgr, cl := wireFixture(t, tickQuery)
+			var sent []int
+			msg := refusedBatch(t, cl.c.RemoteAddr().String(), func(reply AttachReply) []byte {
+				if len(reply.Reads) == 0 || len(reply.Reads) >= kinectFields || slices.Contains(reply.Reads, 0) {
+					t.Fatalf("session reads %v; the test needs a read set narrower than the schema, without field 0", reply.Reads)
+				}
+				sent = row.reads(reply)
+				return appendReadBatch(nil, reply.Handle, poolTuples(4, kinectFields), sent, 0)
+			})
+			want := kinectFields
+			if sent != nil {
+				want = len(sent)
+			}
+			if want := fmt.Sprintf("batch carries %d fields per tuple, its session's attach reply lists", want); !strings.Contains(msg, want) {
+				t.Errorf("error %q, want %q", msg, want)
+			}
+			if _, err := mgr.CreateSession("after"); err != nil {
+				t.Fatalf("server stopped serving: %v", err)
+			}
+			if n := mgr.Metrics().Enqueued; n != 0 {
+				t.Errorf("%d tuples admitted from a batch of the wrong width", n)
+			}
+		})
 	}
-	if _, err := mgr.CreateSession("after"); err != nil {
-		t.Fatalf("server stopped serving: %v", err)
-	}
-	if n := mgr.Metrics().Enqueued; n != 0 {
-		t.Errorf("%d tuples admitted from a batch of the wrong width", n)
-	}
+}
 
-	h := &captureHost{reply: AttachReply{Fields: 2, Plans: []string{}}}
-	msg = refusedBatch(t, serveHost(t, h).c.RemoteAddr().String(), func(reply AttachReply) []byte {
-		tuples := []stream.Tuple{{Ts: testTime(), Fields: []float64{1, 2}}}
-		payload, err := appendBatch(nil, reply.Handle, 2, tuples, []int{1}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return payload
-	})
-	if !strings.Contains(msg, "no read set") {
-		t.Errorf("a narrowed batch to a session with no read set: error %q", msg)
+// TestAttachRefusesVersion1: a client speaking the protocol before every
+// batch carried its attach reply's fields is refused at attach.
+func TestAttachRefusesVersion1(t *testing.T) {
+	_, cl := wireFixture(t, tickQuery)
+	r, w := rawConn(t, cl.c.RemoteAddr().String())
+	if err := w.WriteJSON(FrameAttach, &AttachRequest{Version: 1, ID: "v1"}); err != nil {
+		t.Fatal(err)
+	}
+	if msg, want := violation(t, r), "protocol version 1, server speaks 2"; !strings.Contains(msg, want) {
+		t.Errorf("error %q, want %q", msg, want)
 	}
 }

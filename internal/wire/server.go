@@ -34,10 +34,11 @@ type Host interface {
 	// protocol version). Detections the session fires go into push, from any
 	// goroutine. The reply is the attach acknowledgement minus the handle,
 	// which the server assigns: the raw tuple schema width, the deployed
-	// plan names and the read set the client may narrow its batches to
-	// (nil: full width). The session must decode a narrowed batch against
-	// exactly that set for as long as it lives. An error refuses this
-	// session only; the connection and its other sessions survive.
+	// plan names and the read set every batch of the session carries (nil:
+	// every field, which the server lists on the wire). The session decodes
+	// its batches against exactly that set for as long as it lives. An
+	// error refuses this session only; the connection and its other
+	// sessions survive.
 	Attach(req AttachRequest, push *Push) (sess Session, reply AttachReply, err error)
 	// SessionCount is the live-session figure a Pong reports.
 	SessionCount() int
@@ -48,10 +49,12 @@ type Host interface {
 // Session is one attached session as its host sees it. Batch, Sync and Close
 // all run on the connection's reader goroutine, one at a time.
 type Session interface {
-	// Batch ingests one tuple batch. Blocking here is the backpressure path:
-	// the reader goroutine stalls, the kernel socket buffer fills, TCP flow
-	// control paces the remote client. An error closes the connection (the
-	// client has no request in flight to answer).
+	// Batch ingests one tuple batch, which the server has checked carries
+	// exactly the fields of the attach reply. Blocking here is the
+	// backpressure path: the reader goroutine stalls, the kernel socket
+	// buffer fills, TCP flow control paces the remote client. An error
+	// closes the connection (the client has no request in flight to
+	// answer).
 	Batch(b RawBatch) error
 	// Sync is the flush barrier: it returns once every tuple batched before
 	// it is fully processed and every detection those tuples fired is in the
@@ -65,14 +68,14 @@ type Session interface {
 }
 
 // RawBatch is one FrameBatch payload as the connection's reader filled it,
-// its geometry (BatchGeometry) already validated: Fields is the count each
-// tuple carries, which for a narrowed batch (BatchNarrowed) the session
-// checks against its advertised read set. Payload is the reader's pooled
-// buffer, valid until Batch returns — unless the session takes it with Own.
+// its geometry (BatchGeometry) already validated and its field count
+// checked against the session's attach reply; Count is its tuple count.
+// Payload is the reader's pooled buffer, valid until Batch returns — unless
+// the session takes it with Own.
 type RawBatch struct {
-	Payload       []byte
-	Count, Fields int
-	r             *Reader
+	Payload []byte
+	Count   int
+	r       *Reader
 }
 
 // Own transfers the pooled buffer behind Payload from the connection's
@@ -312,6 +315,7 @@ type BackfillFunc func(ctx context.Context, stream string, gestures []string, si
 type connSession struct {
 	handle uint32
 	sess   Session
+	fields int // the field count of every batch: len(AttachReply.Reads)
 	push   Push
 	done   chan struct{}
 	encBuf []byte // frame encode scratch; guarded by conn.wmu
@@ -407,7 +411,13 @@ func (c *conn) handleAttach(payload []byte) error {
 	if err != nil {
 		return c.sessionError(0, err)
 	}
-	cs.sess = sess
+	if reply.Reads == nil {
+		reply.Reads = make([]int, reply.Fields)
+		for j := range reply.Reads {
+			reply.Reads[j] = j
+		}
+	}
+	cs.sess, cs.fields = sess, len(reply.Reads)
 	c.mu.Lock()
 	c.nextHandle++
 	cs.handle = c.nextHandle
@@ -427,7 +437,10 @@ func (c *conn) handleBatch(payload []byte) error {
 	if cs == nil {
 		return fmt.Errorf("batch for unknown session handle %d", handle)
 	}
-	return cs.sess.Batch(RawBatch{Payload: payload, Count: count, Fields: fields, r: c.r})
+	if fields != cs.fields {
+		return fmt.Errorf("batch carries %d fields per tuple, its session's attach reply lists %d", fields, cs.fields)
+	}
+	return cs.sess.Batch(RawBatch{Payload: payload, Count: count, r: c.r})
 }
 
 // handleSync implements flush and detach: once the host reports the session

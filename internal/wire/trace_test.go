@@ -24,7 +24,7 @@ func TestCodecTracedBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced, err := appendBatch(nil, 7, 3, tuples, nil, sentNs)
+	traced, err := appendBatch(nil, 7, 3, tuples, sentNs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestCodecTracedBatch(t *testing.T) {
 		}
 	}
 	// Canonical re-encode.
-	re, err := appendBatch(nil, b.Handle, b.Fields, b.Tuples, nil, b.SentNs)
+	re, err := appendBatch(nil, b.Handle, b.Fields, b.Tuples, b.SentNs)
 	if err != nil {
 		t.Fatal(err)
 	}

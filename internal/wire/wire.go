@@ -41,20 +41,14 @@
 //	                         start i64 | end i64 | nMeasures u16 |
 //	                         nMeasures × f64)
 //
-// The top two bits of a batch's fields word are flags; the count is the
-// word with both cleared (MaxTupleFields is 1024, so no count reaches
-// them):
+// A batch's tuples carry exactly the raw fields its session's attach reply
+// lists (AttachReply.Reads), in that order, and fields is the length of
+// that list: a batch of any other field count is a protocol violation. The
+// top bit of the fields word is a flag, above every count (MaxTupleFields
+// is 1024):
 //
 //	0x8000 traced    the trailing sent timestamp is present (the batch is
 //	                 trace-sampled; see AttachOptions.TraceEvery)
-//	0x4000 narrowed  each tuple carries only the raw fields of the read set
-//	                 the server advertised at attach (AttachReply.Reads), in
-//	                 that order, and fields is the length of that set
-//
-// A client sends narrowed batches exactly when its attach reply listed a
-// read set. Every server accepts full-width batches from any client; a
-// narrowed batch whose field count is not its session's advertised set is
-// a protocol violation.
 //
 // Control-plane payloads are JSON-encoded structs (AttachRequest,
 // AttachReply, SessionRef, SessionCounters, serve.Metrics, ErrorReply,
@@ -72,7 +66,9 @@ import (
 
 // ProtocolVersion identifies the frame protocol. It is carried in the
 // attach handshake; servers reject clients speaking a different version.
-const ProtocolVersion = 1
+// Version 2: every attach reply lists its read set, and every batch
+// carries exactly those fields.
+const ProtocolVersion = 2
 
 // Limits enforced by the codec. Frames above MaxFrame are rejected before
 // their payload is read; batch geometry is validated against the actual
@@ -165,17 +161,17 @@ type AttachRequest struct {
 }
 
 // AttachReply acknowledges an attach: the connection-local session handle
-// used by all subsequent data frames, the raw tuple schema width, and the
-// deployed plan names. Reads, when present, is the session's raw read set
-// in ascending order: the only schema fields its plans and the transform
-// read, fixed at attach. The client then sends narrowed batches carrying
-// just those fields. Absent (a recording session, whose archive keeps whole
-// tuples, or a server that predates read sets), every batch is full width.
+// used by all subsequent data frames, the raw tuple schema width, the
+// deployed plan names, and Reads, the session's raw read set in strictly
+// ascending order: the only schema fields its plans and the transform read,
+// fixed at attach. Every batch of the session carries exactly those fields.
+// A recording session, whose archive keeps whole tuples, lists every field,
+// 0 to Fields-1, so its batches are full width.
 type AttachReply struct {
 	Handle uint32   `json:"handle"`
 	Fields int      `json:"fields"`
 	Plans  []string `json:"plans"`
-	Reads  []int    `json:"reads,omitempty"`
+	Reads  []int    `json:"reads"`
 }
 
 // SessionRef addresses one attached session in control frames.
@@ -273,12 +269,11 @@ type BackfillRequest struct {
 }
 
 // BackfillReply summarizes a backfill run: totals across the evaluated
-// streams, the records and tuples read from each stream (indexed like the
-// request; 0 for a stream not archived here), and the request indices of
-// streams this server has no recording of (their detections were not
-// produced). A fleet coordinator compares the per-stream counts to pick the
-// fullest of several copies of one stream; a server that predates them
-// sends neither array.
+// streams, the records and tuples read from each stream (one entry per
+// request stream, in its order; 0 for a stream not archived here), and the
+// request indices of streams this server has no recording of (their
+// detections were not produced). A fleet coordinator compares the
+// per-stream counts to pick the fullest of several copies of one stream.
 type BackfillReply struct {
 	Records       uint64   `json:"records"`
 	Tuples        uint64   `json:"tuples"`
