@@ -19,6 +19,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -50,7 +51,7 @@ func main() {
 		retain    = flag.Duration("retain", 0, "drop recorded history older than this event-time age (0 keeps everything; needs -record-dir)")
 		compactEv = flag.Duration("compact-every", time.Minute, "background compaction interval when -retain is set")
 		adminAddr = flag.String("admin-addr", "", "HTTP admin plane listen address (/metrics, /metrics.json, /healthz, /readyz, /debug/pprof); empty disables")
-		verbose   = flag.Bool("v", false, "print the per-shard metric table on shutdown")
+		verbose   = flag.Bool("v", false, "print the metrics snapshot as JSON on shutdown")
 	)
 	flag.Parse()
 	if err := run(*addr, *name, *shards, *queue, *policy, *gestures, *seed, *recordDir, *retain, *compactEv, *adminAddr, *verbose); err != nil {
@@ -136,12 +137,7 @@ func run(addr, name string, shards, queue int, policyName string, gestures int, 
 					comp.WriteProm(w)
 				}
 			},
-			MetricsJSON: func() any {
-				return struct {
-					Serve  serve.Metrics            `json:"serve"`
-					Stages map[string]obs.HistStats `json:"stages,omitempty"`
-				}{m.Metrics(), ins.Stats()}
-			},
+			MetricsJSON: func() any { return m.Metrics() },
 			Healthy: func() error {
 				if m.Closed() {
 					return fmt.Errorf("gestured: manager closed")
@@ -182,7 +178,9 @@ func run(addr, name string, shards, queue int, policyName string, gestures int, 
 	mm := m.Metrics()
 	fmt.Printf("served %s\n", mm)
 	if verbose {
-		fmt.Print(mm.Table())
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		return enc.Encode(mm)
 	}
 	return nil
 }

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -28,7 +29,6 @@ import (
 
 	"gesturecep/internal/cluster"
 	"gesturecep/internal/obs"
-	"gesturecep/internal/serve"
 )
 
 // backendFlags collects repeated -backend id=addr values.
@@ -60,7 +60,7 @@ func main() {
 	flag.DurationVar(&cfg.ReadmitBackoff, "readmit-backoff", 250*time.Millisecond, "initial re-dial delay of the recovery loop (doubles per failed attempt)")
 	flag.DurationVar(&cfg.ReadmitMaxBackoff, "readmit-max-backoff", 5*time.Second, "cap on the recovery loop's exponential backoff")
 	adminAddr := flag.String("admin-addr", "", "HTTP admin plane listen address (/metrics, /readyz flips with live-backend count, /events, /debug/pprof); empty disables")
-	verbose := flag.Bool("v", false, "print the per-backend metric table on shutdown")
+	verbose := flag.Bool("v", false, "print the metrics snapshot as JSON on shutdown")
 	flag.Parse()
 	cfg.Name = "gesturegateway"
 	cfg.Logger = obs.NewLogger(256, func(e obs.Event) { log.Printf("%s", e) })
@@ -81,19 +81,12 @@ func run(cfg cluster.Config, addr, adminAddr string, verbose bool) error {
 
 	if adminAddr != "" {
 		admin, err := obs.StartAdmin(adminAddr, obs.AdminConfig{
-			Collect: gw.WriteProm,
-			MetricsJSON: func() any {
-				return struct {
-					Cluster   serve.Metrics            `json:"cluster"`
-					Forward   map[string]obs.HistStats `json:"forward,omitempty"`
-					Migration cluster.MigrationStats   `json:"migration"`
-					Backfill  cluster.BackfillStats    `json:"backfill"`
-				}{gw.Metrics(), gw.ForwardStats(), gw.MigrationStats(), gw.BackfillStats()}
-			},
-			Healthy: func() error { return nil }, // the process serves while it runs
-			Ready:   gw.Ready,
-			Events:  gw.Events,
-			Routes:  gw.AdminRoutes(),
+			Collect:     gw.WriteProm,
+			MetricsJSON: func() any { return gw.Metrics() },
+			Healthy:     func() error { return nil }, // the process serves while it runs
+			Ready:       gw.Ready,
+			Events:      gw.Events,
+			Routes:      gw.AdminRoutes(),
 		})
 		if err != nil {
 			gw.Close()
@@ -124,7 +117,9 @@ func run(cfg cluster.Config, addr, adminAddr string, verbose bool) error {
 	}
 	fmt.Printf("served %s\n", mm)
 	if verbose {
-		fmt.Print(mm.Table())
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		return enc.Encode(mm)
 	}
 	return nil
 }

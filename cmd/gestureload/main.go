@@ -39,7 +39,7 @@ func main() {
 		repeats  = flag.Int("repeats", 3, "gesture performances per recording")
 		seed     = flag.Int64("seed", 1, "base random seed")
 		verify   = flag.Bool("verify", false, "require identical detections across sessions sharing a recording")
-		metrics  = flag.Bool("metrics", false, "fetch and print the server's metrics table after the run (includes per-backend rows when driving a gateway)")
+		metrics  = flag.Bool("metrics", false, "fetch and print the server's metrics snapshot as JSON after the run (includes per-backend rows when driving a gateway)")
 		trace    = flag.Int("trace", 0, "trace-sample one batch in N for end-to-end stage latency (0 disables; 1024 is a good production rate)")
 		jsonOut  = flag.Bool("json", false, "emit the run summary as one JSON object on stdout (suppresses progress output)")
 	)
@@ -54,24 +54,25 @@ func main() {
 // a CI step or a dashboard scraper can consume gestureload without parsing
 // human-formatted text.
 type runSummary struct {
-	Addr           string         `json:"addr"`
-	Sessions       int            `json:"sessions"`
-	Conns          int            `json:"conns"`
-	Batch          int            `json:"batch"`
-	TraceEvery     int            `json:"trace_every,omitempty"`
-	TuplesFed      uint64         `json:"tuples_fed"`
-	ElapsedNs      time.Duration  `json:"elapsed_ns"`
-	TuplesPerSec   float64        `json:"tuples_per_sec"`
-	Detections     uint64         `json:"detections"`
-	TupleDrops     uint64         `json:"tuple_drops"`
-	DetectionDrops uint64         `json:"detection_drops"`
-	LatencyP50     time.Duration  `json:"latency_p50_ns,omitempty"`
-	LatencyP90     time.Duration  `json:"latency_p90_ns,omitempty"`
-	LatencyP99     time.Duration  `json:"latency_p99_ns,omitempty"`
-	LatencyMax     time.Duration  `json:"latency_max_ns,omitempty"`
-	FlushRTT       *obs.HistStats `json:"flush_rtt,omitempty"`
-	Verified       bool           `json:"verified,omitempty"`
-	Diverged       int            `json:"diverged,omitempty"`
+	Addr           string        `json:"addr"`
+	Sessions       int           `json:"sessions"`
+	Conns          int           `json:"conns"`
+	Batch          int           `json:"batch"`
+	TraceEvery     int           `json:"trace_every,omitempty"`
+	TuplesFed      uint64        `json:"tuples_fed"`
+	ElapsedNs      time.Duration `json:"elapsed_ns"`
+	TuplesPerSec   float64       `json:"tuples_per_sec"`
+	Detections     uint64        `json:"detections"`
+	TupleDrops     uint64        `json:"tuple_drops"`
+	DetectionDrops uint64        `json:"detection_drops"`
+	LatencyP50     time.Duration `json:"latency_p50_ns,omitempty"`
+	LatencyP90     time.Duration `json:"latency_p90_ns,omitempty"`
+	LatencyP99     time.Duration `json:"latency_p99_ns,omitempty"`
+	LatencyMax     time.Duration `json:"latency_max_ns,omitempty"`
+	FlushRTTP50    time.Duration `json:"flush_rtt_p50_ns,omitempty"`
+	FlushRTTP99    time.Duration `json:"flush_rtt_p99_ns,omitempty"`
+	Verified       bool          `json:"verified,omitempty"`
+	Diverged       int           `json:"diverged,omitempty"`
 }
 
 var gestureNames = kinect.DemoGestureNames()
@@ -205,11 +206,11 @@ func run(addr string, sessions, conns, batch, repeats int, seed int64, verify, m
 			merged.Merge(cl.FlushRTT.Snapshot())
 		}
 		if merged.Count > 0 {
-			st := merged.Stats()
-			summary.FlushRTT = &st
+			summary.FlushRTTP50 = merged.Quantile(0.50)
+			summary.FlushRTTP99 = merged.Quantile(0.99)
 			progressf("flush-ack RTT (1/%d sampled): p50 %v, p99 %v over %d flushes\n",
-				trace, time.Duration(st.P50).Round(10*time.Microsecond),
-				time.Duration(st.P99).Round(10*time.Microsecond), st.Count)
+				trace, summary.FlushRTTP50.Round(10*time.Microsecond),
+				summary.FlushRTTP99.Round(10*time.Microsecond), merged.Count)
 		}
 	}
 
@@ -244,7 +245,12 @@ func run(addr string, sessions, conns, batch, repeats int, seed int64, verify, m
 		if err != nil {
 			return fmt.Errorf("gestureload: fetching metrics: %w", err)
 		}
-		fmt.Printf("\nserver metrics: %s\n%s", mm, mm.Table())
+		fmt.Printf("\nserver metrics: %s\n", mm)
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(mm); err != nil {
+			return err
+		}
 	}
 	if jsonOut {
 		enc := json.NewEncoder(os.Stdout)

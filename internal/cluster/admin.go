@@ -12,8 +12,9 @@ import (
 // AdminRoutes returns the gateway's membership and backfill endpoints,
 // shaped for obs.AdminConfig.Routes:
 //
-//	GET  /backends         — BackendsInfo: id, addr, state, incarnation,
-//	                         ring load, session count
+//	GET  /backends         — BackendsInfo: one serve.BackendMetrics row per
+//	                         member (id, addr, state, incarnation, ring_load,
+//	                         sessions, proxy counters); no backend is asked
 //	POST /backends/add     — {"id": ..., "addr": ...}
 //	POST /backends/drain   — {"id": ...}
 //	POST /backends/remove  — {"id": ...}
@@ -121,14 +122,13 @@ type backfillDetection struct {
 	Measures []float64 `json:"measures,omitempty"`
 }
 
-// backfillReply is the POST /backfill payload: the merge summary, the
-// detections per stream when asked for, and the gateway's lifetime backfill
-// stats.
+// backfillReply is the POST /backfill payload: the merge summary and the
+// detections per stream when asked for. The gateway's lifetime backfill
+// counters are on /metrics.
 type backfillReply struct {
 	*BackfillResult
 	DetectionTotal int                            `json:"detection_total"`
 	Detections     map[string][]backfillDetection `json:"detections,omitempty"`
-	Stats          BackfillStats                  `json:"stats"`
 }
 
 func (gw *Gateway) handleBackfill(w http.ResponseWriter, r *http.Request) {
@@ -160,7 +160,6 @@ func (gw *Gateway) handleBackfill(w http.ResponseWriter, r *http.Request) {
 	reply := backfillReply{
 		BackfillResult: res,
 		DetectionTotal: res.DetectionTotal(),
-		Stats:          gw.BackfillStats(),
 	}
 	if req.IncludeDetections {
 		reply.Detections = make(map[string][]backfillDetection, len(res.Streams))

@@ -122,7 +122,7 @@ func TestMembershipVerbsLogOnce(t *testing.T) {
 // way an operator would — entirely over the admin plane's HTTP endpoints:
 // read /backends to pick a victim, POST /backends/drain, POST /backends/add
 // to re-admit it, and audit the whole story through /events and the
-// gateway's MigrationStats. Refusals (draining the last backend, removing a
+// gateway's migration counters. Refusals (draining the last backend, removing a
 // live one, bad bodies, wrong methods, a closed gateway) must map onto the
 // right status codes.
 func TestControllerHTTPRollingRestart(t *testing.T) {
@@ -194,7 +194,7 @@ func TestControllerHTTPRollingRestart(t *testing.T) {
 
 	// The operator's first look: /backends lists the whole fleet live, with
 	// the sessions spread across it.
-	var fleet []cluster.BackendInfo
+	var fleet []serve.BackendMetrics
 	if code := get("/backends", &fleet); code != 200 {
 		t.Fatalf("GET /backends = %d, want 200", code)
 	}
@@ -205,7 +205,7 @@ func TestControllerHTTPRollingRestart(t *testing.T) {
 	victim := ""
 	victimAddr := ""
 	for _, row := range fleet {
-		if row.State != cluster.StateLive {
+		if row.State != string(cluster.StateLive) {
 			t.Errorf("backend %s state = %q, want live", row.ID, row.State)
 		}
 		if row.Sessions != row.RingLoad {
@@ -261,11 +261,11 @@ func TestControllerHTTPRollingRestart(t *testing.T) {
 	for _, row := range fleet {
 		switch row.ID {
 		case victim:
-			if row.State != cluster.StateDrained || row.Sessions != 0 || row.RingLoad != 0 {
+			if row.State != string(cluster.StateDrained) || row.Sessions != 0 || row.RingLoad != 0 {
 				t.Errorf("drained row = %+v, want state=drained sessions=0 ring_load=0", row)
 			}
 		default:
-			if row.State != cluster.StateLive || row.Sessions != sessions {
+			if row.State != string(cluster.StateLive) || row.Sessions != sessions {
 				t.Errorf("survivor row = %+v, want live with all %d sessions", row, sessions)
 			}
 		}
@@ -363,8 +363,9 @@ func TestControllerHTTPRollingRestart(t *testing.T) {
 	}
 	// The refused last-backend drain attempted (and failed) one migration
 	// before reverting, so the gateway's ledger shows exactly one failure.
-	if ms := gw.MigrationStats(); ms.Migrations != uint64(movedFirst+sessions) || ms.Failed != 1 {
-		t.Errorf("migration stats = %+v, want %d completed migrations and 1 failed", ms, movedFirst+sessions)
+	if ms := scrape(t, gw); ms["cluster_migrations_total"] != float64(movedFirst+sessions) || ms["cluster_migrations_failed_total"] != 1 {
+		t.Errorf("migrations: %v completed, %v failed; want %d completed and 1 failed",
+			ms["cluster_migrations_total"], ms["cluster_migrations_failed_total"], movedFirst+sessions)
 	}
 
 	// A closed gateway refuses every verb as 409 but keeps serving the

@@ -190,21 +190,3 @@ func (gw *Gateway) backfillOn(spec BackfillSpec, m member, streams []string) *ba
 	}
 	return c
 }
-
-// BackfillStats is the backfill plane's counter snapshot.
-type BackfillStats struct {
-	Runs     uint64        `json:"runs"`
-	Failed   uint64        `json:"failed"`
-	Streams  uint64        `json:"streams"`
-	Duration obs.HistStats `json:"duration"`
-}
-
-// BackfillStats snapshots the fleet-backfill counters.
-func (gw *Gateway) BackfillStats() BackfillStats {
-	return BackfillStats{
-		Runs:     gw.backfills.Load(),
-		Failed:   gw.backfillsFailed.Load(),
-		Streams:  gw.backfillStreams.Load(),
-		Duration: gw.backfillDur.Snapshot().Stats(),
-	}
-}

@@ -121,8 +121,9 @@ func TestFleetBackfillByteIdentity(t *testing.T) {
 		}
 	}
 
-	if stats := h.Gateway.BackfillStats(); stats.Runs != 1 || stats.Streams != uint64(len(streams)) {
-		t.Errorf("backfill stats = %+v, want 1 run over %d streams", stats, len(streams))
+	if ms := scrape(t, h.Gateway); ms["cluster_backfills_total"] != 1 || ms["cluster_backfill_streams_total"] != float64(len(streams)) {
+		t.Errorf("backfills: %v runs over %v streams, want 1 run over %d streams",
+			ms["cluster_backfills_total"], ms["cluster_backfill_streams_total"], len(streams))
 	}
 
 	// A second run with a duplicate-laden, unsorted list merges identically.

@@ -152,11 +152,11 @@ func TestGatewayDrainUnderLoad(t *testing.T) {
 	var liveSessions int
 	for _, row := range gw.BackendsInfo() {
 		if row.ID == victimID {
-			if row.State != cluster.StateDrained || row.Sessions != 0 || row.RingLoad != 0 {
+			if row.State != string(cluster.StateDrained) || row.Sessions != 0 || row.RingLoad != 0 {
 				t.Errorf("drained row = %+v, want state=drained sessions=0 ring_load=0", row)
 			}
 		} else {
-			if row.State != cluster.StateLive {
+			if row.State != string(cluster.StateLive) {
 				t.Errorf("survivor %s state = %q, want live", row.ID, row.State)
 			}
 			liveSessions += row.Sessions
@@ -165,12 +165,14 @@ func TestGatewayDrainUnderLoad(t *testing.T) {
 	if liveSessions != sessions {
 		t.Errorf("survivors carry %d sessions, want all %d", liveSessions, sessions)
 	}
-	ms := gw.MigrationStats()
-	if ms.Migrations != uint64(moved) || ms.Failed != 0 {
-		t.Errorf("migration stats = %+v, want %d migrations, 0 failed", ms, moved)
+	ms := scrape(t, gw)
+	if ms["cluster_migrations_total"] != float64(moved) || ms["cluster_migrations_failed_total"] != 0 {
+		t.Errorf("migrations: %v completed, %v failed; want %d, 0",
+			ms["cluster_migrations_total"], ms["cluster_migrations_failed_total"], moved)
 	}
-	if ms.Tuples == 0 || ms.Duration.Count != uint64(moved) {
-		t.Errorf("migration stats = %+v, want replayed tuples and %d timed moves", ms, moved)
+	if ms["cluster_migrated_tuples_total"] == 0 || ms["cluster_migration_seconds_count"] != float64(moved) {
+		t.Errorf("migrations replayed %v tuples over %v timed moves, want replayed tuples and %d timed moves",
+			ms["cluster_migrated_tuples_total"], ms["cluster_migration_seconds_count"], moved)
 	}
 
 	// Phase 3: re-admit the drained backend — the rolling-restart AddBackend
@@ -343,9 +345,10 @@ func TestDrainDeadTargetSticky(t *testing.T) {
 	if ids := gw.Ring().Backends(); len(ids) != 1 || ids[0] != victimID {
 		t.Errorf("ring holds %v, want only the reverted source", ids)
 	}
-	ms := gw.MigrationStats()
-	if ms.Migrations != 0 || ms.Failed != 1 {
-		t.Errorf("migration stats = %+v, want 0 completed, 1 failed", ms)
+	ms := scrape(t, gw)
+	if ms["cluster_migrations_total"] != 0 || ms["cluster_migrations_failed_total"] != 1 {
+		t.Errorf("migrations: %v completed, %v failed; want 0, 1",
+			ms["cluster_migrations_total"], ms["cluster_migrations_failed_total"])
 	}
 
 	// The aborted migration unsealed its source: every session still on the
@@ -546,7 +549,7 @@ func BenchmarkGatewayMigration(b *testing.B) {
 	if !h.HasRecording(0, "bench") {
 		owner = 1
 	}
-	start := gw.MigrationStats()
+	start := scrape(b, gw)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		id := h.Spawner.ID(owner)
@@ -559,14 +562,15 @@ func BenchmarkGatewayMigration(b *testing.B) {
 		owner = 1 - owner
 	}
 	b.StopTimer()
-	ms := gw.MigrationStats()
-	if got := ms.Migrations - start.Migrations; got != uint64(b.N) {
-		b.Fatalf("%d migrations completed over %d iterations", got, b.N)
+	ms := scrape(b, gw)
+	delta := func(series string) float64 { return ms[series] - start[series] }
+	if got := delta("cluster_migrations_total"); got != float64(b.N) {
+		b.Fatalf("%v migrations completed over %d iterations", got, b.N)
 	}
-	if ms.Failed != start.Failed {
-		b.Fatalf("%d migrations failed mid-benchmark", ms.Failed-start.Failed)
+	if failed := delta("cluster_migrations_failed_total"); failed != 0 {
+		b.Fatalf("%v migrations failed mid-benchmark", failed)
 	}
-	b.ReportMetric(float64(ms.Tuples-start.Tuples)/b.Elapsed().Seconds(), "tuples/s")
+	b.ReportMetric(delta("cluster_migrated_tuples_total")/b.Elapsed().Seconds(), "tuples/s")
 	if _, err := rs.Detach(); err != nil {
 		b.Fatal(err)
 	}

@@ -36,14 +36,15 @@ type Gateway struct {
 	closeOnce sync.Once
 	closeErr  error
 
-	// Migration counters (see MigrationStats): completed and failed session
-	// moves, tuples replayed into targets, and per-migration duration.
+	// Migration counters (on /metrics via WriteProm): completed and failed
+	// session moves, tuples replayed into targets, and per-migration
+	// duration.
 	migrations       atomic.Uint64
 	migrationsFailed atomic.Uint64
 	migratedTuples   atomic.Uint64
 	migrateDur       *obs.Histogram
 
-	// Fleet-backfill counters (see BackfillStats).
+	// Fleet-backfill counters (on /metrics via WriteProm).
 	backfills       atomic.Uint64
 	backfillsFailed atomic.Uint64
 	backfillStreams atomic.Uint64
@@ -245,72 +246,6 @@ func (gw *Gateway) eject(be *backend, except *proxySession) {
 		ps.mu.Lock()
 		gw.ensureOwnerLocked(ps)
 		ps.mu.Unlock()
-	}
-}
-
-// Metrics aggregates the fleet: every live backend's serve.Metrics summed,
-// plus the per-backend proxy counters (including ejected backends, marked
-// unhealthy).
-func (gw *Gateway) Metrics() serve.Metrics {
-	var out serve.Metrics
-	for _, m := range gw.fleet.snapshot() {
-		be, stats := m.be, m.stats
-		healthy := m.state == StateLive && be != nil && !be.isEjected()
-		if healthy {
-			if bm, err := gw.fetchMetrics(be); err == nil {
-				out.Sessions += bm.Sessions
-				out.Enqueued += bm.Enqueued
-				out.Processed += bm.Processed
-				out.Dropped += bm.Dropped
-				out.Detections += bm.Detections
-				out.QueueDepth += bm.QueueDepth
-				out.Shards = append(out.Shards, bm.Shards...)
-			} else {
-				healthy = false
-			}
-		}
-		proxied := 0
-		if be != nil {
-			proxied = be.sessionCount()
-		}
-		out.Backends = append(out.Backends, serve.BackendMetrics{
-			ID:           m.id,
-			Addr:         m.addr,
-			Healthy:      healthy,
-			State:        string(m.state),
-			Sessions:     proxied,
-			Batches:      stats.batches.Load(),
-			Tuples:       stats.tuples.Load(),
-			Detections:   stats.detections.Load(),
-			Lost:         stats.lost.Load(),
-			Rehomed:      stats.rehomed.Load(),
-			Ejections:    stats.ejections.Load(),
-			Readmissions: stats.readmissions.Load(),
-		})
-	}
-	return out
-}
-
-// fetchMetrics snapshots one backend's metrics with the probe timeout, so
-// a wedged backend renders as an unhealthy row instead of hanging the
-// front connection that asked (Metrics runs on its reader goroutine). On
-// timeout the fetch goroutine stays parked until the backend answers or is
-// ejected — bounded by one per metrics request.
-func (gw *Gateway) fetchMetrics(be *backend) (serve.Metrics, error) {
-	type result struct {
-		m   serve.Metrics
-		err error
-	}
-	done := make(chan result, 1)
-	go func() {
-		m, err := be.cl.Metrics()
-		done <- result{m, err}
-	}()
-	select {
-	case r := <-done:
-		return r.m, r.err
-	case <-time.After(gw.cfg.ProbeTimeout):
-		return serve.Metrics{}, fmt.Errorf("cluster: backend %s: metrics timeout after %v", be.id, gw.cfg.ProbeTimeout)
 	}
 }
 

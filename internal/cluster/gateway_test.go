@@ -181,11 +181,7 @@ func TestGatewayZeroDivergence(t *testing.T) {
 			t.Errorf("final /metrics missing %q", want)
 		}
 	}
-	var sampled uint64
-	for _, st := range h.Gateway.ForwardStats() {
-		sampled += st.Count
-	}
-	if sampled == 0 {
+	if sampled := sumSeries(scrape(t, h.Gateway), "cluster_backend_forward_seconds_count"); sampled == 0 {
 		t.Error("no batch was forward-timed despite TraceEvery=8 on 64 sessions")
 	}
 }

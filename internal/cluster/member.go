@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"gesturecep/internal/obs"
+	"gesturecep/internal/serve"
 )
 
 // logOp records one membership verb — AddBackend, Drain or RemoveBackend —
@@ -143,34 +144,11 @@ func (gw *Gateway) RemoveBackend(id string) error {
 	return err
 }
 
-// BackendInfo is one row of the admin plane's read-only /backends listing.
-type BackendInfo struct {
-	ID          string       `json:"id"`
-	Addr        string       `json:"addr"`
-	State       BackendState `json:"state"`
-	Incarnation uint64       `json:"incarnation"`
-	RingLoad    int          `json:"ring_load"`
-	Sessions    int          `json:"sessions"`
-}
-
-// BackendsInfo snapshots the fleet membership: one row per configured
-// member in admission order, with its lifecycle state, current incarnation
-// ordinal, ring load and proxied session count.
-func (gw *Gateway) BackendsInfo() []BackendInfo {
-	members := gw.fleet.snapshot()
-	out := make([]BackendInfo, 0, len(members))
-	for _, m := range members {
-		info := BackendInfo{
-			ID:          m.id,
-			Addr:        m.addr,
-			State:       m.state,
-			Incarnation: m.stats.incarnations.Load(),
-			RingLoad:    gw.fleet.ring.Load(m.id),
-		}
-		if m.be != nil {
-			info.Sessions = m.be.sessionCount()
-		}
-		out = append(out, info)
-	}
-	return out
+// BackendsInfo snapshots the fleet membership for /backends: one row per
+// member in admission order, with its lifecycle state, incarnation count,
+// ring load, proxied session count and proxy counters. It fetches nothing
+// from the backends, so Healthy reads in service (live or draining).
+func (gw *Gateway) BackendsInfo() []serve.BackendMetrics {
+	_, rows := gw.backendRows()
+	return rows
 }

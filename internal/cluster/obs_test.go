@@ -4,16 +4,84 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"gesturecep/internal/cluster"
 	"gesturecep/internal/e2e"
 	"gesturecep/internal/kinect"
 	"gesturecep/internal/obs"
 	"gesturecep/internal/serve"
 	"gesturecep/internal/wire"
 )
+
+// scrape renders the gateway's exposition and returns its samples keyed by
+// series, name{labels} as printed. The text format allows each series once,
+// so a repeated one fails the test.
+func scrape(t testing.TB, gw *cluster.Gateway) map[string]float64 {
+	t.Helper()
+	w := obs.NewPromWriter()
+	gw.WriteProm(w)
+	samples := map[string]float64{}
+	for _, line := range strings.Split(strings.TrimSpace(string(w.Bytes())), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("bad sample %q: %v", line, err)
+		}
+		if _, dup := samples[line[:i]]; dup {
+			t.Errorf("series %s emitted twice", line[:i])
+		}
+		samples[line[:i]] = v
+	}
+	return samples
+}
+
+// sumSeries adds up one metric's series across its label sets.
+func sumSeries(samples map[string]float64, name string) (sum float64) {
+	for series, v := range samples {
+		if strings.HasPrefix(series, name+"{") {
+			sum += v
+		}
+	}
+	return sum
+}
+
+// TestGatewayExpositionSeriesOnce: a gateway over two backends with two
+// shards each renders every series once. Its frame holds fleet totals and
+// backend rows only; the backends' per-shard rows carry no backend label,
+// so appending them printed each serve_shard series once per backend.
+func TestGatewayExpositionSeriesOnce(t *testing.T) {
+	h := e2e.Start(t, e2e.Options{
+		Backends: 2,
+		Gateway:  true,
+		Serve:    serve.Config{Shards: 2},
+	})
+	rs, err := h.Dial().Attach("series-once", wire.AttachOptions{BatchSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tp := range kinect.ToTuples(e2e.PlaybackFrames(t, 7))[:64] {
+		if err := rs.FeedTuple(tp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := rs.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	samples := scrape(t, h.Gateway)
+	if got := samples[`serve_tuples_total{stage="enqueued"}`]; got != 64 {
+		t.Errorf("fleet enqueued = %v, want 64", got)
+	}
+	if got := sumSeries(samples, "cluster_backend_up"); got != 2 {
+		t.Errorf("%v backends up, want 2", got)
+	}
+}
 
 // TestGatewayAdminPlane wires a live gateway into an obs.AdminServer the way
 // cmd/gesturegateway does and checks the orchestration contract: /readyz
@@ -99,13 +167,9 @@ func TestGatewayAdminPlane(t *testing.T) {
 		}
 	}
 	// The traced session's batches were timed on the forward path.
-	fs := gw.ForwardStats()
-	var forwarded uint64
-	for _, st := range fs {
-		forwarded += st.Count
-	}
-	if wantBatches := uint64((len(tuples) + 15) / 16); forwarded != wantBatches {
-		t.Errorf("forward histograms recorded %d batches, want %d", forwarded, wantBatches)
+	forwarded := sumSeries(scrape(t, gw), "cluster_backend_forward_seconds_count")
+	if wantBatches := float64((len(tuples) + 15) / 16); forwarded != wantBatches {
+		t.Errorf("forward histograms recorded %v batches, want %v", forwarded, wantBatches)
 	}
 
 	// Kill the whole fleet: the probes eject both backends and readiness

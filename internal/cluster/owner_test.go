@@ -446,6 +446,40 @@ func TestMigrationKeepsReadSet(t *testing.T) {
 	f.conserved(t, 1)
 }
 
+// TestDrainingBackendStaysInTotals: a draining backend is still in
+// service — on the ring, probed, serving the sessions it holds until they
+// move — so the gateway's frame keeps its counters in the fleet totals and
+// its row reads healthy.
+func TestDrainingBackendStaysInTotals(t *testing.T) {
+	f := newOwnerFixture(t, 2)
+	const sessions, tuples = 8, 10
+	for i := 0; i < sessions; i++ {
+		rs := f.attach(t, fmt.Sprintf("total-%d", i))
+		f.feed(t, rs, 0, tuples)
+		f.flush(t, rs, tuples, 0)
+	}
+	m, _ := f.gw.fleet.lookup(BackendID(0))
+	if m.be == nil || m.be.sessionCount() == 0 {
+		t.Fatalf("%s carries no session; the test needs one on each side", BackendID(0))
+	}
+	if err := f.gw.fleet.setDraining(m.be, true); err != nil {
+		t.Fatal(err)
+	}
+	mm := f.gw.Metrics()
+	if mm.Enqueued != sessions*tuples || mm.Sessions != sessions {
+		t.Errorf("fleet totals with %s draining: %d enqueued over %d sessions, want %d over %d",
+			BackendID(0), mm.Enqueued, mm.Sessions, sessions*tuples, sessions)
+	}
+	for _, row := range mm.Backends {
+		if !row.Healthy {
+			t.Errorf("row %s (state %s) reads unhealthy while in service", row.ID, row.State)
+		}
+		if row.ID == BackendID(0) && row.State != string(StateDraining) {
+			t.Errorf("row %s state %s, want draining", row.ID, row.State)
+		}
+	}
+}
+
 // TestAddBackendVerifiesLiveness pins the one dial path: an address that
 // accepts connections but never answers a ping is refused by AddBackend
 // within about ProbeTimeout — not admitted as live on the strength of a TCP

@@ -142,6 +142,33 @@ func TestProbeSweepConcurrent(t *testing.T) {
 	}
 }
 
+// TestMetricsFetchConcurrent: the gateway asks every in-service backend
+// for its metrics at once, so two backends that answer pings but never
+// metrics cost a Metrics call one ProbeTimeout, not one each. The call runs
+// on a front connection's reader goroutine and on every scrape.
+func TestMetricsFetchConcurrent(t *testing.T) {
+	const timeout = 300 * time.Millisecond
+	var backends []Backend
+	for _, id := range []string{"mute-0", "mute-1"} {
+		backends = append(backends, Backend{ID: id, Addr: startFakeBackend(t, 1).Addr()})
+	}
+	gw, err := NewGateway(Config{Backends: backends, ProbeInterval: -1, ProbeTimeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	start := time.Now()
+	m := gw.Metrics()
+	if took := time.Since(start); took >= 2*timeout {
+		t.Errorf("Metrics over 2 mute backends took %v, want under %v", took, 2*timeout)
+	}
+	for _, row := range m.Backends {
+		if row.Healthy || row.State != string(StateLive) {
+			t.Errorf("mute backend row %s: healthy %t, state %s; want unhealthy and live", row.ID, row.Healthy, row.State)
+		}
+	}
+}
+
 // TestProbeTimeoutNoGoroutineLeak manufactures an endless probe-timeout
 // storm — a backend that passes every Redial liveness check and then
 // black-holes its probes, so the gateway cycles eject → recover → re-admit

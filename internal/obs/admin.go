@@ -17,8 +17,9 @@ type AdminConfig struct {
 	// Collect writes the process's Prometheus exposition. Called once per
 	// /metrics scrape.
 	Collect func(w *PromWriter)
-	// MetricsJSON returns the /metrics.json payload (any JSON-marshalable
-	// snapshot; typically the serve.Metrics struct plus histogram stats).
+	// MetricsJSON returns the /metrics.json payload: the process's wire
+	// metrics frame snapshot (a serve.Metrics), served as JSON as it is.
+	// Counters and histograms beyond the frame live only on /metrics.
 	MetricsJSON func() any
 	// Healthy reports liveness: nil → 200, error → 503 with the error text.
 	// Liveness is "the process is up and its core loop exists" — a gestured

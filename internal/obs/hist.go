@@ -157,45 +157,3 @@ func (s HistSnapshot) Quantile(q float64) time.Duration {
 	}
 	return time.Duration(bucketUpper(len(s.Buckets) - 1))
 }
-
-// Mean returns the average recorded duration (0 when empty).
-func (s HistSnapshot) Mean() time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	return time.Duration(s.Sum / int64(s.Count))
-}
-
-// Max returns the upper bound of the highest non-empty bucket.
-func (s HistSnapshot) Max() time.Duration {
-	for i := len(s.Buckets) - 1; i >= 0; i-- {
-		if s.Buckets[i] != 0 {
-			return time.Duration(bucketUpper(i))
-		}
-	}
-	return 0
-}
-
-// HistStats is the JSON-plane summary of a histogram.
-type HistStats struct {
-	Count uint64        `json:"count"`
-	Mean  time.Duration `json:"mean_ns"`
-	P50   time.Duration `json:"p50_ns"`
-	P90   time.Duration `json:"p90_ns"`
-	P99   time.Duration `json:"p99_ns"`
-	P999  time.Duration `json:"p999_ns"`
-	Max   time.Duration `json:"max_ns"`
-}
-
-// Stats summarizes the snapshot for the JSON metrics plane.
-func (s HistSnapshot) Stats() HistStats {
-	return HistStats{
-		Count: s.Count,
-		Mean:  s.Mean(),
-		P50:   s.Quantile(0.50),
-		P90:   s.Quantile(0.90),
-		P99:   s.Quantile(0.99),
-		P999:  s.Quantile(0.999),
-		Max:   s.Max(),
-	}
-}

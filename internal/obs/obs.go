@@ -27,10 +27,15 @@
 //     (Prometheus text exposition), /metrics.json, /healthz, /readyz,
 //     /events and /debug/pprof/*.
 //
+// One metrics system: /metrics is the one rendering of every counter and
+// histogram (each layer's WriteProm), and /metrics.json serves exactly the
+// process's wire metrics frame (serve.Metrics) as JSON — no second copy of
+// a counter, and no histogram summaries beside the exposition's buckets.
+//
 // Cardinality rules: metric labels are bounded by configuration, never by
 // traffic — backend IDs and shard indexes are fine, session IDs are not
-// (sessions appear only in aggregate counters and in the JSON plane, which
-// is paginated by being a point-in-time snapshot).
+// (sessions appear only in aggregate counters and in the metrics frame's
+// per-session rows, a point-in-time snapshot).
 package obs
 
 import "sync/atomic"

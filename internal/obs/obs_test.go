@@ -74,10 +74,10 @@ func TestHistogramQuantiles(t *testing.T) {
 			t.Errorf("p%v = %v, want within [%v, %v]", c.q*100, got, c.want, time.Duration(float64(c.want)*1.033))
 		}
 	}
-	if mean := s.Mean(); mean < 495*time.Microsecond || mean > 506*time.Microsecond {
+	if mean := time.Duration(s.Sum / int64(s.Count)); mean < 495*time.Microsecond || mean > 506*time.Microsecond {
 		t.Errorf("mean = %v, want ≈500.5µs", mean)
 	}
-	if max := s.Max(); max < time.Millisecond || max > 1033*time.Microsecond {
+	if max := s.Quantile(1); max < time.Millisecond || max > 1033*time.Microsecond {
 		t.Errorf("max = %v, want ≈1ms", max)
 	}
 }
@@ -90,7 +90,7 @@ func TestHistogramNilSafe(t *testing.T) {
 		t.Error("nil histogram count != 0")
 	}
 	s := h.Snapshot()
-	if s.Count != 0 || s.Quantile(0.99) != 0 || s.Mean() != 0 || s.Max() != 0 {
+	if s.Count != 0 || s.Sum != 0 || s.Quantile(0.99) != 0 || s.Quantile(1) != 0 {
 		t.Error("nil histogram snapshot not empty")
 	}
 }
@@ -248,8 +248,9 @@ func TestLoggerRingAndLevels(t *testing.T) {
 var promLine = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? (-?[0-9.e+Inf]+)$`)
 
 // parseProm validates Prometheus text exposition 0.0.4 line by line and
-// returns the sample names seen. It fails the test on malformed lines,
-// samples without a TYPE header, or non-cumulative histogram buckets.
+// returns the samples seen, keyed name{labels}. It fails the test on
+// malformed lines, samples without a TYPE header, a series emitted twice, or
+// non-cumulative histogram buckets.
 func parseProm(t *testing.T, text string) map[string]float64 {
 	t.Helper()
 	types := map[string]string{}
@@ -292,6 +293,9 @@ func parseProm(t *testing.T, text string) map[string]float64 {
 			if v, err = strconv.ParseFloat(m[3], 64); err != nil {
 				t.Fatalf("bad value in %q: %v", line, err)
 			}
+		}
+		if _, dup := samples[name+m[2]]; dup {
+			t.Fatalf("series %s%s emitted twice", name, m[2])
 		}
 		samples[name+m[2]] = v
 		if strings.HasSuffix(name, "_bucket") && types[base] == "histogram" {

@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // ShardMetrics is a point-in-time snapshot of one shard's counters. The
@@ -33,24 +32,33 @@ type SessionMetrics struct {
 }
 
 // BackendMetrics is a point-in-time snapshot of one cluster backend as seen
-// by a gateway fronting it: proxied-session placement, forwarded traffic,
-// and failover accounting. A single-node server never fills these; the
-// cluster gateway attaches them to its aggregated Metrics so one metrics
-// frame describes the whole fleet.
+// by a gateway fronting it: membership, proxied-session placement,
+// forwarded traffic and failover accounting. A single-node server never
+// fills these; the cluster gateway attaches them to its aggregated Metrics
+// so one metrics frame describes the whole fleet, and lists the same rows
+// at its admin plane's /backends.
 type BackendMetrics struct {
-	ID      string `json:"id"`
-	Addr    string `json:"addr"`
-	Healthy bool   `json:"healthy"`
+	ID   string `json:"id"`
+	Addr string `json:"addr"`
+	// Healthy reports the backend in service: live or draining, with a
+	// current incarnation. In a gateway's Metrics it also means the
+	// backend answered the metrics fetch, so its counters are in the
+	// fleet totals.
+	Healthy bool `json:"healthy"`
 	// State is the gateway's lifecycle state for this backend: "live" (on
 	// the ring, taking sessions), "draining" (on the ring but closed to new
 	// sessions while Drain migrates its own), "drained" (off the ring with
 	// no sessions, awaiting re-admission or removal), "recovering" (off the
 	// ring, being re-dialed for re-admission) or "ejected" (retired after
 	// the gateway's Close began, never re-dialed).
-	State    string `json:"state,omitempty"`
-	Sessions int    `json:"sessions"` // proxied sessions currently homed here
-	Batches  uint64 `json:"batches"`  // batch frames forwarded
-	Tuples   uint64 `json:"tuples"`   // tuples forwarded
+	State string `json:"state"`
+	// Incarnation counts the incarnations built for this ID (initial dial
+	// plus re-admissions); the current one carries this ordinal.
+	Incarnation uint64 `json:"incarnation"`
+	RingLoad    int    `json:"ring_load"` // sessions the ring charges to the backend
+	Sessions    int    `json:"sessions"`  // proxied sessions currently homed here
+	Batches     uint64 `json:"batches"`   // batch frames forwarded
+	Tuples      uint64 `json:"tuples"`    // tuples forwarded
 	// Detections counts detections this backend pushed back through the
 	// gateway.
 	Detections uint64 `json:"detections"`
@@ -68,10 +76,12 @@ type BackendMetrics struct {
 	Readmissions uint64 `json:"readmissions"`
 }
 
-// Metrics aggregates the shard snapshots. Counters are monotonically
-// increasing since manager start; QueueDepth is instantaneous. Backends is
-// only filled by a cluster gateway, which aggregates the shard counters of
-// every backend and appends the per-backend proxy view.
+// Metrics is the wire metrics frame: the one snapshot of a process's
+// counters, served as JSON at /metrics.json and rendered by WriteProm.
+// Counters are monotonically increasing since manager start; QueueDepth is
+// instantaneous. A cluster gateway's frame holds fleet totals (the sums of
+// its in-service backends' frames) and one Backends row per member only —
+// per-shard and per-session rows stay in each backend's own frame.
 type Metrics struct {
 	Sessions   int              `json:"sessions"`
 	Enqueued   uint64           `json:"enqueued"`
@@ -79,7 +89,7 @@ type Metrics struct {
 	Dropped    uint64           `json:"dropped"`
 	Detections uint64           `json:"detections"`
 	QueueDepth int              `json:"queue_depth"`
-	Shards     []ShardMetrics   `json:"shards"`
+	Shards     []ShardMetrics   `json:"shards,omitempty"`
 	PerSession []SessionMetrics `json:"per_session,omitempty"`
 	Backends   []BackendMetrics `json:"backends,omitempty"`
 }
@@ -145,31 +155,4 @@ func (m *Manager) Metrics() Metrics {
 func (m Metrics) String() string {
 	return fmt.Sprintf("sessions=%d in=%d out=%d dropped=%d detections=%d depth=%d",
 		m.Sessions, m.Enqueued, m.Processed, m.Dropped, m.Detections, m.QueueDepth)
-}
-
-// Table renders a per-shard breakdown suitable for terminal output.
-func (m Metrics) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-6s %8s %10s %10s %10s %10s %6s\n",
-		"shard", "sessions", "enqueued", "processed", "dropped", "detections", "depth")
-	for _, s := range m.Shards {
-		fmt.Fprintf(&b, "%-6d %8d %10d %10d %10d %10d %6d\n",
-			s.Shard, s.Sessions, s.Enqueued, s.Processed, s.Dropped, s.Detections, s.QueueDepth)
-	}
-	fmt.Fprintf(&b, "%-6s %8d %10d %10d %10d %10d %6d\n",
-		"total", m.Sessions, m.Enqueued, m.Processed, m.Dropped, m.Detections, m.QueueDepth)
-	if len(m.Backends) > 0 {
-		fmt.Fprintf(&b, "\n%-12s %-21s %-10s %8s %10s %10s %10s %8s %8s %7s %8s\n",
-			"backend", "addr", "state", "sessions", "batches", "tuples", "detections", "lost", "rehomed", "ejects", "readmits")
-		for _, be := range m.Backends {
-			state := be.State
-			if state == "live" && !be.Healthy {
-				state = "unreachable" // live on the ring, but the metrics fetch failed
-			}
-			fmt.Fprintf(&b, "%-12s %-21s %-10s %8d %10d %10d %10d %8d %8d %7d %8d\n",
-				be.ID, be.Addr, state, be.Sessions, be.Batches, be.Tuples, be.Detections, be.Lost, be.Rehomed,
-				be.Ejections, be.Readmissions)
-		}
-	}
-	return b.String()
 }

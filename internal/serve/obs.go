@@ -52,8 +52,9 @@ func (m *Manager) Closed() bool { return m.closed.Load() }
 
 // WriteProm writes the snapshot as Prometheus exposition text. Per-session
 // counters are deliberately absent — session IDs are traffic-bounded
-// cardinality, which belongs in the JSON plane, not in label values. Shards
-// and backends are configuration-bounded, so they label freely.
+// cardinality, which belongs in the frame's per-session rows, not in label
+// values. Shards and backends are configuration-bounded, so they label
+// freely.
 func (m Metrics) WriteProm(w *obs.PromWriter) {
 	w.Gauge("serve_sessions", "Live sessions.", nil, float64(m.Sessions))
 	w.Gauge("serve_queue_depth", "Tuples sitting in shard queues.", nil, float64(m.QueueDepth))
@@ -78,7 +79,7 @@ func (m Metrics) WriteProm(w *obs.PromWriter) {
 		if be.Healthy {
 			up = 1
 		}
-		w.Gauge("cluster_backend_up", "1 when the gateway's last probe of the backend succeeded.", l, up)
+		w.Gauge("cluster_backend_up", "1 when the backend is in service (live or draining) and answered the gateway's metrics fetch.", l, up)
 		live := 0.0
 		if be.State == "live" {
 			live = 1
@@ -92,6 +93,8 @@ func (m Metrics) WriteProm(w *obs.PromWriter) {
 		w.Counter("cluster_backend_rehomed_total", "Sessions moved away by failover.", l, be.Rehomed)
 		w.Counter("cluster_backend_ejections_total", "Backend incarnations ejected.", l, be.Ejections)
 		w.Counter("cluster_backend_readmissions_total", "Backend incarnations re-admitted.", l, be.Readmissions)
+		w.Counter("cluster_backend_incarnations_total", "Incarnations built (initial dial plus re-admissions).", l, be.Incarnation)
+		w.Gauge("cluster_backend_ring_load", "Sessions the ring charges to the backend.", l, float64(be.RingLoad))
 	}
 }
 
@@ -104,16 +107,4 @@ func (ins *Instruments) WriteProm(w *obs.PromWriter) {
 	w.Histogram("serve_queue_wait_seconds", "Shard-queue wait of trace-sampled tuples.", nil, ins.QueueWait.Snapshot())
 	w.Histogram("serve_detect_seconds", "Engine publish latency of trace-sampled tuples.", nil, ins.Detect.Snapshot())
 	w.Histogram("serve_ingest_seconds", "Client-send to processed latency of trace-sampled tuples.", nil, ins.Ingest.Snapshot())
-}
-
-// Stats summarizes the stage histograms for the JSON metrics plane.
-func (ins *Instruments) Stats() map[string]obs.HistStats {
-	if ins == nil {
-		return nil
-	}
-	return map[string]obs.HistStats{
-		"queue_wait": ins.QueueWait.Snapshot().Stats(),
-		"detect":     ins.Detect.Snapshot().Stats(),
-		"ingest":     ins.Ingest.Snapshot().Stats(),
-	}
 }

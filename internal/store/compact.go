@@ -190,30 +190,6 @@ func (c *Compactor) Start(interval time.Duration, onErr func(error)) (stop func(
 	}
 }
 
-// CompactorStats is the cumulative counter snapshot for the admin plane.
-type CompactorStats struct {
-	Runs              uint64        `json:"runs"`
-	Failures          uint64        `json:"failures"`
-	StreamsDropped    uint64        `json:"streams_dropped"`
-	SegmentsDropped   uint64        `json:"segments_dropped"`
-	SegmentsRewritten uint64        `json:"segments_rewritten"`
-	BytesReclaimed    uint64        `json:"bytes_reclaimed"`
-	Duration          obs.HistStats `json:"duration"`
-}
-
-// Stats snapshots the cumulative counters.
-func (c *Compactor) Stats() CompactorStats {
-	return CompactorStats{
-		Runs:              c.runs.Load(),
-		Failures:          c.failures.Load(),
-		StreamsDropped:    c.streamsDropped.Load(),
-		SegmentsDropped:   c.segmentsDropped.Load(),
-		SegmentsRewritten: c.segmentsRewritten.Load(),
-		BytesReclaimed:    c.bytesReclaimed.Load(),
-		Duration:          c.dur.Snapshot().Stats(),
-	}
-}
-
 // WriteProm emits the compactor's counters and duration histogram in
 // Prometheus exposition format — the admin plane's Collect hook.
 func (c *Compactor) WriteProm(w *obs.PromWriter) {

@@ -126,8 +126,8 @@ func TestCompactionRetention(t *testing.T) {
 	if stats2.StreamsDropped+stats2.SegmentsDropped+stats2.SegmentsRewritten != 0 {
 		t.Fatalf("second pass reclaimed again: %+v", stats2)
 	}
-	if s := c.Stats(); s.Runs != 2 || s.SegmentsRewritten != 1 {
-		t.Fatalf("cumulative stats = %+v", s)
+	if runs, rewritten := c.runs.Load(), c.segmentsRewritten.Load(); runs != 2 || rewritten != 1 {
+		t.Fatalf("cumulative counters: %d runs, %d segments rewritten; want 2 and 1", runs, rewritten)
 	}
 }
 
@@ -222,8 +222,8 @@ func TestCompactionRacesLiveReadersAndRecorder(t *testing.T) {
 	wg.Wait()
 
 	// The live stream was skipped on every pass despite its expired data.
-	if s := c.Stats(); s.Failures != 0 {
-		t.Fatalf("compactor failures: %+v", s)
+	if n := c.failures.Load(); n != 0 {
+		t.Fatalf("compactor failures: %d", n)
 	}
 	if err := arch.Release(rec); err != nil {
 		t.Fatal(err)
