@@ -53,9 +53,9 @@ func sumSeries(samples map[string]float64, name string) (sum float64) {
 }
 
 // TestGatewayExpositionSeriesOnce: a gateway over two backends with two
-// shards each renders every series once. Its frame holds fleet totals and
-// backend rows only; the backends' per-shard rows carry no backend label,
-// so appending them printed each serve_shard series once per backend.
+// shards each renders every series once. The backends' per-shard rows carry
+// no backend label, so they stay out of the gateway's frame, which holds
+// fleet totals and backend rows only.
 func TestGatewayExpositionSeriesOnce(t *testing.T) {
 	h := e2e.Start(t, e2e.Options{
 		Backends: 2,
