@@ -276,7 +276,7 @@ func BenchmarkTransformFrame(b *testing.B) {
 
 // BenchmarkTransformTuple measures the kinect_t view's kernel for a
 // subscriber that reads every field: one raw tuple in, all 15 joints out,
-// lent from the transformer's scratch array — no allocation. With only
+// into a field array of its own — one allocation. With only
 // deployed plans subscribed, the view computes just the joints they read
 // (transform.View), so on the serving path this is an upper bound.
 func BenchmarkTransformTuple(b *testing.B) {
@@ -292,7 +292,7 @@ func BenchmarkTransformTuple(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := tr.Lend(tuples[i%len(tuples)]); !ok {
+		if _, ok := tr.Tuple(tuples[i%len(tuples)]); !ok {
 			b.Fatal("well-formed tuple dropped")
 		}
 	}
@@ -472,7 +472,7 @@ func BenchmarkServeSessions(b *testing.B) {
 			for i := range chunk {
 				chunk[i].Ts = chunk[i].Ts.Add(offset)
 			}
-			if err := s.FeedBatch(chunk, 0); err != nil {
+			if err := s.FeedLent(chunk, nil, 0, nil); err != nil {
 				return err
 			}
 		}

@@ -106,7 +106,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("replaying a %v interactive session...\n", sess.Duration().Round(time.Second))
-	if err := stream.Replay(h.Raw, kinect.ToTuples(sess.Frames)); err != nil {
+	if err := feed(h, sess.Frames); err != nil {
 		log.Fatal(err)
 	}
 
@@ -134,8 +134,22 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := stream.Replay(h.Raw, kinect.ToTuples(test.Frames)); err != nil {
+	if err := feed(h, test.Frames); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("testing phase finished.")
+}
+
+// feed publishes frames through the engine one at a time, each a batch of
+// one. It must stay frame by frame: the controller subscribes to the raw
+// stream and must see a frame's detections before the next frame, while a
+// wider batch hands it all its frames before any of their detections.
+func feed(h *detect.Harness, frames []gesture.Frame) error {
+	tuples := kinect.ToTuples(frames)
+	for i := range tuples {
+		if err := h.Engine.PublishBatch(h.Raw, tuples[i:i+1], nil); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -12,6 +12,10 @@
 //	sys.OnDetection(func(d gesture.Detection) { ... })
 //	sys.Replay(frames)                          // feed sensor tuples
 //
+// Replay and Feed publish through the engine's one batch entry point,
+// anduin.Engine.PublishBatch, as the server does: Replay in batches of 64
+// tuples, Feed a batch of one frame. Detections are the same either way.
+//
 // See the examples/ directory for complete programs and DESIGN.md for the
 // architecture.
 package gesture
@@ -89,8 +93,7 @@ type System struct {
 	Engine *anduin.Engine
 	DB     *gesturedb.DB
 
-	raw  *stream.Stream
-	view *stream.Stream
+	raw *stream.Stream
 	// deployed maps gesture name → engine query id.
 	deployed map[string]int
 }
@@ -105,7 +108,7 @@ func NewSystem() (*System, error) {
 // (e.g. for ablation studies).
 func NewSystemWith(cfg TransformConfig) (*System, error) {
 	e := anduin.New()
-	raw, view, err := e.KinectPipeline(cfg)
+	raw, _, err := e.KinectPipeline(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +116,6 @@ func NewSystemWith(cfg TransformConfig) (*System, error) {
 		Engine:   e,
 		DB:       gesturedb.New(),
 		raw:      raw,
-		view:     view,
 		deployed: make(map[string]int),
 	}, nil
 }
@@ -200,14 +202,16 @@ func (s *System) OnDetection(fn func(Detection)) func() {
 	return s.Engine.Subscribe(fn)
 }
 
-// Feed pushes one camera frame into the pipeline.
+// Feed pushes one camera frame into the pipeline, as a batch of one: its
+// detections are dispatched before Feed returns.
 func (s *System) Feed(f Frame) error {
-	return s.raw.Publish(kinect.ToTuple(f))
+	return s.Engine.PublishBatch(s.raw, []stream.Tuple{kinect.ToTuple(f)}, nil)
 }
 
-// Replay pushes a frame sequence through the pipeline as fast as possible.
+// Replay pushes a frame sequence through the pipeline as fast as possible,
+// in batches of 64 tuples.
 func (s *System) Replay(frames []Frame) error {
-	return stream.Replay(s.raw, kinect.ToTuples(frames))
+	return s.Engine.PublishBatch(s.raw, kinect.ToTuples(frames), nil)
 }
 
 // CrossCheck runs the §3.3.3 overlap analysis over all stored gestures.

@@ -1,7 +1,9 @@
 package gesture
 
 import (
+	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -163,5 +165,59 @@ func TestSystemFeedSingleFrames(t *testing.T) {
 		if err := sys.Feed(f); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestFeedAgreesWithReplay: a session fed frame by frame (batches of one)
+// fires exactly the detections Replay (batches of 64) fires for it.
+func TestFeedAgreesWithReplay(t *testing.T) {
+	samples := trainSamples(t, kinect.GestureSwipeRight, 4, 1)
+	sim, _ := NewSimulator(ChildProfile(), 7)
+	sess, err := sim.RunScript([]ScriptItem{
+		{Idle: time.Second},
+		{Gesture: kinect.GestureSwipeRight, Opts: PerformOpts{PathJitter: 15}},
+		{Idle: time.Second},
+		{Gesture: kinect.GestureCircle},
+		{Idle: time.Second},
+		{Gesture: kinect.GestureSwipeRight, Opts: PerformOpts{PathJitter: 15}},
+		{Idle: time.Second},
+	}, t0().Add(time.Hour), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(feed func(*System) error) string {
+		sys, err := NewSystem()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Learn(kinect.GestureSwipeRight, samples); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Deploy(kinect.GestureSwipeRight); err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		sys.OnDetection(func(d Detection) {
+			fmt.Fprintf(&b, "%s q%d %d %d %v\n", d.Gesture, d.QueryID, d.Start.UnixNano(), d.End.UnixNano(), d.Measures)
+		})
+		if err := feed(sys); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	replayed := run(func(sys *System) error { return sys.Replay(sess.Frames) })
+	fed := run(func(sys *System) error {
+		for _, f := range sess.Frames {
+			if err := sys.Feed(f); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if replayed == "" {
+		t.Fatal("Replay detected nothing")
+	}
+	if fed != replayed {
+		t.Errorf("Feed detected\n%s\nReplay detected\n%s", fed, replayed)
 	}
 }

@@ -350,6 +350,11 @@ func (e *Engine) DeployPlan(p *Plan) (int, error) {
 		for i := range d.found {
 			e.pending = append(e.pending, pending{at: d.found[i].At, det: d.detection(d.found[i], ts)})
 		}
+		// Outside PublishBatch (a tuple published straight on a stream)
+		// the detections go out at once. The repo publishes only through
+		// PublishBatch; this route stays because the benchmark's
+		// correctness oracle (replayReference) and its per-layer timing
+		// publish tuple by tuple with Stream.Publish.
 		if e.width == 0 && len(e.pending) > 0 {
 			e.flush(nil)
 		}

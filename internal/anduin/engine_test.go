@@ -52,7 +52,7 @@ func TestDeployAndDetect(t *testing.T) {
 		dets = append(dets, d)
 		mu.Unlock()
 	})
-	if err := stream.Replay(s, rampTuples(0)); err != nil {
+	if err := e.PublishBatch(s, rampTuples(0), nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(dets) != 1 {
@@ -85,7 +85,7 @@ func TestUndeployStopsDetection(t *testing.T) {
 	if err := e.Undeploy(id); err != nil {
 		t.Fatal(err)
 	}
-	_ = stream.Replay(s, rampTuples(0))
+	_ = e.PublishBatch(s, rampTuples(0), nil)
 	if count != 0 {
 		t.Error("undeployed query still fired")
 	}
@@ -108,7 +108,7 @@ func TestRuntimeExchange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = stream.Replay(s, rampTuples(0))
+	_ = e.PublishBatch(s, rampTuples(0), nil)
 
 	if err := e.Undeploy(id1); err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestRuntimeExchange(t *testing.T) {
 	if _, err := e.DeployText(`SELECT "ramp_v2" MATCHING s(a < 10) -> s(a > 90) within 2 seconds;`); err != nil {
 		t.Fatal(err)
 	}
-	_ = stream.Replay(s, rampTuples(10000))
+	_ = e.PublishBatch(s, rampTuples(10000), nil)
 
 	if len(names) != 2 || names[0] != "ramp" || names[1] != "ramp_v2" {
 		t.Errorf("detections = %v", names)
@@ -133,7 +133,7 @@ func TestMultipleQueriesShareStream(t *testing.T) {
 	}
 	got := map[string]int{}
 	e.Subscribe(func(d Detection) { got[d.Gesture]++ })
-	_ = stream.Replay(s, rampTuples(0))
+	_ = e.PublishBatch(s, rampTuples(0), nil)
 	if got["low"] != 1 || got["high"] != 1 {
 		t.Errorf("detections = %v", got)
 	}
@@ -287,7 +287,7 @@ within 1 seconds select first consume all;
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := stream.Replay(raw, kinect.ToTuples(perf.Frames)); err != nil {
+		if err := e.PublishBatch(raw, kinect.ToTuples(perf.Frames), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -310,7 +310,7 @@ func TestOutputMeasures(t *testing.T) {
 	}
 	var dets []Detection
 	e.Subscribe(func(d Detection) { dets = append(dets, d) })
-	_ = stream.Replay(s, rampTuples(0))
+	_ = e.PublishBatch(s, rampTuples(0), nil)
 	if len(dets) != 1 {
 		t.Fatalf("detections = %d", len(dets))
 	}
@@ -326,7 +326,7 @@ func TestOutputMeasures(t *testing.T) {
 	}
 	var d2 []Detection
 	e2.Subscribe(func(d Detection) { d2 = append(d2, d) })
-	_ = stream.Replay(s2, rampTuples(0))
+	_ = e2.PublishBatch(s2, rampTuples(0), nil)
 	if len(d2) == 0 || d2[0].Measures != nil {
 		t.Errorf("expected nil measures, got %+v", d2)
 	}

@@ -29,6 +29,20 @@ func letterL() kinect.GestureSpec {
 	}
 }
 
+// feed publishes frames through the engine one at a time, each a batch of
+// one. It must stay frame by frame: a controller subscribed to the raw
+// stream must see a frame's detections before the next frame, while a wider
+// batch hands it all its frames before any of their detections.
+func feed(h *detect.Harness, frames []kinect.Frame) error {
+	tuples := kinect.ToTuples(frames)
+	for i := range tuples {
+		if err := h.Engine.PublishBatch(h.Raw, tuples[i:i+1], nil); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func TestControlQueriesDeployAndFire(t *testing.T) {
 	h, err := detect.NewHarness(transform.DefaultConfig())
 	if err != nil {
@@ -54,7 +68,7 @@ func TestControlQueriesDeployAndFire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := stream.Replay(h.Raw, kinect.ToTuples(sess.Frames)); err != nil {
+	if err := feed(h, sess.Frames); err != nil {
 		t.Fatal(err)
 	}
 	var wave, fin bool
@@ -97,7 +111,7 @@ func TestControlQueriesIgnoreOrdinaryGestures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := stream.Replay(h.Raw, kinect.ToTuples(sess.Frames)); err != nil {
+	if err := feed(h, sess.Frames); err != nil {
 		t.Fatal(err)
 	}
 	if fired != 0 {
@@ -189,7 +203,7 @@ func TestInteractiveSessionEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := stream.Replay(h.Raw, kinect.ToTuples(sess.Frames)); err != nil {
+	if err := feed(h, sess.Frames); err != nil {
 		t.Fatal(err)
 	}
 

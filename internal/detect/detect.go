@@ -167,7 +167,6 @@ func Overall(byGesture map[string]Outcome) Outcome {
 type Harness struct {
 	Engine *anduin.Engine
 	Raw    *stream.Stream
-	View   *stream.Stream
 
 	dets []anduin.Detection
 }
@@ -176,11 +175,11 @@ type Harness struct {
 // attached detection collector.
 func NewHarness(cfg transform.Config) (*Harness, error) {
 	e := anduin.New()
-	raw, view, err := e.KinectPipeline(cfg)
+	raw, _, err := e.KinectPipeline(cfg)
 	if err != nil {
 		return nil, err
 	}
-	h := &Harness{Engine: e, Raw: raw, View: view}
+	h := &Harness{Engine: e, Raw: raw}
 	e.Subscribe(func(d anduin.Detection) { h.dets = append(h.dets, d) })
 	return h, nil
 }
@@ -195,23 +194,16 @@ func (h *Harness) Deploy(queryTexts ...string) error {
 	return nil
 }
 
-// Run replays a session and returns the detections it produced (also
-// accumulated on the harness).
+// Run replays a session through the engine in batches of 64 tuples
+// (anduin.Engine.PublishBatch, as the server evaluates) and returns the
+// detections it produced.
 func (h *Harness) Run(sess kinect.Session) ([]anduin.Detection, error) {
-	before := len(h.dets)
-	if err := stream.Replay(h.Raw, kinect.ToTuples(sess.Frames)); err != nil {
+	h.dets = nil
+	if err := h.Engine.PublishBatch(h.Raw, kinect.ToTuples(sess.Frames), nil); err != nil {
 		return nil, err
 	}
-	return append([]anduin.Detection(nil), h.dets[before:]...), nil
+	return h.dets, nil
 }
-
-// Detections returns everything detected so far.
-func (h *Harness) Detections() []anduin.Detection {
-	return append([]anduin.Detection(nil), h.dets...)
-}
-
-// Reset clears collected detections.
-func (h *Harness) Reset() { h.dets = nil }
 
 // RunAndEvaluate replays the session and scores it in one step.
 func (h *Harness) RunAndEvaluate(sess kinect.Session, tolerance time.Duration) (map[string]Outcome, error) {
@@ -223,11 +215,12 @@ func (h *Harness) RunAndEvaluate(sess kinect.Session, tolerance time.Duration) (
 }
 
 // Throughput measures wall-clock tuples/second for replaying the given
-// frames through the harness (all deployed queries active).
+// frames through the harness in batches of 64, as Run does (all deployed
+// queries active).
 func (h *Harness) Throughput(frames []kinect.Frame) (float64, error) {
 	tuples := kinect.ToTuples(frames)
 	start := time.Now()
-	if err := stream.Replay(h.Raw, tuples); err != nil {
+	if err := h.Engine.PublishBatch(h.Raw, tuples, nil); err != nil {
 		return 0, err
 	}
 	elapsed := time.Since(start)

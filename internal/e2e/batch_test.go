@@ -48,8 +48,8 @@ func TestBatchSplitInvariance(t *testing.T) {
 				if n == 1 {
 					err = sess.FeedTuple(tuples[off])
 				} else {
-					// FeedBatch owns the slice it is handed.
-					err = sess.FeedBatch(append([]stream.Tuple(nil), tuples[off:off+n]...), 0)
+					// FeedLent with no lender owns the slice it is handed.
+					err = sess.FeedLent(append([]stream.Tuple(nil), tuples[off:off+n]...), nil, 0, nil)
 				}
 				if err != nil {
 					t.Fatal(err)

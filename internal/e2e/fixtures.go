@@ -121,7 +121,9 @@ func EncodeDets(t testing.TB, dets []anduin.Detection) []byte {
 
 // BareReplay replays tuples through a standalone engine deploying the same
 // shared plan and returns its detections — the single-node reference
-// semantics every served, proxied, recorded or replayed path must match.
+// semantics every served, proxied, recorded or replayed path must match. It
+// publishes each tuple as a batch of one, so comparing a served session
+// against it compares 64-wide batch evaluation against per-tuple.
 func BareReplay(t testing.TB, plan *anduin.Plan, tuples []stream.Tuple) []anduin.Detection {
 	t.Helper()
 	engine := anduin.New()
@@ -134,8 +136,10 @@ func BareReplay(t testing.TB, plan *anduin.Plan, tuples []stream.Tuple) []anduin
 	if _, err := engine.DeployPlan(plan); err != nil {
 		t.Fatal(err)
 	}
-	if err := stream.Replay(raw, tuples); err != nil {
-		t.Fatal(err)
+	for i := range tuples {
+		if err := engine.PublishBatch(raw, tuples[i:i+1], nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return out
 }

@@ -147,8 +147,9 @@ func goldenSessionTuples(t *testing.T) [][]stream.Tuple {
 	return sessions
 }
 
-// goldenReplay is BareReplay for several plans at once; it also returns the
-// runs pruned summed over the deployed queries.
+// goldenReplay is BareReplay for several plans at once, publishing in
+// batches of 64 as the server does; it also returns the runs pruned summed
+// over the deployed queries.
 func goldenReplay(t *testing.T, plans []*anduin.Plan, tuples []stream.Tuple) ([]anduin.Detection, uint64) {
 	t.Helper()
 	engine := anduin.New()
@@ -166,7 +167,7 @@ func goldenReplay(t *testing.T, plans []*anduin.Plan, tuples []stream.Tuple) ([]
 		}
 		ids = append(ids, id)
 	}
-	if err := stream.Replay(raw, tuples); err != nil {
+	if err := engine.PublishBatch(raw, tuples, nil); err != nil {
 		t.Fatal(err)
 	}
 	var pruned uint64

@@ -7,7 +7,6 @@ import (
 
 	"gesturecep/internal/anduin"
 	"gesturecep/internal/kinect"
-	"gesturecep/internal/stream"
 	"gesturecep/internal/transform"
 )
 
@@ -90,7 +89,7 @@ func deployAndRun(t *testing.T, res *Result, profile kinect.Profile, script []ki
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := stream.Replay(raw, kinect.ToTuples(sess.Frames)); err != nil {
+	if err := e.PublishBatch(raw, kinect.ToTuples(sess.Frames), nil); err != nil {
 		t.Fatal(err)
 	}
 	return dets

@@ -249,13 +249,15 @@ var promLine = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? (-?[0
 
 // parseProm validates Prometheus text exposition 0.0.4 line by line and
 // returns the samples seen, keyed name{labels}. It fails the test on
-// malformed lines, samples without a TYPE header, a series emitted twice, or
-// non-cumulative histogram buckets.
+// malformed lines, samples without a TYPE header, a series emitted twice,
+// non-cumulative histogram buckets, or a family whose samples are split
+// into several groups by another family's lines.
 func parseProm(t *testing.T, text string) map[string]float64 {
 	t.Helper()
 	types := map[string]string{}
 	samples := map[string]float64{}
 	lastCum := map[string]float64{} // histogram name → last cumulative bucket
+	cur := ""                       // the family whose TYPE line came last
 	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
 		if strings.HasPrefix(line, "# TYPE ") {
 			parts := strings.Fields(line)
@@ -266,6 +268,7 @@ func parseProm(t *testing.T, text string) map[string]float64 {
 				t.Fatalf("duplicate TYPE for %s", parts[2])
 			}
 			types[parts[2]] = parts[3]
+			cur = parts[2]
 			continue
 		}
 		if strings.HasPrefix(line, "#") || line == "" {
@@ -284,6 +287,9 @@ func parseProm(t *testing.T, text string) map[string]float64 {
 		}
 		if _, ok := types[base]; !ok {
 			t.Fatalf("sample %q has no TYPE header", name)
+		}
+		if base != cur {
+			t.Fatalf("sample %q of family %s split from its group by %s", line, base, cur)
 		}
 		var v float64
 		if m[3] == "+Inf" {
@@ -319,6 +325,13 @@ func TestPromWriterExposition(t *testing.T) {
 		h.Observe(time.Duration(i) * time.Millisecond)
 	}
 	w.Histogram("latency_seconds", "Request latency.", L("stage", `we"ird\`), h.Snapshot())
+	// Per-shard names interleaved, as a layer loops over its shards: each
+	// family's lines must still come out as one group.
+	for _, shard := range []string{"0", "1"} {
+		w.Gauge("shard_sessions", "Sessions per shard.", L("shard", shard), 1)
+		w.Histogram("latency_seconds", "", L("shard", shard), h.Snapshot())
+		w.Counter("requests_total", "", L("shard", shard), 1)
+	}
 	text := string(w.Bytes())
 	samples := parseProm(t, text)
 	if samples[`requests_total{backend="b0"}`] != 42 {

@@ -8,16 +8,19 @@ import (
 
 // PromWriter accumulates Prometheus text-exposition-format output. Layers
 // that own counters implement a WriteProm(w *obs.PromWriter) method; the
-// admin plane calls them per scrape. Emit metrics for one name together —
-// the TYPE header is written once, on the name's first sample.
+// admin plane calls them per scrape. The exposition groups each metric
+// family's lines — its HELP and TYPE header, written on the name's first
+// sample, then every sample of that name, a histogram's _bucket, _sum and
+// _count lines included — in the order the families first appear, so a
+// layer may emit its names in any interleaving (per shard, per backend).
 type PromWriter struct {
-	buf   bytes.Buffer
-	typed map[string]string // name → emitted TYPE
+	families []*bytes.Buffer          // in order of first appearance
+	byName   map[string]*bytes.Buffer // family name → its lines
 }
 
 // NewPromWriter returns an empty exposition buffer.
 func NewPromWriter() *PromWriter {
-	return &PromWriter{typed: make(map[string]string)}
+	return &PromWriter{byName: make(map[string]*bytes.Buffer)}
 }
 
 // Labels is an ordered label set. Order is preserved in the exposition so
@@ -36,43 +39,47 @@ func escapeLabel(v string) string {
 	return r.Replace(v)
 }
 
-func (w *PromWriter) header(name, typ, help string) {
-	if w.typed[name] == "" {
+// family returns the buffer of family name, opening it with its header on
+// the name's first sample.
+func (w *PromWriter) family(name, typ, help string) *bytes.Buffer {
+	buf := w.byName[name]
+	if buf == nil {
+		buf = new(bytes.Buffer)
 		if help != "" {
-			fmt.Fprintf(&w.buf, "# HELP %s %s\n", name, help)
+			fmt.Fprintf(buf, "# HELP %s %s\n", name, help)
 		}
-		fmt.Fprintf(&w.buf, "# TYPE %s %s\n", name, typ)
-		w.typed[name] = typ
+		fmt.Fprintf(buf, "# TYPE %s %s\n", name, typ)
+		w.byName[name] = buf
+		w.families = append(w.families, buf)
 	}
+	return buf
 }
 
-func (w *PromWriter) sample(name string, labels Labels, value string) {
-	w.buf.WriteString(name)
+func sample(buf *bytes.Buffer, name string, labels Labels, value string) {
+	buf.WriteString(name)
 	if len(labels) > 0 {
-		w.buf.WriteByte('{')
+		buf.WriteByte('{')
 		for i, kv := range labels {
 			if i > 0 {
-				w.buf.WriteByte(',')
+				buf.WriteByte(',')
 			}
-			fmt.Fprintf(&w.buf, `%s="%s"`, kv[0], escapeLabel(kv[1]))
+			fmt.Fprintf(buf, `%s="%s"`, kv[0], escapeLabel(kv[1]))
 		}
-		w.buf.WriteByte('}')
+		buf.WriteByte('}')
 	}
-	w.buf.WriteByte(' ')
-	w.buf.WriteString(value)
-	w.buf.WriteByte('\n')
+	buf.WriteByte(' ')
+	buf.WriteString(value)
+	buf.WriteByte('\n')
 }
 
 // Counter emits one monotonically-increasing sample.
 func (w *PromWriter) Counter(name, help string, labels Labels, v uint64) {
-	w.header(name, "counter", help)
-	w.sample(name, labels, fmt.Sprintf("%d", v))
+	sample(w.family(name, "counter", help), name, labels, fmt.Sprintf("%d", v))
 }
 
 // Gauge emits one instantaneous sample.
 func (w *PromWriter) Gauge(name, help string, labels Labels, v float64) {
-	w.header(name, "gauge", help)
-	w.sample(name, labels, formatFloat(v))
+	sample(w.family(name, "gauge", help), name, labels, formatFloat(v))
 }
 
 // Histogram emits a snapshot as a classic Prometheus histogram: cumulative
@@ -80,7 +87,7 @@ func (w *PromWriter) Gauge(name, help string, labels Labels, v float64) {
 // count changes are emitted (plus +Inf), keeping the exposition proportional
 // to the number of distinct latencies, not the 2k internal buckets.
 func (w *PromWriter) Histogram(name, help string, labels Labels, s HistSnapshot) {
-	w.header(name, "histogram", help)
+	buf := w.family(name, "histogram", help)
 	var cum uint64
 	for i, n := range s.Buckets {
 		if n == 0 {
@@ -88,15 +95,21 @@ func (w *PromWriter) Histogram(name, help string, labels Labels, s HistSnapshot)
 		}
 		cum += n
 		le := float64(bucketUpper(i)) / 1e9
-		w.sample(name+"_bucket", labels.Add("le", formatFloat(le)), fmt.Sprintf("%d", cum))
+		sample(buf, name+"_bucket", labels.Add("le", formatFloat(le)), fmt.Sprintf("%d", cum))
 	}
-	w.sample(name+"_bucket", labels.Add("le", "+Inf"), fmt.Sprintf("%d", s.Count))
-	w.sample(name+"_sum", labels, formatFloat(float64(s.Sum)/1e9))
-	w.sample(name+"_count", labels, fmt.Sprintf("%d", s.Count))
+	sample(buf, name+"_bucket", labels.Add("le", "+Inf"), fmt.Sprintf("%d", s.Count))
+	sample(buf, name+"_sum", labels, formatFloat(float64(s.Sum)/1e9))
+	sample(buf, name+"_count", labels, fmt.Sprintf("%d", s.Count))
 }
 
-// Bytes returns the exposition accumulated so far.
-func (w *PromWriter) Bytes() []byte { return w.buf.Bytes() }
+// Bytes returns the exposition accumulated so far, family by family.
+func (w *PromWriter) Bytes() []byte {
+	var out []byte
+	for _, buf := range w.families {
+		out = append(out, buf.Bytes()...)
+	}
+	return out
+}
 
 // formatFloat renders a float without exponent notation surprises for
 // integral values (Prometheus accepts both; plain decimals read better).

@@ -324,24 +324,30 @@ func SampleSalesCube() (*Cube, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Slices, not maps: the running val makes each fact's measure depend on
+	// the order the facts are added in.
+	type group struct {
+		name    string
+		members []string
+	}
 	years := []string{"2012", "2013"}
-	months := map[string][]string{"Q1": {"Jan", "Feb", "Mar"}, "Q2": {"Apr", "May", "Jun"}}
-	cities := map[string][]string{"DE": {"Berlin", "Ilmenau"}, "IT": {"Genoa", "Rome"}}
-	items := map[string][]string{"camera": {"kinect", "webcam"}, "display": {"touch", "wall"}}
+	months := []group{{"Q1", []string{"Jan", "Feb", "Mar"}}, {"Q2", []string{"Apr", "May", "Jun"}}}
+	cities := []group{{"DE", []string{"Berlin", "Ilmenau"}}, {"IT", []string{"Genoa", "Rome"}}}
+	items := []group{{"camera", []string{"kinect", "webcam"}}, {"display", []string{"touch", "wall"}}}
 
 	val := 0.0
 	for _, y := range years {
-		for q, ms := range months {
-			for _, m := range ms {
-				for country, cs := range cities {
-					for _, city := range cs {
-						for cat, is := range items {
-							for _, item := range is {
+		for _, q := range months {
+			for _, m := range q.members {
+				for _, country := range cities {
+					for _, city := range country.members {
+						for _, cat := range items {
+							for _, item := range cat.members {
 								val += 7
 								err := cube.AddFact(map[string]string{
-									"year": y, "quarter": y + q, "month": y + m,
-									"country": country, "city": city,
-									"category": cat, "item": item,
+									"year": y, "quarter": y + q.name, "month": y + m,
+									"country": country.name, "city": city,
+									"category": cat.name, "item": item,
 								}, 100+float64(int(val)%97))
 								if err != nil {
 									return nil, err

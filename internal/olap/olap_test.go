@@ -181,3 +181,39 @@ func TestReset(t *testing.T) {
 		t.Error("reset incomplete")
 	}
 }
+
+// TestSampleCubeDeterministic: the sample cube's facts do not depend on map
+// iteration order, so twenty builds aggregate to the same tables, at the
+// coarsest levels and drilled down to cities by months.
+func TestSampleCubeDeterministic(t *testing.T) {
+	tables := func() string {
+		v := NewView(sampleCube(t))
+		var b strings.Builder
+		aggregate := func() {
+			tab, err := v.Aggregate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.WriteString(tab.String())
+		}
+		aggregate() // year × country
+		if err := v.DrillDown(); err != nil {
+			t.Fatal(err)
+		}
+		if err := v.DrillDown(); err != nil {
+			t.Fatal(err)
+		}
+		v.Pivot()
+		if err := v.DrillDown(); err != nil {
+			t.Fatal(err)
+		}
+		aggregate() // city × month
+		return b.String()
+	}
+	want := tables()
+	for i := 1; i < 20; i++ {
+		if got := tables(); got != want {
+			t.Fatalf("build %d aggregates to\n%s\nbuild 0 to\n%s", i, got, want)
+		}
+	}
+}

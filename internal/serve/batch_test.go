@@ -13,8 +13,8 @@ import (
 )
 
 // batchOf returns n tuples with consecutive Seq starting at *seq, advancing
-// it. FeedBatch owns what it is handed, so every call gets a fresh slice;
-// the field arrays are shared read-only.
+// it. FeedLent with no lender owns what it is handed, so every call gets a
+// fresh slice; the field arrays are shared read-only.
 func batchOf(pool []stream.Tuple, seq *uint64, n int) []stream.Tuple {
 	out := make([]stream.Tuple, n)
 	for i := range out {
@@ -92,7 +92,7 @@ func TestQueueBoundsTuples(t *testing.T) {
 	var seq uint64
 	feed := func(n int) {
 		t.Helper()
-		if err := s.FeedBatch(batchOf(pool, &seq, n), 0); err != nil {
+		if err := s.FeedLent(batchOf(pool, &seq, n), nil, 0, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -100,7 +100,7 @@ func TestQueueBoundsTuples(t *testing.T) {
 		batch, done := batchOf(pool, &seq, n), make(chan struct{})
 		go func() {
 			defer close(done)
-			if err := s.FeedBatch(batch, 0); err != nil {
+			if err := s.FeedLent(batch, nil, 0, nil); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -193,7 +193,7 @@ func TestDropOldestEvictsWholeBatches(t *testing.T) {
 	var seq uint64
 	feed := func(s *Session, n int) {
 		t.Helper()
-		if err := s.FeedBatch(batchOf(pool, &seq, n), 0); err != nil {
+		if err := s.FeedLent(batchOf(pool, &seq, n), nil, 0, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -289,7 +289,7 @@ func TestBatchAccounting(t *testing.T) {
 						if n == 1 && rng.Intn(2) == 0 {
 							err = s.FeedTuple(batchOf(pool, &seq, 1)[0])
 						} else {
-							err = s.FeedBatch(batchOf(pool, &seq, n), 0)
+							err = s.FeedLent(batchOf(pool, &seq, n), nil, 0, nil)
 						}
 						if err != nil {
 							t.Error(err)
@@ -336,7 +336,7 @@ func TestBatchAccounting(t *testing.T) {
 	}
 }
 
-// TestFeedBatchCloseRace hammers FeedBatch from many goroutines while the
+// TestFeedBatchCloseRace hammers FeedLent from many goroutines while the
 // manager closes: a batch is admitted whole and drained, or refused whole —
 // each session's In is exactly the tuples of its successful feeds, and no
 // tuple is stranded.
@@ -369,7 +369,7 @@ func TestFeedBatchCloseRace(t *testing.T) {
 					var seq uint64
 					for {
 						n := 1 + rng.Intn(12)
-						if ss[i].FeedBatch(batchOf(pool, &seq, n), 0) != nil {
+						if ss[i].FeedLent(batchOf(pool, &seq, n), nil, 0, nil) != nil {
 							return
 						}
 						accepted[i] += uint64(n)
@@ -414,7 +414,7 @@ func TestCloseFromListenerMidBatch(t *testing.T) {
 	})
 	pool := idleTuples(t, 4)
 	var seq uint64
-	if err := s.FeedBatch(batchOf(pool, &seq, 10), 0); err != nil {
+	if err := s.FeedLent(batchOf(pool, &seq, 10), nil, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	s.Flush()
@@ -424,7 +424,7 @@ func TestCloseFromListenerMidBatch(t *testing.T) {
 	if n := fired.Load(); n != 1 {
 		t.Errorf("%d detections fired; the tuples behind the closing one were published", n)
 	}
-	if err := s.FeedBatch(batchOf(pool, &seq, 3), 0); err == nil {
+	if err := s.FeedLent(batchOf(pool, &seq, 3), nil, 0, nil); err == nil {
 		t.Error("closed session took a batch")
 	}
 	if in, _, _ := s.Counters(); in != 10 {
@@ -452,7 +452,7 @@ func TestSealRefusesWholeBatches(t *testing.T) {
 	feeder := make(chan struct{})
 	go func() {
 		defer close(feeder)
-		for s.FeedBatch(batchOf(pool, &seq, width), 0) == nil {
+		for s.FeedLent(batchOf(pool, &seq, width), nil, 0, nil) == nil {
 			accepted += width
 			batches.Add(1)
 		}
@@ -476,7 +476,7 @@ func TestSealRefusesWholeBatches(t *testing.T) {
 	}
 	s.Unseal()
 	seq = in
-	if err := s.FeedBatch(batchOf(pool, &seq, width), 0); err != nil {
+	if err := s.FeedLent(batchOf(pool, &seq, width), nil, 0, nil); err != nil {
 		t.Fatalf("unsealed session refused a batch: %v", err)
 	}
 	s.Flush()
@@ -497,13 +497,13 @@ func TestFeedBatchRefusesMixedArity(t *testing.T) {
 	var seq uint64
 	batch := batchOf(idleTuples(t, 4), &seq, 5)
 	batch[3].Fields = batch[3].Fields[:7]
-	if err := s.FeedBatch(batch, 0); err == nil {
+	if err := s.FeedLent(batch, nil, 0, nil); err == nil {
 		t.Fatal("batch with a short tuple admitted")
 	}
 	if in, _, _ := s.Counters(); in != 0 || tapped != 0 {
 		t.Errorf("refused batch left in=%d tapped=%d", in, tapped)
 	}
-	if err := s.FeedBatch(nil, 0); err != nil {
+	if err := s.FeedLent(nil, nil, 0, nil); err != nil {
 		t.Errorf("empty batch: %v", err)
 	}
 }

@@ -133,7 +133,7 @@ func TestDeterminism(t *testing.T) {
 	if _, err := engine.DeployPlan(plan); err != nil {
 		t.Fatal(err)
 	}
-	if err := stream.Replay(raw, kinect.ToTuples(frames)); err != nil {
+	if err := engine.PublishBatch(raw, kinect.ToTuples(frames), nil); err != nil {
 		t.Fatal(err)
 	}
 

@@ -12,7 +12,7 @@ import (
 
 // Session is one tenant of the runtime: a private engine (raw kinect stream
 // + kinect_t view + per-session NFAs instantiated from shared plans), pinned
-// to one ingestion shard. FeedTuple and FeedBatch may be called from any
+// to one ingestion shard. FeedTuple and FeedLent may be called from any
 // goroutine; the actual publishing happens on the shard worker, so detection
 // semantics are identical to a single-engine replay of the same tuples.
 type Session struct {
@@ -187,30 +187,24 @@ func (s *Session) FeedTuple(t stream.Tuple) error {
 	return s.mgr.enqueue(s, []stream.Tuple{t}, nil, 0, nil)
 }
 
-// FeedBatch enqueues raw tuples, in order, as one unit of the shard queue:
+// FeedLent enqueues raw tuples, in order, as one unit of the shard queue:
 // one admission check, one queue operation, and the batch is admitted whole
-// or refused whole — a closed or sealed session never takes a prefix. An
-// admitted batch (nil error) is the session's: it takes ownership of the
-// slice and of the tuples' field arrays, which the caller must not touch
-// afterwards (they are read until the batch is published, never written). A
-// refused batch stays the caller's. sentNs is the client-send unix-nano
-// timestamp of a trace-sampled wire batch, 0 otherwise: the batch's first
-// tuple is then timed into the manager's stage histograms as it moves
-// through the shard. Detection behaviour is identical to feeding the tuples
-// one by one.
-func (s *Session) FeedBatch(tuples []stream.Tuple, sentNs int64) error {
-	return s.mgr.enqueue(s, tuples, nil, sentNs, nil)
-}
-
-// FeedLent is FeedBatch for a feeder that wants the memory back: an admitted
-// batch is on loan until the runtime calls lender.Release — exactly once,
-// after the batch's last tuple was published, skipped (session closed) or
-// dropped (DropOldest), from whichever goroutine did that. On an error
-// nothing was lent and Release is not called. reads is the set of fields
-// the tuples hold (nil: every field), normally what Reads returned when
-// they were decoded; the others may hold anything. The worker checks that
-// the session still reads no field outside it before publishing the batch,
-// and panics if it does — a programming error (see Engine).
+// or refused whole — a closed or sealed session never takes a prefix. A
+// refused batch (non-nil error) stays the caller's. An admitted batch is
+// read until it is published, never written: with a nil lender it is the
+// session's — the slice and the tuples' field arrays, which the caller must
+// not touch afterwards — and with a lender it is on loan until the runtime
+// calls lender.Release, exactly once, after the batch's last tuple was
+// published, skipped (session closed) or dropped (DropOldest), from
+// whichever goroutine did that. reads is the set of fields the tuples hold
+// (nil: every field), normally what Reads returned when they were decoded;
+// the others may hold anything. The worker checks that the session still
+// reads no field outside it before publishing the batch, and panics if it
+// does — a programming error (see Engine). sentNs is the client-send
+// unix-nano timestamp of a trace-sampled wire batch, 0 otherwise: the
+// batch's first tuple is then timed into the manager's stage histograms as
+// it moves through the shard. Detection behaviour is identical to feeding
+// the tuples one by one.
 func (s *Session) FeedLent(tuples []stream.Tuple, reads *stream.ReadSet, sentNs int64, lender Lender) error {
 	return s.mgr.enqueue(s, tuples, reads, sentNs, lender)
 }

@@ -75,15 +75,13 @@ func (g *streamGate) of(stream string) *sync.RWMutex {
 	return l
 }
 
-// Compactor applies a RetentionPolicy to an archive root, either on
+// Compactor applies a RetentionPolicy to an archive's root, either on
 // demand (Run) or on a schedule (Start). Safe for concurrent use with
-// readers opened through the owning Archive; counters are cumulative
-// across runs and exported to the admin plane via WriteProm.
+// readers opened through the archive; counters are cumulative across runs
+// and exported to the admin plane via WriteProm.
 type Compactor struct {
-	root string
+	arch *Archive
 	pol  RetentionPolicy
-	gate *streamGate
-	skip func(stream string) bool // live-recorder check; nil skips nothing
 
 	runs              atomic.Uint64
 	failures          atomic.Uint64
@@ -94,29 +92,19 @@ type Compactor struct {
 	dur               *obs.Histogram
 }
 
-// NewCompactor builds a standalone compactor for an archive root nothing
-// is writing to (offline retention). For an archive with live recorders
-// and readers use Archive.NewCompactor, which shares the archive's gate.
-func NewCompactor(root string, pol RetentionPolicy) *Compactor {
-	return &Compactor{root: root, pol: pol, gate: newStreamGate(), dur: obs.NewHistogram()}
-}
-
 // NewCompactor builds a compactor wired to this archive: it serializes
 // against readers opened through Archive.OpenReader and skips streams
 // with a live recorder.
 func (a *Archive) NewCompactor(pol RetentionPolicy) *Compactor {
-	return &Compactor{
-		root: a.root,
-		pol:  pol,
-		gate: a.gate,
-		skip: func(stream string) bool {
-			a.mu.Lock()
-			defer a.mu.Unlock()
-			_, live := a.open[stream]
-			return live
-		},
-		dur: obs.NewHistogram(),
-	}
+	return &Compactor{arch: a, pol: pol, dur: obs.NewHistogram()}
+}
+
+// recording reports whether stream has a live recorder.
+func (a *Archive) recording(stream string) bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	_, live := a.open[stream]
+	return live
 }
 
 // Run executes one compaction pass with now as the reference time. Per-
@@ -139,19 +127,19 @@ func (c *Compactor) Run(now time.Time) (CompactStats, error) {
 		return stats, nil
 	}
 	cutoffNs := now.Add(-c.pol.MaxAge).UnixNano()
-	streams, err := ListStreams(c.root)
+	streams, err := ListStreams(c.arch.root)
 	if err != nil {
 		return stats, err
 	}
 	for _, name := range streams {
 		stats.Streams++
-		if c.skip != nil && c.skip(name) {
+		if c.arch.recording(name) {
 			stats.StreamsSkipped++
 			continue
 		}
-		lock := c.gate.of(name)
+		lock := c.arch.gate.of(name)
 		lock.Lock()
-		err := compactStream(StreamDir(c.root, name), cutoffNs, &stats)
+		err := compactStream(StreamDir(c.arch.root, name), cutoffNs, &stats)
 		lock.Unlock()
 		if err != nil {
 			errs = append(errs, fmt.Errorf("stream %q: %w", name, err))

@@ -68,7 +68,7 @@ func TestCompactionRetention(t *testing.T) {
 	cutoff := all[boundary+5].Ts
 
 	const maxAge = time.Hour
-	c := NewCompactor(root, RetentionPolicy{MaxAge: maxAge})
+	c := NewArchive(root, synthSchema, Options{}, 0).NewCompactor(RetentionPolicy{MaxAge: maxAge})
 	stats, err := c.Run(cutoff.Add(maxAge))
 	if err != nil {
 		t.Fatal(err)

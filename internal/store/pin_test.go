@@ -146,7 +146,7 @@ func TestCompactionPin(t *testing.T) {
 	// Records hold 4 tuples: the one with tuples 116..119 is the first kept,
 	// and it does not start a segment, so the head is rewritten.
 	const maxAge = time.Hour
-	stats, err := NewCompactor(root, RetentionPolicy{MaxAge: maxAge}).Run(all[117].Ts.Add(maxAge))
+	stats, err := NewArchive(root, synthSchema, Options{}, 0).NewCompactor(RetentionPolicy{MaxAge: maxAge}).Run(all[117].Ts.Add(maxAge))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func TestRecorderKeepsTheBytes(t *testing.T) {
 		for _, tu := range want[off:min(off+64, len(want))] {
 			batch = append(batch, tu.Clone())
 		}
-		if err := sess.FeedBatch(batch, 0); err != nil {
+		if err := sess.FeedLent(batch, nil, 0, nil); err != nil {
 			t.Fatal(err)
 		}
 		sess.Flush() // published: the queue is done with the batch

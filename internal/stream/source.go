@@ -1,22 +1,6 @@
 package stream
 
-import (
-	"fmt"
-	"sync"
-)
-
-// Replay publishes the given tuples on s in order, as fast as possible.
-// It is the standard driver for tests and benchmarks: event time lives in
-// the tuples themselves, so detection semantics are identical to real-time
-// playback.
-func Replay(s *Stream, tuples []Tuple) error {
-	for i, t := range tuples {
-		if err := s.Publish(t); err != nil {
-			return fmt.Errorf("stream: replay tuple %d: %w", i, err)
-		}
-	}
-	return nil
-}
+import "sync"
 
 // Collector is a subscriber that records a copy of every tuple it receives
 // (a published tuple is only lent). It is safe for concurrent use and is used

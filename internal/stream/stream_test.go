@@ -311,26 +311,6 @@ func TestUnsubscribeDuringDelivery(t *testing.T) {
 	}
 }
 
-func TestReplay(t *testing.T) {
-	src, _ := New("kinect", testSchema(t))
-	var c Collector
-	c.Attach(src)
-	tuples := []Tuple{
-		NewTuple(ts(0), 0, []float64{1, 2}),
-		NewTuple(ts(33), 1, []float64{3, 4}),
-	}
-	if err := Replay(src, tuples); err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != 2 {
-		t.Errorf("replayed %d tuples", c.Len())
-	}
-	bad := []Tuple{NewTuple(ts(0), 0, []float64{1})}
-	if err := Replay(src, bad); err == nil {
-		t.Error("invalid tuple replay accepted")
-	}
-}
-
 func TestCollectorReset(t *testing.T) {
 	src, _ := New("kinect", testSchema(t))
 	var c Collector

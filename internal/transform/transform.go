@@ -83,8 +83,6 @@ type Transformer struct {
 	cfg        Config
 	emaForearm float64
 	hasEMA     bool
-	// scratch is the one array Lend writes every result into.
-	scratch [numFields]float64
 	// batch and arena hold the batch project builds: tuple headers and
 	// their field arrays, numFields apiece, grown to the widest batch.
 	batch []stream.Tuple
@@ -208,17 +206,6 @@ func (t *Transformer) Tuple(in stream.Tuple) (stream.Tuple, bool) {
 	out := new([numFields]float64)
 	t.into(out, (*[numFields]float64)(in.Fields), allJoints)
 	return stream.Tuple{Ts: in.Ts, Seq: in.Seq, Fields: out[:]}, true
-}
-
-// Lend is Tuple into the transformer's own scratch array. The result is
-// lent (the stream package's contract): it is valid until the next Lend on
-// this transformer, and a caller that keeps it clones it.
-func (t *Transformer) Lend(in stream.Tuple) (stream.Tuple, bool) {
-	if len(in.Fields) != numFields {
-		return stream.Tuple{}, false
-	}
-	t.into(&t.scratch, (*[numFields]float64)(in.Fields), allJoints)
-	return stream.Tuple{Ts: in.Ts, Seq: in.Seq, Fields: t.scratch[:]}, true
 }
 
 // project transforms a batch of raw kinect tuples, each exactly numFields

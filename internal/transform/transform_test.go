@@ -184,7 +184,7 @@ func TestForearmGuard(t *testing.T) {
 
 // TestNonFiniteForearmIsAGlitch: one frame whose right elbow or right hand
 // holds a NaN or ±Inf coordinate is skipped by the smoothed forearm like a
-// too-short one, so every later Lend equals, bit for bit, what a
+// too-short one, so every later Tuple equals, bit for bit, what a
 // transformer that never saw that frame returns.
 func TestNonFiniteForearmIsAGlitch(t *testing.T) {
 	sim, err := kinect.NewSimulator(kinect.DefaultProfile(), kinect.DefaultNoise(), 3)
@@ -201,11 +201,11 @@ func TestNonFiniteForearmIsAGlitch(t *testing.T) {
 			never, _ := New(DefaultConfig())
 			for i, f := range frames {
 				if i == bad {
-					saw.Lend(kinect.ToTuple(glitch))
+					saw.Tuple(kinect.ToTuple(glitch))
 					continue
 				}
-				got, _ := saw.Lend(kinect.ToTuple(f))
-				want, _ := never.Lend(kinect.ToTuple(f))
+				got, _ := saw.Tuple(kinect.ToTuple(f))
+				want, _ := never.Tuple(kinect.ToTuple(f))
 				for k := range want.Fields {
 					if math.Float64bits(got.Fields[k]) != math.Float64bits(want.Fields[k]) {
 						t.Fatalf("joint %d = %g at frame %d: frame %d field %d is %g, want %g",

@@ -113,8 +113,7 @@ func TestTupleMatchesFrame(t *testing.T) {
 var allocSink stream.Tuple
 
 // TestTupleAllocGate pins the one allocation the owning entry point is
-// allowed — the field array its caller keeps — and none for Lend, which
-// writes into the transformer's own array.
+// allowed: the field array its caller keeps.
 func TestTupleAllocGate(t *testing.T) {
 	tr, err := New(DefaultConfig())
 	if err != nil {
@@ -123,40 +122,6 @@ func TestTupleAllocGate(t *testing.T) {
 	in := kinect.ToTuple(frameFor(t, kinect.DefaultProfile()))
 	if allocs := testing.AllocsPerRun(1000, func() { allocSink, _ = tr.Tuple(in) }); allocs != 1 {
 		t.Errorf("Transformer.Tuple allocates %g times per tuple, want exactly 1", allocs)
-	}
-	if allocs := testing.AllocsPerRun(1000, func() { allocSink, _ = tr.Lend(in) }); allocs != 0 {
-		t.Errorf("Transformer.Lend allocates %g times per tuple, want 0", allocs)
-	}
-}
-
-// TestLendReusesOneArray: Lend is Tuple into the transformer's scratch — the
-// same floats, in an array the next Lend overwrites and Tuple never touches.
-func TestLendReusesOneArray(t *testing.T) {
-	own, _ := New(DefaultConfig())
-	lend, _ := New(DefaultConfig())
-	adult := kinect.ToTuple(frameFor(t, kinect.DefaultProfile()))
-	child := kinect.ToTuple(frameFor(t, kinect.ChildProfile()))
-	var first stream.Tuple
-	for i, in := range []stream.Tuple{adult, child, adult} {
-		in.Seq = uint64(i)
-		want, _ := own.Tuple(in)
-		got, ok := lend.Lend(in)
-		if !ok || got.Seq != want.Seq || !got.Ts.Equal(want.Ts) {
-			t.Fatalf("tuple %d: Lend = (%v, %d, %t), want (%v, %d, true)", i, got.Ts, got.Seq, ok, want.Ts, want.Seq)
-		}
-		for k := range want.Fields {
-			if math.Float64bits(got.Fields[k]) != math.Float64bits(want.Fields[k]) {
-				t.Fatalf("tuple %d field %d: Lend %g, Tuple %g", i, k, got.Fields[k], want.Fields[k])
-			}
-		}
-		if i == 0 {
-			first = got
-		} else if &got.Fields[0] != &first.Fields[0] {
-			t.Fatalf("tuple %d: Lend wrote into a second array", i)
-		}
-	}
-	if _, ok := lend.Lend(stream.Tuple{Fields: adult.Fields[:numFields-1]}); ok {
-		t.Error("Lend accepted a short tuple")
 	}
 }
 
