@@ -97,10 +97,6 @@ func run(addr, name string, shards, queue int, policyName string, gestures int, 
 	defer m.Close()
 	srv := wire.NewServer(m)
 	srv.Name = name
-	ins := serve.NewInstruments()
-	m.SetInstruments(ins)
-	srv.BatchDecode = obs.NewHistogram()
-	srv.Ingress = obs.NewHistogram()
 
 	var arch *store.Archive
 	var comp *store.Compactor
@@ -111,7 +107,7 @@ func run(addr, name string, shards, queue int, policyName string, gestures int, 
 		// (gesturereplay -mode fleet-backfill, or a cluster gateway).
 		arch = store.NewArchive(recordDir, kinect.Schema(), store.Options{}, 0)
 		defer arch.Close()
-		arch.Serve(srv, reg.Resolve, func(err error) { log.Printf("gestured: %v", err) })
+		srv.Archive = arch
 		if retain > 0 {
 			comp = arch.NewCompactor(store.RetentionPolicy{MaxAge: retain})
 			stop := comp.Start(compactEvery, func(err error) {
@@ -127,9 +123,8 @@ func run(addr, name string, shards, queue int, policyName string, gestures int, 
 		admin, err := obs.StartAdmin(adminAddr, obs.AdminConfig{
 			Collect: func(w *obs.PromWriter) {
 				m.Metrics().WriteProm(w)
-				ins.WriteProm(w)
-				w.Histogram("wire_batch_decode_seconds", "FrameBatch decode time of trace-sampled batches.", nil, srv.BatchDecode.Snapshot())
-				w.Histogram("wire_ingress_seconds", "Client-send to server-decode latency of trace-sampled batches.", nil, srv.Ingress.Snapshot())
+				m.Instruments().WriteProm(w)
+				srv.WriteProm(w)
 				if arch != nil {
 					arch.WriteProm(w)
 				}

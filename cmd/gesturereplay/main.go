@@ -25,7 +25,7 @@
 // the fleet's archives. A backend that does not answer is left out, as the
 // gateway leaves out any backend that is down: streams only it archives are
 // reported missing, and with no backend answering the run fails with "no
-// live backends".
+// backend in service".
 package main
 
 import (
@@ -44,6 +44,7 @@ import (
 	"gesturecep/internal/obs"
 	"gesturecep/internal/serve"
 	"gesturecep/internal/store"
+	"gesturecep/internal/wire"
 )
 
 var gestureNames = kinect.DemoGestureNames()
@@ -285,7 +286,7 @@ func fleetBackfill(o opts) error {
 	}
 	defer gw.Close()
 	begin := time.Now()
-	res, err := gw.Backfill(cluster.BackfillSpec{
+	res, err := gw.Backfill(wire.BackfillRequest{
 		Streams:  streams,
 		Gestures: splitList(o.fleetGestures),
 	})

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"gesturecep/internal/obs"
+	"gesturecep/internal/wire"
 )
 
 // AdminRoutes returns the gateway's membership and backfill endpoints,
@@ -101,14 +102,11 @@ func (gw *Gateway) handleOp(op string) http.HandlerFunc {
 	}
 }
 
-// backfillRequest is the POST /backfill body. Time bounds use wire
-// nanoseconds, mirroring wire.BackfillRequest.
+// backfillRequest is the POST /backfill body: the wire request, and whether
+// the reply should carry the detections.
 type backfillRequest struct {
-	Streams           []string `json:"streams"`
-	Gestures          []string `json:"gestures,omitempty"`
-	SinceNs           int64    `json:"since_ns,omitempty"`
-	UntilNs           int64    `json:"until_ns,omitempty"`
-	IncludeDetections bool     `json:"include_detections,omitempty"`
+	wire.BackfillRequest
+	IncludeDetections bool `json:"include_detections,omitempty"`
 }
 
 // backfillDetection is one merged detection in the reply, keyed to its
@@ -145,14 +143,7 @@ func (gw *Gateway) handleBackfill(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `"streams" is required`, http.StatusBadRequest)
 		return
 	}
-	spec := BackfillSpec{Streams: req.Streams, Gestures: req.Gestures}
-	if req.SinceNs != 0 {
-		spec.Since = time.Unix(0, req.SinceNs).UTC()
-	}
-	if req.UntilNs != 0 {
-		spec.Until = time.Unix(0, req.UntilNs).UTC()
-	}
-	res, err := gw.Backfill(spec)
+	res, err := gw.Backfill(req.BackfillRequest)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusConflict)
 		return

@@ -11,22 +11,12 @@ import (
 	"gesturecep/internal/wire"
 )
 
-// BackfillSpec names the offline work a fleet backfill fans out: which
-// recorded streams to evaluate, under which plans (empty = every registered
-// plan), bounded to event times in [Since, Until) (zero = unbounded).
-type BackfillSpec struct {
-	Streams  []string
-	Gestures []string
-	Since    time.Time
-	Until    time.Time
-}
-
 // BackfillResult is the deterministic merge of a fleet backfill. Streams is
 // the canonical evaluation order (sorted, deduped — store.SortStreams);
 // Detections is aligned with it, each stream's detections in evaluation
-// order. Every live backend evaluates every stream it holds, and each
-// stream's detections come from one copy: the one that read the most
-// tuples, the earlier backend in admission order on a tie. Sources maps
+// order. Every backend in service (live or draining) evaluates every stream
+// it holds, and each stream's detections come from one copy: the one that
+// read the most tuples, the earlier backend in admission order on a tie. Sources maps
 // each backend to the streams whose copy it supplied, and Records and
 // Tuples sum over the chosen copies. A copy a session left behind when it
 // moved is a prefix of the copy it moved to, and its detections a prefix
@@ -52,27 +42,29 @@ func (r *BackfillResult) DetectionTotal() int {
 	return n
 }
 
-// Backfill evaluates recorded streams across the live fleet in parallel and
-// merges the detections deterministically:
+// Backfill evaluates the recorded streams req names across the fleet in
+// parallel and merges the detections deterministically:
 //
 //  1. Canonicalize the stream list (sorted, deduped) — the order both the
 //     merge and the single-node baseline use.
-//  2. Send every live backend the whole list at once, each call on a
-//     dedicated connection — a backfill request holds its server
-//     connection's reader goroutine, so the proxied live sessions' shared
-//     connections are never touched. Sessions are placed by bounded-load
+//  2. Send every backend in service the whole list at once. That includes a
+//     draining backend: it still answers, and it is the only holder of the
+//     sessions it has not moved yet. Each call runs on a dedicated
+//     connection: a backfill request holds its server connection's reader
+//     goroutine, so the proxied live sessions' shared connections are
+//     never touched. Sessions are placed by bounded-load
 //     Acquire and move on drains and failovers, so any backend may hold
 //     any stream, and a stream may be held twice.
 //  3. Per stream, keep the copy that read the most tuples (see
 //     BackfillResult).
 //
-// Streams no live backend archives come back in Result.Missing with an
+// Streams no backend in service archives come back in Result.Missing with an
 // empty detection group; the caller decides whether that is an error.
 // A failed backend call contributes nothing: its detections buffer locally
 // and are dropped with it.
-func (gw *Gateway) Backfill(spec BackfillSpec) (*BackfillResult, error) {
+func (gw *Gateway) Backfill(req wire.BackfillRequest) (*BackfillResult, error) {
 	start := time.Now()
-	res, err := gw.backfill(spec)
+	res, err := gw.backfill(req)
 	if err != nil {
 		gw.backfillsFailed.Add(1)
 		return nil, err
@@ -83,28 +75,29 @@ func (gw *Gateway) Backfill(spec BackfillSpec) (*BackfillResult, error) {
 	return res, nil
 }
 
-func (gw *Gateway) backfill(spec BackfillSpec) (*BackfillResult, error) {
-	streams := store.SortStreams(spec.Streams)
+func (gw *Gateway) backfill(req wire.BackfillRequest) (*BackfillResult, error) {
+	req.Streams = store.SortStreams(req.Streams)
+	streams := req.Streams
 	if len(streams) == 0 {
 		return nil, fmt.Errorf("cluster: backfill needs at least one stream")
 	}
-	var live []member
+	var serving []member
 	for _, m := range gw.fleet.snapshot() {
-		if m.state == StateLive && m.be != nil {
-			live = append(live, m)
+		if (m.state == StateLive || m.state == StateDraining) && m.be != nil {
+			serving = append(serving, m)
 		}
 	}
-	if len(live) == 0 {
-		return nil, fmt.Errorf("cluster: backfill: no live backends")
+	if len(serving) == 0 {
+		return nil, fmt.Errorf("cluster: backfill: no backend in service")
 	}
 
-	copies := make([]*backfillCopy, len(live))
+	copies := make([]*backfillCopy, len(serving))
 	var wg sync.WaitGroup
-	for j, m := range live {
+	for j, m := range serving {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			copies[j] = gw.backfillOn(spec, m, streams)
+			copies[j] = gw.backfillOn(req, m)
 		}()
 	}
 	wg.Wait()
@@ -155,9 +148,9 @@ type backfillCopy struct {
 	missing map[int]bool
 }
 
-// backfillOn asks backend m for every stream. It returns nil when the call
-// fails, so a partial answer is never merged.
-func (gw *Gateway) backfillOn(spec BackfillSpec, m member, streams []string) *backfillCopy {
+// backfillOn asks backend m for every stream of req. It returns nil when
+// the call fails, so a partial answer is never merged.
+func (gw *Gateway) backfillOn(req wire.BackfillRequest, m member) *backfillCopy {
 	// A dedicated connection per call: the backfill request occupies the
 	// server connection's reader goroutine until done, which must never
 	// stall the proxied live sessions sharing the pooled data connection.
@@ -167,14 +160,7 @@ func (gw *Gateway) backfillOn(spec BackfillSpec, m member, streams []string) *ba
 		return nil
 	}
 	defer cl.Close()
-	req := wire.BackfillRequest{Streams: streams, Gestures: spec.Gestures}
-	if !spec.Since.IsZero() {
-		req.SinceNs = spec.Since.UnixNano()
-	}
-	if !spec.Until.IsZero() {
-		req.UntilNs = spec.Until.UnixNano()
-	}
-	c := &backfillCopy{id: m.id, dets: make([][]anduin.Detection, len(streams))}
+	c := &backfillCopy{id: m.id, dets: make([][]anduin.Detection, len(req.Streams))}
 	c.reply, err = cl.Backfill(req, func(i int, dets []anduin.Detection) {
 		if i >= 0 && i < len(c.dets) {
 			c.dets[i] = append(c.dets[i], dets...)

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"gesturecep/internal/anduin"
-	"gesturecep/internal/cluster"
 	"gesturecep/internal/e2e"
 	"gesturecep/internal/kinect"
 	"gesturecep/internal/serve"
@@ -85,7 +84,7 @@ func TestFleetBackfillByteIdentity(t *testing.T) {
 	})
 	streams := recordSessions(t, h, 6)
 
-	res, err := h.Gateway.Backfill(cluster.BackfillSpec{Streams: streams})
+	res, err := h.Gateway.Backfill(wire.BackfillRequest{Streams: streams})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +127,7 @@ func TestFleetBackfillByteIdentity(t *testing.T) {
 
 	// A second run with a duplicate-laden, unsorted list merges identically.
 	shuffled := append([]string{streams[3], streams[3], streams[0]}, streams...)
-	res2, err := h.Gateway.Backfill(cluster.BackfillSpec{Streams: shuffled})
+	res2, err := h.Gateway.Backfill(wire.BackfillRequest{Streams: shuffled})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +138,7 @@ func TestFleetBackfillByteIdentity(t *testing.T) {
 	}
 
 	// A stream nobody recorded is reported missing, not fatal.
-	res3, err := h.Gateway.Backfill(cluster.BackfillSpec{Streams: append([]string{"ghost"}, streams...)})
+	res3, err := h.Gateway.Backfill(wire.BackfillRequest{Streams: append([]string{"ghost"}, streams...)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +183,7 @@ func TestFleetBackfillSurvivesDeadBackend(t *testing.T) {
 		t.Fatal("gateway never ejected the killed backend")
 	}
 
-	res, err := h.Gateway.Backfill(cluster.BackfillSpec{Streams: streams})
+	res, err := h.Gateway.Backfill(wire.BackfillRequest{Streams: streams})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +266,7 @@ func TestFleetBackfillAfterDrainAndReadmit(t *testing.T) {
 		t.Fatalf("no moved stream of %v hashes to %s; the run does not cover a stale prefix", moved, drained)
 	}
 
-	res, err := gw.Backfill(cluster.BackfillSpec{Streams: names})
+	res, err := gw.Backfill(wire.BackfillRequest{Streams: names})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +308,7 @@ func BenchmarkFleetBackfill(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := h.Gateway.Backfill(cluster.BackfillSpec{Streams: streams})
+		res, err := h.Gateway.Backfill(wire.BackfillRequest{Streams: streams})
 		if err != nil {
 			b.Fatal(err)
 		}

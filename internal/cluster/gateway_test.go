@@ -38,9 +38,6 @@ func TestGatewayZeroDivergence(t *testing.T) {
 		Gateway:  true,
 		Serve:    serve.Config{Shards: 2, QueueDepth: 128},
 	})
-	for i := 0; i < 3; i++ {
-		h.Manager(i).SetInstruments(serve.NewInstruments())
-	}
 	admin, err := obs.StartAdmin("127.0.0.1:0", obs.AdminConfig{
 		Collect: h.Gateway.WriteProm,
 		Ready:   h.Gateway.Ready,
@@ -863,11 +860,6 @@ func BenchmarkGatewayProxyTraced(b *testing.B) {
 
 func benchGatewayProxy(b *testing.B, traceEvery int) {
 	h := e2e.Start(b, e2e.Options{Backends: 3, Gateway: true, Serve: serve.Config{Shards: 2}})
-	if traceEvery > 0 {
-		for i := 0; i < 3; i++ {
-			h.Manager(i).SetInstruments(serve.NewInstruments())
-		}
-	}
 	player, err := kinect.NewSimulator(kinect.ChildProfile(), kinect.DefaultNoise(), 7)
 	if err != nil {
 		b.Fatal(err)

@@ -38,12 +38,13 @@ func newOwnerFixture(t *testing.T, backends int, recording ...string) *ownerFixt
 	}
 	var opts SpawnOptions
 	if len(recording) > 0 {
-		opts.Record = func(id string, srv *wire.Server) {
-			if slices.Contains(recording, id) {
-				archive := store.NewArchive(t.TempDir(), kinect.Schema(), store.Options{}, 0)
-				t.Cleanup(func() { archive.Close() })
-				archive.Serve(srv, reg.Resolve, nil)
+		opts.Archive = func(id string) wire.Archive {
+			if !slices.Contains(recording, id) {
+				return nil
 			}
+			archive := store.NewArchive(t.TempDir(), kinect.Schema(), store.Options{}, 0)
+			t.Cleanup(func() { archive.Close() })
+			return archive
 		}
 	}
 	sp, err := Spawn(backends, reg, opts)
@@ -477,6 +478,45 @@ func TestDrainingBackendStaysInTotals(t *testing.T) {
 		if row.ID == BackendID(0) && row.State != string(StateDraining) {
 			t.Errorf("row %s state %s, want draining", row.ID, row.State)
 		}
+	}
+}
+
+// TestBackfillAsksDrainingBackends: a draining backend is still in service
+// and is the only holder of the sessions it has not moved yet, so a fleet
+// backfill asks it too and finds every stream.
+func TestBackfillAsksDrainingBackends(t *testing.T) {
+	f := newOwnerFixture(t, 2, BackendID(0), BackendID(1))
+	const tuples = 10
+	names := []string{"s-a", "s-b", "s-c", "s-d", "s-e", "s-f"}
+	onDraining := 0
+	for _, id := range names {
+		rs := f.attach(t, id)
+		f.feed(t, rs, 0, tuples)
+		f.flush(t, rs, tuples, 0)
+		if f.ownerOf(t, id).id == BackendID(0) {
+			onDraining++
+		}
+		if _, err := rs.Detach(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if onDraining == 0 || onDraining == len(names) {
+		t.Fatalf("%s holds %d of %d sessions; the test needs some on each side", BackendID(0), onDraining, len(names))
+	}
+	m, _ := f.gw.fleet.lookup(BackendID(0))
+	if err := f.gw.fleet.setDraining(m.be, true); err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.gw.Backfill(wire.BackfillRequest{Streams: names})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Found != len(names) || len(res.Missing) != 0 || res.Tuples != uint64(len(names)*tuples) {
+		t.Errorf("backfill with %s draining found %d of %d streams (missing %v) over %d tuples, want all over %d",
+			BackendID(0), res.Found, len(names), res.Missing, res.Tuples, len(names)*tuples)
+	}
+	if got := len(res.Sources[BackendID(0)]); got != onDraining {
+		t.Errorf("%s supplied %d streams, want the %d it holds", BackendID(0), got, onDraining)
 	}
 }
 

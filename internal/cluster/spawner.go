@@ -13,14 +13,12 @@ import (
 type SpawnOptions struct {
 	// Serve configures every backend's session manager.
 	Serve serve.Config
-	// Record, when non-nil, makes the backends record their sessions: it
-	// is handed each backend's ID and fresh wire server before the server
-	// listens, and installs the recording hooks on it — normally
-	// (*store.Archive).Serve over that backend's archive, which also makes
-	// the sessions live-migratable and answers backfills. It is called
-	// again on Restart, so a fresh incarnation can record into a fresh
-	// archive.
-	Record func(backendID string, srv *wire.Server)
+	// Archive, when non-nil, returns the recording backend of the backend
+	// it names (wire.Server.Archive, normally a *store.Archive), or nil for
+	// one that records nothing. A recording backend's sessions are
+	// live-migratable and it answers backfills. It is called again on
+	// Restart, so a fresh incarnation can record into a fresh archive.
+	Archive func(backendID string) wire.Archive
 }
 
 // spawned is one in-process backend: its own session manager and wire
@@ -69,8 +67,8 @@ func Spawn(n int, reg *serve.Registry, opts SpawnOptions) (*Spawner, error) {
 }
 
 // start brings up one incarnation of backend id: a fresh manager behind a
-// fresh server, with the recording hooks of SpawnOptions.Record, listening
-// on addr.
+// fresh server, with the archive SpawnOptions.Archive returns, listening on
+// addr.
 func (sp *Spawner) start(id, addr string) (*spawned, error) {
 	mgr, err := serve.NewManager(sp.opts.Serve, sp.reg)
 	if err != nil {
@@ -78,8 +76,8 @@ func (sp *Spawner) start(id, addr string) (*spawned, error) {
 	}
 	srv := wire.NewServer(mgr)
 	srv.Name = id
-	if sp.opts.Record != nil {
-		sp.opts.Record(id, srv)
+	if sp.opts.Archive != nil {
+		srv.Archive = sp.opts.Archive(id)
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -137,8 +135,8 @@ func (sp *Spawner) Kill(i int) {
 // restarted process a recovering cluster re-admits. The incarnation is
 // genuinely fresh, exactly like a crashed gestured coming back: a new
 // manager (empty session table; the old NFA state died with the kill)
-// behind a new server on a re-bound listener, with the recording hooks
-// installed again by SpawnOptions.Record.
+// behind a new server on a re-bound listener, recording into the archive
+// SpawnOptions.Archive returns for it now.
 func (sp *Spawner) Restart(i int) error {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()

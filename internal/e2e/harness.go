@@ -86,9 +86,7 @@ func Start(t testing.TB, opts Options) *Harness {
 			h.roots[i] = t.TempDir()
 			h.newArchive(i)
 		}
-		spawnOpts.Record = func(backendID string, srv *wire.Server) {
-			h.archiveOf[backendID].Serve(srv, h.Registry.Resolve, nil)
-		}
+		spawnOpts.Archive = func(backendID string) wire.Archive { return h.archiveOf[backendID] }
 	}
 
 	sp, err := cluster.Spawn(opts.Backends, h.Registry, spawnOpts)

@@ -8,9 +8,8 @@ import (
 
 // Instruments is the serve layer's set of stage-latency histograms, fed by
 // trace-sampled tuples only (see obs.Sampler and the wire trace flag): the
-// unsampled hot path never reads a clock for them. Any field may be nil —
-// obs.Histogram is nil-safe — and a nil *Instruments disables serve-side
-// tracing entirely.
+// unsampled hot path never reads a clock for them. Every manager has its
+// own (Manager.Instruments).
 type Instruments struct {
 	// QueueWait measures enqueue → dequeue: how long a traced tuple sat in
 	// its shard queue before the worker picked it up.
@@ -25,8 +24,7 @@ type Instruments struct {
 	Ingest *obs.Histogram
 }
 
-// NewInstruments returns a fully-populated instrument set.
-func NewInstruments() *Instruments {
+func newInstruments() *Instruments {
 	return &Instruments{
 		QueueWait: obs.NewHistogram(),
 		Detect:    obs.NewHistogram(),
@@ -34,16 +32,7 @@ func NewInstruments() *Instruments {
 	}
 }
 
-// SetInstruments installs the stage histograms. Call before feeding traffic;
-// the fields are read without synchronization on the shard workers.
-func (m *Manager) SetInstruments(ins *Instruments) {
-	m.ins = ins
-	for _, sh := range m.shards {
-		sh.ins = ins
-	}
-}
-
-// Instruments returns the installed instrument set (nil when tracing is off).
+// Instruments returns the manager's stage histograms.
 func (m *Manager) Instruments() *Instruments { return m.ins }
 
 // Closed reports whether Close has run — the admin plane's liveness probe:
@@ -99,11 +88,7 @@ func (m Metrics) WriteProm(w *obs.PromWriter) {
 }
 
 // WriteProm writes the stage histograms as Prometheus exposition text.
-// Nil-safe: an uninstrumented manager contributes nothing.
 func (ins *Instruments) WriteProm(w *obs.PromWriter) {
-	if ins == nil {
-		return
-	}
 	w.Histogram("serve_queue_wait_seconds", "Shard-queue wait of trace-sampled tuples.", nil, ins.QueueWait.Snapshot())
 	w.Histogram("serve_detect_seconds", "Engine publish latency of trace-sampled tuples.", nil, ins.Detect.Snapshot())
 	w.Histogram("serve_ingest_seconds", "Client-send to processed latency of trace-sampled tuples.", nil, ins.Ingest.Snapshot())

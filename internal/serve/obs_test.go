@@ -16,13 +16,11 @@ import (
 // /healthz flips to 503 the moment the manager closes.
 func TestServeAdminPlane(t *testing.T) {
 	m := newTestManager(t, Config{Shards: 2}, map[string]string{"never": neverQuery})
-	ins := NewInstruments()
-	m.SetInstruments(ins)
 
 	admin, err := obs.StartAdmin("127.0.0.1:0", obs.AdminConfig{
 		Collect: func(w *obs.PromWriter) {
 			m.Metrics().WriteProm(w)
-			ins.WriteProm(w)
+			m.Instruments().WriteProm(w)
 		},
 		Healthy: func() error {
 			if m.Closed() {

@@ -154,13 +154,12 @@ type shard struct {
 	// tuple is fed.
 	gate func(envelope)
 
-	// ins, when non-nil, receives stage latencies of trace-sampled batches.
-	// Set via Manager.SetInstruments before traffic.
+	// ins receives stage latencies of trace-sampled batches: the manager's.
 	ins *Instruments
 }
 
-func newShard(id, depth int) *shard {
-	sh := &shard{id: id, ring: make([]envelope, depth)}
+func newShard(id, depth int, ins *Instruments) *shard {
+	sh := &shard{id: id, ring: make([]envelope, depth), ins: ins}
 	sh.nonEmpty.L = &sh.mu
 	sh.room.L = &sh.mu
 	sh.progress.L = &sh.mu
@@ -268,8 +267,7 @@ type Manager struct {
 	mu       sync.Mutex
 	sessions map[string]*Session
 
-	// ins, when non-nil, is the trace-sampled stage instrumentation (see
-	// SetInstruments).
+	// ins is the trace-sampled stage instrumentation.
 	ins *Instruments
 }
 
@@ -287,9 +285,10 @@ func NewManager(cfg Config, reg *Registry) (*Manager, error) {
 		cfg:      cfg,
 		reg:      reg,
 		sessions: make(map[string]*Session),
+		ins:      newInstruments(),
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		sh := newShard(i, cfg.QueueDepth)
+		sh := newShard(i, cfg.QueueDepth, m.ins)
 		m.shards = append(m.shards, sh)
 		m.wg.Add(1)
 		go m.worker(sh)
@@ -428,7 +427,7 @@ func (m *Manager) enqueue(s *Session, tuples []stream.Tuple, reads *stream.ReadS
 		return fmt.Errorf("serve: manager closed")
 	}
 	env := envelope{sess: s, tuples: tuples, lender: lender, reads: reads}
-	if sentNs != 0 && m.ins != nil {
+	if sentNs != 0 {
 		env.sentNs = sentNs
 		env.enqNs = time.Now().UnixNano()
 	}

@@ -2,13 +2,16 @@ package store
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"time"
 
 	"gesturecep/internal/anduin"
 	"gesturecep/internal/transform"
+	"gesturecep/internal/wire"
 )
 
 // BackfillOptions tunes offline evaluation.
@@ -39,6 +42,26 @@ type BackfillOptions struct {
 // allocated per tuple.
 func Backfill(r *Reader, plans []*anduin.Plan, opts BackfillOptions) ([]anduin.Detection, error) {
 	return backfill(context.Background(), r, plans, opts)
+}
+
+// Backfill evaluates plans over the recorded stream name within the
+// event-time window [since, until) (a zero bound leaves that side open) and
+// returns its detections with the records and tuples read — the wire
+// server's backfill (wire.Archive). A stream the archive does not hold is
+// wire.ErrUnknownStream. The reader holds the compaction read lock, and
+// evaluation stops at the next record once ctx is done.
+func (a *Archive) Backfill(ctx context.Context, name string, plans []*anduin.Plan, since, until time.Time) ([]anduin.Detection, uint64, uint64, error) {
+	r, err := a.OpenReader(name)
+	if errors.Is(err, os.ErrNotExist) {
+		err = fmt.Errorf("stream %q: %w", name, wire.ErrUnknownStream)
+	}
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	defer r.Close()
+	dets, err := backfill(ctx, r, plans, BackfillOptions{Since: since, Until: until})
+	records, tuples := r.Counters()
+	return dets, records, tuples, err
 }
 
 // backfill is Backfill for a caller that may stop listening: once ctx is

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gesturecep/internal/stream"
+	"gesturecep/internal/wire"
 )
 
 // readAllTuples drains a reader to EOF and closes it.
@@ -77,51 +78,61 @@ func TestSyncMidStreamReadback(t *testing.T) {
 	}
 }
 
-// TestLiveRecorderResolution pins the name → live recorder index a drain
-// depends on: lookups resolve the session name even when a collision gave
-// the stream a numeric suffix, latest-wins when a name is reused, and a
-// released recorder stops resolving (a migration source must never sync a
-// closed recorder).
-func TestLiveRecorderResolution(t *testing.T) {
+// TestSessionRecordingHistory pins what a migration reads: a session's
+// recording reads back its own stream through History, with its own count,
+// even when a collision gave the stream a numeric suffix — a second
+// recording of one name reads back <name>.2 — and a recording whose attach
+// failed leaves no stream behind.
+func TestSessionRecordingHistory(t *testing.T) {
 	arch := NewArchive(t.TempDir(), synthSchema, Options{}, 0)
 	defer arch.Close()
-
-	if _, ok := arch.LiveRecorder("ghost"); ok {
-		t.Fatal("LiveRecorder resolved a name that was never recorded")
-	}
-
-	first, err := arch.Record("sess")
+	tuples := synthTuples(48)
+	first, err := arch.RecordSession("sess")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := arch.LiveRecorder("sess"); !ok || got != first {
-		t.Fatalf("LiveRecorder(sess) = %v, %v; want the open recorder", got, ok)
-	}
-
-	// A reused session name records under a suffixed stream; the live index
-	// must follow the newest incarnation, not the stream name.
-	second, err := arch.Record("sess")
+	second, err := arch.RecordSession("sess")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second.Stream() == first.Stream() {
-		t.Fatalf("collision reused stream name %q", first.Stream())
+	for _, rc := range []struct {
+		rec    wire.Recording
+		stream string
+		want   []stream.Tuple
+	}{
+		{first, "sess", tuples[:16]},
+		{second, "sess.2", tuples[16:]},
+	} {
+		tap := rc.rec.Tap()
+		for _, tp := range rc.want {
+			tap(tp)
+		}
+		hr, recorded, err := rc.rec.History()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := hr.(*Reader)
+		if got := r.Manifest().Stream; got != rc.stream {
+			t.Errorf("History reads stream %q, want %q", got, rc.stream)
+		}
+		if recorded != uint64(len(rc.want)) {
+			t.Errorf("%s: History counts %d recorded tuples, want %d", rc.stream, recorded, len(rc.want))
+		}
+		tuplesEqual(t, readAllTuples(t, r), rc.want)
 	}
-	if got, ok := arch.LiveRecorder("sess"); !ok || got != second {
-		t.Fatalf("LiveRecorder(sess) = %v, %v; want the latest incarnation", got, ok)
-	}
+	second.End(false)
+	first.End(false)
 
-	// Releasing the latest drops the name from the live index entirely —
-	// the older open recorder is a previous incarnation, not a valid
-	// migration source for the current session.
-	if err := arch.Release(second); err != nil {
+	third, err := arch.RecordSession("sess")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := arch.LiveRecorder("sess"); ok {
-		t.Fatal("LiveRecorder resolved a released session")
+	third.End(true)
+	if Exists(arch.root, "sess.3") {
+		t.Error("an aborted recording left its stream behind")
 	}
-	if err := arch.Release(first); err != nil {
-		t.Fatal(err)
+	if n := arch.endErrors.Load(); n != 0 {
+		t.Errorf("%d recordings failed to end", n)
 	}
 }
 

@@ -279,13 +279,14 @@ type Archive struct {
 
 	mu     sync.Mutex
 	open   map[string]*Recorder // by stream name (suffix included)
-	byName map[string]*Recorder // by originally requested session name
-	origOf map[string]string    // stream name -> originally requested name
 	closed bool
 	// done totals the recordings that have ended. A recording moves from
 	// open into done in one step under mu, after its Close has drained
 	// the backlog, so a scrape counts every recording exactly once.
 	done recordCounts
+	// endErrors counts session recordings whose end failed
+	// (recording.End), which has no caller to report to.
+	endErrors atomic.Uint64
 }
 
 // recordCounts are the recording throughput counters of WriteProm.
@@ -303,10 +304,8 @@ func (c *recordCounts) add(rec *Recorder) {
 func NewArchive(root string, schema *stream.Schema, opts Options, buffer int) *Archive {
 	return &Archive{
 		root: root, schema: schema, opts: opts, buffer: buffer,
-		gate:   newStreamGate(),
-		open:   make(map[string]*Recorder),
-		byName: make(map[string]*Recorder),
-		origOf: make(map[string]string),
+		gate: newStreamGate(),
+		open: make(map[string]*Recorder),
 	}
 }
 
@@ -350,20 +349,49 @@ func (a *Archive) Record(name string) (*Recorder, error) {
 	}
 	rec := NewRecorder(w, a.buffer)
 	a.open[candidate] = rec
-	a.byName[name] = rec
-	a.origOf[candidate] = name
 	return rec, nil
 }
 
-// LiveRecorder returns the open recorder serving the given session name,
-// resolving any collision suffix the archive chose for the stream — the
-// lookup a migration uses to find a live session's recorded history. ok is
-// false when no recording is open for that session.
-func (a *Archive) LiveRecorder(name string) (*Recorder, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	rec, ok := a.byName[name]
-	return rec, ok
+// RecordSession records a wire session (Record) and returns the recording
+// the session keeps until it ends — what makes the archive a
+// wire.Server's recording backend.
+func (a *Archive) RecordSession(sessionID string) (wire.Recording, error) {
+	rec, err := a.Record(sessionID)
+	if err != nil {
+		return nil, err
+	}
+	return &recording{Recorder: rec, a: a}, nil
+}
+
+// recording is one wire session's recorder and the archive it ends in.
+type recording struct {
+	*Recorder
+	a *Archive
+}
+
+// History syncs the recorder and opens a reader on its stream under the
+// archive's compaction gate, with the recorded count.
+func (r *recording) History() (wire.HistoryReader, uint64, error) {
+	if err := r.Sync(); err != nil {
+		return nil, 0, err
+	}
+	hr, err := r.a.OpenReader(r.Stream())
+	if err != nil {
+		return nil, 0, err
+	}
+	return hr, r.Recorded(), nil
+}
+
+// End releases the recording, or deletes it when its session never came to
+// life. A failure is counted in store_record_errors_total.
+func (r *recording) End(aborted bool) {
+	end := r.a.Release
+	if aborted {
+		end = r.a.Abort
+	}
+	if end(r.Recorder) != nil {
+		r.a.endErrors.Add(1)
+	}
 }
 
 // Release closes one recorder and moves it from the open recordings into
@@ -378,12 +406,6 @@ func (a *Archive) Release(rec *Recorder) error {
 		return err
 	}
 	delete(a.open, name)
-	if orig, ok := a.origOf[name]; ok {
-		delete(a.origOf, name)
-		if a.byName[orig] == rec {
-			delete(a.byName, orig)
-		}
-	}
 	a.done.add(rec)
 	return err
 }
@@ -407,6 +429,7 @@ func (a *Archive) WriteProm(w *obs.PromWriter) {
 	w.Counter("store_record_tuples_total", "Tuples appended to session recordings.", nil, c.tuples)
 	w.Counter("store_record_dropped_total", "Tuples lost to full recording buffers.", nil, c.dropped)
 	w.Counter("store_record_bytes_total", "Record bytes written to session recordings.", nil, c.bytes)
+	w.Counter("store_record_errors_total", "Session recordings whose end failed.", nil, a.endErrors.Load())
 }
 
 // counts sums the done totals and the open recordings. It reads the open

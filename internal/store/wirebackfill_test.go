@@ -72,7 +72,8 @@ func startBackfillFixture(t *testing.T, n int) *backfillFixture {
 		t.Fatal(err)
 	}
 	srv := wire.NewServer(mgr)
-	srv.BackfillSource = newWireBackfillSource(fx.reg.Resolve, func(name string) (*Reader, error) { return OpenReader(fx.root, name) })
+	arch := NewArchive(fx.root, kinect.Schema(), Options{}, 0)
+	srv.Archive = arch
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -81,6 +82,7 @@ func startBackfillFixture(t *testing.T, n int) *backfillFixture {
 	t.Cleanup(func() {
 		srv.Close()
 		mgr.Close()
+		arch.Close()
 	})
 	fx.addr = ln.Addr().String()
 	return fx

@@ -17,20 +17,35 @@ import (
 	"gesturecep/internal/wire"
 )
 
-// Backfill protocol tests: a stub BackfillSource stands in for the archive,
-// so these pin the frame exchange itself — ordering, chunking, Missing
-// reporting, error scoping — independent of store-layer behavior.
+// Backfill protocol tests: a stub archive stands in for the store, so these
+// pin the frame exchange itself — ordering, chunking, Missing reporting,
+// error scoping — independent of store-layer behavior.
 
-// startBackfillServer runs a wire server whose BackfillSource is the given
-// stub; the manager is incidental (backfill never touches sessions).
-func startBackfillServer(t *testing.T, source wire.BackfillFunc) string {
+// stubArchive is a wire.Archive that answers backfills with its own
+// function and records nothing.
+type stubArchive func(ctx context.Context, stream string, since, until time.Time) ([]anduin.Detection, uint64, uint64, error)
+
+func (stubArchive) RecordSession(string) (wire.Recording, error) {
+	return nil, errors.New("stub archive records nothing")
+}
+
+func (f stubArchive) Backfill(ctx context.Context, stream string, _ []*anduin.Plan, since, until time.Time) ([]anduin.Detection, uint64, uint64, error) {
+	return f(ctx, stream, since, until)
+}
+
+// startBackfillServer runs a wire server whose archive is the given stub,
+// or none when it is nil; the manager is incidental (backfill never touches
+// sessions).
+func startBackfillServer(t *testing.T, source stubArchive) string {
 	t.Helper()
 	mgr, err := serve.NewManager(serve.Config{Shards: 1}, serve.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := wire.NewServer(mgr)
-	srv.BackfillSource = source
+	if source != nil {
+		srv.Archive = source
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -59,27 +74,15 @@ func synthDets(stream string, n int) []anduin.Detection {
 	return dets
 }
 
-// stubSource serves synthDets(stream, countOf[stream]) per stream, emitting
-// in chunks of emitEvery; streams absent from countOf are unknown.
-func stubSource(t *testing.T, countOf map[string]int, emitEvery int) wire.BackfillFunc {
-	return func(_ context.Context, stream string, gestures []string, since, until time.Time,
-		emit func([]anduin.Detection) error) (uint64, uint64, error) {
+// stubSource serves synthDets(stream, countOf[stream]) per stream; streams
+// absent from countOf are unknown.
+func stubSource(countOf map[string]int) stubArchive {
+	return func(_ context.Context, stream string, _, _ time.Time) ([]anduin.Detection, uint64, uint64, error) {
 		n, ok := countOf[stream]
 		if !ok {
-			return 0, 0, fmt.Errorf("no archive for %q: %w", stream, wire.ErrUnknownStream)
+			return nil, 0, 0, fmt.Errorf("no archive for %q: %w", stream, wire.ErrUnknownStream)
 		}
-		dets := synthDets(stream, n)
-		for len(dets) > 0 {
-			c := emitEvery
-			if c > len(dets) {
-				c = len(dets)
-			}
-			if err := emit(dets[:c]); err != nil {
-				return 0, 0, err
-			}
-			dets = dets[c:]
-		}
-		return uint64(n/4 + 1), uint64(n), nil
+		return synthDets(stream, n), uint64(n/4 + 1), uint64(n), nil
 	}
 }
 
@@ -107,7 +110,7 @@ func TestWireBackfill(t *testing.T) {
 		"bravo":   wire.MaxDetections + 37,
 		"charlie": 1,
 	}
-	addr := startBackfillServer(t, stubSource(t, counts, 500))
+	addr := startBackfillServer(t, stubSource(counts))
 
 	for _, coalesce := range []bool{false, true} {
 		t.Run(fmt.Sprintf("coalesce=%v", coalesce), func(t *testing.T) {
@@ -209,15 +212,11 @@ func TestWireBackfillErrors(t *testing.T) {
 	})
 
 	t.Run("source error mid-request", func(t *testing.T) {
-		source := func(_ context.Context, stream string, _ []string, _, _ time.Time,
-			emit func([]anduin.Detection) error) (uint64, uint64, error) {
+		source := func(_ context.Context, stream string, _, _ time.Time) ([]anduin.Detection, uint64, uint64, error) {
 			if stream == "bad" {
-				return 0, 0, errors.New("disk exploded")
+				return nil, 0, 0, errors.New("disk exploded")
 			}
-			if err := emit(synthDets(stream, 2)); err != nil {
-				return 0, 0, err
-			}
-			return 1, 2, nil
+			return synthDets(stream, 2), 1, 2, nil
 		}
 		addr := startBackfillServer(t, source)
 		cl := dialBackfill(t, addr, false)
@@ -259,13 +258,12 @@ func TestWireBackfillTimeBounds(t *testing.T) {
 	until := since.Add(time.Hour)
 	var mu sync.Mutex
 	var gotSince, gotUntil []time.Time
-	source := func(_ context.Context, _ string, _ []string, s, u time.Time,
-		_ func([]anduin.Detection) error) (uint64, uint64, error) {
+	source := func(_ context.Context, _ string, s, u time.Time) ([]anduin.Detection, uint64, uint64, error) {
 		mu.Lock()
 		gotSince = append(gotSince, s)
 		gotUntil = append(gotUntil, u)
 		mu.Unlock()
-		return 0, 0, nil
+		return nil, 0, 0, nil
 	}
 	addr := startBackfillServer(t, source)
 	cl := dialBackfill(t, addr, false)
@@ -302,17 +300,11 @@ func TestWireBackfillHangUp(t *testing.T) {
 	const streams = 6
 	hungUp := make(chan struct{})
 	var stopped, abandoned atomic.Int32
-	source := func(ctx context.Context, stream string, _ []string, _, _ time.Time,
-		emit func([]anduin.Detection) error) (uint64, uint64, error) {
+	source := func(ctx context.Context, stream string, _, _ time.Time) ([]anduin.Detection, uint64, uint64, error) {
 		var idx int
 		fmt.Sscanf(stream, "s%d", &idx)
 		if idx == 0 {
-			return 1, 1, emit(synthDets(stream, 1))
-		}
-		for range 8 { // eight full frames: enough writes to meet the reset
-			if err := emit(synthDets(stream, wire.MaxDetections)); err != nil {
-				return 0, 0, err
-			}
+			return synthDets(stream, 1), 1, 1, nil
 		}
 		switch idx {
 		case 1:
@@ -321,12 +313,13 @@ func TestWireBackfillHangUp(t *testing.T) {
 			select {
 			case <-ctx.Done():
 				stopped.Add(1)
-				return 1, 1, ctx.Err()
+				return nil, 1, 1, ctx.Err()
 			case <-time.After(10 * time.Second):
 				abandoned.Add(1)
 			}
 		}
-		return 1, 1, nil
+		// Eight full frames: enough writes to meet the reset.
+		return synthDets(stream, 8*wire.MaxDetections), 1, 1, nil
 	}
 
 	mgr, err := serve.NewManager(serve.Config{Shards: 1}, serve.NewRegistry())
@@ -336,7 +329,7 @@ func TestWireBackfillHangUp(t *testing.T) {
 	defer mgr.Close()
 	before := runtime.NumGoroutine() // the manager's workers outlive the server
 	srv := wire.NewServer(mgr)
-	srv.BackfillSource = source
+	srv.Archive = stubArchive(source)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

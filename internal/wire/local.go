@@ -11,8 +11,8 @@ import (
 )
 
 // localHost serves a serve.Manager in this process — what NewServer builds.
-// It alone honours the server's TapSessions hook, and only its sessions can
-// be a migration source or target.
+// It alone records its sessions into the server's Archive, and only its
+// sessions can be a migration source or target.
 type localHost struct {
 	srv *Server
 	mgr *serve.Manager
@@ -22,14 +22,14 @@ func (h *localHost) SessionCount() int      { return h.mgr.SessionCount() }
 func (h *localHost) Metrics() serve.Metrics { return h.mgr.Metrics() }
 
 func (h *localHost) Attach(req AttachRequest, push *Push) (Session, AttachReply, error) {
+	var rec Recording
 	var tap func(stream.Tuple)
-	var release func(aborted bool)
-	if h.srv.TapSessions != nil {
+	if h.srv.Archive != nil {
 		var err error
-		tap, release, err = h.srv.TapSessions(req.ID)
-		if err != nil {
+		if rec, err = h.srv.Archive.RecordSession(req.ID); err != nil {
 			return nil, AttachReply{}, fmt.Errorf("wire: recording %q: %w", req.ID, err)
 		}
+		tap = rec.Tap()
 	}
 	sess, err := h.mgr.CreateSessionWith(req.ID, serve.SessionOptions{
 		Gestures:  req.Gestures,
@@ -37,12 +37,12 @@ func (h *localHost) Attach(req AttachRequest, push *Push) (Session, AttachReply,
 		CatchUpTo: req.StartAt,
 	})
 	if err != nil {
-		if release != nil {
-			release(true)
+		if rec != nil {
+			rec.End(true)
 		}
 		return nil, AttachReply{}, err
 	}
-	ls := &localSession{srv: h.srv, sess: sess, release: release}
+	ls := &localSession{srv: h.srv, sess: sess, rec: rec}
 	// Stream detections out instead of buffering them in the session: the
 	// listener runs on the shard worker, so it only parks them in the push
 	// buffer; the connection's pusher goroutine owns the socket writes.
@@ -96,10 +96,10 @@ type HistoryReader interface {
 
 // localSession is one serve.Session attached over the wire.
 type localSession struct {
-	srv     *Server
-	sess    *serve.Session
-	cancel  func()
-	release func(aborted bool) // recording tap release; nil when not recording
+	srv    *Server
+	sess   *serve.Session
+	cancel func()
+	rec    Recording // nil when the server has no archive
 
 	// reads is the read set advertised at attach (nil: every field), which
 	// every batch carries; fields the schema width it is scattered back to.
@@ -132,8 +132,8 @@ func (ls *localSession) Batch(b RawBatch) error {
 		return err
 	}
 	if batch.SentNs != 0 {
-		ls.srv.BatchDecode.ObserveSince(start)
-		ls.srv.Ingress.Observe(time.Duration(start.UnixNano() - batch.SentNs))
+		ls.srv.batchDecode.ObserveSince(start)
+		ls.srv.ingress.Observe(time.Duration(start.UnixNano() - batch.SentNs))
 	}
 	// The decoded slice is lent whole, one shard-queue operation per wire
 	// batch, and buf rides along: whoever takes the batch out of the queue
@@ -168,8 +168,8 @@ func (ls *localSession) Close() {
 	ls.cancel()
 	ls.closeHistory()
 	ls.sess.Close()
-	if ls.release != nil {
-		ls.release(false)
+	if ls.rec != nil {
+		ls.rec.End(false)
 	}
 }
 
@@ -209,8 +209,8 @@ func (c *conn) handleMigrateBegin(payload []byte) error {
 	if ls == nil {
 		return err
 	}
-	if c.srv.MigrateSource == nil {
-		return c.sessionError(req.Handle, fmt.Errorf("wire: session %q: server has no migration history source", ls.sess.ID()))
+	if ls.rec == nil {
+		return c.sessionError(req.Handle, fmt.Errorf("wire: session %q is not recorded: no history to migrate", ls.sess.ID()))
 	}
 	if ls.migReader != nil {
 		return c.sessionError(req.Handle, fmt.Errorf("wire: session %q: migration already in progress", ls.sess.ID()))
@@ -220,7 +220,7 @@ func (c *conn) handleMigrateBegin(payload []byte) error {
 	ls.sess.Seal()
 	ls.sess.Flush()
 	in, _, _ := ls.sess.Counters()
-	hr, recorded, err := c.srv.MigrateSource(ls.sess.ID())
+	hr, recorded, err := ls.rec.History()
 	if err == nil && recorded != in {
 		hr.Close()
 		err = fmt.Errorf("recording holds %d of %d admitted tuples; a lossy tap cannot rebuild state", recorded, in)
@@ -254,7 +254,7 @@ func (c *conn) handleMigrateState(payload []byte) error {
 	}
 	if req.After < ls.migSent {
 		ls.closeHistory()
-		hr, _, err := c.srv.MigrateSource(ls.sess.ID())
+		hr, _, err := ls.rec.History()
 		if err != nil {
 			// The session stays sealed: the requester decides whether to
 			// retry or abort (which unseals).

@@ -118,6 +118,39 @@ func (p *Push) Detections(tupleDrops uint64, dets []anduin.Detection) {
 	}
 }
 
+// Archive is a server's recording backend: it records every session the
+// server attaches, which is what makes those sessions migratable, and it
+// answers backfill requests over what it recorded. *store.Archive is the
+// implementation; the interface lives here so the wire layer serves both
+// without importing the store. It must be safe for concurrent use.
+type Archive interface {
+	// RecordSession starts recording the session sessionID names. The
+	// session keeps the recording until it ends. An error fails the
+	// attach.
+	RecordSession(sessionID string) (Recording, error)
+	// Backfill evaluates plans over one recorded stream, bounded to event
+	// times in [since, until) (a zero bound leaves that side open), and
+	// returns the stream's detections in evaluation order with the records
+	// and tuples it read. A stream the archive does not hold is reported as
+	// (or wrapping) ErrUnknownStream. Once ctx is done the request is over,
+	// and evaluation stops at the next record.
+	Backfill(ctx context.Context, stream string, plans []*anduin.Plan, since, until time.Time) (dets []anduin.Detection, records, tuples uint64, err error)
+}
+
+// Recording is one attached session's recording.
+type Recording interface {
+	// Tap is installed on the session's feed path (serve.SessionOptions.Tap).
+	Tap() func(stream.Tuple)
+	// History makes everything tapped so far readable and opens a reader
+	// over it, with the recorded-tuple count. A migration calls it once the
+	// session is sealed and drained, so the tap is quiescent.
+	History() (hr HistoryReader, recorded uint64, err error)
+	// End is called exactly once, when the session ends: aborted means the
+	// session was never created (its attach failed after the recording
+	// was made), so no tuple reached the recording.
+	End(aborted bool)
+}
+
 // Server accepts wire-protocol connections and multiplexes their sessions
 // onto a Host. The host's backpressure decides the socket behaviour: a
 // serve.Manager under Block parks the connection's reader goroutine on the
@@ -131,53 +164,17 @@ type Server struct {
 	// it in per-backend metrics). Set it before Serve; empty is fine.
 	Name string
 
-	// BatchDecode, when non-nil, records the FrameBatch decode time of
-	// trace-sampled batches; Ingress records client-send → decoded for the
-	// same batches (cross-clock when client and server are on different
-	// hosts). Both are nil-safe; set before Serve. Unsampled batches never
-	// touch them.
-	BatchDecode *obs.Histogram
-	Ingress     *obs.Histogram
+	// Archive, when non-nil, records every session of a server over a local
+	// manager (NewServer), makes those sessions migratable and answers
+	// backfill requests, resolving their plan names through the manager's
+	// registry. Without it both are refused. Set it before Serve.
+	Archive Archive
 
-	// TapSessions, when non-nil, is consulted on every attach: it returns
-	// the tuple tap to install on the new session (see
-	// serve.SessionOptions.Tap) plus a release function called exactly
-	// once when the session ends — aborted=true means the session was
-	// never created (the attach failed after the tap was made), so the
-	// hook can discard a recording no tuple ever reached; aborted=false
-	// means a normal detach or connection teardown. An error fails the
-	// attach. (*store.Archive).Serve installs it, with MigrateSource and
-	// BackfillSource, to record remote sessions into a stream-store archive
-	// without the wire layer knowing about disks. Set it before Serve; it
-	// must be safe for concurrent use.
-	TapSessions func(sessionID string) (tap func(stream.Tuple), release func(aborted bool), err error)
-
-	// BackfillSource, when non-nil, serves FrameBackfill requests: it must
-	// evaluate the named plans over the named recorded stream within the
-	// given event-time window, calling emit (possibly repeatedly, in order)
-	// with the detections as they fire, and return the records and tuples
-	// evaluated; once ctx is done the request is over and it should return
-	// at the next record. A stream the server does not archive is reported
-	// by returning (or wrapping) ErrUnknownStream — the request then lists
-	// it as missing instead of failing, which is how a fleet coordinator
-	// discovers it must retry the stream elsewhere. The standard
-	// implementation is the one (*store.Archive).Serve installs over the
-	// server's archive. One request calls it for up to GOMAXPROCS of its
-	// streams at a time, each on a goroutine of its own; set before Serve,
-	// safe for concurrent use.
-	BackfillSource BackfillFunc
-
-	// MigrateSource, when non-nil, makes this server's sessions migratable:
-	// on FrameMigrateBegin it must return a reader over the session's
-	// recorded history plus the recorded-tuple count, with everything tapped
-	// so far flushed to readable state (the session is sealed and drained
-	// before the call, so the tap is quiescent). The standard implementation,
-	// installed by (*store.Archive).Serve, syncs the session's
-	// store.Recorder and opens a store.Reader on its stream. A recorded
-	// count short of the session's admitted count fails the migration
-	// cleanly — a lossy recording cannot rebuild engine state. Set before
-	// Serve; safe for concurrent use.
-	MigrateSource func(sessionID string) (hr HistoryReader, recorded uint64, err error)
+	// batchDecode records the FrameBatch decode time of trace-sampled
+	// batches; ingress records client-send → decoded for the same batches
+	// (cross-clock when client and server are on different hosts).
+	// Unsampled batches never touch them.
+	batchDecode, ingress *obs.Histogram
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -188,9 +185,7 @@ type Server struct {
 }
 
 // NewServer creates a server over an existing session manager. The caller
-// keeps ownership of the manager and closes it after the server. The
-// TapSessions, MigrateSource and BackfillSource hooks apply to this host
-// only.
+// keeps ownership of the manager and closes it after the server.
 func NewServer(mgr *serve.Manager) *Server {
 	s := NewHostServer(nil)
 	s.host = &localHost{srv: s, mgr: mgr}
@@ -199,7 +194,14 @@ func NewServer(mgr *serve.Manager) *Server {
 
 // NewHostServer creates a server over any host.
 func NewHostServer(h Host) *Server {
-	return &Server{host: h, conns: make(map[*conn]struct{})}
+	return &Server{host: h, conns: make(map[*conn]struct{}), batchDecode: obs.NewHistogram(), ingress: obs.NewHistogram()}
+}
+
+// WriteProm writes the server's trace-sampled batch histograms as
+// Prometheus exposition text.
+func (s *Server) WriteProm(w *obs.PromWriter) {
+	w.Histogram("wire_batch_decode_seconds", "FrameBatch decode time of trace-sampled batches.", nil, s.batchDecode.Snapshot())
+	w.Histogram("wire_ingress_seconds", "Client-send to server-decode latency of trace-sampled batches.", nil, s.ingress.Snapshot())
 }
 
 // Serve accepts connections on ln until Close. It always returns a non-nil
@@ -302,13 +304,6 @@ type conn struct {
 	sessions   map[uint32]*connSession
 	nextHandle uint32
 }
-
-// BackfillFunc evaluates plans over one recorded stream for a backfill
-// request — the Server.BackfillSource contract, declared here so the wire
-// layer can serve offline evaluation without importing the store. A zero
-// since or until leaves that side of the event-time window unbounded.
-type BackfillFunc func(ctx context.Context, stream string, gestures []string, since, until time.Time,
-	emit func([]anduin.Detection) error) (records, tuples uint64, err error)
 
 // connSession is one attached session: its handle, the host's side of it,
 // and its detection push state.
@@ -485,6 +480,7 @@ func (c *conn) handleSync(payload []byte, ack FrameType, detach bool) error {
 // are collected in Missing; any other per-stream failure aborts the request
 // with a FrameError (the connection and its sessions survive).
 //
+// The plan names resolve once per request, through the host's registry.
 // Streams are independent, so up to GOMAXPROCS of them are evaluated at a
 // time, each by a worker that encodes its frames into a buffer of its own;
 // this goroutine writes the buffers out in request order, and starts stream
@@ -497,8 +493,20 @@ func (c *conn) handleBackfill(payload []byte) error {
 	if err := unmarshalStrict(payload, &req); err != nil {
 		return fmt.Errorf("backfill: %w", err)
 	}
-	if c.srv.BackfillSource == nil {
-		return c.sessionError(0, fmt.Errorf("wire: server has no backfill source"))
+	h, ok := c.srv.host.(*localHost)
+	if c.srv.Archive == nil || !ok {
+		return c.sessionError(0, fmt.Errorf("wire: server has no recording archive to backfill from"))
+	}
+	plans, err := h.mgr.Registry().Resolve(req.Gestures...)
+	if err != nil {
+		return c.sessionError(0, fmt.Errorf("wire: backfill: %w", err))
+	}
+	var since, until time.Time
+	if req.SinceNs != 0 {
+		since = decodeTime(req.SinceNs)
+	}
+	if req.UntilNs != 0 {
+		until = decodeTime(req.UntilNs)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var workers sync.WaitGroup
@@ -512,7 +520,7 @@ func (c *conn) handleBackfill(payload []byte) error {
 		workers.Add(1)
 		go func() {
 			defer workers.Done()
-			results[i] <- c.backfillStream(ctx, &req, i)
+			results[i] <- c.backfillStream(ctx, i, req.Streams[i], plans, since, until)
 		}()
 	}
 	window := runtime.GOMAXPROCS(0)
@@ -555,31 +563,20 @@ type streamBackfill struct {
 	err             error
 }
 
-// backfillStream evaluates stream i of req through the server's source,
-// keeping what it would send.
-func (c *conn) backfillStream(ctx context.Context, req *BackfillRequest, i int) *streamBackfill {
-	var since, until time.Time
-	if req.SinceNs != 0 {
-		since = decodeTime(req.SinceNs)
-	}
-	if req.UntilNs != 0 {
-		until = decodeTime(req.UntilNs)
-	}
+// backfillStream evaluates stream i of a request in the server's archive
+// and encodes what it would send.
+func (c *conn) backfillStream(ctx context.Context, i int, name string, plans []*anduin.Plan, since, until time.Time) *streamBackfill {
 	res := new(streamBackfill)
-	emit := func(dets []anduin.Detection) error {
-		for len(dets) > 0 {
-			n := min(len(dets), MaxDetections)
-			frame, err := AppendDetections(nil, uint32(i), 0, dets[:n])
-			if err != nil {
-				return err
-			}
-			res.frames = append(res.frames, frame)
-			res.detections += uint64(n)
-			dets = dets[n:]
-		}
-		return nil
+	var dets []anduin.Detection
+	dets, res.records, res.tuples, res.err = c.srv.Archive.Backfill(ctx, name, plans, since, until)
+	res.detections = uint64(len(dets))
+	for len(dets) > 0 && res.err == nil {
+		n := min(len(dets), MaxDetections)
+		var frame []byte
+		frame, res.err = AppendDetections(nil, uint32(i), 0, dets[:n])
+		res.frames = append(res.frames, frame)
+		dets = dets[n:]
 	}
-	res.records, res.tuples, res.err = c.srv.BackfillSource(ctx, req.Streams[i], req.Gestures, since, until, emit)
 	return res
 }
 

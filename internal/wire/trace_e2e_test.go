@@ -21,8 +21,7 @@ func TestWireTracePropagation(t *testing.T) {
 	frames := e2e.PlaybackFrames(t, 7)
 	tuples := kinect.ToTuples(frames)
 	h := e2e.Start(t, e2e.Options{Serve: serve.Config{Shards: 2}})
-	ins := serve.NewInstruments()
-	h.Manager(0).SetInstruments(ins)
+	ins := h.Manager(0).Instruments()
 
 	plan, _ := h.Registry.Get("swipe_right")
 	want := e2e.EncodeDets(t, e2e.BareReplay(t, plan, e2e.WireTuples(t, tuples)))

@@ -10,8 +10,8 @@
 //   - the data plane (tuple batches, detection pushes) is hand-rolled
 //     big-endian binary with reused buffers — no reflection, no JSON, no
 //     per-tuple allocations beyond the tuple field arena itself;
-//   - the control plane (attach/detach/flush/metrics) is small JSON
-//     payloads, where clarity beats nanoseconds;
+//   - the control plane (attach/detach/flush/metrics, ping, migration and
+//     backfill) is small JSON payloads, where clarity beats nanoseconds;
 //   - backpressure propagates from the shard queues to the socket: each
 //     connection's frames are processed synchronously on its reader
 //     goroutine, so a full shard queue under serve.Block stops the read
@@ -41,6 +41,10 @@
 //	                         start i64 | end i64 | nMeasures u16 |
 //	                         nMeasures × f64)
 //
+// FrameMigrateStateOK carries a FrameBatch payload (handle 0; empty at the
+// end of the history), and FrameBackfillDet a FrameDetections payload whose
+// handle is the stream's index in the BackfillRequest (dropped 0).
+//
 // A batch's tuples carry exactly the raw fields its session's attach reply
 // lists (AttachReply.Reads), in that order, and fields is the length of
 // that list: a batch of any other field count is a protocol violation. The
@@ -52,7 +56,9 @@
 //
 // Control-plane payloads are JSON-encoded structs (AttachRequest,
 // AttachReply, SessionRef, SessionCounters, serve.Metrics, ErrorReply,
-// Ping, Pong).
+// Ping, Pong, MigrateBeginRequest, MigrateBeginReply, MigrateStateRequest,
+// MigrateCommitRequest, BackfillRequest, BackfillReply); FrameMetricsReq
+// is empty. The FrameType constants list every frame with its payload.
 // Decoding is strict: a payload must be consumed exactly, and counts are
 // validated against the remaining payload length before any allocation, so
 // an adversarial length prefix can never make the decoder over-allocate.
@@ -89,8 +95,11 @@ const (
 // FrameType discriminates frame payloads.
 type FrameType uint8
 
-// Frame types. Client→server: Attach, Batch, Flush, Detach, MetricsReq.
-// Server→client: AttachOK, Detections, FlushOK, DetachOK, MetricsOK, Error.
+// Frame types. Client→server: Attach, Batch, Flush, Detach, MetricsReq,
+// Ping, MigrateBegin, MigrateState, MigrateCommit, Backfill. Server→client:
+// AttachOK, Detections, FlushOK, DetachOK, MetricsOK, Error, Pong,
+// MigrateBeginOK, MigrateStateOK, MigrateCommitOK, BackfillDet, BackfillOK.
+// Every request is answered by its OK frame or by Error.
 const (
 	FrameInvalid    FrameType = 0
 	FrameAttach     FrameType = 1  // JSON AttachRequest
@@ -283,9 +292,9 @@ type BackfillReply struct {
 	StreamTuples  []uint64 `json:"stream_tuples"`
 }
 
-// ErrUnknownStream is the sentinel a Server.BackfillSource wraps (or
-// returns) for a stream the server does not archive; the request reports
-// the stream in BackfillReply.Missing instead of failing.
+// ErrUnknownStream is the sentinel an Archive's Backfill returns (or wraps)
+// for a stream it does not hold; the request reports the stream in
+// BackfillReply.Missing instead of failing.
 var ErrUnknownStream = errors.New("wire: unknown stream")
 
 // ErrorReply reports a request failure. Handle 0 addresses the connection
