@@ -172,13 +172,19 @@ func TestPushdownDetectsWhatFullWidthDoes(t *testing.T) {
 	}
 }
 
-// TestRecordingSessionDecodesFullWidth: a recording session reads every
-// field — its tap keeps whole tuples — so its archive holds every fed
-// tuple bit for bit, all 45 fields, though its plan reads one joint.
-func TestRecordingSessionDecodesFullWidth(t *testing.T) {
+// TestRecordingSessionArchivesFullWidthDecodesReadSet: a recording
+// session is sent every field — its archive keeps whole tuples — and so its
+// archive holds every fed tuple bit for bit, all 45 fields, while the session
+// decodes only the fields its plan and the transform read, and with every
+// other field NaN (ended loans poisoned) detects what a bare engine
+// replaying the full-width tuples does.
+func TestRecordingSessionArchivesFullWidthDecodesReadSet(t *testing.T) {
+	stream.PoisonEndedLoans(true)
+	defer stream.PoisonEndedLoans(false)
 	tuples := twoHandSession(t)
 	h := Start(t, Options{Serve: serve.Config{Shards: 1}, Record: true, Plans: map[string]string{"left_raise": leftHandQuery}})
-	cl := h.Dial()
+	cl, sent := dialCounting(t, h.Addr())
+	defer cl.Close()
 	rs, err := cl.Attach("recorded", wire.AttachOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -195,11 +201,19 @@ func TestRecordingSessionDecodesFullWidth(t *testing.T) {
 	if !ok {
 		t.Fatal("served session not found")
 	}
-	if reads := sess.Reads(); reads != nil {
-		t.Fatalf("recording session reads %v, want every field", reads.Fields())
+	if reads := sess.Reads(); reads == nil || len(reads.Fields()) != 18 {
+		t.Fatalf("recording session reads %v, want its read set: the left hand and the five parameter joints", reads.Fields())
 	}
+	if rs.Reads() != nil {
+		t.Fatalf("client of a recording session sends fields %v, want every field", rs.Reads())
+	}
+	sent.only(t, batchShape{narrowed: false, fields: kinect.Schema().Len()})
 	if _, err := rs.Detach(); err != nil {
 		t.Fatal(err)
+	}
+	plan, _ := h.Registry.Get("left_raise")
+	if want := BareReplay(t, plan, tuples); len(want) < 2 || !bytes.Equal(EncodeDets(t, rs.Detections()), EncodeDets(t, want)) {
+		t.Fatalf("recorded session detected %+v, a bare full-width replay %+v", rs.Detections(), want)
 	}
 	cl.Close()
 	h.Stop()

@@ -257,8 +257,7 @@ func TestDepthOneStillDrops(t *testing.T) {
 
 // TestBatchAccounting drives several feeders per shard with batches of mixed
 // width — some wider than the queue — and checks the books balance per
-// session and per shard under both policies: In == Out, Dropped ⊆ Out, and
-// the tap saw exactly what was admitted, in order.
+// session and per shard under both policies: In == Out and Dropped ⊆ Out.
 func TestBatchAccounting(t *testing.T) {
 	for _, pol := range []Policy{Block, DropOldest} {
 		t.Run(pol.String(), func(t *testing.T) {
@@ -266,14 +265,11 @@ func TestBatchAccounting(t *testing.T) {
 			m := newTestManager(t, Config{Shards: 2, QueueDepth: depth, Policy: pol},
 				map[string]string{"never": neverQuery})
 			pool := idleTuples(t, 8)
-			tapped := make([][]uint64, sessions)
 			ss := make([]*Session, sessions)
 			var wg sync.WaitGroup
 			for i := range ss {
 				i := i
-				s, err := m.CreateSessionWith(fmt.Sprintf("u%d", i), SessionOptions{Tap: func(tu stream.Tuple) {
-					tapped[i] = append(tapped[i], tu.Seq)
-				}})
+				s, err := m.CreateSession(fmt.Sprintf("u%d", i))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -313,14 +309,6 @@ func TestBatchAccounting(t *testing.T) {
 				}
 				shardIn[s.Shard()] += in
 				shardDropped[s.Shard()] += dropped
-				if len(tapped[i]) != perSession {
-					t.Fatalf("session %d: tap saw %d tuples, %d admitted", i, len(tapped[i]), perSession)
-				}
-				for k, seq := range tapped[i] {
-					if seq != uint64(k) {
-						t.Fatalf("session %d: tap position %d holds seq %d", i, k, seq)
-					}
-				}
 			}
 			for _, sm := range m.Metrics().Shards {
 				if sm.Enqueued != sm.Processed+sm.Dropped || sm.QueueDepth != 0 {
@@ -434,15 +422,12 @@ func TestCloseFromListenerMidBatch(t *testing.T) {
 
 // TestSealRefusesWholeBatches seals a session under a running feeder: every
 // batch is admitted whole or refused whole — In stays a multiple of the batch
-// width and equals what the tap saw, in order — so the admitted count is an
-// exact migration cut ordinal.
+// width and equals the tuples of the batches it accepted — so the admitted
+// count is an exact migration cut ordinal.
 func TestSealRefusesWholeBatches(t *testing.T) {
 	const width = 7
 	m := newTestManager(t, Config{Shards: 1, QueueDepth: 32}, map[string]string{"never": neverQuery})
-	var tapped []uint64
-	s, err := m.CreateSessionWith("migrant", SessionOptions{Tap: func(tu stream.Tuple) {
-		tapped = append(tapped, tu.Seq)
-	}})
+	s, err := m.CreateSession("migrant")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,31 +451,22 @@ func TestSealRefusesWholeBatches(t *testing.T) {
 	if in != accepted || in%width != 0 || out != in {
 		t.Fatalf("sealed at in=%d out=%d with %d tuples in accepted batches of %d", in, out, accepted, width)
 	}
-	if uint64(len(tapped)) != in {
-		t.Fatalf("tap saw %d tuples, cut ordinal is %d", len(tapped), in)
-	}
-	for k, got := range tapped {
-		if got != uint64(k) {
-			t.Fatalf("tap position %d holds seq %d", k, got)
-		}
-	}
 	s.Unseal()
 	seq = in
 	if err := s.FeedLent(batchOf(pool, &seq, width), nil, 0, nil); err != nil {
 		t.Fatalf("unsealed session refused a batch: %v", err)
 	}
 	s.Flush()
-	if got, _, _ := s.Counters(); got != in+width || uint64(len(tapped)) != got {
-		t.Errorf("after unseal: in=%d tapped=%d, want %d", got, len(tapped), in+width)
+	if got, _, _ := s.Counters(); got != in+width {
+		t.Errorf("after unseal: in=%d, want %d", got, in+width)
 	}
 }
 
 // TestFeedBatchRefusesMixedArity: one malformed tuple refuses the batch
-// before any of it is tapped or counted.
+// before any of it is counted.
 func TestFeedBatchRefusesMixedArity(t *testing.T) {
 	m := newTestManager(t, Config{Shards: 1}, map[string]string{"never": neverQuery})
-	tapped := 0
-	s, err := m.CreateSessionWith("u", SessionOptions{Tap: func(stream.Tuple) { tapped++ }})
+	s, err := m.CreateSession("u")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,8 +476,8 @@ func TestFeedBatchRefusesMixedArity(t *testing.T) {
 	if err := s.FeedLent(batch, nil, 0, nil); err == nil {
 		t.Fatal("batch with a short tuple admitted")
 	}
-	if in, _, _ := s.Counters(); in != 0 || tapped != 0 {
-		t.Errorf("refused batch left in=%d tapped=%d", in, tapped)
+	if in, _, _ := s.Counters(); in != 0 {
+		t.Errorf("refused batch left in=%d", in)
 	}
 	if err := s.FeedLent(nil, nil, 0, nil); err != nil {
 		t.Errorf("empty batch: %v", err)

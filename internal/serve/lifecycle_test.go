@@ -8,8 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"gesturecep/internal/stream"
 )
 
 // Lifecycle edge cases the base suite does not cover: CloseSession racing
@@ -260,49 +258,5 @@ func TestPerSessionMetrics(t *testing.T) {
 		if !strings.Contains(string(data), key) {
 			t.Errorf("metrics JSON lacks %s: %s", key, data)
 		}
-	}
-}
-
-// TestSessionTap checks the recording hook: a single-feeder session's tap
-// observes exactly the admitted tuples in feed order, and taps are
-// per-session.
-func TestSessionTap(t *testing.T) {
-	m := newTestManager(t, Config{Shards: 2}, map[string]string{"never": neverQuery})
-	tuples := idleTuples(t, 32)
-
-	var tapped []stream.Tuple
-	s, err := m.CreateSessionWith("tapped", SessionOptions{Tap: func(tu stream.Tuple) {
-		tapped = append(tapped, tu)
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := m.CreateSession("plain")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range tuples {
-		if err := s.FeedTuple(tuples[i]); err != nil {
-			t.Fatal(err)
-		}
-		if err := other.FeedTuple(tuples[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m.Flush()
-	if len(tapped) != len(tuples) {
-		t.Fatalf("tap saw %d tuples, fed %d", len(tapped), len(tuples))
-	}
-	for i := range tapped {
-		if tapped[i].Seq != tuples[i].Seq || !tapped[i].Ts.Equal(tuples[i].Ts) {
-			t.Fatalf("tap order diverges at %d: got seq %d, want %d", i, tapped[i].Seq, tuples[i].Seq)
-		}
-	}
-	// A rejected tuple (wrong arity) must not reach the tap.
-	if err := s.FeedTuple(stream.Tuple{Fields: []float64{1}}); err == nil {
-		t.Fatal("short tuple admitted")
-	}
-	if len(tapped) != len(tuples) {
-		t.Fatal("rejected tuple reached the tap")
 	}
 }

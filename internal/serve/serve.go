@@ -431,17 +431,8 @@ func (m *Manager) enqueue(s *Session, tuples []stream.Tuple, reads *stream.ReadS
 		env.sentNs = sentNs
 		env.enqNs = time.Now().UnixNano()
 	}
-	// Past the closed check the batch is guaranteed to be admitted — this
-	// is where the recording tap observes it, so a recorded stream holds
-	// exactly what the session accepted (including tuples DropOldest may
-	// later evict: drops are a serving artifact, not part of the history).
-	// The tap borrows each tuple for the call (SessionOptions.Tap).
-	if s.tap != nil {
-		for i := range tuples {
-			s.tap(tuples[i])
-		}
-	}
-	// Count the tuples in before they become visible to the worker: counting
+	// Past the closed check the batch is guaranteed to be admitted. Count
+	// the tuples in before they become visible to the worker: counting
 	// first means no snapshot can ever observe more tuples out of a queue
 	// than went in.
 	n := uint64(len(tuples))

@@ -22,12 +22,6 @@ type Session struct {
 	engine *anduin.Engine
 	raw    *stream.Stream
 
-	// tap, when non-nil, observes every admitted tuple, one call per tuple in
-	// admit order, on the feeding goroutine (the stream-store recording
-	// hook); the tuple is lent for the call. Set at creation, never mutated,
-	// so enqueue reads it without synchronization.
-	tap func(stream.Tuple)
-
 	closed atomic.Bool
 	// live reports !closed: what the engine asks between the tuples of a
 	// batch, made once so publishing allocates nothing.
@@ -62,17 +56,6 @@ type SessionOptions struct {
 	// Gestures names the plans to deploy; empty deploys every registered
 	// plan.
 	Gestures []string
-	// Tap, when non-nil, is called with every tuple admitted to the
-	// session's queue, on the feeding goroutine, before shard processing.
-	// The tuple is lent for the call: a tap that keeps it (any asynchronous
-	// one) copies it. It must never block — the standard tap is
-	// store.Recorder.Tap, which queues a copy in a bounded backlog and
-	// counts drops.
-	// With a single feeding goroutine (the usual pattern, and what the
-	// wire server guarantees) the tap observes exactly the admitted tuple
-	// order, which is what makes recorded sessions replayable
-	// byte-for-byte.
-	Tap func(stream.Tuple)
 	// CatchUpTo > 0 creates the session at an ordinal: it is a migration
 	// target whose first CatchUpTo tuples are recorded history replayed to
 	// rebuild engine state. The session starts in catch-up mode (CatchingUp
@@ -88,7 +71,7 @@ func (m *Manager) CreateSession(id string, gestures ...string) (*Session, error)
 	return m.CreateSessionWith(id, SessionOptions{Gestures: gestures})
 }
 
-// CreateSessionWith is CreateSession with recording/ingestion options.
+// CreateSessionWith is CreateSession with ingestion options.
 func (m *Manager) CreateSessionWith(id string, opts SessionOptions) (*Session, error) {
 	if id == "" {
 		return nil, fmt.Errorf("serve: empty session id")
@@ -112,7 +95,6 @@ func (m *Manager) CreateSessionWith(id string, opts SessionOptions) (*Session, e
 		shard:     m.shardFor(id),
 		engine:    engine,
 		raw:       raw,
-		tap:       opts.Tap,
 		catchUpTo: opts.CatchUpTo,
 	}
 	s.live = func() bool { return !s.closed.Load() }
@@ -161,17 +143,11 @@ func (s *Session) Shard() int { return s.shard.id }
 // Reads returns the raw fields the session reads of a tuple it is fed
 // (nil: every field): the union its raw stream's subscribers declare — for
 // the kinect_t view, the joints its plans read and the five the transform's
-// parameters are estimated from — or every field when the session records,
-// since its tap keeps whole tuples. A feeder that lends its batches may
-// leave the other fields unset (FeedLent). The set changes only when a plan
-// is deployed or a subscriber added through Engine: CreateSession deploys
-// every plan before the session can be fed.
-func (s *Session) Reads() *stream.ReadSet {
-	if s.tap != nil {
-		return nil
-	}
-	return s.raw.Reads()
-}
+// parameters are estimated from. A feeder that lends its batches may leave
+// the other fields unset (FeedLent). The set changes only when a plan is
+// deployed or a subscriber added through Engine: CreateSession deploys every
+// plan before the session can be fed.
+func (s *Session) Reads() *stream.ReadSet { return s.raw.Reads() }
 
 // Engine exposes the session's private engine (for stats and advanced
 // management). Do not publish tuples to it directly — use FeedTuple, which

@@ -38,8 +38,9 @@ type BackfillOptions struct {
 // lambda-style batch path over the same code the live path runs, so a
 // plan backfilled over a recorded session produces exactly the detections
 // a live session deploying it would have produced. Records are borrowed from
-// the reader (Reader.Lend) and published while the loan lasts; nothing is
-// allocated per tuple.
+// the reader (Reader.Lend) and published while the loan lasts, decoded only
+// for the raw fields the plans and the transform read; nothing is allocated
+// per tuple.
 func Backfill(r *Reader, plans []*anduin.Plan, opts BackfillOptions) ([]anduin.Detection, error) {
 	return backfill(context.Background(), r, plans, opts)
 }
@@ -94,6 +95,11 @@ func backfill(ctx context.Context, r *Reader, plans []*anduin.Plan, opts Backfil
 			return nil, err
 		}
 	}
+	// Every plan is deployed, so the raw read set is final: only those
+	// fields of each record are decoded, as a live session decodes only
+	// those of a batch.
+	r.reads = raw.Reads()
+	defer func() { r.reads = nil }()
 	if !opts.Since.IsZero() {
 		if err := r.SeekTime(opts.Since); err != nil {
 			return dets, err

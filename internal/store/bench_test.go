@@ -102,7 +102,10 @@ func BenchmarkRecordAppend(b *testing.B) {
 // stream — the sparse-index path (segment binary search + sidecar lookup +
 // bounded residual scan) against the full decode-and-skip scan it replaces.
 // Each iteration opens a fresh reader and seeks to a pseudo-random late
-// offset, then reads one record to prove the position is live.
+// offset, then reads one record to prove the position is live. The
+// ordinal modes seek by record ordinal instead: the reader itself skips the
+// records before the target, validating each without converting a field —
+// a bounded residual with the index, the whole prefix without.
 func BenchmarkSeek(b *testing.B) {
 	root := benchDir(b)
 	const n = 1 << 16
@@ -119,10 +122,11 @@ func BenchmarkSeek(b *testing.B) {
 	if err := w.Close(); err != nil {
 		b.Fatal(err)
 	}
+	records := uint64(n / DefaultBatchTuples)
 	for _, mode := range []struct {
-		name    string
-		indexed bool
-	}{{"indexed", true}, {"scan", false}} {
+		name             string
+		indexed, ordinal bool
+	}{{"indexed", true, false}, {"scan", false, false}, {"ordinal/indexed", true, true}, {"ordinal/scan", false, true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				r, err := OpenReader(root, "bench")
@@ -139,6 +143,16 @@ func BenchmarkSeek(b *testing.B) {
 						}
 						m.idx, m.idxTried = nil, true
 					}
+				}
+				if mode.ordinal {
+					if err := r.SeekOrdinal(records/2 + uint64(i*31)%(records/2)); err != nil {
+						b.Fatal(err)
+					}
+					if _, err := r.Next(); err != nil {
+						b.Fatal(err)
+					}
+					r.Close()
+					continue
 				}
 				off := uint64(n/2 + (i*4973)%(n/2)) // late, varying offsets
 				rem, err := r.SeekTuple(off)
@@ -209,17 +223,20 @@ func BenchmarkReplayThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkRecorderTap measures the recording pipeline a served tuple pays
-// for and the one behind it: the tap (encode onto the backlog, under its
-// lock), the drain's swap and the writer's record cuts. Every syncEvery taps
-// the backlog is drained — inside the timer — so nothing is ever dropped and
-// the figure is tuples recorded, not tuples offered. syncEvery stays under
+// BenchmarkRecorderTap measures the recording pipeline a served batch pays
+// for and the one behind it: the tap (a 64-tuple batch's bodies copied onto
+// the backlog under its lock, as a recording session hands them over), the
+// drain's swap and the writer's record cuts. Every syncEvery batches the
+// backlog is drained — inside the timer — so nothing is ever dropped and the
+// figure is tuples recorded, not tuples offered. syncEvery batches stay under
 // maxSpareTuples: a bare tap loop outruns the drain, which a served session
 // does not, and past that bound the recorder gives its buffers up after every
-// burst, so the loop would time growing them back.
+// burst, so the loop would time growing them back. One op is one batch.
 func BenchmarkRecorderTap(b *testing.B) {
-	const resetEvery, syncEvery = 1 << 20, 1024
-	tuples := benchTuples(4096)
+	const batch, resetEvery, syncEvery = 64, 1 << 14, 16
+	fields := kinect.Schema().Len()
+	size := batch * tupleBytes(fields)
+	bodies := appendBodies(nil, benchTuples(4096))
 	dir := benchDir(b)
 	w, err := Create(dir, "bench", kinect.Schema(), Options{})
 	if err != nil {
@@ -227,8 +244,7 @@ func BenchmarkRecorderTap(b *testing.B) {
 	}
 	rec := NewRecorder(w, 0)
 	defer func() { rec.Close() }()
-	tap := rec.Tap()
-	b.SetBytes(int64(tupleBytes(kinect.Schema().Len())))
+	b.SetBytes(int64(size))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -244,10 +260,10 @@ func BenchmarkRecorderTap(b *testing.B) {
 				b.Fatal(err)
 			}
 			rec = NewRecorder(w, 0)
-			tap = rec.Tap()
 			b.StartTimer()
 		}
-		tap(tuples[i%len(tuples)])
+		off := i % (len(bodies) / size) * size
+		rec.TapBodies(bodies[off:off+size], fields)
 		if i%syncEvery == syncEvery-1 {
 			if err := rec.Sync(); err != nil {
 				b.Fatal(err)
@@ -261,7 +277,7 @@ func BenchmarkRecorderTap(b *testing.B) {
 	if rec.Dropped() != 0 {
 		b.Fatalf("the recorder dropped %d tuples", rec.Dropped())
 	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tuples/s")
+	b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "tuples/s")
 }
 
 // benchPlans learns the first n demo gestures the way cmd/gestured does at

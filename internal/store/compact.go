@@ -321,7 +321,7 @@ func rewriteHead(dir string, index int, ix *segIndex, cutoffNs int64) (reclaimed
 	var kept []keptRecord
 	var bb wire.BatchBuf
 	for {
-		b, rerr := sr.Next(&bb)
+		b, rerr := sr.Next(&bb, noFields) // only event times decide what is kept
 		if rerr == io.EOF {
 			break
 		}

@@ -67,7 +67,7 @@ func FuzzReadSegment(f *testing.F) {
 		}
 		var bb wire.BatchBuf // recycled, as the lending readers do
 		for i := 0; i < 64; i++ {
-			b, err := sr.Next(&bb)
+			b, err := sr.Next(&bb, nil)
 			if err == io.EOF {
 				return
 			}

@@ -114,8 +114,8 @@ func idleStream(t testing.TB, root, name string, n int) {
 }
 
 // TestArchiveAllocGates holds the archive path to what the serving path is
-// held to: nothing allocated per tuple. A tap costs nothing amortised over a
-// drain cycle, a lending read nothing once the reader's buffer has its size,
+// held to: nothing allocated per tuple. A tap — of one tuple or of a batch's
+// bodies — costs nothing amortised over a drain cycle, a lending read nothing once the reader's buffer has its size,
 // an owning read exactly its two slices, and a backfill nothing that grows
 // with the stream it reads (detections aside: the idle stream fires none).
 func TestArchiveAllocGates(t *testing.T) {
@@ -129,26 +129,42 @@ func TestArchiveAllocGates(t *testing.T) {
 	}
 	rec := NewRecorder(w, 0)
 	tap := rec.Tap()
-	cycle := func() {
-		for _, tu := range tuples {
-			tap(tu)
+	fields := kinect.Schema().Len()
+	bodies, size := appendBodies(nil, tuples), 64*tupleBytes(fields)
+	for _, c := range []struct {
+		name string
+		tap  func()
+	}{
+		{"one tuple at a time", func() {
+			for _, tu := range tuples {
+				tap(tu)
+			}
+		}},
+		{"a 64-tuple batch's bodies at a time", func() {
+			for off := 0; off < len(bodies); off += size {
+				rec.TapBodies(bodies[off:off+size], fields)
+			}
+		}},
+	} {
+		cycle := func() {
+			c.tap()
+			if err := rec.Sync(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := rec.Sync(); err != nil {
-			t.Fatal(err)
+		cycle() // grows both backlog buffers' worth of the first bursts
+		cycle()
+		perCycle := testing.AllocsPerRun(20, cycle)
+		t.Logf("%s: a drain cycle of %d tuples allocates %g times", c.name, len(tuples), perCycle)
+		if perCycle/float64(len(tuples)) > 0.01 {
+			t.Errorf("tapping %d tuples %s and draining them allocates %g times, want (almost) nothing per tuple", len(tuples), c.name, perCycle)
 		}
-	}
-	cycle() // grows both backlog buffers' worth of the first bursts
-	cycle()
-	perCycle := testing.AllocsPerRun(20, cycle)
-	t.Logf("a drain cycle of %d taps allocates %g times", len(tuples), perCycle)
-	if perCycle/float64(len(tuples)) > 0.01 {
-		t.Errorf("tapping %d tuples and draining them allocates %g times, want (almost) nothing per tuple", len(tuples), perCycle)
 	}
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if rec.Dropped() != 0 || rec.Recorded() != 23*uint64(len(tuples)) {
-		t.Fatalf("recorded %d, dropped %d of %d taps", rec.Recorded(), rec.Dropped(), 23*len(tuples))
+	if rec.Dropped() != 0 || rec.Recorded() != 46*uint64(len(tuples)) {
+		t.Fatalf("recorded %d, dropped %d of %d tapped", rec.Recorded(), rec.Dropped(), 46*len(tuples))
 	}
 
 	r, err := OpenReader(root, "tapped")

@@ -103,10 +103,7 @@ func TestSessionRecordingHistory(t *testing.T) {
 		{first, "sess", tuples[:16]},
 		{second, "sess.2", tuples[16:]},
 	} {
-		tap := rc.rec.Tap()
-		for _, tp := range rc.want {
-			tap(tp)
-		}
+		rc.rec.TapBodies(appendBodies(nil, rc.want), synthSchema.Len())
 		hr, recorded, err := rc.rec.History()
 		if err != nil {
 			t.Fatal(err)

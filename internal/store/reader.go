@@ -30,6 +30,9 @@ type Reader struct {
 	records    uint64
 	tuples     uint64
 	lent       wire.BatchBuf // what Lend decodes into
+	// reads is what Next and Lend decode of each record (nil: every field):
+	// a backfill sets its plans' raw read set for the evaluation's length.
+	reads *stream.ReadSet
 
 	meta   []segMeta // lazy per-segment metadata for seeks
 	unlock func()    // archive compaction read-lock, released on Close
@@ -130,7 +133,7 @@ func (r *Reader) read(bb *wire.BatchBuf) ([]stream.Tuple, error) {
 				return nil, err
 			}
 		}
-		b, err := r.sr.Next(bb)
+		b, err := r.sr.Next(bb, r.reads)
 		if err == io.EOF {
 			// Clean end of this segment; only the last may end the stream.
 			if r.pos >= len(r.segs) {

@@ -21,13 +21,12 @@ import (
 // width), 6 MiB at the bound.
 const DefaultRecorderBuffer = 16384
 
-// Recorder decouples a live serving session from disk: the Tap function is
-// installed on the session's feed path and only ever encodes the tuple onto
-// a bounded in-memory backlog of bytes, so recording can never stall
-// ingestion — if the disk falls behind, tuples are dropped from the
-// recording (never from detection) and counted. A single drain goroutine
-// owns the Writer: it takes the whole backlog in one swap whenever there is
-// one, so taps and drain meet once per burst, not once per tuple.
+// Recorder decouples a live serving session from disk: its taps only ever
+// copy tuple bodies onto a bounded in-memory backlog of bytes, so recording
+// can never stall ingestion — if the disk falls behind, tuples are dropped
+// from the recording (never from detection) and counted. A single drain
+// goroutine owns the Writer: it takes the whole backlog in one swap whenever
+// there is one, so taps and drain meet once per burst, not once per tuple.
 type Recorder struct {
 	w      *Writer
 	fields int // the stream's width; a tuple of any other is refused
@@ -40,8 +39,8 @@ type Recorder struct {
 	// mu guards the tap side of the backlog. It also makes Close a barrier
 	// for in-flight taps: a tap appends under it, Close flips closed under
 	// it, so once Close holds the lock no tap can still sneak a tuple into
-	// the backlog uncounted — Recorded()+Dropped() equals the number of tap
-	// calls exactly.
+	// the backlog uncounted — Recorded()+Dropped() equals the number of
+	// tuples tapped exactly.
 	mu sync.Mutex
 	// pending is what the taps queued and the drain has not taken: chunks
 	// of chunkTuples encoded tuple bodies, the last one being filled. free
@@ -78,44 +77,89 @@ func NewRecorder(w *Writer, buffer int) *Recorder {
 	return r
 }
 
-// Tap returns the function to install on the live feed path (e.g. as
-// serve.SessionOptions.Tap). It never blocks on the disk: a full backlog or
-// a recorder that has stopped counts the tuple as dropped and moves on.
-// (The lock is held for one tuple's encoding; it contends only with the
-// drain's swap and with Close.) The tuple is only lent to the tap, and the
-// tap keeps none of it: what is queued is its wire encoding, written while
-// the loan lasts — and only once the tuple is going to be queued, so a
-// recorder that drops costs nothing.
+// TapBodies queues the tuple bodies of one batch — len(bodies) divided by
+// one body's size tuples, each fields values wide, encoded as
+// wire.AppendTupleBody does: what a wire batch payload carries, and what a
+// record stores — with one lock and one copy per backlog chunk it reaches.
+// It never blocks on the disk: what does not fit a full backlog, and
+// everything tapped into a recorder that has stopped, is counted as dropped,
+// tuple by tuple, as that many one-tuple taps would have been. bodies is
+// read only during the call.
+func (r *Recorder) TapBodies(bodies []byte, fields int) {
+	size := tupleBytes(fields)
+	r.mu.Lock()
+	first := len(r.pending) == 0
+	rest := bodies[:r.admitLocked(len(bodies)/size, fields)*size]
+	for len(rest) > 0 {
+		c := r.tailLocked()
+		n := min(len(rest), cap(*c)-len(*c))
+		*c = append(*c, rest[:n]...)
+		rest = rest[n:]
+	}
+	first = first && len(r.pending) > 0
+	r.mu.Unlock()
+	if first {
+		r.wake()
+	}
+}
+
+// Tap returns a one-tuple tap, for a caller that holds lent tuples rather
+// than their encoding: it queues t as TapBodies queues one body, encoding it
+// straight into the backlog — and only once it is going to be queued, so a
+// recorder that drops costs nothing. The tuple is only lent to the tap, and
+// the tap keeps none of it.
 func (r *Recorder) Tap() func(stream.Tuple) { return r.tap }
 
 func (r *Recorder) tap(t stream.Tuple) {
 	r.mu.Lock()
-	if r.closed || r.err.Load() != nil || r.queued.Load() >= r.limit {
-		r.mu.Unlock()
-		r.dropped.Add(1)
-		return
-	}
-	if len(t.Fields) != r.fields {
-		// What Writer.Append would have answered; the recording ends here.
-		r.fail(r.w.arityError(len(t.Fields)))
-		r.mu.Unlock()
-		r.dropped.Add(1)
-		return
-	}
-	r.queued.Add(1)
 	first := len(r.pending) == 0
+	if r.admitLocked(1, len(t.Fields)) == 0 {
+		r.mu.Unlock()
+		return
+	}
+	c := r.tailLocked()
+	*c = wire.AppendTupleBody(*c, &t)
+	r.mu.Unlock()
+	if first {
+		r.wake()
+	}
+}
+
+// admitLocked decides how many of n tapped tuples, fields values wide, the
+// backlog takes — a prefix, the ones that fit under the bound — and counts
+// them queued and the rest dropped. A tuple of the wrong width ends the
+// recording with what Writer.Append would have answered: the backlog holds
+// bodies of one size. r.mu must be held.
+func (r *Recorder) admitLocked(n, fields int) int {
+	k := 0
+	switch {
+	case r.closed || r.err.Load() != nil:
+	case fields != r.fields:
+		r.fail(r.w.arityError(fields))
+	default:
+		k = int(min(int64(n), r.limit-r.queued.Load()))
+	}
+	r.queued.Add(int64(k))
+	r.dropped.Add(uint64(n - k))
+	return k
+}
+
+// tailLocked returns the chunk the taps fill, a fresh one when the last is
+// full. r.mu must be held.
+func (r *Recorder) tailLocked() *[]byte {
 	n := len(r.pending)
 	if n == 0 || len(r.pending[n-1]) == cap(r.pending[n-1]) {
 		r.pending = append(r.pending, r.chunkLocked())
 		n++
 	}
-	r.pending[n-1] = wire.AppendTupleBody(r.pending[n-1], &t)
-	r.mu.Unlock()
-	if first {
-		select {
-		case r.notify <- struct{}{}:
-		default: // a wake-up is already on its way
-		}
+	return &r.pending[n-1]
+}
+
+// wake tells the drain the backlog is no longer empty.
+func (r *Recorder) wake() {
+	select {
+	case r.notify <- struct{}{}:
+	default: // a wake-up is already on its way
 	}
 }
 

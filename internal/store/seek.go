@@ -110,10 +110,12 @@ func (r *Reader) seekEnd() {
 	r.started = true
 }
 
-// scanToRecord advances through records (validating each, exactly as Next
-// would) until the next record to be returned has ordinal ord. Running out
-// of data — ord lies beyond the recorded history, or past a torn tail — is
-// not an error; the reader is simply left at the end.
+// scanToRecord advances through records until the next record to be
+// returned has ordinal ord, validating each exactly as Next would — CRC,
+// geometry, ordinal, Ts and Seq; a field has no invalid encoding — without
+// converting a field: a skipped record is decoded for the empty read set.
+// Running out of data — ord lies beyond the recorded history, or past a torn
+// tail — is not an error; the reader is simply left at the end.
 func (r *Reader) scanToRecord(ord uint64) error {
 	for {
 		if r.sr == nil {
@@ -131,7 +133,7 @@ func (r *Reader) scanToRecord(ord uint64) error {
 			r.nextRecord = r.sr.next
 			return nil
 		}
-		_, err := r.sr.Next(&r.lent) // skipped, so nobody keeps it
+		_, err := r.sr.Next(&r.lent, noFields) // skipped, so nobody keeps it
 		if err == io.EOF {
 			r.nextRecord = r.sr.next
 			r.sr = nil

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"gesturecep/internal/stream"
 	"gesturecep/internal/wire"
 )
 
@@ -83,6 +84,11 @@ func listSegments(dir string) ([]int, error) {
 	return out, nil
 }
 
+// noFields is the empty read set: decoding a record for it validates the
+// record whole and converts no field — what a scan that needs only the
+// records' event times, or that skips them, reads.
+var noFields = stream.NewReadSet()
+
 // errTorn marks a segment tail that ends mid-record: a clean truncation
 // point for recovery, an end-of-data condition nowhere else.
 var errTorn = errors.New("store: torn record at segment tail")
@@ -151,10 +157,12 @@ func (sr *segmentReader) reset(r io.Reader) {
 
 // Next decodes one record into bb, which decides who owns the tuples: a fresh
 // buffer gives the caller memory to keep, a recycled one a loan that lasts
-// until bb is decoded into again. io.EOF signals a clean end exactly at a
-// record boundary; errTorn (wrapped) signals a truncated tail; any other
-// error is corruption.
-func (sr *segmentReader) Next(bb *wire.BatchBuf) (wire.Batch, error) {
+// until bb is decoded into again. Of the fields every record carries only
+// those in reads (nil: every field) are decoded (wire.DecodeBatchReads);
+// the record is validated whole whatever the set, the empty one included.
+// io.EOF signals a clean end exactly at a record boundary; errTorn (wrapped)
+// signals a truncated tail; any other error is corruption.
+func (sr *segmentReader) Next(bb *wire.BatchBuf, reads *stream.ReadSet) (wire.Batch, error) {
 	if _, err := io.ReadFull(sr.r, sr.rechdr[:]); err != nil {
 		if err == io.EOF {
 			return wire.Batch{}, io.EOF
@@ -189,13 +197,9 @@ func (sr *segmentReader) Next(bb *wire.BatchBuf) (wire.Batch, error) {
 		}
 		return wire.Batch{}, fmt.Errorf("store: record %d crc %#08x, stored %#08x (mid-segment corruption)", sr.next, got, sum)
 	}
-	b, err := wire.DecodeBatchInto(bb, payload)
+	b, err := wire.DecodeBatchReads(bb, payload, sr.hdr.fields, reads)
 	if err != nil {
 		return wire.Batch{}, fmt.Errorf("store: record %d: %w", sr.next, err)
-	}
-	if b.Fields != sr.hdr.fields {
-		return wire.Batch{}, fmt.Errorf("store: record %d is %d fields wide, segment declares %d",
-			sr.next, b.Fields, sr.hdr.fields)
 	}
 	if b.Handle != uint32(sr.next) {
 		return wire.Batch{}, fmt.Errorf("store: record ordinal %d where %d was expected (spliced segment?)",
@@ -242,7 +246,7 @@ func scanSegment(path string, every int) (s segScan, headerOK bool, err error) {
 	s.validBytes = segHeaderBytes
 	var bb wire.BatchBuf // every record is done with before the next is read
 	for {
-		b, err := sr.Next(&bb)
+		b, err := sr.Next(&bb, noFields) // the index needs only event times
 		if err == io.EOF || errors.Is(err, errTorn) {
 			// Clean end or torn tail: everything before this point is
 			// intact, everything after is a crash artifact.

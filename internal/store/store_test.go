@@ -92,6 +92,15 @@ func synthTuples(n int) []stream.Tuple {
 
 var synthSchema = stream.MustSchema("a", "b", "c")
 
+// appendBodies appends tuples to dst as the tuple bodies a wire batch
+// carries and a recording is tapped with (Recorder.TapBodies).
+func appendBodies(dst []byte, tuples []stream.Tuple) []byte {
+	for i := range tuples {
+		dst = wire.AppendTupleBody(dst, &tuples[i])
+	}
+	return dst
+}
+
 func tuplesEqual(t *testing.T, got, want []stream.Tuple) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -447,9 +456,10 @@ func encodeDets(t testing.TB, dets []anduin.Detection) []byte {
 }
 
 // TestDeterminismRecordReplayBackfill is the acceptance criterion: a live
-// served session is recorded through a tap; replaying the recording
-// through a fresh serve.Manager session and backfilling the plan over the
-// recorded history must both yield byte-identical detections.
+// served session is recorded through a tap, each tuple once the session has
+// admitted it; replaying the recording through a fresh serve.Manager session
+// and backfilling the plan over the recorded history must both yield
+// byte-identical detections.
 func TestDeterminismRecordReplayBackfill(t *testing.T) {
 	qtext := swipeQuery(t)
 	frames := playbackFrames(t, 7)
@@ -471,14 +481,16 @@ func TestDeterminismRecordReplayBackfill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess1, err := m1.CreateSessionWith("user-1", serve.SessionOptions{Tap: rec.Tap()})
+	sess1, err := m1.CreateSession("user-1")
 	if err != nil {
 		t.Fatal(err)
 	}
+	tap := rec.Tap()
 	for _, tp := range kinect.ToTuples(frames) {
 		if err := sess1.FeedTuple(tp); err != nil {
 			t.Fatal(err)
 		}
+		tap(tp)
 	}
 	sess1.Flush()
 	live := sess1.Detections()

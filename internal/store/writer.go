@@ -25,17 +25,18 @@ type Writer struct {
 	man  Manifest
 	opts Options
 
-	mu        sync.Mutex
-	f         *os.File
-	bw        *bufio.Writer
-	segIndex  int
-	segBytes  int64
-	records   uint64 // stream-wide records written (== next record ordinal)
-	tuples    uint64 // tuples appended this writer (excludes history)
-	bytes     uint64 // record bytes written this writer (headers + payloads)
-	body      []byte // encoded bodies of the tuples appended since the last record cut
-	pending   int    // how many tuples body holds; < BatchTuples between calls
-	hdr       [recHeaderBytes + batchHeadBytes]byte
+	mu       sync.Mutex
+	f        *os.File
+	bw       *bufio.Writer
+	segIndex int
+	segBytes int64
+	records  uint64 // stream-wide records written (== next record ordinal)
+	tuples   uint64 // tuples appended this writer (excludes history)
+	bytes    uint64 // record bytes written this writer (headers + payloads)
+	// rec is the record being built: room for its record and batch headers,
+	// then the encoded bodies of the tuples appended since the last cut.
+	rec       []byte
+	pending   int // how many tuples rec holds; < BatchTuples between calls
 	closed    bool
 	failed    error // sticky: a failed record write or roll poisons the writer
 	recovered RecoveryInfo
@@ -53,7 +54,7 @@ type Writer struct {
 }
 
 func newWriter(dir string, man Manifest, opts Options) *Writer {
-	return &Writer{dir: dir, man: man, opts: opts.withDefaults(len(man.Fields))}
+	return &Writer{dir: dir, man: man, opts: opts.withDefaults(len(man.Fields)), rec: make([]byte, recordHeadBytes)}
 }
 
 // Manifest returns the stream's immutable metadata.
@@ -218,7 +219,7 @@ func (w *Writer) Append(t stream.Tuple) error {
 	if len(t.Fields) != len(w.man.Fields) {
 		return w.arityError(len(t.Fields))
 	}
-	w.body = wire.AppendTupleBody(w.body, &t)
+	w.rec = wire.AppendTupleBody(w.rec, &t)
 	w.pending++
 	if w.pending >= w.opts.BatchTuples {
 		return w.writeRecordLocked()
@@ -253,7 +254,7 @@ func (w *Writer) appendEncoded(bodies []byte, n int) (int, error) {
 	size := tupleBytes(len(w.man.Fields))
 	for taken := 0; taken < n; {
 		k := min(n-taken, w.opts.BatchTuples-w.pending)
-		w.body = append(w.body, bodies[taken*size:(taken+k)*size]...)
+		w.rec = append(w.rec, bodies[taken*size:(taken+k)*size]...)
 		if w.pending += k; w.pending >= w.opts.BatchTuples {
 			if err := w.writeRecordLocked(); err != nil {
 				return taken, err
@@ -264,6 +265,10 @@ func (w *Writer) appendEncoded(bodies []byte, n int) (int, error) {
 	return n, nil
 }
 
+// recordHeadBytes is the room a record keeps in front of its tuple bodies:
+// its record header and the wire batch header behind it.
+const recordHeadBytes = recHeaderBytes + batchHeadBytes
+
 // writeRecordLocked writes the buffered tuple bodies, if any, as one
 // CRC-framed record — record header, wire batch header, bodies: the bytes
 // wire.AppendBatch would have produced for the tuples — and rolls the segment
@@ -273,7 +278,8 @@ func (w *Writer) writeRecordLocked() error {
 	if w.pending == 0 {
 		return nil
 	}
-	body, count := w.body, w.pending
+	rec, count := w.rec, w.pending
+	body := rec[recordHeadBytes:]
 	firstNs := int64(binary.BigEndian.Uint64(body))
 	if rel := w.records - w.seg.baseRecord; rel%uint64(w.opts.IndexEvery) == 0 {
 		w.seg.entries = append(w.seg.entries, idxEntry{
@@ -290,24 +296,23 @@ func (w *Writer) writeRecordLocked() error {
 			w.seg.lastTsNs = ns
 		}
 	}
-	// Both headers go out in one write: the record header's eight bytes are
-	// filled in once the batch header behind them exists to be summed.
-	hdr := wire.AppendBatchHeader(w.hdr[:recHeaderBytes], uint32(w.records), count, len(w.man.Fields))
-	payloadLen := batchHeadBytes + len(body)
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(payloadLen))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.Update(crc32.ChecksumIEEE(hdr[recHeaderBytes:]), crc32.IEEETable, body))
-	if _, err := w.bw.Write(hdr); err != nil {
-		return w.failLocked("record write", err)
-	}
-	if _, err := w.bw.Write(body); err != nil {
+	// The headers fill the room in front of the bodies — the batch header in
+	// place, then the record header that sums it — so the record reaches
+	// the buffered writer as one slice: at the default record size, larger
+	// than its buffer, it is written straight through rather than copied in.
+	wire.AppendBatchHeader(rec[recHeaderBytes:recHeaderBytes], uint32(w.records), count, len(w.man.Fields))
+	payloadLen := len(rec) - recHeaderBytes
+	binary.BigEndian.PutUint32(rec[0:4], uint32(payloadLen))
+	binary.BigEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(rec[recHeaderBytes:]))
+	if _, err := w.bw.Write(rec); err != nil {
 		return w.failLocked("record write", err)
 	}
 	w.records++
 	w.tuples += uint64(count)
 	w.streamTuples += uint64(count)
-	w.body, w.pending = body[:0], 0
-	w.bytes += uint64(recHeaderBytes + payloadLen)
-	w.segBytes += int64(recHeaderBytes + payloadLen)
+	w.rec, w.pending = rec[:recordHeadBytes], 0
+	w.bytes += uint64(len(rec))
+	w.segBytes += int64(len(rec))
 	if w.segBytes >= w.opts.SegmentBytes {
 		if err := w.rollLocked(); err != nil {
 			return w.failLocked("segment roll", err)

@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -57,10 +58,28 @@ type Client struct {
 	mu       sync.Mutex
 	sessions map[uint32]*RemoteSession
 
-	closed atomic.Bool
-	err    atomic.Value // error that killed the connection
-	done   chan struct{}
+	// closed reports that Close or a failure ended the connection;
+	// writeShut that writes are refused without being tried — after Close
+	// or a failed write. A failed read alone leaves writes to fail on the
+	// socket, so that their own cause is kept as well.
+	closed    atomic.Bool
+	writeShut atomic.Bool
+	// errMu guards what ended the connection: errs holds the first failure
+	// of each side (failedSide), in the order they happened, and nothing once
+	// a deliberate Close came first (closing).
+	errMu      sync.Mutex
+	errs       []error
+	failedSide [2]bool
+	closing    bool
+	done       chan struct{}
 }
+
+// A connection fails on one of two sides: reading what the server sends, or
+// writing to it.
+const (
+	readSide = iota
+	writeSide
+)
 
 type controlResp struct {
 	frameType FrameType
@@ -164,6 +183,10 @@ func (cl *Client) EnableCoalescing() {
 
 // Close tears down the connection. Attached sessions become unusable.
 func (cl *Client) Close() error {
+	cl.errMu.Lock()
+	cl.closing = true
+	cl.errMu.Unlock()
+	cl.writeShut.Store(true)
 	if cl.closed.Swap(true) {
 		return nil
 	}
@@ -175,28 +198,37 @@ func (cl *Client) Close() error {
 	return err
 }
 
-// errBox gives atomic.Value a single concrete type to store errors under.
-type errBox struct{ err error }
-
-// Err returns the error that terminated the connection, if any.
+// Err returns what terminated the connection, if anything: the first
+// read-side failure and the first write-side one, joined (errors.Join) in
+// the order they happened when both sides failed — a socket that dies under
+// a feeding client fails both, and either may come first.
 func (cl *Client) Err() error {
-	if b, ok := cl.err.Load().(errBox); ok {
-		return b.err
+	cl.errMu.Lock()
+	defer cl.errMu.Unlock()
+	if len(cl.errs) == 1 {
+		return cl.errs[0]
 	}
-	return nil
+	return errors.Join(cl.errs...)
 }
 
-// fail records the connection-killing error and wakes pending requests.
-// The first failure wins: a write error that kills the socket is not
-// overwritten by the "use of closed network connection" noise the read
-// loop produces moments later, and a deliberate Close (closed already set)
-// records no error at all. It returns the canonical connection error so
-// call sites surface the root cause rather than whatever secondary error
-// they happened to observe.
-func (cl *Client) fail(err error) error {
-	if !cl.closed.Swap(true) {
-		cl.err.Store(errBox{err})
+// fail records a connection-ending error of one side and wakes pending
+// requests. Each side keeps its first failure — a write error that kills the
+// socket is not overwritten by the "use of closed network connection" noise
+// a later write produces — and a deliberate Close that came first records
+// nothing at all. It returns the canonical connection error so call sites
+// surface the root causes rather than whatever secondary error they
+// happened to observe.
+func (cl *Client) fail(side int, err error) error {
+	cl.errMu.Lock()
+	if !cl.closing && !cl.failedSide[side] {
+		cl.failedSide[side] = true
+		cl.errs = append(cl.errs, err)
 	}
+	cl.errMu.Unlock()
+	if side == writeSide {
+		cl.writeShut.Store(true)
+	}
+	cl.closed.Store(true)
 	cl.c.Close()
 	if co := cl.co.Load(); co != nil {
 		// Wake the flusher and any producers blocked on backpressure; the
@@ -214,14 +246,14 @@ func (cl *Client) readLoop() {
 	for {
 		f, err := r.Next()
 		if err != nil {
-			cl.fail(err)
+			cl.fail(readSide, err)
 			return
 		}
 		switch f.Type {
 		case FrameDetections:
 			handle, dropped, dets, err := DecodeDetections(f.Payload)
 			if err != nil {
-				cl.fail(err)
+				cl.fail(readSide, err)
 				return
 			}
 			cl.mu.Lock()
@@ -236,7 +268,7 @@ func (cl *Client) readLoop() {
 			// (or a FrameError) completes the round trip.
 			streamIdx, _, dets, err := DecodeDetections(f.Payload)
 			if err != nil {
-				cl.fail(err)
+				cl.fail(readSide, err)
 				return
 			}
 			cl.pmu.Lock()
@@ -246,7 +278,7 @@ func (cl *Client) readLoop() {
 			}
 			cl.pmu.Unlock()
 			if onDets == nil {
-				cl.fail(fmt.Errorf("wire: unsolicited %s frame", f.Type))
+				cl.fail(readSide, fmt.Errorf("wire: unsolicited %s frame", f.Type))
 				return
 			}
 			onDets(streamIdx, dets)
@@ -262,12 +294,12 @@ func (cl *Client) readLoop() {
 			}
 			cl.pmu.Unlock()
 			if waiter == nil {
-				cl.fail(fmt.Errorf("wire: unsolicited %s frame", f.Type))
+				cl.fail(readSide, fmt.Errorf("wire: unsolicited %s frame", f.Type))
 				return
 			}
 			waiter <- controlResp{frameType: f.Type, payload: payload}
 		default:
-			cl.fail(fmt.Errorf("wire: unexpected %s frame from server", f.Type))
+			cl.fail(readSide, fmt.Errorf("wire: unexpected %s frame from server", f.Type))
 			return
 		}
 	}
@@ -300,7 +332,7 @@ func (cl *Client) roundTripWith(req FrameType, v any, wantReply FrameType, out a
 // type fails the connection.
 func (cl *Client) roundTripRaw(req FrameType, v any, wantReply FrameType,
 	onDets func(uint32, []anduin.Detection)) ([]byte, error) {
-	if cl.closed.Load() {
+	if cl.writeShut.Load() {
 		return nil, cl.closedErr()
 	}
 	ch := make(chan controlResp, 1)
@@ -323,7 +355,7 @@ func (cl *Client) roundTripRaw(req FrameType, v any, wantReply FrameType,
 		err := cl.w.WriteJSON(req, v)
 		cl.wmu.Unlock()
 		if err != nil {
-			return nil, cl.fail(err)
+			return nil, cl.fail(writeSide, err)
 		}
 	}
 	select {
@@ -338,7 +370,7 @@ func (cl *Client) roundTripRaw(req FrameType, v any, wantReply FrameType,
 			}
 			return nil, &er
 		default:
-			return nil, cl.fail(fmt.Errorf("wire: got %s reply, want %s", resp.frameType, wantReply))
+			return nil, cl.fail(readSide, fmt.Errorf("wire: got %s reply, want %s", resp.frameType, wantReply))
 		}
 	case <-cl.done:
 		return nil, cl.closedErr()
@@ -461,7 +493,7 @@ func (cl *Client) Ping(seq uint64) (Pong, error) {
 	var pong Pong
 	err := cl.roundTrip(FramePing, &Ping{Seq: seq}, FramePong, &pong)
 	if err == nil && pong.Seq != seq {
-		return pong, cl.fail(fmt.Errorf("wire: pong seq %d for ping %d", pong.Seq, seq))
+		return pong, cl.fail(readSide, fmt.Errorf("wire: pong seq %d for ping %d", pong.Seq, seq))
 	}
 	return pong, err
 }
@@ -491,7 +523,7 @@ func (cl *Client) proxyBatch(handle uint32, payload []byte, owned bool) (int, er
 	if len(payload) < 8 {
 		return 0, fmt.Errorf("wire: batch payload of %d bytes is shorter than its header", len(payload))
 	}
-	if cl.closed.Load() {
+	if cl.writeShut.Load() {
 		return 0, cl.closedErr()
 	}
 	binary.BigEndian.PutUint32(payload[:4], handle)
@@ -506,7 +538,7 @@ func (cl *Client) proxyBatch(handle uint32, payload []byte, owned bool) (int, er
 	err := cl.w.WriteFrame(FrameBatch, payload)
 	cl.wmu.Unlock()
 	if err != nil {
-		return 0, cl.fail(err)
+		return 0, cl.fail(writeSide, err)
 	}
 	if owned {
 		PutFrameBuf(payload)
@@ -600,7 +632,7 @@ func (rs *RemoteSession) FlushBatch() error {
 	if rs.pending == 0 {
 		return nil
 	}
-	if rs.cl.closed.Load() {
+	if rs.cl.writeShut.Load() {
 		return rs.cl.closedErr()
 	}
 	var sentNs int64
@@ -628,10 +660,10 @@ func (rs *RemoteSession) FlushBatch() error {
 	err := rs.cl.w.WriteFrame(FrameBatch, buf)
 	rs.cl.wmu.Unlock()
 	if err != nil {
-		// fail keeps the first error: if the socket died under the read
-		// loop an instant ago, the caller sees that root cause instead of
-		// this write's "use of closed network connection".
-		return rs.cl.fail(err)
+		// fail keeps the first error of each side: if the socket died under
+		// the read loop an instant ago, the caller sees that cause first and
+		// this write's own after it.
+		return rs.cl.fail(writeSide, err)
 	}
 	return nil
 }

@@ -134,7 +134,7 @@ func (co *coalescer) flushLoop() {
 			owned[i] = nil
 		}
 		if err != nil {
-			co.cl.fail(err)
+			co.cl.fail(writeSide, err)
 		}
 		co.mu.Lock()
 		if err != nil && co.err == nil {

@@ -357,32 +357,45 @@ func (bb *BatchBuf) Release() {
 // into again. Whatever bb held before is overwritten or out of reach — the
 // result has exactly the payload's tuples and fields, no stale tail.
 func DecodeBatchInto(bb *BatchBuf, payload []byte) (Batch, error) {
-	return decodeBatch(bb, payload, nil, 0)
+	return decodeBatch(bb, payload, nil, 0, false)
 }
 
-// decodeBatch is the one batch decoder. With reads nil it converts every
-// field the payload carries; width is unused. With a read set, the payload
-// must carry exactly the set's fields, in its order, each inside a schema
-// width fields wide: its values are scattered to their indices in
-// width-wide field arrays, the layout of a full decode, and the fields
-// outside the set hold undefined values — NaN under
+// DecodeBatchReads is DecodeBatchInto for a payload that carries every field
+// of a width-field schema — a stream store record — of which the caller reads
+// only the fields in reads (nil: every field): only those are converted, and
+// the others hold undefined values (see decodeBatch). A payload of any other
+// width is refused. The empty read set still validates the whole payload
+// and decodes every tuple's Ts and Seq.
+func DecodeBatchReads(bb *BatchBuf, payload []byte, width int, reads *stream.ReadSet) (Batch, error) {
+	return decodeBatch(bb, payload, reads, width, true)
+}
+
+// decodeBatch is the one batch decoder. The payload carries either exactly
+// the fields of reads, in its order (full false), or every field of a
+// width-field schema (full true); reads nil with full false takes whatever
+// width the payload declares. Every field the payload carries is converted
+// when reads is nil; otherwise only the fields of reads are, scattered to
+// their indices in width-wide field arrays — the layout of a full decode —
+// and the fields outside the set hold undefined values: NaN under
 // stream.PoisonEndedLoans, since decoding into bb ends the loan of what it
 // held. Either way the payload is validated as BatchGeometry does, and
 // every tuple gets its Ts, Seq and a field array.
-func decodeBatch(bb *BatchBuf, payload []byte, reads *stream.ReadSet, width int) (Batch, error) {
+func decodeBatch(bb *BatchBuf, payload []byte, reads *stream.ReadSet, width int, full bool) (Batch, error) {
 	handle, count, sent, err := BatchGeometry(payload)
 	if err != nil {
 		return Batch{}, err
 	}
+	rf := reads.Fields()
 	fields := sent
-	if reads != nil {
-		rf := reads.Fields()
-		if sent != len(rf) {
-			return Batch{}, fmt.Errorf("wire: batch carries %d fields per tuple, the read set %d", sent, len(rf))
-		}
-		if width > MaxTupleFields || rf[0] < 0 || rf[len(rf)-1] >= width {
-			return Batch{}, fmt.Errorf("wire: read set %v does not fit a %d-field schema", rf, width)
-		}
+	switch {
+	case full && sent != width:
+		return Batch{}, fmt.Errorf("wire: batch carries %d fields per tuple, the schema %d", sent, width)
+	case reads == nil:
+	case !full && sent != len(rf):
+		return Batch{}, fmt.Errorf("wire: batch carries %d fields per tuple, the read set %d", sent, len(rf))
+	case len(rf) > 0 && (width > MaxTupleFields || rf[0] < 0 || rf[len(rf)-1] >= width):
+		return Batch{}, fmt.Errorf("wire: read set %v does not fit a %d-field schema", rf, width)
+	default:
 		fields = width
 	}
 	b := Batch{Handle: handle, Fields: fields}
@@ -407,12 +420,17 @@ func decodeBatch(bb *BatchBuf, payload []byte, reads *stream.ReadSet, width int)
 		off := i * tupleSize
 		fs := bb.arena[i*fields : (i+1)*fields : (i+1)*fields]
 		vals := body[off+tupleHeadSize : off+tupleSize]
-		if reads == nil {
+		switch {
+		case reads == nil:
 			for j := range fs {
 				fs[j] = math.Float64frombits(binary.BigEndian.Uint64(vals[8*j:]))
 			}
-		} else {
-			for k, j := range reads.Fields() {
+		case full:
+			for _, j := range rf {
+				fs[j] = math.Float64frombits(binary.BigEndian.Uint64(vals[8*j:]))
+			}
+		default:
+			for k, j := range rf {
 				fs[j] = math.Float64frombits(binary.BigEndian.Uint64(vals[8*k:]))
 			}
 		}
@@ -423,6 +441,13 @@ func decodeBatch(bb *BatchBuf, payload []byte, reads *stream.ReadSet, width int)
 		}
 	}
 	return b, nil
+}
+
+// batchBodies returns the count tuple bodies of a FrameBatch payload that
+// BatchGeometry accepted, each fields values wide: the bytes between its
+// header and its trace trailer, which are what a stream store record holds.
+func batchBodies(payload []byte, count, fields int) []byte {
+	return payload[8 : 8+count*(tupleHeadSize+8*fields)]
 }
 
 // --- Detection push (data plane, server → client). ---

@@ -145,7 +145,7 @@ func FuzzDecodeBatch(f *testing.F) {
 			fields = append(fields, 1000)
 			width = 1001
 		}
-		part, perr := decodeBatch(recycled, payload, stream.NewReadSet(fields...), width)
+		part, perr := decodeBatch(recycled, payload, stream.NewReadSet(fields...), width, false)
 		if want := err == nil && b.Fields == len(fields); (perr == nil) != want {
 			t.Fatalf("decoding fields %v: error %v, full decode %v of %d fields", fields, perr, err, b.Fields)
 		}
@@ -185,7 +185,7 @@ func FuzzDecodeBatch(f *testing.F) {
 		// to what the full decode holds on every field of the set.
 		if len(fields) > 0 && fields[len(fields)-1] < b.Fields {
 			sent := appendReadBatch(nil, b.Handle, b.Tuples, fields, b.SentNs)
-			nb, err := decodeBatch(recycled, sent, stream.NewReadSet(fields...), b.Fields)
+			nb, err := decodeBatch(recycled, sent, stream.NewReadSet(fields...), b.Fields, false)
 			if err != nil {
 				t.Fatalf("batch encoded for fields %v does not decode: %v", fields, err)
 			}
@@ -207,6 +207,70 @@ func FuzzDecodeBatch(f *testing.F) {
 			if msg := sameBatch(into, b); msg != "" {
 				t.Fatalf("decode into a recycled buffer: %s", msg)
 			}
+		}
+	})
+}
+
+// FuzzDecodeReadsEqualsFull checks the read-set decode of a full-width
+// payload — what a recording session and the stream store's readers run —
+// against the full decode. The schema width is the one the payload declares,
+// and fieldSet picks the read set (bit j for field j·width/64, so a set
+// reaches across any width; no bit set is the empty set). Both decodes
+// refuse the same payloads, and on an accepted one agree on the handle, the
+// width, SentNs, every tuple's Ts and Seq, and every field of the set, bit
+// for bit — whatever the recycled buffer held before.
+func FuzzDecodeReadsEqualsFull(f *testing.F) {
+	ts := time.Date(2014, 3, 24, 10, 0, 0, 0, time.UTC)
+	two := []stream.Tuple{{Ts: ts, Seq: 9, Fields: []float64{4, math.NaN()}}}
+	if p, err := AppendBatch(nil, 3, 2, two); err == nil {
+		f.Add(p, uint64(0))             // the empty set: headers only
+		f.Add(p, uint64(1<<32))         // the second field
+		f.Add(p, ^uint64(0))            // every field
+		f.Add(p[:len(p)-1], ^uint64(0)) // a body short by a byte
+	}
+	if p, err := appendBatch(nil, 3, 2, two, 77); err == nil {
+		f.Add(p, uint64(1)) // traced
+	}
+	if p, err := AppendBatch(nil, 5, 45, poolTuples(3, 45)); err == nil {
+		f.Add(p, uint64(0x8000_4000_2000_0001)) // a recording session's batch
+	}
+	f.Add(appendReadBatch(nil, 3, two, []int{1}, 0), uint64(1)) // narrowed, so one field wide
+	var lying []byte
+	lying = binary.BigEndian.AppendUint32(lying, 1)
+	lying = binary.BigEndian.AppendUint16(lying, 0xffff) // claims 65535 tuples
+	lying = binary.BigEndian.AppendUint16(lying, 0x03ff) // of 1023 fields
+	f.Add(lying, ^uint64(0))
+	recycled := new(BatchBuf)
+	dirt, err := AppendBatch(nil, 1, 9, poolTuples(MaxBatch, 9))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte, fieldSet uint64) {
+		want, err := DecodeBatch(payload)
+		width := 0
+		if len(payload) >= 8 {
+			width = int(binary.BigEndian.Uint16(payload[6:8]) &^ batchTraceFlag)
+		}
+		var fields []int
+		for j := range 64 {
+			if fieldSet>>j&1 == 1 && width > 0 {
+				fields = append(fields, j*width/64)
+			}
+		}
+		reads := stream.NewReadSet(fields...)
+		if _, derr := DecodeBatchInto(recycled, dirt); derr != nil {
+			t.Fatal(derr)
+		}
+		got, gerr := DecodeBatchReads(recycled, payload, width, reads)
+		if (gerr == nil) != (err == nil) {
+			t.Fatalf("decoding fields %v of %d: error %v, the full decode's %v", reads.Fields(), width, gerr, err)
+		}
+		if err != nil {
+			return
+		}
+		// A non-nil list: sameBatchOn reads nil as every field.
+		if msg := sameBatchOn(got, want, append([]int{}, reads.Fields()...)); msg != "" {
+			t.Fatalf("decoding fields %v of %d: %s", reads.Fields(), width, msg)
 		}
 	})
 }

@@ -50,8 +50,7 @@ func lendFixture(t *testing.T, cfg serve.Config, queries ...string) (*serve.Mana
 		t.Fatal(err)
 	}
 	sess.SetCollect(false)
-	return mgr, &localSession{srv: NewServer(mgr), sess: sess, cancel: func() {},
-		reads: advertised(sess), fields: kinectFields}
+	return mgr, newLocalSession(NewServer(mgr), sess, nil, kinectFields)
 }
 
 // lendPayloads encodes n consecutive batches of width tuples, each fields
@@ -274,7 +273,7 @@ func TestDecodeOnlyTheReadSet(t *testing.T) {
 		if _, err := DecodeBatchInto(bb, payload); err != nil {
 			t.Fatal(err)
 		}
-		got, err := decodeBatch(bb, appendReadBatch(nil, 1, tuples, reads.Fields(), 0), reads, kinectFields)
+		got, err := decodeBatch(bb, appendReadBatch(nil, 1, tuples, reads.Fields(), 0), reads, kinectFields, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,17 +23,14 @@ func (h *localHost) Metrics() serve.Metrics { return h.mgr.Metrics() }
 
 func (h *localHost) Attach(req AttachRequest, push *Push) (Session, AttachReply, error) {
 	var rec Recording
-	var tap func(stream.Tuple)
 	if h.srv.Archive != nil {
 		var err error
 		if rec, err = h.srv.Archive.RecordSession(req.ID); err != nil {
 			return nil, AttachReply{}, fmt.Errorf("wire: recording %q: %w", req.ID, err)
 		}
-		tap = rec.Tap()
 	}
 	sess, err := h.mgr.CreateSessionWith(req.ID, serve.SessionOptions{
 		Gestures:  req.Gestures,
-		Tap:       tap,
 		CatchUpTo: req.StartAt,
 	})
 	if err != nil {
@@ -42,7 +39,17 @@ func (h *localHost) Attach(req AttachRequest, push *Push) (Session, AttachReply,
 		}
 		return nil, AttachReply{}, err
 	}
-	ls := &localSession{srv: h.srv, sess: sess, rec: rec}
+	reply := AttachReply{Plans: req.Gestures}
+	if len(reply.Plans) == 0 {
+		reply.Plans = h.mgr.Registry().Names()
+	}
+	if raw, ok := sess.Engine().Stream(anduin.RawStreamName); ok {
+		reply.Fields = raw.Schema().Len()
+	}
+	ls := newLocalSession(h.srv, sess, rec, reply.Fields)
+	if !ls.full {
+		reply.Reads = ls.reads.Fields()
+	}
 	// Stream detections out instead of buffering them in the session: the
 	// listener runs on the shard worker, so it only parks them in the push
 	// buffer; the connection's pusher goroutine owns the socket writes.
@@ -59,30 +66,23 @@ func (h *localHost) Attach(req AttachRequest, push *Push) (Session, AttachReply,
 		push.Detections(dropped, []anduin.Detection{d})
 	})
 	sess.SetCollect(false)
-
-	reply := AttachReply{Plans: req.Gestures}
-	if len(reply.Plans) == 0 {
-		reply.Plans = h.mgr.Registry().Names()
-	}
-	if raw, ok := sess.Engine().Stream(anduin.RawStreamName); ok {
-		reply.Fields = raw.Schema().Len()
-	}
-	// CreateSessionWith deployed every plan, so the read set is final: the
-	// fields the client sends, and what its batches are decoded against for
-	// the session's life.
-	ls.reads, ls.fields = advertised(sess), reply.Fields
-	reply.Reads = ls.reads.Fields()
 	return ls, reply, nil
 }
 
-// advertised is the read set a session's batches carry: the session's raw
-// read set, or nil — every field — when it reads every field (a recording
-// session: its tap keeps whole tuples) or none.
-func advertised(sess *serve.Session) *stream.ReadSet {
-	if reads := sess.Reads(); len(reads.Fields()) > 0 {
-		return reads
+// newLocalSession wraps a session whose every plan is deployed, so its read
+// set is final: what it reads of each tuple, and so what its batches are
+// decoded to for the session's life. Its client sends exactly that set —
+// unless the session records (rec non-nil), whose archive keeps whole
+// tuples: it is sent every field and still decodes only its read set. A set
+// of no field is sent as every field too, since a batch carries at least
+// one. fields is the raw schema width.
+func newLocalSession(srv *Server, sess *serve.Session, rec Recording, fields int) *localSession {
+	reads := sess.Reads()
+	return &localSession{
+		srv: srv, sess: sess, cancel: func() {}, rec: rec,
+		reads: reads, fields: fields,
+		full: rec != nil || len(reads.Fields()) == 0,
 	}
-	return nil
 }
 
 // HistoryReader iterates a recorded session's admitted tuples in record
@@ -101,10 +101,13 @@ type localSession struct {
 	cancel func()
 	rec    Recording // nil when the server has no archive
 
-	// reads is the read set advertised at attach (nil: every field), which
-	// every batch carries; fields the schema width it is scattered back to.
+	// reads is what the session reads of each tuple (nil: every field), the
+	// fields a batch is decoded to and scattered back to the schema width
+	// fields; full reports that a batch carries every field rather than
+	// exactly reads (newLocalSession).
 	reads  *stream.ReadSet
 	fields int
+	full   bool
 
 	// Migration source state: the open history cursor of a sealed session
 	// and its absolute tuple position. Only the connection's reader
@@ -121,16 +124,17 @@ func (ls *localSession) Batch(b RawBatch) error {
 	if BatchTraced(b.Payload) {
 		start = time.Now()
 	}
-	// The batch carries only the fields the session reads — for the demo
-	// plans 15 of 45 — and is decoded against the set advertised at attach.
-	// The shard worker checks the set a batch holds covers what the session
-	// reads when it publishes.
+	// Only the fields the session reads are decoded — for the demo plans 15
+	// of 45 — whether the batch carries just those or, for a recording
+	// session, every field. The shard worker checks the set a batch holds
+	// covers what the session reads when it publishes.
 	buf := getBatchBuf()
-	batch, err := decodeBatch(buf, b.Payload, ls.reads, ls.fields)
+	batch, err := decodeBatch(buf, b.Payload, ls.reads, ls.fields, ls.full)
 	if err != nil {
 		buf.Release()
 		return err
 	}
+	count := len(batch.Tuples) // batch is the queue's once FeedLent admits it
 	if batch.SentNs != 0 {
 		ls.srv.batchDecode.ObserveSince(start)
 		ls.srv.ingress.Observe(time.Duration(start.UnixNano() - batch.SentNs))
@@ -146,6 +150,14 @@ func (ls *localSession) Batch(b RawBatch) error {
 		// receives an error frame it has no request in flight for.
 		buf.Release()
 		return fmt.Errorf("session %q: %w", ls.sess.ID(), err)
+	}
+	if ls.rec != nil {
+		// Admitted, so recorded: the archive holds exactly what the session
+		// accepted, tuples DropOldest may yet evict included (drops are a
+		// serving artifact, not part of the history). The payload's tuple
+		// bodies are the bytes a record stores, so they are copied as they
+		// are; the connection's reader, the one feeder, keeps the order.
+		ls.rec.TapBodies(batchBodies(b.Payload, count, ls.fields), ls.fields)
 	}
 	return nil
 }

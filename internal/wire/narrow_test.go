@@ -45,7 +45,7 @@ func (s captureSession) Batch(b RawBatch) error {
 	if s.h.reply.Reads != nil {
 		reads = stream.NewReadSet(s.h.reply.Reads...)
 	}
-	batch, err := decodeBatch(new(BatchBuf), b.Payload, reads, s.h.reply.Fields)
+	batch, err := decodeBatch(new(BatchBuf), b.Payload, reads, s.h.reply.Fields, false)
 	if err != nil {
 		return err
 	}

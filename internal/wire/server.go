@@ -14,7 +14,6 @@ import (
 	"gesturecep/internal/anduin"
 	"gesturecep/internal/obs"
 	"gesturecep/internal/serve"
-	"gesturecep/internal/stream"
 )
 
 // maxPendingDetections bounds a session's detection push buffer. The buffer
@@ -139,8 +138,12 @@ type Archive interface {
 
 // Recording is one attached session's recording.
 type Recording interface {
-	// Tap is installed on the session's feed path (serve.SessionOptions.Tap).
-	Tap() func(stream.Tuple)
+	// TapBodies records the tuple bodies of one batch the session admitted,
+	// each fields values wide (AppendTupleBody's encoding, count times over):
+	// the bytes of its FrameBatch payload between header and trace trailer.
+	// It is called on the session's one feeding goroutine, in admit order,
+	// must never block, and keeps no reference to bodies.
+	TapBodies(bodies []byte, fields int)
 	// History makes everything tapped so far readable and opens a reader
 	// over it, with the recorded-tuple count. A migration calls it once the
 	// session is sealed and drained, so the tap is quiescent.

@@ -174,3 +174,60 @@ func TestClientSurfacesWriteError(t *testing.T) {
 		t.Fatalf("deliberate Close recorded an error: %v", err)
 	}
 }
+
+// faultConn fails on cue: Read returns the error sent on readErr and Write
+// the one sent on writeErr, each blocking until one arrives; Close does
+// nothing, so whatever was sent is what the client sees.
+type faultConn struct {
+	net.Conn
+	readErr, writeErr chan error
+}
+
+func (c *faultConn) Read([]byte) (int, error)  { return 0, <-c.readErr }
+func (c *faultConn) Write([]byte) (int, error) { return 0, <-c.writeErr }
+func (c *faultConn) Close() error              { return nil }
+
+// TestClientKeepsBothCauses forces each order of a connection's two
+// failures, its read loop's and a feeding write's: the first error of each
+// side is kept, and Err joins them earlier first. A write that follows a
+// failed read is still tried, so its own cause is kept and the call that
+// made it returns both.
+func TestClientKeepsBothCauses(t *testing.T) {
+	errRead, errWrite := errors.New("read side"), errors.New("write side")
+	for _, readFirst := range []bool{true, false} {
+		name := "write first"
+		if readFirst {
+			name = "read first"
+		}
+		t.Run(name, func(t *testing.T) {
+			pipe, peer := net.Pipe()
+			defer peer.Close()
+			fc := &faultConn{Conn: pipe, readErr: make(chan error, 1), writeErr: make(chan error, 1)}
+			cl := NewClient(fc)
+			defer cl.Close()
+			rs := &RemoteSession{cl: cl, handle: 1, fields: 2, batchSize: 1}
+			feed := func() error { return rs.FeedTuple(stream.Tuple{Ts: testTime(), Fields: []float64{1, 2}}) }
+			var err error
+			want := errors.Join(errWrite, errRead)
+			if readFirst {
+				want = errors.Join(errRead, errWrite)
+				fc.readErr <- errRead
+				<-cl.done
+				fc.writeErr <- errWrite
+				if err = feed(); !errors.Is(err, errRead) || !errors.Is(err, errWrite) {
+					t.Fatalf("feeding after the read side failed: %v, want both causes", err)
+				}
+			} else {
+				fc.writeErr <- errWrite
+				if err = feed(); !errors.Is(err, errWrite) {
+					t.Fatalf("feeding into a failing write: %v, want its cause", err)
+				}
+				fc.readErr <- errRead
+				<-cl.done
+			}
+			if got := cl.Err(); got == nil || got.Error() != want.Error() {
+				t.Fatalf("Client.Err() = %v, want %v", got, want)
+			}
+		})
+	}
+}
